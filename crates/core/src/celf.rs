@@ -77,11 +77,12 @@ impl CdSelector {
         CdSelector { store: CreditStore::from_dump(&dump.store), sc, seeds: dump.seeds.clone() }
     }
 
-    /// Theorem-3 marginal gain of adding `x` to the current seed set.
+    /// Theorem-3 marginal gain of adding `x` to the current seed set. A
+    /// committed seed gains nothing (σ is a set function).
     pub fn compute_mg(&self, x: u32) -> f64 {
         let inv_ax = self.store.inv_au(x);
-        if inv_ax == 0.0 {
-            return 0.0; // user never acted: the log carries no evidence
+        if inv_ax == 0.0 || self.seeds.contains(&x) {
+            return 0.0; // never acted (no evidence), or already a seed
         }
         let mut mg = 0.0;
         for &a in self.store.actions_of_user(x) {
@@ -104,7 +105,7 @@ impl CdSelector {
     /// credit. Kept for the `ablate-mg` experiment.
     pub fn compute_mg_pseudocode(&self, x: u32) -> f64 {
         let inv_ax = self.store.inv_au(x);
-        if inv_ax == 0.0 {
+        if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0;
         }
         let mut mg = 0.0;
@@ -127,8 +128,11 @@ impl CdSelector {
     }
 
     /// Algorithm 5: adds `x` to the seed set and updates UC (Lemma 2) and
-    /// SC (Lemma 3) incrementally.
+    /// SC (Lemma 3) incrementally. Committing a seed twice is a no-op.
     pub fn update(&mut self, x: u32) {
+        if self.seeds.contains(&x) {
+            return;
+        }
         // Credits involving x exist only in actions x performed, so the
         // per-user action index bounds the walk.
         let actions: Vec<u32> = self.store.actions_of_user(x).to_vec();
@@ -182,7 +186,7 @@ impl CdSelector {
 
     /// Runs CELF until `k` seeds are chosen; returns the selection and
     /// consumes the selector. Candidates are all users that performed at
-    /// least one action.
+    /// least one action and are not already seeds.
     pub fn select(self, k: usize) -> Selection {
         self.select_with_mode(k, MgMode::Theorem3)
     }
@@ -205,8 +209,8 @@ impl CdSelector {
 pub(crate) trait CelfEngine {
     /// Users in the id space (the candidate range).
     fn num_users(&self) -> usize;
-    /// Seeds committed so far.
-    fn seeds_len(&self) -> usize;
+    /// Seeds committed so far (never candidates again).
+    fn seeds(&self) -> &[u32];
     /// `Σ_a Σ_u Γ_{x,u}(a)·1/A_u` for every user `x` — the credit half of
     /// the `S = ∅` bulk pass. Implementations must accumulate per
     /// out-row, actions in ascending order, rows in each row's traversal
@@ -245,24 +249,24 @@ pub(crate) fn run_celf<E: CelfEngine>(engine: &mut E, k: usize, mode: MgMode) ->
     // self term.)
     let initial = engine.initial_credit_gains();
     for x in 0..engine.num_users() as u32 {
-        if engine.inv_au_of(x) == 0.0 {
+        if engine.inv_au_of(x) == 0.0 || engine.seeds().contains(&x) {
             continue;
         }
         evaluations += 1;
         heap.push((OrdF64(initial[x as usize] + engine.self_term(x, mode)), Reverse(x), 0));
     }
 
-    while engine.seeds_len() < k {
+    while engine.seeds().len() < k {
         let Some((OrdF64(mg), Reverse(x), round)) = heap.pop() else {
             break;
         };
-        if round == engine.seeds_len() {
+        if round == engine.seeds().len() {
             gains.push(mg);
             engine.commit(x);
         } else {
             let fresh = engine.mg(x, mode);
             evaluations += 1;
-            heap.push((OrdF64(fresh), Reverse(x), engine.seeds_len()));
+            heap.push((OrdF64(fresh), Reverse(x), engine.seeds().len()));
         }
     }
 
@@ -274,8 +278,8 @@ impl CelfEngine for CdSelector {
         self.store.num_users()
     }
 
-    fn seeds_len(&self) -> usize {
-        self.seeds.len()
+    fn seeds(&self) -> &[u32] {
+        &self.seeds
     }
 
     fn initial_credit_gains(&self) -> Vec<f64> {

@@ -38,6 +38,24 @@
 //! search over the source's sorted out run — two probes per entry when
 //! retiring a user's column, in exchange for 4 fewer bytes per entry.
 //!
+//! ## Query engine cost
+//!
+//! An [`OverlaySelector`] reads credits from the shared arena until its
+//! first [`update`](OverlaySelector::update) commits a seed; only then
+//! does it copy `out_credits` (8 bytes per entry) into a private array
+//! it can overwrite. Marginal gains, single-seed spreads and other
+//! read-only queries copy nothing.
+//!
+//! Committing seed `x` (Algorithm 5) costs, per action `a` that `x`
+//! performed: `x`'s out row, one row lookup and target search per source
+//! in `x`'s column, and then one linear walk over each such source's out
+//! row — Σ over `x`'s actions of its influencers' row lengths, however
+//! many of those entries Lemma 2 actually changes. The walk finds `x`'s
+//! targets through a user-indexed slot array (8 bytes per user, stamped
+//! per action so it never needs clearing). The slot array and the
+//! row buffers live in the overlay and are reused across actions and
+//! seeds.
+//!
 //! ## Bit-identity contract
 //!
 //! Freezing sorts entries exactly like [`CreditStore::dump`], so a
@@ -307,15 +325,6 @@ impl CompactData {
         offs[row] as usize..offs[row + 1] as usize
     }
 
-    /// Global out-entry position of `(a, v, u)`, if stored.
-    #[inline]
-    fn entry_pos(&self, a: u32, v: u32, u: u32) -> Option<usize> {
-        let row = self.out_row_of(a, v)?;
-        let entries = self.out_row_entries(row);
-        let targets = &self.out_targets()[entries.clone()];
-        targets.binary_search(&u).ok().map(|i| entries.start + i)
-    }
-
     fn memory_bytes(&self) -> usize {
         self.buf.heap_bytes()
     }
@@ -472,7 +481,7 @@ impl CompactCreditStore {
     }
 
     fn store_dump(&self) -> CreditStoreDump {
-        store_dump(&self.data)
+        store_dump(&self.data, self.data.out_credits())
     }
 
     /// Users in the id space.
@@ -517,14 +526,15 @@ impl HeapSize for CompactCreditStore {
     }
 }
 
-fn store_dump(data: &CompactData) -> CreditStoreDump {
+/// The canonical store dump of `data` with credit values `credits` (the
+/// arena's own, or an overlay's; `NaN` entries are left out).
+fn store_dump(data: &CompactData, credits_arr: &[f64]) -> CreditStoreDump {
     let counts = &data.counts;
     let mut user_actions = Vec::with_capacity(counts.num_users);
     for u in 0..counts.num_users as u32 {
         user_actions.push(data.ua_row(u).to_vec());
     }
     let targets = data.out_targets();
-    let credits_arr = data.out_credits();
     let row_user = data.out_row_user();
     let mut credits = Vec::with_capacity(counts.num_actions);
     for a in 0..counts.num_actions as u32 {
@@ -532,7 +542,9 @@ fn store_dump(data: &CompactData) -> CreditStoreDump {
         for row in data.out_act_range(a) {
             let v = row_user[row];
             for pos in data.out_row_entries(row) {
-                entries.push((v, targets[pos], credits_arr[pos]));
+                if !credits_arr[pos].is_nan() {
+                    entries.push((v, targets[pos], credits_arr[pos]));
+                }
             }
         }
         credits.push(entries);
@@ -569,7 +581,11 @@ impl CompactSelector {
             .zip(data.sc_vals())
             .map(|(&key, &c)| ((key >> 32) as u32, key as u32, c))
             .collect();
-        SelectorDump { store: store_dump(data), sc, seeds: data.seeds().to_vec() }
+        SelectorDump {
+            store: store_dump(data, data.out_credits()),
+            sc,
+            seeds: data.seeds().to_vec(),
+        }
     }
 
     /// Reconstructs the mutable selector (the extend/retract path).
@@ -663,11 +679,12 @@ impl CompactSelector {
 
     /// Starts a query session: an [`OverlaySelector`] that can compute
     /// marginal gains, commit seeds, and run CELF without mutating the
-    /// shared arena.
+    /// shared arena. Cheap until the first committed seed, which copies
+    /// the credit array.
     pub fn overlay(&self) -> OverlaySelector {
         OverlaySelector {
             data: Arc::clone(&self.data),
-            credits: self.data.out_credits().to_vec(),
+            credits: None,
             sc: self
                 .data
                 .sc_keys()
@@ -676,6 +693,7 @@ impl CompactSelector {
                 .map(|(&k, &v)| (k, v))
                 .collect(),
             seeds: self.data.seeds().to_vec(),
+            scratch: UpdateScratch::default(),
         }
     }
 }
@@ -873,11 +891,48 @@ fn validate_direction(
 #[derive(Clone, Debug)]
 pub struct OverlaySelector {
     data: Arc<CompactData>,
-    /// Clone of `out_credits`; `NaN` = entry removed. Live stored credits
-    /// are finite by validation, so the sentinel is unambiguous.
-    credits: Vec<f64>,
+    /// Owned copy of `out_credits`, made by the first [`Self::update`];
+    /// until then every read goes to the shared arena. `NaN` = entry
+    /// removed. Live stored credits are finite by validation, so the
+    /// sentinel is unambiguous.
+    credits: Option<Vec<f64>>,
     sc: FxHashMap<u64, f64>,
     seeds: Vec<u32>,
+    scratch: UpdateScratch,
+}
+
+/// Buffers of the Algorithm-5 kernel, kept across actions and seeds so an
+/// update allocates nothing per action.
+#[derive(Clone, Debug, Default)]
+struct UpdateScratch {
+    /// Per user: `(stamp << 32) | i` marks the user as `gout[i]`'s target
+    /// for the action stamped `stamp`. The marker never reads a credit
+    /// value, so a stored `0.0` credit is still marked. Sized on the
+    /// first update (8 bytes per user).
+    slot: Vec<u64>,
+    /// Stamp of the action being updated; 0 is never current.
+    stamp: u32,
+    /// `(u, Γ_{x,u})` removed from the seed's out row.
+    gout: Vec<(u32, f64)>,
+    /// `(out row of v, Γ_{v,x})` removed from the seed's column.
+    gin: Vec<(usize, f64)>,
+}
+
+impl UpdateScratch {
+    /// Starts a new action: every slot from an earlier action goes stale.
+    fn next_stamp(&mut self, num_users: usize) {
+        if self.slot.len() != num_users {
+            self.slot = vec![0; num_users];
+            self.stamp = 0;
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.slot.fill(0);
+            self.stamp = 1;
+        }
+        self.gout.clear();
+        self.gin.clear();
+    }
 }
 
 impl OverlaySelector {
@@ -886,16 +941,42 @@ impl OverlaySelector {
         &self.seeds
     }
 
+    /// Exports the session's current state (live credits, SC map, seeds)
+    /// as a canonical dump — what [`CdSelector::dump`] returns after the
+    /// same seeds are committed on the mutable engine.
+    pub fn to_dump(&self) -> SelectorDump {
+        let mut sc: Vec<(u32, u32, f64)> =
+            self.sc.iter().map(|(&key, &c)| ((key >> 32) as u32, key as u32, c)).collect();
+        sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
+        SelectorDump {
+            store: store_dump(&self.data, self.credits()),
+            sc,
+            seeds: self.seeds.clone(),
+        }
+    }
+
+    /// The live credit values: the overlay's own copy once a seed has
+    /// been committed in this session, the arena's otherwise.
+    #[inline]
+    fn credits(&self) -> &[f64] {
+        match &self.credits {
+            Some(owned) => owned,
+            None => self.data.out_credits(),
+        }
+    }
+
     /// Theorem-3 marginal gain of adding `x` to the current seed set
     /// (bit-identical to [`CdSelector::compute_mg`] on canonical state).
+    /// A committed seed gains nothing.
     pub fn compute_mg(&self, x: u32) -> f64 {
         let data = &self.data;
         let inv_ax = data.inv_au_of(x);
-        if inv_ax == 0.0 {
+        if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0;
         }
         let mut mg = 0.0;
         let targets = data.out_targets();
+        let credits = self.credits();
         for &a in data.ua_row(x) {
             let sc_xa = self.sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
             let factor = (1.0 - sc_xa).max(0.0);
@@ -905,7 +986,7 @@ impl OverlaySelector {
             let mut mga = inv_ax;
             if let Some(row) = data.out_row_of(a, x) {
                 for pos in data.out_row_entries(row) {
-                    let c = self.credits[pos];
+                    let c = credits[pos];
                     if !c.is_nan() {
                         mga += c * data.inv_au_of(targets[pos]);
                     }
@@ -921,17 +1002,18 @@ impl OverlaySelector {
     pub fn compute_mg_pseudocode(&self, x: u32) -> f64 {
         let data = &self.data;
         let inv_ax = data.inv_au_of(x);
-        if inv_ax == 0.0 {
+        if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0;
         }
         let mut mg = 0.0;
         let targets = data.out_targets();
+        let credits = self.credits();
         for &a in data.ua_row(x) {
             let mut mga = 0.0;
             let mut any = false;
             if let Some(row) = data.out_row_of(a, x) {
                 for pos in data.out_row_entries(row) {
-                    let c = self.credits[pos];
+                    let c = credits[pos];
                     if !c.is_nan() {
                         any = true;
                         mga += c * data.inv_au_of(targets[pos]);
@@ -949,81 +1031,25 @@ impl OverlaySelector {
     }
 
     /// Algorithm 5: commits `x` and applies the Lemma 2/3 updates to the
-    /// overlay (bit-identical to [`CdSelector::update`]).
+    /// overlay (bit-identical to [`CdSelector::update`]). Committing a
+    /// seed twice is a no-op.
     pub fn update(&mut self, x: u32) {
+        if self.seeds.contains(&x) {
+            return;
+        }
         let data = Arc::clone(&self.data);
+        let credits = self.credits.get_or_insert_with(|| data.out_credits().to_vec());
         for &a in data.ua_row(x) {
-            self.apply_seed_to_action(a, x);
+            apply_seed_to_action(&data, credits, &mut self.sc, &mut self.scratch, a, x);
         }
         self.seeds.push(x);
     }
 
-    fn apply_seed_to_action(&mut self, a: u32, x: u32) {
-        let data = Arc::clone(&self.data);
-        let sc_xa = self.sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
-        let one_minus = (1.0 - sc_xa).max(0.0);
-
-        // Retire x from action a. Row runs are sorted, matching the
-        // canonical mutable store's adjacency order exactly.
-        let mut gout: Vec<(u32, f64)> = Vec::new();
-        if let Some(row) = data.out_row_of(a, x) {
-            let targets = data.out_targets();
-            for pos in data.out_row_entries(row) {
-                let c = self.credits[pos];
-                if !c.is_nan() {
-                    gout.push((targets[pos], c));
-                    self.credits[pos] = f64::NAN;
-                }
-            }
-        }
-        let mut gin: Vec<(u32, f64)> = Vec::new();
-        if let Some(row) = data.inc_row_of(a, x) {
-            let sources = data.inc_sources();
-            for i in data.inc_row_entries(row) {
-                let v = sources[i];
-                // Validation guarantees the matching out entry exists.
-                let Some(pos) = data.entry_pos(a, v, x) else { continue };
-                let c = self.credits[pos];
-                if !c.is_nan() {
-                    gin.push((v, c));
-                    self.credits[pos] = f64::NAN;
-                }
-            }
-        }
-
-        // Lemma 3: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
-        for &(u, cxu) in &gout {
-            let e = self.sc.entry(pair_key(a, u)).or_insert(0.0);
-            *e = (*e + cxu * one_minus).min(1.0);
-        }
-        // Lemma 2: Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}.
-        for &(v, cvx) in &gin {
-            for &(u, cxu) in &gout {
-                self.subtract(a, v, u, cvx * cxu);
-            }
-        }
-    }
-
-    /// Lemma-2 subtraction with the same clamp-and-remove semantics as
-    /// `ActionCredits::subtract` (entries at ≤ 1e-15 become `NaN`).
-    fn subtract(&mut self, a: u32, v: u32, u: u32, amount: f64) {
-        let Some(pos) = self.data.entry_pos(a, v, u) else {
-            return;
-        };
-        let c = &mut self.credits[pos];
-        if c.is_nan() {
-            return;
-        }
-        *c -= amount;
-        if *c <= 1e-15 {
-            *c = f64::NAN;
-        }
-    }
-
     fn has_influencer(&self, a: u32, x: u32) -> bool {
-        self.data.out_row_of(a, x).is_some_and(|row| {
-            self.data.out_row_entries(row).any(|pos| !self.credits[pos].is_nan())
-        })
+        let credits = self.credits();
+        self.data
+            .out_row_of(a, x)
+            .is_some_and(|row| self.data.out_row_entries(row).any(|pos| !credits[pos].is_nan()))
     }
 
     /// Runs CELF until `k` seeds are chosen (continuing from any seeds
@@ -1044,8 +1070,8 @@ impl CelfEngine for OverlaySelector {
         self.data.counts.num_users
     }
 
-    fn seeds_len(&self) -> usize {
-        self.seeds.len()
+    fn seeds(&self) -> &[u32] {
+        &self.seeds
     }
 
     fn initial_credit_gains(&self) -> Vec<f64> {
@@ -1054,11 +1080,12 @@ impl CelfEngine for OverlaySelector {
         let row_user = data.out_row_user();
         let targets = data.out_targets();
         let inv_au = data.inv_au();
+        let credits = self.credits();
         for a in 0..data.counts.num_actions as u32 {
             for row in data.out_act_range(a) {
                 let acc = &mut initial[row_user[row] as usize];
                 for pos in data.out_row_entries(row) {
-                    let c = self.credits[pos];
+                    let c = credits[pos];
                     if !c.is_nan() {
                         *acc += c * inv_au[targets[pos] as usize];
                     }
@@ -1095,6 +1122,84 @@ impl CelfEngine for OverlaySelector {
 
     fn commit(&mut self, x: u32) {
         self.update(x);
+    }
+}
+
+/// One action's worth of [`OverlaySelector::update`]: retires `x` from
+/// action `a` and applies the Lemma 2/3 credit algebra to `credits`.
+///
+/// Lemma 2 subtracts `Γ_{v,x}·Γ_{x,u}` from every stored `(v, u)` with
+/// `v` in `x`'s column and `u` in `x`'s row. Instead of looking each pair
+/// up, the kernel marks `x`'s targets in `scratch.slot` and walks each
+/// source's out row once, updating the entries whose target is marked.
+/// Every `(v, u)` entry is touched at most once and the amounts come from
+/// `gin`/`gout`, which hold values removed before the walk, so the visit
+/// order changes no value.
+fn apply_seed_to_action(
+    data: &CompactData,
+    credits: &mut [f64],
+    sc: &mut FxHashMap<u64, f64>,
+    scratch: &mut UpdateScratch,
+    a: u32,
+    x: u32,
+) {
+    let sc_xa = sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
+    let one_minus = (1.0 - sc_xa).max(0.0);
+    scratch.next_stamp(data.counts.num_users);
+    let stamp = scratch.stamp;
+    let targets = data.out_targets();
+
+    // Retire x from action a. Row runs are sorted, matching the
+    // canonical mutable store's adjacency order exactly.
+    if let Some(row) = data.out_row_of(a, x) {
+        for pos in data.out_row_entries(row) {
+            let c = credits[pos];
+            if !c.is_nan() {
+                let u = targets[pos];
+                scratch.slot[u as usize] = u64::from(stamp) << 32 | scratch.gout.len() as u64;
+                scratch.gout.push((u, c));
+                credits[pos] = f64::NAN;
+            }
+        }
+    }
+    if let Some(row) = data.inc_row_of(a, x) {
+        let sources = data.inc_sources();
+        for i in data.inc_row_entries(row) {
+            // Validation guarantees the matching out entry exists.
+            let Some(v_row) = data.out_row_of(a, sources[i]) else { continue };
+            let entries = data.out_row_entries(v_row);
+            let Ok(k) = targets[entries.clone()].binary_search(&x) else { continue };
+            let c = credits[entries.start + k];
+            if !c.is_nan() {
+                scratch.gin.push((v_row, c));
+                credits[entries.start + k] = f64::NAN;
+            }
+        }
+    }
+
+    // Lemma 3: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
+    for &(u, cxu) in &scratch.gout {
+        let e = sc.entry(pair_key(a, u)).or_insert(0.0);
+        *e = (*e + cxu * one_minus).min(1.0);
+    }
+    // Lemma 2: Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}, with the
+    // clamp-and-remove semantics of `ActionCredits::subtract` (entries at
+    // ≤ 1e-15 become `NaN`). A removed entry stays `NaN` through the
+    // arithmetic, and an unmarked one is written back unchanged.
+    if scratch.gout.is_empty() {
+        return; // nothing to subtract, and the walk reads `gout[0]`
+    }
+    let (slot, gout) = (&scratch.slot, &scratch.gout);
+    for &(v_row, cvx) in &scratch.gin {
+        let entries = data.out_row_entries(v_row);
+        for (c, &u) in credits[entries.clone()].iter_mut().zip(&targets[entries]) {
+            let s = slot[u as usize];
+            let marked = (s >> 32) as u32 == stamp;
+            let cxu = gout[if marked { s as u32 as usize } else { 0 }].1;
+            let left = *c - cvx * cxu;
+            let left = if left <= 1e-15 { f64::NAN } else { left };
+            *c = if marked { left } else { *c };
+        }
     }
 }
 
@@ -1267,6 +1372,67 @@ mod tests {
         assert_eq!(got.seeds, want.seeds);
         assert_eq!(got.seeds.len(), 4);
         assert_eq!(&got.seeds[..2], &dump.seeds[..]);
+    }
+
+    /// Bitwise image of a dump: `(action, v, u, bits)` credits, then
+    /// `(action, u, bits)` SC entries, then seeds.
+    type DumpBits = (Vec<(usize, u32, u32, u64)>, Vec<(u32, u32, u64)>, Vec<u32>);
+
+    fn dump_bits(dump: &SelectorDump) -> DumpBits {
+        let credits = dump
+            .store
+            .credits
+            .iter()
+            .enumerate()
+            .flat_map(|(a, es)| es.iter().map(move |&(v, u, c)| (a, v, u, c.to_bits())))
+            .collect();
+        let sc = dump.sc.iter().map(|&(a, u, c)| (a, u, c.to_bits())).collect();
+        (credits, sc, dump.seeds.clone())
+    }
+
+    #[test]
+    fn zero_credit_targets_are_still_marked() {
+        // Seed 1 passes 0.0 to user 2, and 0 holds 0.0 over 2: Lemma 2
+        // subtracts 0.5·0.0 and the clamp must still remove (0, 2). A
+        // marker that read credit values (0.0 = unmarked) would skip it.
+        let dump = SelectorDump {
+            store: CreditStoreDump {
+                lambda: 0.0,
+                user_actions: vec![vec![0]; 4],
+                inv_au: vec![1.0; 4],
+                credits: vec![vec![
+                    (0, 1, 0.5),
+                    (0, 2, 0.0),
+                    (0, 3, 0.5),
+                    (1, 2, 0.0),
+                    (1, 3, 0.5),
+                ]],
+            },
+            sc: Vec::new(),
+            seeds: Vec::new(),
+        };
+        let mut mutable = CdSelector::from_dump(&dump);
+        let mut overlay = CompactSelector::from_dump(&dump).overlay();
+        mutable.update(1);
+        overlay.update(1);
+        let got = overlay.to_dump();
+        assert_eq!(dump_bits(&got), dump_bits(&mutable.dump()));
+        assert_eq!(got.store.credits[0], vec![(0, 3, 0.25)]);
+    }
+
+    #[test]
+    fn overlay_copies_credits_only_on_first_update() {
+        let dump = trained_dump(12, 0);
+        let compact = CompactSelector::from_dump(&dump);
+        let mut overlay = compact.overlay();
+        let x = CdSelector::from_dump(&dump).select(1).seeds[0];
+        overlay.compute_mg(x);
+        assert!(overlay.credits.is_none(), "a read materialised the copy");
+        assert_eq!(dump_bits(&overlay.to_dump()), dump_bits(&dump));
+        overlay.update(x);
+        assert!(overlay.credits.is_some());
+        // The arena itself is never written.
+        assert_eq!(dump_bits(&compact.to_dump()), dump_bits(&dump));
     }
 
     #[test]

@@ -402,8 +402,8 @@ impl ModelSnapshot {
     }
 
     /// Theorem-3 marginal gain of `x` over the committed seed set — also
-    /// σ_cd({x}) when no seeds are committed. A pure read (no clone of
-    /// the model state beyond the compact overlay's credit array).
+    /// σ_cd({x}) when no seeds are committed, and 0 when `x` is one. A
+    /// pure read: a compact snapshot copies no model state.
     pub fn single_marginal_gain(&self, x: u32) -> f64 {
         match &self.state {
             State::Mutable(s) => s.compute_mg(x),
@@ -414,7 +414,8 @@ impl ModelSnapshot {
     /// σ_cd(S) via Theorem 3: walk `seeds` in the given order,
     /// accumulating each seed's marginal gain and applying the Lemma-2/3
     /// update (skipped after the last seed — nothing reads the state
-    /// afterwards).
+    /// afterwards). σ is a set function: a repeated seed, or one already
+    /// committed into the snapshot, adds 0.
     pub fn telescoped_spread(&self, seeds: &[u32]) -> f64 {
         match &self.state {
             State::Mutable(s) => {
@@ -443,7 +444,8 @@ impl ModelSnapshot {
     }
 
     /// Marginal gain of `candidate` after committing `seeds` (in the
-    /// given order) on top of the snapshot's own committed seeds.
+    /// given order) on top of the snapshot's own committed seeds; 0 when
+    /// `candidate` is among either.
     pub fn gain_over(&self, seeds: &[u32], candidate: u32) -> f64 {
         match &self.state {
             State::Mutable(s) => {
@@ -1033,6 +1035,43 @@ mod tests {
                 .unwrap();
             let fresh = ModelSnapshot::build(&ds.graph, &window, config).unwrap();
             assert_eq!(retracted.to_bytes(), fresh.to_bytes(), "expire = {expire}");
+        }
+    }
+
+    #[test]
+    fn repeated_and_committed_seeds_add_nothing() {
+        let mutable = ModelSnapshot::from_selector(trained_selector());
+        let picked = mutable.top_k(2).seeds;
+        let (x, y) = (picked[0], picked[1]);
+        for snap in [&mutable, &mutable.freeze()] {
+            let kind = if snap.is_compact() { "compact" } else { "mutable" };
+            let single = snap.telescoped_spread(&[x]);
+            assert!(single > 1.0, "{kind}: σ({{{x}}}) = {single}");
+            assert_eq!(snap.telescoped_spread(&[x, x]).to_bits(), single.to_bits(), "{kind}");
+            assert_eq!(
+                snap.telescoped_spread(&[x, y, x]).to_bits(),
+                snap.telescoped_spread(&[x, y]).to_bits(),
+                "{kind}"
+            );
+            assert_eq!(snap.gain_over(&[x], x), 0.0, "{kind}");
+            assert_eq!(snap.gain_over(&[x, y], x), 0.0, "{kind}");
+        }
+
+        // A seed committed into the snapshot itself is no candidate either.
+        let mut sel = trained_selector();
+        sel.update(x);
+        let committed = ModelSnapshot::from_selector(sel);
+        for snap in [&committed, &committed.freeze()] {
+            let kind = if snap.is_compact() { "compact" } else { "mutable" };
+            assert_eq!(snap.single_marginal_gain(x), 0.0, "{kind}");
+            assert_eq!(snap.telescoped_spread(&[x]), 0.0, "{kind}");
+            assert_eq!(snap.gain_over(&[y], x), 0.0, "{kind}");
+            let top = snap.top_k(4);
+            assert_eq!(top.seeds[0], x, "{kind}");
+            let mut distinct = top.seeds.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(distinct.len(), 4, "{kind}: repeated seed in {:?}", top.seeds);
         }
     }
 
