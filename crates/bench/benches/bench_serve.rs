@@ -7,10 +7,9 @@
 //! for both the in-process engine and the full TCP loopback path.
 //!
 //! It then sweeps concurrent connections (`CDIM_BENCH_CONNS`, default
-//! `64,1024,10000`) through the pipelined load generator against both
-//! frontends: the readiness-driven reactor and the thread-per-connection
-//! baseline (the latter up to `CDIM_BENCH_THREADED_CAP`, default 1024).
-//! Sizes past the in-process fd budget serve from a re-exec'd child.
+//! `64,1024,10000`) through the pipelined load generator against the
+//! reactor. Sizes past the in-process fd budget serve from a re-exec'd
+//! child.
 
 use cdim_core::{scan, CreditPolicy};
 use cdim_serve::{server, InfluenceService, ModelSnapshot, Query, QueryClient};
@@ -142,16 +141,12 @@ fn main() {
     report("tcp spread (cached)", cached);
     handle.shutdown();
 
-    // Concurrent-connection sweep: thread-per-connection "before" vs
-    // reactor "after", pipelined clients, p50/p99 per cell.
+    // Concurrent-connection sweep: pipelined clients, p50/p99 per cell.
     let sizes = connection_sweep_sizes();
     println!("\nconcurrent-connection sweep: {sizes:?} (CDIM_BENCH_CONNS to override)");
-    let cap =
-        std::env::var("CDIM_BENCH_THREADED_CAP").ok().and_then(|v| v.parse().ok()).unwrap_or(1024);
-    for row in cdim_bench::experiments::serve::sweep(&sizes, 8, 8, cap) {
+    for row in cdim_bench::experiments::serve::sweep(&sizes, 8, 8) {
         println!(
-            "{:<9} conns={:<6} n={:<7} qps={:>8.0} p50={:>10.2?} p90={:>10.2?} p99={:>10.2?} max={:>10.2?}",
-            row.backend,
+            "conns={:<6} n={:<7} qps={:>8.0} p50={:>10.2?} p90={:>10.2?} p99={:>10.2?} max={:>10.2?}",
             row.connections,
             row.report.requests,
             row.report.qps(),

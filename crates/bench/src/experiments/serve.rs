@@ -1,16 +1,12 @@
-//! bench-serve — concurrent-connection latency sweep, reactor vs threads.
+//! bench-serve — concurrent-connection latency sweep of the reactor.
 //!
-//! Not a paper artifact: this measures the PR-9 serving frontend. For a
-//! sweep of concurrent-connection counts we drive the pipelined
-//! [`crate::loadgen`] against both backends — the readiness-driven
-//! reactor ("after") and the fixed thread-per-connection baseline
-//! ("before") — and report p50/p90/p99 request latency plus aggregate
-//! throughput side by side. Sweep sizes past [`IN_PROCESS_MAX`] put the
-//! server in a re-exec'd child process so client and server each get
-//! their own fd budget (the container caps `RLIMIT_NOFILE` at 20 000 and
-//! will not raise it); the threaded baseline stops at `threaded_cap`
-//! because a thread per connection stops being a baseline and starts
-//! being a fork bomb somewhere past a couple thousand.
+//! Not a paper artifact: this measures the serving frontend. For a sweep
+//! of concurrent-connection counts we drive the pipelined
+//! [`crate::loadgen`] against the readiness-driven reactor and report
+//! p50/p90/p99 request latency plus aggregate throughput. Sweep sizes
+//! past [`IN_PROCESS_MAX`] put the server in a re-exec'd child process so
+//! client and server each get their own fd budget (a host that caps
+//! `RLIMIT_NOFILE` at 20 000 will not raise it).
 //!
 //! The sweep lands machine-readably in `BENCH_serve.json` so CI can
 //! track serving tails across commits.
@@ -30,14 +26,8 @@ use std::time::Duration;
 /// 20k-fd budget.
 pub const IN_PROCESS_MAX: usize = 4096;
 
-/// Largest connection count the thread-per-connection baseline is asked
-/// to hold (overridable via `CDIM_BENCH_THREADED_CAP`).
-const THREADED_CAP_DEFAULT: usize = 1024;
-
-/// One measured (backend, connection-count) cell.
+/// One measured connection-count cell.
 pub struct Row {
-    /// `"reactor"` or `"threaded"`.
-    pub backend: &'static str,
     /// Concurrent connections driven.
     pub connections: usize,
     /// The loadgen's latency/throughput summary.
@@ -53,13 +43,6 @@ fn json_path() -> std::path::PathBuf {
     }
 }
 
-fn threaded_cap() -> usize {
-    std::env::var("CDIM_BENCH_THREADED_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(THREADED_CAP_DEFAULT)
-}
-
 /// Runs the sweep; the JSON lands at `$CDIM_BENCH_JSON_SERVE` or, when
 /// unset, `BENCH_serve.json` in the temp directory.
 pub fn run(scale: ExperimentScale) {
@@ -70,8 +53,8 @@ pub fn run(scale: ExperimentScale) {
 /// variant tests use — no process-global environment involved).
 pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     super::banner(
-        "bench-serve — concurrent-connection tails, reactor vs thread-per-connection",
-        "engineering artifact (not in the paper): the PR-9 serving frontend",
+        "bench-serve — concurrent-connection tails of the reactor",
+        "engineering artifact (not in the paper): the serving frontend",
         scale,
     );
     // Quick keeps everything in-process so `cargo test` (whose harness
@@ -83,14 +66,12 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     };
     let requests_per_conn = 8;
     let divisor = scale.dataset_divisor.max(8);
-    let cap = threaded_cap();
 
-    let rows = sweep(sizes, requests_per_conn, divisor, cap);
+    let rows = sweep(sizes, requests_per_conn, divisor);
 
-    let mut table = Table::new(["backend", "conns", "requests", "qps", "p50", "p90", "p99", "max"]);
+    let mut table = Table::new(["conns", "requests", "qps", "p50", "p90", "p99", "max"]);
     for row in &rows {
         table.row([
-            row.backend.to_string(),
             row.connections.to_string(),
             row.report.requests.to_string(),
             format!("{:.0}", row.report.qps()),
@@ -101,10 +82,7 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
         ]);
     }
     println!("{table}");
-    println!(
-        "(threaded baseline swept up to {cap} connections; larger sizes are reactor-only — \
-         sizes past {IN_PROCESS_MAX} serve from a child process for fd headroom)"
-    );
+    println!("(sizes past {IN_PROCESS_MAX} serve from a child process for fd headroom)");
 
     match write_json(path, requests_per_conn, divisor, &rows) {
         Ok(()) => println!("wrote {}", path.display()),
@@ -112,38 +90,23 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     }
 }
 
-/// Measures every (backend, size) cell: the reactor at every size, the
-/// threaded baseline at sizes up to `threaded_cap`. One trained model is
-/// shared by all in-process servers.
-pub fn sweep(
-    sizes: &[usize],
-    requests_per_conn: usize,
-    divisor: usize,
-    threaded_cap: usize,
-) -> Vec<Row> {
+/// Measures the reactor at every size. One trained model is shared by
+/// all in-process servers.
+pub fn sweep(sizes: &[usize], requests_per_conn: usize, divisor: usize) -> Vec<Row> {
     let service = shared_service(divisor);
     let mut rows = Vec::new();
     for &conns in sizes {
-        // "Before" first, so each size's pair prints adjacently.
-        if conns <= threaded_cap {
-            match run_one("threaded", conns, requests_per_conn, divisor, &service) {
-                Ok(report) => rows.push(Row { backend: "threaded", connections: conns, report }),
-                Err(e) => eprintln!("threaded @ {conns} conns failed: {e}"),
-            }
-        }
-        match run_one("reactor", conns, requests_per_conn, divisor, &service) {
-            Ok(report) => rows.push(Row { backend: "reactor", connections: conns, report }),
+        match run_one(conns, requests_per_conn, divisor, &service) {
+            Ok(report) => rows.push(Row { connections: conns, report }),
             Err(e) => eprintln!("reactor @ {conns} conns failed: {e}"),
         }
     }
     rows
 }
 
-/// One cell: spawn the `backend` server (in-process up to
-/// [`IN_PROCESS_MAX`] connections, child process beyond), drive it, tear
-/// it down.
+/// One cell: spawn the server (in-process up to [`IN_PROCESS_MAX`]
+/// connections, child process beyond), drive it, tear it down.
 fn run_one(
-    backend: &'static str,
     conns: usize,
     requests_per_conn: usize,
     divisor: usize,
@@ -157,28 +120,14 @@ fn run_one(
         ..LoadConfig::default()
     };
     if conns > IN_PROCESS_MAX {
-        let child = ChildServer::spawn(backend, divisor)?;
+        let child = ChildServer::spawn(divisor)?;
         return loadgen::run(child.addr(), &config);
     }
     let server_config = ServerConfig { max_connections: conns + 64, ..ServerConfig::default() };
-    match backend {
-        "threaded" => {
-            let handle = server::threaded::spawn_threaded(
-                Arc::clone(service),
-                "127.0.0.1:0",
-                server_config,
-            )?;
-            let report = loadgen::run(handle.addr(), &config);
-            handle.shutdown();
-            report
-        }
-        _ => {
-            let handle = server::spawn_with(Arc::clone(service), "127.0.0.1:0", server_config)?;
-            let report = loadgen::run(handle.addr(), &config);
-            handle.shutdown();
-            report
-        }
-    }
+    let handle = server::spawn_with(Arc::clone(service), "127.0.0.1:0", server_config)?;
+    let report = loadgen::run(handle.addr(), &config);
+    handle.shutdown();
+    report
 }
 
 /// The in-process servers' model: a trained store on a scaled-down
@@ -208,10 +157,9 @@ fn write_json(
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let r = &row.report;
         out.push_str(&format!(
-            "    {{\"backend\": \"{}\", \"connections\": {}, \"requests\": {}, \
+            "    {{\"connections\": {}, \"requests\": {}, \
              \"elapsed_secs\": {:.6}, \"qps\": {:.1}, \
              \"p50_us\": {:.1}, \"p90_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}}}{comma}\n",
-            row.backend,
             row.connections,
             r.requests,
             r.elapsed.as_secs_f64(),
@@ -245,14 +193,11 @@ mod tests {
             p99: Duration::from_micros(900),
             max: Duration::from_millis(3),
         };
-        let rows = vec![
-            Row { backend: "threaded", connections: 64, report },
-            Row { backend: "reactor", connections: 64, report },
-        ];
+        let rows = vec![Row { connections: 64, report }, Row { connections: 128, report }];
         write_json(&path, 8, 8, &rows).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"experiment\": \"bench-serve\""));
-        assert!(text.contains("\"backend\": \"reactor\""));
+        assert!(text.contains("\"connections\": 128"));
         assert!(text.contains("\"p99_us\""));
         assert_eq!(text.matches('{').count(), text.matches('}').count());
         assert_eq!(text.matches('[').count(), text.matches(']').count());
@@ -261,14 +206,14 @@ mod tests {
     }
 
     #[test]
-    fn quick_sweep_compares_both_backends() {
+    fn quick_sweep_measures_every_size() {
         let dir = std::env::temp_dir().join(format!("cdim_benchserve_run_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_serve.json");
         run_with_output(ExperimentScale::quick(), &path);
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"backend\": \"reactor\""));
-        assert!(text.contains("\"backend\": \"threaded\""));
+        assert!(!text.contains("\"backend\""));
+        assert!(text.contains("\"connections\": 32"));
         assert!(text.contains("\"connections\": 128"));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Environment marker that turns a re-exec of the current binary into a
-/// serve-only child; the value picks the backend (`reactor`/`threaded`).
+/// serve-only child (any value).
 pub const CHILD_ENV: &str = "CDIM_SERVE_CHILD";
 /// Dataset divisor for the child's model (`scaled_down` factor).
 const CHILD_DIVISOR_ENV: &str = "CDIM_SERVE_CHILD_DIVISOR";
@@ -315,7 +315,9 @@ fn update_interest(
 /// stdin reaches EOF — tying its lifetime to the parent's pipe, so an
 /// aborted parent cannot strand it.
 pub fn maybe_run_server_child() -> bool {
-    let Ok(mode) = std::env::var(CHILD_ENV) else { return false };
+    if std::env::var_os(CHILD_ENV).is_none() {
+        return false;
+    }
     let divisor: usize = std::env::var(CHILD_DIVISOR_ENV)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -323,26 +325,10 @@ pub fn maybe_run_server_child() -> bool {
         .unwrap_or(8);
     let service = Arc::new(child_service(divisor));
     let config = ServerConfig { max_connections: 16_384, ..ServerConfig::default() };
-    let addr = match mode.as_str() {
-        "threaded" => {
-            let handle =
-                server::threaded::spawn_threaded(service, "127.0.0.1:0", config).expect("bind");
-            let addr = handle.addr();
-            announce(addr);
-            wait_for_stdin_eof();
-            handle.shutdown();
-            addr
-        }
-        _ => {
-            let handle = server::spawn_with(service, "127.0.0.1:0", config).expect("bind");
-            let addr = handle.addr();
-            announce(addr);
-            wait_for_stdin_eof();
-            handle.shutdown();
-            addr
-        }
-    };
-    let _ = addr;
+    let handle = server::spawn_with(service, "127.0.0.1:0", config).expect("bind");
+    announce(handle.addr());
+    wait_for_stdin_eof();
+    handle.shutdown();
     true
 }
 
@@ -373,13 +359,13 @@ pub struct ChildServer {
 }
 
 impl ChildServer {
-    /// Re-execs the current binary as a `mode` (`"reactor"`/`"threaded"`)
-    /// server child over a `scaled_down(divisor)` model and waits for its
-    /// `listening on` announcement.
-    pub fn spawn(mode: &str, divisor: usize) -> io::Result<ChildServer> {
+    /// Re-execs the current binary as a server child over a
+    /// `scaled_down(divisor)` model and waits for its `listening on`
+    /// announcement.
+    pub fn spawn(divisor: usize) -> io::Result<ChildServer> {
         let exe = std::env::current_exe()?;
         let mut child = std::process::Command::new(exe)
-            .env(CHILD_ENV, mode)
+            .env(CHILD_ENV, "1")
             .env(CHILD_DIVISOR_ENV, divisor.to_string())
             .stdin(std::process::Stdio::piped())
             .stdout(std::process::Stdio::piped())
@@ -451,25 +437,6 @@ mod tests {
         assert_eq!(report.connections, 8);
         assert!(report.p50 <= report.p99 && report.p99 <= report.max);
         assert!(report.qps() > 0.0);
-        handle.shutdown();
-    }
-
-    #[test]
-    fn loadgen_works_against_the_threaded_baseline() {
-        let handle = server::threaded::spawn_threaded(
-            tiny_service(),
-            "127.0.0.1:0",
-            server::threaded::baseline_config(),
-        )
-        .unwrap();
-        let config = LoadConfig {
-            connections: 4,
-            requests_per_connection: 8,
-            pipeline: 2,
-            ..LoadConfig::default()
-        };
-        let report = run(handle.addr(), &config).unwrap();
-        assert_eq!(report.requests, 4 * 8);
         handle.shutdown();
     }
 

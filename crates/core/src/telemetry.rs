@@ -27,7 +27,7 @@
 use cdim_obs::{Gauge, Histogram, MetricsRegistry, Stage, Tracer};
 use std::sync::{Arc, OnceLock};
 
-/// Handles into the global registry, resolved once per process.
+/// Handles into a registry and flight recorder, resolved once.
 pub(crate) struct ScanTelemetry {
     /// Whole-parallel-section wall time per scan call.
     pub scan_seconds: Arc<Histogram>,
@@ -37,7 +37,7 @@ pub(crate) struct ScanTelemetry {
     pub pool_workers: Arc<Gauge>,
     /// Busy fraction of the most recent scan.
     pub pool_utilization: Arc<Gauge>,
-    /// The global flight recorder the derived scan trace lands in.
+    /// The flight recorder the derived scan trace lands in.
     tracer: Arc<Tracer>,
     /// `core.scan` — the whole parallel section.
     scan_stage: Stage,
@@ -46,22 +46,24 @@ pub(crate) struct ScanTelemetry {
 }
 
 impl ScanTelemetry {
-    /// The process-wide scan telemetry handles.
+    /// Scan telemetry reporting into `registry` and `tracer`.
+    pub(crate) fn new(registry: &MetricsRegistry, tracer: Arc<Tracer>) -> ScanTelemetry {
+        ScanTelemetry {
+            scan_seconds: registry.histogram("cdim_scan_seconds"),
+            shard_seconds: registry.histogram("cdim_scan_shard_seconds"),
+            pool_workers: registry.gauge("cdim_scan_pool_workers"),
+            pool_utilization: registry.gauge("cdim_scan_pool_utilization"),
+            scan_stage: tracer.stage("core.scan"),
+            shard_stage: tracer.stage("core.scan_shard"),
+            tracer,
+        }
+    }
+
+    /// The process-wide scan telemetry handles, over the global registry
+    /// and flight recorder.
     pub(crate) fn get() -> &'static ScanTelemetry {
         static TELEMETRY: OnceLock<ScanTelemetry> = OnceLock::new();
-        TELEMETRY.get_or_init(|| {
-            let registry = MetricsRegistry::global();
-            let tracer = Tracer::global();
-            ScanTelemetry {
-                scan_seconds: registry.histogram("cdim_scan_seconds"),
-                shard_seconds: registry.histogram("cdim_scan_shard_seconds"),
-                pool_workers: registry.gauge("cdim_scan_pool_workers"),
-                pool_utilization: registry.gauge("cdim_scan_pool_utilization"),
-                scan_stage: tracer.stage("core.scan"),
-                shard_stage: tracer.stage("core.scan_shard"),
-                tracer,
-            }
-        })
+        TELEMETRY.get_or_init(|| ScanTelemetry::new(&MetricsRegistry::global(), Tracer::global()))
     }
 
     /// Record one scan's parallel section: total wall seconds, per-shard
@@ -100,16 +102,32 @@ impl ScanTelemetry {
 mod tests {
     use super::*;
 
+    /// Telemetry over a private registry and recorder, so concurrent
+    /// scans in other tests cannot move the series under assertion.
+    fn private() -> (MetricsRegistry, Arc<Tracer>, ScanTelemetry) {
+        let registry = MetricsRegistry::new();
+        let tracer = Arc::new(Tracer::new());
+        let telemetry = ScanTelemetry::new(&registry, Arc::clone(&tracer));
+        (registry, tracer, telemetry)
+    }
+
     #[test]
-    fn record_scan_populates_the_global_registry() {
-        let t = ScanTelemetry::get();
-        let before = t.scan_seconds.count();
+    fn record_scan_populates_the_registry() {
+        let (registry, _tracer, t) = private();
         t.record_scan(2.0, &[1.0, 2.0]);
-        assert_eq!(t.scan_seconds.count(), before + 1);
+        assert_eq!(t.scan_seconds.count(), 1);
         // 3 busy seconds over 2 workers × 2 wall seconds = 0.75.
         assert!((t.pool_utilization.get() - 0.75).abs() < 1e-12);
         assert_eq!(t.pool_workers.get(), 2.0);
-        // The series live in the global registry under their public names.
+        // The series live in the registry under their public names.
+        let dump = registry.dump();
+        assert!(dump.histograms.iter().any(|(n, _)| n == "cdim_scan_seconds"));
+        assert!(dump.gauges.iter().any(|(n, _)| n == "cdim_scan_pool_utilization"));
+    }
+
+    #[test]
+    fn get_reports_into_the_global_registry() {
+        ScanTelemetry::get();
         let dump = MetricsRegistry::global().dump();
         assert!(dump.histograms.iter().any(|(n, _)| n == "cdim_scan_seconds"));
         assert!(dump.gauges.iter().any(|(n, _)| n == "cdim_scan_pool_utilization"));
@@ -117,21 +135,17 @@ mod tests {
 
     #[test]
     fn degenerate_scans_do_not_divide_by_zero() {
-        let t = ScanTelemetry::get();
+        let (_registry, _tracer, t) = private();
         t.record_scan(0.0, &[]);
         assert!(t.pool_utilization.get().is_finite());
     }
 
     #[test]
     fn record_scan_derives_a_nested_trace() {
-        // The global recorder samples 1-in-8 by default; this test needs
-        // its specific trace captured.
-        Tracer::global().set_sampling(1);
-        let t = ScanTelemetry::get();
-        // A distinctive shard count so this trace is findable in the
-        // shared global recorder.
+        // A private recorder traces every scan and holds only this one.
+        let (_registry, tracer, t) = private();
         t.record_scan(0.004, &[0.001, 0.002, 0.003]);
-        let spans = Tracer::global().recent();
+        let spans = tracer.recent();
         let root = spans
             .iter()
             .filter(|s| s.stage == "core.scan" && s.parent_id == 0)

@@ -53,11 +53,6 @@ impl GraphBuilder {
         self.push_edge(v, u);
     }
 
-    /// Number of edges currently buffered (before sanitization).
-    pub fn buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes the graph, dropping self-loops and duplicates.
     pub fn build(self) -> DirectedGraph {
         let mut edges = self.edges;

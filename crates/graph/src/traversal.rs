@@ -45,12 +45,6 @@ impl BfsScratch {
             true
         }
     }
-
-    /// Whether `u` has been visited in the current traversal.
-    #[inline]
-    pub fn is_visited(&self, u: NodeId) -> bool {
-        self.visited_epoch[u as usize] == self.epoch
-    }
 }
 
 /// Counts nodes reachable from `seeds` following edges for which

@@ -46,8 +46,6 @@ impl Default for EmConfig {
 /// Precomputed trial statistics plus the EM loop.
 pub struct EmLearner<'a> {
     graph: &'a DirectedGraph,
-    /// Per in-aligned edge position: number of success trials.
-    successes: Vec<u32>,
     /// Per in-aligned edge position: total trials (successes + failures).
     trials: Vec<u32>,
     /// For every (action, performer-with-parents): the in-aligned edge
@@ -61,7 +59,6 @@ impl<'a> EmLearner<'a> {
     /// Scans the training log once and precomputes all trial statistics.
     pub fn new(graph: &'a DirectedGraph, train: &ActionLog) -> Self {
         let m = graph.num_edges();
-        let mut successes = vec![0u32; m];
         let mut trials = vec![0u32; m];
         let mut group_offsets = vec![0usize];
         let mut parent_edges: Vec<u32> = Vec::new();
@@ -77,7 +74,6 @@ impl<'a> EmLearner<'a> {
                         let e = graph
                             .in_edge_position(v, u)
                             .expect("propagation edge must be a social edge");
-                        successes[e] += 1;
                         trials[e] += 1;
                         parent_edges.push(e as u32);
                     }
@@ -96,20 +92,12 @@ impl<'a> EmLearner<'a> {
             }
         }
 
-        EmLearner { graph, successes, trials, group_offsets, parent_edges }
+        EmLearner { graph, trials, group_offsets, parent_edges }
     }
 
     /// Number of success-trial groups (activations with parents).
     pub fn num_activation_groups(&self) -> usize {
         self.group_offsets.len() - 1
-    }
-
-    /// Success count of the edge at an in-aligned position — the
-    /// `A_{v2u}` statistic (also the LT-weight numerator), exposed for
-    /// diagnostics such as the "maximum-confidence anomaly" analysis of
-    /// §6 (support = successes, confidence = successes / trials).
-    pub fn successes_at(&self, in_pos: usize) -> u32 {
-        self.successes[in_pos]
     }
 
     /// Trial count of the edge at an in-aligned position.
@@ -167,15 +155,6 @@ impl<'a> EmLearner<'a> {
         }
         (EdgeProbabilities::from_out_aligned(self.graph, out_aligned), iterations)
     }
-}
-
-/// Convenience wrapper: scan + learn in one call.
-pub fn learn_ic_probabilities(
-    graph: &DirectedGraph,
-    train: &ActionLog,
-    config: EmConfig,
-) -> EdgeProbabilities {
-    EmLearner::new(graph, train).learn(config).0
 }
 
 #[cfg(test)]

@@ -10,8 +10,7 @@
 //! is std-only with zero external dependencies.
 //!
 //! * [`metric`] — [`Counter`] (relaxed atomic adds), [`Gauge`] (f64 bits
-//!   in an `AtomicU64`, with an RAII [`GaugeGuard`] for in-flight
-//!   tracking), and [`Info`] (a text annotation such as the last
+//!   in an `AtomicU64`), and [`Info`] (a text annotation such as the last
 //!   quarantine reason).
 //! * [`hist`] — [`Histogram`], a mergeable log-linear latency histogram
 //!   with wait-free recording and exact-integer internals (merge equals
@@ -50,6 +49,6 @@ pub mod trace;
 pub use expo::render_prometheus;
 pub use hist::{Histogram, HistogramSummary, SpanGuard};
 pub use http::MetricsServer;
-pub use metric::{Counter, Gauge, GaugeGuard, Info};
+pub use metric::{Counter, Gauge, Info};
 pub use registry::{MetricsRegistry, RegistryDump};
 pub use trace::{ActiveSpan, SlowTraceDump, SpanDump, Stage, TraceCtx, TraceDump, Tracer};

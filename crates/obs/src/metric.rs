@@ -6,7 +6,7 @@
 //! never pay a lookup after registration.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A monotonically increasing event counter.
 ///
@@ -78,28 +78,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
-
-    /// Increment by one and return a guard that decrements on drop.
-    ///
-    /// This is the in-flight pattern: wrap the working section of a request
-    /// handler and the gauge tracks concurrent requests even across panics.
-    pub fn inc_scoped(self: &Arc<Self>) -> GaugeGuard {
-        self.add(1.0);
-        GaugeGuard { gauge: Arc::clone(self) }
-    }
-}
-
-/// RAII guard returned by [`Gauge::inc_scoped`]; decrements the gauge by
-/// one when dropped.
-#[derive(Debug)]
-pub struct GaugeGuard {
-    gauge: Arc<Gauge>,
-}
-
-impl Drop for GaugeGuard {
-    fn drop(&mut self) {
-        self.gauge.add(-1.0);
-    }
 }
 
 /// A free-text annotation metric (e.g. "last quarantine reason").
@@ -138,6 +116,7 @@ impl Info {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
@@ -172,17 +151,6 @@ mod tests {
         g.set(2.5);
         g.add(-1.0);
         assert_eq!(g.get(), 1.5);
-    }
-
-    #[test]
-    fn gauge_guard_restores_on_drop() {
-        let g = Arc::new(Gauge::new());
-        {
-            let _a = g.inc_scoped();
-            let _b = g.inc_scoped();
-            assert_eq!(g.get(), 2.0);
-        }
-        assert_eq!(g.get(), 0.0);
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //!   pipelined in-order responses, per-connection backpressure, and
 //!   per-tick query batching through a small worker pool;
 //! * [`server`] — the frontend facade: [`spawn`]/[`server::spawn_with`]
-//!   on the reactor, plus the fixed thread-per-connection baseline in
-//!   [`server::threaded`] for A/B benchmarking;
+//!   start the reactor, the only TCP frontend;
 //! * [`client`] — a blocking [`QueryClient`] for the protocol.
 //!
 //! ```no_run

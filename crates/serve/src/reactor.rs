@@ -348,7 +348,7 @@ fn request_query(request: &Request) -> Option<Query> {
 
 /// Answers the metadata ops that never touch the model (cheap enough for
 /// the reactor thread itself).
-pub(crate) fn inline_response(request: &Request, service: &InfluenceService) -> Response {
+fn inline_response(request: &Request, service: &InfluenceService) -> Response {
     match request {
         Request::Info => {
             let snapshot = service.snapshot();
@@ -385,7 +385,7 @@ pub(crate) fn inline_response(request: &Request, service: &InfluenceService) -> 
 /// EMFILE/ENFILE/ENOMEM and friends — is a resource condition that will
 /// recur immediately, so the accept loop must back off instead of
 /// spinning a core (the PR-2 server's `continue`-on-`Err` bug).
-pub(crate) fn accept_error_is_transient(kind: std::io::ErrorKind) -> bool {
+fn accept_error_is_transient(kind: std::io::ErrorKind) -> bool {
     matches!(
         kind,
         std::io::ErrorKind::ConnectionAborted
@@ -395,7 +395,7 @@ pub(crate) fn accept_error_is_transient(kind: std::io::ErrorKind) -> bool {
 }
 
 /// Exponential accept backoff: 10ms doubling to a 1.28s ceiling.
-pub(crate) fn accept_backoff(consecutive_errors: u32) -> Duration {
+fn accept_backoff(consecutive_errors: u32) -> Duration {
     Duration::from_millis(10u64 << consecutive_errors.min(7))
 }
 

@@ -7,22 +7,11 @@
 //! queries decoded in the same tick are batched through one snapshot
 //! acquisition. [`spawn_with`] exposes the [`ServerConfig`] knobs
 //! (connection cap, idle timeout, backpressure bounds, worker count).
-//!
-//! [`threaded::spawn_threaded`] keeps the PR-2 thread-per-connection
-//! architecture alive as the A/B baseline for `bench_serve` — with its
-//! connection-handling bugs fixed (accept backoff, mid-frame timeout
-//! semantics, connection cap) so the comparison isolates the
-//! architecture, not the bugs.
 
 pub use crate::reactor::{ServerConfig, ServerHandle};
 use crate::service::InfluenceService;
 use std::net::ToSocketAddrs;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long a connection may sit idle before the server closes it — the
-/// default for [`ServerConfig::idle_timeout`].
-pub const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Binds `addr` and serves `service` on the reactor with default
 /// configuration.
@@ -41,250 +30,6 @@ pub fn spawn_with(
     config: ServerConfig,
 ) -> std::io::Result<ServerHandle> {
     crate::reactor::spawn_reactor(service, addr, config)
-}
-
-/// The legacy thread-per-connection server, kept as a measured baseline.
-pub mod threaded {
-    use super::{InfluenceService, ServerConfig, IDLE_TIMEOUT};
-    use crate::protocol::{
-        decode_request, encode_response, write_frame, FrameDecoder, ProtocolError, Request,
-        Response,
-    };
-    use crate::reactor::{accept_backoff, accept_error_is_transient, inline_response};
-    use crate::service::Query;
-    use std::io::Read;
-    use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-    use std::time::{Duration, Instant};
-
-    /// A running thread-per-connection server. Shutdown is deterministic:
-    /// the accept loop polls a stop flag on a nonblocking listener (no
-    /// wake-connect handshake to fail), and connection threads observe
-    /// the same flag within their read-timeout slice.
-    pub struct ThreadedServerHandle {
-        addr: SocketAddr,
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<JoinHandle<()>>,
-    }
-
-    impl ThreadedServerHandle {
-        /// The bound address.
-        pub fn addr(&self) -> SocketAddr {
-            self.addr
-        }
-
-        /// Stops accepting, wakes every connection thread via the stop
-        /// flag, and joins the accept thread.
-        pub fn shutdown(mut self) {
-            self.stop_and_join();
-        }
-
-        fn stop_and_join(&mut self) {
-            self.stop.store(true, Ordering::SeqCst);
-            if let Some(thread) = self.accept_thread.take() {
-                let _ = thread.join();
-            }
-        }
-    }
-
-    impl Drop for ThreadedServerHandle {
-        fn drop(&mut self) {
-            if self.accept_thread.is_some() {
-                self.stop_and_join();
-            }
-        }
-    }
-
-    /// How often blocking reads wake up to check the stop flag and the
-    /// idle clock.
-    const READ_SLICE: Duration = Duration::from_millis(100);
-
-    /// Binds `addr` and serves `service` with one thread per connection.
-    /// Honors `config.max_connections` and `config.idle_timeout`; the
-    /// reactor-only knobs (pipeline, outbound cap, workers) are ignored —
-    /// a blocking connection thread never buffers more than one response.
-    pub fn spawn_threaded(
-        service: Arc<InfluenceService>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> std::io::Result<ThreadedServerHandle> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let accept_thread = std::thread::Builder::new()
-            .name("cdim-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &service, &stop_flag, &config))?;
-        Ok(ThreadedServerHandle { addr, stop, accept_thread: Some(accept_thread) })
-    }
-
-    fn accept_loop(
-        listener: &TcpListener,
-        service: &Arc<InfluenceService>,
-        stop: &Arc<AtomicBool>,
-        config: &ServerConfig,
-    ) {
-        let registry = service.metrics_registry();
-        let accept_errors = registry.counter("cdim_serve_accept_errors_total");
-        let rejected = registry.counter("cdim_serve_conns_rejected_total");
-        let active = Arc::new(AtomicUsize::new(0));
-        let mut consecutive_errors = 0u32;
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    consecutive_errors = 0;
-                    if active.load(Ordering::SeqCst) >= config.max_connections {
-                        rejected.inc();
-                        continue; // dropping the stream closes it
-                    }
-                    let _ = stream.set_nonblocking(false);
-                    let service = Arc::clone(service);
-                    let stop = Arc::clone(stop);
-                    let active_in_thread = Arc::clone(&active);
-                    let idle_timeout = config.idle_timeout;
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let spawned = std::thread::Builder::new().name("cdim-serve-conn".into()).spawn(
-                        move || {
-                            let _ = stream.set_nodelay(true);
-                            let _ = stream.set_read_timeout(Some(READ_SLICE.min(idle_timeout)));
-                            serve_connection(stream, &service, &stop, idle_timeout);
-                            active_in_thread.fetch_sub(1, Ordering::SeqCst);
-                        },
-                    );
-                    if spawned.is_err() {
-                        active.fetch_sub(1, Ordering::SeqCst);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Nonblocking accept: sleep a slice, re-check stop.
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if accept_error_is_transient(e.kind()) => {
-                    accept_errors.inc();
-                }
-                Err(_) => {
-                    // Resource exhaustion (EMFILE & friends): back off
-                    // instead of spinning a core — the PR-2 bug was a bare
-                    // `continue` here.
-                    accept_errors.inc();
-                    std::thread::sleep(accept_backoff(consecutive_errors));
-                    consecutive_errors = consecutive_errors.saturating_add(1);
-                }
-            }
-        }
-    }
-
-    /// Runs the request/response loop for one connection. Reads are
-    /// incremental through a [`FrameDecoder`], so a timeout can tell a
-    /// slow-but-alive peer (bytes buffered mid-frame) from an idle one
-    /// (nothing buffered): only the latter closes silently. Any received
-    /// byte resets the idle clock — the PR-2 server dropped half-delivered
-    /// requests from slow writers.
-    fn serve_connection(
-        mut stream: TcpStream,
-        service: &InfluenceService,
-        stop: &AtomicBool,
-        idle_timeout: Duration,
-    ) {
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 16 * 1024];
-        let mut last_byte = Instant::now();
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match stream.read(&mut buf) {
-                Ok(0) => return, // clean disconnect
-                Ok(n) => {
-                    last_byte = Instant::now();
-                    decoder.extend(&buf[..n]);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if last_byte.elapsed() < idle_timeout {
-                        continue; // just a slice expiry, not idleness
-                    }
-                    if decoder.has_partial() {
-                        // Mid-frame stall: tell the peer before closing.
-                        let response = Response::Error(format!(
-                            "request timed out mid-frame after {idle_timeout:?} without a byte"
-                        ));
-                        let _ = write_frame(&mut stream, &encode_response(&response));
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-            loop {
-                let payload = match decoder.next_frame() {
-                    Ok(Some(payload)) => payload,
-                    Ok(None) => break,
-                    Err(e) => {
-                        let response = Response::Error(format!("protocol error: {e}"));
-                        let _ = write_frame(&mut stream, &encode_response(&response));
-                        return;
-                    }
-                };
-                let response = match decode_request(&payload) {
-                    Ok(request) => handle(&request, service),
-                    Err(e @ (ProtocolError::UnknownOpcode(_) | ProtocolError::Malformed(_))) => {
-                        // The stream is still framed correctly: answer and
-                        // go on.
-                        let response = Response::Error(format!("bad request: {e}"));
-                        if write_frame(&mut stream, &encode_response(&response)).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                    Err(e) => {
-                        let response = Response::Error(format!("bad request: {e}"));
-                        let _ = write_frame(&mut stream, &encode_response(&response));
-                        return;
-                    }
-                };
-                if write_frame(&mut stream, &encode_response(&response)).is_err() {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Maps a wire request onto the query engine (sequentially — the
-    /// reactor's batched path is [`InfluenceService::query_batch`]).
-    fn handle(request: &Request, service: &InfluenceService) -> Response {
-        let query = match request {
-            Request::TopKSeeds { budget } => Query::TopKSeeds { budget: *budget },
-            Request::Spread { seeds } => Query::Spread { seeds: seeds.clone() },
-            Request::MarginalGain { seeds, candidate } => {
-                Query::MarginalGain { seeds: seeds.clone(), candidate: *candidate }
-            }
-            Request::Info | Request::Stats | Request::Metrics | Request::TraceDump => {
-                return inline_response(request, service);
-            }
-        };
-        match service.query(&query) {
-            Ok(crate::service::Answer::TopKSeeds { seeds, gains }) => {
-                Response::TopKSeeds { seeds, gains }
-            }
-            Ok(crate::service::Answer::Spread(sigma)) => Response::Spread(sigma),
-            Ok(crate::service::Answer::MarginalGain(gain)) => Response::MarginalGain(gain),
-            Err(e) => Response::Error(e.to_string()),
-        }
-    }
-
-    /// Canonical threaded-baseline config: the reactor defaults with the
-    /// standard [`IDLE_TIMEOUT`].
-    pub fn baseline_config() -> ServerConfig {
-        ServerConfig { idle_timeout: IDLE_TIMEOUT, ..ServerConfig::default() }
-    }
 }
 
 #[cfg(test)]
@@ -323,26 +68,6 @@ mod tests {
         assert_eq!(info.num_users as usize, service.snapshot().num_users());
 
         // Query-level errors keep the connection usable.
-        let err = client.spread(&[u32::MAX]).unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
-        assert!(client.info().is_ok());
-
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_baseline_serves_the_same_queries() {
-        let service = test_service();
-        let server =
-            threaded::spawn_threaded(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
-                .unwrap();
-        let mut client = QueryClient::connect(server.addr()).unwrap();
-
-        let (seeds, gains) = client.top_k(3).unwrap();
-        assert_eq!(seeds.len(), 3);
-        assert_eq!(gains.len(), 3);
-        let info = client.info().unwrap();
-        assert_eq!(info.num_users as usize, service.snapshot().num_users());
         let err = client.spread(&[u32::MAX]).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
         assert!(client.info().is_ok());
@@ -475,26 +200,6 @@ mod tests {
         server.shutdown();
         // The listener is gone: a fresh connection either fails outright or
         // is closed without an answer.
-        match TcpStream::connect(addr) {
-            Err(_) => {}
-            Ok(mut stream) => {
-                write_frame(&mut stream, &encode_response(&Response::Spread(0.0))).unwrap();
-                assert!(matches!(read_frame(&mut stream), Ok(None) | Err(_)));
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_shutdown_is_deterministic_without_a_wake_connection() {
-        // The PR-2 server woke its accept loop by connecting to itself and
-        // detached (leaking the thread + fd) when that failed. The fixed
-        // baseline polls a stop flag, so shutdown needs no connectable
-        // address and always joins.
-        let service = test_service();
-        let server =
-            threaded::spawn_threaded(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
-        let addr = server.addr();
-        server.shutdown(); // must not hang
         match TcpStream::connect(addr) {
             Err(_) => {}
             Ok(mut stream) => {

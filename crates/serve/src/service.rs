@@ -105,8 +105,8 @@ enum CacheKey {
 /// online-retraining loop is actually refreshing the served model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Queries received by [`InfluenceService::query`] (including ones
-    /// rejected with a [`QueryError`]).
+    /// Queries received by [`InfluenceService::query_batch`] (including
+    /// ones rejected with a [`QueryError`]).
     pub queries: u64,
     /// Queries answered from the LRU cache.
     pub cache_hits: u64,
@@ -157,7 +157,6 @@ impl ServeMetrics {
 /// path across reactor, service and scan.
 struct ServeTrace {
     tracer: Arc<Tracer>,
-    query: Stage,
     snapshot: Stage,
     probe: Stage,
     compute: Stage,
@@ -175,7 +174,6 @@ struct ServeTrace {
 impl ServeTrace {
     fn register(tracer: Arc<Tracer>) -> Self {
         ServeTrace {
-            query: tracer.stage("service.query"),
             snapshot: tracer.stage("service.snapshot"),
             probe: tracer.stage("service.cache_probe"),
             compute: tracer.stage("service.compute"),
@@ -365,48 +363,10 @@ impl InfluenceService {
         }
     }
 
-    /// Answers one query, consulting the LRU cache first. Each call is
-    /// its own trace rooted at `service.query` (the threaded frontend's
-    /// per-request trace; the reactor instead threads its request traces
-    /// through [`Self::query_batch_traced`]).
+    /// Answers one query, consulting the LRU cache first: a batch of one
+    /// through [`Self::query_batch`], so both share one accounting path.
     pub fn query(&self, query: &Query) -> Result<Answer, QueryError> {
-        let tracer = &self.trace.tracer;
-        let root = tracer.open(tracer.begin_trace(), self.trace.query);
-        let result = self.query_inner(query, root.ctx());
-        tracer.close(root);
-        result
-    }
-
-    fn query_inner(&self, query: &Query, ctx: TraceCtx) -> Result<Answer, QueryError> {
-        self.metrics.queries.inc();
-        let _inflight = self.metrics.inflight.inc_scoped();
-        let _span = self.metrics.query_seconds.start_span();
-        let tracer = &self.trace.tracer;
-        let snapshot_span = tracer.open(ctx, self.trace.snapshot);
-        let (epoch, snapshot) = self.snapshot_with_epoch();
-        tracer.close(snapshot_span);
-        let key = canonical_key(query, &snapshot)?;
-
-        let probe_span = tracer.open(ctx, self.trace.probe);
-        let cached = self.cache.lock().expect("cache lock poisoned").get(&key).cloned();
-        tracer.close(probe_span);
-        if let Some(answer) = cached {
-            self.metrics.hits.inc();
-            return Ok(answer);
-        }
-
-        let compute_span = tracer.open(ctx, self.trace.compute);
-        let answer = compute(&key, &snapshot);
-        tracer.close(compute_span);
-        self.metrics.misses.inc();
-        // Cache only when no publish raced the computation (checked while
-        // holding the cache lock, so a concurrent publish's clear either
-        // runs after this insert or is ordered after our epoch check).
-        let mut cache = self.cache.lock().expect("cache lock poisoned");
-        if self.epoch() == epoch {
-            cache.insert(key, answer.clone());
-        }
-        Ok(answer)
+        self.query_batch(std::slice::from_ref(query)).pop().expect("one answer per query")
     }
 
     /// Answers a batch of queries against **one** consistent snapshot.
@@ -418,9 +378,8 @@ impl InfluenceService {
     /// [`publish`](Self::publish) can never interleave *between* queries
     /// of the batch (they all see the same epoch).
     ///
-    /// Metrics are recorded per query, exactly as [`query`](Self::query)
-    /// would: `queries_total` and the latency histogram advance once per
-    /// element, and every element counts as either a hit or a miss
+    /// Metrics are recorded per query: `queries_total` and the latency
+    /// histogram advance once per element, and every element counts as either a hit or a miss
     /// (duplicates within the batch are hits — the first occurrence's
     /// computation serves the rest from memory).
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<Answer, QueryError>> {
@@ -512,8 +471,10 @@ impl InfluenceService {
             *slot = Some(Ok(answer));
         }
 
-        // One epoch-checked insert pass (same stale-answer discipline as
-        // the single-query path).
+        // One epoch-checked insert pass: cache only when no publish raced
+        // the computation (checked while holding the cache lock, so a
+        // concurrent publish's clear either runs after this insert or is
+        // ordered after our epoch check).
         if !computed.is_empty() {
             let mut cache = self.cache.lock().expect("cache lock poisoned");
             if self.epoch() == epoch {

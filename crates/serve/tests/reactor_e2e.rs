@@ -1,13 +1,11 @@
 //! End-to-end tests for the reactor frontend — pipelining, backpressure,
-//! slow peers, connection caps, and the regression tests for the PR-2
-//! connection-handling bugs (each of these fails against the old
-//! thread-per-connection server).
+//! slow peers, connection caps, and the regression tests for the
+//! connection-handling bugs of the original thread-per-connection server.
 
 use cdim_core::{scan, CreditPolicy};
 use cdim_serve::protocol::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME_LEN,
 };
-use cdim_serve::server::threaded::spawn_threaded;
 use cdim_serve::{spawn, spawn_with, Answer, InfluenceService, ModelSnapshot, Query, ServerConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,7 +27,7 @@ fn expect_spread(payload: &[u8]) -> f64 {
 }
 
 /// N requests written before any response is read; the answers must come
-/// back complete and in request order, on both architectures.
+/// back complete and in request order.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let service = test_service();
@@ -41,26 +39,21 @@ fn pipelined_requests_are_answered_in_order() {
         })
         .collect();
 
-    let reactor = spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
-    let threaded =
-        spawn_threaded(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    for (label, addr) in [("reactor", reactor.addr()), ("threaded", threaded.addr())] {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        // Write the whole burst up front…
-        let mut burst = Vec::new();
-        for u in 0..num_users {
-            write_frame(&mut burst, &encode_request(&Request::Spread { seeds: vec![u] })).unwrap();
-        }
-        stream.write_all(&burst).unwrap();
-        // …then read every response: order must match request order.
-        for (u, want) in expected.iter().enumerate() {
-            let payload = read_frame(&mut stream).unwrap().unwrap();
-            let got = expect_spread(&payload);
-            assert_eq!(got.to_bits(), want.to_bits(), "{label}: answer {u} out of order");
-        }
+    let server = spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // Write the whole burst up front…
+    let mut burst = Vec::new();
+    for u in 0..num_users {
+        write_frame(&mut burst, &encode_request(&Request::Spread { seeds: vec![u] })).unwrap();
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    stream.write_all(&burst).unwrap();
+    // …then read every response: order must match request order.
+    for (u, want) in expected.iter().enumerate() {
+        let payload = read_frame(&mut stream).unwrap().unwrap();
+        let got = expect_spread(&payload);
+        assert_eq!(got.to_bits(), want.to_bits(), "answer {u} out of order");
+    }
+    server.shutdown();
 }
 
 /// Regression (PR-2 bug: a read timeout mid-frame was treated as idle and
@@ -71,34 +64,30 @@ fn pipelined_requests_are_answered_in_order() {
 fn slow_writer_request_survives_longer_than_the_idle_timeout() {
     let service = test_service();
     let config = ServerConfig { idle_timeout: Duration::from_millis(250), ..Default::default() };
-    let reactor = spawn_with(Arc::clone(&service), "127.0.0.1:0", config.clone()).unwrap();
-    let threaded = spawn_threaded(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let server = spawn_with(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
 
     let expected = match service.query(&Query::Spread { seeds: vec![0] }).unwrap() {
         Answer::Spread(sigma) => sigma,
         other => panic!("unexpected {other:?}"),
     };
-    for (label, addr) in [("reactor", reactor.addr()), ("threaded", threaded.addr())] {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &encode_request(&Request::Spread { seeds: vec![0] })).unwrap();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.set_nodelay(true).unwrap();
-        let start = Instant::now();
-        for &byte in &wire {
-            stream.write_all(&[byte]).unwrap();
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        assert!(
-            start.elapsed() > Duration::from_millis(250),
-            "the trickle must outlast the idle timeout for the test to mean anything"
-        );
-        let payload = read_frame(&mut stream)
-            .unwrap_or_else(|e| panic!("{label}: slow request was dropped: {e}"))
-            .unwrap_or_else(|| panic!("{label}: connection closed on the slow writer"));
-        assert_eq!(expect_spread(&payload).to_bits(), expected.to_bits(), "{label}");
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &encode_request(&Request::Spread { seeds: vec![0] })).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let start = Instant::now();
+    for &byte in &wire {
+        stream.write_all(&[byte]).unwrap();
+        std::thread::sleep(Duration::from_millis(40));
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    assert!(
+        start.elapsed() > Duration::from_millis(250),
+        "the trickle must outlast the idle timeout for the test to mean anything"
+    );
+    let payload = read_frame(&mut stream)
+        .unwrap_or_else(|e| panic!("slow request was dropped: {e}"))
+        .unwrap_or_else(|| panic!("connection closed on the slow writer"));
+    assert_eq!(expect_spread(&payload).to_bits(), expected.to_bits());
+    server.shutdown();
 }
 
 /// The other half of the timeout fix: a peer that *stalls* mid-frame past
@@ -108,41 +97,35 @@ fn slow_writer_request_survives_longer_than_the_idle_timeout() {
 fn mid_frame_stall_gets_an_error_while_idle_close_stays_silent() {
     let service = test_service();
     let config = ServerConfig { idle_timeout: Duration::from_millis(200), ..Default::default() };
-    let reactor = spawn_with(Arc::clone(&service), "127.0.0.1:0", config.clone()).unwrap();
-    let threaded = spawn_threaded(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
+    let server = spawn_with(Arc::clone(&service), "127.0.0.1:0", config).unwrap();
 
-    for (label, addr) in [("reactor", reactor.addr()), ("threaded", threaded.addr())] {
-        // Half a frame, then silence.
-        let mut stalled = TcpStream::connect(addr).unwrap();
-        stalled.set_nodelay(true).unwrap();
-        stalled.write_all(&[9, 0]).unwrap(); // 2 of 4 length-prefix bytes
-        stalled.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let payload = read_frame(&mut stalled)
-            .unwrap_or_else(|e| panic!("{label}: expected an error frame, got {e}"))
-            .unwrap_or_else(|| panic!("{label}: closed without explaining the mid-frame stall"));
-        match decode_response(&payload).unwrap() {
-            Response::Error(message) => {
-                assert!(message.contains("mid-frame"), "{label}: {message}")
-            }
-            other => panic!("{label}: expected Error, got {other:?}"),
-        }
-        assert!(
-            matches!(read_frame(&mut stalled), Ok(None) | Err(_)),
-            "{label}: connection must close after the mid-frame error"
-        );
-
-        // Nothing at all, then silence: closed with no frame.
-        let mut idle = TcpStream::connect(addr).unwrap();
-        idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut buf = [0u8; 1];
-        match idle.read(&mut buf) {
-            Ok(0) => {}
-            Ok(n) => panic!("{label}: idle close must not send bytes, got {n}"),
-            Err(e) => panic!("{label}: idle connection not closed within the timeout: {e}"),
-        }
+    // Half a frame, then silence.
+    let mut stalled = TcpStream::connect(server.addr()).unwrap();
+    stalled.set_nodelay(true).unwrap();
+    stalled.write_all(&[9, 0]).unwrap(); // 2 of 4 length-prefix bytes
+    stalled.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let payload = read_frame(&mut stalled)
+        .unwrap_or_else(|e| panic!("expected an error frame, got {e}"))
+        .unwrap_or_else(|| panic!("closed without explaining the mid-frame stall"));
+    match decode_response(&payload).unwrap() {
+        Response::Error(message) => assert!(message.contains("mid-frame"), "{message}"),
+        other => panic!("expected Error, got {other:?}"),
     }
-    reactor.shutdown();
-    threaded.shutdown();
+    assert!(
+        matches!(read_frame(&mut stalled), Ok(None) | Err(_)),
+        "connection must close after the mid-frame error"
+    );
+
+    // Nothing at all, then silence: closed with no frame.
+    let mut idle = TcpStream::connect(server.addr()).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = [0u8; 1];
+    match idle.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("idle close must not send bytes, got {n}"),
+        Err(e) => panic!("idle connection not closed within the timeout: {e}"),
+    }
+    server.shutdown();
 }
 
 /// A client that pipelines thousands of requests and never reads is

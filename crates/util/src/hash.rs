@@ -93,18 +93,6 @@ pub fn fx_map<K, V>() -> FxHashMap<K, V> {
     FxHashMap::default()
 }
 
-/// Convenience constructor: an [`FxHashMap`] with `cap` reserved slots.
-#[inline]
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
-/// Convenience constructor: an empty [`FxHashSet`].
-#[inline]
-pub fn fx_set<T>() -> FxHashSet<T> {
-    FxHashSet::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -88,13 +88,6 @@ impl Rng {
         self.below(bound as u64) as usize
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    #[inline]
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform `f64` in `[lo, hi)`.
     #[inline]
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {

@@ -46,7 +46,7 @@ fn main() -> ExitCode {
     } else {
         args[1..].to_vec()
     };
-    let flags = match Flags::parse(&tail) {
+    let flags = match Flags::parse(&tail).and_then(|f| f.check_allowed(command).map(|()| f)) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
@@ -79,6 +79,27 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// The flags each command accepts, mirroring [`usage`]: a flag outside
+/// its command's list (a typo such as `--windw`) is a usage error, never
+/// silently ignored.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("generate", "preset out scale"),
+    ("stats", "graph log addr"),
+    ("select", "graph log k lambda policy threads"),
+    ("predict", "graph log seeds policy lambda mc sims threads"),
+    ("train", "graph log out policy lambda threads window append base"),
+    ("snapshot", "graph log out policy lambda threads format"),
+    ("serve", "snapshot addr cache max-connections metrics-addr trace-sample trace-slow-ms"),
+    (
+        "follow",
+        "graph log snapshot serve batch-actions batch-ms checkpoint-every poll-ms idle-exit-ms \
+         export-snapshot policy policy-log lambda threads cache window-actions window-age \
+         metrics-addr trace-sample trace-slow-ms",
+    ),
+    ("query", "addr op k seeds candidate"),
+    ("trace", "addr slow chrome"),
+];
 
 fn usage() {
     eprintln!(
@@ -120,6 +141,19 @@ impl Flags {
             i += 2;
         }
         Ok(Flags(flags))
+    }
+
+    /// Rejects any flag outside `command`'s [`COMMAND_FLAGS`] entry
+    /// (commands without one — `help`, unknown names — are not checked
+    /// here).
+    fn check_allowed(&self, command: &str) -> Result<(), String> {
+        let Some((_, allowed)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) else {
+            return Ok(());
+        };
+        match self.0.iter().find(|(k, _)| !allowed.split_whitespace().any(|a| a == k)) {
+            Some((key, _)) => Err(format!("unknown flag --{key} for `cdim {command}`")),
+            None => Ok(()),
+        }
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -949,7 +983,10 @@ fn expand_switches(args: &[String], switches: &[&str]) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use super::{chrome_trace_json, expand_switches, json_string, parse_seeds, Flags, SpanDump};
+    use super::{
+        chrome_trace_json, expand_switches, json_string, parse_seeds, Flags, SpanDump,
+        COMMAND_FLAGS,
+    };
 
     #[test]
     fn parses_key_value_pairs() {
@@ -969,6 +1006,26 @@ mod tests {
         assert!(Flags::parse(&bare).is_err());
         let dangling: Vec<String> = vec!["--k".into()];
         assert!(Flags::parse(&dangling).is_err());
+    }
+
+    #[test]
+    fn check_allowed_rejects_flags_outside_the_command_table() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ok = Flags::parse(&args(&["--window", "5", "--out", "m.snap"])).unwrap();
+        assert!(ok.check_allowed("train").is_ok());
+        let typo = Flags::parse(&args(&["--windw", "5", "--out", "m.snap"])).unwrap();
+        let err = typo.check_allowed("train").unwrap_err();
+        assert!(err.contains("--windw"), "{err}");
+        // A flag valid for one command is unknown to another.
+        assert!(ok.check_allowed("follow").is_err());
+        // Every dispatched command has exactly one table entry.
+        let dispatched = [
+            "generate", "stats", "select", "predict", "train", "snapshot", "serve", "follow",
+            "query", "trace",
+        ];
+        for name in dispatched {
+            assert_eq!(COMMAND_FLAGS.iter().filter(|(c, _)| *c == name).count(), 1, "{name}");
+        }
     }
 
     #[test]

@@ -407,6 +407,51 @@ fn rejects_bad_usage() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+
+    // A mistyped flag is a usage error (exit 2), not a silently ignored
+    // option: no unbounded model gets trained or followed in its place.
+    let snap = dir.join("typo.snap");
+    let out = cdim()
+        .args([
+            "train",
+            "--graph",
+            g.to_str().unwrap(),
+            "--log",
+            l.to_str().unwrap(),
+            "--windw",
+            "5",
+            "--out",
+            snap.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--windw"));
+    assert!(!snap.exists(), "a rejected train must not write its output");
+    let ckpt = dir.join("typo.ckpt");
+    let out = cdim()
+        .args([
+            "follow",
+            "--graph",
+            g.to_str().unwrap(),
+            "--log",
+            l.to_str().unwrap(),
+            "--snapshot",
+            ckpt.to_str().unwrap(),
+            "--window-action",
+            "5",
+            "--poll-ms",
+            "5",
+            "--idle-exit-ms",
+            "100",
+            "--export-snapshot",
+            snap.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--window-action"));
+    assert!(!ckpt.exists() && !snap.exists(), "a rejected follow must not write its outputs");
     std::fs::remove_dir_all(&dir).ok();
 }
 
