@@ -1,14 +1,14 @@
-//! bench-memory — mutable vs CSR-compact footprint, v1 vs v2 start-up.
+//! bench-memory — mutable vs CSR-compact footprint, snapshot start-up.
 //!
 //! Not a paper artifact: this measures the payoff of the compact credit
-//! store ([`cdim_core::CompactCreditStore`]) and the zero-copy v2
-//! snapshot format. For a sweep of store sizes we train the model, then
-//! record (a) resident bytes per user for the mutable hash-map store
-//! (after `shrink_to_fit`) vs the frozen CSR arena, and (b) the wall
-//! time of `ModelSnapshot::load` on a v1 file (decode + rebuild) vs a v2
-//! file (mmap + validate). Equivalence is asserted in-run: the frozen
-//! store must thaw back to a byte-identical canonical dump, and the
-//! v1-loaded and v2-loaded snapshots must re-encode to identical bytes.
+//! store ([`cdim_core::CompactCreditStore`]) and the zero-copy snapshot
+//! format. For a sweep of store sizes we train the model, then record
+//! (a) resident bytes per user for the mutable hash-map store (after
+//! `shrink_to_fit`) vs the frozen CSR arena, and (b) the file size and
+//! the wall time of `ModelSnapshot::load` (mmap + validate). Equivalence
+//! is asserted in-run: the frozen store must thaw back to a
+//! byte-identical canonical dump, and the loaded snapshot must re-encode
+//! to the in-memory model's bytes.
 //!
 //! The sweep lands machine-readably in `BENCH_memory.json` so CI can
 //! track bytes/user and start-up latency across commits.
@@ -17,7 +17,7 @@ use crate::config::ExperimentScale;
 use cdim_core::{scan_with, CompactCreditStore, CreditPolicy, Parallelism};
 use cdim_datagen::presets;
 use cdim_metrics::Table;
-use cdim_serve::{ModelSnapshot, SnapshotFormat};
+use cdim_serve::ModelSnapshot;
 use cdim_util::Timer;
 use std::io::Write as _;
 
@@ -25,8 +25,8 @@ use std::io::Write as _;
 /// store) first — three store sizes per sweep.
 const SIZE_DIVISORS: [usize; 3] = [4, 2, 1];
 
-/// How many loads to time per format; the minimum is reported (the
-/// steady-state figure — the first load warms the page cache for both).
+/// How many loads to time; the minimum is reported (the steady-state
+/// figure — the first load warms the page cache).
 const LOAD_REPS: usize = 3;
 
 /// Where the JSON record lands by default: `$CDIM_BENCH_JSON_MEMORY` if
@@ -46,10 +46,8 @@ struct Run {
     entries: usize,
     mutable_bytes: usize,
     compact_bytes: usize,
-    v1_file_bytes: u64,
-    v2_file_bytes: u64,
-    v1_load_secs: f64,
-    v2_load_secs: f64,
+    file_bytes: u64,
+    load_secs: f64,
 }
 
 /// Runs the sweep; the JSON lands at `$CDIM_BENCH_JSON_MEMORY` or, when
@@ -62,7 +60,7 @@ pub fn run(scale: ExperimentScale) {
 /// variant tests use — no process-global environment involved).
 pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     super::banner(
-        "bench-memory — CSR-compact store vs mutable store, v2 vs v1 start-up",
+        "bench-memory — CSR-compact store vs mutable store, snapshot start-up",
         "engineering artifact (not in the paper): freeze + zero-copy snapshots",
         scale,
     );
@@ -71,9 +69,7 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     let dir = std::env::temp_dir().join(format!("cdim_benchmem_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
 
-    let mut table = Table::new([
-        "users", "entries", "mutable", "compact", "ratio", "v1 load", "v2 load", "startup",
-    ]);
+    let mut table = Table::new(["users", "entries", "mutable", "compact", "ratio", "file", "load"]);
     let mut runs: Vec<Run> = Vec::new();
     for extra in SIZE_DIVISORS {
         let divisor = scale.dataset_divisor.saturating_mul(extra).max(1);
@@ -95,34 +91,25 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
         );
 
         let snapshot = ModelSnapshot::from_store(store);
-        let v1_path = dir.join(format!("model_{divisor}.v1.snap"));
-        let v2_path = dir.join(format!("model_{divisor}.v2.snap"));
-        snapshot.save_as(&v1_path, SnapshotFormat::V1).unwrap();
-        snapshot.save_as(&v2_path, SnapshotFormat::V2).unwrap();
-        let v1_file_bytes = std::fs::metadata(&v1_path).unwrap().len();
-        let v2_file_bytes = std::fs::metadata(&v2_path).unwrap().len();
-
-        let (v1_load_secs, v1_loaded) = time_load(&v1_path);
-        let (v2_load_secs, v2_loaded) = time_load(&v2_path);
-        assert!(!v1_loaded.is_compact() && v2_loaded.is_compact(), "format auto-detect failed");
-        // Both loads must describe the same model, byte for byte: the
-        // canonical (v1) re-encoding is the strongest equality we have.
+        let path = dir.join(format!("model_{divisor}.snap"));
+        snapshot.save(&path).unwrap();
+        let file_bytes = std::fs::metadata(&path).unwrap().len();
+        let (load_secs, loaded) = time_load(&path);
+        // The loaded model must be the in-memory one, byte for byte.
         assert!(
-            v1_loaded.to_bytes() == v2_loaded.to_bytes(),
-            "v1-load and v2-load disagree at divisor {divisor}"
+            loaded.to_bytes() == snapshot.to_bytes(),
+            "loaded snapshot re-encodes differently at divisor {divisor}"
         );
 
         let ratio = mutable_bytes as f64 / compact_bytes.max(1) as f64;
-        let startup = v1_load_secs / v2_load_secs.max(1e-9);
         table.row([
             users.to_string(),
             entries.to_string(),
             fmt_per_user(mutable_bytes, users),
             fmt_per_user(compact_bytes, users),
             format!("{ratio:.1}x"),
-            format!("{v1_load_secs:.4}s"),
-            format!("{v2_load_secs:.4}s"),
-            format!("{startup:.0}x"),
+            cdim_util::mem::fmt_bytes(file_bytes as usize),
+            format!("{load_secs:.4}s"),
         ]);
         runs.push(Run {
             users,
@@ -130,16 +117,14 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
             entries,
             mutable_bytes,
             compact_bytes,
-            v1_file_bytes,
-            v2_file_bytes,
-            v1_load_secs,
-            v2_load_secs,
+            file_bytes,
+            load_secs,
         });
     }
     println!("{table}");
     println!(
-        "(equivalence checked: every freeze thawed byte-identically, every v2 load \
-         re-encoded byte-identically to its v1 load)"
+        "(equivalence checked: every freeze thawed byte-identically, every load \
+         re-encoded byte-identically to the in-memory model)"
     );
     std::fs::remove_dir_all(&dir).ok();
 
@@ -190,14 +175,11 @@ fn write_json(
     for (i, run) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
         let ratio = run.mutable_bytes as f64 / run.compact_bytes.max(1) as f64;
-        let startup = run.v1_load_secs / run.v2_load_secs.max(1e-9);
         out.push_str(&format!(
             "    {{\"users\": {}, \"actions\": {}, \"entries\": {}, \
              \"mutable_bytes\": {}, \"compact_bytes\": {}, \"bytes_ratio\": {ratio:.3}, \
              \"mutable_bytes_per_user\": {:.1}, \"compact_bytes_per_user\": {:.1}, \
-             \"v1_file_bytes\": {}, \"v2_file_bytes\": {}, \
-             \"v1_load_secs\": {:.6}, \"v2_load_secs\": {:.6}, \
-             \"startup_speedup\": {startup:.3}}}{comma}\n",
+             \"file_bytes\": {}, \"load_secs\": {:.6}}}{comma}\n",
             run.users,
             run.actions,
             run.entries,
@@ -205,10 +187,8 @@ fn write_json(
             run.compact_bytes,
             run.mutable_bytes as f64 / run.users.max(1) as f64,
             run.compact_bytes as f64 / run.users.max(1) as f64,
-            run.v1_file_bytes,
-            run.v2_file_bytes,
-            run.v1_load_secs,
-            run.v2_load_secs,
+            run.file_bytes,
+            run.load_secs,
         ));
     }
     out.push_str("  ]\n}\n");
@@ -232,10 +212,8 @@ mod tests {
                 entries: 4000,
                 mutable_bytes: 400_000,
                 compact_bytes: 100_000,
-                v1_file_bytes: 120_000,
-                v2_file_bytes: 110_000,
-                v1_load_secs: 0.05,
-                v2_load_secs: 0.001,
+                file_bytes: 110_000,
+                load_secs: 0.001,
             },
             Run {
                 users: 2000,
@@ -243,17 +221,15 @@ mod tests {
                 entries: 9000,
                 mutable_bytes: 900_000,
                 compact_bytes: 220_000,
-                v1_file_bytes: 260_000,
-                v2_file_bytes: 240_000,
-                v1_load_secs: 0.11,
-                v2_load_secs: 0.002,
+                file_bytes: 240_000,
+                load_secs: 0.002,
             },
         ];
         write_json(&path, 0.001, 4, &runs).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"experiment\": \"bench-memory\""));
         assert!(text.contains("\"compact_bytes\": 100000"));
-        assert!(text.contains("\"startup_speedup\""));
+        assert!(text.contains("\"load_secs\": 0.001000"));
         // Crude structural sanity: balanced braces/brackets, no trailing
         // comma before a closer.
         assert_eq!(text.matches('{').count(), text.matches('}').count());

@@ -166,16 +166,9 @@ impl CdModel {
 
     /// Influence maximization: runs Algorithm 3 for `k` seeds.
     ///
-    /// Clones the credit store (selection mutates it); call
-    /// [`Self::into_selector`] to avoid the copy when the model is no
-    /// longer needed.
+    /// Clones the credit store (selection mutates it).
     pub fn select(&self, k: usize) -> Selection {
         CdSelector::new(self.store.clone()).select(k)
-    }
-
-    /// Consumes the model into a stateful selector (no store copy).
-    pub fn into_selector(self) -> CdSelector {
-        CdSelector::new(self.store)
     }
 
     /// Exact σ_cd(S) — the model's spread prediction for any seed set.

@@ -10,12 +10,12 @@
 //! external action id in the snapshot — snapshots store credits, not
 //! external ids, so the watermark must travel alongside).
 //!
-//! ## Layout (version 2)
+//! ## Layout (version 3)
 //!
 //! ```text
 //! offset  size  field
 //! 0       8     magic "CDIMCKPT"
-//! 8       4     format version (u32) = 2
+//! 8       4     format version (u32) = 3
 //! 12      8     log byte offset (u64)
 //! 20      8     log lines consumed (u64)
 //! 28      8     watermark (u64): 0 = none, else external id + 1
@@ -24,7 +24,7 @@
 //! …       8     window entries (u64)
 //! …       …     per entry: external id (u32), tuple count n (u32),
 //!               then n × (user (u32), time (f64 bits, u64))
-//! end-4   4     CRC-32 (IEEE) over every preceding byte
+//! end-4   4     CRC-32C (Castagnoli) over every preceding byte
 //! ```
 //!
 //! The window section is the sliding-window tuple buffer: one entry per
@@ -32,22 +32,28 @@
 //! the (user, time) slices the action was trained from. A restarted
 //! driver needs them to rebuild expired-prefix deltas for
 //! [`cdim_serve::InfluenceService::retract_delta`]; an unbounded run
-//! writes zero entries. Version-1 files (no window section) still load,
-//! with an empty window.
+//! writes zero entries.
+//!
+//! Versions 1 and 2 embedded the retired version-1 snapshot encoding
+//! under a CRC-32 (IEEE) trailer; they are refused with an error naming
+//! both versions, checked before the checksum. Every length read from the
+//! file is bounds-checked against the bytes that follow it, so a forged
+//! header yields [`IngestError::Checkpoint`], never a panic or an
+//! allocation beyond the file length.
 //!
 //! One file, written via temp + rename: a crash leaves either the old
 //! checkpoint or the new one, never a torn pair of snapshot and position.
 
 use crate::error::IngestError;
 use cdim_serve::ModelSnapshot;
-use cdim_util::checksum::crc32;
+use cdim_util::checksum::crc32c;
 use std::path::Path;
 
 /// File magic.
 pub const MAGIC: [u8; 8] = *b"CDIMCKPT";
 
 /// Current checkpoint format version.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// One action of the sliding-window tuple buffer: the exact (user, time)
 /// slices the action was trained from, keyed by its external log id.
@@ -73,12 +79,12 @@ pub struct Checkpoint {
     /// Highest external action id folded into `snapshot`.
     pub watermark: Option<u32>,
     /// Sliding-window tuple buffer, oldest action first (empty for
-    /// unbounded runs and version-1 files).
+    /// unbounded runs).
     pub window: Vec<WindowEntry>,
 }
 
 impl Checkpoint {
-    /// Serializes to the version-2 container format.
+    /// Serializes to the container format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let snap = self.snapshot.to_bytes();
         let mut out = Vec::with_capacity(56 + snap.len());
@@ -102,7 +108,7 @@ impl Checkpoint {
                 out.extend_from_slice(&t.to_bits().to_le_bytes());
             }
         }
-        let crc = crc32(&out);
+        let crc = crc32c(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -119,20 +125,22 @@ impl Checkpoint {
         if bytes[..MAGIC.len()] != MAGIC {
             return Err(IngestError::Checkpoint("bad magic".into()));
         }
-        let body = &bytes[..bytes.len() - 4];
-        let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-        let computed = crc32(body);
-        if stored != computed {
-            return Err(IngestError::Checkpoint(format!(
-                "checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-            )));
-        }
         let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         let version = u32_at(8);
-        if version != 1 && version != FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(IngestError::Checkpoint(format!(
-                "unsupported checkpoint version {version} (this build reads 1..={FORMAT_VERSION})"
+                "unsupported checkpoint version {version} (this build reads version \
+                 {FORMAT_VERSION} only; delete the checkpoint to retrain from the log)"
+            )));
+        }
+        // Everything below reads at most up to the CRC trailer.
+        let end = bytes.len() - 4;
+        let stored = u32::from_le_bytes(bytes[end..].try_into().unwrap());
+        let computed = crc32c(&bytes[..end]);
+        if stored != computed {
+            return Err(IngestError::Checkpoint(format!(
+                "checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
             )));
         }
         let offset = u64_at(12);
@@ -144,48 +152,43 @@ impl Checkpoint {
                     .map_err(|_| IngestError::Checkpoint(format!("watermark {id} out of range")))?,
             ),
         };
-        let snap_len = u64_at(36) as usize;
-        let truncated =
-            || IngestError::Checkpoint(format!("snapshot length {snap_len} overruns the file"));
-        if header + snap_len + 4 > bytes.len() {
-            return Err(truncated());
-        }
-        let snapshot = ModelSnapshot::from_bytes(&bytes[header..header + snap_len])?;
-        let mut at = header + snap_len;
-        let window = if version == 1 {
-            Vec::new()
-        } else {
-            if at + 8 + 4 > bytes.len() {
-                return Err(truncated());
-            }
-            let entries = u64_at(at) as usize;
-            at += 8;
-            let mut window = Vec::with_capacity(entries.min(1024));
-            for _ in 0..entries {
-                if at + 8 + 4 > bytes.len() {
-                    return Err(truncated());
-                }
-                let external = u32_at(at);
-                let n = u32_at(at + 4) as usize;
-                at += 8;
-                if at + n * 12 + 4 > bytes.len() {
-                    return Err(truncated());
-                }
-                let mut users = Vec::with_capacity(n);
-                let mut times = Vec::with_capacity(n);
-                for _ in 0..n {
-                    users.push(u32_at(at));
-                    times.push(f64::from_bits(u64_at(at + 4)));
-                    at += 12;
-                }
-                window.push(WindowEntry { external, users, times });
-            }
-            window
+        // `at + len` for a `len` of `what` read from the file, if the
+        // bytes before the trailer hold it.
+        let span = |at: usize, len: u64, what: &str| {
+            usize::try_from(len)
+                .ok()
+                .and_then(|len| at.checked_add(len))
+                .filter(|&stop| stop <= end)
+                .ok_or_else(|| {
+                    IngestError::Checkpoint(format!("{what} of {len} bytes overruns the file"))
+                })
         };
-        if at + 4 != bytes.len() {
+        let snap_end = span(header, u64_at(36), "snapshot")?;
+        let snapshot = ModelSnapshot::from_bytes(&bytes[header..snap_end])?;
+        let mut at = span(snap_end, 8, "window section")?;
+        let entries = u64_at(snap_end);
+        // Each entry takes at least 8 bytes, which bounds the allocation.
+        let mut window = Vec::with_capacity(entries.min(((end - at) / 8) as u64) as usize);
+        for _ in 0..entries {
+            let next = span(at, 8, "window entry")?;
+            let external = u32_at(at);
+            let n = u32_at(at + 4);
+            at = next;
+            let stop = span(at, u64::from(n) * 12, "window entry")?;
+            let (users, times) = bytes[at..stop]
+                .chunks_exact(12)
+                .map(|t| {
+                    let user = u32::from_le_bytes(t[..4].try_into().unwrap());
+                    (user, f64::from_bits(u64::from_le_bytes(t[4..].try_into().unwrap())))
+                })
+                .unzip();
+            window.push(WindowEntry { external, users, times });
+            at = stop;
+        }
+        if at != end {
             return Err(IngestError::Checkpoint(format!(
                 "{} trailing bytes after the window section",
-                bytes.len() - at - 4
+                end - at
             )));
         }
         Ok(Checkpoint { snapshot, offset, lines, watermark, window })
@@ -212,7 +215,7 @@ mod tests {
     use cdim_core::{scan, CreditPolicy};
     use cdim_graph::GraphBuilder;
 
-    fn sample() -> Checkpoint {
+    pub(super) fn sample() -> Checkpoint {
         let graph = GraphBuilder::new(4).edges([(0, 1), (1, 2), (0, 3)]).build();
         let mut b = ActionLogBuilder::new(4);
         b.push(0, 3, 0.0);
@@ -250,36 +253,43 @@ mod tests {
         assert!(restored.window.is_empty());
     }
 
+    /// Re-seals a mutated checkpoint with a valid CRC-32C trailer, so the
+    /// decoder gets past the checksum into the length checks.
+    pub(super) fn reseal(bytes: &mut [u8]) {
+        if let Some(body) = bytes.len().checked_sub(4) {
+            let crc = crc32c(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+
     #[test]
-    fn version_1_files_still_load_with_an_empty_window() {
-        // Rebuild a byte-exact version-1 file: same header and snapshot,
-        // no window section, version field 1, fresh CRC.
-        let ckpt = sample();
-        let snap = ckpt.snapshot.to_bytes();
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&MAGIC);
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&ckpt.offset.to_le_bytes());
-        v1.extend_from_slice(&ckpt.lines.to_le_bytes());
-        v1.extend_from_slice(&9u64.to_le_bytes()); // watermark 8 encoded
-        v1.extend_from_slice(&(snap.len() as u64).to_le_bytes());
-        v1.extend_from_slice(&snap);
-        let crc = crc32(&v1);
-        v1.extend_from_slice(&crc.to_le_bytes());
+    fn older_versions_are_refused_with_both_versions_named() {
+        // Versions 1 and 2 embedded the retired snapshot encoding under an
+        // IEEE CRC; the version word alone must reject them, not the CRC.
+        for version in [1u32, 2] {
+            let mut old = sample().to_bytes();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = Checkpoint::from_bytes(&old).unwrap_err();
+            assert!(matches!(err, IngestError::Checkpoint(_)), "{err:?}");
+            let message = err.to_string();
+            assert!(message.contains(&format!("version {version}")), "{message}");
+            assert!(message.contains(&FORMAT_VERSION.to_string()), "{message}");
+        }
+    }
 
-        let restored = Checkpoint::from_bytes(&v1).unwrap();
-        assert_eq!(restored.offset, ckpt.offset);
-        assert_eq!(restored.watermark, Some(8));
-        assert_eq!(restored.snapshot.to_bytes(), snap);
-        assert!(restored.window.is_empty(), "v1 has no window section");
-
-        // A version-1 file with trailing bytes is still rejected.
-        let mut padded = v1.clone();
-        let crc_at = padded.len() - 4;
-        padded.splice(crc_at..crc_at, [0u8; 8]);
-        let crc = crc32(&padded[..crc_at + 8]);
-        padded[crc_at + 8..].copy_from_slice(&crc.to_le_bytes());
-        assert!(Checkpoint::from_bytes(&padded).is_err());
+    #[test]
+    fn forged_snapshot_length_is_a_typed_error() {
+        // Lengths past the file, including ones where `header + len`
+        // overflows, are refused before anything is sliced.
+        for len in [u64::MAX, u64::MAX - 40, u64::from(u32::MAX), 1 << 40] {
+            let mut bytes = sample().to_bytes();
+            bytes[36..44].copy_from_slice(&len.to_le_bytes());
+            reseal(&mut bytes);
+            assert!(
+                matches!(Checkpoint::from_bytes(&bytes), Err(IngestError::Checkpoint(_))),
+                "snapshot length {len}"
+            );
+        }
     }
 
     #[test]
@@ -312,6 +322,56 @@ mod tests {
                 Checkpoint::from_bytes(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded"
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::{reseal, sample};
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Untrusted bytes never panic the decoder: a random truncation, a
+        /// random byte overwrite, and every header count (log offset, lines,
+        /// watermark, snapshot length, window entries, first tuple count)
+        /// overwritten with boundary and random `u64`s — each re-sealed
+        /// with a valid CRC — decode to `Ok` or a typed error.
+        #[test]
+        fn resealed_mutations_decode_or_fail_typed(
+            cut in 0u64..u64::MAX,
+            at in 0u64..u64::MAX,
+            value in 0u64..u64::MAX,
+        ) {
+            let bytes = sample().to_bytes();
+            let mut mutants = Vec::new();
+
+            let mut truncated = bytes[..(cut % bytes.len() as u64) as usize].to_vec();
+            reseal(&mut truncated);
+            mutants.push(truncated);
+
+            let mut overwritten = bytes.clone();
+            overwritten[(at % (bytes.len() as u64 - 4)) as usize] = value as u8;
+            reseal(&mut overwritten);
+            mutants.push(overwritten);
+
+            let snap_len = u64::from_le_bytes(bytes[36..44].try_into().unwrap()) as usize;
+            let window = 44 + snap_len;
+            for field in [12, 20, 28, 36, window, window + 12] {
+                for count in [value, u64::MAX, u64::from(u32::MAX), value % 4096] {
+                    let mut forged = bytes.clone();
+                    forged[field..field + 8].copy_from_slice(&count.to_le_bytes());
+                    reseal(&mut forged);
+                    mutants.push(forged);
+                }
+            }
+            for mutant in &mutants {
+                match Checkpoint::from_bytes(mutant) {
+                    Ok(_) | Err(IngestError::Checkpoint(_)) | Err(IngestError::Snapshot(_)) => {}
+                    Err(other) => panic!("untyped checkpoint error {other:?}"),
+                }
+            }
         }
     }
 }

@@ -287,12 +287,12 @@ impl IngestDriver {
             let window = if config.window.is_windowed() {
                 // Expiry needs the trained tuples of every in-model
                 // action; a checkpoint written without a window policy
-                // (or by a version-1 build) does not carry them.
+                // does not carry them.
                 if ckpt.window.len() != ckpt.snapshot.num_actions() {
                     return Err(IngestError::Config(format!(
                         "a window policy needs per-action tuples for all {} trained actions \
-                         but the checkpoint holds {} (it was written without a window policy \
-                         or by an older build); retrain from the log to start a windowed run",
+                         but the checkpoint holds {} (it was written without a window policy); \
+                         retrain from the log to start a windowed run",
                         ckpt.snapshot.num_actions(),
                         ckpt.window.len()
                     )));

@@ -555,19 +555,22 @@ fn compute(key: &CacheKey, snapshot: &ModelSnapshot) -> Answer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdim_core::{scan, CdSelector, CreditPolicy};
+    use cdim_core::{scan, CdSelector, CreditPolicy, CreditStore};
 
-    fn service(cache: usize) -> InfluenceService {
+    fn store() -> CreditStore {
         let ds = cdim_datagen::presets::tiny().generate();
         let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-        let store = scan(&ds.graph, &ds.log, &policy, 0.001).unwrap();
-        InfluenceService::new(ModelSnapshot::from_store(store), cache)
+        scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()
+    }
+
+    fn service(cache: usize) -> InfluenceService {
+        InfluenceService::new(ModelSnapshot::from_store(store()), cache)
     }
 
     #[test]
     fn topk_matches_offline_selector() {
         let svc = service(16);
-        let offline = CdSelector::new(svc.snapshot().selector().store().clone()).select(5);
+        let offline = CdSelector::new(store()).select(5);
         match svc.query(&Query::TopKSeeds { budget: 5 }).unwrap() {
             Answer::TopKSeeds { seeds, gains } => {
                 assert_eq!(seeds, offline.seeds);
@@ -597,7 +600,7 @@ mod tests {
         // …and exactly against an offline walk in the same canonical order.
         let mut canonical = seeds;
         canonical.sort_unstable();
-        let mut offline = CdSelector::new(svc.snapshot().selector().store().clone());
+        let mut offline = CdSelector::new(store());
         let mut expected = 0.0;
         for &s in &canonical {
             expected += offline.compute_mg(s);

@@ -1,61 +1,95 @@
-//! Serving failure paths: snapshot files that must be rejected, and the
-//! publish/query race — clients must always see a complete model, old or
-//! new, never a torn one.
+//! Serving failure paths: snapshot files that must be rejected —
+//! corrupted, truncated, resealed garbage, other format versions — each
+//! with a typed error, and the publish/query race: clients must always
+//! see a complete model, old or new, never a torn one.
 
 use cdim_core::{scan, CdSelector, CreditPolicy, Parallelism};
 use cdim_serve::{Answer, InfluenceService, ModelSnapshot, Query, SnapshotError};
-use cdim_util::checksum::crc32;
+use cdim_util::checksum::crc32c;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A trained snapshot over the deterministic tiny preset.
-fn snapshot() -> ModelSnapshot {
+/// A trained selector over the deterministic tiny preset, with one
+/// committed seed so the SC map and seed list are non-empty.
+fn selector() -> CdSelector {
     let ds = cdim_datagen::presets::tiny().generate();
     let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    ModelSnapshot::from_store(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap())
+    let mut selector = CdSelector::new(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap());
+    let seed = CdSelector::new(selector.store().clone()).select(1).seeds[0];
+    selector.update(seed);
+    selector
 }
 
-/// Re-seals a mutated snapshot body with a valid CRC trailer, so the
-/// decoder exercises structural validation instead of the checksum.
+fn snapshot() -> ModelSnapshot {
+    ModelSnapshot::from_selector(selector())
+}
+
+/// Re-seals a mutated body with a valid CRC-32C trailer, so the decoder
+/// exercises structural validation instead of the checksum.
 fn reseal(bytes: &mut [u8]) {
     let n = bytes.len();
-    let crc = crc32(&bytes[..n - 4]);
+    let crc = crc32c(&bytes[..n - 4]);
     bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
 #[test]
 fn future_version_is_rejected_with_both_versions_named() {
-    let mut bytes = snapshot().to_bytes();
-    // Version word sits right after the 8-byte magic.
-    bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
-    reseal(&mut bytes);
-    match ModelSnapshot::from_bytes(&bytes) {
-        Err(SnapshotError::UnsupportedVersion(7)) => {}
-        other => panic!("expected UnsupportedVersion(7), got {other:?}"),
+    // A future version, the retired per-entry version 1, and 0.
+    for version in [7u32, 1, 0] {
+        let mut bytes = snapshot().to_bytes();
+        // Version word sits right after the 8-byte magic.
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        reseal(&mut bytes);
+        match ModelSnapshot::from_bytes(&bytes) {
+            Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
+            other => panic!("expected UnsupportedVersion({version}), got {other:?}"),
+        }
+        let message = ModelSnapshot::from_bytes(&bytes).unwrap_err().to_string();
+        assert!(
+            message.contains(&format!("version {version}")),
+            "message must name the file version: {message}"
+        );
+        assert!(
+            message.contains(&cdim_serve::snapshot::FORMAT_VERSION.to_string()),
+            "message must name the supported version: {message}"
+        );
     }
-    let message = ModelSnapshot::from_bytes(&bytes).unwrap_err().to_string();
-    assert!(message.contains('7'), "message must name the file version: {message}");
-    assert!(
-        message.contains(&cdim_serve::snapshot::FORMAT_VERSION.to_string()),
-        "message must name the supported version: {message}"
-    );
 }
 
 #[test]
-fn version_zero_is_rejected_too() {
-    let mut bytes = snapshot().to_bytes();
-    bytes[8..12].copy_from_slice(&0u32.to_le_bytes());
-    reseal(&mut bytes);
-    assert!(matches!(ModelSnapshot::from_bytes(&bytes), Err(SnapshotError::UnsupportedVersion(0))));
+fn round_trips_and_loads_zero_copy() {
+    let snap = snapshot();
+    let bytes = snap.to_bytes();
+    let dir = std::env::temp_dir().join(format!("cdim_failpaths_rt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.snap");
+    snap.save(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "save must write to_bytes verbatim");
+
+    let loaded = ModelSnapshot::load(&path).unwrap();
+    assert_eq!(loaded.to_bytes(), bytes, "re-encoding must be canonical");
+    assert!(loaded.resident_bytes() > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn from_bytes_handles_arbitrary_alignment() {
+    // `from_bytes` receives a borrowed slice at whatever alignment the
+    // caller has; pad the front to force every misalignment 1..8.
+    let bytes = snapshot().to_bytes();
+    for shift in 1..8 {
+        let mut padded = vec![0u8; shift];
+        padded.extend_from_slice(&bytes);
+        let loaded = ModelSnapshot::from_bytes(&padded[shift..]).unwrap();
+        assert_eq!(loaded.to_bytes(), bytes, "misalignment {shift}");
+    }
 }
 
 #[test]
 fn mid_stream_corruption_is_always_detected() {
     let bytes = snapshot().to_bytes();
-    // Flip one bit at every 97th offset past the magic — deep inside the
-    // CREDITS/SC payloads included — and demand a hard error every time.
-    // The CRC trailer covers every body byte, so nothing may slip through
-    // as a silently different model.
+    // Flip one bit at every 97th offset — header, arena, and trailer
+    // alike — and demand a hard error every time.
     for at in (8..bytes.len()).step_by(97) {
         let mut bad = bytes.clone();
         bad[at] ^= 0x01;
@@ -63,13 +97,70 @@ fn mid_stream_corruption_is_always_detected() {
             Err(SnapshotError::ChecksumMismatch { stored, computed }) => {
                 assert_ne!(stored, computed, "offset {at}");
             }
-            // Corrupting the version word itself reports the version
-            // first (it is read before the payload is trusted).
+            // The version word is read before the payload is trusted.
             Err(SnapshotError::UnsupportedVersion(_)) if (8..12).contains(&at) => {}
-            // Corrupting the CRC trailer still surfaces as a mismatch.
             other => panic!("corruption at {at} must fail loudly, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn every_truncation_is_a_clean_error() {
+    let bytes = snapshot().to_bytes();
+    for len in (0..bytes.len()).step_by(7) {
+        assert!(
+            ModelSnapshot::from_bytes(&bytes[..len]).is_err(),
+            "prefix of {len} bytes decoded successfully"
+        );
+    }
+}
+
+#[test]
+fn nonzero_reserved_word_is_rejected() {
+    let mut bytes = snapshot().to_bytes();
+    bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    assert!(matches!(ModelSnapshot::from_bytes(&bytes), Err(SnapshotError::Malformed(_))));
+}
+
+#[test]
+fn absurd_header_counts_fail_without_allocating() {
+    // num_users is the first u64 count, at offset 24. Claiming u32::MAX
+    // users with a valid CRC must be rejected structurally, not by a
+    // giant allocation or overflowing layout arithmetic.
+    let mut bytes = snapshot().to_bytes();
+    bytes[24..32].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    reseal(&mut bytes);
+    assert!(matches!(ModelSnapshot::from_bytes(&bytes), Err(SnapshotError::Malformed(_))));
+}
+
+#[test]
+fn arena_length_mismatch_is_rejected() {
+    // The arena length word (offset 88) must agree with the counts.
+    let mut bytes = snapshot().to_bytes();
+    let stored = u64::from_le_bytes(bytes[88..96].try_into().unwrap());
+    bytes[88..96].copy_from_slice(&(stored + 8).to_le_bytes());
+    reseal(&mut bytes);
+    assert!(matches!(ModelSnapshot::from_bytes(&bytes), Err(SnapshotError::Malformed(_))));
+}
+
+#[test]
+fn trailing_bytes_are_rejected() {
+    let mut bytes = snapshot().to_bytes();
+    let at = bytes.len() - 4;
+    bytes.splice(at..at, [0u8; 8]); // 8 junk bytes between arena and CRC
+    reseal(&mut bytes);
+    assert!(matches!(ModelSnapshot::from_bytes(&bytes), Err(SnapshotError::Malformed(_))));
+}
+
+#[test]
+fn resealed_structural_garbage_is_rejected() {
+    // A validly-checksummed arena whose first ua_offsets entry is not 0:
+    // the CRC passes, structural validation must still reject it.
+    let mut bytes = snapshot().to_bytes();
+    bytes[96..100].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    assert!(matches!(ModelSnapshot::from_bytes(&bytes), Err(SnapshotError::Malformed(_))));
 }
 
 #[test]
@@ -80,7 +171,6 @@ fn corrupt_file_on_disk_fails_cleanly() {
     let path = dir.join("model.snap");
     snap.save(&path).unwrap();
 
-    // Truncate mid-stream (a crashed copy) and corrupt one byte in place.
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
     assert!(ModelSnapshot::load(&path).is_err());
@@ -91,6 +181,41 @@ fn corrupt_file_on_disk_fails_cleanly() {
     std::fs::write(&path, &bad).unwrap();
     assert!(matches!(ModelSnapshot::load(&path), Err(SnapshotError::ChecksumMismatch { .. })));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn loaded_model_answers_like_the_canonical_mutable_model() {
+    // The dump fixes the traversal order, so a canonically restored
+    // mutable selector is the bit-exact reference for the compact engine
+    // a load produces.
+    let selector = selector();
+    let canonical = ModelSnapshot::from_selector(CdSelector::from_dump(&selector.dump()));
+    let loaded = ModelSnapshot::from_bytes(&canonical.to_bytes()).unwrap();
+    assert_eq!(loaded.to_bytes(), ModelSnapshot::from_selector(selector).to_bytes());
+    assert_eq!(canonical.lambda().to_bits(), loaded.lambda().to_bits());
+    assert_eq!(canonical.committed_seeds(), loaded.committed_seeds());
+
+    let (s1, s2) = (canonical.top_k(3), loaded.top_k(3));
+    assert_eq!(s1.seeds, s2.seeds);
+    let bits = |gains: &[f64]| gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&s1.marginal_gains), bits(&s2.marginal_gains));
+
+    for x in 0..canonical.num_users() as u32 {
+        assert_eq!(
+            canonical.single_marginal_gain(x).to_bits(),
+            loaded.single_marginal_gain(x).to_bits(),
+            "single_marginal_gain({x})"
+        );
+        assert_eq!(
+            canonical.gain_over(&s1.seeds, x).to_bits(),
+            loaded.gain_over(&s2.seeds, x).to_bits(),
+            "gain_over({x})"
+        );
+    }
+    assert_eq!(
+        canonical.telescoped_spread(&s1.seeds).to_bits(),
+        loaded.telescoped_spread(&s2.seeds).to_bits()
+    );
 }
 
 /// The answer a fresh single-use service computes for `q` on `snap` —
@@ -202,5 +327,6 @@ fn extended_snapshot_round_trips_through_the_file_format() {
     let bytes = snap.to_bytes();
     let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
     assert_eq!(restored.to_bytes(), bytes);
-    assert_eq!(restored.selector().seeds(), snap.selector().seeds());
+    assert_eq!(restored.committed_seeds(), 1);
+    assert_eq!(restored.top_k(1).seeds, vec![seed]);
 }

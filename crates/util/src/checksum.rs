@@ -1,24 +1,20 @@
-//! CRC-32 (IEEE 802.3) checksums.
+//! CRC-32C (Castagnoli) checksums.
 //!
-//! The snapshot format trailer carries a CRC over every preceding byte so
-//! that a truncated or bit-flipped file is rejected at load time instead of
-//! deserializing into a silently-wrong model. The reflected polynomial
-//! `0xEDB88320` is the one used by zlib/PNG/Ethernet, table-driven with
-//! the slicing-by-16 variant (sixteen independent table lookups per
-//! 16-byte block instead of sixteen sequential per-byte steps) — with
-//! memory-mapped v2 snapshots the checksum pass *is* the load, so its
-//! throughput sets the serve start-up floor.
+//! Snapshot and checkpoint files end in a CRC over every preceding byte,
+//! so a truncated or bit-flipped file is rejected at load time instead of
+//! deserializing into a silently-wrong model. With memory-mapped
+//! snapshots the checksum pass *is* the load, so its throughput sets the
+//! serve start-up floor: on x86-64 with SSE 4.2, [`crc32c`] runs on the
+//! hardware `crc32` instruction; elsewhere on slicing-by-16 tables
+//! (sixteen independent table lookups per 16-byte block instead of
+//! sixteen sequential per-byte steps).
 //!
-//! Even sliced, a single CRC is bound by the serial dependency on the
-//! running 32-bit state, not by table bandwidth. Large inputs therefore
-//! take a *braided* path: each block is split into three equal streams
-//! checksummed independently (three dependency chains the CPU can
-//! overlap), and the per-stream CRCs are stitched back together with the
-//! same GF(2) length-shift operators that power [`crc32_combine`],
+//! Either way a single CRC is bound by the serial dependency on the
+//! running 32-bit state. Large inputs therefore take a *braided* path:
+//! each block is split into three equal streams checksummed independently
+//! (three dependency chains the CPU can overlap), and the per-stream CRCs
+//! are stitched back together with GF(2) length-shift operators,
 //! precomputed at compile time for the fixed stream length.
-
-/// The reflected IEEE 802.3 polynomial (zlib, PNG, Ethernet).
-const POLY_IEEE: u32 = 0xEDB8_8320;
 
 /// The reflected Castagnoli polynomial (iSCSI; what the x86 `crc32`
 /// instruction implements).
@@ -53,94 +49,9 @@ const fn make_tables(poly: u32) -> [[u32; 256]; 16] {
     tables
 }
 
-/// Slicing-by-16 tables for CRC-32 (IEEE).
-const TABLES: [[u32; 256]; 16] = make_tables(POLY_IEEE);
-
 /// Slicing-by-16 tables for CRC-32C (Castagnoli), the software fallback
 /// when the hardware instruction is unavailable.
 const TABLES_C: [[u32; 256]; 16] = make_tables(POLY_C);
-
-/// The classic one-byte-at-a-time table (tail bytes, short inputs).
-const TABLE: [u32; 256] = TABLES[0];
-
-/// Streaming CRC-32 state.
-///
-/// ```
-/// use cdim_util::checksum::Crc32;
-/// let mut crc = Crc32::new();
-/// crc.update(b"1234");
-/// crc.update(b"56789");
-/// assert_eq!(crc.finish(), 0xCBF4_3926); // the standard check value
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut rest = bytes;
-        if rest.len() >= 3 * STREAM {
-            // Braided fast path: three independent streams per block.
-            // Per-stream CRCs start fresh and are stitched onto the
-            // running total via the precomputed shift operators, so the
-            // result is bit-identical to the straight-line scan.
-            let mut total = self.state ^ 0xFFFF_FFFF;
-            while rest.len() >= 3 * STREAM {
-                let (block, tail) = rest.split_at(3 * STREAM);
-                rest = tail;
-                let (a, bc) = block.split_at(STREAM);
-                let (b, c) = bc.split_at(STREAM);
-                let mut ca = 0xFFFF_FFFFu32;
-                let mut cb = 0xFFFF_FFFFu32;
-                let mut cc = 0xFFFF_FFFFu32;
-                let lanes = a.chunks_exact(16).zip(b.chunks_exact(16)).zip(c.chunks_exact(16));
-                for ((ka, kb), kc) in lanes {
-                    ca = step16(&TABLES, ca, ka.try_into().unwrap());
-                    cb = step16(&TABLES, cb, kb.try_into().unwrap());
-                    cc = step16(&TABLES, cc, kc.try_into().unwrap());
-                }
-                let ab = gf2_matrix_times(&OP_STREAM, ca ^ 0xFFFF_FFFF) ^ (cb ^ 0xFFFF_FFFF);
-                let abc = gf2_matrix_times(&OP_STREAM, ab) ^ (cc ^ 0xFFFF_FFFF);
-                total = gf2_matrix_times(&OP_BLOCK, total) ^ abc;
-            }
-            self.state = total ^ 0xFFFF_FFFF;
-        }
-        let mut c = self.state;
-        let mut chunks = rest.chunks_exact(16);
-        for chunk in &mut chunks {
-            c = step16(&TABLES, c, chunk.try_into().unwrap());
-        }
-        for &b in chunks.remainder() {
-            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
-    }
-
-    /// The CRC over everything fed so far.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Crc32::new()
-    }
-}
-
-/// One-shot CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
 
 /// One slicing-by-16 step: folds a 16-byte chunk into the running CRC.
 #[inline(always)]
@@ -168,13 +79,9 @@ fn step16(tables: &[[u32; 256]; 16], c: u32, chunk: &[u8; 16]) -> u32 {
 const STREAM: usize = 8192;
 
 /// GF(2) operator advancing a CRC across one stream of zero bytes.
-const OP_STREAM: [u32; 32] = shift_operator(POLY_IEEE, STREAM as u64);
+const OP_STREAM_C: [u32; 32] = shift_operator(POLY_C, STREAM as u64);
 
 /// GF(2) operator advancing a CRC across one whole braided block.
-const OP_BLOCK: [u32; 32] = shift_operator(POLY_IEEE, 3 * STREAM as u64);
-
-/// CRC-32C counterparts of [`OP_STREAM`]/[`OP_BLOCK`].
-const OP_STREAM_C: [u32; 32] = shift_operator(POLY_C, STREAM as u64);
 const OP_BLOCK_C: [u32; 32] = shift_operator(POLY_C, 3 * STREAM as u64);
 
 /// Multiplies the GF(2) matrix `mat` by the bit-vector `vec`.
@@ -214,9 +121,8 @@ const fn gf2_matrix_mul(a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
 }
 
 /// The GF(2) operator that advances a CRC (reflected polynomial `poly`)
-/// across `len` zero bytes — the matrix [`crc32_combine`] applies
-/// bit-by-bit, materialized whole by repeated squaring so it can be
-/// baked in at compile time.
+/// across `len` zero bytes, materialized whole by repeated squaring so it
+/// can be baked in at compile time.
 const fn shift_operator(poly: u32, mut len: u64) -> [u32; 32] {
     let mut result = [0u32; 32];
     let mut n = 0usize;
@@ -259,50 +165,8 @@ const fn shift_operator(poly: u32, mut len: u64) -> [u32; 32] {
     result
 }
 
-/// CRC-32 of the concatenation `A ‖ B` given `crc32(A)`, `crc32(B)` and
-/// `B`'s length — zlib's `crc32_combine`. Appending `len2` bytes to `A`
-/// advances its CRC by a linear operator over GF(2); this applies that
-/// operator (as a 32×32 bit matrix raised to the `len2`-th power by
-/// repeated squaring) to `crc1` and folds in `crc2`.
-pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
-    if len2 == 0 {
-        return crc1;
-    }
-    gf2_matrix_times(&shift_operator(POLY_IEEE, len2), crc1) ^ crc2
-}
-
-/// Shards below this size are not worth a thread.
-const PARALLEL_CRC_SHARD: usize = 1 << 21;
-
-/// One-shot CRC-32 of `bytes`, sharded across up to
-/// [`crate::Parallelism::effective`] worker threads and stitched back together
-/// with [`crc32_combine`] — bit-identical to [`crc32`] at every input
-/// size and thread count. Inputs under a couple of MiB run inline.
-pub fn crc32_parallel(bytes: &[u8], parallelism: crate::Parallelism) -> u32 {
-    let want = bytes.len() / PARALLEL_CRC_SHARD;
-    if want <= 1 {
-        return crc32(bytes);
-    }
-    let shards = crate::pool::split_ranges(bytes.len(), want.min(parallelism.effective()));
-    let pieces = crate::pool::parallel_map_shards(parallelism, shards.len(), |_, idx| {
-        idx.map(|i| {
-            let range = shards[i].clone();
-            (crc32(&bytes[range.clone()]), range.len() as u64)
-        })
-        .collect::<Vec<_>>()
-    });
-    let mut combined: Option<u32> = None;
-    for (crc, len) in pieces.into_iter().flatten() {
-        combined = Some(match combined {
-            None => crc,
-            Some(acc) => crc32_combine(acc, crc, len),
-        });
-    }
-    combined.unwrap_or(0)
-}
-
-/// One-shot CRC-32C (Castagnoli) of `bytes` — the v2 snapshot trailer
-/// checksum (check value `0xE306_9283`). On x86-64 with SSE 4.2 the
+/// One-shot CRC-32C (Castagnoli) of `bytes` — the snapshot and
+/// checkpoint trailer checksum (check value `0xE306_9283`). On x86-64 with SSE 4.2 the
 /// braided streams ride the hardware `crc32` instruction (three-cycle
 /// latency, single-cycle throughput — three independent chains run ~3×
 /// faster than one and an order of magnitude faster than tables);
@@ -316,8 +180,8 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     crc32c_sw(bytes)
 }
 
-/// Hardware CRC-32C. Same braid as [`Crc32::update`], with the
-/// per-stream loops on `_mm_crc32_u64` instead of table lookups.
+/// Hardware CRC-32C. Same braid as [`crc32c_sw`], with the per-stream
+/// loops on `_mm_crc32_u64` instead of table lookups.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
@@ -359,8 +223,8 @@ unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Software CRC-32C: the table braid with the Castagnoli tables and
-/// operators. (Also the reference the hardware path is tested against.)
+/// Software CRC-32C: the table braid. (Also the reference the hardware
+/// path is tested against.)
 fn crc32c_sw(bytes: &[u8]) -> u32 {
     let mut state = 0xFFFF_FFFFu32;
     let mut rest = bytes;
@@ -402,23 +266,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matches_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn empty_input_is_zero() {
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn streaming_equals_one_shot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        let mut crc = Crc32::new();
-        for chunk in data.chunks(7) {
-            crc.update(chunk);
-        }
-        assert_eq!(crc.finish(), crc32(&data));
+    fn crc32c_matches_check_value() {
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(b""), 0);
     }
 
     #[test]
@@ -428,47 +278,9 @@ mod tests {
         let data: Vec<u8> = (0..100_000).map(|i| (i * 131 % 256) as u8).collect();
         let mut c = 0xFFFF_FFFFu32;
         for &b in &data {
-            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+            c = TABLES_C[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
-        assert_eq!(crc32(&data), c ^ 0xFFFF_FFFF);
-        // Streaming updates that start and stop mid-block must agree too.
-        for chunk_len in [1_000usize, 24_576, 30_000, 99_999] {
-            let mut s = Crc32::new();
-            for chunk in data.chunks(chunk_len) {
-                s.update(chunk);
-            }
-            assert_eq!(s.finish(), crc32(&data), "chunk len {chunk_len}");
-        }
-    }
-
-    #[test]
-    fn combine_matches_one_shot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(70_001).collect();
-        for split in [0usize, 1, 9, 4096, 70_000, 70_001] {
-            let (a, b) = data.split_at(split);
-            let combined = crc32_combine(crc32(a), crc32(b), b.len() as u64);
-            assert_eq!(combined, crc32(&data), "split at {split}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_across_sizes() {
-        for len in [0usize, 100, PARALLEL_CRC_SHARD - 1, 3 * PARALLEL_CRC_SHARD + 17] {
-            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            for threads in [1usize, 2, 5] {
-                assert_eq!(
-                    crc32_parallel(&data, crate::Parallelism::fixed(threads)),
-                    crc32(&data),
-                    "len {len}, {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn crc32c_matches_check_value() {
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
+        assert_eq!(crc32c_sw(&data), c ^ 0xFFFF_FFFF);
     }
 
     #[test]
@@ -485,12 +297,12 @@ mod tests {
     fn detects_single_bit_flips() {
         let mut data = vec![0u8; 64];
         data[10] = 0x5A;
-        let reference = crc32(&data);
+        let reference = crc32c(&data);
         for byte in 0..data.len() {
             for bit in 0..8 {
                 let mut corrupt = data.clone();
                 corrupt[byte] ^= 1 << bit;
-                assert_ne!(crc32(&corrupt), reference, "flip at {byte}:{bit} undetected");
+                assert_ne!(crc32c(&corrupt), reference, "flip at {byte}:{bit} undetected");
             }
         }
     }

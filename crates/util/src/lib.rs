@@ -17,7 +17,7 @@
 //! * [`timer`] — a tiny stopwatch for the runtime experiments.
 //! * [`lru`] — an O(1) least-recently-used cache (the query service's
 //!   answer cache).
-//! * [`checksum`] — CRC-32 for the snapshot file trailer.
+//! * [`checksum`] — CRC-32C for the snapshot and checkpoint trailers.
 //! * [`bytes`] — 8-byte-aligned buffers (owned or `mmap`-backed) and
 //!   checked byte-reinterpretation helpers, the substrate of the
 //!   zero-copy v2 snapshot format.
@@ -42,7 +42,6 @@ pub mod timer;
 pub mod topk;
 
 pub use bytes::AlignedBuf;
-pub use checksum::{crc32, Crc32};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use lru::LruCache;
 pub use mem::HeapSize;

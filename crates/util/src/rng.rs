@@ -138,15 +138,6 @@ impl Rng {
         }
     }
 
-    /// Uniformly chosen element, or `None` when the slice is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
-
     /// Reservoir-samples `k` distinct indices from `[0, n)`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         let k = k.min(n);

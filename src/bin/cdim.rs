@@ -8,7 +8,6 @@
 //! cdim train    --graph G.tsv --log L.tsv --out M.snap   full training
 //! cdim train    … --window N …                           train on the last N actions only
 //! cdim train    … --append D.tsv --base M.snap --policy P …   delta retrain
-//! cdim snapshot --graph G.tsv --log L.tsv --out M.snap   alias of full train
 //! cdim serve    --snapshot M.snap --addr 127.0.0.1:7171  query service
 //! cdim follow   --graph G.tsv --log L.tsv --snapshot M.ckpt --serve ADDR   online retraining
 //! cdim query    --addr 127.0.0.1:7171 --op topk --k 10   remote queries
@@ -25,9 +24,7 @@ use cdim::ingest::{BatchConfig, FollowConfig, IngestDriver, WindowPolicy};
 use cdim::metrics::Table;
 use cdim::obs::{MetricsRegistry, MetricsServer, SpanDump, Tracer};
 use cdim::prelude::*;
-use cdim::serve::{
-    server, ClientError, InfluenceService, ModelSnapshot, QueryClient, SnapshotFormat,
-};
+use cdim::serve::{server, ClientError, InfluenceService, ModelSnapshot, QueryClient};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -60,7 +57,6 @@ fn main() -> ExitCode {
         "select" => cmd_select(&flags),
         "predict" => cmd_predict(&flags),
         "train" => cmd_train(&flags),
-        "snapshot" => cmd_snapshot(&flags),
         "serve" => cmd_serve(&flags),
         "follow" => cmd_follow(&flags),
         "query" => cmd_query(&flags),
@@ -69,7 +65,7 @@ fn main() -> ExitCode {
             usage();
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}")),
+        _ => unreachable!("check_allowed admits only known commands"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -89,7 +85,6 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("select", "graph log k lambda policy threads"),
     ("predict", "graph log seeds policy lambda mc sims threads"),
     ("train", "graph log out policy lambda threads window append base"),
-    ("snapshot", "graph log out policy lambda threads format"),
     ("serve", "snapshot addr cache max-connections metrics-addr trace-sample trace-slow-ms"),
     (
         "follow",
@@ -110,7 +105,6 @@ fn usage() {
          cdim predict  --graph <g.tsv> --log <l.tsv> --seeds a,b,c [--policy ...] [--mc ic|lt] [--sims N] [--threads N]\n  \
          cdim train    --graph <g.tsv> --log <l.tsv> --out <m.snap> [--policy ...] [--lambda F] [--threads N] [--window N]\n  \
          cdim train    --graph <g.tsv> --append <d.tsv> --base <m.snap> --out <m2.snap> --policy uniform|time-aware [--log <l.tsv>] [--threads N]\n  \
-         cdim snapshot --graph <g.tsv> --log <l.tsv> --out <m.snap> [--policy ...] [--lambda F] [--threads N] [--format v1|v2]\n  \
          cdim serve    --snapshot <m.snap> [--addr host:port] [--cache N] [--max-connections N] [--metrics-addr host:port]\n  \
                        [--trace-sample N] [--trace-slow-ms T]\n  \
          cdim follow   --graph <g.tsv> --log <live.tsv> --snapshot <m.ckpt> [--serve host:port]\n  \
@@ -143,12 +137,14 @@ impl Flags {
         Ok(Flags(flags))
     }
 
-    /// Rejects any flag outside `command`'s [`COMMAND_FLAGS`] entry
-    /// (commands without one — `help`, unknown names — are not checked
-    /// here).
+    /// Rejects an unknown command, and any flag outside `command`'s
+    /// [`COMMAND_FLAGS`] entry (`help` takes no flags and is not checked).
     fn check_allowed(&self, command: &str) -> Result<(), String> {
         let Some((_, allowed)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) else {
-            return Ok(());
+            return match command {
+                "help" | "--help" => Ok(()),
+                _ => Err(format!("unknown command {command:?}")),
+            };
         };
         match self.0.iter().find(|(k, _)| !allowed.split_whitespace().any(|a| a == k)) {
             Some((key, _)) => Err(format!("unknown flag --{key} for `cdim {command}`")),
@@ -419,10 +415,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let Some(delta_path) = flags.get("append") else {
         let (graph, log) = load(flags)?;
         let snapshot = match flags.get("window") {
-            None => {
-                // Full training — same path as `cdim snapshot`.
-                ModelSnapshot::build(&graph, &log, config).map_err(|e| e.to_string())?
-            }
+            None => ModelSnapshot::build(&graph, &log, config).map_err(|e| e.to_string())?,
             Some(_) => {
                 let keep = flags.get_parsed("window", 0usize)?;
                 if keep == 0 {
@@ -478,7 +471,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             graph.num_nodes()
         ));
     }
-    // `base.lambda()` works for both mutable (v1) and compact (v2) bases.
     let base_lambda = base.lambda();
     if flags.get("lambda").is_some() && config.lambda != base_lambda {
         return Err(format!(
@@ -520,40 +512,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_snapshot(flags: &Flags) -> Result<(), String> {
-    let (graph, log) = load(flags)?;
-    let config = policy_config(flags)?;
-    let out: PathBuf = flags.require("out")?.into();
-    let format = snapshot_format(flags)?;
-    let timer = cdim::util::Timer::start();
-    let snapshot = ModelSnapshot::build(&graph, &log, config).map_err(|e| e.to_string())?;
-    let entries = snapshot.total_entries();
-    snapshot.save_as(&out, format).map_err(|e| e.to_string())?;
-    let bytes = std::fs::metadata(&out).map_err(|e| e.to_string())?.len();
-    println!(
-        "wrote {} ({}, {}, {entries} credit entries, {} users, {} actions) in {:.2}s",
-        out.display(),
-        match format {
-            SnapshotFormat::V1 => "v1",
-            SnapshotFormat::V2 => "v2",
-        },
-        cdim::util::mem::fmt_bytes(bytes as usize),
-        snapshot.num_users(),
-        snapshot.num_actions(),
-        timer.secs()
-    );
-    Ok(())
-}
-
-/// Parses `--format v1|v2` (default v1, the canonical dump format).
-fn snapshot_format(flags: &Flags) -> Result<SnapshotFormat, String> {
-    match flags.get("format").unwrap_or("v1") {
-        "v1" => Ok(SnapshotFormat::V1),
-        "v2" => Ok(SnapshotFormat::V2),
-        other => Err(format!("unknown snapshot format {other:?} (expected v1 or v2)")),
-    }
-}
-
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let path: PathBuf = flags.require("snapshot")?.into();
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7171");
@@ -565,9 +523,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     registry.gauge("cdim_serve_snapshot_load_seconds").set(load_secs);
     registry.gauge("cdim_serve_model_resident_bytes").set(snapshot.resident_bytes() as f64);
     eprintln!(
-        "loaded {} ({}, {} users, {} actions, {} committed seeds, {} resident) in {:.3}s",
+        "loaded {} ({} users, {} actions, {} committed seeds, {} resident) in {:.3}s",
         path.display(),
-        if snapshot.is_compact() { "v2 zero-copy" } else { "v1" },
         snapshot.num_users(),
         snapshot.num_actions(),
         snapshot.committed_seeds(),
@@ -1018,10 +975,12 @@ mod tests {
         assert!(err.contains("--windw"), "{err}");
         // A flag valid for one command is unknown to another.
         assert!(ok.check_allowed("follow").is_err());
+        // So is a command outside the table, flags or not.
+        assert!(Flags::parse(&[]).unwrap().check_allowed("snapshot").is_err());
+        assert!(Flags::parse(&[]).unwrap().check_allowed("help").is_ok());
         // Every dispatched command has exactly one table entry.
         let dispatched = [
-            "generate", "stats", "select", "predict", "train", "snapshot", "serve", "follow",
-            "query", "trace",
+            "generate", "stats", "select", "predict", "train", "serve", "follow", "query", "trace",
         ];
         for name in dispatched {
             assert_eq!(COMMAND_FLAGS.iter().filter(|(c, _)| *c == name).count(), 1, "{name}");

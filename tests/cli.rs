@@ -88,7 +88,7 @@ fn snapshot_serve_query_pipeline() {
     // Train + persist (on an explicit thread budget).
     let out = cdim()
         .args([
-            "snapshot",
+            "train",
             "--graph",
             graph.to_str().unwrap(),
             "--log",
@@ -112,7 +112,7 @@ fn snapshot_serve_query_pipeline() {
     let snap1 = dir.join("model_t1.snap");
     let out = cdim()
         .args([
-            "snapshot",
+            "train",
             "--graph",
             graph.to_str().unwrap(),
             "--log",
@@ -142,7 +142,7 @@ fn snapshot_serve_query_pipeline() {
     let out = cdim().args(["query", "--addr", &addr, "--op", "topk", "--k", "3"]).output().unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    let offline = restored.selector().clone().select(3);
+    let offline = restored.top_k(3);
     for seed in &offline.seeds {
         assert!(text.contains(&seed.to_string()), "missing seed {seed} in:\n{text}");
     }
@@ -376,9 +376,15 @@ fn rejects_bad_usage() {
     let out = cdim().output().unwrap();
     assert!(!out.status.success());
 
-    // Unknown command.
+    // Unknown command, including the removed `snapshot` alias of `train`:
+    // a usage error (exit 2), and nothing is written.
     let out = cdim().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+    let dir = tempdir("badusage");
+    let snap = dir.join("model.snap");
+    let out = cdim().args(["snapshot", "--out", snap.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"snapshot\""));
 
     // Missing required flag.
     let out = cdim().args(["select", "--k", "3"]).output().unwrap();
@@ -386,7 +392,6 @@ fn rejects_bad_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--graph"));
 
     // Malformed seeds list.
-    let dir = tempdir("badusage");
     let g = dir.join("graph.tsv");
     let l = dir.join("log.tsv");
     let gen = cdim()
@@ -428,6 +433,24 @@ fn rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--windw"));
     assert!(!snap.exists(), "a rejected train must not write its output");
+    // There is one snapshot format, so no `--format` to choose it.
+    let out = cdim()
+        .args([
+            "train",
+            "--graph",
+            g.to_str().unwrap(),
+            "--log",
+            l.to_str().unwrap(),
+            "--format",
+            "v2",
+            "--out",
+            snap.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
+    assert!(!snap.exists(), "a rejected train must not write its output");
     let ckpt = dir.join("typo.ckpt");
     let out = cdim()
         .args([
@@ -452,6 +475,27 @@ fn rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--window-action"));
     assert!(!ckpt.exists() && !snap.exists(), "a rejected follow must not write its outputs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serve_refuses_a_version_1_snapshot_naming_both_versions() {
+    // The retired per-entry format: magic, version word 1, then sections
+    // the loader never reaches — the version word alone refuses it.
+    let dir = tempdir("v1");
+    let snap = dir.join("old.snap");
+    let mut bytes = b"CDIMSNAP".to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&[0u8; 32]);
+    std::fs::write(&snap, &bytes).unwrap();
+    let out = cdim()
+        .args(["serve", "--snapshot", snap.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("snapshot version 1"), "{stderr}");
+    assert!(stderr.contains("version 2"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -695,7 +739,7 @@ fn serve_metrics_endpoint_scrapes_and_stats_report_quantiles() {
     let snap = dir.join("model.snap");
     let out = cdim()
         .args([
-            "snapshot",
+            "train",
             "--graph",
             dir.join("graph.tsv").to_str().unwrap(),
             "--log",

@@ -1,7 +1,7 @@
 //! Golden-file regression suite for the credit scan's numerics.
 //!
 //! Every file under `tests/golden/` pins the canonical fingerprint of one
-//! trained credit store: the CRC-32 of its snapshot encoding (a canonical
+//! trained credit store: the CRC-32C of its snapshot encoding (a canonical
 //! byte serialization — sorted entries, fixed layout), its entry counts,
 //! and the first few credit entries verbatim. The cases cover two fixed
 //! `datagen` presets × both credit policies × λ ∈ {0, 0.001}, each both
@@ -23,7 +23,7 @@
 use cdim::core::{scan, CreditPolicy, CreditStore};
 use cdim::datagen::presets;
 use cdim::serve::ModelSnapshot;
-use cdim::util::crc32;
+use cdim::util::checksum::crc32c;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -114,12 +114,12 @@ fn fingerprint(store: &CreditStore) -> (u32, usize, usize, Vec<Entry>) {
         .collect();
     let total_entries = store.total_entries();
     let actions = store.num_actions();
-    // CRC over the snapshot *body*: the encoding ends in its own CRC-32
+    // CRC over the snapshot *body*: the encoding ends in its own CRC-32C
     // trailer, so checksumming the whole file would collapse every case
     // to the fixed crc(data ‖ crc(data)) residue. The body CRC equals the
-    // trailer a `cdim snapshot` file would carry.
+    // trailer a `cdim train` file would carry.
     let bytes = ModelSnapshot::from_store(store.clone()).to_bytes();
-    let crc = crc32(&bytes[..bytes.len() - 4]);
+    let crc = crc32c(&bytes[..bytes.len() - 4]);
     (crc, total_entries, actions, samples)
 }
 
@@ -131,14 +131,14 @@ fn render(
     samples: &[Entry],
 ) -> String {
     let mut out = String::new();
-    out.push_str("# cdim golden credit-store fingerprint\n");
+    out.push_str("# cdim golden credit-store fingerprint (crc32c: CRC-32C of the snapshot body)\n");
     out.push_str("# regenerate after an intentional numeric change:\n");
     out.push_str("#   CDIM_BLESS=1 cargo test --test golden\n");
     let _ = writeln!(out, "preset={}", case.preset);
     let _ = writeln!(out, "policy={}", case.policy);
     let _ = writeln!(out, "lambda={}", case.lambda);
     let _ = writeln!(out, "window={}", if case.window_half { "half" } else { "full" });
-    let _ = writeln!(out, "crc32={crc:#010x}");
+    let _ = writeln!(out, "crc32c={crc:#010x}");
     let _ = writeln!(out, "total_entries={total_entries}");
     let _ = writeln!(out, "actions={actions}");
     let _ = writeln!(out, "samples={}", samples.len());
@@ -163,9 +163,9 @@ fn parse(text: &str, path: &std::path::Path) -> (u32, usize, usize, Vec<Entry>) 
             .split_once('=')
             .unwrap_or_else(|| panic!("{}: malformed line {line:?}", path.display()));
         match key {
-            "crc32" => {
+            "crc32c" => {
                 let raw = value.trim_start_matches("0x");
-                crc = Some(u32::from_str_radix(raw, 16).expect("crc32 hex"));
+                crc = Some(u32::from_str_radix(raw, 16).expect("crc32c hex"));
             }
             "total_entries" => total_entries = Some(value.parse().expect("total_entries")),
             "actions" => actions = Some(value.parse().expect("actions")),
@@ -182,7 +182,7 @@ fn parse(text: &str, path: &std::path::Path) -> (u32, usize, usize, Vec<Entry>) 
         }
     }
     (
-        crc.expect("golden file must pin crc32"),
+        crc.expect("golden file must pin crc32c"),
         total_entries.expect("golden file must pin total_entries"),
         actions.expect("golden file must pin actions"),
         samples,
@@ -271,7 +271,7 @@ fn credit_scan_matches_golden_fingerprints() {
         let mut report = diff_report(&case, &want_samples, &samples);
         let _ = writeln!(
             report,
-            "  crc32: stored {want_crc:#010x}, computed {crc:#010x}\n\
+            "  crc32c: stored {want_crc:#010x}, computed {crc:#010x}\n\
              \x20 total_entries: stored {want_entries}, computed {total_entries}\n\
              \x20 actions: stored {want_actions}, computed {actions}"
         );

@@ -1,9 +1,9 @@
 //! End-to-end serving smoke test: train on a datagen preset, persist a
 //! snapshot, restore it, serve it over TCP on an ephemeral port, and hit
 //! it from four concurrent client threads. Every response must equal the
-//! answer computed offline from the same snapshot's `CdSelector` —
-//! bit-exact, since client and server share one canonical model state and
-//! one canonical evaluation order.
+//! answer computed offline by a `CdSelector` canonically restored from the
+//! same store — bit-exact, since client and server share one canonical
+//! model state and one canonical evaluation order.
 
 use cdim::prelude::*;
 use cdim::serve::server;
@@ -11,11 +11,11 @@ use std::sync::Arc;
 
 /// The offline reference: canonical-order telescoped σ_cd from a restored
 /// selector (exactly what the service computes on a cache miss).
-fn offline_spread(snapshot: &ModelSnapshot, seeds: &[u32]) -> f64 {
+fn offline_spread(selector: &CdSelector, seeds: &[u32]) -> f64 {
     let mut canonical = seeds.to_vec();
     canonical.sort_unstable();
     canonical.dedup();
-    let mut sel = snapshot.selector().clone();
+    let mut sel = selector.clone();
     let mut total = 0.0;
     for &s in &canonical {
         total += sel.compute_mg(s);
@@ -38,9 +38,10 @@ fn concurrent_tcp_queries_match_offline_selector() {
     let restored = ModelSnapshot::load(&path).unwrap();
     assert_eq!(restored.to_bytes(), snapshot.to_bytes(), "snapshot must reload bit-identically");
 
-    // Offline answers from the same snapshot state.
+    // Offline answers from the same model state, canonically restored.
+    let canonical = CdSelector::from_dump(&CdSelector::new(model.store().clone()).dump());
     let k = 5usize;
-    let offline_selection = restored.selector().clone().select(k);
+    let offline_selection = canonical.clone().select(k);
     assert_eq!(offline_selection.seeds.len(), k);
     let query_sets: Vec<Vec<u32>> = vec![
         offline_selection.seeds.clone(),
@@ -50,7 +51,7 @@ fn concurrent_tcp_queries_match_offline_selector() {
         offline_selection.seeds[..2].to_vec(),
     ];
     let expected_spreads: Vec<f64> =
-        query_sets.iter().map(|s| offline_spread(&restored, s)).collect();
+        query_sets.iter().map(|s| offline_spread(&canonical, s)).collect();
 
     // Serve the snapshot on an ephemeral port.
     let service = Arc::new(InfluenceService::new(restored, 64));
@@ -120,8 +121,8 @@ fn hot_swap_under_load_never_drops_a_query() {
     let snap_a = ModelSnapshot::from_store(uniform.store().clone());
     let snap_b = ModelSnapshot::from_store(time_aware.store().clone());
 
-    let expect_a = offline_spread(&snap_a, &[0, 1, 2]);
-    let expect_b = offline_spread(&snap_b, &[0, 1, 2]);
+    let expect_a = offline_spread(&CdSelector::new(uniform.store().clone()), &[0, 1, 2]);
+    let expect_b = offline_spread(&CdSelector::new(time_aware.store().clone()), &[0, 1, 2]);
 
     let service = Arc::new(InfluenceService::new(snap_a, 64));
     let handle = server::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
