@@ -20,7 +20,7 @@
 
 use crate::store::{pair_key, CreditStore, CreditStoreDump};
 use cdim_maxim::Selection;
-use cdim_util::{FxHashMap, OrdF64};
+use cdim_util::{FxHashMap, HeapSize, OrdF64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -193,9 +193,8 @@ impl CdSelector {
 
     /// Like [`Self::select`] but with an explicit marginal-gain mode
     /// (the `ablate-mg` experiment compares the two).
-    pub fn select_with_mode(mut self, k: usize, mode: MgMode) -> Selection {
-        let (gains, evaluations) = run_celf(&mut self, k, mode);
-        Selection { seeds: self.seeds, marginal_gains: gains, evaluations }
+    pub fn select_with_mode(self, k: usize, mode: MgMode) -> Selection {
+        CelfSession::new(self, mode).select(k)
     }
 }
 
@@ -231,46 +230,97 @@ pub(crate) trait CelfEngine {
     fn commit(&mut self, x: u32);
 }
 
-/// Algorithm 3's CELF loop over any [`CelfEngine`]: bulk first pass, then
-/// lazy re-evaluation off a max-heap (ties break toward the smaller user
-/// id). Returns the per-seed gains and the evaluation count; the chosen
-/// seeds accumulate inside the engine.
-pub(crate) fn run_celf<E: CelfEngine>(engine: &mut E, k: usize, mode: MgMode) -> (Vec<f64>, usize) {
-    let mut evaluations = 0usize;
-    let mut gains = Vec::with_capacity(k);
-    let mut heap: BinaryHeap<(OrdF64, Reverse<u32>, usize)> =
-        BinaryHeap::with_capacity(engine.num_users());
+/// Algorithm 3's CELF loop over any [`CelfEngine`], as a resumable
+/// session: the bulk first pass runs at construction, then
+/// [`select`](Self::select) re-evaluates lazily off a max-heap (ties
+/// break toward the smaller user id) until enough seeds are committed.
+///
+/// CELF is deterministic, so a session advanced to `K` seeds has passed
+/// through the exact state a fresh run to `k ≤ K` stops in: the first `k`
+/// seeds, their gains, and the evaluation count at the `k`-th commit are
+/// that run's [`Selection`]. A smaller budget is answered from that
+/// prefix; a larger one resumes the same loop.
+#[derive(Clone, Debug)]
+pub(crate) struct CelfSession<E> {
+    engine: E,
+    mode: MgMode,
+    heap: BinaryHeap<(OrdF64, Reverse<u32>, usize)>,
+    /// Seeds the engine held before the session started.
+    base: usize,
+    /// Gain of each seed the session committed, in order.
+    gains: Vec<f64>,
+    /// Evaluations after the first pass (`[0]`) and at each commit.
+    evaluations_at: Vec<usize>,
+    /// Evaluations so far.
+    evaluations: usize,
+}
 
-    // First pass: S = ∅, so SC = 0 and mg(x) = σ_cd({x}). One bulk sweep
-    // over the credit rows computes every candidate's gain at once — the
-    // per-user formula would pay an index probe per entry, which
-    // dominates selection time on multi-million-entry stores. (Theorem3
-    // and Pseudocode agree on all credit terms; they differ only in the
-    // self term.)
-    let initial = engine.initial_credit_gains();
-    for x in 0..engine.num_users() as u32 {
-        if engine.inv_au_of(x) == 0.0 || engine.seeds().contains(&x) {
-            continue;
-        }
-        evaluations += 1;
-        heap.push((OrdF64(initial[x as usize] + engine.self_term(x, mode)), Reverse(x), 0));
-    }
-
-    while engine.seeds().len() < k {
-        let Some((OrdF64(mg), Reverse(x), round)) = heap.pop() else {
-            break;
-        };
-        if round == engine.seeds().len() {
-            gains.push(mg);
-            engine.commit(x);
-        } else {
-            let fresh = engine.mg(x, mode);
+impl<E: CelfEngine> CelfSession<E> {
+    /// Runs the first pass over `engine`'s candidates.
+    pub(crate) fn new(engine: E, mode: MgMode) -> Self {
+        let mut evaluations = 0usize;
+        let mut heap = BinaryHeap::with_capacity(engine.num_users());
+        // First pass: S = ∅, so SC = 0 and mg(x) = σ_cd({x}). One bulk
+        // sweep over the credit rows computes every candidate's gain at
+        // once — the per-user formula would pay an index probe per entry,
+        // which dominates selection time on multi-million-entry stores.
+        // (Theorem3 and Pseudocode agree on all credit terms; they differ
+        // only in the self term.)
+        let initial = engine.initial_credit_gains();
+        for x in 0..engine.num_users() as u32 {
+            if engine.inv_au_of(x) == 0.0 || engine.seeds().contains(&x) {
+                continue;
+            }
             evaluations += 1;
-            heap.push((OrdF64(fresh), Reverse(x), engine.seeds().len()));
+            heap.push((OrdF64(initial[x as usize] + engine.self_term(x, mode)), Reverse(x), 0));
+        }
+        let base = engine.seeds().len();
+        CelfSession {
+            engine,
+            mode,
+            heap,
+            base,
+            gains: Vec::new(),
+            evaluations_at: vec![evaluations],
+            evaluations,
         }
     }
 
-    (gains, evaluations)
+    /// The selection a fresh run to `k` returns: continues CELF until the
+    /// engine holds `k` seeds or every candidate is committed, then takes
+    /// that prefix of the session's seeds. Memory grows with the seeds
+    /// actually committed, never with `k`.
+    pub(crate) fn select(&mut self, k: usize) -> Selection {
+        while self.engine.seeds().len() < k {
+            let Some((OrdF64(mg), Reverse(x), round)) = self.heap.pop() else {
+                break;
+            };
+            if round == self.engine.seeds().len() {
+                self.gains.push(mg);
+                self.engine.commit(x);
+                self.evaluations_at.push(self.evaluations);
+            } else {
+                let fresh = self.engine.mg(x, self.mode);
+                self.evaluations += 1;
+                self.heap.push((OrdF64(fresh), Reverse(x), self.engine.seeds().len()));
+            }
+        }
+        let taken = k.saturating_sub(self.base).min(self.gains.len());
+        Selection {
+            seeds: self.engine.seeds()[..self.base + taken].to_vec(),
+            marginal_gains: self.gains[..taken].to_vec(),
+            evaluations: self.evaluations_at[taken],
+        }
+    }
+}
+
+impl<E: HeapSize> HeapSize for CelfSession<E> {
+    fn heap_bytes(&self) -> usize {
+        self.engine.heap_bytes()
+            + self.heap.capacity() * std::mem::size_of::<(OrdF64, Reverse<u32>, usize)>()
+            + self.gains.heap_bytes()
+            + self.evaluations_at.heap_bytes()
+    }
 }
 
 impl CelfEngine for CdSelector {

@@ -40,11 +40,23 @@
 //!
 //! ## Query engine cost
 //!
-//! An [`OverlaySelector`] reads credits from the shared arena until its
-//! first [`update`](OverlaySelector::update) commits a seed; only then
-//! does it copy `out_credits` (8 bytes per entry) into a private array
-//! it can overwrite. Marginal gains, single-seed spreads and other
-//! read-only queries copy nothing.
+//! Only a top-k copies credits. Seed-set queries —
+//! [`telescoped_spread`](CompactSelector::telescoped_spread) and
+//! [`gain_over`](CompactSelector::gain_over), single seeds included —
+//! commit nothing: for a sequence `q` they visit the actions the
+//! evaluated users performed, and per action copy only the out rows of
+//! the users of `q` who performed it, replaying each earlier user's
+//! Algorithm-5 update on those copies. Per action that is one `sc_keys`
+//! binary search and one row lookup per such user, plus two binary
+//! searches and one row merge per ordered pair of them; the copies are
+//! those users' rows, never model-sized (see `sequence_gains`).
+//!
+//! A top-k runs CELF on an [`OverlaySelector`], which reads credits from
+//! the shared arena until its first [`update`](OverlaySelector::update)
+//! commits a seed; only then does it copy `out_credits` (8 bytes per
+//! entry) into a private array it can overwrite. A [`TopKSession`] keeps
+//! that run, so one model pays for the copy once and answers every budget
+//! from one CELF run: a smaller budget is a prefix, a larger one resumes.
 //!
 //! Committing seed `x` (Algorithm 5) costs, per action `a` that `x`
 //! performed: `x`'s out row, one row lookup and target search per source
@@ -66,7 +78,7 @@
 //! **bit-identically**. The incremental extend/retract path stays on the
 //! mutable store: [`thaw`](CompactSelector::thaw) converts back.
 
-use crate::celf::{run_celf, CdSelector, CelfEngine, MgMode};
+use crate::celf::{CdSelector, CelfEngine, CelfSession, MgMode};
 use crate::store::{pair_key, CreditStore, CreditStoreDump};
 use crate::SelectorDump;
 use cdim_maxim::Selection;
@@ -677,6 +689,32 @@ impl CompactSelector {
         self.data.buf.is_mapped()
     }
 
+    /// σ_cd(S) via Theorem 3: the marginal gains of `seeds` in the given
+    /// order, each over the committed seeds and the ones before it, summed
+    /// in that order. A repeated seed, or one already committed into the
+    /// model, adds 0. Bit-identical to `compute_mg`/`update` on an
+    /// [`overlay`](Self::overlay), without committing (see the module's
+    /// *Query engine cost*).
+    pub fn telescoped_spread(&self, seeds: &[u32]) -> f64 {
+        sequence_gains(&self.data, seeds, false).iter().fold(0.0, |total, &g| total + g)
+    }
+
+    /// Marginal gain of `candidate` after committing `seeds` (in the given
+    /// order) on top of the model's committed seeds; 0 when `candidate` is
+    /// among either. Bit-identical to the overlay's commit loop, without
+    /// committing.
+    pub fn gain_over(&self, seeds: &[u32], candidate: u32) -> f64 {
+        let mut sequence = Vec::with_capacity(seeds.len() + 1);
+        sequence.extend_from_slice(seeds);
+        sequence.push(candidate);
+        sequence_gains(&self.data, &sequence, true)[seeds.len()]
+    }
+
+    /// Starts a resumable CELF top-k over this model (Theorem-3 gains).
+    pub fn top_k_session(&self) -> TopKSession {
+        TopKSession { celf: CelfSession::new(self.overlay(), MgMode::Theorem3) }
+    }
+
     /// Starts a query session: an [`OverlaySelector`] that can compute
     /// marginal gains, commit seeds, and run CELF without mutating the
     /// shared arena. Cheap until the first committed seed, which copies
@@ -714,8 +752,20 @@ impl HeapSize for CompactSelector {
 fn validate(data: &CompactData) -> Result<(), String> {
     let c = &data.counts;
     check_offsets("ua_offsets", data.ua_offsets(), c.num_users, c.ua_len)?;
-    if let Some(&a) = data.ua_data().iter().find(|&&a| a as usize >= c.num_actions) {
-        return Err(format!("user-action id {a} out of range ({} actions)", c.num_actions));
+    // Marginal gains, the commit-free evaluator and `retract` all walk a
+    // user's actions as an ascending merge, so each row must be strictly
+    // ascending as well as in range.
+    for u in 0..c.num_users as u32 {
+        let mut prev = -1i64;
+        for &a in data.ua_row(u) {
+            if a as usize >= c.num_actions {
+                return Err(format!("user-action id {a} out of range ({} actions)", c.num_actions));
+            }
+            if i64::from(a) <= prev {
+                return Err(format!("user {u}: actions not strictly ascending"));
+            }
+            prev = i64::from(a);
+        }
     }
     if let Some((u, &x)) =
         data.inv_au().iter().enumerate().find(|(_, &x)| !(0.0..=1.0).contains(&x))
@@ -1059,9 +1109,46 @@ impl OverlaySelector {
     }
 
     /// Like [`Self::select`] with an explicit marginal-gain mode.
-    pub fn select_with_mode(mut self, k: usize, mode: MgMode) -> Selection {
-        let (gains, evaluations) = run_celf(&mut self, k, mode);
-        Selection { seeds: self.seeds, marginal_gains: gains, evaluations }
+    pub fn select_with_mode(self, k: usize, mode: MgMode) -> Selection {
+        CelfSession::new(self, mode).select(k)
+    }
+}
+
+impl HeapSize for OverlaySelector {
+    /// The session's own state — the credit copy once a seed is
+    /// committed, the SC map, seeds and kernel buffers — not the shared
+    /// arena.
+    fn heap_bytes(&self) -> usize {
+        self.credits.as_ref().map_or(0, HeapSize::heap_bytes)
+            + self.sc.heap_bytes()
+            + self.seeds.heap_bytes()
+            + self.scratch.slot.heap_bytes()
+            + self.scratch.gout.capacity() * std::mem::size_of::<(u32, f64)>()
+            + self.scratch.gin.capacity() * std::mem::size_of::<(usize, f64)>()
+    }
+}
+
+/// A resumable CELF top-k over one compact model: [`top_k`](Self::top_k)
+/// answers every budget from one run, returning a prefix when the run
+/// already holds enough seeds and resuming it otherwise. Each answer —
+/// seeds, gain bits, evaluation count — equals a fresh
+/// [`OverlaySelector::select`] to the same budget.
+#[derive(Clone, Debug)]
+pub struct TopKSession {
+    celf: CelfSession<OverlaySelector>,
+}
+
+impl TopKSession {
+    /// The CELF selection of `k` seeds (continuing from the model's
+    /// committed seeds).
+    pub fn top_k(&mut self, k: usize) -> Selection {
+        self.celf.select(k)
+    }
+
+    /// Heap bytes the session holds beyond the shared arena: the credit
+    /// copy its commits write to, the SC map, the CELF heap.
+    pub fn memory_bytes(&self) -> usize {
+        self.celf.heap_bytes()
     }
 }
 
@@ -1199,6 +1286,183 @@ fn apply_seed_to_action(
             let left = *c - cvx * cxu;
             let left = if left <= 1e-15 { f64::NAN } else { left };
             *c = if marked { left } else { *c };
+        }
+    }
+}
+
+// ------------------------------------------------------ commit-free queries
+
+/// Theorem-3 gain of each position of the sequence `q` over `data`'s
+/// state, each evaluated after committing the positions before it: what
+/// an [`OverlaySelector`] returns from `compute_mg(q[i])` after
+/// `update(q[0])`, …, `update(q[i − 1])`, bit for bit, without committing
+/// anything. A repeated user, or one committed in the arena, gains 0.
+/// With `last_only`, only the last position is evaluated (the others come
+/// back 0).
+///
+/// Why it is exact. A commit of `x` in action `a` changes only action-`a`
+/// state, and a later gain or commit of a sequence user `y` in `a` reads
+/// only `y`'s out row and `Γ_{S,y}(a)`. The commit writes those from
+/// `x`'s out row alone: Lemma 3 adds `Γ_{x,y}·(1 − Γ_{S,x})` to
+/// `Γ_{S,y}`, the column retirement removes `(y, x)`, and Lemma 2
+/// subtracts `Γ_{y,x}·Γ_{x,u}` from `y`'s row. So the rows and SC values
+/// of the sequence users form a closed system: per action, the evaluator
+/// copies just those rows and replays each earlier user's commit on them
+/// with the kernel's expressions ([`apply_seed_to_action`]). Actions are
+/// visited in ascending order, each user's terms summed in that order,
+/// which is the order `compute_mg` sums them in.
+///
+/// Cost: per visited action, one binary search in `sc_keys` and one row
+/// lookup per sequence user that performed it, a copy of those users'
+/// out rows after the first, and per ordered pair of them two binary
+/// searches and one merge of their rows. Actions are those of the users
+/// evaluated; nothing of model size is copied or allocated.
+fn sequence_gains(data: &CompactData, q: &[u32], last_only: bool) -> Vec<f64> {
+    // Users whose gain or commit can matter: first appearances of users
+    // not committed in the arena, in sequence order.
+    let committed = data.seeds();
+    let mut users: Vec<u32> = Vec::with_capacity(q.len());
+    let mut position = Vec::with_capacity(q.len());
+    for (i, &x) in q.iter().enumerate() {
+        if !committed.contains(&x) && !users.contains(&x) {
+            users.push(x);
+            position.push(i);
+        }
+    }
+    let wanted: Vec<bool> = position.iter().map(|&i| !last_only || i + 1 == q.len()).collect();
+    let actions: Vec<&[u32]> = users.iter().map(|&x| data.ua_row(x)).collect();
+    let mut cursor = vec![0usize; users.len()];
+    let mut gains = vec![0.0f64; users.len()];
+    let mut scratch = ReplayScratch::default();
+    loop {
+        // The next action a wanted user performed; every user's cursor
+        // then moves past it, noting who performed it.
+        let next =
+            (0..users.len()).filter(|&i| wanted[i]).filter_map(|i| actions[i].get(cursor[i]));
+        let Some(&a) = next.min() else { break };
+        scratch.present.clear();
+        for (i, row) in actions.iter().enumerate() {
+            cursor[i] += row[cursor[i]..].partition_point(|&b| b < a);
+            if row.get(cursor[i]) == Some(&a) {
+                cursor[i] += 1;
+                scratch.present.push(i);
+            }
+        }
+        // Commits after the last wanted user change nothing it reads.
+        while scratch.present.last().is_some_and(|&i| !wanted[i]) {
+            scratch.present.pop();
+        }
+        replay_action(data, a, &users, &wanted, &mut gains, &mut scratch);
+    }
+    let mut out = vec![0.0f64; q.len()];
+    for (&at, &g) in position.iter().zip(&gains) {
+        out[at] = g;
+    }
+    out
+}
+
+/// Buffers of [`sequence_gains`], reused across actions.
+#[derive(Default)]
+struct ReplayScratch {
+    /// Indices into the sequence's users that performed the action, in
+    /// sequence order.
+    present: Vec<usize>,
+    /// Per present user: `Γ_{S,y}(a)`, its out-row entry range in the
+    /// arena, and where its copied credits start in `vals`.
+    rows: Vec<(f64, Range<usize>, usize)>,
+    /// Copied credits of the present users after the first.
+    vals: Vec<f64>,
+}
+
+/// One action of [`sequence_gains`]: takes each present user's gain term
+/// in sequence order, then replays its commit onto the later present
+/// users' rows and SC values.
+fn replay_action(
+    data: &CompactData,
+    a: u32,
+    users: &[u32],
+    wanted: &[bool],
+    gains: &mut [f64],
+    scratch: &mut ReplayScratch,
+) {
+    let (credits, targets) = (data.out_credits(), data.out_targets());
+    let (sc_keys, sc_vals) = (data.sc_keys(), data.sc_vals());
+    let ReplayScratch { present, rows, vals } = scratch;
+    rows.clear();
+    vals.clear();
+    for (j, &i) in present.iter().enumerate() {
+        let y = users[i];
+        let sc = sc_keys.binary_search(&pair_key(a, y)).map_or(0.0, |k| sc_vals[k]);
+        let row = data.out_row_of(a, y).map_or(0..0, |r| data.out_row_entries(r));
+        // The first user's row is read before any commit, so it is read
+        // from the arena; later rows are copied for the commits to write.
+        let at = vals.len();
+        if j > 0 {
+            vals.extend_from_slice(&credits[row.clone()]);
+        }
+        rows.push((sc, row, at));
+    }
+
+    for (j, &i) in present.iter().enumerate() {
+        let x = users[i];
+        let (sc_x, row_x, at_x) = rows[j].clone();
+        let xt = &targets[row_x.clone()];
+        // Rows after x's start at `split` in `vals`.
+        let split = if j == 0 { 0 } else { at_x + xt.len() };
+        let (head, tail) = vals.split_at_mut(split);
+        let xv: &[f64] = if j == 0 { &credits[row_x] } else { &head[at_x..] };
+
+        // The term compute_mg adds for this action.
+        let inv_x = data.inv_au_of(x);
+        let one_minus = (1.0 - sc_x).max(0.0);
+        if wanted[i] && inv_x != 0.0 && one_minus != 0.0 {
+            let mut mga = inv_x;
+            for (&c, &u) in xv.iter().zip(xt) {
+                if !c.is_nan() {
+                    mga += c * data.inv_au_of(u);
+                }
+            }
+            gains[i] += mga * one_minus;
+        }
+
+        // Commit x onto the later present users (apply_seed_to_action's
+        // expressions).
+        for k in j + 1..present.len() {
+            let y = users[present[k]];
+            if let Ok(p) = xt.binary_search(&y) {
+                if !xv[p].is_nan() {
+                    rows[k].0 = (rows[k].0 + xv[p] * one_minus).min(1.0);
+                }
+            }
+            let (_, ref row_y, at_y) = rows[k];
+            let yt = &targets[row_y.clone()];
+            let yv = &mut tail[at_y - split..at_y - split + yt.len()];
+            if let Ok(p) = yt.binary_search(&x) {
+                let cyx = yv[p];
+                if !cyx.is_nan() {
+                    yv[p] = f64::NAN;
+                    subtract_row(yv, yt, cyx, xv, xt);
+                }
+            }
+        }
+    }
+}
+
+/// Lemma 2 on one copied row `y`: for each entry whose target holds a
+/// live entry in `x`'s row, `c − c_yx·c_xu`, removed (`NaN`) at ≤ 1e-15.
+/// Both rows are sorted by target, so one merge finds the pairs.
+fn subtract_row(yv: &mut [f64], yt: &[u32], cyx: f64, xv: &[f64], xt: &[u32]) {
+    let mut p = 0;
+    for (c, &u) in yv.iter_mut().zip(yt) {
+        while p < xt.len() && xt[p] < u {
+            p += 1;
+        }
+        if p == xt.len() {
+            break;
+        }
+        if xt[p] == u && !xv[p].is_nan() {
+            let left = *c - cyx * xv[p];
+            *c = if left <= 1e-15 { f64::NAN } else { left };
         }
     }
 }
@@ -1490,6 +1754,19 @@ mod tests {
             expect_err(&bad, "ua_data action out of range");
         }
 
+        // A user's actions out of order: a swapped pair, then a duplicate.
+        if let Some(u) = (0..counts.num_users as u32).find(|&u| compact.data.ua_row(u).len() >= 2) {
+            let at = layout.ua_data.start + 4 * compact.data.ua_offsets()[u as usize] as usize;
+            let mut bad = pristine.clone();
+            let (x, y) = (bad[at..at + 4].to_vec(), bad[at + 4..at + 8].to_vec());
+            bad[at..at + 4].copy_from_slice(&y);
+            bad[at + 4..at + 8].copy_from_slice(&x);
+            expect_err(&bad, "swapped actions in a user's row");
+            let mut bad = pristine.clone();
+            bad.copy_within(at..at + 4, at + 4);
+            expect_err(&bad, "duplicate action in a user's row");
+        }
+
         // Non-finite credit.
         if counts.entries > 0 {
             let mut bad = pristine.clone();
@@ -1565,5 +1842,192 @@ mod tests {
             compact.memory_bytes(),
             mutable_bytes
         );
+    }
+
+    /// The commit loop the commit-free `gain_over` replaces.
+    fn committed_gain(compact: &CompactSelector, seeds: &[u32], candidate: u32) -> f64 {
+        let mut overlay = compact.overlay();
+        for &s in seeds {
+            overlay.update(s);
+        }
+        overlay.compute_mg(candidate)
+    }
+
+    #[test]
+    fn zero_credit_targets_are_marked_without_committing() {
+        // Seed 1 passes 0.0 to user 2, and 0 holds 1e-15 over 2: Lemma 2
+        // leaves 1e-15 − 0.5·0.0 ≤ 1e-15 and removes (0, 2), so 0's gain
+        // over {1} is its self term alone. A replay that marked targets by
+        // credit value would keep the 1e-15.
+        let dump = SelectorDump {
+            store: CreditStoreDump {
+                lambda: 0.0,
+                user_actions: vec![vec![0]; 3],
+                inv_au: vec![1.0; 3],
+                credits: vec![vec![(0, 1, 0.5), (0, 2, 1e-15), (1, 2, 0.0)]],
+            },
+            sc: Vec::new(),
+            seeds: Vec::new(),
+        };
+        let compact = CompactSelector::from_dump(&dump);
+        assert_eq!(compact.gain_over(&[1], 0), 1.0);
+        assert_eq!(
+            compact.gain_over(&[1], 0).to_bits(),
+            committed_gain(&compact, &[1], 0).to_bits()
+        );
+    }
+
+    #[test]
+    fn top_k_session_answers_every_budget_like_a_fresh_run() {
+        for committed in [0usize, 2] {
+            let dump = trained_dump(92, committed);
+            let compact = CompactSelector::from_dump(&dump);
+            let mut session = compact.top_k_session();
+            for k in [5usize, 50, 1, 20, 3, 0, 41] {
+                let want = compact.overlay().select(k);
+                let got = session.top_k(k);
+                assert_eq!(got.seeds, want.seeds, "k = {k} ({committed} committed)");
+                assert_eq!(got.evaluations, want.evaluations, "k = {k} ({committed} committed)");
+                let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains), "k = {k}");
+            }
+            assert!(session.memory_bytes() >= 8 * compact.total_entries());
+        }
+    }
+
+    #[test]
+    fn a_huge_budget_reserves_nothing_up_front() {
+        let dump = trained_dump(93, 0);
+        let compact = CompactSelector::from_dump(&dump);
+        let all = compact.overlay().select(usize::MAX);
+        assert_eq!(
+            all.seeds.len(),
+            (0..40u32).filter(|&u| compact.store().inv_au(u) > 0.0).count()
+        );
+        assert_eq!(compact.top_k_session().top_k(usize::MAX).seeds, all.seeds);
+        let mutable = CdSelector::from_dump(&dump).select(usize::MAX);
+        assert_eq!(mutable.seeds, all.seeds);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::policy::CreditPolicy;
+    use crate::scan::scan;
+    use cdim_actionlog::ActionLogBuilder;
+    use cdim_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// Credits and SC values that reach the kernel's edge cases: a stored
+    /// `0.0`, values around the 1e-15 removal threshold, products that
+    /// cancel a credit exactly, and the SC clamp at 1.
+    const VALUES: [f64; 8] = [0.0, 1e-16, 1e-15, 0.25, 0.5, 1.0, 0.3, 0.7];
+
+    /// The commit-free answers equal the overlay's commit loop bit for
+    /// bit: σ of `q` in order, and the gain of every user over `q`.
+    fn assert_commit_free_matches(compact: &CompactSelector, q: &[u32]) {
+        let mut overlay = compact.overlay();
+        let mut total = 0.0;
+        for (i, &s) in q.iter().enumerate() {
+            total += overlay.compute_mg(s);
+            if i + 1 < q.len() {
+                overlay.update(s);
+            }
+        }
+        assert_eq!(compact.telescoped_spread(q).to_bits(), total.to_bits(), "spread of {q:?}");
+        if let Some(&last) = q.last() {
+            overlay.update(last);
+        }
+        for x in 0..compact.num_users() as u32 {
+            assert_eq!(
+                compact.gain_over(q, x).to_bits(),
+                overlay.compute_mg(x).to_bits(),
+                "gain of {x} over {q:?}"
+            );
+        }
+    }
+
+    proptest! {
+        /// Scanned stores (both policies, λ ∈ {0, 0.001}) with committed
+        /// seeds; sequences repeat users and name committed ones.
+        #[test]
+        fn commit_free_matches_commits_on_scanned_stores(
+            edges in proptest::collection::vec((0u32..8, 0u32..8), 0..40),
+            events in proptest::collection::vec((0u32..8, 0u32..3, 0u64..12), 1..50),
+            committed in proptest::sample::subsequence((0u32..8).collect::<Vec<_>>(), 0..3),
+            q in proptest::collection::vec(0u32..8, 1..6),
+            flags in (proptest::bool::ANY, proptest::bool::ANY),
+        ) {
+            let (time_aware, truncate) = flags;
+            let graph = GraphBuilder::new(8).edges(edges).build();
+            let mut b = ActionLogBuilder::new(8);
+            for &(u, a, t) in &events {
+                b.push(u, a, t as f64);
+            }
+            let log = b.build();
+            let policy = if time_aware {
+                CreditPolicy::time_aware(&graph, &log)
+            } else {
+                CreditPolicy::Uniform
+            };
+            let lambda = if truncate { 0.001 } else { 0.0 };
+            let mut sel = CdSelector::new(scan(&graph, &log, &policy, lambda).unwrap());
+            for &s in &committed {
+                sel.update(s);
+            }
+            let compact = CompactSelector::from_dump(&sel.dump());
+            assert_commit_free_matches(&compact, &q);
+            let mut with_committed = committed.clone();
+            with_committed.extend_from_slice(&q);
+            assert_commit_free_matches(&compact, &with_committed);
+        }
+
+        /// Hand-built states whose credits and SC values sit on the
+        /// kernel's edge cases (zero credits, the removal threshold, the
+        /// SC clamp), with arbitrary committed seeds.
+        #[test]
+        fn commit_free_matches_commits_on_edge_case_credits(
+            entries in proptest::collection::vec((0u32..6, 0u32..6, 0u32..2, 0usize..8), 0..30),
+            extra in proptest::collection::vec((0u32..6, 0u32..2), 0..6),
+            sc in proptest::collection::vec((0u32..2, 0u32..6, 0usize..8), 0..6),
+            seeds in proptest::sample::subsequence((0u32..6).collect::<Vec<_>>(), 0..3),
+            q in proptest::collection::vec(0u32..6, 1..6),
+        ) {
+            let mut credits = vec![Vec::new(); 2];
+            let mut user_actions = vec![Vec::new(); 6];
+            for &(v, u, a, c) in &entries {
+                if v != u && !credits[a as usize].iter().any(|&(w, t, _)| (w, t) == (v, u)) {
+                    credits[a as usize].push((v, u, VALUES[c]));
+                    user_actions[v as usize].push(a);
+                    user_actions[u as usize].push(a);
+                }
+            }
+            for &(u, a) in &extra {
+                user_actions[u as usize].push(a);
+            }
+            for row in &mut credits {
+                row.sort_unstable_by_key(|&(v, u, _)| pair_key(v, u));
+            }
+            for actions in &mut user_actions {
+                actions.sort_unstable();
+                actions.dedup();
+            }
+            let inv_au =
+                user_actions.iter().map(|a| if a.is_empty() { 0.0 } else { 1.0 / a.len() as f64 }).collect();
+            let mut sc: Vec<(u32, u32, f64)> = sc.iter().map(|&(a, u, c)| (a, u, VALUES[c])).collect();
+            sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
+            sc.dedup_by_key(|&mut (a, u, _)| pair_key(a, u));
+            let dump = SelectorDump {
+                store: CreditStoreDump { lambda: 0.0, user_actions, inv_au, credits },
+                sc,
+                seeds,
+            };
+            let compact = CompactSelector::from_dump(&dump);
+            // The hand-built arena is one a snapshot load accepts.
+            let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
+            CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).unwrap();
+            assert_commit_free_matches(&compact, &q);
+        }
     }
 }

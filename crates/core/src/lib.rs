@@ -55,7 +55,9 @@ mod telemetry;
 
 pub use cdim_util::Parallelism;
 pub use celf::{select_seeds, CdSelector, MgMode, SelectorDump};
-pub use compact::{CompactCounts, CompactCreditStore, CompactSelector, OverlaySelector};
+pub use compact::{
+    CompactCounts, CompactCreditStore, CompactSelector, OverlaySelector, TopKSession,
+};
 pub use incremental::ExtendError;
 pub use model::{CdModel, CdModelConfig};
 pub use policy::CreditPolicy;

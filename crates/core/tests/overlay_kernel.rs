@@ -3,7 +3,9 @@
 //!
 //! After every committed CELF seed, the overlay's live credits and SC map
 //! must equal [`CdSelector::dump`] entry for entry, bit for bit; the CELF
-//! selections (seeds, evaluation counts, gain bits) must match too.
+//! selections (seeds, evaluation counts, gain bits) must match too. The
+//! commit-free σ_cd and gain queries must equal the commit loop they
+//! replace.
 
 use cdim_core::{scan, CdSelector, CompactSelector, CreditPolicy, SelectorDump};
 use cdim_datagen::presets;
@@ -62,6 +64,59 @@ fn overlay_state_matches_mutable_after_every_seed() {
                         dump_bits(&overlay.to_dump()) == dump_bits(&mutable.dump()),
                         "{case}: state differs after committing {s}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// The commit-free σ_cd and gain queries equal the overlay's commit loop
+/// bit for bit, on models with and without committed seeds, for sequences
+/// that repeat users and name committed ones.
+#[test]
+fn commit_free_queries_match_the_commit_loop() {
+    for preset in ["tiny", "flixster_small_div8"] {
+        let ds = match preset {
+            "tiny" => presets::tiny(),
+            _ => presets::flixster_small().scaled_down(8),
+        }
+        .generate();
+        for lambda in [0.0, 0.001] {
+            let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
+            let store = scan(&ds.graph, &ds.log, &policy, lambda).unwrap();
+            let top = CdSelector::new(store.clone()).select(K).seeds;
+            for committed in [0usize, 2] {
+                let case = format!("{preset} lambda={lambda} committed={committed}");
+                let mut sel = CdSelector::new(store.clone());
+                for &s in &top[..committed] {
+                    sel.update(s);
+                }
+                let compact = CompactSelector::from_dump(&sel.dump());
+                let mut sequences: Vec<Vec<u32>> = (2..=K).map(|n| top[..n].to_vec()).collect();
+                sequences.push(vec![top[3], top[2], top[3], top[0], top[2]]);
+                sequences.push(top.iter().rev().copied().collect());
+                for q in &sequences {
+                    let mut overlay = compact.overlay();
+                    let mut total = 0.0;
+                    for (i, &s) in q.iter().enumerate() {
+                        total += overlay.compute_mg(s);
+                        if i + 1 < q.len() {
+                            overlay.update(s);
+                        }
+                    }
+                    assert_eq!(
+                        compact.telescoped_spread(q).to_bits(),
+                        total.to_bits(),
+                        "{case}: spread of {q:?}"
+                    );
+                    overlay.update(*q.last().unwrap());
+                    for x in (0..compact.num_users() as u32).step_by(7).chain(top.iter().copied()) {
+                        assert_eq!(
+                            compact.gain_over(q, x).to_bits(),
+                            overlay.compute_mg(x).to_bits(),
+                            "{case}: gain of {x} over {q:?}"
+                        );
+                    }
                 }
             }
         }

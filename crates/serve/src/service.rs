@@ -489,9 +489,10 @@ impl InfluenceService {
     }
 }
 
-/// Validates the query against the snapshot and canonicalizes its seed set
-/// (sorted + deduplicated) so equivalent queries share a cache entry and a
-/// summation order.
+/// Validates the query against the snapshot and canonicalizes it so
+/// equivalent queries share a cache entry and a summation order: seed
+/// sets sorted and deduplicated, top-k budgets clamped to the user count
+/// (no model has more seeds to give).
 fn canonical_key(query: &Query, snapshot: &ModelSnapshot) -> Result<CacheKey, QueryError> {
     let num_users = snapshot.num_users();
     let check = |user: u32| {
@@ -502,7 +503,7 @@ fn canonical_key(query: &Query, snapshot: &ModelSnapshot) -> Result<CacheKey, Qu
         }
     };
     match query {
-        Query::TopKSeeds { budget } => Ok(CacheKey::TopK(*budget)),
+        Query::TopKSeeds { budget } => Ok(CacheKey::TopK((*budget).min(num_users as u32))),
         Query::Spread { seeds } => {
             for &s in seeds {
                 check(s)?;
@@ -538,7 +539,8 @@ fn compute(key: &CacheKey, snapshot: &ModelSnapshot) -> Answer {
         }
         // Single-seed spread and empty-set marginal gain are pure reads:
         // σ_cd({s}) = mg(s), no Lemma-2/3 update ever runs, so skip the
-        // O(model-size) state clone that the general walk needs.
+        // O(model-size) state clone the general walk needs on a mutable
+        // model (a compact one evaluates seed sets without committing).
         CacheKey::Spread(seeds) if seeds.len() == 1 => {
             Answer::Spread(snapshot.single_marginal_gain(seeds[0]))
         }
@@ -871,6 +873,31 @@ mod tests {
             .collect();
         for h in handles {
             assert_eq!(h.join().unwrap(), serial);
+        }
+    }
+
+    #[test]
+    fn a_huge_top_k_budget_gets_every_candidate_and_one_cache_entry() {
+        for svc in
+            [service(16), InfluenceService::new(ModelSnapshot::from_store(store()).freeze(), 16)]
+        {
+            let num_users = svc.snapshot().num_users() as u32;
+            let Answer::TopKSeeds { seeds, gains } =
+                svc.query(&Query::TopKSeeds { budget: u32::MAX }).unwrap()
+            else {
+                unreachable!()
+            };
+            assert!(!seeds.is_empty() && seeds.len() <= num_users as usize);
+            assert_eq!(gains.len(), seeds.len());
+            // Every budget past the user count is the same key.
+            let misses = svc.stats().cache_misses;
+            for budget in [num_users, num_users + 1, u32::MAX] {
+                let again = svc.query(&Query::TopKSeeds { budget }).unwrap();
+                assert_eq!(again, Answer::TopKSeeds { seeds: seeds.clone(), gains: gains.clone() });
+            }
+            assert_eq!(svc.stats().cache_misses, misses, "clamped budgets share one entry");
+            // The service keeps answering.
+            assert!(svc.query(&Query::Spread { seeds: vec![0] }).is_ok());
         }
     }
 }

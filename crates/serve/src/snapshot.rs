@@ -46,11 +46,11 @@
 //! a panic.
 
 use crate::codec::{push_f64, push_u32, push_u64};
-use cdim_core::{CdSelector, CompactCounts, CompactSelector, CreditStore};
+use cdim_core::{CdSelector, CompactCounts, CompactSelector, CreditStore, TopKSession};
 use cdim_util::checksum::crc32c;
 use cdim_util::AlignedBuf;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// File magic, followed by the version word.
 pub const MAGIC: [u8; 8] = *b"CDIMSNAP";
@@ -139,11 +139,22 @@ pub enum SnapshotFormat {
 
 /// The model state behind a snapshot: either the mutable hashmap-shaped
 /// selector (fresh builds, the incremental path) or the CSR-flat compact
-/// selector (loads, frozen states).
-#[derive(Clone, Debug)]
+/// selector (loads, frozen states). A compact state carries its CELF
+/// top-k session, started by the first [`ModelSnapshot::top_k`].
+#[derive(Debug)]
 enum State {
     Mutable(CdSelector),
-    Compact(CompactSelector),
+    Compact(CompactSelector, Mutex<Option<TopKSession>>),
+}
+
+impl Clone for State {
+    /// A clone of a compact state starts without a top-k session.
+    fn clone(&self) -> Self {
+        match self {
+            State::Mutable(s) => State::Mutable(s.clone()),
+            State::Compact(c, _) => State::Compact(c.clone(), Mutex::new(None)),
+        }
+    }
 }
 
 /// An immutable, fully-trained model state: the unit the query service
@@ -195,7 +206,7 @@ impl ModelSnapshot {
     }
 
     fn from_compact(compact: CompactSelector) -> Self {
-        ModelSnapshot { state: State::Compact(compact) }
+        ModelSnapshot { state: State::Compact(compact, Mutex::new(None)) }
     }
 
     /// Returns this state in compact form: freezes a mutable snapshot,
@@ -203,7 +214,7 @@ impl ModelSnapshot {
     pub fn freeze(&self) -> Self {
         match &self.state {
             State::Mutable(s) => Self::from_compact(CompactSelector::freeze(s)),
-            State::Compact(_) => self.clone(),
+            State::Compact(..) => self.clone(),
         }
     }
 
@@ -212,7 +223,7 @@ impl ModelSnapshot {
     fn to_selector(&self) -> CdSelector {
         match &self.state {
             State::Mutable(s) => s.clone(),
-            State::Compact(c) => c.thaw(),
+            State::Compact(c, _) => c.thaw(),
         }
     }
 
@@ -265,7 +276,7 @@ impl ModelSnapshot {
     pub fn num_users(&self) -> usize {
         match &self.state {
             State::Mutable(s) => s.store().num_users(),
-            State::Compact(c) => c.num_users(),
+            State::Compact(c, _) => c.num_users(),
         }
     }
 
@@ -273,7 +284,7 @@ impl ModelSnapshot {
     pub fn num_actions(&self) -> usize {
         match &self.state {
             State::Mutable(s) => s.store().num_actions(),
-            State::Compact(c) => c.num_actions(),
+            State::Compact(c, _) => c.num_actions(),
         }
     }
 
@@ -281,7 +292,7 @@ impl ModelSnapshot {
     pub fn lambda(&self) -> f64 {
         match &self.state {
             State::Mutable(s) => s.store().lambda(),
-            State::Compact(c) => c.lambda(),
+            State::Compact(c, _) => c.lambda(),
         }
     }
 
@@ -289,7 +300,7 @@ impl ModelSnapshot {
     pub fn total_entries(&self) -> usize {
         match &self.state {
             State::Mutable(s) => s.store().total_entries(),
-            State::Compact(c) => c.total_entries(),
+            State::Compact(c, _) => c.total_entries(),
         }
     }
 
@@ -297,25 +308,32 @@ impl ModelSnapshot {
     pub fn committed_seeds(&self) -> usize {
         match &self.state {
             State::Mutable(s) => s.seeds().len(),
-            State::Compact(c) => c.seeds().len(),
+            State::Compact(c, _) => c.seeds().len(),
         }
     }
 
-    /// Resident bytes of the model state (the credit structures for a
-    /// mutable snapshot, the arena — owned or mapped — for a compact one).
+    /// Resident bytes of the model state: the credit structures for a
+    /// mutable snapshot; for a compact one the arena (owned or mapped)
+    /// plus the top-k session, once a top-k query started it.
     pub fn resident_bytes(&self) -> usize {
         match &self.state {
             State::Mutable(s) => s.store().memory_bytes(),
-            State::Compact(c) => c.memory_bytes(),
+            State::Compact(c, session) => {
+                c.memory_bytes() + lock(session).as_ref().map_or(0, TopKSession::memory_bytes)
+            }
         }
     }
 
     /// CELF top-k continuing from the committed seeds (Algorithm 3).
-    /// Bit-identical across representations of the same state.
+    /// Bit-identical across representations of the same state. A compact
+    /// snapshot answers every budget from one session: a prefix of it
+    /// when it already holds `k` seeds, resuming it otherwise.
     pub fn top_k(&self, k: usize) -> cdim_maxim::Selection {
         match &self.state {
             State::Mutable(s) => s.clone().select(k),
-            State::Compact(c) => c.overlay().select(k),
+            State::Compact(c, session) => {
+                lock(session).get_or_insert_with(|| c.top_k_session()).top_k(k)
+            }
         }
     }
 
@@ -325,15 +343,17 @@ impl ModelSnapshot {
     pub fn single_marginal_gain(&self, x: u32) -> f64 {
         match &self.state {
             State::Mutable(s) => s.compute_mg(x),
-            State::Compact(c) => c.overlay().compute_mg(x),
+            State::Compact(c, _) => c.gain_over(&[], x),
         }
     }
 
     /// σ_cd(S) via Theorem 3: walk `seeds` in the given order,
-    /// accumulating each seed's marginal gain and applying the Lemma-2/3
-    /// update (skipped after the last seed — nothing reads the state
-    /// afterwards). σ is a set function: a repeated seed, or one already
-    /// committed into the snapshot, adds 0.
+    /// accumulating each seed's marginal gain over the seeds before it.
+    /// σ is a set function: a repeated seed, or one already committed
+    /// into the snapshot, adds 0. A compact snapshot replays the
+    /// Lemma-2/3 updates on the seeds' own rows only
+    /// ([`CompactSelector::telescoped_spread`]); a mutable one commits
+    /// on a clone.
     pub fn telescoped_spread(&self, seeds: &[u32]) -> f64 {
         match &self.state {
             State::Mutable(s) => {
@@ -347,23 +367,13 @@ impl ModelSnapshot {
                 }
                 total
             }
-            State::Compact(c) => {
-                let mut overlay = c.overlay();
-                let mut total = 0.0;
-                for (i, &s) in seeds.iter().enumerate() {
-                    total += overlay.compute_mg(s);
-                    if i + 1 < seeds.len() {
-                        overlay.update(s);
-                    }
-                }
-                total
-            }
+            State::Compact(c, _) => c.telescoped_spread(seeds),
         }
     }
 
     /// Marginal gain of `candidate` after committing `seeds` (in the
     /// given order) on top of the snapshot's own committed seeds; 0 when
-    /// `candidate` is among either.
+    /// `candidate` is among either. Commit-free on a compact snapshot.
     pub fn gain_over(&self, seeds: &[u32], candidate: u32) -> f64 {
         match &self.state {
             State::Mutable(s) => {
@@ -373,13 +383,7 @@ impl ModelSnapshot {
                 }
                 sel.compute_mg(candidate)
             }
-            State::Compact(c) => {
-                let mut overlay = c.overlay();
-                for &x in seeds {
-                    overlay.update(x);
-                }
-                overlay.compute_mg(candidate)
-            }
+            State::Compact(c, _) => c.gain_over(seeds, candidate),
         }
     }
 
@@ -389,7 +393,7 @@ impl ModelSnapshot {
     pub fn to_bytes(&self) -> Vec<u8> {
         match &self.state {
             State::Mutable(s) => encode(&CompactSelector::freeze(s)),
-            State::Compact(c) => encode(c),
+            State::Compact(c, _) => encode(c),
         }
     }
 
@@ -426,6 +430,17 @@ impl ModelSnapshot {
         check_version(&buf)?;
         Ok(Self::from_compact(decode(Arc::new(buf))?))
     }
+}
+
+/// Locks a top-k session slot. A panic inside a session leaves it
+/// half-advanced, so a poisoned slot is emptied and the next query
+/// starts a fresh session.
+fn lock(slot: &Mutex<Option<TopKSession>>) -> MutexGuard<'_, Option<TopKSession>> {
+    slot.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        *guard = None;
+        guard
+    })
 }
 
 /// Checks the magic and version word without trusting anything else, so
@@ -665,11 +680,46 @@ mod tests {
     }
 
     #[test]
+    fn top_k_session_answers_any_order_of_budgets_like_fresh_runs() {
+        let bytes = ModelSnapshot::from_selector(trained_selector()).to_bytes();
+        let fresh = |k: usize| ModelSnapshot::from_bytes(&bytes).unwrap().top_k(k);
+        let shared = Arc::new(ModelSnapshot::from_bytes(&bytes).unwrap());
+        let before = shared.resident_bytes();
+        let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for k in [5usize, 50, 1, 20] {
+            let (got, want) = (shared.top_k(k), fresh(k));
+            assert_eq!(got.seeds, want.seeds, "k = {k}");
+            assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains), "k = {k}");
+            assert_eq!(got.evaluations, want.evaluations, "k = {k}");
+        }
+        assert!(shared.resident_bytes() > before, "the session is counted");
+
+        // Two threads racing on one snapshot's session agree.
+        let threads: Vec<_> = (0..2)
+            .map(|t| {
+                let snap = Arc::new(ModelSnapshot::from_bytes(&bytes).unwrap());
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let budgets = if t == 0 { [30usize, 3, 60] } else { [60, 30, 3] };
+                    budgets.map(|k| (shared.top_k(k), snap.top_k(k)))
+                })
+            })
+            .collect();
+        for handle in threads {
+            for (got, want) in handle.join().unwrap() {
+                assert_eq!(got.seeds, want.seeds);
+                assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains));
+                assert_eq!(got.evaluations, want.evaluations);
+            }
+        }
+    }
+
+    #[test]
     fn round_trip_is_byte_identical() {
         let snap = ModelSnapshot::from_selector(trained_selector());
         let bytes = snap.to_bytes();
         let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
-        assert!(matches!(restored.state, State::Compact(_)), "a load yields the compact form");
+        assert!(matches!(restored.state, State::Compact(..)), "a load yields the compact form");
         assert_eq!(restored.to_bytes(), bytes);
         assert_eq!(snap.freeze().to_bytes(), bytes, "freezing does not change the encoding");
     }

@@ -252,6 +252,34 @@ fn oversized_frame_prefix_gets_an_error_then_close() {
     server.shutdown();
 }
 
+/// A wire `TopKSeeds` with budget `u32::MAX` once made the server reserve
+/// ~34 GB for gains and abort. It must get every candidate, and the
+/// server must keep answering on the same connection.
+#[test]
+fn a_u32_max_top_k_budget_gets_a_full_answer() {
+    let ds = cdim_datagen::presets::tiny().generate();
+    let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
+    let model =
+        ModelSnapshot::from_store(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()).freeze();
+    let expected = model.top_k(model.num_users());
+    let server = spawn(Arc::new(InfluenceService::new(model, 16)), "127.0.0.1:0").unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    for request in [Request::TopKSeeds { budget: u32::MAX }, Request::Spread { seeds: vec![0, 1] }]
+    {
+        write_frame(&mut stream, &encode_request(&request)).unwrap();
+        let payload = read_frame(&mut stream).unwrap().unwrap();
+        match (request, decode_response(&payload).unwrap()) {
+            (Request::TopKSeeds { .. }, Response::TopKSeeds { seeds, gains }) => {
+                assert_eq!(seeds, expected.seeds);
+                assert_eq!(gains, expected.marginal_gains);
+            }
+            (Request::Spread { .. }, Response::Spread(sigma)) => assert!(sigma > 0.0),
+            (_, other) => panic!("unexpected answer {other:?}"),
+        }
+    }
+    server.shutdown();
+}
+
 /// ≥1k live connections on one reactor thread, all answered. (The 10k
 /// sweep lives in `bench_serve`; this is the CI-sized smoke.)
 #[test]

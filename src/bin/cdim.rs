@@ -59,7 +59,15 @@ fn main() -> ExitCode {
         "train" => cmd_train(&flags),
         "serve" => cmd_serve(&flags),
         "follow" => cmd_follow(&flags),
-        "query" => cmd_query(&flags),
+        "query" => match cmd_query(&flags) {
+            Err(CliError::Usage(e)) => {
+                eprintln!("error: {e}");
+                usage();
+                return ExitCode::from(2);
+            }
+            Err(CliError::Failed(e)) => Err(e),
+            Ok(()) => Ok(()),
+        },
         "trace" => cmd_trace(&flags),
         "--help" | "help" => {
             usage();
@@ -717,15 +725,29 @@ fn cmd_follow(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_query(flags: &Flags) -> Result<(), String> {
+/// Why `cdim query` failed: bad usage (exit 2, with the usage text) or a
+/// failure at run time (exit 1).
+enum CliError {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Failed(e)
+    }
+}
+
+fn cmd_query(flags: &Flags) -> Result<(), CliError> {
     let addr = flags.require("addr")?;
     let op = flags.require("op")?;
+    // The wire budget is a u32; a larger --k is refused, never wrapped.
+    let k: u32 = flags.get_parsed("k", 10u32).map_err(CliError::Usage)?;
     let mut client =
         QueryClient::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     match op {
         "topk" => {
-            let k = flags.get_parsed("k", 10usize)?;
-            let (seeds, gains) = client.top_k(k as u32).map_err(|e| e.to_string())?;
+            let (seeds, gains) = client.top_k(k).map_err(|e| e.to_string())?;
             let mut table = Table::new(["rank", "user", "marginal gain"]);
             for (i, (seed, gain)) in seeds.iter().zip(&gains).enumerate() {
                 table.row([(i + 1).to_string(), seed.to_string(), format!("{gain:.3}")]);
@@ -756,7 +778,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
             table.row(["cache misses".to_string(), info.cache_misses.to_string()]);
             print!("{table}");
         }
-        other => return Err(format!("unknown query op {other:?} (topk|spread|gain|info)")),
+        other => return Err(format!("unknown query op {other:?} (topk|spread|gain|info)").into()),
     }
     Ok(())
 }

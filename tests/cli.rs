@@ -386,6 +386,16 @@ fn rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command \"snapshot\""));
 
+    // A top-k budget past the wire's u32 is refused, not wrapped (it
+    // used to ask for 4294967301 mod 2^32 = 5 seeds). No server is needed:
+    // the flag is checked before connecting.
+    let out = cdim()
+        .args(["query", "--addr", "127.0.0.1:9", "--op", "topk", "--k", "4294967301"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("invalid --k"));
+
     // Missing required flag.
     let out = cdim().args(["select", "--k", "3"]).output().unwrap();
     assert!(!out.status.success());
