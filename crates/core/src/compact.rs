@@ -35,8 +35,8 @@
 //!
 //! Credit values are stored once (in `out_credits`); the incoming
 //! direction carries only source ids and finds each credit by binary
-//! search over the source's sorted out run — two probes per entry when
-//! retiring a user's column, in exchange for 4 fewer bytes per entry.
+//! search over the source's sorted out run, in exchange for 4 fewer bytes
+//! per entry.
 //!
 //! ## Query engine cost
 //!
@@ -59,14 +59,24 @@
 //! from one CELF run: a smaller budget is a prefix, a larger one resumes.
 //!
 //! Committing seed `x` (Algorithm 5) costs, per action `a` that `x`
-//! performed: `x`'s out row, one row lookup and target search per source
-//! in `x`'s column, and then one linear walk over each such source's out
-//! row — Σ over `x`'s actions of its influencers' row lengths, however
-//! many of those entries Lemma 2 actually changes. The walk finds `x`'s
-//! targets through a user-indexed slot array (8 bytes per user, stamped
-//! per action so it never needs clearing). The slot array and the
-//! row buffers live in the overlay and are reused across actions and
-//! seeds.
+//! performed: `x`'s out row, then for each source `v` in `x`'s column (in
+//! ascending order) a search for `v`'s out row resumed from the previous
+//! source's, a binary search for `x` in that row, and one linear walk
+//! over it — Σ over `x`'s actions of its influencers' row lengths,
+//! however many of those entries Lemma 2 actually changes. Retiring the
+//! column entry and walking the row happen together, while the row is in
+//! cache. The walk is branch-free: a user-indexed table (16 bytes per
+//! user) holds `(Γ_{x,u}, 1e-15)` for `x`'s targets and the neutral
+//! `(0, −∞)` for everyone else, so every entry takes the same
+//! subtract-and-clamp and an unmarked one comes back unchanged. The table
+//! is set from `x`'s row before the walks and reset after them.
+//!
+//! The overlay keeps `Γ_{S,u}(a)` (SC) as a dense array aligned with
+//! `ua_data`, one `f64` per user-action pair, `NaN` where Lemma 3 has
+//! written nothing. A gain reads `x`'s slice of it in step with `x`'s
+//! actions; a Lemma-3 write finds `(a, u)` by binary search in `u`'s
+//! actions. The table, the SC array and the list of the seed's targets
+//! live in the overlay and are reused across actions and seeds.
 //!
 //! ## Bit-identity contract
 //!
@@ -86,7 +96,7 @@ use cdim_util::bytes::{
     cast_slice_f64, cast_slice_f64_mut, cast_slice_u32, cast_slice_u32_mut, cast_slice_u64,
     cast_slice_u64_mut,
 };
-use cdim_util::{AlignedBuf, FxHashMap, HeapSize};
+use cdim_util::{AlignedBuf, HeapSize};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -290,10 +300,23 @@ impl CompactData {
         self.inv_au()[u as usize]
     }
 
+    /// Positions of `u`'s actions in `ua_data`.
+    #[inline]
+    fn ua_range(&self, u: u32) -> Range<usize> {
+        let offs = self.ua_offsets();
+        offs[u as usize] as usize..offs[u as usize + 1] as usize
+    }
+
     #[inline]
     fn ua_row(&self, u: u32) -> &[u32] {
-        let offs = self.ua_offsets();
-        &self.ua_data()[offs[u as usize] as usize..offs[u as usize + 1] as usize]
+        &self.ua_data()[self.ua_range(u)]
+    }
+
+    /// Position of the pair `(u, a)` in `ua_data`, if `u` performed `a`.
+    #[inline]
+    fn ua_index(&self, u: u32, a: u32) -> Option<usize> {
+        let range = self.ua_range(u);
+        self.ua_data()[range.clone()].binary_search(&a).ok().map(|i| range.start + i)
     }
 
     /// Row-index range of action `a` in the out direction.
@@ -609,9 +632,10 @@ impl CompactSelector {
     /// is the arena's byte offset inside `buf`; the slice
     /// `buf[base..base + counts.arena_len()]` must hold a little-endian
     /// arena laid out per the module docs. Every structural invariant
-    /// (offset monotonicity, id ranges, sorted runs, finite credits,
-    /// position bounds) is validated before any query can run, so a
-    /// corrupt arena yields `Err`, never a panic or out-of-bounds access.
+    /// (offset monotonicity, id ranges, sorted runs, finite non-negative
+    /// credits, SC keys on performed actions, position bounds) is
+    /// validated before any query can run, so a corrupt arena yields
+    /// `Err`, never a panic or out-of-bounds access.
     pub fn from_arena(
         buf: Arc<AlignedBuf>,
         base: usize,
@@ -720,17 +744,19 @@ impl CompactSelector {
     /// shared arena. Cheap until the first committed seed, which copies
     /// the credit array.
     pub fn overlay(&self) -> OverlaySelector {
+        let data = &self.data;
+        let mut sc = vec![f64::NAN; data.counts.ua_len];
+        for (&key, &c) in data.sc_keys().iter().zip(data.sc_vals()) {
+            // Validation guarantees the user performed the action.
+            if let Some(i) = data.ua_index(key as u32, (key >> 32) as u32) {
+                sc[i] = c;
+            }
+        }
         OverlaySelector {
-            data: Arc::clone(&self.data),
+            data: Arc::clone(data),
             credits: None,
-            sc: self
-                .data
-                .sc_keys()
-                .iter()
-                .zip(self.data.sc_vals())
-                .map(|(&k, &v)| (k, v))
-                .collect(),
-            seeds: self.data.seeds().to_vec(),
+            sc,
+            seeds: data.seeds().to_vec(),
             scratch: UpdateScratch::default(),
         }
     }
@@ -811,14 +837,19 @@ fn validate(data: &CompactData) -> Result<(), String> {
     if keys.windows(2).any(|w| w[0] >= w[1]) {
         return Err("SC keys not strictly sorted".to_string());
     }
+    // Lemma 3 only ever writes to users who performed the action, and the
+    // overlay keeps SC in one slot per user-action pair.
     for &key in keys {
-        let (a, u) = ((key >> 32) as usize, (key as u32) as usize);
-        if a >= c.num_actions || u >= c.num_users {
+        let (a, u) = ((key >> 32) as u32, key as u32);
+        if a as usize >= c.num_actions || u as usize >= c.num_users {
             return Err(format!("SC key ({a}, {u}) out of range"));
         }
+        if data.ua_index(u, a).is_none() {
+            return Err(format!("SC key ({a}, {u}): user {u} did not perform action {a}"));
+        }
     }
-    if let Some(&x) = data.sc_vals().iter().find(|&&x| !x.is_finite()) {
-        return Err(format!("non-finite SC credit {x}"));
+    if let Some(&x) = data.sc_vals().iter().find(|&&x| !is_credit(x)) {
+        return Err(format!("SC credit {x} is not finite and non-negative"));
     }
     let seeds = data.seeds();
     for (i, &s) in seeds.iter().enumerate() {
@@ -830,6 +861,13 @@ fn validate(data: &CompactData) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// What a stored credit or SC value may be: finite, sign bit clear (so
+/// `+0.0` but not `−0.0`). Scans and updates only produce such values,
+/// and the commit kernel's pass-through of unmarked entries relies on it.
+fn is_credit(x: f64) -> bool {
+    x.is_finite() && x.is_sign_positive()
 }
 
 /// Offset-array sanity: starts at 0, ends at `last`, monotone.
@@ -867,8 +905,8 @@ fn mix64(key: u64) -> u64 {
 /// same pass — the per-action order-independent hash of the direction's
 /// `(v, u)` pair set (keys are direction-normalized so out and inc sums
 /// are comparable). When `credits` is given (the out direction, whose
-/// entries carry the stored credits) the credits are checked finite in
-/// the same per-entry loop, so the whole arena is validated in exactly
+/// entries carry the stored credits) the credits are checked with
+/// [`is_credit`] in the same per-entry loop, so the whole arena is validated in exactly
 /// one sweep per direction.
 #[allow(clippy::too_many_arguments)]
 fn validate_direction(
@@ -920,8 +958,11 @@ fn validate_direction(
                 };
                 sum = sum.wrapping_add(mix64(key));
                 if let Some(credits) = credits {
-                    if !credits[start + k].is_finite() {
-                        return Err(format!("non-finite credit {}", credits[start + k]));
+                    if !is_credit(credits[start + k]) {
+                        return Err(format!(
+                            "credit {} is not finite and non-negative",
+                            credits[start + k]
+                        ));
                     }
                 }
             }
@@ -935,7 +976,7 @@ fn validate_direction(
 
 /// A per-query view over a [`CompactSelector`]: the immutable CSR arrays
 /// plus a mutable credit overlay (`NaN` marks entries retired or zeroed
-/// by Lemma 2), an SC hash map, and the growing seed list. Mirrors every
+/// by Lemma 2), a dense SC array, and the growing seed list. Mirrors every
 /// f64 accumulation order of the canonical [`CdSelector`], so answers are
 /// bit-identical to the mutable engine restored from the same dump.
 #[derive(Clone, Debug)]
@@ -946,42 +987,40 @@ pub struct OverlaySelector {
     /// removed. Live stored credits are finite by validation, so the
     /// sentinel is unambiguous.
     credits: Option<Vec<f64>>,
-    sc: FxHashMap<u64, f64>,
+    /// `Γ_{S,u}(a)` per user-action pair, aligned with `ua_data`; `NaN` =
+    /// no entry (read as 0). Seeded from the arena's SC keys, so
+    /// [`Self::to_dump`] lists exactly the keys Lemma 3 created, stored
+    /// `0.0` values included.
+    sc: Vec<f64>,
     seeds: Vec<u32>,
     scratch: UpdateScratch,
 }
+
+/// A user's entry in [`UpdateScratch::table`] while it is not a target of
+/// the seed: `c − cvx·0.0` is `c` and no value is `≤ −∞`, so the walk
+/// writes the entry back unchanged.
+const NEUTRAL: (f64, f64) = (0.0, f64::NEG_INFINITY);
 
 /// Buffers of the Algorithm-5 kernel, kept across actions and seeds so an
 /// update allocates nothing per action.
 #[derive(Clone, Debug, Default)]
 struct UpdateScratch {
-    /// Per user: `(stamp << 32) | i` marks the user as `gout[i]`'s target
-    /// for the action stamped `stamp`. The marker never reads a credit
-    /// value, so a stored `0.0` credit is still marked. Sized on the
-    /// first update (8 bytes per user).
-    slot: Vec<u64>,
-    /// Stamp of the action being updated; 0 is never current.
-    stamp: u32,
+    /// Per user: `(Γ_{x,u}, 1e-15)` while `u` is a target of the seed `x`
+    /// in the action being updated, [`NEUTRAL`] otherwise. Marking comes
+    /// from `x`'s row, never from a credit value, so a stored `0.0` credit
+    /// is still marked. Sized on the first update (16 bytes per user).
+    table: Vec<(f64, f64)>,
     /// `(u, Γ_{x,u})` removed from the seed's out row.
     gout: Vec<(u32, f64)>,
-    /// `(out row of v, Γ_{v,x})` removed from the seed's column.
-    gin: Vec<(usize, f64)>,
 }
 
-impl UpdateScratch {
-    /// Starts a new action: every slot from an earlier action goes stale.
-    fn next_stamp(&mut self, num_users: usize) {
-        if self.slot.len() != num_users {
-            self.slot = vec![0; num_users];
-            self.stamp = 0;
-        }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.slot.fill(0);
-            self.stamp = 1;
-        }
-        self.gout.clear();
-        self.gin.clear();
+/// `Γ_{S,u}(a)` from a dense SC slot (`NaN` = no entry = 0).
+#[inline]
+fn sc_or_zero(c: f64) -> f64 {
+    if c.is_nan() {
+        0.0
+    } else {
+        c
     }
 }
 
@@ -991,18 +1030,22 @@ impl OverlaySelector {
         &self.seeds
     }
 
-    /// Exports the session's current state (live credits, SC map, seeds)
+    /// Exports the session's current state (live credits, SC entries, seeds)
     /// as a canonical dump — what [`CdSelector::dump`] returns after the
     /// same seeds are committed on the mutable engine.
     pub fn to_dump(&self) -> SelectorDump {
-        let mut sc: Vec<(u32, u32, f64)> =
-            self.sc.iter().map(|(&key, &c)| ((key >> 32) as u32, key as u32, c)).collect();
-        sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
-        SelectorDump {
-            store: store_dump(&self.data, self.credits()),
-            sc,
-            seeds: self.seeds.clone(),
+        let data = &self.data;
+        let mut sc = Vec::new();
+        for u in 0..data.counts.num_users as u32 {
+            let range = data.ua_range(u);
+            for (&a, &c) in data.ua_data()[range.clone()].iter().zip(&self.sc[range]) {
+                if !c.is_nan() {
+                    sc.push((a, u, c));
+                }
+            }
         }
+        sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
+        SelectorDump { store: store_dump(data, self.credits()), sc, seeds: self.seeds.clone() }
     }
 
     /// The live credit values: the overlay's own copy once a seed has
@@ -1013,6 +1056,13 @@ impl OverlaySelector {
             Some(owned) => owned,
             None => self.data.out_credits(),
         }
+    }
+
+    /// `x`'s actions, each with its `Γ_{S,x}(a)`.
+    fn actions_with_sc(&self, x: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let range = self.data.ua_range(x);
+        let sc = &self.sc[range.clone()];
+        self.data.ua_data()[range].iter().zip(sc).map(|(&a, &c)| (a, sc_or_zero(c)))
     }
 
     /// Theorem-3 marginal gain of adding `x` to the current seed set
@@ -1027,8 +1077,7 @@ impl OverlaySelector {
         let mut mg = 0.0;
         let targets = data.out_targets();
         let credits = self.credits();
-        for &a in data.ua_row(x) {
-            let sc_xa = self.sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
+        for (a, sc_xa) in self.actions_with_sc(x) {
             let factor = (1.0 - sc_xa).max(0.0);
             if factor == 0.0 {
                 continue;
@@ -1058,7 +1107,7 @@ impl OverlaySelector {
         let mut mg = 0.0;
         let targets = data.out_targets();
         let credits = self.credits();
-        for &a in data.ua_row(x) {
+        for (a, sc_xa) in self.actions_with_sc(x) {
             let mut mga = 0.0;
             let mut any = false;
             if let Some(row) = data.out_row_of(a, x) {
@@ -1074,7 +1123,6 @@ impl OverlaySelector {
                 continue;
             }
             mga += inv_ax;
-            let sc_xa = self.sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
             mg += mga * (1.0 - sc_xa).max(0.0);
         }
         mg
@@ -1089,8 +1137,11 @@ impl OverlaySelector {
         }
         let data = Arc::clone(&self.data);
         let credits = self.credits.get_or_insert_with(|| data.out_credits().to_vec());
-        for &a in data.ua_row(x) {
-            apply_seed_to_action(&data, credits, &mut self.sc, &mut self.scratch, a, x);
+        if self.scratch.table.len() != data.counts.num_users {
+            self.scratch.table = vec![NEUTRAL; data.counts.num_users];
+        }
+        for (xa, &a) in data.ua_range(x).zip(data.ua_row(x)) {
+            apply_seed_to_action(&data, credits, &mut self.sc, &mut self.scratch, a, x, xa);
         }
         self.seeds.push(x);
     }
@@ -1116,15 +1167,14 @@ impl OverlaySelector {
 
 impl HeapSize for OverlaySelector {
     /// The session's own state — the credit copy once a seed is
-    /// committed, the SC map, seeds and kernel buffers — not the shared
+    /// committed, the SC array, seeds and kernel buffers — not the shared
     /// arena.
     fn heap_bytes(&self) -> usize {
         self.credits.as_ref().map_or(0, HeapSize::heap_bytes)
             + self.sc.heap_bytes()
             + self.seeds.heap_bytes()
-            + self.scratch.slot.heap_bytes()
-            + self.scratch.gout.capacity() * std::mem::size_of::<(u32, f64)>()
-            + self.scratch.gin.capacity() * std::mem::size_of::<(usize, f64)>()
+            + self.scratch.table.heap_bytes()
+            + self.scratch.gout.heap_bytes()
     }
 }
 
@@ -1146,7 +1196,7 @@ impl TopKSession {
     }
 
     /// Heap bytes the session holds beyond the shared arena: the credit
-    /// copy its commits write to, the SC map, the CELF heap.
+    /// copy its commits write to, the SC array, the CELF heap.
     pub fn memory_bytes(&self) -> usize {
         self.celf.heap_bytes()
     }
@@ -1213,80 +1263,101 @@ impl CelfEngine for OverlaySelector {
 }
 
 /// One action's worth of [`OverlaySelector::update`]: retires `x` from
-/// action `a` and applies the Lemma 2/3 credit algebra to `credits`.
+/// action `a` and applies the Lemma 2/3 credit algebra to `credits` and
+/// `sc`. `xa` is the position of `(x, a)` in `ua_data`, and
+/// `scratch.table` is sized and neutral on entry; it is neutral again on
+/// return.
 ///
 /// Lemma 2 subtracts `Γ_{v,x}·Γ_{x,u}` from every stored `(v, u)` with
 /// `v` in `x`'s column and `u` in `x`'s row. Instead of looking each pair
-/// up, the kernel marks `x`'s targets in `scratch.slot` and walks each
-/// source's out row once, updating the entries whose target is marked.
-/// Every `(v, u)` entry is touched at most once and the amounts come from
-/// `gin`/`gout`, which hold values removed before the walk, so the visit
-/// order changes no value.
+/// up, the kernel puts `x`'s targets in `scratch.table` and walks each
+/// source's out row once, right after retiring the source's `(v, x)`
+/// entry from it, with the same subtract-and-clamp for every entry. For
+/// a target the table holds `(Γ_{x,u}, 1e-15)`, which is the update of
+/// `ActionCredits::subtract`. For anyone else it holds [`NEUTRAL`]:
+/// `cvx·0.0` is `+0.0` because `cvx` is finite with its sign bit clear
+/// (validation), `c − 0.0` is `c` for every finite `c` and for `NaN`,
+/// and nothing is `≤ −∞`, so the entry is written back bit for bit.
+///
+/// The order of sources changes no value: a walk writes only `(v, u)`
+/// with `u` a target of `x`, `x` is not its own target, so no walk writes
+/// a `(v', x)` entry a later source reads; and every amount comes from
+/// the table, filled before any walk.
 fn apply_seed_to_action(
     data: &CompactData,
     credits: &mut [f64],
-    sc: &mut FxHashMap<u64, f64>,
+    sc: &mut [f64],
     scratch: &mut UpdateScratch,
     a: u32,
     x: u32,
+    xa: usize,
 ) {
-    let sc_xa = sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
-    let one_minus = (1.0 - sc_xa).max(0.0);
-    scratch.next_stamp(data.counts.num_users);
-    let stamp = scratch.stamp;
+    let one_minus = (1.0 - sc_or_zero(sc[xa])).max(0.0);
     let targets = data.out_targets();
+    let UpdateScratch { table, gout } = scratch;
+    gout.clear();
 
-    // Retire x from action a. Row runs are sorted, matching the
-    // canonical mutable store's adjacency order exactly.
+    // Retire x's out row. Row runs are sorted, matching the canonical
+    // mutable store's adjacency order exactly.
     if let Some(row) = data.out_row_of(a, x) {
         for pos in data.out_row_entries(row) {
             let c = credits[pos];
             if !c.is_nan() {
                 let u = targets[pos];
-                scratch.slot[u as usize] = u64::from(stamp) << 32 | scratch.gout.len() as u64;
-                scratch.gout.push((u, c));
+                table[u as usize] = (c, 1e-15);
+                gout.push((u, c));
                 credits[pos] = f64::NAN;
-            }
-        }
-    }
-    if let Some(row) = data.inc_row_of(a, x) {
-        let sources = data.inc_sources();
-        for i in data.inc_row_entries(row) {
-            // Validation guarantees the matching out entry exists.
-            let Some(v_row) = data.out_row_of(a, sources[i]) else { continue };
-            let entries = data.out_row_entries(v_row);
-            let Ok(k) = targets[entries.clone()].binary_search(&x) else { continue };
-            let c = credits[entries.start + k];
-            if !c.is_nan() {
-                scratch.gin.push((v_row, c));
-                credits[entries.start + k] = f64::NAN;
             }
         }
     }
 
     // Lemma 3: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
-    for &(u, cxu) in &scratch.gout {
-        let e = sc.entry(pair_key(a, u)).or_insert(0.0);
-        *e = (*e + cxu * one_minus).min(1.0);
-    }
-    // Lemma 2: Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}, with the
-    // clamp-and-remove semantics of `ActionCredits::subtract` (entries at
-    // ≤ 1e-15 become `NaN`). A removed entry stays `NaN` through the
-    // arithmetic, and an unmarked one is written back unchanged.
-    if scratch.gout.is_empty() {
-        return; // nothing to subtract, and the walk reads `gout[0]`
-    }
-    let (slot, gout) = (&scratch.slot, &scratch.gout);
-    for &(v_row, cvx) in &scratch.gin {
-        let entries = data.out_row_entries(v_row);
-        for (c, &u) in credits[entries.clone()].iter_mut().zip(&targets[entries]) {
-            let s = slot[u as usize];
-            let marked = (s >> 32) as u32 == stamp;
-            let cxu = gout[if marked { s as u32 as usize } else { 0 }].1;
-            let left = *c - cvx * cxu;
-            let left = if left <= 1e-15 { f64::NAN } else { left };
-            *c = if marked { left } else { *c };
+    for &(u, cxu) in gout.iter() {
+        // A scan only credits users who performed the action. Validation
+        // does not check every target (it would cost a search per inc
+        // row on each load), so an arena that breaks this drops the
+        // write rather than failing.
+        if let Some(i) = data.ua_index(u, a) {
+            sc[i] = (sc_or_zero(sc[i]) + cxu * one_minus).min(1.0);
         }
+    }
+
+    // Retire x's column, and Lemma 2 on each source's row:
+    // Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}, with the
+    // clamp-and-remove semantics of `ActionCredits::subtract` (entries at
+    // ≤ 1e-15 become `NaN`, and a removed entry stays `NaN`).
+    if let Some(row) = data.inc_row_of(a, x) {
+        let table = table.as_slice();
+        let rows = data.out_act_range(a);
+        let row_user = &data.out_row_user()[rows.clone()];
+        let mut at = 0;
+        // Sources ascend, and so do the action's out rows.
+        for &v in &data.inc_sources()[data.inc_row_entries(row)] {
+            at += row_user[at..].partition_point(|&w| w < v);
+            // Validation guarantees the matching out entry exists.
+            if row_user.get(at) != Some(&v) {
+                continue;
+            }
+            let entries = data.out_row_entries(rows.start + at);
+            let (row_c, row_t) = (&mut credits[entries.clone()], &targets[entries]);
+            let Ok(k) = row_t.binary_search(&x) else { continue };
+            let cvx = row_c[k];
+            if cvx.is_nan() {
+                continue;
+            }
+            row_c[k] = f64::NAN;
+            if gout.is_empty() {
+                continue; // every entry is neutral
+            }
+            for (c, &u) in row_c.iter_mut().zip(row_t) {
+                let (cxu, floor) = table[u as usize];
+                let left = *c - cvx * cxu;
+                *c = if left <= floor { f64::NAN } else { left };
+            }
+        }
+    }
+    for &(u, _) in gout.iter() {
+        table[u as usize] = NEUTRAL;
     }
 }
 
@@ -1640,9 +1711,9 @@ mod tests {
 
     /// Bitwise image of a dump: `(action, v, u, bits)` credits, then
     /// `(action, u, bits)` SC entries, then seeds.
-    type DumpBits = (Vec<(usize, u32, u32, u64)>, Vec<(u32, u32, u64)>, Vec<u32>);
+    pub(super) type DumpBits = (Vec<(usize, u32, u32, u64)>, Vec<(u32, u32, u64)>, Vec<u32>);
 
-    fn dump_bits(dump: &SelectorDump) -> DumpBits {
+    pub(super) fn dump_bits(dump: &SelectorDump) -> DumpBits {
         let credits = dump
             .store
             .credits
@@ -1805,6 +1876,34 @@ mod tests {
             expect_err(&bad, "mispaired inc entry");
         }
 
+        // A credit or SC value with its sign bit set: negative, or −0.0,
+        // which the commit kernel's pass-through would turn into +0.0.
+        for (section, what) in [(&layout.out_credits, "credit"), (&layout.sc_vals, "SC value")] {
+            assert!(section.len() >= 8, "the case needs a {what}");
+            for x in [-0.25f64, -0.0] {
+                let mut bad = pristine.clone();
+                bad[section.start..section.start + 8].copy_from_slice(&x.to_le_bytes());
+                expect_err(&bad, &format!("{what} {x:?}"));
+            }
+        }
+
+        // An SC key whose user did not perform its action: the overlay's
+        // dense SC has no slot for it. The forged dump keeps the keys
+        // sorted, so only this check can reject it.
+        let (a, u) = (0..counts.num_actions as u32)
+            .flat_map(|a| (0..counts.num_users as u32).map(move |u| (a, u)))
+            .filter(|&(a, u)| !dump.store.user_actions[u as usize].contains(&a))
+            .find(|&(a, u)| dump.sc.iter().all(|&(b, w, _)| pair_key(b, w) < pair_key(a, u)))
+            .expect("a pair after every SC key");
+        let mut forged = dump.clone();
+        forged.sc.push((a, u, 0.5));
+        let forged = CompactSelector::from_dump(&forged);
+        let buf = Arc::new(AlignedBuf::from_bytes(forged.arena()));
+        assert!(
+            CompactSelector::from_arena(buf, 0, forged.counts(), lambda).is_err(),
+            "corruption not caught: SC key of a user who did not perform the action"
+        );
+
         // Duplicate seed.
         if counts.seeds_len >= 2 {
             let mut bad = pristine.clone();
@@ -1912,6 +2011,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::dump_bits;
     use super::*;
     use crate::policy::CreditPolicy;
     use crate::scan::scan;
@@ -1945,6 +2045,53 @@ mod proptests {
                 overlay.compute_mg(x).to_bits(),
                 "gain of {x} over {q:?}"
             );
+        }
+    }
+
+    /// A hand-built λ = 0 state: `entries` are `(v, u, action, value)`
+    /// credits (self-credits and repeats dropped), `extra` more
+    /// `(user, action)` pairs performed, `sc` are `(action, user, value)`
+    /// SC entries, indices into [`VALUES`]. Every credit's users and every
+    /// SC key's user performed the action, as in any scanned state.
+    fn edge_case_dump(
+        entries: &[(u32, u32, u32, usize)],
+        extra: &[(u32, u32)],
+        sc: &[(u32, u32, usize)],
+        seeds: Vec<u32>,
+    ) -> SelectorDump {
+        let mut credits = vec![Vec::new(); 2];
+        let mut user_actions = vec![Vec::new(); 6];
+        for &(v, u, a, c) in entries {
+            if v != u && !credits[a as usize].iter().any(|&(w, t, _)| (w, t) == (v, u)) {
+                credits[a as usize].push((v, u, VALUES[c]));
+                user_actions[v as usize].push(a);
+                user_actions[u as usize].push(a);
+            }
+        }
+        for &(u, a) in extra {
+            user_actions[u as usize].push(a);
+        }
+        for &(a, u, _) in sc {
+            user_actions[u as usize].push(a);
+        }
+        for row in &mut credits {
+            row.sort_unstable_by_key(|&(v, u, _)| pair_key(v, u));
+        }
+        for actions in &mut user_actions {
+            actions.sort_unstable();
+            actions.dedup();
+        }
+        let inv_au = user_actions
+            .iter()
+            .map(|a| if a.is_empty() { 0.0 } else { 1.0 / a.len() as f64 })
+            .collect();
+        let mut sc: Vec<(u32, u32, f64)> = sc.iter().map(|&(a, u, c)| (a, u, VALUES[c])).collect();
+        sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
+        sc.dedup_by_key(|&mut (a, u, _)| pair_key(a, u));
+        SelectorDump {
+            store: CreditStoreDump { lambda: 0.0, user_actions, inv_au, credits },
+            sc,
+            seeds,
         }
     }
 
@@ -1994,40 +2141,45 @@ mod proptests {
             seeds in proptest::sample::subsequence((0u32..6).collect::<Vec<_>>(), 0..3),
             q in proptest::collection::vec(0u32..6, 1..6),
         ) {
-            let mut credits = vec![Vec::new(); 2];
-            let mut user_actions = vec![Vec::new(); 6];
-            for &(v, u, a, c) in &entries {
-                if v != u && !credits[a as usize].iter().any(|&(w, t, _)| (w, t) == (v, u)) {
-                    credits[a as usize].push((v, u, VALUES[c]));
-                    user_actions[v as usize].push(a);
-                    user_actions[u as usize].push(a);
-                }
-            }
-            for &(u, a) in &extra {
-                user_actions[u as usize].push(a);
-            }
-            for row in &mut credits {
-                row.sort_unstable_by_key(|&(v, u, _)| pair_key(v, u));
-            }
-            for actions in &mut user_actions {
-                actions.sort_unstable();
-                actions.dedup();
-            }
-            let inv_au =
-                user_actions.iter().map(|a| if a.is_empty() { 0.0 } else { 1.0 / a.len() as f64 }).collect();
-            let mut sc: Vec<(u32, u32, f64)> = sc.iter().map(|&(a, u, c)| (a, u, VALUES[c])).collect();
-            sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
-            sc.dedup_by_key(|&mut (a, u, _)| pair_key(a, u));
-            let dump = SelectorDump {
-                store: CreditStoreDump { lambda: 0.0, user_actions, inv_au, credits },
-                sc,
-                seeds,
-            };
+            let dump = edge_case_dump(&entries, &extra, &sc, seeds);
             let compact = CompactSelector::from_dump(&dump);
             // The hand-built arena is one a snapshot load accepts.
             let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
             CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).unwrap();
             assert_commit_free_matches(&compact, &q);
+        }
+
+        /// On the same edge-case states, every commit leaves the overlay
+        /// in the mutable engine's state bit for bit — credits and SC,
+        /// stored `+0.0` SC entries included — and every user's gain
+        /// agrees after it.
+        #[test]
+        fn overlay_state_matches_mutable_on_edge_case_credits(
+            entries in proptest::collection::vec((0u32..6, 0u32..6, 0u32..2, 0usize..8), 0..30),
+            extra in proptest::collection::vec((0u32..6, 0u32..2), 0..6),
+            sc in proptest::collection::vec((0u32..2, 0u32..6, 0usize..8), 0..6),
+            seeds in proptest::sample::subsequence((0u32..6).collect::<Vec<_>>(), 0..3),
+            q in proptest::collection::vec(0u32..6, 1..6),
+        ) {
+            let dump = edge_case_dump(&entries, &extra, &sc, seeds);
+            let mut mutable = CdSelector::from_dump(&dump);
+            let mut overlay = CompactSelector::from_dump(&dump).overlay();
+            for &s in &q {
+                mutable.update(s);
+                overlay.update(s);
+                assert_eq!(
+                    dump_bits(&overlay.to_dump()),
+                    dump_bits(&mutable.dump()),
+                    "state after committing {s} of {q:?}"
+                );
+                for x in 0..6u32 {
+                    assert_eq!(
+                        overlay.compute_mg(x).to_bits(),
+                        mutable.compute_mg(x).to_bits(),
+                        "gain of {x} after committing {s} of {q:?}"
+                    );
+                }
+            }
         }
     }
 }

@@ -3,15 +3,30 @@
 //!
 //! After every committed CELF seed, the overlay's live credits and SC map
 //! must equal [`CdSelector::dump`] entry for entry, bit for bit; the CELF
-//! selections (seeds, evaluation counts, gain bits) must match too. The
+//! selections (seeds, evaluation counts, gain bits) must match too, and
+//! must equal pinned checksums that do not need the mutable oracle. The
 //! commit-free σ_cd and gain queries must equal the commit loop they
 //! replace.
 
 use cdim_core::{scan, CdSelector, CompactSelector, CreditPolicy, SelectorDump};
 use cdim_datagen::presets;
+use cdim_maxim::Selection;
+use cdim_util::checksum::crc32c;
 
 /// Seeds committed per case.
 const K: usize = 10;
+
+/// CRC-32C of each case's `top_k(K)` answer (see [`answer_crc`]).
+const PINNED: [(&str, u32); 8] = [
+    ("tiny time_aware=false lambda=0", 0xd2fb_269d),
+    ("tiny time_aware=false lambda=0.001", 0xd2fb_269d),
+    ("tiny time_aware=true lambda=0", 0x7d00_692e),
+    ("tiny time_aware=true lambda=0.001", 0xf39b_f5c2),
+    ("flixster_small_div8 time_aware=false lambda=0", 0x1de2_b7e9),
+    ("flixster_small_div8 time_aware=false lambda=0.001", 0x5d82_bb80),
+    ("flixster_small_div8 time_aware=true lambda=0", 0xeb64_a8d8),
+    ("flixster_small_div8 time_aware=true lambda=0.001", 0x4702_cfe5),
+];
 
 /// Bitwise image of a dump: `(action, v, u, bits)` credits, then
 /// `(action, u, bits)` SC entries, then seeds.
@@ -29,8 +44,9 @@ fn dump_bits(dump: &SelectorDump) -> DumpBits {
     (credits, sc, dump.seeds.clone())
 }
 
-#[test]
-fn overlay_state_matches_mutable_after_every_seed() {
+/// Freshly scanned models of each preset × policy × λ, named.
+fn cases() -> Vec<(String, SelectorDump)> {
+    let mut cases = Vec::new();
     for preset in ["tiny", "flixster_small_div8"] {
         let ds = match preset {
             "tiny" => presets::tiny(),
@@ -45,29 +61,66 @@ fn overlay_state_matches_mutable_after_every_seed() {
             };
             for lambda in [0.0, 0.001] {
                 let case = format!("{preset} time_aware={time_aware} lambda={lambda}");
-                let dump =
-                    CdSelector::new(scan(&ds.graph, &ds.log, &policy, lambda).unwrap()).dump();
-
-                let want = CdSelector::from_dump(&dump).select(K);
-                let got = CompactSelector::from_dump(&dump).overlay().select(K);
-                assert_eq!(got.seeds, want.seeds, "{case}: seeds");
-                assert_eq!(got.evaluations, want.evaluations, "{case}: evaluations");
-                let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains), "{case}: gains");
-
-                let mut mutable = CdSelector::from_dump(&dump);
-                let mut overlay = CompactSelector::from_dump(&dump).overlay();
-                for &s in &want.seeds {
-                    mutable.update(s);
-                    overlay.update(s);
-                    assert!(
-                        dump_bits(&overlay.to_dump()) == dump_bits(&mutable.dump()),
-                        "{case}: state differs after committing {s}"
-                    );
-                }
+                let store = scan(&ds.graph, &ds.log, &policy, lambda).unwrap();
+                cases.push((case, CdSelector::new(store).dump()));
             }
         }
     }
+    cases
+}
+
+/// CRC-32C over a selection's seeds (u32 LE), gain bits (u64 LE) and
+/// evaluation count (u64 LE), in that order.
+fn answer_crc(sel: &Selection) -> u32 {
+    let mut bytes = Vec::new();
+    for &s in &sel.seeds {
+        bytes.extend_from_slice(&s.to_le_bytes());
+    }
+    for g in &sel.marginal_gains {
+        bytes.extend_from_slice(&g.to_bits().to_le_bytes());
+    }
+    bytes.extend_from_slice(&(sel.evaluations as u64).to_le_bytes());
+    crc32c(&bytes)
+}
+
+#[test]
+fn overlay_state_matches_mutable_after_every_seed() {
+    for (case, dump) in cases() {
+        let want = CdSelector::from_dump(&dump).select(K);
+        let got = CompactSelector::from_dump(&dump).overlay().select(K);
+        assert_eq!(got.seeds, want.seeds, "{case}: seeds");
+        assert_eq!(got.evaluations, want.evaluations, "{case}: evaluations");
+        let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains), "{case}: gains");
+
+        let mut mutable = CdSelector::from_dump(&dump);
+        let mut overlay = CompactSelector::from_dump(&dump).overlay();
+        for &s in &want.seeds {
+            mutable.update(s);
+            overlay.update(s);
+            assert!(
+                dump_bits(&overlay.to_dump()) == dump_bits(&mutable.dump()),
+                "{case}: state differs after committing {s}"
+            );
+        }
+    }
+}
+
+/// The compact top-k answers equal constants recorded from the engine
+/// that the mutable selector was checked against, so they stay pinned
+/// without that oracle.
+#[test]
+fn top_k_answers_match_pinned_checksums() {
+    let got: Vec<(String, u32)> = cases()
+        .into_iter()
+        .map(|(case, dump)| {
+            let crc = answer_crc(&CompactSelector::from_dump(&dump).overlay().select(K));
+            (case, crc)
+        })
+        .collect();
+    let want: Vec<(String, u32)> =
+        PINNED.iter().map(|&(case, crc)| (case.to_string(), crc)).collect();
+    assert_eq!(got, want);
 }
 
 /// The commit-free σ_cd and gain queries equal the overlay's commit loop
