@@ -1,12 +1,12 @@
 //! bench-memory — mutable vs CSR-compact footprint, snapshot start-up.
 //!
-//! Not a paper artifact: this measures the payoff of the compact credit
-//! store ([`cdim_core::CompactCreditStore`]) and the zero-copy snapshot
-//! format. For a sweep of store sizes we train the model, then record
-//! (a) resident bytes per user for the mutable hash-map store (after
-//! `shrink_to_fit`) vs the frozen CSR arena, and (b) the file size and
-//! the wall time of `ModelSnapshot::load` (mmap + validate). Equivalence
-//! is asserted in-run: the frozen store must thaw back to a
+//! Not a paper artifact: this measures the payoff of the compact model
+//! ([`cdim_core::CompactSelector`]) and the zero-copy snapshot format.
+//! For a sweep of store sizes we train the model, then record (a)
+//! resident bytes per user for the mutable hash-map store (after
+//! `shrink_to_fit`) vs the seedless frozen CSR arena, and (b) the file
+//! size and the wall time of `ModelSnapshot::load` (mmap + validate).
+//! Equivalence is asserted in-run: the arena must export the store's
 //! byte-identical canonical dump, and the loaded snapshot must re-encode
 //! to the in-memory model's bytes.
 //!
@@ -14,7 +14,7 @@
 //! track bytes/user and start-up latency across commits.
 
 use crate::config::ExperimentScale;
-use cdim_core::{scan_with, CompactCreditStore, CreditPolicy, Parallelism};
+use cdim_core::{scan_with, CdSelector, CompactSelector, CreditPolicy, Parallelism};
 use cdim_datagen::presets;
 use cdim_metrics::Table;
 use cdim_serve::ModelSnapshot;
@@ -83,14 +83,15 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
         let actions = ds.log.num_actions();
         let entries = store.total_entries();
 
-        let compact = CompactCreditStore::freeze(&store);
+        let selector = CdSelector::new(store);
+        let compact = CompactSelector::freeze(&selector);
         let compact_bytes = compact.memory_bytes();
         assert!(
-            compact.thaw().dump() == store.dump(),
-            "freeze/thaw diverged from the mutable store at divisor {divisor}"
+            compact.to_dump().store == selector.store().dump(),
+            "the frozen arena diverged from the mutable store at divisor {divisor}"
         );
 
-        let snapshot = ModelSnapshot::from_store(store);
+        let snapshot = ModelSnapshot::from_selector(selector);
         let path = dir.join(format!("model_{divisor}.snap"));
         snapshot.save(&path).unwrap();
         let file_bytes = std::fs::metadata(&path).unwrap().len();
@@ -123,7 +124,7 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     }
     println!("{table}");
     println!(
-        "(equivalence checked: every freeze thawed byte-identically, every load \
+        "(equivalence checked: every arena exported the store's dump, every load \
          re-encoded byte-identically to the in-memory model)"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -144,9 +144,11 @@ impl CdSelector {
 
     /// One action's worth of [`Self::update`]: retires `x` from action `a`
     /// and applies the Lemma 2/3 credit algebra. Actions are independent,
-    /// which is what lets the incremental path (`extend`) replay already
-    /// committed seeds over freshly appended actions only.
-    pub(crate) fn apply_seed_to_action(&mut self, a: u32, x: u32) {
+    /// which is what lets [`CompactSelector::extend`] replay committed
+    /// seeds over freshly appended actions only.
+    ///
+    /// [`CompactSelector::extend`]: crate::CompactSelector::extend
+    fn apply_seed_to_action(&mut self, a: u32, x: u32) {
         let sc_xa = self.sc.get(&sc_key(a, x)).copied().unwrap_or(0.0);
         let one_minus = (1.0 - sc_xa).max(0.0);
         let (gout, gin) = self.store.action_mut(a).retire(x);
@@ -160,26 +162,6 @@ impl CdSelector {
         for &(v, cvx) in &gin {
             for &(u, cxu) in &gout {
                 ac.subtract(v, u, cvx * cxu);
-            }
-        }
-    }
-
-    /// Drops SC entries of the first `k` actions and renumbers the
-    /// survivors down by `k` — the SC half of a sliding-window
-    /// retraction. SC is keyed per `(action, user)` and each entry
-    /// depends only on its own action's credits plus the seed sequence,
-    /// so the surviving entries equal what a fresh window-only selector
-    /// would accumulate replaying the same seeds.
-    pub(crate) fn retract_sc_prefix(&mut self, k: u32) {
-        if k == 0 {
-            return;
-        }
-        let old = std::mem::take(&mut self.sc);
-        self.sc.reserve(old.len());
-        for (key, c) in old {
-            let a = (key >> 32) as u32;
-            if a >= k {
-                self.sc.insert(sc_key(a - k, key as u32), c);
             }
         }
     }

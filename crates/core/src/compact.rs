@@ -1,13 +1,18 @@
-//! CSR-flat, read-optimized form of the trained state.
+//! CSR-flat form of the trained state: the model every query path serves.
 //!
-//! The mutable [`CreditStore`] is hashmap-of-hashmaps shaped — ideal for
-//! the scan and for Lemma-2/3 updates, cache-hostile at 10⁶⁺ users. This
-//! module freezes it into a [`CompactCreditStore`] / [`CompactSelector`]:
-//! every per-action credit/out/inc adjacency flattened into CSR
-//! offset+data arrays with *sorted* neighbor runs, all living in one
-//! contiguous 8-byte-aligned arena ([`cdim_util::AlignedBuf`]). The arena
-//! is also the v2 snapshot payload: the serving layer stores it verbatim
-//! and reloads it by validate + reinterpret — no per-entry decode.
+//! The scan accumulates credits in a [`CreditStore`], hashmap-of-hashmaps
+//! shaped — ideal for Algorithm 2, cache-hostile at 10⁶⁺ users. This
+//! module freezes it, once, into a [`CompactSelector`]: every per-action
+//! credit/out/inc adjacency flattened into CSR offset+data arrays with
+//! *sorted* neighbor runs, all living in one contiguous 8-byte-aligned
+//! arena ([`cdim_util::AlignedBuf`]). The arena is also the v2 snapshot
+//! payload: the serving layer stores it verbatim and reloads it by
+//! validate + reinterpret — no per-entry decode.
+//!
+//! A frozen model stays frozen. [`extend`](CompactSelector::extend) scans
+//! only the new actions and splices their sections onto a copy of the
+//! arena; [`retract`](CompactSelector::retract) cuts an expired action
+//! prefix off every section the same way.
 //!
 //! ## Arena layout
 //!
@@ -37,6 +42,12 @@
 //! direction carries only source ids and finds each credit by binary
 //! search over the source's sorted out run, in exchange for 4 fewer bytes
 //! per entry.
+//!
+//! Every per-action section is action-ordered, so the actions `[k, A)`
+//! occupy a suffix of each: appending actions appends to every section
+//! (offsets shifted by the old totals, SC keys by the old action count),
+//! and retracting a prefix keeps a suffix of every section. Only the
+//! per-user sections (`ua_*`, `inv_au`) are merged user by user.
 //!
 //! ## Query engine cost
 //!
@@ -81,22 +92,32 @@
 //! ## Bit-identity contract
 //!
 //! Freezing sorts entries exactly like [`CreditStore::dump`], so a
-//! compact store and a canonically restored mutable store (`from_dump`)
-//! traverse credits in the same order — and because the compact query
-//! engine ([`OverlaySelector`]) shares the CELF driver and mirrors every
-//! f64 accumulation order of [`CdSelector`], the two answer every query
-//! **bit-identically**. The incremental extend/retract path stays on the
-//! mutable store: [`thaw`](CompactSelector::thaw) converts back.
+//! trained state has exactly one arena, however it was reached: a fresh
+//! scan, a snapshot load, or any chain of `extend` and `retract`. The
+//! splices keep this because credits never cross an action boundary
+//! (Algorithm 2 scans each action on its own, and an Algorithm-5 update
+//! of one action reads and writes only that action): the new actions'
+//! sections are what a full rescan with the seeds replayed would put at
+//! the end, and a window's sections are a suffix of the full model's.
+//! The query engine ([`OverlaySelector`]) shares the CELF driver with the
+//! training-side [`CdSelector`] and mirrors each of its f64 accumulation
+//! orders, so it answers bit-identically to a `CdSelector` restored from
+//! the same dump — the oracle the tests hold it to.
 
 use crate::celf::{CdSelector, CelfEngine, CelfSession, MgMode};
+use crate::incremental::{self, credit_bits, ExtendError};
+use crate::policy::CreditPolicy;
+use crate::scan::scan_with;
 use crate::store::{pair_key, CreditStore, CreditStoreDump};
 use crate::SelectorDump;
+use cdim_actionlog::ActionLogDelta;
+use cdim_graph::DirectedGraph;
 use cdim_maxim::Selection;
 use cdim_util::bytes::{
     cast_slice_f64, cast_slice_f64_mut, cast_slice_u32, cast_slice_u32_mut, cast_slice_u64,
     cast_slice_u64_mut,
 };
-use cdim_util::{AlignedBuf, HeapSize};
+use cdim_util::{AlignedBuf, HeapSize, Parallelism};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -360,6 +381,19 @@ impl CompactData {
         offs[row] as usize..offs[row + 1] as usize
     }
 
+    /// Action `a`'s credits as sorted `(pair_key(v, u), Γ bits)` — the
+    /// image [`credit_bits`] gives of the same credits in a scanned store.
+    fn action_bits(&self, a: u32) -> Vec<(u64, u64)> {
+        let (row_user, targets, credits) =
+            (self.out_row_user(), self.out_targets(), self.out_credits());
+        self.out_act_range(a)
+            .flat_map(|row| {
+                self.out_row_entries(row)
+                    .map(move |pos| (pair_key(row_user[row], targets[pos]), credits[pos].to_bits()))
+            })
+            .collect()
+    }
+
     fn memory_bytes(&self) -> usize {
         self.buf.heap_bytes()
     }
@@ -367,199 +401,221 @@ impl CompactData {
 
 // ------------------------------------------------------------------ freeze
 
-/// Builds the arena from a canonical dump.
-fn build(dump: &SelectorDump) -> Arc<CompactData> {
-    let counts = CompactCounts::of_dump(dump);
+/// Mutable typed views of every section of a fresh arena.
+struct Sections<'a> {
+    ua_offsets: &'a mut [u32],
+    ua_data: &'a mut [u32],
+    inv_au: &'a mut [f64],
+    out_act_rows: &'a mut [u32],
+    out_row_user: &'a mut [u32],
+    out_row_offsets: &'a mut [u32],
+    out_targets: &'a mut [u32],
+    out_credits: &'a mut [f64],
+    inc_act_rows: &'a mut [u32],
+    inc_row_user: &'a mut [u32],
+    inc_row_offsets: &'a mut [u32],
+    inc_sources: &'a mut [u32],
+    sc_keys: &'a mut [u64],
+    sc_vals: &'a mut [f64],
+    seeds: &'a mut [u32],
+}
+
+impl Layout {
+    /// Splits `arena` (8-aligned, `self.total` bytes) into its sections.
+    fn sections<'a>(&self, arena: &'a mut [u8]) -> Sections<'a> {
+        let mut rest = arena;
+        let mut at = 0usize;
+        // Sections are taken in layout order, each past the previous one.
+        let mut take = |r: &Range<usize>| -> &'a mut [u8] {
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(r.start - at);
+            let (section, tail) = tail.split_at_mut(r.len());
+            rest = tail;
+            at = r.end;
+            section
+        };
+        let u32s = |b: &'a mut [u8]| cast_slice_u32_mut(b).expect("arena section misaligned");
+        let u64s = |b: &'a mut [u8]| cast_slice_u64_mut(b).expect("arena section misaligned");
+        let f64s = |b: &'a mut [u8]| cast_slice_f64_mut(b).expect("arena section misaligned");
+        Sections {
+            ua_offsets: u32s(take(&self.ua_offsets)),
+            ua_data: u32s(take(&self.ua_data)),
+            inv_au: f64s(take(&self.inv_au)),
+            out_act_rows: u32s(take(&self.out_act_rows)),
+            out_row_user: u32s(take(&self.out_row_user)),
+            out_row_offsets: u32s(take(&self.out_row_offsets)),
+            out_targets: u32s(take(&self.out_targets)),
+            out_credits: f64s(take(&self.out_credits)),
+            inc_act_rows: u32s(take(&self.inc_act_rows)),
+            inc_row_user: u32s(take(&self.inc_row_user)),
+            inc_row_offsets: u32s(take(&self.inc_row_offsets)),
+            inc_sources: u32s(take(&self.inc_sources)),
+            sc_keys: u64s(take(&self.sc_keys)),
+            sc_vals: f64s(take(&self.sc_vals)),
+            seeds: u32s(take(&self.seeds)),
+        }
+    }
+}
+
+/// Allocates a zeroed arena for `counts` and lets `fill` write every
+/// section (the leading 0 of each offset array is already in place).
+fn assemble(counts: CompactCounts, lambda: f64, fill: impl FnOnce(Sections<'_>)) -> CompactData {
     counts.check_offsets_fit();
     let layout = counts.layout();
-    let store = &dump.store;
     let mut buf = AlignedBuf::zeroed(layout.total);
+    fill(layout.sections(buf.as_mut_slice()));
+    CompactData { buf: Arc::new(buf), base: 0, counts, layout, lambda }
+}
 
-    // user → actions index.
-    {
-        let bytes = buf.as_mut_slice();
-        let offs = cast_slice_u32_mut(&mut bytes[layout.ua_offsets.clone()]).unwrap();
-        let mut running = 0u32;
-        offs[0] = 0;
-        for (u, actions) in store.user_actions.iter().enumerate() {
-            running += actions.len() as u32;
-            offs[u + 1] = running;
-        }
-    }
-    {
-        let bytes = buf.as_mut_slice();
-        let data = cast_slice_u32_mut(&mut bytes[layout.ua_data.clone()]).unwrap();
+/// Builds the arena from a canonical dump.
+fn build(dump: &SelectorDump) -> CompactData {
+    let store = &dump.store;
+    assemble(CompactCounts::of_dump(dump), store.lambda, |s| {
+        // user → actions index.
         let mut at = 0usize;
-        for actions in &store.user_actions {
-            data[at..at + actions.len()].copy_from_slice(actions);
+        for (u, actions) in store.user_actions.iter().enumerate() {
+            s.ua_data[at..at + actions.len()].copy_from_slice(actions);
             at += actions.len();
+            s.ua_offsets[u + 1] = at as u32;
         }
-    }
-    {
-        let bytes = buf.as_mut_slice();
-        let inv = cast_slice_f64_mut(&mut bytes[layout.inv_au.clone()]).unwrap();
-        inv.copy_from_slice(&store.inv_au);
-    }
+        s.inv_au.copy_from_slice(&store.inv_au);
 
-    // Out direction: entries are already sorted by (v, u) per action.
-    {
-        let bytes = buf.as_mut_slice();
-        // The sections are disjoint; split_at_mut-style reborrows via
-        // pointers would be noisy, so fill through one pass per array.
-        let mut row = 0u32;
-        let mut pos = 0u32;
-        {
-            let act_rows = cast_slice_u32_mut(&mut bytes[layout.out_act_rows.clone()]).unwrap();
-            act_rows[0] = 0;
-        }
+        // Out direction: entries are already sorted by (v, u) per action.
+        let (mut row, mut pos) = (0usize, 0usize);
         for (a, action) in store.credits.iter().enumerate() {
             let mut last_v = None;
             for &(v, u, c) in action {
                 if last_v != Some(v) {
-                    let r = row as usize;
-                    cast_slice_u32_mut(&mut bytes[layout.out_row_user.clone()]).unwrap()[r] = v;
-                    cast_slice_u32_mut(&mut bytes[layout.out_row_offsets.clone()]).unwrap()[r] =
-                        pos;
+                    s.out_row_user[row] = v;
+                    s.out_row_offsets[row] = pos as u32;
                     row += 1;
                     last_v = Some(v);
                 }
-                cast_slice_u32_mut(&mut bytes[layout.out_targets.clone()]).unwrap()[pos as usize] =
-                    u;
-                cast_slice_f64_mut(&mut bytes[layout.out_credits.clone()]).unwrap()[pos as usize] =
-                    c;
+                s.out_targets[pos] = u;
+                s.out_credits[pos] = c;
                 pos += 1;
             }
-            cast_slice_u32_mut(&mut bytes[layout.out_act_rows.clone()]).unwrap()[a + 1] = row;
+            s.out_act_rows[a + 1] = row as u32;
         }
-        cast_slice_u32_mut(&mut bytes[layout.out_row_offsets.clone()]).unwrap()[counts.out_rows] =
-            pos;
-    }
+        s.out_row_offsets[row] = pos as u32;
 
-    // Inc direction: per action, entries regrouped by (u, v). Credits are
-    // not duplicated here; queries find them in `out_credits` by binary
-    // search over the source's sorted out run.
-    {
-        let bytes = buf.as_mut_slice();
-        let mut row = 0u32;
-        let mut at = 0u32;
-        {
-            let act_rows = cast_slice_u32_mut(&mut bytes[layout.inc_act_rows.clone()]).unwrap();
-            act_rows[0] = 0;
-        }
+        // Inc direction: per action, entries regrouped by (u, v). Credits
+        // are not duplicated here; queries find them in `out_credits` by
+        // binary search over the source's sorted out run.
+        let (mut row, mut pos) = (0usize, 0usize);
+        let mut by_target: Vec<(u32, u32)> = Vec::new();
         for (a, action) in store.credits.iter().enumerate() {
-            let mut by_target: Vec<(u32, u32)> = action.iter().map(|&(v, u, _)| (u, v)).collect();
+            by_target.clear();
+            by_target.extend(action.iter().map(|&(v, u, _)| (u, v)));
             by_target.sort_unstable_by_key(|&(u, v)| pair_key(u, v));
             let mut last_u = None;
             for &(u, v) in &by_target {
                 if last_u != Some(u) {
-                    let r = row as usize;
-                    cast_slice_u32_mut(&mut bytes[layout.inc_row_user.clone()]).unwrap()[r] = u;
-                    cast_slice_u32_mut(&mut bytes[layout.inc_row_offsets.clone()]).unwrap()[r] = at;
+                    s.inc_row_user[row] = u;
+                    s.inc_row_offsets[row] = pos as u32;
                     row += 1;
                     last_u = Some(u);
                 }
-                cast_slice_u32_mut(&mut bytes[layout.inc_sources.clone()]).unwrap()[at as usize] =
-                    v;
-                at += 1;
+                s.inc_sources[pos] = v;
+                pos += 1;
             }
-            cast_slice_u32_mut(&mut bytes[layout.inc_act_rows.clone()]).unwrap()[a + 1] = row;
+            s.inc_act_rows[a + 1] = row as u32;
         }
-        cast_slice_u32_mut(&mut bytes[layout.inc_row_offsets.clone()]).unwrap()[counts.inc_rows] =
-            at;
-    }
+        s.inc_row_offsets[row] = pos as u32;
 
-    // Selector state.
-    {
-        let bytes = buf.as_mut_slice();
-        let keys = cast_slice_u64_mut(&mut bytes[layout.sc_keys.clone()]).unwrap();
-        for (i, &(a, u, _)) in dump.sc.iter().enumerate() {
-            keys[i] = pair_key(a, u);
+        // Selector state.
+        for (i, &(a, u, c)) in dump.sc.iter().enumerate() {
+            s.sc_keys[i] = pair_key(a, u);
+            s.sc_vals[i] = c;
         }
-    }
-    {
-        let bytes = buf.as_mut_slice();
-        let vals = cast_slice_f64_mut(&mut bytes[layout.sc_vals.clone()]).unwrap();
-        for (i, &(_, _, c)) in dump.sc.iter().enumerate() {
-            vals[i] = c;
-        }
-    }
-    {
-        let bytes = buf.as_mut_slice();
-        let seeds = cast_slice_u32_mut(&mut bytes[layout.seeds.clone()]).unwrap();
-        seeds.copy_from_slice(&dump.seeds);
-    }
+        s.seeds.copy_from_slice(&dump.seeds);
+    })
+}
 
-    Arc::new(CompactData { buf: Arc::new(buf), base: 0, counts, layout, lambda: store.lambda })
+// ------------------------------------------------------------------ splice
+
+/// `head`'s actions from `cut` on, then `tail`'s: a suffix of each of
+/// `head`'s per-action sections followed by `tail`'s, offsets rebased and
+/// action ids (in `ua_data` and the SC keys) renumbered, each user's row
+/// merged, and `1/A_u` re-derived with the scan's single division for
+/// every user whose row changed. The seeds are `head`'s; `tail` must
+/// cover the same users, and its `1/A_u` and seeds are ignored.
+fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> CompactData {
+    let (h, t) = (head.counts, tail.counts);
+    let (cut32, base) = (cut as u32, (h.num_actions - cut) as u32);
+    // Where the kept actions start in each section. The inc direction
+    // holds the out direction's entries, action by action.
+    let out_row = head.out_act_rows()[cut] as usize;
+    let inc_row = head.inc_act_rows()[cut] as usize;
+    let entry = head.out_row_offsets()[out_row] as usize;
+    let sc = head.sc_keys().partition_point(|&key| key < u64::from(cut32) << 32);
+    let expired: usize =
+        (0..h.num_users as u32).map(|u| head.ua_row(u).partition_point(|&a| a < cut32)).sum();
+    let counts = CompactCounts {
+        num_users: h.num_users,
+        num_actions: base as usize + t.num_actions,
+        ua_len: h.ua_len - expired + t.ua_len,
+        out_rows: h.out_rows - out_row + t.out_rows,
+        inc_rows: h.inc_rows - inc_row + t.inc_rows,
+        entries: h.entries - entry + t.entries,
+        sc_len: h.sc_len - sc + t.sc_len,
+        seeds_len: h.seeds_len,
+    };
+    assemble(counts, head.lambda, |s| {
+        let mut at = 0usize;
+        for u in 0..h.num_users as u32 {
+            let row = head.ua_row(u);
+            let gone = row.partition_point(|&a| a < cut32);
+            let (kept, new) = (&row[gone..], tail.ua_row(u));
+            let merged = kept.iter().map(|&a| a - cut32).chain(new.iter().map(|&a| a + base));
+            for (slot, a) in s.ua_data[at..].iter_mut().zip(merged) {
+                *slot = a;
+            }
+            let n = kept.len() + new.len();
+            at += n;
+            s.ua_offsets[u as usize + 1] = at as u32;
+            s.inv_au[u as usize] = match (gone, new.len(), n) {
+                (0, 0, _) => head.inv_au_of(u),
+                (_, _, 0) => 0.0,
+                _ => 1.0 / f64::from(n as u32),
+            };
+        }
+        join_offsets(s.out_act_rows, &head.out_act_rows()[cut..], tail.out_act_rows());
+        join(s.out_row_user, &head.out_row_user()[out_row..], tail.out_row_user());
+        join_offsets(s.out_row_offsets, &head.out_row_offsets()[out_row..], tail.out_row_offsets());
+        join(s.out_targets, &head.out_targets()[entry..], tail.out_targets());
+        join(s.out_credits, &head.out_credits()[entry..], tail.out_credits());
+        join_offsets(s.inc_act_rows, &head.inc_act_rows()[cut..], tail.inc_act_rows());
+        join(s.inc_row_user, &head.inc_row_user()[inc_row..], tail.inc_row_user());
+        join_offsets(s.inc_row_offsets, &head.inc_row_offsets()[inc_row..], tail.inc_row_offsets());
+        join(s.inc_sources, &head.inc_sources()[entry..], tail.inc_sources());
+        let kept = head.sc_keys()[sc..].iter().map(|&key| key - (u64::from(cut32) << 32));
+        let new = tail.sc_keys().iter().map(|&key| key + (u64::from(base) << 32));
+        for (slot, key) in s.sc_keys.iter_mut().zip(kept.chain(new)) {
+            *slot = key;
+        }
+        join(s.sc_vals, &head.sc_vals()[sc..], tail.sc_vals());
+        s.seeds.copy_from_slice(head.seeds());
+    })
+}
+
+/// Writes `head` then `tail` into `out`.
+fn join<T: Copy>(out: &mut [T], head: &[T], tail: &[T]) {
+    let (first, second) = out.split_at_mut(head.len());
+    first.copy_from_slice(head);
+    second.copy_from_slice(tail);
+}
+
+/// Writes the offsets `head` rebased to start at 0, then `tail`'s past
+/// its leading 0, continuing from where `head` ends.
+fn join_offsets(out: &mut [u32], head: &[u32], tail: &[u32]) {
+    let (start, end) = (head[0], head[head.len() - 1]);
+    let rebased = head.iter().map(|&x| x - start).chain(tail[1..].iter().map(|&x| x + end - start));
+    for (slot, x) in out.iter_mut().zip(rebased) {
+        *slot = x;
+    }
 }
 
 // ------------------------------------------------------------- public types
-
-/// Read-only CSR-flat image of a [`CreditStore`].
-#[derive(Clone, Debug)]
-pub struct CompactCreditStore {
-    data: Arc<CompactData>,
-}
-
-impl CompactCreditStore {
-    /// Freezes a mutable store (entries sorted canonically, exactly like
-    /// [`CreditStore::dump`]).
-    pub fn freeze(store: &CreditStore) -> CompactCreditStore {
-        let dump = SelectorDump { store: store.dump(), sc: Vec::new(), seeds: Vec::new() };
-        CompactCreditStore { data: build(&dump) }
-    }
-
-    /// Reconstructs the mutable store — the path back for incremental
-    /// extend/retract, which stay on the hashmap representation. The
-    /// result is canonical: `store.dump() == freeze(store).thaw().dump()`.
-    pub fn thaw(&self) -> CreditStore {
-        CreditStore::from_dump(&self.store_dump())
-    }
-
-    fn store_dump(&self) -> CreditStoreDump {
-        store_dump(&self.data, self.data.out_credits())
-    }
-
-    /// Users in the id space.
-    pub fn num_users(&self) -> usize {
-        self.data.counts.num_users
-    }
-
-    /// Actions scanned.
-    pub fn num_actions(&self) -> usize {
-        self.data.counts.num_actions
-    }
-
-    /// Truncation threshold λ the store was built with.
-    pub fn lambda(&self) -> f64 {
-        self.data.lambda
-    }
-
-    /// Live credit entries.
-    pub fn total_entries(&self) -> usize {
-        self.data.counts.entries
-    }
-
-    /// `1 / A_u` (0 for users with no actions).
-    pub fn inv_au(&self, u: u32) -> f64 {
-        self.data.inv_au_of(u)
-    }
-
-    /// Dense action ids user `u` performed.
-    pub fn actions_of_user(&self, u: u32) -> &[u32] {
-        self.data.ua_row(u)
-    }
-
-    /// Resident bytes of the arena (owned or mapped).
-    pub fn memory_bytes(&self) -> usize {
-        self.data.memory_bytes()
-    }
-}
-
-impl HeapSize for CompactCreditStore {
-    fn heap_bytes(&self) -> usize {
-        self.data.memory_bytes()
-    }
-}
 
 /// The canonical store dump of `data` with credit values `credits` (the
 /// arena's own, or an overlay's; `NaN` entries are left out).
@@ -595,7 +651,7 @@ pub struct CompactSelector {
 }
 
 impl CompactSelector {
-    /// Freezes a mutable selector (canonical entry order, as
+    /// Freezes a trained selector (canonical entry order, as
     /// [`CdSelector::dump`] emits it).
     pub fn freeze(selector: &CdSelector) -> CompactSelector {
         Self::from_dump(&selector.dump())
@@ -603,7 +659,7 @@ impl CompactSelector {
 
     /// Builds the arena from a canonical dump.
     pub fn from_dump(dump: &SelectorDump) -> CompactSelector {
-        CompactSelector { data: build(dump) }
+        CompactSelector { data: Arc::new(build(dump)) }
     }
 
     /// Exports the canonical dump (identical to the dump the selector was
@@ -623,9 +679,88 @@ impl CompactSelector {
         }
     }
 
-    /// Reconstructs the mutable selector (the extend/retract path).
-    pub fn thaw(&self) -> CdSelector {
-        CdSelector::from_dump(&self.to_dump())
+    /// Incremental retraining: this model extended by an append-only
+    /// action batch. Only the delta is scanned (with [`scan_with`], under
+    /// `parallelism`); the committed seeds are replayed over the new
+    /// actions in selection order ([`CdSelector::update`] — Algorithm 5
+    /// never crosses an action boundary, so the old actions already
+    /// reflect them); the result is frozen and spliced onto the arena.
+    ///
+    /// `policy` must be the policy the model was trained with. Under it
+    /// the returned arena is byte-identical to freezing a from-scratch
+    /// scan of the combined log with the same seeds replayed in order,
+    /// for every `parallelism`. A mismatched batch is a typed
+    /// [`ExtendError`]; `self` is never modified.
+    pub fn extend(
+        &self,
+        graph: &DirectedGraph,
+        delta: &ActionLogDelta,
+        policy: &CreditPolicy,
+        parallelism: Parallelism,
+    ) -> Result<CompactSelector, ExtendError> {
+        let data = &self.data;
+        incremental::validate(graph, delta, data.counts.num_users, data.counts.num_actions)?;
+        let mut fresh = CdSelector::new(self.scan(graph, delta, policy, parallelism));
+        for &x in data.seeds() {
+            fresh.update(x);
+        }
+        let tail = build(&fresh.dump());
+        Ok(CompactSelector { data: Arc::new(splice(data, 0, &tail)) })
+    }
+
+    /// Sliding-window retraining: this model without an expired action
+    /// prefix, survivors renumbered down. `expired` must be the model's
+    /// first actions as a delta based at 0 (see
+    /// `ActionLog::split_off_prefix`), and each user's membership count
+    /// below the boundary must match it. With no seeds committed the
+    /// expired actions are also rescanned and must match the stored
+    /// credits bit for bit ([`ExtendError::PrefixMismatch`] otherwise);
+    /// committed seeds have rewritten those credits, so then only the
+    /// structural checks apply.
+    ///
+    /// `policy` must be the training policy, as with
+    /// [`extend`](Self::extend). Under it the returned arena is
+    /// byte-identical to freezing a from-scratch scan of just the
+    /// surviving window with the same seeds replayed in order.
+    pub fn retract(
+        &self,
+        graph: &DirectedGraph,
+        expired: &ActionLogDelta,
+        policy: &CreditPolicy,
+        parallelism: Parallelism,
+    ) -> Result<CompactSelector, ExtendError> {
+        let data = &self.data;
+        let c = data.counts;
+        let k =
+            incremental::validate_retract(graph, expired, c.num_users, c.num_actions, |u, k| {
+                data.ua_row(u as u32).partition_point(|&a| (a as usize) < k)
+            })?;
+        if data.seeds().is_empty() {
+            let rescanned = self.scan(graph, expired, policy, parallelism);
+            if let Some(a) =
+                (0..k as u32).find(|&a| credit_bits(rescanned.action(a)) != data.action_bits(a))
+            {
+                return Err(ExtendError::PrefixMismatch { action: a });
+            }
+        }
+        let nothing = CompactCounts { num_users: c.num_users, ..CompactCounts::default() };
+        let tail = assemble(nothing, data.lambda, |_| {});
+        Ok(CompactSelector { data: Arc::new(splice(data, k, &tail)) })
+    }
+
+    /// The credits of `delta`'s actions alone, scanned at the model's λ.
+    /// The caller has validated the delta against the model.
+    fn scan(
+        &self,
+        graph: &DirectedGraph,
+        delta: &ActionLogDelta,
+        policy: &CreditPolicy,
+        parallelism: Parallelism,
+    ) -> CreditStore {
+        // λ passed validation at construction and the user universes
+        // match, so the scan has nothing left to reject.
+        scan_with(graph, delta.additions(), policy, self.data.lambda, parallelism)
+            .expect("a validated delta scans")
     }
 
     /// Wraps a pre-built arena — the zero-copy snapshot load path. `base`
@@ -671,11 +806,6 @@ impl CompactSelector {
     /// The element counts (what the v2 snapshot header records).
     pub fn counts(&self) -> CompactCounts {
         self.data.counts
-    }
-
-    /// The flat credit store view (shares the arena).
-    pub fn store(&self) -> CompactCreditStore {
-        CompactCreditStore { data: Arc::clone(&self.data) }
     }
 
     /// Committed seeds, in selection order.
@@ -1609,32 +1739,16 @@ mod tests {
     }
 
     #[test]
-    fn freeze_thaw_round_trips_the_dump() {
+    fn freeze_round_trips_the_dump() {
         for (seed, committed) in [(1u64, 0usize), (2, 1), (3, 3)] {
             let dump = trained_dump(seed, committed);
             let compact = CompactSelector::from_dump(&dump);
             assert_eq!(compact.to_dump(), dump, "to_dump (seed {seed})");
-            assert_eq!(compact.thaw().dump(), dump, "thaw (seed {seed})");
         }
     }
 
     #[test]
-    fn credit_store_freeze_thaw_round_trips() {
-        let (graph, log) = random_instance(11, 35, 9);
-        let store = scan(&graph, &log, &CreditPolicy::time_aware(&graph, &log), 0.001).unwrap();
-        let dump = store.dump();
-        let compact = CompactCreditStore::freeze(&store);
-        assert_eq!(compact.thaw().dump(), dump);
-        assert_eq!(compact.num_users(), 35);
-        assert_eq!(compact.total_entries(), dump.credits.iter().map(Vec::len).sum::<usize>());
-        for u in 0..35u32 {
-            assert_eq!(compact.inv_au(u).to_bits(), dump.inv_au[u as usize].to_bits());
-            assert_eq!(compact.actions_of_user(u), dump.user_actions[u as usize].as_slice());
-        }
-    }
-
-    #[test]
-    fn empty_state_freezes_and_thaws() {
+    fn empty_state_freezes() {
         let dump = SelectorDump::default();
         let compact = CompactSelector::from_dump(&dump);
         assert_eq!(compact.to_dump(), dump);
@@ -1934,7 +2048,7 @@ mod tests {
         let mut store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
         store.shrink_to_fit();
         let mutable_bytes = store.memory_bytes();
-        let compact = CompactCreditStore::freeze(&store);
+        let compact = CompactSelector::freeze(&CdSelector::new(store));
         assert!(
             compact.memory_bytes() * 2 <= mutable_bytes,
             "compact {} vs mutable {}",
@@ -2001,17 +2115,158 @@ mod tests {
         let all = compact.overlay().select(usize::MAX);
         assert_eq!(
             all.seeds.len(),
-            (0..40u32).filter(|&u| compact.store().inv_au(u) > 0.0).count()
+            (0..40u32).filter(|&u| compact.data.inv_au_of(u) > 0.0).count()
         );
         assert_eq!(compact.top_k_session().top_k(usize::MAX).seeds, all.seeds);
         let mutable = CdSelector::from_dump(&dump).select(usize::MAX);
         assert_eq!(mutable.seeds, all.seeds);
     }
+
+    /// Six users, five actions, every user but one per action.
+    fn small_instance() -> (DirectedGraph, ActionLog) {
+        let graph = GraphBuilder::new(6)
+            .edges([(0, 2), (1, 2), (0, 3), (2, 4), (0, 5), (2, 5), (3, 5), (4, 5), (5, 1)])
+            .build();
+        let mut b = ActionLogBuilder::new(6);
+        for a in 0..5u32 {
+            let mut t = 0.0;
+            for u in 0..6u32 {
+                if (u + a) % 5 != 4 {
+                    b.push(u, a, t);
+                    t += 0.5;
+                }
+            }
+        }
+        (graph, b.build())
+    }
+
+    /// `log` scanned under `policy`, `seeds` committed in order, frozen.
+    pub(super) fn frozen(
+        graph: &DirectedGraph,
+        log: &ActionLog,
+        policy: &CreditPolicy,
+        lambda: f64,
+        seeds: &[u32],
+    ) -> CompactSelector {
+        let mut sel = CdSelector::new(scan(graph, log, policy, lambda).unwrap());
+        for &s in seeds {
+            sel.update(s);
+        }
+        CompactSelector::freeze(&sel)
+    }
+
+    #[test]
+    fn extend_and_retract_replay_committed_seeds() {
+        let (graph, log) = small_instance();
+        let policy = CreditPolicy::Uniform;
+        let par = Parallelism::fixed(2);
+        for seeds in [&[][..], &[0], &[0, 2]] {
+            let full = frozen(&graph, &log, &policy, 0.0, seeds);
+            let (prefix, delta) = log.split_at_action(3);
+            let extended =
+                frozen(&graph, &prefix, &policy, 0.0, seeds).extend(&graph, &delta, &policy, par);
+            assert_eq!(extended.unwrap().arena(), full.arena(), "extend, seeds {seeds:?}");
+
+            let (expired, window) = log.split_off_prefix(2);
+            let retracted = full.retract(&graph, &expired, &policy, par).unwrap();
+            let want = frozen(&graph, &window, &policy, 0.0, seeds);
+            assert_eq!(retracted.arena(), want.arena(), "retract, seeds {seeds:?}");
+            assert_eq!(retracted.seeds(), seeds);
+        }
+    }
+
+    #[test]
+    fn extend_mismatches_are_typed_and_leave_the_model_untouched() {
+        let (graph, log) = small_instance();
+        let policy = CreditPolicy::Uniform;
+        let par = Parallelism::auto();
+        let (prefix, delta) = log.split_at_action(2);
+        let model = frozen(&graph, &prefix, &policy, 0.0, &[]);
+        let before = model.arena().to_vec();
+
+        // A stale base: a delta cut for a longer prefix.
+        let late = log.delta_range(4, 5);
+        assert_eq!(
+            model.extend(&graph, &late, &policy, par).unwrap_err(),
+            ExtendError::BaseMismatch { store_actions: 2, delta_base: 4 }
+        );
+        // A delta over a different user id space.
+        let foreign = ActionLogDelta::new(2, ActionLogBuilder::new(9).build());
+        assert_eq!(
+            model.extend(&graph, &foreign, &policy, par).unwrap_err(),
+            ExtendError::UserUniverseMismatch { store_users: 6, delta_users: 9 }
+        );
+        // The wrong graph.
+        let small_graph = GraphBuilder::new(3).edges([(0, 1)]).build();
+        assert_eq!(
+            model.extend(&small_graph, &delta, &policy, par).unwrap_err(),
+            ExtendError::GraphMismatch { graph_nodes: 3, store_users: 6 }
+        );
+        assert_eq!(model.arena(), &before[..]);
+    }
+
+    #[test]
+    fn retract_mismatches_are_typed_and_leave_the_model_untouched() {
+        let (graph, log) = small_instance();
+        let policy = CreditPolicy::Uniform;
+        let par = Parallelism::auto();
+        let model = frozen(&graph, &log, &policy, 0.0, &[]);
+        let before = model.arena().to_vec();
+        let retract = |expired: &ActionLogDelta| model.retract(&graph, expired, &policy, par);
+
+        // Not a prefix: the expired batch must be based at 0.
+        assert_eq!(
+            retract(&log.delta_range(1, 3)).unwrap_err(),
+            ExtendError::WindowMismatch { store_actions: 5, expired_base: 1, expired_actions: 2 }
+        );
+        // Longer than the model.
+        let mut b = ActionLogBuilder::new(6);
+        for a in 0..6u32 {
+            b.push(0, a, 0.0);
+        }
+        assert!(matches!(
+            retract(&ActionLogDelta::new(0, b.build())),
+            Err(ExtendError::WindowMismatch { store_actions: 5, expired_actions: 6, .. })
+        ));
+        // A different user universe, and the wrong graph.
+        assert_eq!(
+            retract(&ActionLogDelta::new(0, ActionLogBuilder::new(9).build())).unwrap_err(),
+            ExtendError::UserUniverseMismatch { store_users: 6, delta_users: 9 }
+        );
+        let small_graph = GraphBuilder::new(3).edges([(0, 1)]).build();
+        assert_eq!(
+            model.retract(&small_graph, &log.split_off_prefix(1).0, &policy, par).unwrap_err(),
+            ExtendError::GraphMismatch { graph_nodes: 3, store_users: 6 }
+        );
+        // Other performers than the real prefix's: user 0 acted in the
+        // real action 0, the claimed prefix says they did not.
+        let mut b = ActionLogBuilder::new(6);
+        b.push(4, 0, 0.0);
+        assert_eq!(
+            retract(&ActionLogDelta::new(0, b.build())).unwrap_err(),
+            ExtendError::MembershipMismatch { user: 0, expected: 0, got: 1 }
+        );
+        // Foreign data with the right membership counts: reversing the
+        // activation order flips the propagation DAG, so the rescan
+        // disagrees with the stored credits bit for bit.
+        let mut b = ActionLogBuilder::new(6);
+        for &u in log.users_of(0) {
+            b.push(u, 0, f64::from(5 - u));
+        }
+        let reversed = ActionLogDelta::new(0, b.build());
+        assert_eq!(retract(&reversed).unwrap_err(), ExtendError::PrefixMismatch { action: 0 });
+        assert_eq!(model.arena(), &before[..]);
+
+        // Committed seeds have rewritten the prefix credits, so only the
+        // structural checks apply.
+        let seeded = frozen(&graph, &log, &policy, 0.0, &[2]);
+        assert!(seeded.retract(&graph, &reversed, &policy, par).is_ok());
+    }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::dump_bits;
+    use super::tests::{dump_bits, frozen};
     use super::*;
     use crate::policy::CreditPolicy;
     use crate::scan::scan;
@@ -2096,6 +2351,50 @@ mod proptests {
     }
 
     proptest! {
+        /// The splice contract: on a random instance (both policies,
+        /// λ ∈ {0, 0.001}) with 0–3 committed seeds, extending the model
+        /// of a random prefix by the rest, and retracting the same prefix
+        /// from the full model, give the arenas of a rescan of the full
+        /// log and of the window with the seeds replayed in order.
+        #[test]
+        fn extend_and_retract_equal_a_rescan_with_seeds_replayed(
+            edges in proptest::collection::vec((0u32..8, 0u32..8), 0..40),
+            events in proptest::collection::vec((0u32..8, 0u32..5, 0u64..12), 1..50),
+            cut in 0usize..6,
+            seeds in proptest::sample::subsequence((0u32..8).collect::<Vec<_>>(), 0..4),
+            flags in (proptest::bool::ANY, proptest::bool::ANY),
+        ) {
+            let (time_aware, truncate) = flags;
+            let graph = GraphBuilder::new(8).edges(edges).build();
+            let mut b = ActionLogBuilder::new(8);
+            for &(u, a, t) in &events {
+                b.push(u, a, t as f64);
+            }
+            let log = b.build();
+            let policy = if time_aware {
+                CreditPolicy::time_aware(&graph, &log)
+            } else {
+                CreditPolicy::Uniform
+            };
+            let lambda = if truncate { 0.001 } else { 0.0 };
+            let cut = cut.min(log.num_actions());
+            let par = Parallelism::fixed(2);
+            let full = frozen(&graph, &log, &policy, lambda, &seeds);
+
+            let (prefix, delta) = log.split_at_action(cut);
+            let extended = frozen(&graph, &prefix, &policy, lambda, &seeds)
+                .extend(&graph, &delta, &policy, par)
+                .unwrap();
+            prop_assert_eq!(extended.counts(), full.counts());
+            prop_assert!(extended.arena() == full.arena(), "extend at {cut}, seeds {seeds:?}");
+
+            let (expired, window) = log.split_off_prefix(cut);
+            let retracted = full.retract(&graph, &expired, &policy, par).unwrap();
+            let want = frozen(&graph, &window, &policy, lambda, &seeds);
+            prop_assert_eq!(retracted.counts(), want.counts());
+            prop_assert!(retracted.arena() == want.arena(), "retract at {cut}, seeds {seeds:?}");
+        }
+
         /// Scanned stores (both policies, λ ∈ {0, 0.001}) with committed
         /// seeds; sequences repeat users and name committed ones.
         #[test]

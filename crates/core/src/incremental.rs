@@ -18,12 +18,12 @@
 //! **Equivalence contract.** For any prefix/delta split of a log, any
 //! thread count and a fixed credit policy, extending the prefix's store
 //! produces a [`CreditStoreDump`] *byte-identical* to a from-scratch
-//! [`scan`](crate::scan::scan) of the combined log. The same holds one
-//! level up: extending a [`CdSelector`] with committed seeds equals
-//! scanning the combined log and replaying the seed updates in order
-//! (per-action seed algebra is action-local, see
-//! [`CdSelector::update`]). The `tests/golden.rs` suite and the
-//! proptests below enforce the contract.
+//! [`scan`](crate::scan::scan) of the combined log. The `tests/golden.rs`
+//! suite and the proptests below enforce the contract. The served model
+//! follows the same contract on its CSR arena, committed seeds included
+//! ([`CompactSelector::extend`](crate::CompactSelector::extend) and
+//! [`retract`](crate::CompactSelector::retract)); this module supplies
+//! the error type and the checks both share.
 //!
 //! **Retraction.** The same action-locality makes the inverse exact: a
 //! prefix of expired actions can be cut away
@@ -45,7 +45,6 @@
 //! [`ActionCredits`]: crate::store::ActionCredits
 //! [`CreditStoreDump`]: crate::store::CreditStoreDump
 
-use crate::celf::CdSelector;
 use crate::policy::CreditPolicy;
 use crate::scan::scan_action;
 use crate::store::{pair_key, ActionCredits, CreditStore};
@@ -147,11 +146,28 @@ impl std::error::Error for ExtendError {}
 
 /// Validates that `delta` lines up with a trained state of
 /// `(num_users, num_actions)`.
-fn validate(
+pub(crate) fn validate(
     graph: &DirectedGraph,
     delta: &ActionLogDelta,
     num_users: usize,
     num_actions: usize,
+) -> Result<(), ExtendError> {
+    validate_users(graph, delta, num_users)?;
+    if delta.base_actions() != num_actions {
+        return Err(ExtendError::BaseMismatch {
+            store_actions: num_actions,
+            delta_base: delta.base_actions(),
+        });
+    }
+    Ok(())
+}
+
+/// Graph, delta and a trained state of `num_users` users must share one
+/// user universe.
+fn validate_users(
+    graph: &DirectedGraph,
+    delta: &ActionLogDelta,
+    num_users: usize,
 ) -> Result<(), ExtendError> {
     if graph.num_nodes() != num_users {
         return Err(ExtendError::GraphMismatch {
@@ -163,12 +179,6 @@ fn validate(
         return Err(ExtendError::UserUniverseMismatch {
             store_users: num_users,
             delta_users: delta.num_users(),
-        });
-    }
-    if delta.base_actions() != num_actions {
-        return Err(ExtendError::BaseMismatch {
-            store_actions: num_actions,
-            delta_base: delta.base_actions(),
         });
     }
     Ok(())
@@ -249,7 +259,9 @@ impl CreditStore {
         policy: &CreditPolicy,
         parallelism: Parallelism,
     ) -> Result<(), ExtendError> {
-        let k = self.validate_retract(graph, expired)?;
+        let k = validate_retract(graph, expired, self.num_users(), self.num_actions(), |u, k| {
+            self.user_actions[u].partition_point(|&a| (a as usize) < k)
+        })?;
         let additions = expired.additions();
         let lambda = self.lambda();
 
@@ -275,51 +287,12 @@ impl CreditStore {
         Ok(())
     }
 
-    /// Read-only structural validation for a retraction: the expired
-    /// batch must be a prefix anchored at action 0, no longer than the
-    /// store, over the same user universe — and each user's membership
-    /// count below the boundary must match the expired log's. Returns the
-    /// prefix length.
-    pub(crate) fn validate_retract(
-        &self,
-        graph: &DirectedGraph,
-        expired: &ActionLogDelta,
-    ) -> Result<usize, ExtendError> {
-        if graph.num_nodes() != self.num_users() {
-            return Err(ExtendError::GraphMismatch {
-                graph_nodes: graph.num_nodes(),
-                store_users: self.num_users(),
-            });
-        }
-        if expired.num_users() != self.num_users() {
-            return Err(ExtendError::UserUniverseMismatch {
-                store_users: self.num_users(),
-                delta_users: expired.num_users(),
-            });
-        }
-        let k = expired.num_new_actions();
-        if expired.base_actions() != 0 || k > self.num_actions() {
-            return Err(ExtendError::WindowMismatch {
-                store_actions: self.num_actions(),
-                expired_base: expired.base_actions(),
-                expired_actions: k,
-            });
-        }
-        for (u, &expected) in expired.additions().actions_per_user().iter().enumerate() {
-            let got = self.user_actions[u].partition_point(|&a| (a as usize) < k) as u32;
-            if got != expected {
-                return Err(ExtendError::MembershipMismatch { user: u as u32, expected, got });
-            }
-        }
-        Ok(k)
-    }
-
     /// Drops the first `k` actions and renumbers the survivors down by
     /// `k`. Membership rows are sorted, so the expired ids form a prefix
     /// of each row; `1/A_u` is re-derived for shrunken rows with the
     /// scan's own division (exact for any history, since it depends only
     /// on the surviving count).
-    pub(crate) fn drop_prefix(&mut self, k: usize) {
+    fn drop_prefix(&mut self, k: usize) {
         if k == 0 {
             return;
         }
@@ -340,80 +313,45 @@ impl CreditStore {
     }
 }
 
+/// Read-only structural validation for a retraction from a trained state
+/// of `(num_users, num_actions)`: the expired batch must be a prefix
+/// anchored at action 0, no longer than the state, over the same user
+/// universe — and each user's membership count below the boundary,
+/// `prefix_len(u, k)`, must match the expired log's. Returns the prefix
+/// length `k`.
+pub(crate) fn validate_retract(
+    graph: &DirectedGraph,
+    expired: &ActionLogDelta,
+    num_users: usize,
+    num_actions: usize,
+    prefix_len: impl Fn(usize, usize) -> usize,
+) -> Result<usize, ExtendError> {
+    validate_users(graph, expired, num_users)?;
+    let k = expired.num_new_actions();
+    if expired.base_actions() != 0 || k > num_actions {
+        return Err(ExtendError::WindowMismatch {
+            store_actions: num_actions,
+            expired_base: expired.base_actions(),
+            expired_actions: k,
+        });
+    }
+    for (u, &expected) in expired.additions().actions_per_user().iter().enumerate() {
+        let got = prefix_len(u, k) as u32;
+        if got != expected {
+            return Err(ExtendError::MembershipMismatch { user: u as u32, expected, got });
+        }
+    }
+    Ok(k)
+}
+
 /// Canonical bit image of one action's credits: `(packed key, Γ bits)`
 /// sorted by key. Two [`ActionCredits`] are the same trained value iff
 /// their images are equal, independent of hash-map iteration order.
-fn credit_bits(ac: &ActionCredits) -> Vec<(u64, u64)> {
+pub(crate) fn credit_bits(ac: &ActionCredits) -> Vec<(u64, u64)> {
     let mut out: Vec<(u64, u64)> =
         ac.entries().map(|(v, u, c)| (pair_key(v, u), c.to_bits())).collect();
     out.sort_unstable_by_key(|&(key, _)| key);
     out
-}
-
-impl CdSelector {
-    /// Extends the selector's trained state with an action batch,
-    /// preserving any committed seeds: the store is extended via
-    /// [`CreditStore::apply_delta`], then every committed seed is
-    /// replayed — in commitment order — over the *new* actions only
-    /// (old actions already reflect the seeds; the per-action Lemma 2/3
-    /// algebra never crosses an action boundary).
-    ///
-    /// Equivalent, dump-for-dump, to scanning the combined log from
-    /// scratch and calling [`CdSelector::update`] for each seed in the
-    /// original order.
-    pub fn extend(
-        &mut self,
-        graph: &DirectedGraph,
-        delta: &ActionLogDelta,
-        policy: &CreditPolicy,
-        parallelism: Parallelism,
-    ) -> Result<(), ExtendError> {
-        let base = self.store.num_actions();
-        self.store.apply_delta(graph, delta, policy, parallelism)?;
-        let seeds = self.seeds.clone();
-        for x in seeds {
-            // Only actions appended by this delta; the membership index
-            // is sorted, so the new ids form a suffix.
-            let start = self.store.actions_of_user(x).partition_point(|&a| (a as usize) < base);
-            let fresh: Vec<u32> = self.store.actions_of_user(x)[start..].to_vec();
-            for a in fresh {
-                self.apply_seed_to_action(a, x);
-            }
-        }
-        Ok(())
-    }
-
-    /// Retracts an expired action prefix from the selector, preserving
-    /// any committed seeds: the store drops the prefix and SC entries for
-    /// expired actions are discarded (survivors renumber down). The
-    /// per-action Lemma 2/3 algebra never crosses an action boundary, so
-    /// the result equals a fresh selector over the surviving window with
-    /// the same seed sequence replayed in order.
-    ///
-    /// With no committed seeds the store-level kernel recomputation of
-    /// [`CreditStore::retract_delta`] applies in full; once seeds are
-    /// committed the prefix credits have been rewritten in place (Lemmas
-    /// 2–3), so validation falls back to the structural checks and the
-    /// prefix is dropped without the bitwise replay.
-    pub fn retract(
-        &mut self,
-        graph: &DirectedGraph,
-        expired: &ActionLogDelta,
-        policy: &CreditPolicy,
-        parallelism: Parallelism,
-    ) -> Result<(), ExtendError> {
-        let k = if self.seeds.is_empty() {
-            let k = expired.num_new_actions();
-            self.store.retract_delta(graph, expired, policy, parallelism)?;
-            k
-        } else {
-            let k = self.store.validate_retract(graph, expired)?;
-            self.store.drop_prefix(k);
-            k
-        };
-        self.retract_sc_prefix(k as u32);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -487,46 +425,6 @@ mod tests {
             store.apply_delta(&graph, &delta, &policy, Parallelism::fixed(2)).unwrap();
         }
         assert!(store.dump() == full);
-    }
-
-    #[test]
-    fn selector_extend_replays_committed_seeds() {
-        let (graph, log) = instance();
-        let policy = CreditPolicy::Uniform;
-        let (prefix, delta) = log.split_at_action(3);
-
-        // Incremental: commit two seeds on the prefix, then extend.
-        let mut incremental = CdSelector::new(scan(&graph, &prefix, &policy, 0.0).unwrap());
-        incremental.update(0);
-        incremental.update(2);
-        incremental.extend(&graph, &delta, &policy, Parallelism::fixed(2)).unwrap();
-
-        // Reference: full scan, then the same seed sequence.
-        let mut reference = CdSelector::new(scan(&graph, &log, &policy, 0.0).unwrap());
-        reference.update(0);
-        reference.update(2);
-
-        assert_eq!(incremental.dump(), reference.dump());
-        // And the next marginal gains agree bit-for-bit.
-        for x in 0..6u32 {
-            assert_eq!(
-                incremental.compute_mg(x).to_bits(),
-                reference.compute_mg(x).to_bits(),
-                "user {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn seedless_selector_extend_is_store_extend() {
-        let (graph, log) = instance();
-        let policy = CreditPolicy::Uniform;
-        let (prefix, delta) = log.split_at_action(2);
-        let mut sel = CdSelector::new(scan(&graph, &prefix, &policy, 0.0).unwrap());
-        sel.extend(&graph, &delta, &policy, Parallelism::single()).unwrap();
-        let full = scan(&graph, &log, &policy, 0.0).unwrap();
-        assert_eq!(sel.dump().store, full.dump());
-        assert!(sel.seeds().is_empty());
     }
 
     #[test]
@@ -719,62 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn selector_retract_preserves_committed_seeds() {
-        let (graph, log) = instance();
-        let policy = CreditPolicy::Uniform;
-        let (expired, window) = log.split_off_prefix(2);
-
-        // Incremental: train on everything, commit seeds, expire the front.
-        let mut incremental = CdSelector::new(scan(&graph, &log, &policy, 0.0).unwrap());
-        incremental.update(0);
-        incremental.update(2);
-        incremental.retract(&graph, &expired, &policy, Parallelism::fixed(2)).unwrap();
-
-        // Reference: window-only scan, same seed sequence replayed.
-        let mut reference = CdSelector::new(scan(&graph, &window, &policy, 0.0).unwrap());
-        reference.update(0);
-        reference.update(2);
-
-        assert_eq!(incremental.dump(), reference.dump());
-        for x in 0..6u32 {
-            assert_eq!(
-                incremental.compute_mg(x).to_bits(),
-                reference.compute_mg(x).to_bits(),
-                "user {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn seedless_selector_retract_is_store_retract() {
-        let (graph, log) = instance();
-        let policy = CreditPolicy::Uniform;
-        let (expired, window) = log.split_off_prefix(3);
-        let mut sel = CdSelector::new(scan(&graph, &log, &policy, 0.0).unwrap());
-        sel.retract(&graph, &expired, &policy, Parallelism::single()).unwrap();
-        let fresh = scan(&graph, &window, &policy, 0.0).unwrap();
-        assert_eq!(sel.dump().store, fresh.dump());
-        assert!(sel.seeds().is_empty());
-        // The seedless path keeps the bitwise kernel check: foreign data
-        // is refused.
-        let mut sel = CdSelector::new(scan(&graph, &log, &policy, 0.0).unwrap());
-        let mut b = ActionLogBuilder::new(6);
-        for &u in log.users_of(0) {
-            b.push(u, 0, f64::from(u) * 7.0);
-        }
-        let wrong = ActionLogDelta::new(0, b.build());
-        assert_eq!(
-            sel.retract(
-                &graph,
-                &wrong,
-                &CreditPolicy::time_aware(&graph, &log),
-                Parallelism::single()
-            ),
-            Err(ExtendError::PrefixMismatch { action: 0 })
-        );
-    }
-
-    #[test]
     fn delta_parallelism_never_changes_the_dump() {
         let (graph, log) = instance();
         let policy = CreditPolicy::time_aware(&graph, &log);
@@ -927,81 +769,6 @@ mod proptests {
                     "threads {threads}, window [{lo}, {hi}), lambda {lambda}: dump diverged"
                 );
             }
-        }
-
-        /// Selector-level window equivalence with committed seeds: a
-        /// full-trained selector with seeds committed, after expiring a
-        /// random prefix, equals a window-only selector with the same
-        /// seeds replayed in order.
-        #[test]
-        fn seeded_selector_retract_equals_window_rescan_plus_replay(
-            edges in proptest::collection::vec((0u32..7, 0u32..7), 0..30),
-            events in proptest::collection::vec((0u32..7, 0u32..4, 0u64..14), 1..45),
-            expire in 0usize..5,
-            seeds in proptest::sample::subsequence((0u32..7).collect::<Vec<_>>(), 0..3),
-        ) {
-            let graph = GraphBuilder::new(7).edges(edges).build();
-            let mut b = ActionLogBuilder::new(7);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let policy = CreditPolicy::Uniform;
-            let expire = expire.min(log.num_actions());
-            let (expired, window) = log.split_off_prefix(expire);
-
-            let mut incremental =
-                CdSelector::new(scan_with(&graph, &log, &policy, 0.0,
-                    Parallelism::single()).unwrap());
-            for &s in &seeds {
-                incremental.update(s);
-            }
-            incremental.retract(&graph, &expired, &policy, Parallelism::fixed(2)).unwrap();
-
-            let mut reference =
-                CdSelector::new(scan_with(&graph, &window, &policy, 0.0,
-                    Parallelism::single()).unwrap());
-            for &s in &seeds {
-                reference.update(s);
-            }
-            prop_assert_eq!(incremental.dump(), reference.dump());
-        }
-
-        /// Selector-level equivalence with committed seeds: extending a
-        /// mid-selection state equals a full scan plus an in-order seed
-        /// replay, down to the canonical dump.
-        #[test]
-        fn selector_extend_equals_rescan_plus_replay(
-            edges in proptest::collection::vec((0u32..7, 0u32..7), 0..30),
-            events in proptest::collection::vec((0u32..7, 0u32..4, 0u64..14), 1..45),
-            split in 0usize..5,
-            seeds in proptest::sample::subsequence((0u32..7).collect::<Vec<_>>(), 0..3),
-        ) {
-            let graph = GraphBuilder::new(7).edges(edges).build();
-            let mut b = ActionLogBuilder::new(7);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let policy = CreditPolicy::Uniform;
-            let split = split.min(log.num_actions());
-            let (prefix, delta) = log.split_at_action(split);
-
-            let mut incremental =
-                CdSelector::new(scan_with(&graph, &prefix, &policy, 0.0,
-                    Parallelism::single()).unwrap());
-            for &s in &seeds {
-                incremental.update(s);
-            }
-            incremental.extend(&graph, &delta, &policy, Parallelism::fixed(2)).unwrap();
-
-            let mut reference =
-                CdSelector::new(scan_with(&graph, &log, &policy, 0.0,
-                    Parallelism::single()).unwrap());
-            for &s in &seeds {
-                reference.update(s);
-            }
-            prop_assert_eq!(incremental.dump(), reference.dump());
         }
     }
 }

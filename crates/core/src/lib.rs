@@ -23,15 +23,17 @@
 //!   time-aware Eq 9 (`infl(u)`, `τ_{v,u}`, exponential decay);
 //! * [`store`] — the UC/SC credit structures of §5.3;
 //! * [`mod@scan`] — Algorithm 2 (one pass over the sorted log, truncation λ);
-//! * [`incremental`] — incremental retraining: extend a scanned store
-//!   with an [`cdim_actionlog::ActionLogDelta`] (byte-identical to a full
-//!   rescan) or retract an expired action prefix (byte-identical to a
-//!   scan of just the surviving window);
+//! * [`incremental`] — incremental retraining of the training-side
+//!   store: extend it with an [`cdim_actionlog::ActionLogDelta`]
+//!   (byte-identical to a full rescan) or retract an expired action
+//!   prefix (byte-identical to a scan of just the surviving window);
 //! * [`celf`] — Algorithms 3–5 (CELF selection, Theorem-3 marginal gains,
-//!   Lemma 2/3 incremental updates);
-//! * [`compact`] — CSR-flat, arena-backed read-only form of the trained
-//!   state (freeze/thaw, zero-copy v2 snapshot payload, overlay query
-//!   engine answering bit-identically to the mutable selector);
+//!   Lemma 2/3 incremental updates) on the hash-map store, for training
+//!   and as the tests' oracle;
+//! * [`compact`] — the served model: the trained state frozen once into
+//!   a CSR arena (the zero-copy v2 snapshot payload), extended and
+//!   retracted by splicing arena sections, and queried by an overlay
+//!   engine answering bit-identically to the hash-map selector;
 //! * [`spread`] — exact σ_cd(S) evaluation for arbitrary seed sets (the
 //!   spread-prediction experiments) and a [`cdim_maxim::SpreadOracle`]
 //!   implementation;
@@ -55,9 +57,7 @@ mod telemetry;
 
 pub use cdim_util::Parallelism;
 pub use celf::{select_seeds, CdSelector, MgMode, SelectorDump};
-pub use compact::{
-    CompactCounts, CompactCreditStore, CompactSelector, OverlaySelector, TopKSession,
-};
+pub use compact::{CompactCounts, CompactSelector, OverlaySelector, TopKSession};
 pub use incremental::ExtendError;
 pub use model::{CdModel, CdModelConfig};
 pub use policy::CreditPolicy;

@@ -4,9 +4,9 @@
 //! An [`IngestDriver`] owns the trained state (behind the same
 //! [`InfluenceService`] the TCP server shares, so queries and retraining
 //! never race on a half-updated model) and folds every cut batch through
-//! the incremental path — [`CreditStore::apply_delta`] +
-//! [`CdSelector::extend`] on the shared worker pool, published with
-//! [`InfluenceService::publish_delta`]'s atomic swap. Periodic
+//! the incremental path — [`CompactSelector::extend`] scans the batch on
+//! the shared worker pool and splices it onto the served arena, published
+//! with [`InfluenceService::publish_delta`]'s atomic swap. Periodic
 //! [`Checkpoint`]s bind the snapshot to the log position of the first
 //! *unfolded* record, so a restarted driver resumes exactly where the
 //! model stopped — buffered-but-unshipped records are simply re-read.
@@ -21,8 +21,7 @@
 //! window. The per-action tuples needed to rebuild expired prefixes ride
 //! inside the checkpoint (format v2), so windowed runs survive restarts.
 //!
-//! [`CreditStore::apply_delta`]: cdim_core::CreditStore::apply_delta
-//! [`CdSelector::extend`]: cdim_core::CdSelector::extend
+//! [`CompactSelector::extend`]: cdim_core::CompactSelector::extend
 
 use crate::batcher::{BatchConfig, DeadLetter, MicroBatcher, QuarantineReason};
 use crate::checkpoint::{Checkpoint, WindowEntry};

@@ -14,6 +14,7 @@ use cdim_util::Parallelism;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn tempdir(tag: &str) -> PathBuf {
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -47,7 +48,7 @@ fn offline_snapshot(
 }
 
 /// Streams `serialized` into a followed file according to the given
-/// chunking/restart schedule and returns the final trained snapshot.
+/// chunking/restart schedule and returns the final served snapshot.
 #[allow(clippy::too_many_arguments)]
 fn follow_to_completion(
     tag: &str,
@@ -60,7 +61,7 @@ fn follow_to_completion(
     lambda: f64,
     threads: usize,
     window: WindowPolicy,
-) -> Vec<u8> {
+) -> Arc<ModelSnapshot> {
     let dir = tempdir(tag);
     let log_path = dir.join("actions.tsv");
     let ckpt_path = dir.join("model.ckpt");
@@ -111,9 +112,18 @@ fn follow_to_completion(
         "a well-formed producer must quarantine nothing: {:?}",
         report.dead_letters
     );
-    let bytes = driver.snapshot().to_bytes();
+    let snapshot = driver.snapshot();
     std::fs::remove_dir_all(&dir).ok();
-    bytes
+    snapshot
+}
+
+/// Top-k budget of the answer checks.
+const K: usize = 5;
+
+/// The seeds and gain bits of a top-k answer.
+fn answer(snapshot: &ModelSnapshot) -> (Vec<u32>, Vec<u64>) {
+    let top = snapshot.top_k(K);
+    (top.seeds, top.marginal_gains.iter().map(|g| g.to_bits()).collect())
 }
 
 proptest! {
@@ -146,12 +156,16 @@ proptest! {
         write_action_log(&log, &mut serialized).unwrap();
 
         let expected = offline_snapshot(&graph, &serialized, &policy, lambda);
+        let expected_answer = answer(&ModelSnapshot::from_bytes(&expected).unwrap());
         let batch = BatchConfig { max_actions: batch_actions, ..Default::default() };
         for threads in [1usize, 8] {
-            let got = follow_to_completion(
+            let served = follow_to_completion(
                 "prop", &graph, &policy, &serialized, &cuts, &restarts, batch, lambda, threads,
                 WindowPolicy::Unbounded,
             );
+            // The followed model answers exactly like the trained file.
+            prop_assert_eq!(answer(&served), expected_answer.clone(), "top-{} answer", K);
+            let got = served.to_bytes();
             prop_assert_eq!(
                 &got,
                 &expected,
@@ -224,13 +238,16 @@ proptest! {
         let store =
             scan_with(&graph, &surviving, &policy, lambda, Parallelism::single()).unwrap();
         let expected = ModelSnapshot::from_store(store).to_bytes();
+        let expected_answer = answer(&ModelSnapshot::from_bytes(&expected).unwrap());
 
         let batch = BatchConfig { max_actions: batch_actions, ..Default::default() };
         for threads in [1usize, 8] {
-            let got = follow_to_completion(
+            let served = follow_to_completion(
                 "window", &graph, &policy, &serialized, &cuts, &restarts, batch, lambda,
                 threads, window,
             );
+            prop_assert_eq!(answer(&served), expected_answer.clone(), "top-{} answer", K);
+            let got = served.to_bytes();
             prop_assert_eq!(
                 &got,
                 &expected,
@@ -324,7 +341,7 @@ fn preset_log_streams_to_offline_bytes() {
             threads,
             WindowPolicy::Unbounded,
         );
-        assert_eq!(got, expected, "preset stream diverged at {threads} threads");
+        assert_eq!(got.to_bytes(), expected, "preset stream diverged at {threads} threads");
     }
 }
 

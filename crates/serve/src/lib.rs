@@ -8,9 +8,9 @@
 //! query-many serving, and this crate is that serving layer, built on the
 //! standard library alone:
 //!
-//! * [`snapshot`] — a versioned, checksummed binary format persisting a
-//!   trained [`cdim_core::CreditStore`] + [`cdim_core::CdSelector`] state
-//!   to disk ([`ModelSnapshot`]);
+//! * [`snapshot`] — the served model ([`ModelSnapshot`]): the trained
+//!   state as one compact CSR arena ([`cdim_core::CompactSelector`]),
+//!   persisted verbatim in a versioned, checksummed binary format;
 //! * [`service`] — [`InfluenceService`], a thread-safe query engine
 //!   answering top-k-seed, spread and marginal-gain queries with an LRU
 //!   answer cache and atomic zero-downtime snapshot hot-swap;

@@ -537,17 +537,7 @@ fn compute(key: &CacheKey, snapshot: &ModelSnapshot) -> Answer {
             let selection = snapshot.top_k(*budget as usize);
             Answer::TopKSeeds { seeds: selection.seeds, gains: selection.marginal_gains }
         }
-        // Single-seed spread and empty-set marginal gain are pure reads:
-        // σ_cd({s}) = mg(s), no Lemma-2/3 update ever runs, so skip the
-        // O(model-size) state clone the general walk needs on a mutable
-        // model (a compact one evaluates seed sets without committing).
-        CacheKey::Spread(seeds) if seeds.len() == 1 => {
-            Answer::Spread(snapshot.single_marginal_gain(seeds[0]))
-        }
         CacheKey::Spread(seeds) => Answer::Spread(snapshot.telescoped_spread(seeds)),
-        CacheKey::Gain(seeds, candidate) if seeds.is_empty() => {
-            Answer::MarginalGain(snapshot.single_marginal_gain(*candidate))
-        }
         CacheKey::Gain(seeds, candidate) => {
             Answer::MarginalGain(snapshot.gain_over(seeds, *candidate))
         }
@@ -878,26 +868,23 @@ mod tests {
 
     #[test]
     fn a_huge_top_k_budget_gets_every_candidate_and_one_cache_entry() {
-        for svc in
-            [service(16), InfluenceService::new(ModelSnapshot::from_store(store()).freeze(), 16)]
-        {
-            let num_users = svc.snapshot().num_users() as u32;
-            let Answer::TopKSeeds { seeds, gains } =
-                svc.query(&Query::TopKSeeds { budget: u32::MAX }).unwrap()
-            else {
-                unreachable!()
-            };
-            assert!(!seeds.is_empty() && seeds.len() <= num_users as usize);
-            assert_eq!(gains.len(), seeds.len());
-            // Every budget past the user count is the same key.
-            let misses = svc.stats().cache_misses;
-            for budget in [num_users, num_users + 1, u32::MAX] {
-                let again = svc.query(&Query::TopKSeeds { budget }).unwrap();
-                assert_eq!(again, Answer::TopKSeeds { seeds: seeds.clone(), gains: gains.clone() });
-            }
-            assert_eq!(svc.stats().cache_misses, misses, "clamped budgets share one entry");
-            // The service keeps answering.
-            assert!(svc.query(&Query::Spread { seeds: vec![0] }).is_ok());
+        let svc = service(16);
+        let num_users = svc.snapshot().num_users() as u32;
+        let Answer::TopKSeeds { seeds, gains } =
+            svc.query(&Query::TopKSeeds { budget: u32::MAX }).unwrap()
+        else {
+            unreachable!()
+        };
+        assert!(!seeds.is_empty() && seeds.len() <= num_users as usize);
+        assert_eq!(gains.len(), seeds.len());
+        // Every budget past the user count is the same key.
+        let misses = svc.stats().cache_misses;
+        for budget in [num_users, num_users + 1, u32::MAX] {
+            let again = svc.query(&Query::TopKSeeds { budget }).unwrap();
+            assert_eq!(again, Answer::TopKSeeds { seeds: seeds.clone(), gains: gains.clone() });
         }
+        assert_eq!(svc.stats().cache_misses, misses, "clamped budgets share one entry");
+        // The service keeps answering.
+        assert!(svc.query(&Query::Spread { seeds: vec![0] }).is_ok());
     }
 }

@@ -32,8 +32,8 @@
 //! The checksum pass is the bulk of a zero-copy load, and CRC-32C rides
 //! the x86-64 `crc32` instruction at many GB/s. Freezing sorts every
 //! entry, so the encoding of a model state is *canonical*: `save → load →
-//! save` is byte-identical, and so is the file of a mutable model and of
-//! its frozen twin.
+//! save` is byte-identical, and a model reached by extending or
+//! retracting writes the bytes a fresh build of the same state writes.
 //!
 //! Every other version word — including the retired per-entry version 1 —
 //! is refused with [`SnapshotError::UnsupportedVersion`] before the
@@ -137,52 +137,41 @@ pub enum SnapshotFormat {
     V2,
 }
 
-/// The model state behind a snapshot: either the mutable hashmap-shaped
-/// selector (fresh builds, the incremental path) or the CSR-flat compact
-/// selector (loads, frozen states). A compact state carries its CELF
-/// top-k session, started by the first [`ModelSnapshot::top_k`].
-#[derive(Debug)]
-enum State {
-    Mutable(CdSelector),
-    Compact(CompactSelector, Mutex<Option<TopKSession>>),
-}
-
-impl Clone for State {
-    /// A clone of a compact state starts without a top-k session.
-    fn clone(&self) -> Self {
-        match self {
-            State::Mutable(s) => State::Mutable(s.clone()),
-            State::Compact(c, _) => State::Compact(c.clone(), Mutex::new(None)),
-        }
-    }
-}
-
 /// An immutable, fully-trained model state: the unit the query service
 /// holds behind an `Arc` and the unit the snapshot file round-trips.
 ///
-/// Queries go through the dispatching methods ([`top_k`],
-/// [`telescoped_spread`], [`single_marginal_gain`], [`gain_over`], …),
-/// which answer **bit-identically** whichever representation backs the
-/// snapshot — the compact engine mirrors every accumulation order of the
-/// canonically-restored mutable one.
+/// The state is always the compact CSR arena ([`CompactSelector`]),
+/// whether it was scanned, loaded, extended or retracted, so one trained
+/// state answers every query bit-identically wherever it came from.
+/// Queries ([`top_k`], [`telescoped_spread`], [`single_marginal_gain`],
+/// [`gain_over`], …) read the shared arena; a top-k also keeps its CELF
+/// session, started by the first [`top_k`] and dropped with the snapshot.
 ///
 /// [`top_k`]: Self::top_k
 /// [`telescoped_spread`]: Self::telescoped_spread
 /// [`single_marginal_gain`]: Self::single_marginal_gain
 /// [`gain_over`]: Self::gain_over
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ModelSnapshot {
-    state: State,
+    model: CompactSelector,
+    top_k: Mutex<Option<TopKSession>>,
+}
+
+impl Clone for ModelSnapshot {
+    /// Shares the arena; the clone starts without a top-k session.
+    fn clone(&self) -> Self {
+        Self::from_compact(self.model.clone())
+    }
 }
 
 impl ModelSnapshot {
-    /// Wraps a freshly scanned credit store (empty seed set).
+    /// Freezes a freshly scanned credit store (empty seed set).
     pub fn from_store(store: CreditStore) -> Self {
-        ModelSnapshot { state: State::Mutable(CdSelector::new(store)) }
+        Self::from_selector(CdSelector::new(store))
     }
 
     /// The full snapshot build path: trains the credit policy, runs the
-    /// parallel credit scan under `config.parallelism`, and wraps the
+    /// parallel credit scan under `config.parallelism`, and freezes the
     /// result (empty seed set).
     ///
     /// The snapshot bytes are independent of the thread count — the scan
@@ -199,38 +188,26 @@ impl ModelSnapshot {
         Ok(Self::from_store(store))
     }
 
-    /// Wraps an arbitrary selector state (e.g. mid-campaign, with seeds
+    /// Freezes an arbitrary selector state (e.g. mid-campaign, with seeds
     /// already committed).
     pub fn from_selector(selector: CdSelector) -> Self {
-        ModelSnapshot { state: State::Mutable(selector) }
+        Self::from_compact(CompactSelector::freeze(&selector))
     }
 
-    fn from_compact(compact: CompactSelector) -> Self {
-        ModelSnapshot { state: State::Compact(compact, Mutex::new(None)) }
+    fn from_compact(model: CompactSelector) -> Self {
+        ModelSnapshot { model, top_k: Mutex::new(None) }
     }
 
-    /// Returns this state in compact form: freezes a mutable snapshot,
-    /// clones (cheaply, via `Arc`) an already-compact one.
+    /// The same model, sharing the arena (a snapshot is always frozen).
     pub fn freeze(&self) -> Self {
-        match &self.state {
-            State::Mutable(s) => Self::from_compact(CompactSelector::freeze(s)),
-            State::Compact(..) => self.clone(),
-        }
-    }
-
-    /// The mutable selector equivalent of this state (cloned from a
-    /// mutable snapshot, thawed — canonically — from a compact one).
-    fn to_selector(&self) -> CdSelector {
-        match &self.state {
-            State::Mutable(s) => s.clone(),
-            State::Compact(c, _) => c.thaw(),
-        }
+        self.clone()
     }
 
     /// Incremental rebuild: returns a new snapshot whose state is this
-    /// one extended by an append-only action batch — committed seeds are
-    /// replayed over the new actions, nothing already scanned is touched
-    /// (see [`cdim_core::incremental`]).
+    /// one extended by an append-only action batch — only the batch is
+    /// scanned, committed seeds are replayed over the new actions, and
+    /// the result is spliced onto a copy of the arena
+    /// ([`CompactSelector::extend`]).
     ///
     /// `policy` must be the policy the snapshot was originally trained
     /// with (snapshots persist credits, not policy parameters). Under
@@ -244,15 +221,14 @@ impl ModelSnapshot {
         policy: &cdim_core::CreditPolicy,
         parallelism: cdim_util::Parallelism,
     ) -> Result<Self, cdim_core::ExtendError> {
-        let mut selector = self.to_selector();
-        selector.extend(graph, delta, policy, parallelism)?;
-        Ok(ModelSnapshot::from_selector(selector))
+        Ok(Self::from_compact(self.model.extend(graph, delta, policy, parallelism)?))
     }
 
     /// Sliding-window rebuild: returns a new snapshot with an expired
-    /// action prefix retracted — committed seeds are preserved, surviving
-    /// actions renumber down (see [`cdim_core::incremental`]). `expired`
-    /// must be the snapshot's first actions as a delta based at 0 (see
+    /// action prefix cut off every arena section — committed seeds are
+    /// preserved, surviving actions renumber down
+    /// ([`CompactSelector::retract`]). `expired` must be the snapshot's
+    /// first actions as a delta based at 0 (see
     /// `ActionLog::split_off_prefix`).
     ///
     /// `policy` must be the training policy, as with
@@ -267,134 +243,74 @@ impl ModelSnapshot {
         policy: &cdim_core::CreditPolicy,
         parallelism: cdim_util::Parallelism,
     ) -> Result<Self, cdim_core::ExtendError> {
-        let mut selector = self.to_selector();
-        selector.retract(graph, expired, policy, parallelism)?;
-        Ok(ModelSnapshot::from_selector(selector))
+        Ok(Self::from_compact(self.model.retract(graph, expired, policy, parallelism)?))
     }
 
     /// Users in the id space.
     pub fn num_users(&self) -> usize {
-        match &self.state {
-            State::Mutable(s) => s.store().num_users(),
-            State::Compact(c, _) => c.num_users(),
-        }
+        self.model.num_users()
     }
 
     /// Actions the store was scanned over.
     pub fn num_actions(&self) -> usize {
-        match &self.state {
-            State::Mutable(s) => s.store().num_actions(),
-            State::Compact(c, _) => c.num_actions(),
-        }
+        self.model.num_actions()
     }
 
     /// Truncation threshold λ the model was trained with.
     pub fn lambda(&self) -> f64 {
-        match &self.state {
-            State::Mutable(s) => s.store().lambda(),
-            State::Compact(c, _) => c.lambda(),
-        }
+        self.model.lambda()
     }
 
     /// Live credit entries in the model.
     pub fn total_entries(&self) -> usize {
-        match &self.state {
-            State::Mutable(s) => s.store().total_entries(),
-            State::Compact(c, _) => c.total_entries(),
-        }
+        self.model.total_entries()
     }
 
     /// Seeds already committed into the snapshot state.
     pub fn committed_seeds(&self) -> usize {
-        match &self.state {
-            State::Mutable(s) => s.seeds().len(),
-            State::Compact(c, _) => c.seeds().len(),
-        }
+        self.model.seeds().len()
     }
 
-    /// Resident bytes of the model state: the credit structures for a
-    /// mutable snapshot; for a compact one the arena (owned or mapped)
+    /// Resident bytes of the model state: the arena (owned or mapped)
     /// plus the top-k session, once a top-k query started it.
     pub fn resident_bytes(&self) -> usize {
-        match &self.state {
-            State::Mutable(s) => s.store().memory_bytes(),
-            State::Compact(c, session) => {
-                c.memory_bytes() + lock(session).as_ref().map_or(0, TopKSession::memory_bytes)
-            }
-        }
+        self.model.memory_bytes() + lock(&self.top_k).as_ref().map_or(0, TopKSession::memory_bytes)
     }
 
-    /// CELF top-k continuing from the committed seeds (Algorithm 3).
-    /// Bit-identical across representations of the same state. A compact
-    /// snapshot answers every budget from one session: a prefix of it
-    /// when it already holds `k` seeds, resuming it otherwise.
+    /// CELF top-k continuing from the committed seeds (Algorithm 3). One
+    /// session answers every budget: a prefix of it when it already holds
+    /// `k` seeds, resuming it otherwise.
     pub fn top_k(&self, k: usize) -> cdim_maxim::Selection {
-        match &self.state {
-            State::Mutable(s) => s.clone().select(k),
-            State::Compact(c, session) => {
-                lock(session).get_or_insert_with(|| c.top_k_session()).top_k(k)
-            }
-        }
+        lock(&self.top_k).get_or_insert_with(|| self.model.top_k_session()).top_k(k)
     }
 
     /// Theorem-3 marginal gain of `x` over the committed seed set — also
     /// σ_cd({x}) when no seeds are committed, and 0 when `x` is one. A
-    /// pure read: a compact snapshot copies no model state.
+    /// pure read: it copies no model state.
     pub fn single_marginal_gain(&self, x: u32) -> f64 {
-        match &self.state {
-            State::Mutable(s) => s.compute_mg(x),
-            State::Compact(c, _) => c.gain_over(&[], x),
-        }
+        self.model.gain_over(&[], x)
     }
 
     /// σ_cd(S) via Theorem 3: walk `seeds` in the given order,
     /// accumulating each seed's marginal gain over the seeds before it.
     /// σ is a set function: a repeated seed, or one already committed
-    /// into the snapshot, adds 0. A compact snapshot replays the
-    /// Lemma-2/3 updates on the seeds' own rows only
-    /// ([`CompactSelector::telescoped_spread`]); a mutable one commits
-    /// on a clone.
+    /// into the snapshot, adds 0. The Lemma-2/3 updates are replayed on
+    /// the seeds' own rows only ([`CompactSelector::telescoped_spread`]).
     pub fn telescoped_spread(&self, seeds: &[u32]) -> f64 {
-        match &self.state {
-            State::Mutable(s) => {
-                let mut sel = s.clone();
-                let mut total = 0.0;
-                for (i, &s) in seeds.iter().enumerate() {
-                    total += sel.compute_mg(s);
-                    if i + 1 < seeds.len() {
-                        sel.update(s);
-                    }
-                }
-                total
-            }
-            State::Compact(c, _) => c.telescoped_spread(seeds),
-        }
+        self.model.telescoped_spread(seeds)
     }
 
     /// Marginal gain of `candidate` after committing `seeds` (in the
     /// given order) on top of the snapshot's own committed seeds; 0 when
-    /// `candidate` is among either. Commit-free on a compact snapshot.
+    /// `candidate` is among either. Commit-free.
     pub fn gain_over(&self, seeds: &[u32], candidate: u32) -> f64 {
-        match &self.state {
-            State::Mutable(s) => {
-                let mut sel = s.clone();
-                for &x in seeds {
-                    sel.update(x);
-                }
-                sel.compute_mg(candidate)
-            }
-            State::Compact(c, _) => c.gain_over(seeds, candidate),
-        }
+        self.model.gain_over(seeds, candidate)
     }
 
-    /// Serializes to the snapshot byte format (freezing first if the
-    /// snapshot is mutable). Canonical: identical bytes whichever
-    /// representation backs the snapshot.
+    /// Serializes to the snapshot byte format: the header, the arena
+    /// verbatim, the CRC. Canonical: one trained state, one encoding.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match &self.state {
-            State::Mutable(s) => encode(&CompactSelector::freeze(s)),
-            State::Compact(c, _) => encode(c),
-        }
+        encode(&self.model)
     }
 
     /// Deserializes and validates a snapshot.
@@ -646,37 +562,32 @@ mod tests {
 
     #[test]
     fn repeated_and_committed_seeds_add_nothing() {
-        let mutable = ModelSnapshot::from_selector(trained_selector());
-        let picked = mutable.top_k(2).seeds;
+        let snap = ModelSnapshot::from_selector(trained_selector());
+        let picked = snap.top_k(2).seeds;
         let (x, y) = (picked[0], picked[1]);
-        for (kind, snap) in [("mutable", &mutable), ("compact", &mutable.freeze())] {
-            let single = snap.telescoped_spread(&[x]);
-            assert!(single > 1.0, "{kind}: σ({{{x}}}) = {single}");
-            assert_eq!(snap.telescoped_spread(&[x, x]).to_bits(), single.to_bits(), "{kind}");
-            assert_eq!(
-                snap.telescoped_spread(&[x, y, x]).to_bits(),
-                snap.telescoped_spread(&[x, y]).to_bits(),
-                "{kind}"
-            );
-            assert_eq!(snap.gain_over(&[x], x), 0.0, "{kind}");
-            assert_eq!(snap.gain_over(&[x, y], x), 0.0, "{kind}");
-        }
+        let single = snap.telescoped_spread(&[x]);
+        assert!(single > 1.0, "σ({{{x}}}) = {single}");
+        assert_eq!(snap.telescoped_spread(&[x, x]).to_bits(), single.to_bits());
+        assert_eq!(
+            snap.telescoped_spread(&[x, y, x]).to_bits(),
+            snap.telescoped_spread(&[x, y]).to_bits()
+        );
+        assert_eq!(snap.gain_over(&[x], x), 0.0);
+        assert_eq!(snap.gain_over(&[x, y], x), 0.0);
 
         // A seed committed into the snapshot itself is no candidate either.
         let mut sel = trained_selector();
         sel.update(x);
         let committed = ModelSnapshot::from_selector(sel);
-        for (kind, snap) in [("mutable", &committed), ("compact", &committed.freeze())] {
-            assert_eq!(snap.single_marginal_gain(x), 0.0, "{kind}");
-            assert_eq!(snap.telescoped_spread(&[x]), 0.0, "{kind}");
-            assert_eq!(snap.gain_over(&[y], x), 0.0, "{kind}");
-            let top = snap.top_k(4);
-            assert_eq!(top.seeds[0], x, "{kind}");
-            let mut distinct = top.seeds.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            assert_eq!(distinct.len(), 4, "{kind}: repeated seed in {:?}", top.seeds);
-        }
+        assert_eq!(committed.single_marginal_gain(x), 0.0);
+        assert_eq!(committed.telescoped_spread(&[x]), 0.0);
+        assert_eq!(committed.gain_over(&[y], x), 0.0);
+        let top = committed.top_k(4);
+        assert_eq!(top.seeds[0], x);
+        let mut distinct = top.seeds.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4, "repeated seed in {:?}", top.seeds);
     }
 
     #[test]
@@ -719,7 +630,6 @@ mod tests {
         let snap = ModelSnapshot::from_selector(trained_selector());
         let bytes = snap.to_bytes();
         let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
-        assert!(matches!(restored.state, State::Compact(..)), "a load yields the compact form");
         assert_eq!(restored.to_bytes(), bytes);
         assert_eq!(snap.freeze().to_bytes(), bytes, "freezing does not change the encoding");
     }
@@ -819,8 +729,8 @@ mod proptests {
     proptest! {
         /// save → load is lossless over random trained stores (both
         /// policies, with and without committed seeds): the re-encoding
-        /// is byte-identical and every marginal gain equals the canonical
-        /// mutable restoration's bit for bit.
+        /// is byte-identical and every marginal gain equals the hash-map
+        /// selector's, restored from the same dump, bit for bit.
         #[test]
         fn random_trained_stores_round_trip(
             edges in proptest::collection::vec((0u32..10, 0u32..10), 0..50),

@@ -259,8 +259,7 @@ fn oversized_frame_prefix_gets_an_error_then_close() {
 fn a_u32_max_top_k_budget_gets_a_full_answer() {
     let ds = cdim_datagen::presets::tiny().generate();
     let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    let model =
-        ModelSnapshot::from_store(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()).freeze();
+    let model = ModelSnapshot::from_store(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap());
     let expected = model.top_k(model.num_users());
     let server = spawn(Arc::new(InfluenceService::new(model, 16)), "127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();

@@ -339,14 +339,15 @@ fn cmd_select(flags: &Flags) -> Result<(), String> {
     let k = flags.get_parsed("k", 50usize)?;
     let config = policy_config(flags)?;
     let timer = cdim::util::Timer::start();
-    let model = CdModel::try_train(&graph, &log, config).map_err(|e| e.to_string())?;
-    let selection = model.select(k);
+    // The engine `cdim serve` answers with, so both print the same table.
+    let model = ModelSnapshot::build(&graph, &log, config).map_err(|e| e.to_string())?;
+    let selection = model.top_k(k);
     eprintln!(
         "trained + selected {} seeds in {:.2}s ({} credit entries, ~{})",
         selection.seeds.len(),
         timer.secs(),
-        model.store().total_entries(),
-        cdim::util::mem::fmt_bytes(model.store_memory_bytes()),
+        model.total_entries(),
+        cdim::util::mem::fmt_bytes(model.resident_bytes()),
     );
     let mut table = Table::new(["rank", "user", "marginal gain"]);
     for (i, (seed, gain)) in selection.seeds.iter().zip(&selection.marginal_gains).enumerate() {

@@ -147,6 +147,23 @@ fn snapshot_serve_query_pipeline() {
         assert!(text.contains(&seed.to_string()), "missing seed {seed} in:\n{text}");
     }
 
+    // `cdim select` trains the same log in-process and answers through
+    // the engine the server runs: the two tables are identical.
+    let served = cdim().args(["query", "--addr", &addr, "--op", "topk", "--k", "5"]).output();
+    let served = served.unwrap();
+    assert!(served.status.success(), "{}", String::from_utf8_lossy(&served.stderr));
+    let selected = cdim()
+        .args(["select", "--graph", graph.to_str().unwrap(), "--log", log.to_str().unwrap()])
+        .args(["--k", "5"])
+        .output()
+        .unwrap();
+    assert!(selected.status.success(), "{}", String::from_utf8_lossy(&selected.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&selected.stdout),
+        String::from_utf8_lossy(&served.stdout),
+        "cdim select and the served top-k disagree"
+    );
+
     let out = cdim()
         .args(["query", "--addr", &addr, "--op", "spread", "--seeds", "0,1,2"])
         .output()
