@@ -1,14 +1,15 @@
-//! bench-memory — mutable vs CSR-compact footprint, snapshot start-up.
+//! bench-memory — hash-map working copy vs CSR arena footprint, snapshot start-up.
 //!
 //! Not a paper artifact: this measures the payoff of the compact model
 //! ([`cdim_core::CompactSelector`]) and the zero-copy snapshot format.
 //! For a sweep of store sizes we train the model, then record (a)
-//! resident bytes per user for the mutable hash-map store (after
-//! `shrink_to_fit`) vs the seedless frozen CSR arena, and (b) the file
-//! size and the wall time of `ModelSnapshot::load` (mmap + validate).
-//! Equivalence is asserted in-run: the arena must export the store's
-//! byte-identical canonical dump, and the loaded snapshot must re-encode
-//! to the in-memory model's bytes.
+//! resident bytes per user for the hash-map working copy a
+//! `CdSelector::new(store)` builds vs the seedless CSR arena the scan
+//! writes, and (b) the file size and the wall time of
+//! `ModelSnapshot::load` (mmap + validate). Equivalence is asserted
+//! in-run: the arena must export the working copy's byte-identical
+//! canonical dump, and the loaded snapshot must re-encode to the
+//! in-memory model's bytes.
 //!
 //! The sweep lands machine-readably in `BENCH_memory.json` so CI can
 //! track bytes/user and start-up latency across commits.
@@ -18,7 +19,7 @@ use cdim_core::{scan_with, CdSelector, CompactSelector, CreditPolicy, Parallelis
 use cdim_datagen::presets;
 use cdim_metrics::Table;
 use cdim_serve::ModelSnapshot;
-use cdim_util::Timer;
+use cdim_util::{HeapSize, Timer};
 use std::io::Write as _;
 
 /// Extra dataset divisors on top of the scale's own, largest (smallest
@@ -60,8 +61,8 @@ pub fn run(scale: ExperimentScale) {
 /// variant tests use — no process-global environment involved).
 pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     super::banner(
-        "bench-memory — CSR-compact store vs mutable store, snapshot start-up",
-        "engineering artifact (not in the paper): freeze + zero-copy snapshots",
+        "bench-memory — CSR arena vs a selector's hash-map working copy, snapshot start-up",
+        "engineering artifact (not in the paper): scan-written arena + zero-copy snapshots",
         scale,
     );
     let lambda = 0.001;
@@ -75,23 +76,24 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
         let divisor = scale.dataset_divisor.saturating_mul(extra).max(1);
         let ds = presets::flixster_large().scaled_down(divisor).generate();
         let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-        let mut store = scan_with(&ds.graph, &ds.log, &policy, lambda, par).unwrap();
-        // The honest mutable figure: excess Vec capacity given back first.
-        store.shrink_to_fit();
-        let mutable_bytes = store.memory_bytes();
+        let store = scan_with(&ds.graph, &ds.log, &policy, lambda, par).unwrap();
         let users = ds.graph.num_nodes();
         let actions = ds.log.num_actions();
         let entries = store.total_entries();
 
-        let selector = CdSelector::new(store);
-        let compact = CompactSelector::freeze(&selector);
+        // The mutable figure is the selector's hash-map working copy,
+        // built from the arena (and shrunk to fit).
+        let selector = CdSelector::new(store.clone());
+        let mutable_bytes = selector.heap_bytes();
+        let compact = CompactSelector::from_store(store.clone());
         let compact_bytes = compact.memory_bytes();
         assert!(
-            compact.to_dump().store == selector.store().dump(),
-            "the frozen arena diverged from the mutable store at divisor {divisor}"
+            compact.to_dump() == selector.dump(),
+            "the arena diverged from the selector's working copy at divisor {divisor}"
         );
+        drop(selector);
 
-        let snapshot = ModelSnapshot::from_selector(selector);
+        let snapshot = ModelSnapshot::from_store(store);
         let path = dir.join(format!("model_{divisor}.snap"));
         snapshot.save(&path).unwrap();
         let file_bytes = std::fs::metadata(&path).unwrap().len();
@@ -124,7 +126,7 @@ pub fn run_with_output(scale: ExperimentScale, path: &std::path::Path) {
     }
     println!("{table}");
     println!(
-        "(equivalence checked: every arena exported the store's dump, every load \
+        "(equivalence checked: every arena exported the working copy's dump, every load \
          re-encoded byte-identically to the in-memory model)"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -18,7 +18,7 @@
 //! `x ∉ V − S` any more, so credits into or out of `x` must not survive
 //! (DESIGN.md §2.2).
 
-use crate::store::{pair_key, CreditStore, CreditStoreDump};
+use crate::store::{pair_key, ActionCredits, CreditStore, CreditStoreDump};
 use cdim_maxim::Selection;
 use cdim_util::{FxHashMap, HeapSize, OrdF64};
 use std::cmp::Reverse;
@@ -31,18 +31,37 @@ fn sc_key(a: u32, u: u32) -> u64 {
 }
 
 /// Stateful CD seed selector (Algorithm 3).
+///
+/// Built from a trained [`CreditStore`], whose arena it shares for the
+/// per-user indexes (actions performed, `1/A_u`), plus its own mutable
+/// working copy of the credits (`ActionCredits` per action), filled from
+/// the arena's rows in canonical order and updated by Lemma 2 as seeds
+/// are committed.
 #[derive(Clone, Debug)]
 pub struct CdSelector {
-    pub(crate) store: CreditStore,
+    base: CreditStore,
+    /// `UC[..][..][a]` under the current seed set, per action.
+    actions: Vec<ActionCredits>,
     /// `SC[x][a] = Γ_{S,x}(a)` for the current seed set.
     sc: FxHashMap<u64, f64>,
     pub(crate) seeds: Vec<u32>,
 }
 
 impl CdSelector {
-    /// Wraps a scanned credit store.
+    /// Wraps a scanned credit store: builds the working copy of its
+    /// credits, entries inserted in `(v, u)` order per action.
     pub fn new(store: CreditStore) -> Self {
-        CdSelector { store, sc: FxHashMap::default(), seeds: Vec::new() }
+        let actions = (0..store.num_actions() as u32)
+            .map(|a| {
+                let mut ac = ActionCredits::default();
+                for (v, u, c) in store.action(a).entries() {
+                    ac.add(v, u, c);
+                }
+                ac.shrink_to_fit();
+                ac
+            })
+            .collect();
+        CdSelector { base: store, actions, sc: FxHashMap::default(), seeds: Vec::new() }
     }
 
     /// Seeds chosen so far.
@@ -50,50 +69,55 @@ impl CdSelector {
         &self.seeds
     }
 
-    /// Read access to the (updated) credit store.
-    pub fn store(&self) -> &CreditStore {
-        &self.store
-    }
-
-    /// Exports the full selector state (store, SC map, chosen seeds) as
-    /// plain data — the serialization hook snapshot persistence builds on.
-    /// SC entries are emitted in sorted `(action, user)` order, making the
-    /// dump canonical.
+    /// Exports the full selector state (updated credits, SC map, chosen
+    /// seeds) as plain data — the serialization hook snapshot persistence
+    /// builds on. Credits and SC entries are emitted in sorted order,
+    /// making the dump canonical.
     pub fn dump(&self) -> SelectorDump {
+        let credits = self
+            .actions
+            .iter()
+            .map(|ac| {
+                let mut entries: Vec<(u32, u32, f64)> = ac.entries().collect();
+                entries.sort_unstable_by_key(|&(v, u, _)| pair_key(v, u));
+                entries
+            })
+            .collect();
         let mut sc: Vec<(u32, u32, f64)> =
             self.sc.iter().map(|(&key, &c)| ((key >> 32) as u32, key as u32, c)).collect();
         sc.sort_unstable_by_key(|&(a, u, _)| sc_key(a, u));
-        SelectorDump { store: self.store.dump(), sc, seeds: self.seeds.clone() }
+        SelectorDump { store: self.base.dump_with(credits), sc, seeds: self.seeds.clone() }
     }
 
     /// Rebuilds a selector from a [`dump`](Self::dump). Two selectors
     /// restored from equal dumps answer every query identically (bit-exact
     /// floating-point sums included).
     pub fn from_dump(dump: &SelectorDump) -> Self {
-        let mut sc = FxHashMap::default();
+        let mut selector = CdSelector::new(CreditStore::from_dump(&dump.store));
         for &(a, u, c) in &dump.sc {
-            sc.insert(sc_key(a, u), c);
+            selector.sc.insert(sc_key(a, u), c);
         }
-        CdSelector { store: CreditStore::from_dump(&dump.store), sc, seeds: dump.seeds.clone() }
+        selector.seeds.clone_from(&dump.seeds);
+        selector
     }
 
     /// Theorem-3 marginal gain of adding `x` to the current seed set. A
     /// committed seed gains nothing (σ is a set function).
     pub fn compute_mg(&self, x: u32) -> f64 {
-        let inv_ax = self.store.inv_au(x);
+        let inv_ax = self.base.inv_au(x);
         if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0; // never acted (no evidence), or already a seed
         }
         let mut mg = 0.0;
-        for &a in self.store.actions_of_user(x) {
+        for &a in self.base.actions_of_user(x) {
             let sc_xa = self.sc.get(&sc_key(a, x)).copied().unwrap_or(0.0);
             let factor = (1.0 - sc_xa).max(0.0);
             if factor == 0.0 {
                 continue;
             }
             let mut mga = inv_ax; // the u = x self term
-            for (u, c) in self.store.action(a).targets_of(x) {
-                mga += c * self.store.inv_au(u);
+            for (u, c) in self.actions[a as usize].targets_of(x) {
+                mga += c * self.base.inv_au(u);
             }
             mg += mga * factor;
         }
@@ -104,18 +128,18 @@ impl CdSelector {
     /// self term is only added for actions where `x` holds outgoing
     /// credit. Kept for the `ablate-mg` experiment.
     pub fn compute_mg_pseudocode(&self, x: u32) -> f64 {
-        let inv_ax = self.store.inv_au(x);
+        let inv_ax = self.base.inv_au(x);
         if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0;
         }
         let mut mg = 0.0;
-        for &a in self.store.actions_of_user(x) {
-            let ac = self.store.action(a);
+        for &a in self.base.actions_of_user(x) {
+            let ac = &self.actions[a as usize];
             let mut mga = 0.0;
             let mut any = false;
             for (u, c) in ac.targets_of(x) {
                 any = true;
-                mga += c * self.store.inv_au(u);
+                mga += c * self.base.inv_au(u);
             }
             if !any {
                 continue;
@@ -135,7 +159,7 @@ impl CdSelector {
         }
         // Credits involving x exist only in actions x performed, so the
         // per-user action index bounds the walk.
-        let actions: Vec<u32> = self.store.actions_of_user(x).to_vec();
+        let actions: Vec<u32> = self.base.actions_of_user(x).to_vec();
         for a in actions {
             self.apply_seed_to_action(a, x);
         }
@@ -151,14 +175,14 @@ impl CdSelector {
     fn apply_seed_to_action(&mut self, a: u32, x: u32) {
         let sc_xa = self.sc.get(&sc_key(a, x)).copied().unwrap_or(0.0);
         let one_minus = (1.0 - sc_xa).max(0.0);
-        let (gout, gin) = self.store.action_mut(a).retire(x);
+        let (gout, gin) = self.actions[a as usize].retire(x);
         // Lemma 3: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
         for &(u, cxu) in &gout {
             let e = self.sc.entry(sc_key(a, u)).or_insert(0.0);
             *e = (*e + cxu * one_minus).min(1.0);
         }
         // Lemma 2: Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}.
-        let ac = self.store.action_mut(a);
+        let ac = &mut self.actions[a as usize];
         for &(v, cvx) in &gin {
             for &(u, cxu) in &gout {
                 ac.subtract(v, u, cvx * cxu);
@@ -177,6 +201,14 @@ impl CdSelector {
     /// (the `ablate-mg` experiment compares the two).
     pub fn select_with_mode(self, k: usize, mode: MgMode) -> Selection {
         CelfSession::new(self, mode).select(k)
+    }
+}
+
+impl HeapSize for CdSelector {
+    /// The selector's own state — the working copy of the credits, SC
+    /// and seeds — not the shared arena of the store it was built from.
+    fn heap_bytes(&self) -> usize {
+        self.actions.heap_bytes() + self.sc.heap_bytes() + self.seeds.heap_bytes()
     }
 }
 
@@ -307,7 +339,7 @@ impl<E: HeapSize> HeapSize for CelfSession<E> {
 
 impl CelfEngine for CdSelector {
     fn num_users(&self) -> usize {
-        self.store.num_users()
+        self.base.num_users()
     }
 
     fn seeds(&self) -> &[u32] {
@@ -315,13 +347,13 @@ impl CelfEngine for CdSelector {
     }
 
     fn initial_credit_gains(&self) -> Vec<f64> {
-        let mut initial = vec![0.0f64; self.store.num_users()];
-        for a in 0..self.store.num_actions() as u32 {
-            let ac = self.store.action(a);
+        let mut initial = vec![0.0f64; self.base.num_users()];
+        for a in 0..self.base.num_actions() as u32 {
+            let ac = &self.actions[a as usize];
             for (v, row) in ac.out_rows() {
                 let acc = &mut initial[v as usize];
                 for &u in row {
-                    *acc += ac.get(v, u) * self.store.inv_au(u);
+                    *acc += ac.get(v, u) * self.base.inv_au(u);
                 }
             }
         }
@@ -329,21 +361,21 @@ impl CelfEngine for CdSelector {
     }
 
     fn inv_au_of(&self, x: u32) -> f64 {
-        self.store.inv_au(x)
+        self.base.inv_au(x)
     }
 
     fn self_term(&self, x: u32, mode: MgMode) -> f64 {
-        let inv_ax = self.store.inv_au(x);
+        let inv_ax = self.base.inv_au(x);
         match mode {
             // inv_ax summed over every action x performed is exactly 1 up
             // to rounding; use the same per-action accumulation as
             // compute_mg for bit-identical refresh comparisons.
-            MgMode::Theorem3 => self.store.actions_of_user(x).iter().map(|_| inv_ax).sum::<f64>(),
+            MgMode::Theorem3 => self.base.actions_of_user(x).iter().map(|_| inv_ax).sum::<f64>(),
             MgMode::Pseudocode => self
-                .store
+                .base
                 .actions_of_user(x)
                 .iter()
-                .filter(|&&a| self.store.action(a).has_influencer(x))
+                .filter(|&&a| self.actions[a as usize].has_influencer(x))
                 .map(|_| inv_ax)
                 .sum::<f64>(),
         }

@@ -1,18 +1,22 @@
 //! CSR-flat form of the trained state: the model every query path serves.
 //!
-//! The scan accumulates credits in a [`CreditStore`], hashmap-of-hashmaps
-//! shaped — ideal for Algorithm 2, cache-hostile at 10⁶⁺ users. This
-//! module freezes it, once, into a [`CompactSelector`]: every per-action
-//! credit/out/inc adjacency flattened into CSR offset+data arrays with
+//! The scan writes the trained state straight into this form: every
+//! per-action credit/out/inc adjacency as CSR offset+data arrays with
 //! *sorted* neighbor runs, all living in one contiguous 8-byte-aligned
-//! arena ([`cdim_util::AlignedBuf`]). The arena is also the v2 snapshot
-//! payload: the serving layer stores it verbatim and reloads it by
-//! validate + reinterpret — no per-entry decode.
+//! arena ([`cdim_util::AlignedBuf`]). A seedless arena is a
+//! [`CreditStore`]; a [`CompactSelector`] shares it (no copy) and may
+//! also hold SC entries and committed seeds. The arena is also the v2
+//! snapshot payload: the serving layer stores it verbatim and reloads it
+//! by validate + reinterpret — no per-entry decode. Nothing freezes a
+//! trained model: only a selector state with committed seeds
+//! ([`CompactSelector::freeze`]) is laid out from a dump.
 //!
-//! A frozen model stays frozen. [`extend`](CompactSelector::extend) scans
+//! An arena is never modified. [`extend`](CompactSelector::extend) scans
 //! only the new actions and splices their sections onto a copy of the
 //! arena; [`retract`](CompactSelector::retract) cuts an expired action
-//! prefix off every section the same way.
+//! prefix off every section the same way. The scan's merge and both
+//! splices write the same thing: runs of per-action sections laid end to
+//! end, offsets rebased.
 //!
 //! ## Arena layout
 //!
@@ -91,9 +95,10 @@
 //!
 //! ## Bit-identity contract
 //!
-//! Freezing sorts entries exactly like [`CreditStore::dump`], so a
-//! trained state has exactly one arena, however it was reached: a fresh
-//! scan, a snapshot load, or any chain of `extend` and `retract`. The
+//! The scan emits each action's rows in sorted order, the order
+//! [`CreditStore::dump`] lists and a dump is laid out in, so a trained
+//! state has exactly one arena, however it was reached: a fresh scan, a
+//! snapshot load, a dump, or any chain of `extend` and `retract`. The
 //! splices keep this because credits never cross an action boundary
 //! (Algorithm 2 scans each action on its own, and an Algorithm-5 update
 //! of one action reads and writes only that action): the new actions'
@@ -105,9 +110,9 @@
 //! the same dump — the oracle the tests hold it to.
 
 use crate::celf::{CdSelector, CelfEngine, CelfSession, MgMode};
-use crate::incremental::{self, credit_bits, ExtendError};
+use crate::incremental::{self, ExtendError};
 use crate::policy::CreditPolicy;
-use crate::scan::scan_with;
+use crate::scan::{scan_with, ScanError};
 use crate::store::{pair_key, CreditStore, CreditStoreDump};
 use crate::SelectorDump;
 use cdim_actionlog::ActionLogDelta;
@@ -167,23 +172,32 @@ const fn align8(x: usize) -> usize {
     (x + 7) & !7
 }
 
+/// A trained state whose counts do not fit the arena's u32 offsets: the
+/// first section that overflows and its element count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Overflow {
+    pub(crate) section: &'static str,
+    pub(crate) count: usize,
+}
+
 impl CompactCounts {
     /// Offsets are u32; every count an offset array must express has to
     /// fit (`u32::MAX` itself is reserved so `len+1`-sized arrays fit
     /// too). At ~20 bytes/entry that bound is only reachable past ~80 GB
-    /// of credits.
-    fn check_offsets_fit(&self) {
-        for (what, n) in [
+    /// of credits, but a scan or splice that gets there reports it as a
+    /// value instead of writing wrapped offsets.
+    pub(crate) fn check_offsets_fit(&self) -> Result<(), Overflow> {
+        for (section, count) in [
             ("ua_len", self.ua_len),
             ("out_rows", self.out_rows),
             ("inc_rows", self.inc_rows),
             ("entries", self.entries),
         ] {
-            assert!(
-                n < u32::MAX as usize,
-                "compact store overflow: {what} = {n} exceeds the u32 offset space"
-            );
+            if count >= u32::MAX as usize {
+                return Err(Overflow { section, count });
+            }
         }
+        Ok(())
     }
 
     fn layout(&self) -> Layout {
@@ -233,53 +247,20 @@ impl CompactCounts {
     pub fn arena_len(&self) -> usize {
         self.layout().total
     }
-
-    /// Counts of a selector dump (what [`CompactSelector::from_dump`]
-    /// will build).
-    pub fn of_dump(dump: &SelectorDump) -> CompactCounts {
-        let store = &dump.store;
-        let mut out_rows = 0usize;
-        let mut inc_rows = 0usize;
-        let mut entries = 0usize;
-        for action in &store.credits {
-            entries += action.len();
-            // Entries are sorted by (v, u): out rows are the v-groups.
-            let mut last_v = None;
-            for &(v, _, _) in action {
-                if last_v != Some(v) {
-                    out_rows += 1;
-                    last_v = Some(v);
-                }
-            }
-            // Inc rows are the distinct targets.
-            let mut targets: Vec<u32> = action.iter().map(|&(_, u, _)| u).collect();
-            targets.sort_unstable();
-            targets.dedup();
-            inc_rows += targets.len();
-        }
-        CompactCounts {
-            num_users: store.user_actions.len(),
-            num_actions: store.credits.len(),
-            ua_len: store.user_actions.iter().map(Vec::len).sum(),
-            out_rows,
-            inc_rows,
-            entries,
-            sc_len: dump.sc.len(),
-            seeds_len: dump.seeds.len(),
-        }
-    }
 }
 
 /// The shared immutable payload: one arena plus the metadata to slice it.
+/// A [`CreditStore`] is a seedless one; a [`CompactSelector`] may hold
+/// SC entries and seeds too.
 #[derive(Debug)]
-struct CompactData {
+pub(crate) struct CompactData {
     buf: Arc<AlignedBuf>,
-    /// Byte offset of the arena inside `buf` (0 for freeze-built arenas,
+    /// Byte offset of the arena inside `buf` (0 for arenas built here,
     /// the header size for snapshot-backed ones). Always 8-aligned.
     base: usize,
-    counts: CompactCounts,
+    pub(crate) counts: CompactCounts,
     layout: Layout,
-    lambda: f64,
+    pub(crate) lambda: f64,
 }
 
 macro_rules! typed_section {
@@ -316,21 +297,11 @@ impl CompactData {
         &self.buf[self.base..self.base + self.layout.total]
     }
 
-    #[inline]
-    fn inv_au_of(&self, u: u32) -> f64 {
-        self.inv_au()[u as usize]
-    }
-
     /// Positions of `u`'s actions in `ua_data`.
     #[inline]
     fn ua_range(&self, u: u32) -> Range<usize> {
         let offs = self.ua_offsets();
         offs[u as usize] as usize..offs[u as usize + 1] as usize
-    }
-
-    #[inline]
-    fn ua_row(&self, u: u32) -> &[u32] {
-        &self.ua_data()[self.ua_range(u)]
     }
 
     /// Position of the pair `(u, a)` in `ua_data`, if `u` performed `a`.
@@ -381,25 +352,71 @@ impl CompactData {
         offs[row] as usize..offs[row + 1] as usize
     }
 
-    /// Action `a`'s credits as sorted `(pair_key(v, u), Γ bits)` — the
-    /// image [`credit_bits`] gives of the same credits in a scanned store.
+    /// Action `a`'s credits as sorted `(pair_key(v, u), Γ bits)`: two
+    /// actions hold the same trained value iff their images are equal.
     fn action_bits(&self, a: u32) -> Vec<(u64, u64)> {
-        let (row_user, targets, credits) =
-            (self.out_row_user(), self.out_targets(), self.out_credits());
-        self.out_act_range(a)
-            .flat_map(|row| {
-                self.out_row_entries(row)
-                    .map(move |pos| (pair_key(row_user[row], targets[pos]), credits[pos].to_bits()))
-            })
-            .collect()
+        self.action_entries(a).map(|(v, u, c)| (pair_key(v, u), c.to_bits())).collect()
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// Action `a`'s credits as `(v, u, Γ_{v,u})`, sorted by `(v, u)`.
+    pub(crate) fn action_entries(&self, a: u32) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
+        let (row_user, targets, credits) =
+            (self.out_row_user(), self.out_targets(), self.out_credits());
+        self.out_act_range(a).flat_map(move |row| {
+            self.out_row_entries(row).map(move |pos| (row_user[row], targets[pos], credits[pos]))
+        })
+    }
+
+    /// Live credit entries of action `a`.
+    pub(crate) fn action_len(&self, a: u32) -> usize {
+        let range = self.out_act_range(a);
+        let offs = self.out_row_offsets();
+        (offs[range.end] - offs[range.start]) as usize
+    }
+
+    /// `v`'s out row in action `a`: its targets (ascending) and credits.
+    pub(crate) fn out_row(&self, a: u32, v: u32) -> (&[u32], &[f64]) {
+        match self.out_row_of(a, v) {
+            Some(row) => {
+                let range = self.out_row_entries(row);
+                (&self.out_targets()[range.clone()], &self.out_credits()[range])
+            }
+            None => (&[], &[]),
+        }
+    }
+
+    /// `u`'s inc row in action `a`: its sources, ascending.
+    pub(crate) fn inc_row(&self, a: u32, u: u32) -> &[u32] {
+        match self.inc_row_of(a, u) {
+            Some(row) => &self.inc_sources()[self.inc_row_entries(row)],
+            None => &[],
+        }
+    }
+
+    /// `Γ_{v,u}(a)`, or 0 when not stored.
+    pub(crate) fn credit(&self, a: u32, v: u32, u: u32) -> f64 {
+        let (targets, credits) = self.out_row(a, v);
+        targets.binary_search(&u).map_or(0.0, |i| credits[i])
+    }
+
+    /// Dense action ids user `u` performed, ascending.
+    #[inline]
+    pub(crate) fn ua_row(&self, u: u32) -> &[u32] {
+        &self.ua_data()[self.ua_range(u)]
+    }
+
+    /// `1 / A_u` (0 for users with no actions).
+    #[inline]
+    pub(crate) fn inv_au_of(&self, u: u32) -> f64 {
+        self.inv_au()[u as usize]
+    }
+
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.buf.heap_bytes()
     }
 }
 
-// ------------------------------------------------------------------ freeze
+// ---------------------------------------------------------------- assembly
 
 /// Mutable typed views of every section of a fresh arena.
 struct Sections<'a> {
@@ -458,77 +475,233 @@ impl Layout {
 
 /// Allocates a zeroed arena for `counts` and lets `fill` write every
 /// section (the leading 0 of each offset array is already in place).
-fn assemble(counts: CompactCounts, lambda: f64, fill: impl FnOnce(Sections<'_>)) -> CompactData {
-    counts.check_offsets_fit();
+fn assemble(
+    counts: CompactCounts,
+    lambda: f64,
+    fill: impl FnOnce(&mut Sections<'_>),
+) -> Result<CompactData, Overflow> {
+    counts.check_offsets_fit()?;
     let layout = counts.layout();
     let mut buf = AlignedBuf::zeroed(layout.total);
-    fill(layout.sections(buf.as_mut_slice()));
-    CompactData { buf: Arc::new(buf), base: 0, counts, layout, lambda }
+    fill(&mut layout.sections(buf.as_mut_slice()));
+    Ok(CompactData { buf: Arc::new(buf), base: 0, counts, layout, lambda })
 }
 
-/// Builds the arena from a canonical dump.
-fn build(dump: &SelectorDump) -> CompactData {
-    let store = &dump.store;
-    assemble(CompactCounts::of_dump(dump), store.lambda, |s| {
-        // user → actions index.
-        let mut at = 0usize;
-        for (u, actions) in store.user_actions.iter().enumerate() {
-            s.ua_data[at..at + actions.len()].copy_from_slice(actions);
-            at += actions.len();
-            s.ua_offsets[u + 1] = at as u32;
-        }
-        s.inv_au.copy_from_slice(&store.inv_au);
+/// The per-action sections of a run of actions, every offset array
+/// starting at 0: what one scan shard emits, and what [`arena`] lays
+/// end to end into an arena.
+#[derive(Debug)]
+pub(crate) struct ActionRows {
+    pub(crate) out_act_rows: Vec<u32>,
+    pub(crate) out_row_user: Vec<u32>,
+    pub(crate) out_row_offsets: Vec<u32>,
+    pub(crate) out_targets: Vec<u32>,
+    pub(crate) out_credits: Vec<f64>,
+    pub(crate) inc_act_rows: Vec<u32>,
+    pub(crate) inc_row_user: Vec<u32>,
+    pub(crate) inc_row_offsets: Vec<u32>,
+    pub(crate) inc_sources: Vec<u32>,
+}
 
-        // Out direction: entries are already sorted by (v, u) per action.
-        let (mut row, mut pos) = (0usize, 0usize);
-        for (a, action) in store.credits.iter().enumerate() {
-            let mut last_v = None;
-            for &(v, u, c) in action {
-                if last_v != Some(v) {
-                    s.out_row_user[row] = v;
-                    s.out_row_offsets[row] = pos as u32;
-                    row += 1;
-                    last_v = Some(v);
-                }
-                s.out_targets[pos] = u;
-                s.out_credits[pos] = c;
-                pos += 1;
-            }
-            s.out_act_rows[a + 1] = row as u32;
+impl Default for ActionRows {
+    fn default() -> Self {
+        ActionRows {
+            out_act_rows: vec![0],
+            out_row_user: Vec::new(),
+            out_row_offsets: vec![0],
+            out_targets: Vec::new(),
+            out_credits: Vec::new(),
+            inc_act_rows: vec![0],
+            inc_row_user: Vec::new(),
+            inc_row_offsets: vec![0],
+            inc_sources: Vec::new(),
         }
-        s.out_row_offsets[row] = pos as u32;
+    }
+}
 
-        // Inc direction: per action, entries regrouped by (u, v). Credits
-        // are not duplicated here; queries find them in `out_credits` by
-        // binary search over the source's sorted out run.
-        let (mut row, mut pos) = (0usize, 0usize);
-        let mut by_target: Vec<(u32, u32)> = Vec::new();
-        for (a, action) in store.credits.iter().enumerate() {
-            by_target.clear();
-            by_target.extend(action.iter().map(|&(v, u, _)| (u, v)));
-            by_target.sort_unstable_by_key(|&(u, v)| pair_key(u, v));
-            let mut last_u = None;
-            for &(u, v) in &by_target {
-                if last_u != Some(u) {
-                    s.inc_row_user[row] = u;
-                    s.inc_row_offsets[row] = pos as u32;
-                    row += 1;
-                    last_u = Some(u);
-                }
-                s.inc_sources[pos] = v;
-                pos += 1;
-            }
-            s.inc_act_rows[a + 1] = row as u32;
+impl ActionRows {
+    /// Appends one action whose entries are sorted by `(v, u)`; `by_target`
+    /// is scratch for the inc direction's `(u, v)` order.
+    fn push_sorted(&mut self, entries: &[(u32, u32, f64)], by_target: &mut Vec<(u32, u32)>) {
+        for row in entries.chunk_by(|x, y| x.0 == y.0) {
+            self.out_row_user.push(row[0].0);
+            self.out_targets.extend(row.iter().map(|e| e.1));
+            self.out_credits.extend(row.iter().map(|e| e.2));
+            self.out_row_offsets.push(self.out_targets.len() as u32);
         }
-        s.inc_row_offsets[row] = pos as u32;
+        self.out_act_rows.push(self.out_row_user.len() as u32);
+        // Credits are not duplicated in the inc direction; queries find
+        // them in `out_credits` by binary search over the source's out run.
+        by_target.clear();
+        by_target.extend(entries.iter().map(|&(v, u, _)| (u, v)));
+        by_target.sort_unstable();
+        for row in by_target.chunk_by(|x, y| x.0 == y.0) {
+            self.inc_row_user.push(row[0].0);
+            self.inc_sources.extend(row.iter().map(|e| e.1));
+            self.inc_row_offsets.push(self.inc_sources.len() as u32);
+        }
+        self.inc_act_rows.push(self.inc_row_user.len() as u32);
+    }
 
-        // Selector state.
-        for (i, &(a, u, c)) in dump.sc.iter().enumerate() {
+    fn view(&self) -> Rows<'_> {
+        Rows {
+            out_act_rows: &self.out_act_rows,
+            out_row_user: &self.out_row_user,
+            out_row_offsets: &self.out_row_offsets,
+            out_targets: &self.out_targets,
+            out_credits: &self.out_credits,
+            inc_act_rows: &self.inc_act_rows,
+            inc_row_user: &self.inc_row_user,
+            inc_row_offsets: &self.inc_row_offsets,
+            inc_sources: &self.inc_sources,
+        }
+    }
+}
+
+/// A borrowed run of per-action sections: an [`ActionRows`], or the
+/// actions of an arena from some action on. Offsets need not start at 0.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    out_act_rows: &'a [u32],
+    out_row_user: &'a [u32],
+    out_row_offsets: &'a [u32],
+    out_targets: &'a [u32],
+    out_credits: &'a [f64],
+    inc_act_rows: &'a [u32],
+    inc_row_user: &'a [u32],
+    inc_row_offsets: &'a [u32],
+    inc_sources: &'a [u32],
+}
+
+impl Rows<'_> {
+    fn actions(&self) -> usize {
+        self.out_act_rows.len() - 1
+    }
+}
+
+impl CompactData {
+    /// The per-action sections of actions `from..`.
+    fn rows_from(&self, from: usize) -> Rows<'_> {
+        let (out_row, inc_row) =
+            (self.out_act_rows()[from] as usize, self.inc_act_rows()[from] as usize);
+        let out_entry = self.out_row_offsets()[out_row] as usize;
+        let inc_entry = self.inc_row_offsets()[inc_row] as usize;
+        Rows {
+            out_act_rows: &self.out_act_rows()[from..],
+            out_row_user: &self.out_row_user()[out_row..],
+            out_row_offsets: &self.out_row_offsets()[out_row..],
+            out_targets: &self.out_targets()[out_entry..],
+            out_credits: &self.out_credits()[out_entry..],
+            inc_act_rows: &self.inc_act_rows()[from..],
+            inc_row_user: &self.inc_row_user()[inc_row..],
+            inc_row_offsets: &self.inc_row_offsets()[inc_row..],
+            inc_sources: &self.inc_sources()[inc_entry..],
+        }
+    }
+}
+
+/// Writes `runs` one after another into the per-action sections of `s`,
+/// each run's offsets rebased onto the rows and entries before it.
+fn write_rows(s: &mut Sections<'_>, runs: &[Rows<'_>]) {
+    let (mut action, mut out_row, mut inc_row, mut out_entry, mut inc_entry) = (0, 0, 0, 0, 0);
+    for r in runs {
+        put_offsets(s.out_act_rows, action, r.out_act_rows, out_row);
+        put(s.out_row_user, out_row, r.out_row_user);
+        put_offsets(s.out_row_offsets, out_row, r.out_row_offsets, out_entry);
+        put(s.out_targets, out_entry, r.out_targets);
+        put(s.out_credits, out_entry, r.out_credits);
+        put_offsets(s.inc_act_rows, action, r.inc_act_rows, inc_row);
+        put(s.inc_row_user, inc_row, r.inc_row_user);
+        put_offsets(s.inc_row_offsets, inc_row, r.inc_row_offsets, inc_entry);
+        put(s.inc_sources, inc_entry, r.inc_sources);
+        action += r.actions();
+        out_row += r.out_row_user.len();
+        inc_row += r.inc_row_user.len();
+        out_entry += r.out_targets.len();
+        inc_entry += r.inc_sources.len();
+    }
+}
+
+/// Copies `run` into `out` at `at`.
+fn put<T: Copy>(out: &mut [T], at: usize, run: &[T]) {
+    out[at..at + run.len()].copy_from_slice(run);
+}
+
+/// Writes the offsets `run[1..]`, rebased from `run[0]` to `base`, at
+/// `out[at + 1..]` (`out[at]` already holds `base`).
+fn put_offsets(out: &mut [u32], at: usize, run: &[u32], base: usize) {
+    let (start, base) = (run[0], base as u32);
+    for (slot, &x) in out[at + 1..at + run.len()].iter_mut().zip(&run[1..]) {
+        *slot = x - start + base;
+    }
+}
+
+/// Lays an arena out of its parts: the user → actions index as CSR
+/// (`ua_offsets` from 0, `ua_data`), `1/A_u`, the action runs in order,
+/// SC entries `(a, u, Γ_{S,u}(a))` sorted by `(a, u)`, and the seeds.
+fn arena(
+    lambda: f64,
+    ua_offsets: &[u32],
+    ua_data: &[u32],
+    inv_au: &[f64],
+    runs: &[Rows<'_>],
+    sc: &[(u32, u32, f64)],
+    seeds: &[u32],
+) -> Result<CompactData, Overflow> {
+    let counts = CompactCounts {
+        num_users: inv_au.len(),
+        num_actions: runs.iter().map(Rows::actions).sum(),
+        ua_len: ua_data.len(),
+        out_rows: runs.iter().map(|r| r.out_row_user.len()).sum(),
+        inc_rows: runs.iter().map(|r| r.inc_row_user.len()).sum(),
+        entries: runs.iter().map(|r| r.out_targets.len()).sum(),
+        sc_len: sc.len(),
+        seeds_len: seeds.len(),
+    };
+    assemble(counts, lambda, |s| {
+        s.ua_offsets.copy_from_slice(ua_offsets);
+        s.ua_data.copy_from_slice(ua_data);
+        s.inv_au.copy_from_slice(inv_au);
+        write_rows(s, runs);
+        for (i, &(a, u, c)) in sc.iter().enumerate() {
             s.sc_keys[i] = pair_key(a, u);
             s.sc_vals[i] = c;
         }
-        s.seeds.copy_from_slice(&dump.seeds);
+        s.seeds.copy_from_slice(seeds);
     })
+}
+
+/// A seedless arena (a [`CreditStore`]'s) from the scan's parts.
+pub(crate) fn store_arena(
+    lambda: f64,
+    ua_offsets: &[u32],
+    ua_data: &[u32],
+    inv_au: &[f64],
+    shards: &[ActionRows],
+) -> Result<CompactData, Overflow> {
+    let runs: Vec<Rows<'_>> = shards.iter().map(ActionRows::view).collect();
+    arena(lambda, ua_offsets, ua_data, inv_au, &runs, &[], &[])
+}
+
+/// Builds the arena of a canonical store dump plus SC entries (sorted by
+/// `(a, u)`) and seeds.
+pub(crate) fn build(
+    store: &CreditStoreDump,
+    sc: &[(u32, u32, f64)],
+    seeds: &[u32],
+) -> Result<CompactData, Overflow> {
+    let mut ua_offsets = vec![0u32];
+    let mut ua_data = Vec::new();
+    for actions in &store.user_actions {
+        ua_data.extend_from_slice(actions);
+        ua_offsets.push(ua_data.len() as u32);
+    }
+    let mut rows = ActionRows::default();
+    let mut by_target = Vec::new();
+    for entries in &store.credits {
+        rows.push_sorted(entries, &mut by_target);
+    }
+    arena(store.lambda, &ua_offsets, &ua_data, &store.inv_au, &[rows.view()], sc, seeds)
 }
 
 // ------------------------------------------------------------------ splice
@@ -539,14 +712,10 @@ fn build(dump: &SelectorDump) -> CompactData {
 /// merged, and `1/A_u` re-derived with the scan's single division for
 /// every user whose row changed. The seeds are `head`'s; `tail` must
 /// cover the same users, and its `1/A_u` and seeds are ignored.
-fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> CompactData {
+fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> Result<CompactData, Overflow> {
     let (h, t) = (head.counts, tail.counts);
     let (cut32, base) = (cut as u32, (h.num_actions - cut) as u32);
-    // Where the kept actions start in each section. The inc direction
-    // holds the out direction's entries, action by action.
-    let out_row = head.out_act_rows()[cut] as usize;
-    let inc_row = head.inc_act_rows()[cut] as usize;
-    let entry = head.out_row_offsets()[out_row] as usize;
+    let runs = [head.rows_from(cut), tail.rows_from(0)];
     let sc = head.sc_keys().partition_point(|&key| key < u64::from(cut32) << 32);
     let expired: usize =
         (0..h.num_users as u32).map(|u| head.ua_row(u).partition_point(|&a| a < cut32)).sum();
@@ -554,9 +723,9 @@ fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> CompactData {
         num_users: h.num_users,
         num_actions: base as usize + t.num_actions,
         ua_len: h.ua_len - expired + t.ua_len,
-        out_rows: h.out_rows - out_row + t.out_rows,
-        inc_rows: h.inc_rows - inc_row + t.inc_rows,
-        entries: h.entries - entry + t.entries,
+        out_rows: runs.iter().map(|r| r.out_row_user.len()).sum(),
+        inc_rows: runs.iter().map(|r| r.inc_row_user.len()).sum(),
+        entries: runs.iter().map(|r| r.out_targets.len()).sum(),
         sc_len: h.sc_len - sc + t.sc_len,
         seeds_len: h.seeds_len,
     };
@@ -579,39 +748,107 @@ fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> CompactData {
                 _ => 1.0 / f64::from(n as u32),
             };
         }
-        join_offsets(s.out_act_rows, &head.out_act_rows()[cut..], tail.out_act_rows());
-        join(s.out_row_user, &head.out_row_user()[out_row..], tail.out_row_user());
-        join_offsets(s.out_row_offsets, &head.out_row_offsets()[out_row..], tail.out_row_offsets());
-        join(s.out_targets, &head.out_targets()[entry..], tail.out_targets());
-        join(s.out_credits, &head.out_credits()[entry..], tail.out_credits());
-        join_offsets(s.inc_act_rows, &head.inc_act_rows()[cut..], tail.inc_act_rows());
-        join(s.inc_row_user, &head.inc_row_user()[inc_row..], tail.inc_row_user());
-        join_offsets(s.inc_row_offsets, &head.inc_row_offsets()[inc_row..], tail.inc_row_offsets());
-        join(s.inc_sources, &head.inc_sources()[entry..], tail.inc_sources());
+        write_rows(s, &runs);
         let kept = head.sc_keys()[sc..].iter().map(|&key| key - (u64::from(cut32) << 32));
         let new = tail.sc_keys().iter().map(|&key| key + (u64::from(base) << 32));
         for (slot, key) in s.sc_keys.iter_mut().zip(kept.chain(new)) {
             *slot = key;
         }
-        join(s.sc_vals, &head.sc_vals()[sc..], tail.sc_vals());
+        put(s.sc_vals, 0, &head.sc_vals()[sc..]);
+        put(s.sc_vals, h.sc_len - sc, tail.sc_vals());
         s.seeds.copy_from_slice(head.seeds());
     })
 }
 
-/// Writes `head` then `tail` into `out`.
-fn join<T: Copy>(out: &mut [T], head: &[T], tail: &[T]) {
-    let (first, second) = out.split_at_mut(head.len());
-    first.copy_from_slice(head);
-    second.copy_from_slice(tail);
-}
+impl CompactData {
+    /// Incremental retraining: this state extended by an append-only
+    /// action batch. Only the delta is scanned (with [`scan_with`], under
+    /// `parallelism`); committed seeds are replayed over the new actions
+    /// in selection order ([`CdSelector::update`] — Algorithm 5 never
+    /// crosses an action boundary, so the old actions already reflect
+    /// them); the result is spliced onto the arena. Without seeds the
+    /// scanned arena is spliced as it is.
+    ///
+    /// Under the training policy the result is byte-identical to a
+    /// from-scratch scan of the combined log with the same seeds replayed
+    /// in order, for every `parallelism`. A mismatched batch is a typed
+    /// [`ExtendError`].
+    pub(crate) fn extend(
+        &self,
+        graph: &DirectedGraph,
+        delta: &ActionLogDelta,
+        policy: &CreditPolicy,
+        parallelism: Parallelism,
+    ) -> Result<CompactData, ExtendError> {
+        incremental::validate(graph, delta, self.counts.num_users, self.counts.num_actions)?;
+        let tail = self.scan(graph, delta, policy, parallelism)?;
+        let tail = if self.seeds().is_empty() {
+            tail.data
+        } else {
+            let mut fresh = CdSelector::new(tail);
+            for &x in self.seeds() {
+                fresh.update(x);
+            }
+            let dump = fresh.dump();
+            Arc::new(build(&dump.store, &dump.sc, &dump.seeds)?)
+        };
+        Ok(splice(self, 0, &tail)?)
+    }
 
-/// Writes the offsets `head` rebased to start at 0, then `tail`'s past
-/// its leading 0, continuing from where `head` ends.
-fn join_offsets(out: &mut [u32], head: &[u32], tail: &[u32]) {
-    let (start, end) = (head[0], head[head.len() - 1]);
-    let rebased = head.iter().map(|&x| x - start).chain(tail[1..].iter().map(|&x| x + end - start));
-    for (slot, x) in out.iter_mut().zip(rebased) {
-        *slot = x;
+    /// Sliding-window retraining: this state without an expired action
+    /// prefix, survivors renumbered down. `expired` must be the state's
+    /// first actions as a delta based at 0 (see
+    /// `ActionLog::split_off_prefix`), and each user's membership count
+    /// below the boundary must match it. With no seeds committed the
+    /// expired actions are also rescanned and must match the stored
+    /// credits bit for bit ([`ExtendError::PrefixMismatch`] otherwise);
+    /// committed seeds have rewritten those credits, so then only the
+    /// structural checks apply.
+    ///
+    /// Under the training policy the result is byte-identical to a
+    /// from-scratch scan of just the surviving window with the same seeds
+    /// replayed in order.
+    pub(crate) fn retract(
+        &self,
+        graph: &DirectedGraph,
+        expired: &ActionLogDelta,
+        policy: &CreditPolicy,
+        parallelism: Parallelism,
+    ) -> Result<CompactData, ExtendError> {
+        let c = self.counts;
+        let k =
+            incremental::validate_retract(graph, expired, c.num_users, c.num_actions, |u, k| {
+                self.ua_row(u as u32).partition_point(|&a| (a as usize) < k)
+            })?;
+        if self.seeds().is_empty() {
+            let rescanned = self.scan(graph, expired, policy, parallelism)?;
+            if let Some(a) =
+                (0..k as u32).find(|&a| rescanned.data.action_bits(a) != self.action_bits(a))
+            {
+                return Err(ExtendError::PrefixMismatch { action: a });
+            }
+        }
+        let nothing = CompactCounts { num_users: c.num_users, ..CompactCounts::default() };
+        Ok(splice(self, k, &assemble(nothing, self.lambda, |_| {})?)?)
+    }
+
+    /// The credits of `delta`'s actions alone, scanned at this state's λ.
+    /// The caller has validated the delta against the state.
+    fn scan(
+        &self,
+        graph: &DirectedGraph,
+        delta: &ActionLogDelta,
+        policy: &CreditPolicy,
+        parallelism: Parallelism,
+    ) -> Result<CreditStore, ExtendError> {
+        // λ passed validation when this state was built and the user
+        // universes match, so only an arena overflow is left to report.
+        scan_with(graph, delta.additions(), policy, self.lambda, parallelism).map_err(|e| match e {
+            ScanError::ArenaOverflow { section, count } => {
+                ExtendError::ArenaOverflow { section, count }
+            }
+            other => unreachable!("a validated delta scans: {other}"),
+        })
     }
 }
 
@@ -651,19 +888,28 @@ pub struct CompactSelector {
 }
 
 impl CompactSelector {
-    /// Freezes a trained selector (canonical entry order, as
-    /// [`CdSelector::dump`] emits it).
+    /// The seedless model of a scanned store, sharing its arena: no copy.
+    pub fn from_store(store: CreditStore) -> CompactSelector {
+        CompactSelector { data: store.data }
+    }
+
+    /// Freezes a trained selector, seeds and SC entries included
+    /// (canonical entry order, as [`CdSelector::dump`] emits it).
     pub fn freeze(selector: &CdSelector) -> CompactSelector {
         Self::from_dump(&selector.dump())
     }
 
     /// Builds the arena from a canonical dump.
+    ///
+    /// Panics if the dump does not fit the arena's u32 offsets (more
+    /// than ~4·10⁹ entries, far past what a dump in memory holds).
     pub fn from_dump(dump: &SelectorDump) -> CompactSelector {
-        CompactSelector { data: Arc::new(build(dump)) }
+        let data = build(&dump.store, &dump.sc, &dump.seeds).expect("dump fits the u32 offsets");
+        CompactSelector { data: Arc::new(data) }
     }
 
-    /// Exports the canonical dump (identical to the dump the selector was
-    /// frozen from).
+    /// Exports the canonical dump (identical to the dump the arena was
+    /// built from).
     pub fn to_dump(&self) -> SelectorDump {
         let data = &self.data;
         let sc = data
@@ -680,17 +926,16 @@ impl CompactSelector {
     }
 
     /// Incremental retraining: this model extended by an append-only
-    /// action batch. Only the delta is scanned (with [`scan_with`], under
-    /// `parallelism`); the committed seeds are replayed over the new
-    /// actions in selection order ([`CdSelector::update`] — Algorithm 5
-    /// never crosses an action boundary, so the old actions already
-    /// reflect them); the result is frozen and spliced onto the arena.
+    /// action batch. Only the delta is scanned; committed seeds are
+    /// replayed over the new actions, and the result is spliced onto a
+    /// copy of the arena (see [`CreditStore::apply_delta`] for the
+    /// seedless case, which it shares).
     ///
     /// `policy` must be the policy the model was trained with. Under it
-    /// the returned arena is byte-identical to freezing a from-scratch
-    /// scan of the combined log with the same seeds replayed in order,
-    /// for every `parallelism`. A mismatched batch is a typed
-    /// [`ExtendError`]; `self` is never modified.
+    /// the returned arena is byte-identical to a from-scratch scan of the
+    /// combined log with the same seeds replayed in order, for every
+    /// `parallelism`. A mismatched batch is a typed [`ExtendError`];
+    /// `self` is never modified.
     pub fn extend(
         &self,
         graph: &DirectedGraph,
@@ -698,30 +943,24 @@ impl CompactSelector {
         policy: &CreditPolicy,
         parallelism: Parallelism,
     ) -> Result<CompactSelector, ExtendError> {
-        let data = &self.data;
-        incremental::validate(graph, delta, data.counts.num_users, data.counts.num_actions)?;
-        let mut fresh = CdSelector::new(self.scan(graph, delta, policy, parallelism));
-        for &x in data.seeds() {
-            fresh.update(x);
-        }
-        let tail = build(&fresh.dump());
-        Ok(CompactSelector { data: Arc::new(splice(data, 0, &tail)) })
+        let data = self.data.extend(graph, delta, policy, parallelism)?;
+        Ok(CompactSelector { data: Arc::new(data) })
     }
 
     /// Sliding-window retraining: this model without an expired action
-    /// prefix, survivors renumbered down. `expired` must be the model's
-    /// first actions as a delta based at 0 (see
-    /// `ActionLog::split_off_prefix`), and each user's membership count
-    /// below the boundary must match it. With no seeds committed the
-    /// expired actions are also rescanned and must match the stored
+    /// prefix, cut off every section, survivors renumbered down.
+    /// `expired` must be the model's first actions as a delta based at 0
+    /// (see `ActionLog::split_off_prefix`), and each user's membership
+    /// count below the boundary must match it. With no seeds committed
+    /// the expired actions are also rescanned and must match the stored
     /// credits bit for bit ([`ExtendError::PrefixMismatch`] otherwise);
     /// committed seeds have rewritten those credits, so then only the
     /// structural checks apply.
     ///
     /// `policy` must be the training policy, as with
     /// [`extend`](Self::extend). Under it the returned arena is
-    /// byte-identical to freezing a from-scratch scan of just the
-    /// surviving window with the same seeds replayed in order.
+    /// byte-identical to a from-scratch scan of just the surviving window
+    /// with the same seeds replayed in order.
     pub fn retract(
         &self,
         graph: &DirectedGraph,
@@ -729,38 +968,8 @@ impl CompactSelector {
         policy: &CreditPolicy,
         parallelism: Parallelism,
     ) -> Result<CompactSelector, ExtendError> {
-        let data = &self.data;
-        let c = data.counts;
-        let k =
-            incremental::validate_retract(graph, expired, c.num_users, c.num_actions, |u, k| {
-                data.ua_row(u as u32).partition_point(|&a| (a as usize) < k)
-            })?;
-        if data.seeds().is_empty() {
-            let rescanned = self.scan(graph, expired, policy, parallelism);
-            if let Some(a) =
-                (0..k as u32).find(|&a| credit_bits(rescanned.action(a)) != data.action_bits(a))
-            {
-                return Err(ExtendError::PrefixMismatch { action: a });
-            }
-        }
-        let nothing = CompactCounts { num_users: c.num_users, ..CompactCounts::default() };
-        let tail = assemble(nothing, data.lambda, |_| {});
-        Ok(CompactSelector { data: Arc::new(splice(data, k, &tail)) })
-    }
-
-    /// The credits of `delta`'s actions alone, scanned at the model's λ.
-    /// The caller has validated the delta against the model.
-    fn scan(
-        &self,
-        graph: &DirectedGraph,
-        delta: &ActionLogDelta,
-        policy: &CreditPolicy,
-        parallelism: Parallelism,
-    ) -> CreditStore {
-        // λ passed validation at construction and the user universes
-        // match, so the scan has nothing left to reject.
-        scan_with(graph, delta.additions(), policy, self.data.lambda, parallelism)
-            .expect("a validated delta scans")
+        let data = self.data.retract(graph, expired, policy, parallelism)?;
+        Ok(CompactSelector { data: Arc::new(data) })
     }
 
     /// Wraps a pre-built arena — the zero-copy snapshot load path. `base`
@@ -777,7 +986,9 @@ impl CompactSelector {
         counts: CompactCounts,
         lambda: f64,
     ) -> Result<CompactSelector, String> {
-        counts.check_offsets_fit();
+        counts.check_offsets_fit().map_err(|Overflow { section, count }| {
+            format!("{section} = {count} exceeds the u32 offset space")
+        })?;
         let layout = counts.layout();
         if !base.is_multiple_of(8) || !(buf.as_ptr() as usize + base).is_multiple_of(8) {
             return Err(format!("arena base {base} is not 8-byte-aligned"));
@@ -1727,14 +1938,21 @@ mod tests {
     #[test]
     fn counts_and_arena_len_are_consistent() {
         let dump = trained_dump(7, 2);
-        let counts = CompactCounts::of_dump(&dump);
+        let sel = CompactSelector::from_dump(&dump);
+        let counts = sel.counts();
         assert_eq!(counts.num_users, 40);
         assert_eq!(counts.num_actions, 12);
         assert_eq!(counts.seeds_len, 2);
+        assert_eq!(counts.sc_len, dump.sc.len());
+        assert_eq!(counts.ua_len, dump.store.user_actions.iter().map(Vec::len).sum::<usize>());
         assert_eq!(counts.entries, dump.store.credits.iter().map(Vec::len).sum::<usize>());
-        let sel = CompactSelector::from_dump(&dump);
+        let sources = |a: &Vec<(u32, u32, f64)>| {
+            let mut vs: Vec<u32> = a.iter().map(|e| e.0).collect();
+            vs.dedup();
+            vs.len()
+        };
+        assert_eq!(counts.out_rows, dump.store.credits.iter().map(sources).sum::<usize>());
         assert_eq!(sel.arena().len(), counts.arena_len());
-        assert_eq!(sel.counts(), counts);
         assert_eq!(sel.arena().len() % 8, 0);
     }
 
@@ -2045,10 +2263,9 @@ mod tests {
     #[test]
     fn memory_is_well_below_the_mutable_store() {
         let (graph, log) = random_instance(88, 60, 16);
-        let mut store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        store.shrink_to_fit();
-        let mutable_bytes = store.memory_bytes();
-        let compact = CompactSelector::freeze(&CdSelector::new(store));
+        let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
+        let mutable_bytes = CdSelector::new(store.clone()).heap_bytes();
+        let compact = CompactSelector::from_store(store);
         assert!(
             compact.memory_bytes() * 2 <= mutable_bytes,
             "compact {} vs mutable {}",

@@ -4,36 +4,39 @@
 //!
 //! The credit assignment of the one-pass scan never crosses an action
 //! boundary, so a batch of *new* actions ([`ActionLogDelta`]) can be
-//! scanned in isolation and appended to an existing [`CreditStore`]:
+//! scanned in isolation and spliced onto a trained arena:
 //!
-//! * the new actions' [`ActionCredits`] come from the very same
-//!   [`scan_action`] kernel the full scan runs, fanned out over the
-//!   shared worker pool ([`parallel_map_shards`]) — incremental updates
-//!   parallelize exactly like full training;
-//! * per-user action memberships gain the new dense ids at the tail
-//!   (ids only grow, so the vectors stay in full-scan order);
+//! * the new actions' rows come from the very same scan the full
+//!   training runs ([`scan_with`](crate::scan::scan_with)), fanned out
+//!   over the shared worker pool — incremental updates parallelize
+//!   exactly like full training;
+//! * every per-action arena section of the result is the old section
+//!   followed by the delta's, offsets rebased (appending actions only
+//!   appends), and each user's action row gains the new dense ids at the
+//!   tail;
 //! * `1/A_u` is re-derived for touched users with the same single
 //!   division the full scan performs.
 //!
 //! **Equivalence contract.** For any prefix/delta split of a log, any
 //! thread count and a fixed credit policy, extending the prefix's store
-//! produces a [`CreditStoreDump`] *byte-identical* to a from-scratch
-//! [`scan`](crate::scan::scan) of the combined log. The `tests/golden.rs`
-//! suite and the proptests below enforce the contract. The served model
-//! follows the same contract on its CSR arena, committed seeds included
+//! produces an arena — and a [`CreditStoreDump`] — *byte-identical* to a
+//! from-scratch [`scan`](crate::scan::scan) of the combined log. The
+//! `tests/golden.rs` suite and the proptests below enforce the contract.
+//! The served model is the same arena and follows the same contract,
+//! committed seeds included
 //! ([`CompactSelector::extend`](crate::CompactSelector::extend) and
-//! [`retract`](crate::CompactSelector::retract)); this module supplies
-//! the error type and the checks both share.
+//! [`retract`](crate::CompactSelector::retract) share the splice); this
+//! module supplies the error type and the checks both share.
 //!
 //! **Retraction.** The same action-locality makes the inverse exact: a
 //! prefix of expired actions can be cut away
 //! ([`CreditStore::retract_delta`], fed by
 //! `ActionLog::split_off_prefix`) leaving state byte-identical to a
-//! from-scratch scan of just the surviving window — dense ids renumber
-//! down, `1/A_u` is one division off the surviving count, and SC entries
-//! are per-(action, user). Appends and retractions compose freely, which
-//! is what a sliding window is: retract at the front, extend at the
-//! back, never rescan the middle.
+//! from-scratch scan of just the surviving window — every per-action
+//! section keeps a suffix, dense ids renumber down, and `1/A_u` is one
+//! division off the surviving count. Appends and retractions compose
+//! freely, which is what a sliding window is: retract at the front,
+//! extend at the back, never rescan the middle.
 //!
 //! What a delta deliberately does **not** do: re-learn the time-aware
 //! policy parameters (`τ`, `infl`). The policy a model was trained with
@@ -42,16 +45,15 @@
 //! requires a full retrain. Production deployments interleave cheap delta
 //! refreshes with occasional full retrains.
 //!
-//! [`ActionCredits`]: crate::store::ActionCredits
 //! [`CreditStoreDump`]: crate::store::CreditStoreDump
 
+use crate::compact::Overflow;
 use crate::policy::CreditPolicy;
-use crate::scan::scan_action;
-use crate::store::{pair_key, ActionCredits, CreditStore};
-use cdim_actionlog::{ActionId, ActionLogDelta};
+use crate::store::CreditStore;
+use cdim_actionlog::ActionLogDelta;
 use cdim_graph::DirectedGraph;
-use cdim_util::pool::{parallel_map_shards, Parallelism};
-
+use cdim_util::pool::Parallelism;
+use std::sync::Arc;
 /// Why an append-only delta could not be applied to a trained state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExtendError {
@@ -104,6 +106,13 @@ pub enum ExtendError {
         /// Prefix memberships the trained state actually holds.
         got: u32,
     },
+    /// The spliced state would not fit the arena's u32 offsets.
+    ArenaOverflow {
+        /// The first section that overflows.
+        section: &'static str,
+        /// Its element count.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for ExtendError {
@@ -138,11 +147,20 @@ impl std::fmt::Display for ExtendError {
                 "user {user} membership mismatch below the expiry boundary: expired batch \
                  claims {expected}, trained state holds {got}"
             ),
+            ExtendError::ArenaOverflow { section, count } => {
+                write!(f, "model too large: {section} = {count} exceeds the u32 offset space")
+            }
         }
     }
 }
 
 impl std::error::Error for ExtendError {}
+
+impl From<Overflow> for ExtendError {
+    fn from(Overflow { section, count }: Overflow) -> Self {
+        ExtendError::ArenaOverflow { section, count }
+    }
+}
 
 /// Validates that `delta` lines up with a trained state of
 /// `(num_users, num_actions)`.
@@ -185,16 +203,16 @@ fn validate_users(
 }
 
 impl CreditStore {
-    /// Appends an action batch to the store: scans each new action with
-    /// the [`scan_action`] kernel (in parallel, under `parallelism`) and
-    /// updates the per-user membership index and `1/A_u` — without
-    /// touching any already-scanned action.
+    /// Appends an action batch to the store: scans only the new actions
+    /// (in parallel, under `parallelism`) and splices their arena
+    /// sections onto a copy of this one — without touching any
+    /// already-scanned action.
     ///
     /// `policy` must be the policy the store was trained with for the
     /// byte-identity contract to be meaningful (the store itself retains
-    /// only λ). The resulting [`dump`](CreditStore::dump) is
-    /// byte-identical to a from-scratch scan of the combined log for
-    /// every `parallelism`.
+    /// only λ). The resulting arena is byte-identical to a from-scratch
+    /// scan of the combined log for every `parallelism`. On error the
+    /// store is unchanged.
     pub fn apply_delta(
         &mut self,
         graph: &DirectedGraph,
@@ -202,36 +220,7 @@ impl CreditStore {
         policy: &CreditPolicy,
         parallelism: Parallelism,
     ) -> Result<(), ExtendError> {
-        validate(graph, delta, self.num_users(), self.num_actions())?;
-        let additions = delta.additions();
-        let lambda = self.lambda();
-
-        // The same stage-2/3 shape as the full scan: kernel over action
-        // chunks, ordered concatenation — bit-identical for every thread
-        // count because each action's credits are computed wholesale.
-        let shards = parallel_map_shards(parallelism, additions.num_actions(), |_, range| {
-            let mut scratch: Vec<(u32, f64)> = Vec::new();
-            range
-                .map(|a| scan_action(graph, additions, policy, lambda, a as ActionId, &mut scratch))
-                .collect::<Vec<_>>()
-        });
-        self.actions.reserve(additions.num_actions());
-        for shard in shards {
-            self.actions.extend(shard);
-        }
-
-        // Membership + 1/A_u. New ids exceed every stored id, so pushing
-        // in delta order reproduces the full scan's per-user vectors; the
-        // division matches the full scan's `1.0 / f64::from(A_u)` bit for
-        // bit.
-        for a in additions.actions() {
-            let global = delta.global_id(a);
-            for &u in additions.users_of(a) {
-                let row = &mut self.user_actions[u as usize];
-                row.push(global);
-                self.inv_au[u as usize] = 1.0 / f64::from(row.len() as u32);
-            }
-        }
+        self.data = Arc::new(self.data.extend(graph, delta, policy, parallelism)?);
         Ok(())
     }
 
@@ -241,17 +230,15 @@ impl CreditStore {
     /// packaged as a delta **based at 0** (see
     /// `ActionLog::split_off_prefix`).
     ///
-    /// The expired actions' credits are recomputed with the same
-    /// [`scan_action`] kernel on the shared worker pool and compared
-    /// bit-for-bit against the stored prefix; any disagreement returns
-    /// [`ExtendError::PrefixMismatch`] with the store untouched — a caller
-    /// cannot silently retract data the model was not trained on. On
-    /// success the prefix is dropped, surviving actions are renumbered
-    /// down by the prefix length, and per-user memberships and `1/A_u`
-    /// are rebuilt with the same single division the scan performs — so
-    /// the resulting [`dump`](CreditStore::dump) is byte-identical to a
-    /// from-scratch scan of just the surviving window, for every
-    /// `parallelism`.
+    /// The expired actions are rescanned on the shared worker pool and
+    /// compared bit for bit against the stored prefix; any disagreement
+    /// returns [`ExtendError::PrefixMismatch`] with the store untouched —
+    /// a caller cannot silently retract data the model was not trained
+    /// on. On success the prefix is cut off every arena section,
+    /// surviving actions are renumbered down by the prefix length, and
+    /// `1/A_u` is re-derived with the same single division the scan
+    /// performs — so the result is byte-identical to a from-scratch scan
+    /// of just the surviving window, for every `parallelism`.
     pub fn retract_delta(
         &mut self,
         graph: &DirectedGraph,
@@ -259,57 +246,8 @@ impl CreditStore {
         policy: &CreditPolicy,
         parallelism: Parallelism,
     ) -> Result<(), ExtendError> {
-        let k = validate_retract(graph, expired, self.num_users(), self.num_actions(), |u, k| {
-            self.user_actions[u].partition_point(|&a| (a as usize) < k)
-        })?;
-        let additions = expired.additions();
-        let lambda = self.lambda();
-
-        // Recompute the prefix with the scan kernel (same shard shape as
-        // apply_delta) and demand bitwise agreement with the stored
-        // actions before mutating anything.
-        let shards = parallel_map_shards(parallelism, k, |_, range| {
-            let mut scratch: Vec<(u32, f64)> = Vec::new();
-            range
-                .map(|a| scan_action(graph, additions, policy, lambda, a as ActionId, &mut scratch))
-                .collect::<Vec<_>>()
-        });
-        let mut a = 0u32;
-        for shard in &shards {
-            for recomputed in shard {
-                if credit_bits(recomputed) != credit_bits(self.action(a)) {
-                    return Err(ExtendError::PrefixMismatch { action: a });
-                }
-                a += 1;
-            }
-        }
-        self.drop_prefix(k);
+        self.data = Arc::new(self.data.retract(graph, expired, policy, parallelism)?);
         Ok(())
-    }
-
-    /// Drops the first `k` actions and renumbers the survivors down by
-    /// `k`. Membership rows are sorted, so the expired ids form a prefix
-    /// of each row; `1/A_u` is re-derived for shrunken rows with the
-    /// scan's own division (exact for any history, since it depends only
-    /// on the surviving count).
-    fn drop_prefix(&mut self, k: usize) {
-        if k == 0 {
-            return;
-        }
-        self.actions.drain(..k);
-        for (u, row) in self.user_actions.iter_mut().enumerate() {
-            let cut = row.partition_point(|&a| (a as usize) < k);
-            if cut > 0 {
-                row.drain(..cut);
-            }
-            for a in row.iter_mut() {
-                *a -= k as u32;
-            }
-            if cut > 0 {
-                self.inv_au[u] =
-                    if row.is_empty() { 0.0 } else { 1.0 / f64::from(row.len() as u32) };
-            }
-        }
     }
 }
 
@@ -342,16 +280,6 @@ pub(crate) fn validate_retract(
         }
     }
     Ok(k)
-}
-
-/// Canonical bit image of one action's credits: `(packed key, Γ bits)`
-/// sorted by key. Two [`ActionCredits`] are the same trained value iff
-/// their images are equal, independent of hash-map iteration order.
-pub(crate) fn credit_bits(ac: &ActionCredits) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> =
-        ac.entries().map(|(v, u, c)| (pair_key(v, u), c.to_bits())).collect();
-    out.sort_unstable_by_key(|&(key, _)| key);
-    out
 }
 
 #[cfg(test)]
@@ -593,27 +521,6 @@ mod tests {
 
         // Every failure left the store untouched.
         assert!(store.dump() == before);
-    }
-
-    #[test]
-    fn retract_is_the_exact_inverse_of_the_kernel() {
-        // The recomputed prefix credits cancel the stored ones through
-        // ActionCredits::subtract exactly: subtracting each recomputed
-        // entry empties the stored action completely.
-        let (graph, log) = instance();
-        let policy = CreditPolicy::time_aware(&graph, &log);
-        let store = scan(&graph, &log, &policy, 0.001).unwrap();
-        let expired = log.split_off_prefix(2).0;
-        let additions = expired.additions();
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for a in 0..2u32 {
-            let recomputed = scan_action(&graph, additions, &policy, 0.001, a, &mut scratch);
-            let mut stored = store.action(a).clone();
-            for (v, u, c) in recomputed.entries() {
-                stored.subtract(v, u, c);
-            }
-            assert!(stored.is_empty(), "action {a} did not cancel");
-        }
     }
 
     #[test]

@@ -21,19 +21,21 @@
 //! Modules:
 //! * [`policy`] — direct-credit assignment: uniform `1/d_in(u,a)` and the
 //!   time-aware Eq 9 (`infl(u)`, `τ_{v,u}`, exponential decay);
-//! * [`store`] — the UC/SC credit structures of §5.3;
-//! * [`mod@scan`] — Algorithm 2 (one pass over the sorted log, truncation λ);
-//! * [`incremental`] — incremental retraining of the training-side
-//!   store: extend it with an [`cdim_actionlog::ActionLogDelta`]
-//!   (byte-identical to a full rescan) or retract an expired action
-//!   prefix (byte-identical to a scan of just the surviving window);
+//! * [`store`] — the UC/SC credit structures of §5.3: the trained store
+//!   is a CSR arena, the selector's working copy a hash map per action;
+//! * [`mod@scan`] — Algorithm 2 (one pass over the sorted log, truncation
+//!   λ), writing the arena directly;
+//! * [`incremental`] — incremental retraining: extend a store with an
+//!   [`cdim_actionlog::ActionLogDelta`] (byte-identical to a full rescan)
+//!   or retract an expired action prefix (byte-identical to a scan of
+//!   just the surviving window), both by splicing arena sections;
 //! * [`celf`] — Algorithms 3–5 (CELF selection, Theorem-3 marginal gains,
-//!   Lemma 2/3 incremental updates) on the hash-map store, for training
-//!   and as the tests' oracle;
-//! * [`compact`] — the served model: the trained state frozen once into
-//!   a CSR arena (the zero-copy v2 snapshot payload), extended and
-//!   retracted by splicing arena sections, and queried by an overlay
-//!   engine answering bit-identically to the hash-map selector;
+//!   Lemma 2/3 incremental updates) on a hash-map working copy, for
+//!   training-side selection and as the tests' oracle;
+//! * [`compact`] — the arena's layout and the served model: the same
+//!   arena (the zero-copy v2 snapshot payload), seeds and SC entries
+//!   included, queried by an overlay engine answering bit-identically to
+//!   the hash-map selector;
 //! * [`spread`] — exact σ_cd(S) evaluation for arbitrary seed sets (the
 //!   spread-prediction experiments) and a [`cdim_maxim::SpreadOracle`]
 //!   implementation;
@@ -61,6 +63,6 @@ pub use compact::{CompactCounts, CompactSelector, OverlaySelector, TopKSession};
 pub use incremental::ExtendError;
 pub use model::{CdModel, CdModelConfig};
 pub use policy::CreditPolicy;
-pub use scan::{scan, scan_action, scan_with, ScanError};
+pub use scan::{scan, scan_with, ScanError};
 pub use spread::CdSpreadEvaluator;
-pub use store::{CreditStore, CreditStoreDump};
+pub use store::{ActionView, CreditStore, CreditStoreDump};

@@ -166,7 +166,10 @@ impl CdModel {
 
     /// Influence maximization: runs Algorithm 3 for `k` seeds.
     ///
-    /// Clones the credit store (selection mutates it).
+    /// Selection mutates credits, so it runs on a [`CdSelector`]'s working
+    /// copy of the store. That copy walks the store's rows in canonical
+    /// order, so the answer — seeds and gain bits — equals a served
+    /// `top_k(k)` of the same store.
     pub fn select(&self, k: usize) -> Selection {
         CdSelector::new(self.store.clone()).select(k)
     }
@@ -176,8 +179,8 @@ impl CdModel {
         self.evaluator.spread(seeds)
     }
 
-    /// Approximate heap memory of the selection store, in bytes (the
-    /// quantity Fig 8 right / Table 4 track).
+    /// Heap memory of the credit store's arena, in bytes (the quantity
+    /// Fig 8 right / Table 4 track).
     pub fn store_memory_bytes(&self) -> usize {
         self.store.memory_bytes()
     }

@@ -6,8 +6,14 @@
 //! gains (Theorem 3) and incremental updates (Lemmas 2–3) are all tested
 //! against this module; it is also a readable executable specification of
 //! §4 for library users.
+//!
+//! [`scan_dump`] is different in kind: it is the hash-map Algorithm-2
+//! kernel the dense scan replaced, kept as the scan's *bitwise* oracle
+//! (same f64 additions in the same order, so equal bits, not just equal
+//! values within a tolerance).
 
 use crate::policy::CreditPolicy;
+use crate::store::{pair_key, ActionCredits, CreditStoreDump};
 use cdim_actionlog::{ActionId, ActionLog, PropagationDag, UserId};
 use cdim_graph::DirectedGraph;
 use std::collections::BTreeMap;
@@ -114,6 +120,80 @@ pub fn sigma_cd(
         }
     }
     total
+}
+
+/// The canonical dump of a scan of `log`, computed by the hash-map
+/// kernel: per action, every credit is accumulated into an
+/// `ActionCredits` map in the scan's visiting order (parents in DAG
+/// order, each parent's sources in first-insertion order), then listed
+/// sorted by `(v, u)`. `scan_with(..).dump()` must equal it bit for bit.
+pub fn scan_dump(
+    graph: &DirectedGraph,
+    log: &ActionLog,
+    policy: &CreditPolicy,
+    lambda: f64,
+) -> CreditStoreDump {
+    let mut user_actions = vec![Vec::new(); log.num_users()];
+    for a in log.actions() {
+        for &u in log.users_of(a) {
+            user_actions[u as usize].push(a);
+        }
+    }
+    let inv_au = (0..log.num_users() as u32)
+        .map(|u| match log.actions_performed_by(u) {
+            0 => 0.0,
+            au => 1.0 / f64::from(au),
+        })
+        .collect();
+    let credits = log
+        .actions()
+        .map(|a| {
+            let mut entries: Vec<_> =
+                hashed_action(graph, log, policy, lambda, a).entries().collect();
+            entries.sort_unstable_by_key(|&(v, u, _)| pair_key(v, u));
+            entries
+        })
+        .collect();
+    CreditStoreDump { lambda, user_actions, inv_au, credits }
+}
+
+/// One action of [`scan_dump`].
+fn hashed_action(
+    graph: &DirectedGraph,
+    log: &ActionLog,
+    policy: &CreditPolicy,
+    lambda: f64,
+    a: ActionId,
+) -> ActionCredits {
+    let dag = PropagationDag::build(log, graph, a);
+    let gammas = policy.edge_credits(graph, &dag);
+    let mut credits = ActionCredits::default();
+    let mut edge_idx = 0usize;
+    for i in 0..dag.len() {
+        let u = dag.user(i);
+        for &pj in dag.parents_of(i) {
+            let v = dag.user(pj as usize);
+            let gamma = gammas[edge_idx];
+            edge_idx += 1;
+            if gamma <= 0.0 {
+                continue;
+            }
+            if gamma >= lambda {
+                credits.add(v, u, gamma);
+            }
+            if !credits.has_sources(v) {
+                continue;
+            }
+            let bound = lambda / gamma;
+            // Collect first: the map cannot be mutated while iterated.
+            let relays: Vec<(u32, f64)> =
+                credits.sources_of(v).filter(|&(w, c)| w != u && c >= bound).collect();
+            for (w, c) in relays {
+                credits.add(w, u, c * gamma);
+            }
+        }
+    }
+    credits
 }
 
 /// Flattened-parent-array offsets per local node of a DAG.

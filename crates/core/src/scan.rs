@@ -15,34 +15,54 @@
 //! computes the full recursive total credit of Eq 5 exactly (up to the λ
 //! truncation, whose accuracy/memory trade-off Table 4 quantifies).
 //!
-//! ## The three-stage pipeline
+//! ## The kernel: dense columns, canonical rows
 //!
-//! Credit assignment never crosses an action boundary: each action's
-//! [`PropagationDag`] and [`ActionCredits`] touch no shared state. The
-//! scan exploits that as a pipeline:
+//! The same fact makes the per-action kernel (`scan_action`) a dense
+//! accumulation. Each performer's incoming *column* `Γ_{·,u}(a)` is built
+//! once, at `u`'s activation, from the already-final columns of its DAG
+//! parents, in a DAG-local array indexed by the source's position in the
+//! DAG. A stamp per position marks the first touch of an entry, which
+//! stores the amount; later touches add to it. Parents are visited in DAG
+//! order and each parent's column in its own first-touch order, so every
+//! entry sees the same f64 additions, in the same order, as the hash-map
+//! kernel this one replaced ([`crate::reference::scan_dump`], its bitwise
+//! oracle). An entry whose amount is `0.0` (an underflowed product) is
+//! still stored: first touch is the stamp, never the value.
 //!
-//! 1. **kernel** — [`scan_action`] computes one action's full
-//!    [`ActionCredits`], a pure function of `(graph, log, policy, λ, a)`;
+//! The kernel then emits the action's rows in the arena's canonical
+//! order: out rows by `(v, u)` carrying the credits, inc rows by
+//! `(u, v)`, both by two counting passes over the DAG's positions ranked
+//! by user id.
+//!
+//! ## The pipeline
+//!
+//! Credit assignment never crosses an action boundary, so the scan is a
+//! pipeline with no shared state:
+//!
+//! 1. **kernel** — `scan_action` appends one action's rows to a buffer,
+//!    a pure function of `(graph, log, policy, λ, a)`;
 //! 2. **parallel driver** — [`scan_with`] shards the action range over
 //!    [`cdim_util::pool`] workers ([`Parallelism`] controls how many),
-//!    each shard writing its `ActionCredits` values into their slots;
-//! 3. **merge** — the slots are concatenated in action order into the
-//!    [`CreditStore`].
+//!    each shard filling its own row buffers;
+//! 3. **merge** — the shards' rows are written in action order straight
+//!    into the sections of the [`CreditStore`]'s arena, offsets rebased.
 //!
-//! Because every slot is produced by the same kernel with the same
-//! accumulation order, and the merge is a plain ordered concatenation,
-//! the resulting store — and its canonical [`CreditStoreDump`] — is
-//! **bit-identical for every thread count**.
+//! There is no freeze stage: the store *is* the arena a served model and
+//! a snapshot file hold. Every shard runs the same kernel and the merge
+//! is an ordered concatenation, so the arena — and its canonical
+//! [`CreditStoreDump`] — is **bit-identical for every thread count**.
 //!
 //! [`CreditStoreDump`]: crate::store::CreditStoreDump
 
+use crate::compact::{self, ActionRows, Overflow};
 use crate::policy::CreditPolicy;
-use crate::store::{ActionCredits, CreditStore};
+use crate::store::CreditStore;
 use crate::telemetry::ScanTelemetry;
 use cdim_actionlog::{ActionId, ActionLog, PropagationDag};
 use cdim_graph::DirectedGraph;
 use cdim_util::pool::{parallel_map_shards, Parallelism};
 use cdim_util::Timer;
+use std::sync::Arc;
 
 /// Input validation failures of [`scan`].
 ///
@@ -64,6 +84,13 @@ pub enum ScanError {
         /// Users in the action log.
         log_users: usize,
     },
+    /// The trained state does not fit the arena's u32 offsets.
+    ArenaOverflow {
+        /// The first section that overflows.
+        section: &'static str,
+        /// Its element count.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for ScanError {
@@ -76,51 +103,102 @@ impl std::fmt::Display for ScanError {
                 f,
                 "graph and log must share a user universe ({graph_nodes} nodes vs {log_users} users)"
             ),
+            ScanError::ArenaOverflow { section, count } => {
+                write!(f, "model too large: {section} = {count} exceeds the u32 offset space")
+            }
         }
     }
 }
 
 impl std::error::Error for ScanError {}
 
-/// Stage-1 kernel: computes the full credits of a single action.
+impl From<Overflow> for ScanError {
+    fn from(Overflow { section, count }: Overflow) -> Self {
+        ScanError::ArenaOverflow { section, count }
+    }
+}
+
+/// Buffers of [`scan_action`], reused across the actions of a shard so
+/// the kernel allocates nothing per action once they have grown.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Column `i` (the credits into DAG position `i`) is
+    /// `src[col[i]..col[i + 1]]` / `val[..]`, in first-touch order, with
+    /// sources as DAG positions.
+    col: Vec<usize>,
+    src: Vec<u32>,
+    val: Vec<f64>,
+    /// The column being built: `amount[w]` is live where `stamp[w]` is
+    /// the position being activated; `touched` lists those `w` in
+    /// first-touch order.
+    amount: Vec<f64>,
+    stamp: Vec<u32>,
+    touched: Vec<u32>,
+    /// DAG positions in user-id order, and each position's rank there.
+    by_user: Vec<u32>,
+    rank: Vec<u32>,
+    /// Counting-pass cursors by source rank (out) and target rank (inc).
+    out: Vec<usize>,
+    inc: Vec<usize>,
+    /// The target rank of each of the action's out entries.
+    target_rank: Vec<u32>,
+}
+
+/// Stage-1 kernel: appends the credits of action `a` to `rows`, in the
+/// arena's canonical row order.
 ///
 /// A pure function of its arguments — it reads no state outside the
-/// action `a` and builds the [`ActionCredits`] from scratch, which is
-/// what makes the action-sharded parallel scan of [`scan_with`] exact:
-/// running this kernel on any thread, in any order, yields the same
-/// credits as the sequential loop, down to the f64 accumulation order.
-///
-/// `scratch` is a reusable buffer for the transitive-relay collection
-/// (callers iterating many actions pass the same buffer to avoid
-/// reallocating per action; its contents on entry are irrelevant).
-pub fn scan_action(
+/// action `a` — which is what makes the action-sharded parallel scan of
+/// [`scan_with`] exact: running this kernel on any thread, in any order,
+/// yields the same rows as the sequential loop, down to the f64
+/// accumulation order.
+fn scan_action(
     graph: &DirectedGraph,
     log: &ActionLog,
     policy: &CreditPolicy,
     lambda: f64,
     a: ActionId,
-    scratch: &mut Vec<(u32, f64)>,
-) -> ActionCredits {
+    s: &mut Scratch,
+    rows: &mut ActionRows,
+) {
     let dag = PropagationDag::build(log, graph, a);
     let gammas = policy.edge_credits(graph, &dag);
-    let mut credits = ActionCredits::default();
-    let mut edge_idx = 0usize;
-    for i in 0..dag.len() {
-        let u = dag.user(i);
-        for &pj in dag.parents_of(i) {
-            let v = dag.user(pj as usize);
-            let gamma = gammas[edge_idx];
-            edge_idx += 1;
+    let n = dag.len();
+    let Scratch { col, src, val, amount, stamp, touched, .. } = s;
+    col.clear();
+    col.push(0);
+    src.clear();
+    val.clear();
+    amount.resize(n, 0.0);
+    stamp.clear();
+    stamp.resize(n, u32::MAX);
+    let mut edge = 0usize;
+    for i in 0..n {
+        let here = i as u32;
+        touched.clear();
+        let mut touch = |w: u32, x: f64| {
+            let w = w as usize;
+            if stamp[w] == here {
+                amount[w] += x;
+            } else {
+                stamp[w] = here;
+                amount[w] = x;
+                touched.push(w as u32);
+            }
+        };
+        for &p in dag.parents_of(i) {
+            let gamma = gammas[edge];
+            edge += 1;
             if gamma <= 0.0 {
                 continue;
             }
             if gamma >= lambda {
-                credits.add(v, u, gamma);
+                touch(p, gamma);
             }
-            // Transitive credit: everyone upstream of v relays through
-            // this activation. Skip the whole collection when v holds no
-            // incoming credit (the common case for shallow DAGs).
-            if !credits.has_sources(v) {
+            // Transitive credit: everyone upstream of the parent relays
+            // through this activation.
+            let relays = col[p as usize]..col[p as usize + 1];
+            if relays.is_empty() {
                 continue;
             }
             // Truncation predicate, hoisted: `c ≥ λ/γ` with one division
@@ -131,16 +209,97 @@ pub fn scan_action(
             // What matters is that the predicate is a pure function of
             // `(c, γ, λ)` — identical on every thread.
             let bound = lambda / gamma;
-            // Collect first — we cannot mutate while iterating the same
-            // action's map.
-            scratch.clear();
-            scratch.extend(credits.sources_of(v).filter(|&(w, c)| w != u && c >= bound));
-            for &(w, c) in scratch.iter() {
-                credits.add(w, u, c * gamma);
+            for k in relays {
+                let (w, c) = (src[k], val[k]);
+                if w != here && c >= bound {
+                    touch(w, c * gamma);
+                }
             }
         }
+        for &w in touched.iter() {
+            src.push(w);
+            val.push(amount[w as usize]);
+        }
+        col.push(src.len());
     }
-    credits
+    emit(&dag, s, rows);
+}
+
+/// Appends the columns in `s` to `rows` as one action: out rows sorted by
+/// `(v, u)` with their credits, inc rows sorted by `(u, v)`.
+fn emit(dag: &PropagationDag, s: &mut Scratch, rows: &mut ActionRows) {
+    let n = dag.len();
+    let entries = s.src.len();
+    let user = |i: u32| dag.user(i as usize);
+    if entries > 0 {
+        let Scratch { col, src, val, by_user, rank, out, inc, target_rank, .. } = s;
+        by_user.clear();
+        by_user.extend(0..n as u32);
+        by_user.sort_unstable_by_key(|&i| user(i));
+        rank.resize(n, 0);
+        for (r, &i) in by_user.iter().enumerate() {
+            rank[i as usize] = r as u32;
+        }
+
+        // Out rows, one per source in user order: count each source's
+        // entries, then deal the columns out target by target in user
+        // order, so every row's targets come out ascending.
+        out.clear();
+        out.resize(n + 1, 0);
+        for &w in src.iter() {
+            out[rank[w as usize] as usize + 1] += 1;
+        }
+        for r in 0..n {
+            out[r + 1] += out[r];
+        }
+        let base = rows.out_targets.len();
+        for r in 0..n {
+            if out[r + 1] > out[r] {
+                rows.out_row_user.push(user(by_user[r]));
+                rows.out_row_offsets.push((base + out[r + 1]) as u32);
+            }
+        }
+        rows.out_targets.resize(base + entries, 0);
+        rows.out_credits.resize(base + entries, 0.0);
+        target_rank.resize(entries, 0);
+        // `out[r]` walks source `r`'s run; afterwards it is the run's end.
+        for (t_rank, &t) in by_user.iter().enumerate() {
+            for k in col[t as usize]..col[t as usize + 1] {
+                let slot = &mut out[rank[src[k] as usize] as usize];
+                rows.out_targets[base + *slot] = user(t);
+                rows.out_credits[base + *slot] = val[k];
+                target_rank[*slot] = t_rank as u32;
+                *slot += 1;
+            }
+        }
+
+        // Inc rows, one per target in user order; walking the out rows in
+        // source order fills every row's sources ascending.
+        let base = rows.inc_sources.len();
+        inc.clear();
+        let mut at = 0usize;
+        for &t in by_user.iter() {
+            inc.push(at);
+            let len = col[t as usize + 1] - col[t as usize];
+            if len > 0 {
+                at += len;
+                rows.inc_row_user.push(user(t));
+                rows.inc_row_offsets.push((base + at) as u32);
+            }
+        }
+        rows.inc_sources.resize(base + entries, 0);
+        let mut start = 0usize;
+        for (r, &end) in out[..n].iter().enumerate() {
+            for &t_rank in &target_rank[start..end] {
+                let slot = &mut inc[t_rank as usize];
+                rows.inc_sources[base + *slot] = user(by_user[r]);
+                *slot += 1;
+            }
+            start = end;
+        }
+    }
+    rows.out_act_rows.push(rows.out_row_user.len() as u32);
+    rows.inc_act_rows.push(rows.inc_row_user.len() as u32);
 }
 
 /// Scans `log` and builds the [`CreditStore`] using all available cores.
@@ -164,12 +323,12 @@ pub fn scan(
 ///
 /// Stage 2 of the pipeline: the action range is split into one contiguous
 /// chunk per worker (deterministically — see
-/// [`cdim_util::pool::split_ranges`]), each worker runs the
-/// [`scan_action`] kernel over its chunk with a thread-local scratch
-/// buffer, and the per-action results are concatenated in action order.
-/// Since actions share no credit state, the merged store is **bit-identical
-/// to the sequential scan for every `parallelism`** — callers choose a
-/// thread count for speed, never for semantics.
+/// [`cdim_util::pool::split_ranges`]), each worker runs the kernel over
+/// its chunk into its own row buffers, and the merge writes the buffers
+/// in action order into the store's arena. Since actions share no credit
+/// state, the arena is **bit-identical to the sequential scan for every
+/// `parallelism`** — callers choose a thread count for speed, never for
+/// semantics.
 pub fn scan_with(
     graph: &DirectedGraph,
     log: &ActionLog,
@@ -186,18 +345,6 @@ pub fn scan_with(
             log_users: log.num_users(),
         });
     }
-    let mut store = CreditStore::new(log.num_users(), log.num_actions(), lambda);
-
-    // Per-user action membership and 1/A_u.
-    for a in log.actions() {
-        for &u in log.users_of(a) {
-            store.user_actions[u as usize].push(a);
-        }
-    }
-    for u in 0..log.num_users() {
-        let au = log.actions_performed_by(u as u32);
-        store.inv_au[u] = if au > 0 { 1.0 / f64::from(au) } else { 0.0 };
-    }
 
     // Stages 2 + 3: fan the kernel out over action chunks, merge in order.
     // Timing wraps the shard loop and the parallel section as a whole —
@@ -206,31 +353,54 @@ pub fn scan_with(
     let wall = Timer::start();
     let shards = parallel_map_shards(parallelism, log.num_actions(), |_, range| {
         let shard_timer = Timer::start();
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        let credits = range
-            .map(|a| scan_action(graph, log, policy, lambda, a as ActionId, &mut scratch))
-            .collect::<Vec<_>>();
-        (credits, shard_timer.secs())
+        let mut scratch = Scratch::default();
+        let mut rows = ActionRows::default();
+        for a in range {
+            scan_action(graph, log, policy, lambda, a as ActionId, &mut scratch, &mut rows);
+        }
+        (rows, shard_timer.secs())
     });
     let wall_secs = wall.secs();
     let shard_secs: Vec<f64> = shards.iter().map(|(_, s)| *s).collect();
     ScanTelemetry::get().record_scan(wall_secs, &shard_secs);
-    let mut actions = Vec::with_capacity(log.num_actions());
-    for (shard, _) in shards {
-        actions.extend(shard);
-    }
-    store.actions = actions;
-    // The push-grown per-user and per-action Vecs can hold up to 2×
-    // their length in capacity; a freshly-scanned store is read far more
-    // than it is extended, so hand the slack back before returning.
-    store.shrink_to_fit();
+    let shards: Vec<ActionRows> = shards.into_iter().map(|(rows, _)| rows).collect();
 
-    Ok(store)
+    // Per-user action membership (ascending, as actions are visited in
+    // order) and 1/A_u.
+    let num_users = log.num_users();
+    let mut count = vec![0u32; num_users];
+    for a in log.actions() {
+        for &u in log.users_of(a) {
+            count[u as usize] += 1;
+        }
+    }
+    let inv_au: Vec<f64> =
+        count.iter().map(|&au| if au > 0 { 1.0 / f64::from(au) } else { 0.0 }).collect();
+    let (mut ua_offsets, mut cursor) = (vec![0u32], Vec::with_capacity(num_users));
+    let mut total = 0usize;
+    for &au in &count {
+        cursor.push(total);
+        total += au as usize;
+        // Wraps only past the u32 offset space, which the arena rejects.
+        ua_offsets.push(total as u32);
+    }
+    let mut ua_data = vec![0u32; total];
+    for a in log.actions() {
+        for &u in log.users_of(a) {
+            ua_data[cursor[u as usize]] = a;
+            cursor[u as usize] += 1;
+        }
+    }
+
+    let data = compact::store_arena(lambda, &ua_offsets, &ua_data, &inv_au, &shards)?;
+    Ok(CreditStore { data: Arc::new(data) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::CompactCounts;
+    use crate::reference;
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
 
@@ -332,37 +502,57 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_full_scan_per_action() {
-        let (graph, log) = figure1();
-        let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let mut scratch = Vec::new();
-        let credits = scan_action(&graph, &log, &CreditPolicy::Uniform, 0.0, 0, &mut scratch);
-        let mut from_kernel: Vec<_> = credits.entries().collect();
-        let mut from_scan: Vec<_> = store.action(0).entries().collect();
-        from_kernel.sort_by_key(|&(v, u, _)| (v, u));
-        from_scan.sort_by_key(|&(v, u, _)| (v, u));
-        assert_eq!(from_kernel, from_scan);
+    fn underflowed_products_are_stored_as_zero() {
+        // τ = 1 is learned from unit delays; the scanned action's delays
+        // of 390 give γ ≈ 4·10⁻¹⁷⁰ on both edges, so the relayed credit
+        // Γ_{0,2} = γ·γ underflows to 0.0. The entry is still stored, as
+        // the hash-map kernel stores it.
+        let graph = GraphBuilder::new(3).edges([(0, 1), (1, 2)]).build();
+        let mut b = ActionLogBuilder::new(3);
+        for (u, t) in [(0u32, 0.0), (1, 1.0), (2, 2.0)] {
+            b.push(u, 0, t);
+        }
+        let policy = CreditPolicy::time_aware(&graph, &b.build());
+        let mut b = ActionLogBuilder::new(3);
+        for (u, t) in [(0u32, 0.0), (1, 390.0), (2, 780.0)] {
+            b.push(u, 0, t);
+        }
+        let log = b.build();
+        let store = scan(&graph, &log, &policy, 0.0).unwrap();
+        let ac = store.action(0);
+        assert!(ac.get(0, 1) > 0.0 && ac.get(1, 2) > 0.0);
+        assert_eq!(ac.len(), 3);
+        assert_eq!(ac.entries().find(|&(v, u, _)| (v, u) == (0, 2)), Some((0, 2, 0.0)));
+        assert!(store.dump() == reference::scan_dump(&graph, &log, &policy, 0.0));
     }
 
     #[test]
-    fn thread_count_never_changes_the_dump() {
+    fn arena_overflow_is_a_typed_error() {
+        // The counts check alone, on counts no test could allocate.
+        let counts = CompactCounts { entries: u32::MAX as usize, ..CompactCounts::default() };
+        let overflow = counts.check_offsets_fit().unwrap_err();
+        let err = ScanError::from(overflow);
+        assert_eq!(err, ScanError::ArenaOverflow { section: "entries", count: u32::MAX as usize });
+        assert!(err.to_string().contains("u32 offset space"));
+        assert!(matches!(
+            crate::ExtendError::from(overflow),
+            crate::ExtendError::ArenaOverflow { section: "entries", .. }
+        ));
+        let fits = CompactCounts { ua_len: u32::MAX as usize - 1, ..CompactCounts::default() };
+        assert!(fits.check_offsets_fit().is_ok());
+        let rows = CompactCounts { inc_rows: usize::MAX, ..CompactCounts::default() };
+        assert_eq!(rows.check_offsets_fit().unwrap_err().section, "inc_rows");
+    }
+
+    #[test]
+    fn every_thread_count_writes_the_oracle_dump() {
         let (graph, log) = figure1();
         for lambda in [0.0, 0.3] {
-            let baseline =
-                scan_with(&graph, &log, &CreditPolicy::Uniform, lambda, Parallelism::single())
-                    .unwrap()
-                    .dump();
-            for threads in [2usize, 3, 8] {
-                let dump = scan_with(
-                    &graph,
-                    &log,
-                    &CreditPolicy::Uniform,
-                    lambda,
-                    Parallelism::fixed(threads),
-                )
-                .unwrap()
-                .dump();
-                assert_eq!(dump, baseline, "threads = {threads}, lambda = {lambda}");
+            let oracle = reference::scan_dump(&graph, &log, &CreditPolicy::Uniform, lambda);
+            for threads in [1usize, 2, 3, 8] {
+                let par = Parallelism::fixed(threads);
+                let dump = scan_with(&graph, &log, &CreditPolicy::Uniform, lambda, par).unwrap();
+                assert!(dump.dump() == oracle, "threads = {threads}, lambda = {lambda}");
             }
         }
     }
@@ -464,47 +654,43 @@ mod proptests {
             }
         }
 
-        /// The determinism guarantee of the parallel driver: for every
-        /// tested thread count, both credit policies and λ ∈ {0, 0.001},
-        /// the canonical dump is byte-identical to the single-threaded
-        /// scan's. (CreditStoreDump comparison is exact f64 equality on
-        /// entries emitted in canonical sorted order — the same bytes the
-        /// snapshot codec would write.)
+        /// The dense kernel against the hash-map kernel it replaced, and
+        /// the determinism guarantee of the parallel driver: on random
+        /// instances with time ties, repeated edges, actions without
+        /// credits, both policies (the time-aware one learned on the log
+        /// itself or on a copy with compressed delays, so that relayed
+        /// products can underflow to 0.0) and λ ∈ {0, 0.001, 0.3}, the
+        /// store's canonical dump equals the oracle's bit for bit (exact
+        /// f64 equality, entries in canonical order) at every tested
+        /// thread count.
         #[test]
-        fn parallel_scan_is_bit_identical_for_every_thread_count(
-            edges in proptest::collection::vec((0u32..10, 0u32..10), 0..60),
-            events in proptest::collection::vec((0u32..10, 0u32..6, 0u64..24), 1..80),
-            time_aware in proptest::bool::ANY,
+        fn scan_is_bitwise_equal_to_the_hash_map_oracle(
+            edges in proptest::collection::vec((0u32..10, 0u32..10), 0..70),
+            events in proptest::collection::vec((0u32..10, 0u32..7, 0u64..12), 1..80),
+            policy_kind in 0u32..3,
         ) {
             let graph = GraphBuilder::new(10).edges(edges).build();
-            let mut b = ActionLogBuilder::new(10);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let policy = if time_aware {
-                CreditPolicy::time_aware(&graph, &log)
-            } else {
-                CreditPolicy::Uniform
+            let log_at = |scale: f64| {
+                let mut b = ActionLogBuilder::new(10);
+                for &(u, a, t) in &events {
+                    b.push(u, a, t as f64 * scale);
+                }
+                b.build()
             };
-            for lambda in [0.0, 0.001] {
-                let baseline =
-                    scan_with(&graph, &log, &policy, lambda, Parallelism::single())
-                        .unwrap()
-                        .dump();
+            let log = log_at(1.0);
+            let policy = match policy_kind {
+                0 => CreditPolicy::Uniform,
+                1 => CreditPolicy::time_aware(&graph, &log),
+                _ => CreditPolicy::time_aware(&graph, &log_at(1.0 / 400.0)),
+            };
+            for lambda in [0.0, 0.001, 0.3] {
+                let oracle = reference::scan_dump(&graph, &log, &policy, lambda);
                 for threads in [1usize, 2, 3, 8] {
-                    let dump = scan_with(
-                        &graph,
-                        &log,
-                        &policy,
-                        lambda,
-                        Parallelism::fixed(threads),
-                    )
-                    .unwrap()
-                    .dump();
+                    let par = Parallelism::fixed(threads);
+                    let dump = scan_with(&graph, &log, &policy, lambda, par).unwrap().dump();
                     prop_assert!(
-                        dump == baseline,
-                        "threads {threads}, lambda {lambda}: dump diverged"
+                        dump == oracle,
+                        "threads {threads}, lambda {lambda}: dump diverged from the oracle"
                     );
                 }
             }

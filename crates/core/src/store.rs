@@ -7,17 +7,30 @@
 //! marginal gains, and Lemmas 2–3 update both stores incrementally when a
 //! seed is added.
 //!
-//! Layout notes. Per action we keep a hash map keyed by the packed `(v,u)`
-//! pair plus two adjacency indexes (`v → targets`, `u → sources`).
-//! Adjacency entries are pruned eagerly: when a seed update removes a key
-//! from the credit map, the matching ids are dropped from both adjacency
-//! vectors (order-preserving, so traversal order — and therefore every
-//! f64 summation order — is unchanged for the surviving entries). Seeds
-//! are added only `k` times and a removal walks only the two affected
-//! rows, so the cost is negligible — and `total_entries`/`memory_bytes`
-//! stay accurate as the selection shrinks the store.
+//! Layout notes. A trained [`CreditStore`] (UC before any seed) is the
+//! compact CSR arena of [`crate::compact`] with no SC entries and no
+//! seeds: per action, out rows sorted by `(v, u)` carrying the credits
+//! and inc rows sorted by `(u, v)`, written there by the scan's ordered
+//! merge. It is immutable and `Arc`-shared, so cloning a store, serving
+//! it ([`crate::CompactSelector::from_store`]) or extending it copies no
+//! credits; [`CreditStore::action`] reads one action through an
+//! [`ActionView`].
+//!
+//! The one mutable form of UC is `ActionCredits`, the working copy a
+//! [`crate::CdSelector`] builds from the arena's rows in canonical order:
+//! per action a hash map keyed by the packed `(v, u)` pair plus two
+//! adjacency indexes (`v → targets`, `u → sources`). Adjacency entries
+//! are pruned eagerly: when a seed update removes a key from the credit
+//! map, the matching ids are dropped from both adjacency vectors
+//! (order-preserving, so traversal order — and therefore every f64
+//! summation order — is unchanged for the surviving entries). Seeds are
+//! added only `k` times and a removal walks only the two affected rows,
+//! so the cost is negligible — and the selector's memory accounting stays
+//! accurate as the selection shrinks it.
 
+use crate::compact::{self, CompactData};
 use cdim_util::{FxHashMap, HeapSize};
+use std::sync::Arc;
 
 /// Packs an ordered user pair into a map key.
 #[inline]
@@ -26,11 +39,11 @@ pub(crate) fn pair_key(v: u32, u: u32) -> u64 {
 }
 
 /// `(counterparty, credit)` pairs removed by [`ActionCredits::retire`].
-pub type RemovedCredits = Vec<(u32, f64)>;
+pub(crate) type RemovedCredits = Vec<(u32, f64)>;
 
-/// Credits of a single action.
+/// Mutable credits of a single action: a selector's working copy.
 #[derive(Clone, Debug, Default)]
-pub struct ActionCredits {
+pub(crate) struct ActionCredits {
     /// `(v, u) → Γ_{v,u}(a)` for stored (≥ λ at insertion time) credits.
     credit: FxHashMap<u64, f64>,
     /// `v → users u` currently receiving credit from `v`.
@@ -81,9 +94,9 @@ impl ActionCredits {
     ///
     /// Exact: [`Self::subtract`] and [`Self::retire`] prune the adjacency
     /// rows together with the credit map, so the row exists iff
-    /// [`Self::sources_of`] would yield at least one item. The scan uses
-    /// it to skip the transitive-relay collection for nodes without
-    /// incoming credit.
+    /// [`Self::sources_of`] would yield at least one item. The hash-map
+    /// oracle kernel (`reference::scan_dump`) uses it to skip the
+    /// transitive-relay collection for nodes without incoming credit.
     #[inline]
     pub fn has_sources(&self, u: u32) -> bool {
         self.inc.get(&u).is_some_and(|vs| !vs.is_empty())
@@ -108,16 +121,15 @@ impl ActionCredits {
     /// arbitrary order but each row in its live traversal order (the
     /// order [`Self::targets_of`] walks). Every id in a row is live —
     /// pruning keeps adjacency and the credit map in lockstep — so
-    /// per-row credit sums are deterministic for a canonically restored
-    /// store even though the row *set* iterates in hash order.
+    /// per-row credit sums are deterministic for a canonically built
+    /// working copy even though the row *set* iterates in hash order.
     pub(crate) fn out_rows(&self) -> impl Iterator<Item = (u32, &[u32])> {
         self.out.iter().map(|(&v, ts)| (v, ts.as_slice()))
     }
 
     /// Releases excess capacity in the credit map and every adjacency
-    /// row. Called when a store reaches a long-lived resting state (end
-    /// of a scan, restore from a dump) so reported memory reflects live
-    /// entries, not growth slack.
+    /// row. Called once a selector's working copy is built, so reported
+    /// memory reflects live entries, not growth slack.
     pub fn shrink_to_fit(&mut self) {
         self.credit.shrink_to_fit();
         for row in self.out.values_mut() {
@@ -201,11 +213,13 @@ impl ActionCredits {
     }
 
     /// Number of live credit entries.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.credit.len()
     }
 
     /// Whether the action holds no credits.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.credit.is_empty()
     }
@@ -217,101 +231,112 @@ impl HeapSize for ActionCredits {
     }
 }
 
-/// The full UC structure plus the per-user indexes Algorithm 3 needs.
+/// The trained UC structure plus the per-user indexes Algorithm 3 needs:
+/// a seedless CSR arena (see the module's layout notes). Cloning shares
+/// the arena.
 #[derive(Clone, Debug)]
 pub struct CreditStore {
-    /// Per-action credits (`UC[..][..][a]`).
-    pub(crate) actions: Vec<ActionCredits>,
-    /// Dense action ids each user performed, per user.
-    pub(crate) user_actions: Vec<Vec<u32>>,
-    /// `1 / A_u` per user (0 when the user performed no action).
-    pub(crate) inv_au: Vec<f64>,
-    /// Truncation threshold the store was built with.
-    pub(crate) lambda: f64,
+    pub(crate) data: Arc<CompactData>,
 }
 
 impl CreditStore {
-    pub(crate) fn new(num_users: usize, num_actions: usize, lambda: f64) -> Self {
-        CreditStore {
-            actions: vec![ActionCredits::default(); num_actions],
-            user_actions: vec![Vec::new(); num_users],
-            inv_au: vec![0.0; num_users],
-            lambda,
-        }
-    }
-
     /// Number of users in the id space.
     pub fn num_users(&self) -> usize {
-        self.user_actions.len()
+        self.data.counts.num_users
     }
 
     /// Number of actions scanned.
     pub fn num_actions(&self) -> usize {
-        self.actions.len()
+        self.data.counts.num_actions
     }
 
     /// The truncation threshold λ used during the scan.
     pub fn lambda(&self) -> f64 {
-        self.lambda
+        self.data.lambda
     }
 
-    /// Total live credit entries across all actions — the memory driver
+    /// Total credit entries across all actions — the memory driver
     /// reported in Fig 8 (right) and Table 4.
     pub fn total_entries(&self) -> usize {
-        self.actions.iter().map(ActionCredits::len).sum()
+        self.data.counts.entries
     }
 
     /// Credits of one action.
-    pub fn action(&self, a: u32) -> &ActionCredits {
-        &self.actions[a as usize]
+    pub fn action(&self, a: u32) -> ActionView<'_> {
+        ActionView { data: &self.data, a }
     }
 
-    /// Mutable credits of one action.
-    pub(crate) fn action_mut(&mut self, a: u32) -> &mut ActionCredits {
-        &mut self.actions[a as usize]
-    }
-
-    /// Dense action ids user `u` performed.
+    /// Dense action ids user `u` performed, ascending.
     pub fn actions_of_user(&self, u: u32) -> &[u32] {
-        &self.user_actions[u as usize]
+        self.data.ua_row(u)
     }
 
     /// `1 / A_u` (0 for users with no actions).
     #[inline]
     pub fn inv_au(&self, u: u32) -> f64 {
-        self.inv_au[u as usize]
+        self.data.inv_au_of(u)
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint of the arena in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.heap_bytes()
-    }
-
-    /// Releases excess capacity across all per-action structures and the
-    /// per-user indexes (see [`ActionCredits::shrink_to_fit`]).
-    pub fn shrink_to_fit(&mut self) {
-        for ac in &mut self.actions {
-            ac.shrink_to_fit();
-        }
-        for actions in &mut self.user_actions {
-            actions.shrink_to_fit();
-        }
+        self.data.memory_bytes()
     }
 }
 
 impl HeapSize for CreditStore {
     fn heap_bytes(&self) -> usize {
-        self.actions.heap_bytes() + self.user_actions.heap_bytes() + self.inv_au.heap_bytes()
+        self.memory_bytes()
+    }
+}
+
+/// Read view of one action's credits in a [`CreditStore`]. Every
+/// iterator walks the arena's sorted rows, so its order is canonical.
+#[derive(Clone, Copy, Debug)]
+pub struct ActionView<'a> {
+    data: &'a CompactData,
+    a: u32,
+}
+
+impl<'a> ActionView<'a> {
+    /// `Γ_{v,u}(a)`, or 0 when not stored.
+    pub fn get(&self, v: u32, u: u32) -> f64 {
+        self.data.credit(self.a, v, u)
+    }
+
+    /// `(u, Γ_{v,u})` for influencer `v`, targets ascending.
+    pub fn targets_of(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + 'a {
+        let (targets, credits) = self.data.out_row(self.a, v);
+        targets.iter().copied().zip(credits.iter().copied())
+    }
+
+    /// `(v, Γ_{v,u})` for target `u`, sources ascending.
+    pub fn sources_of(&self, u: u32) -> impl Iterator<Item = (u32, f64)> + 'a {
+        let (data, a) = (self.data, self.a);
+        data.inc_row(a, u).iter().map(move |&v| (v, data.credit(a, v, u)))
+    }
+
+    /// Every entry as `(v, u, Γ_{v,u})`, sorted by `(v, u)`.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u32, f64)> + 'a {
+        self.data.action_entries(self.a)
+    }
+
+    /// Number of credit entries.
+    pub fn len(&self) -> usize {
+        self.data.action_len(self.a)
+    }
+
+    /// Whether the action holds no credits.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
 /// A plain-data image of a [`CreditStore`] — the serialization hook the
 /// snapshot format builds on.
 ///
-/// Credit entries are emitted in sorted `(v, u)` order per action, so the
-/// dump of a store is canonical: dumping, restoring and dumping again
-/// yields identical data (and identical snapshot bytes) regardless of the
-/// hash-map iteration order inside the live store.
+/// Credit entries are listed in sorted `(v, u)` order per action, so the
+/// dump of a trained state is canonical: dumping, restoring and dumping
+/// again yields identical data (and identical snapshot bytes).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CreditStoreDump {
     /// Truncation threshold λ the store was built with.
@@ -320,49 +345,38 @@ pub struct CreditStoreDump {
     pub user_actions: Vec<Vec<u32>>,
     /// `1 / A_u` per user.
     pub inv_au: Vec<f64>,
-    /// Per action, live `(v, u, Γ_{v,u})` triples sorted by `(v, u)`.
+    /// Per action, `(v, u, Γ_{v,u})` triples sorted by `(v, u)`.
     pub credits: Vec<Vec<(u32, u32, f64)>>,
 }
 
 impl CreditStore {
     /// Exports the store as plain data (canonical entry order).
     pub fn dump(&self) -> CreditStoreDump {
-        let credits = self
-            .actions
-            .iter()
-            .map(|ac| {
-                let mut entries: Vec<(u32, u32, f64)> = ac.entries().collect();
-                entries.sort_unstable_by_key(|&(v, u, _)| pair_key(v, u));
-                entries
-            })
-            .collect();
+        let credits =
+            (0..self.num_actions() as u32).map(|a| self.action(a).entries().collect()).collect();
+        self.dump_with(credits)
+    }
+
+    /// This store's dump with `credits` in place of its own (a
+    /// selector's updated working copy).
+    pub(crate) fn dump_with(&self, credits: Vec<Vec<(u32, u32, f64)>>) -> CreditStoreDump {
+        let users = 0..self.num_users() as u32;
         CreditStoreDump {
-            lambda: self.lambda,
-            user_actions: self.user_actions.clone(),
-            inv_au: self.inv_au.clone(),
+            lambda: self.lambda(),
+            user_actions: users.clone().map(|u| self.actions_of_user(u).to_vec()).collect(),
+            inv_au: users.map(|u| self.inv_au(u)).collect(),
             credits,
         }
     }
 
-    /// Rebuilds a store from a [`dump`](Self::dump).
+    /// Rebuilds a store from a [`dump`](Self::dump): the arena a scan of
+    /// the same data writes.
     ///
-    /// The adjacency indexes are reconstructed by replaying the entries in
-    /// the dump's canonical order, so two stores restored from equal dumps
-    /// are identical down to iteration order.
+    /// Panics if the dump does not fit the arena's u32 offsets (more
+    /// than ~4·10⁹ entries, far past what a dump in memory holds).
     pub fn from_dump(dump: &CreditStoreDump) -> Self {
-        let mut store = CreditStore::new(dump.user_actions.len(), dump.credits.len(), dump.lambda);
-        store.user_actions.clone_from(&dump.user_actions);
-        store.inv_au.clone_from(&dump.inv_au);
-        for (a, entries) in dump.credits.iter().enumerate() {
-            let ac = &mut store.actions[a];
-            for &(v, u, c) in entries {
-                ac.add(v, u, c);
-            }
-        }
-        // The dump named the final sizes; drop the growth slack so a
-        // restored store's memory accounting reflects live entries only.
-        store.shrink_to_fit();
-        store
+        let data = compact::build(dump, &[], &[]).expect("dump fits the u32 offsets");
+        CreditStore { data: Arc::new(data) }
     }
 }
 
@@ -557,26 +571,42 @@ mod tests {
     }
 
     #[test]
-    fn total_entries_stays_accurate_after_updates() {
-        let mut store = CreditStore::new(4, 1, 0.0);
-        store.action_mut(0).add(0, 1, 0.5);
-        store.action_mut(0).add(1, 2, 0.5);
-        store.action_mut(0).add(0, 3, 0.5);
-        assert_eq!(store.total_entries(), 3);
-        store.action_mut(0).retire(0);
-        assert_eq!(store.total_entries(), 1);
-        store.action_mut(0).subtract(1, 2, 0.5);
-        assert_eq!(store.total_entries(), 0);
-        assert_eq!(store.action(0).entries().count(), 0);
+    fn entry_count_stays_accurate_after_updates() {
+        let mut ac = ActionCredits::default();
+        ac.add(0, 1, 0.5);
+        ac.add(1, 2, 0.5);
+        ac.add(0, 3, 0.5);
+        assert_eq!(ac.len(), 3);
+        ac.retire(0);
+        assert_eq!(ac.len(), 1);
+        ac.subtract(1, 2, 0.5);
+        assert_eq!(ac.len(), 0);
+        assert_eq!(ac.entries().count(), 0);
     }
 
     #[test]
-    fn store_entry_counting() {
-        let mut store = CreditStore::new(4, 2, 0.0);
-        store.action_mut(0).add(0, 1, 0.5);
-        store.action_mut(1).add(2, 3, 0.25);
-        store.action_mut(1).add(0, 3, 0.25);
+    fn store_views_read_the_dumped_entries() {
+        let dump = CreditStoreDump {
+            lambda: 0.0,
+            user_actions: vec![vec![0, 1], vec![0], vec![1], vec![0, 1]],
+            inv_au: vec![0.5, 1.0, 1.0, 0.5],
+            credits: vec![vec![(0, 1, 0.5)], vec![(0, 3, 0.25), (2, 3, 0.25)]],
+        };
+        let store = CreditStore::from_dump(&dump);
         assert_eq!(store.total_entries(), 3);
         assert!(store.memory_bytes() > 0);
+        assert_eq!(store.dump(), dump);
+        let ac = store.action(1);
+        assert_eq!(ac.len(), 2);
+        assert_eq!(ac.get(2, 3), 0.25);
+        assert_eq!(ac.get(3, 2), 0.0);
+        assert_eq!(ac.targets_of(0).collect::<Vec<_>>(), vec![(3, 0.25)]);
+        assert_eq!(ac.sources_of(3).collect::<Vec<_>>(), vec![(0, 0.25), (2, 0.25)]);
+        assert_eq!(ac.sources_of(0).count(), 0);
+        assert_eq!(store.actions_of_user(3), &[0, 1]);
+        assert_eq!(store.inv_au(1), 1.0);
+        // Clones share the arena.
+        assert_eq!(store.clone().memory_bytes(), store.memory_bytes());
+        assert!(Arc::ptr_eq(&store.clone().data, &store.data));
     }
 }

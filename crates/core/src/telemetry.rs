@@ -15,8 +15,8 @@
 //!
 //! Recording happens strictly *outside* the per-action kernel — the
 //! instrumented quantities are shard-level wall times, so the hot path of
-//! [`crate::scan_action`] is untouched and the model bytes cannot depend
-//! on whether anyone is scraping.
+//! the scan kernel (`scan::scan_action`) is untouched and the model bytes
+//! cannot depend on whether anyone is scraping.
 //!
 //! The same shard times also feed the process-global span flight
 //! recorder ([`cdim_obs::Tracer::global`]): each scan becomes a derived

@@ -1,6 +1,6 @@
 //! The snapshot file format: a trained model on disk.
 //!
-//! A snapshot freezes everything seed selection and spread prediction need
+//! A snapshot holds everything seed selection and spread prediction need
 //! after training — the λ-truncated credit store plus the selector's SC
 //! map and chosen seeds — so a serving process can answer queries without
 //! the action log, the graph, or a rescan (the paper's core claim: the
@@ -30,10 +30,12 @@
 //! ```
 //!
 //! The checksum pass is the bulk of a zero-copy load, and CRC-32C rides
-//! the x86-64 `crc32` instruction at many GB/s. Freezing sorts every
-//! entry, so the encoding of a model state is *canonical*: `save → load →
-//! save` is byte-identical, and a model reached by extending or
-//! retracting writes the bytes a fresh build of the same state writes.
+//! the x86-64 `crc32` instruction at many GB/s. The scan writes every
+//! action's rows in sorted order, so the encoding of a model state is
+//! *canonical*: `save → load → save` is byte-identical, and a model
+//! reached by extending or retracting writes the bytes a fresh build of
+//! the same state writes. Saving streams the header, the arena and the
+//! CRC (continued from the header over the arena) straight to the file.
 //!
 //! Every other version word — including the retired per-entry version 1 —
 //! is refused with [`SnapshotError::UnsupportedVersion`] before the
@@ -47,8 +49,9 @@
 
 use crate::codec::{push_f64, push_u32, push_u64};
 use cdim_core::{CdSelector, CompactCounts, CompactSelector, CreditStore, TopKSession};
-use cdim_util::checksum::crc32c;
+use cdim_util::checksum::{crc32c, crc32c_append};
 use cdim_util::AlignedBuf;
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -165,14 +168,16 @@ impl Clone for ModelSnapshot {
 }
 
 impl ModelSnapshot {
-    /// Freezes a freshly scanned credit store (empty seed set).
+    /// The model of a freshly scanned credit store (empty seed set). The
+    /// scan wrote the arena this snapshot serves and saves, so this
+    /// shares it: no dump, sort or copy.
     pub fn from_store(store: CreditStore) -> Self {
-        Self::from_selector(CdSelector::new(store))
+        Self::from_compact(CompactSelector::from_store(store))
     }
 
-    /// The full snapshot build path: trains the credit policy, runs the
-    /// parallel credit scan under `config.parallelism`, and freezes the
-    /// result (empty seed set).
+    /// The full snapshot build path: trains the credit policy and runs
+    /// the parallel credit scan under `config.parallelism` (empty seed
+    /// set).
     ///
     /// The snapshot bytes are independent of the thread count — the scan
     /// is bit-identical for every [`cdim_util::Parallelism`], and the
@@ -323,9 +328,18 @@ impl ModelSnapshot {
 
     /// Writes the snapshot to `path` via a sibling temp file + rename, so
     /// a crash mid-write never leaves a half-written snapshot in place.
+    /// The header, the arena and the CRC trailer are written straight
+    /// from the model (the CRC continued from the header over the arena),
+    /// so saving copies nothing: the file holds [`to_bytes`](Self::to_bytes).
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
+        let (header, arena) = (header(&self.model), self.model.arena());
+        let crc = crc32c_append(crc32c(&header), arena);
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&header)?;
+        file.write_all(arena)?;
+        file.write_all(&crc.to_le_bytes())?;
+        drop(file);
         std::fs::rename(&tmp, path)?;
         Ok(())
     }
@@ -379,9 +393,19 @@ fn check_version(bytes: &[u8]) -> Result<(), SnapshotError> {
 /// trailer. The arena begins at byte 96 (≡ 0 mod 8), so the written file
 /// reloads with zero copies when mapped.
 fn encode(compact: &CompactSelector) -> Vec<u8> {
-    let counts = compact.counts();
     let arena = compact.arena();
-    let mut out = Vec::with_capacity(HEADER + arena.len() + 4);
+    let mut out = header(compact);
+    out.reserve(arena.len() + 4);
+    out.extend_from_slice(arena);
+    let crc = crc32c(&out);
+    push_u32(&mut out, crc);
+    out
+}
+
+/// The fixed header of a compact selector's snapshot.
+fn header(compact: &CompactSelector) -> Vec<u8> {
+    let counts = compact.counts();
+    let mut out = Vec::with_capacity(HEADER);
     out.extend_from_slice(&MAGIC);
     push_u32(&mut out, FORMAT_VERSION);
     push_u32(&mut out, 0); // reserved
@@ -398,11 +422,8 @@ fn encode(compact: &CompactSelector) -> Vec<u8> {
     ] {
         push_u64(&mut out, n as u64);
     }
-    push_u64(&mut out, arena.len() as u64);
+    push_u64(&mut out, compact.arena().len() as u64);
     debug_assert_eq!(out.len(), HEADER);
-    out.extend_from_slice(arena);
-    let crc = crc32c(&out);
-    push_u32(&mut out, crc);
     out
 }
 
@@ -637,19 +658,18 @@ mod tests {
     #[test]
     fn round_trip_preserves_mid_selection_state() {
         let mut sel = trained_selector();
-        let seed = CdSelector::new(sel.store().clone()).select(1).seeds[0];
+        let seed = sel.clone().select(1).seeds[0];
         sel.update(seed);
         let snap = ModelSnapshot::from_selector(sel.clone());
         let restored = ModelSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(restored.committed_seeds(), 1);
         assert_eq!(restored.top_k(1).seeds, vec![seed]);
-        // Against the live selector gains agree up to credit-iteration
-        // order; against any other canonical restoration they are
-        // bit-exact (the dump fixes the summation order).
+        // The live selector walks its rows in canonical order, as does
+        // any canonical restoration, so every gain is bit-exact.
         let canonical = CdSelector::from_dump(&sel.dump());
         for x in 0..snap.num_users() as u32 {
             let gain = restored.single_marginal_gain(x);
-            assert!((gain - sel.compute_mg(x)).abs() < 1e-9);
+            assert_eq!(gain.to_bits(), sel.compute_mg(x).to_bits(), "user {x}");
             assert_eq!(gain.to_bits(), canonical.compute_mg(x).to_bits(), "user {x}");
         }
     }
@@ -661,6 +681,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.snap");
         snap.save(&path).unwrap();
+        // The streamed file is the encoding, byte for byte.
+        assert_eq!(std::fs::read(&path).unwrap(), snap.to_bytes());
         let restored = ModelSnapshot::load(&path).unwrap();
         assert_eq!(restored.to_bytes(), snap.to_bytes());
         std::fs::remove_dir_all(&dir).ok();

@@ -15,7 +15,7 @@ fn selector() -> CdSelector {
     let ds = cdim_datagen::presets::tiny().generate();
     let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
     let mut selector = CdSelector::new(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap());
-    let seed = CdSelector::new(selector.store().clone()).select(1).seeds[0];
+    let seed = selector.clone().select(1).seeds[0];
     selector.update(seed);
     selector
 }
@@ -319,7 +319,7 @@ fn extended_snapshot_round_trips_through_the_file_format() {
     // A mid-campaign snapshot (committed seed) extended by a delta must
     // survive save/load byte-identically like any other snapshot.
     let mut selector = CdSelector::new(scan(&ds.graph, &prefix, &policy, 0.001).unwrap());
-    let seed = CdSelector::new(selector.store().clone()).select(1).seeds[0];
+    let seed = selector.clone().select(1).seeds[0];
     selector.update(seed);
     let snap = ModelSnapshot::from_selector(selector)
         .extend(&ds.graph, &delta, &policy, Parallelism::fixed(3))

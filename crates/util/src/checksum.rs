@@ -172,21 +172,29 @@ const fn shift_operator(poly: u32, mut len: u64) -> [u32; 32] {
 /// faster than one and an order of magnitude faster than tables);
 /// elsewhere the same braid runs on slicing-by-16 tables.
 pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc32c_append(0, bytes)
+}
+
+/// Continues a CRC-32C: given `crc = crc32c(prefix)`, returns
+/// `crc32c(prefix ‖ bytes)` without the prefix at hand, so a file can be
+/// checksummed section by section as it is written.
+pub fn crc32c_append(crc: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: the required CPU feature was just detected.
-        return unsafe { crc32c_hw(bytes) };
+        return unsafe { crc32c_hw(crc, bytes) };
     }
-    crc32c_sw(bytes)
+    crc32c_sw(crc, bytes)
 }
 
-/// Hardware CRC-32C. Same braid as [`crc32c_sw`], with the per-stream
-/// loops on `_mm_crc32_u64` instead of table lookups.
+/// Hardware CRC-32C, continuing from `crc`. Same braid as
+/// [`crc32c_sw`], with the per-stream loops on `_mm_crc32_u64` instead of
+/// table lookups.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
+unsafe fn crc32c_hw(crc: u32, bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut state = 0xFFFF_FFFFu32;
+    let mut state = crc ^ 0xFFFF_FFFF;
     let mut rest = bytes;
     if rest.len() >= 3 * STREAM {
         let mut total = state ^ 0xFFFF_FFFF;
@@ -223,10 +231,10 @@ unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Software CRC-32C: the table braid. (Also the reference the hardware
-/// path is tested against.)
-fn crc32c_sw(bytes: &[u8]) -> u32 {
-    let mut state = 0xFFFF_FFFFu32;
+/// Software CRC-32C, continuing from `crc`: the table braid. (Also the
+/// reference the hardware path is tested against.)
+fn crc32c_sw(crc: u32, bytes: &[u8]) -> u32 {
+    let mut state = crc ^ 0xFFFF_FFFF;
     let mut rest = bytes;
     if rest.len() >= 3 * STREAM {
         let mut total = state ^ 0xFFFF_FFFF;
@@ -280,7 +288,7 @@ mod tests {
         for &b in &data {
             c = TABLES_C[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
         }
-        assert_eq!(crc32c_sw(&data), c ^ 0xFFFF_FFFF);
+        assert_eq!(crc32c_sw(0, &data), c ^ 0xFFFF_FFFF);
     }
 
     #[test]
@@ -289,7 +297,25 @@ mod tests {
         // machines without SSE 4.2 this degenerates to sw == sw.
         for len in [0usize, 1, 7, 15, 100, 3 * STREAM - 1, 3 * STREAM, 100_000, 6 * STREAM + 13] {
             let data: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
-            assert_eq!(crc32c(&data), crc32c_sw(&data), "len {len}");
+            assert_eq!(crc32c(&data), crc32c_sw(0, &data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn continuation_matches_the_one_shot_crc_at_every_split() {
+        // Buffers short of, at and just past the braid threshold, so a
+        // continued tail runs the braid from a non-initial CRC too. Both
+        // paths are checked (on machines without SSE 4.2 the public one
+        // is the software path again).
+        for len in [0usize, 1, 9, 64, 3 * STREAM + 21] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 73 % 251) as u8).collect();
+            let whole = crc32c(&data);
+            assert_eq!(whole, crc32c_sw(0, &data), "len {len}");
+            for split in 0..=len {
+                let (head, tail) = data.split_at(split);
+                assert_eq!(crc32c_append(crc32c(head), tail), whole, "len {len}, split {split}");
+                assert_eq!(crc32c_sw(crc32c_sw(0, head), tail), whole, "len {len}, split {split}");
+            }
         }
     }
 
