@@ -9,7 +9,8 @@
 //! number of actions the consumer has already scanned, which pins where
 //! the new dense ids start.
 //!
-//! The split/apply pair round-trips exactly:
+//! A split keeps every tuple: the prefix holds the first actions, the
+//! delta the rest, each with its users, times and external id:
 //!
 //! ```
 //! use cdim_actionlog::ActionLogBuilder;
@@ -24,46 +25,11 @@
 //! assert_eq!(prefix.num_actions(), 1);
 //! assert_eq!(delta.num_new_actions(), 1);
 //! assert_eq!(delta.base_actions(), 1);
-//! // Re-applying the delta reconstructs the original log exactly.
-//! assert_eq!(delta.apply_to(&prefix).unwrap(), log);
+//! assert_eq!(delta.additions().users_of(0), log.users_of(1));
+//! assert_eq!(delta.additions().external_id(0), 20);
 //! ```
 
-use crate::log::{ActionId, ActionLog, ActionLogBuilder};
-
-/// Why a delta could not be combined with a base log or model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeltaError {
-    /// The delta was cut for a different number of already-scanned actions
-    /// than the base provides — applying it would assign wrong dense ids.
-    BaseMismatch {
-        /// Actions the delta expects the base to hold.
-        expected: usize,
-        /// Actions the base actually holds.
-        got: usize,
-    },
-    /// Base and delta disagree on the user universe.
-    UserUniverseMismatch {
-        /// Users in the base.
-        expected: usize,
-        /// Users in the delta.
-        got: usize,
-    },
-}
-
-impl std::fmt::Display for DeltaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeltaError::BaseMismatch { expected, got } => {
-                write!(f, "delta expects a base of {expected} actions, found {got}")
-            }
-            DeltaError::UserUniverseMismatch { expected, got } => {
-                write!(f, "delta user universe mismatch ({expected} vs {got} users)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DeltaError {}
+use crate::log::{ActionId, ActionLog};
 
 /// An append-only batch of new actions on top of an already-scanned log.
 ///
@@ -122,54 +88,6 @@ impl ActionLogDelta {
     pub fn additions(&self) -> &ActionLog {
         &self.additions
     }
-
-    /// Global dense id of local delta action `local`.
-    #[inline]
-    pub fn global_id(&self, local: ActionId) -> ActionId {
-        (self.base_actions + local as usize) as ActionId
-    }
-
-    /// Dense action count after the delta is applied.
-    #[inline]
-    pub fn end_actions(&self) -> usize {
-        self.base_actions + self.additions.num_actions()
-    }
-
-    /// Concatenates `prefix` and the delta into one combined log — the log
-    /// a from-scratch retrain would scan. Action order is exactly prefix
-    /// actions followed by delta actions, so the incremental-equivalence
-    /// contract ("extend = full scan of `apply_to(prefix)`") is
-    /// well-defined. External ids are carried through for provenance.
-    pub fn apply_to(&self, prefix: &ActionLog) -> Result<ActionLog, DeltaError> {
-        if prefix.num_actions() != self.base_actions {
-            return Err(DeltaError::BaseMismatch {
-                expected: self.base_actions,
-                got: prefix.num_actions(),
-            });
-        }
-        if prefix.num_users() != self.additions.num_users() {
-            return Err(DeltaError::UserUniverseMismatch {
-                expected: prefix.num_users(),
-                got: self.additions.num_users(),
-            });
-        }
-        let mut builder = ActionLogBuilder::new(prefix.num_users());
-        for a in prefix.actions() {
-            let users = prefix.users_of(a);
-            let times = prefix.times_of(a);
-            for (&u, &t) in users.iter().zip(times) {
-                builder.push_with_external(u, a, prefix.external_id(a), t);
-            }
-        }
-        for a in self.additions.actions() {
-            let users = self.additions.users_of(a);
-            let times = self.additions.times_of(a);
-            for (&u, &t) in users.iter().zip(times) {
-                builder.push_with_external(u, self.global_id(a), self.additions.external_id(a), t);
-            }
-        }
-        Ok(builder.build())
-    }
 }
 
 impl ActionLog {
@@ -191,8 +109,8 @@ impl ActionLog {
     }
 
     /// Splits the log into the first `split` actions and a delta holding
-    /// the rest: `(prefix, delta)` with `delta.apply_to(&prefix)`
-    /// reconstructing `self` exactly.
+    /// the rest, based at `split`: scanning the prefix and then extending
+    /// by the delta is scanning `self`.
     ///
     /// # Panics
     /// Panics if `split > num_actions()`.
@@ -224,6 +142,7 @@ impl ActionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::ActionLogBuilder;
 
     fn sample_log() -> ActionLog {
         let mut b = ActionLogBuilder::new(4);
@@ -235,17 +154,32 @@ mod tests {
         b.build()
     }
 
+    /// Every action of `part` is action `base + a` of `log`, tuple for
+    /// tuple.
+    fn assert_actions_of(part: &ActionLog, log: &ActionLog, base: usize) {
+        assert_eq!(part.num_users(), log.num_users());
+        for a in part.actions() {
+            let global = (base + a as usize) as ActionId;
+            assert_eq!(part.users_of(a), log.users_of(global));
+            assert_eq!(part.times_of(a), log.times_of(global));
+            assert_eq!(part.external_id(a), log.external_id(global));
+        }
+    }
+
     #[test]
-    fn split_then_apply_round_trips() {
+    fn split_keeps_every_tuple() {
         let log = sample_log();
         for split in 0..=log.num_actions() {
             let (prefix, delta) = log.split_at_action(split);
             assert_eq!(prefix.num_actions(), split);
             assert_eq!(delta.base_actions(), split);
             assert_eq!(delta.num_new_actions(), log.num_actions() - split);
-            assert_eq!(delta.end_actions(), log.num_actions());
-            assert_eq!(delta.apply_to(&prefix).unwrap(), log, "split = {split}");
+            assert_eq!(prefix.num_tuples() + delta.num_new_tuples(), log.num_tuples());
+            assert_actions_of(&prefix, &log, 0);
+            assert_actions_of(delta.additions(), &log, split);
         }
+        let (_, empty) = log.split_at_action(log.num_actions());
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -254,56 +188,7 @@ mod tests {
         let delta = log.delta_range(1, 3);
         assert_eq!(delta.num_new_actions(), 2);
         assert_eq!(delta.num_new_tuples(), 3);
-        for local in 0..2u32 {
-            let global = delta.global_id(local);
-            assert_eq!(delta.additions().users_of(local), log.users_of(global));
-            assert_eq!(delta.additions().times_of(local), log.times_of(global));
-            assert_eq!(delta.additions().external_id(local), log.external_id(global));
-        }
-    }
-
-    #[test]
-    fn empty_and_full_deltas() {
-        let log = sample_log();
-        let (prefix, empty) = log.split_at_action(log.num_actions());
-        assert!(empty.is_empty());
-        assert_eq!(empty.apply_to(&prefix).unwrap(), log);
-
-        let (nothing, everything) = log.split_at_action(0);
-        assert_eq!(nothing.num_actions(), 0);
-        assert_eq!(everything.num_new_actions(), log.num_actions());
-        assert_eq!(everything.apply_to(&nothing).unwrap(), log);
-    }
-
-    #[test]
-    fn apply_rejects_wrong_base() {
-        let log = sample_log();
-        let (_, delta) = log.split_at_action(2);
-        let (short_prefix, _) = log.split_at_action(1);
-        assert_eq!(
-            delta.apply_to(&short_prefix),
-            Err(DeltaError::BaseMismatch { expected: 2, got: 1 })
-        );
-    }
-
-    #[test]
-    fn apply_rejects_wrong_universe() {
-        let log = sample_log();
-        let (prefix, _) = log.split_at_action(2);
-        let foreign = ActionLogBuilder::new(9).build();
-        let delta = ActionLogDelta::new(2, foreign);
-        assert_eq!(
-            delta.apply_to(&prefix),
-            Err(DeltaError::UserUniverseMismatch { expected: 4, got: 9 })
-        );
-    }
-
-    #[test]
-    fn errors_are_descriptive() {
-        let base = DeltaError::BaseMismatch { expected: 5, got: 3 };
-        assert!(base.to_string().contains("5 actions"));
-        let users = DeltaError::UserUniverseMismatch { expected: 4, got: 9 };
-        assert!(users.to_string().contains("user universe"));
+        assert_actions_of(delta.additions(), &log, 1);
     }
 
     #[test]
@@ -320,19 +205,10 @@ mod tests {
             assert_eq!(expired.base_actions(), 0, "expire = {expire}");
             assert_eq!(expired.num_new_actions(), expire);
             assert_eq!(rest.num_actions(), log.num_actions() - expire);
-            // The expired prefix matches the front of the log verbatim.
-            for a in 0..expire as ActionId {
-                assert_eq!(expired.additions().users_of(a), log.users_of(a));
-                assert_eq!(expired.additions().times_of(a), log.times_of(a));
-                assert_eq!(expired.additions().external_id(a), log.external_id(a));
-            }
-            // The remainder is the back of the log, re-densified to 0..
-            for a in 0..rest.num_actions() as ActionId {
-                let src = a + expire as ActionId;
-                assert_eq!(rest.users_of(a), log.users_of(src), "expire = {expire}");
-                assert_eq!(rest.times_of(a), log.times_of(src));
-                assert_eq!(rest.external_id(a), log.external_id(src));
-            }
+            // The expired prefix is the front of the log verbatim; the
+            // remainder is the back, re-densified to 0..
+            assert_actions_of(expired.additions(), &log, 0);
+            assert_actions_of(&rest, &log, expire);
         }
     }
 

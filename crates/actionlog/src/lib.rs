@@ -23,7 +23,7 @@ pub mod split;
 pub mod stats;
 pub mod storage;
 
-pub use delta::{ActionLogDelta, DeltaError};
+pub use delta::ActionLogDelta;
 pub use log::{
     ActionId, ActionLog, ActionLogBuilder, ActionTuple, LogBuildError, Timestamp, UserId,
 };

@@ -52,6 +52,10 @@ impl From<io::Error> for StorageError {
     }
 }
 
+/// Characters of a rejected field echoed in its diagnostic: a garbage
+/// line must not make an error message as large as itself.
+const ECHO_CHARS: usize = 32;
+
 fn parse_field<T: std::str::FromStr>(
     field: Option<&str>,
     line: usize,
@@ -59,8 +63,11 @@ fn parse_field<T: std::str::FromStr>(
 ) -> Result<T, StorageError> {
     let raw = field
         .ok_or_else(|| StorageError::Parse { line, message: format!("missing {what} field") })?;
-    raw.parse()
-        .map_err(|_| StorageError::Parse { line, message: format!("invalid {what}: {raw:?}") })
+    raw.parse().map_err(|_| {
+        let end = raw.char_indices().nth(ECHO_CHARS).map_or(raw.len(), |(i, _)| i);
+        let more = if end < raw.len() { "…" } else { "" };
+        StorageError::Parse { line, message: format!("invalid {what}: {:?}{more}", &raw[..end]) }
+    })
 }
 
 /// One raw `(user, action, time)` line as parsed from the TSV grammar —
@@ -135,11 +142,9 @@ pub fn write_action_log<W: Write>(log: &ActionLog, out: W) -> Result<(), Storage
     Ok(())
 }
 
-/// Drives the shared [`TupleDecoder`] over a whole stream into `builder`.
-fn read_into_builder<R: io::Read>(
-    input: R,
-    mut builder: ActionLogBuilder,
-) -> Result<ActionLog, StorageError> {
+/// Reads a TSV action log. `num_users` fixes the user-id universe.
+pub fn read_action_log<R: io::Read>(input: R, num_users: usize) -> Result<ActionLog, StorageError> {
+    let mut builder = ActionLogBuilder::new(num_users);
     let mut reader = BufReader::new(input);
     let mut decoder = TupleDecoder::new();
     let mut line_buf = String::new();
@@ -161,20 +166,6 @@ fn read_into_builder<R: io::Read>(
         })?;
     }
     Ok(builder.build())
-}
-
-/// Reads a TSV action log. `num_users` fixes the user-id universe.
-pub fn read_action_log<R: io::Read>(input: R, num_users: usize) -> Result<ActionLog, StorageError> {
-    read_into_builder(input, ActionLogBuilder::new(num_users))
-}
-
-/// Reads a TSV action log without a pre-declared user universe: the
-/// universe auto-grows to `max user id + 1` (see
-/// [`ActionLogBuilder::growing`]), so callers need not pre-scan the file
-/// just to size it. Widen the result with [`ActionLog::widen_users`] when
-/// an external artifact (the social graph) pins a larger universe.
-pub fn read_action_log_growing<R: io::Read>(input: R) -> Result<ActionLog, StorageError> {
-    read_into_builder(input, ActionLogBuilder::growing())
 }
 
 /// Writes a graph edge list as TSV (`src \t dst`), preceded by a header
@@ -313,18 +304,6 @@ mod tests {
             }
         }
         assert!(read_action_log("0\t1\t-inf\n".as_bytes(), 2).is_err());
-    }
-
-    #[test]
-    fn growing_reader_matches_fixed_reader() {
-        let log = sample_log();
-        let mut buf = Vec::new();
-        write_action_log(&log, &mut buf).unwrap();
-        let grown = read_action_log_growing(&buf[..]).unwrap();
-        // sample_log's universe is 4 but only ids 0..=2 appear; the
-        // growing reader discovers 3 and widening restores equality.
-        assert_eq!(grown.num_users(), 3);
-        assert_eq!(grown.widen_users(4), log);
     }
 
     #[test]

@@ -10,11 +10,6 @@ use cdim_bench::experiments;
 use cdim_bench::ExperimentScale;
 
 fn main() {
-    // A re-exec'd serve child (bench-serve sweeps past the fd budget)
-    // must never fall through into argument parsing.
-    if cdim_bench::loadgen::maybe_run_server_child() {
-        return;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage();
@@ -29,48 +24,16 @@ fn main() {
         return;
     }
 
-    let mut scale = ExperimentScale::full();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => scale = ExperimentScale::quick(),
-            "--k" => {
-                scale.k = parse(&args, &mut i, "k");
-            }
-            "--sims" => {
-                scale.mc_simulations = parse(&args, &mut i, "sims");
-            }
-            "--scale" => {
-                scale.dataset_divisor = parse(&args, &mut i, "scale");
-            }
-            "--traces" => {
-                scale.max_test_traces = parse(&args, &mut i, "traces");
-            }
-            "--threads" => {
-                scale.threads = parse(&args, &mut i, "threads");
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
+    let scale = ExperimentScale::from_flags(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+        std::process::exit(2);
+    });
     if !experiments::run(id, scale) {
         eprintln!("unknown experiment id: {id}");
         usage();
         std::process::exit(2);
     }
-}
-
-fn parse(args: &[String], i: &mut usize, what: &str) -> usize {
-    *i += 1;
-    args.get(*i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("--{what} requires an integer argument");
-        std::process::exit(2);
-    })
 }
 
 fn usage() {

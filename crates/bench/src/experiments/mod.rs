@@ -9,20 +9,14 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod incremental;
-pub mod ingest;
-pub mod memory;
-pub mod scan_scaling;
-pub mod serve;
 pub mod table1;
 pub mod table2;
 pub mod table4;
-pub mod window;
 
 use crate::config::ExperimentScale;
 
-/// All experiment ids, in paper order (engineering artifacts last).
-pub const ALL_IDS: [&str; 21] = [
+/// All experiment ids, in paper order (ablations last).
+pub const ALL_IDS: [&str; 15] = [
     "table1",
     "table2",
     "fig2",
@@ -37,12 +31,6 @@ pub const ALL_IDS: [&str; 21] = [
     "ablate-credit",
     "ablate-celf",
     "ablate-mg",
-    "bench-scan",
-    "bench-incremental",
-    "bench-ingest",
-    "bench-window",
-    "bench-memory",
-    "bench-serve",
     "all",
 ];
 
@@ -63,12 +51,6 @@ pub fn run(id: &str, scale: ExperimentScale) -> bool {
         "ablate-credit" => ablations::credit_policy(scale),
         "ablate-celf" => ablations::celf_vs_greedy(scale),
         "ablate-mg" => ablations::mg_formula(scale),
-        "bench-scan" => scan_scaling::run(scale),
-        "bench-incremental" => incremental::run(scale),
-        "bench-ingest" => ingest::run(scale),
-        "bench-window" => window::run(scale),
-        "bench-memory" => memory::run(scale),
-        "bench-serve" => serve::run(scale),
         "all" => {
             for id in ALL_IDS.iter().filter(|&&i| i != "all") {
                 run(id, scale);

@@ -17,10 +17,13 @@
 //! paper's own measurement* (Fig 7), which is exactly the phenomenon being
 //! reproduced. Every scaling knob lives in [`config::ExperimentScale`] and
 //! is printed alongside results.
+//!
+//! Only paper artifacts live here. The system's own performance (scan
+//! ns/tuple, CELF, snapshot load, serving, ingest) is measured by the
+//! repository's `perfbench/` harness.
 
 pub mod config;
 pub mod experiments;
-pub mod loadgen;
 pub mod methods;
 pub mod prediction;
 

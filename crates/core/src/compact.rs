@@ -2264,8 +2264,11 @@ mod tests {
     fn memory_is_well_below_the_mutable_store() {
         let (graph, log) = random_instance(88, 60, 16);
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let mutable_bytes = CdSelector::new(store.clone()).heap_bytes();
+        let selector = CdSelector::new(store.clone());
+        let mutable_bytes = selector.heap_bytes();
         let compact = CompactSelector::from_store(store);
+        // The working copy is built from the arena and holds its state.
+        assert!(compact.to_dump() == selector.dump(), "the arena diverged from the working copy");
         assert!(
             compact.memory_bytes() * 2 <= mutable_bytes,
             "compact {} vs mutable {}",

@@ -50,11 +50,6 @@ impl InducedSubgraph {
     pub fn to_new(&self, old: NodeId) -> Option<NodeId> {
         self.old_to_new.get(&old).copied()
     }
-
-    /// Translates a subgraph id back to the parent graph.
-    pub fn to_old(&self, new: NodeId) -> NodeId {
-        self.new_to_old[new as usize]
-    }
 }
 
 #[cfg(test)]
@@ -76,7 +71,7 @@ mod tests {
         let parent = GraphBuilder::new(10).edges([(7, 9), (9, 3)]).build();
         let sub = InducedSubgraph::new(&parent, &[9, 3, 7]);
         for new_id in 0..sub.graph.num_nodes() as NodeId {
-            let old = sub.to_old(new_id);
+            let old = sub.new_to_old[new_id as usize];
             assert_eq!(sub.to_new(old), Some(new_id));
         }
         assert_eq!(sub.to_new(5), None);
@@ -115,7 +110,7 @@ mod proptests {
             let sub = InducedSubgraph::new(&parent, &keep);
 
             for (nu, nv) in sub.graph.edges() {
-                prop_assert!(parent.has_edge(sub.to_old(nu), sub.to_old(nv)));
+                prop_assert!(parent.has_edge(sub.new_to_old[nu as usize], sub.new_to_old[nv as usize]));
             }
             let kept: std::collections::HashSet<u32> =
                 sub.new_to_old.iter().copied().collect();

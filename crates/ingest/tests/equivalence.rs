@@ -4,7 +4,7 @@
 //! snapshot **byte-identical** to one-shot offline training on the
 //! completed file, at every thread count.
 
-use cdim_actionlog::storage::{read_action_log, write_action_log};
+use cdim_actionlog::storage::{read_action_log, write_action_log, TupleDecoder};
 use cdim_actionlog::{ActionLog, ActionLogBuilder};
 use cdim_core::{scan_with, CreditPolicy};
 use cdim_graph::{DirectedGraph, GraphBuilder};
@@ -345,18 +345,23 @@ fn preset_log_streams_to_offline_bytes() {
     }
 }
 
-/// An `ActionLog` built through the growing-universe path and widened to
-/// the graph's node count trains identically to the fixed-universe path
-/// (the delta side of the auto-growing satellite).
+/// An `ActionLog` built through the growing-universe path the batcher
+/// takes (decoded lines into `ActionLogBuilder::growing`) and widened to
+/// the graph's node count trains identically to the fixed-universe path.
 #[test]
 fn growing_universe_log_trains_identically() {
     let ds = cdim_datagen::presets::tiny().generate();
     let mut serialized = Vec::new();
     write_action_log(&ds.log, &mut serialized).unwrap();
     let fixed = read_action_log(&serialized[..], ds.graph.num_nodes()).unwrap();
-    let grown = cdim_actionlog::storage::read_action_log_growing(&serialized[..])
-        .unwrap()
-        .widen_users(ds.graph.num_nodes());
+    let mut builder = ActionLogBuilder::growing();
+    let mut decoder = TupleDecoder::new();
+    for line in std::str::from_utf8(&serialized).unwrap().lines() {
+        if let Some(t) = decoder.decode_line(line).unwrap() {
+            builder.try_push(t.user, t.action, t.time).unwrap();
+        }
+    }
+    let grown = builder.build().widen_users(ds.graph.num_nodes());
     assert_eq!(grown, fixed);
     let scan = |log: &ActionLog| {
         scan_with(&ds.graph, log, &CreditPolicy::Uniform, 0.0, Parallelism::single())

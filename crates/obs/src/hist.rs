@@ -73,7 +73,7 @@ fn bucket_upper(index: usize) -> u64 {
 /// A fixed-size log-linear histogram of nonnegative durations in seconds.
 ///
 /// See the module docs for the bucketing scheme. All recording paths are
-/// lock-free relaxed atomics; snapshots and merges are relaxed loads and
+/// lock-free relaxed atomics; snapshots are relaxed loads and
 /// may tear *across* buckets under concurrent writes (each individual
 /// bucket is still exact), which is the standard trade for wait-free
 /// recording.
@@ -125,33 +125,17 @@ impl Histogram {
         SpanGuard { hist: Arc::clone(self), started: Instant::now() }
     }
 
-    /// Fold another histogram's contents into this one.
-    ///
-    /// Because all internal state is integral, the result is exactly the
-    /// histogram that would have recorded both sample streams.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = src.load(Ordering::Relaxed);
-            if n != 0 {
-                dst.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_ticks.fetch_add(other.sum_ticks.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_ticks.fetch_max(other.max_ticks.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Exact running sum, in integer ticks (test/merge invariant hook).
+    /// Exact running sum, in integer ticks (test invariant hook).
     pub fn sum_ticks(&self) -> u64 {
         self.sum_ticks.load(Ordering::Relaxed)
     }
 
-    /// Exact running max, in integer ticks (test/merge invariant hook).
+    /// Exact running max, in integer ticks (test invariant hook).
     pub fn max_ticks(&self) -> u64 {
         self.max_ticks.load(Ordering::Relaxed)
     }
@@ -227,13 +211,6 @@ pub struct HistogramSummary {
 pub struct SpanGuard {
     hist: Arc<Histogram>,
     started: Instant,
-}
-
-impl SpanGuard {
-    /// Seconds elapsed since the span started (without ending it).
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
 }
 
 impl Drop for SpanGuard {

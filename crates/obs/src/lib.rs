@@ -12,9 +12,9 @@
 //! * [`metric`] — [`Counter`] (relaxed atomic adds), [`Gauge`] (f64 bits
 //!   in an `AtomicU64`), and [`Info`] (a text annotation such as the last
 //!   quarantine reason).
-//! * [`hist`] — [`Histogram`], a mergeable log-linear latency histogram
-//!   with wait-free recording and exact-integer internals (merge equals
-//!   concatenated recording), read out as p50/p90/p99/max via
+//! * [`hist`] — [`Histogram`], a log-linear latency histogram with
+//!   wait-free recording and exact-integer internals, read out as
+//!   p50/p90/p99/max via
 //!   [`HistogramSummary`]; [`SpanGuard`] is the RAII scoped timer.
 //! * [`registry`] — [`MetricsRegistry`] (register-or-fetch by name,
 //!   deterministic sorted [`RegistryDump`] snapshots, and the process-wide

@@ -507,7 +507,11 @@ impl<'a> Reader<'a> {
         if n * 4 > self.buf.len() - self.pos {
             return Err(ProtocolError::Truncated);
         }
-        (0..n).map(|_| self.u32()).collect()
+        let mut seeds = Vec::with_capacity(n);
+        for _ in 0..n {
+            seeds.push(self.u32()?);
+        }
+        Ok(seeds)
     }
 
     fn done(&self) -> Result<(), ProtocolError> {

@@ -279,8 +279,7 @@ fn a_u32_max_top_k_budget_gets_a_full_answer() {
     server.shutdown();
 }
 
-/// ≥1k live connections on one reactor thread, all answered. (The 10k
-/// sweep lives in `bench_serve`; this is the CI-sized smoke.)
+/// ≥1k live connections on one reactor thread, all answered.
 #[test]
 fn a_thousand_concurrent_connections_are_served() {
     let service = test_service();

@@ -433,27 +433,6 @@ impl Drop for WakePipe {
     }
 }
 
-/// Raises the process `RLIMIT_NOFILE` soft limit toward `want` (clamped
-/// to the hard limit) and returns the resulting soft limit. A soft limit
-/// already at or above `want` is returned unchanged.
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let mut lim = sys::Rlimit { rlim_cur: 0, rlim_max: 0 };
-    // SAFETY: `lim` is a valid rlimit struct the kernel fills.
-    if unsafe { sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.rlim_cur >= want {
-        return Ok(lim.rlim_cur);
-    }
-    let target = want.min(lim.rlim_max);
-    let new = sys::Rlimit { rlim_cur: target, rlim_max: lim.rlim_max };
-    // SAFETY: `new` is a valid rlimit struct; the kernel copies it.
-    if unsafe { sys::setrlimit(sys::RLIMIT_NOFILE, &new) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(target)
-}
-
 /// Raw POSIX bindings (the workspace links no external crates; these
 /// constants match the Linux and BSD ABIs for the subset used here).
 mod sys {
@@ -493,11 +472,6 @@ mod sys {
     #[cfg(not(target_os = "linux"))]
     pub const O_CLOEXEC: i32 = 0x1000000;
 
-    #[cfg(target_os = "linux")]
-    pub const RLIMIT_NOFILE: i32 = 7;
-    #[cfg(not(target_os = "linux"))]
-    pub const RLIMIT_NOFILE: i32 = 8;
-
     /// `nfds_t`: unsigned long on every supported target.
     pub type NfdsT = std::os::raw::c_ulong;
 
@@ -520,20 +494,11 @@ mod sys {
         pub data: u64,
     }
 
-    /// `struct rlimit` (u64 fields on all LP64 targets).
-    #[repr(C)]
-    pub struct Rlimit {
-        pub rlim_cur: u64,
-        pub rlim_max: u64,
-    }
-
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
         pub fn close(fd: i32) -> i32;
         pub fn read(fd: i32, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
-        pub fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-        pub fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
         #[cfg(target_os = "linux")]
         pub fn pipe2(fds: *mut i32, flags: i32) -> i32;
         #[cfg(target_os = "linux")]
@@ -697,14 +662,6 @@ mod tests {
         if std::env::var("CDIM_POLL_BACKEND").is_ok_and(|v| v == "poll") {
             assert_eq!(default, PollBackend::Poll);
         }
-    }
-
-    #[test]
-    fn raise_nofile_limit_is_monotone() {
-        let current = raise_nofile_limit(0).unwrap();
-        assert!(current > 0);
-        // Asking for what we already have is a no-op success.
-        assert_eq!(raise_nofile_limit(current).unwrap(), current);
     }
 
     #[test]

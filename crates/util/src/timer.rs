@@ -50,19 +50,6 @@ impl Default for Timer {
     }
 }
 
-/// Formats a duration compactly (`850ms`, `3.2s`, `2m05s`).
-pub fn fmt_duration(d: Duration) -> String {
-    let secs = d.as_secs_f64();
-    if secs < 1.0 {
-        format!("{:.0}ms", secs * 1000.0)
-    } else if secs < 60.0 {
-        format!("{secs:.2}s")
-    } else {
-        let minutes = (secs / 60.0).floor() as u64;
-        format!("{minutes}m{:04.1}s", secs - minutes as f64 * 60.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,12 +76,5 @@ mod tests {
         let first = t.lap();
         assert!(first >= Duration::from_millis(1));
         assert!(t.elapsed() < first + Duration::from_millis(50));
-    }
-
-    #[test]
-    fn formats_ranges() {
-        assert_eq!(fmt_duration(Duration::from_millis(850)), "850ms");
-        assert_eq!(fmt_duration(Duration::from_secs_f64(3.25)), "3.25s");
-        assert_eq!(fmt_duration(Duration::from_secs(125)), "2m05.0s");
     }
 }

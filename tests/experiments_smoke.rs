@@ -42,36 +42,6 @@ fn scalability_figures_run() {
 }
 
 #[test]
-fn bench_scan_sweep_runs_and_records_json() {
-    // Explicit output path — no process-global env mutation, so this is
-    // safe alongside the other tests in this binary running in parallel.
-    let path = std::env::temp_dir().join(format!("cdim_bench_scan_{}.json", std::process::id()));
-    cdim_bench::experiments::scan_scaling::run_with_output(smoke(), &path);
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("\"experiment\": \"bench-scan\""), "{text}");
-    for threads in [1, 2, 4, 8] {
-        assert!(text.contains(&format!("\"threads\": {threads}")), "{text}");
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn bench_incremental_sweep_runs_and_records_json() {
-    let path =
-        std::env::temp_dir().join(format!("cdim_bench_incremental_{}.json", std::process::id()));
-    // Extra-small dataset: the sweep rescans the full log once per delta
-    // fraction, which would dominate this binary's runtime at divisor 16.
-    let mut scale = smoke();
-    scale.dataset_divisor = 64;
-    cdim_bench::experiments::incremental::run_with_output(scale, &path);
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("\"experiment\": \"bench-incremental\""), "{text}");
-    assert!(text.contains("\"delta_fraction\": 0.02"), "{text}");
-    assert!(text.contains("\"apply_secs\""), "{text}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
 fn ablations_run() {
     assert!(experiments::run("ablate-credit", smoke()));
     assert!(experiments::run("ablate-celf", smoke()));
