@@ -7,9 +7,11 @@
 //! [`CreditStore`]; a [`CompactSelector`] shares it (no copy) and may
 //! also hold SC entries and committed seeds. The arena is also the v2
 //! snapshot payload: the serving layer stores it verbatim and reloads it
-//! by validate + reinterpret — no per-entry decode. Nothing freezes a
-//! trained model: only a selector state with committed seeds
-//! ([`CompactSelector::freeze`]) is laid out from a dump.
+//! by validate + reinterpret — no per-entry decode. Selection runs here
+//! too: the [`OverlaySelector`] is the one engine for Algorithms 4–5, and
+//! the CELF driver of [`crate::celf`] runs on it. Nothing freezes a
+//! trained model: only a session with committed seeds
+//! ([`OverlaySelector::freeze`]) is laid out anew.
 //!
 //! An arena is never modified. [`extend`](CompactSelector::extend) scans
 //! only the new actions and splices their sections onto a copy of the
@@ -104,17 +106,23 @@
 //! of one action reads and writes only that action): the new actions'
 //! sections are what a full rescan with the seeds replayed would put at
 //! the end, and a window's sections are a suffix of the full model's.
-//! The query engine ([`OverlaySelector`]) shares the CELF driver with the
-//! training-side [`CdSelector`] and mirrors each of its f64 accumulation
-//! orders, so it answers bit-identically to a `CdSelector` restored from
-//! the same dump — the oracle the tests hold it to.
+//! The query engine ([`OverlaySelector`]) is checked against the hash-map
+//! oracle [`crate::reference::CdSelector`]: it mirrors each of the
+//! oracle's f64 accumulation orders, so after every commit its state,
+//! laid out by [`OverlaySelector::freeze`], is the oracle's dump bit for
+//! bit, and every gain it computes is the oracle's. That fixes every CELF
+//! re-evaluation. CELF's first round instead reads one bulk pass over the
+//! credit rows, which sums each user's credits and self terms apart (so
+//! its values may differ from `compute_mg` in the last bits); the tests
+//! recompute it from the dump in that order and check it bit for bit.
+//! The pinned answer checksums of the `overlay_kernel` suite keep the
+//! answers themselves fixed.
 
-use crate::celf::{CdSelector, CelfEngine, CelfSession, MgMode};
+use crate::celf::{CelfSession, MgMode};
 use crate::incremental::{self, ExtendError};
 use crate::policy::CreditPolicy;
 use crate::scan::{scan_with, ScanError};
 use crate::store::{pair_key, CreditStore, CreditStoreDump};
-use crate::SelectorDump;
 use cdim_actionlog::ActionLogDelta;
 use cdim_graph::DirectedGraph;
 use cdim_maxim::Selection;
@@ -266,7 +274,7 @@ pub(crate) struct CompactData {
 macro_rules! typed_section {
     ($name:ident, $cast:ident, $t:ty) => {
         #[inline]
-        fn $name(&self) -> &[$t] {
+        pub(crate) fn $name(&self) -> &[$t] {
             let r = &self.layout.$name;
             // Layout sections are 8-aligned on an 8-aligned arena base,
             // and sized as whole elements, so the cast cannot fail.
@@ -764,10 +772,11 @@ impl CompactData {
     /// Incremental retraining: this state extended by an append-only
     /// action batch. Only the delta is scanned (with [`scan_with`], under
     /// `parallelism`); committed seeds are replayed over the new actions
-    /// in selection order ([`CdSelector::update`] — Algorithm 5 never
-    /// crosses an action boundary, so the old actions already reflect
-    /// them); the result is spliced onto the arena. Without seeds the
-    /// scanned arena is spliced as it is.
+    /// in selection order on an overlay of the delta's arena
+    /// ([`OverlaySelector::update`] — Algorithm 5 never crosses an action
+    /// boundary, so the old actions already reflect them), and the
+    /// overlay's state ([`OverlaySelector::freeze`]) is spliced onto the
+    /// arena. Without seeds the scanned arena is spliced as it is.
     ///
     /// Under the training policy the result is byte-identical to a
     /// from-scratch scan of the combined log with the same seeds replayed
@@ -782,17 +791,11 @@ impl CompactData {
     ) -> Result<CompactData, ExtendError> {
         incremental::validate(graph, delta, self.counts.num_users, self.counts.num_actions)?;
         let tail = self.scan(graph, delta, policy, parallelism)?;
-        let tail = if self.seeds().is_empty() {
-            tail.data
-        } else {
-            let mut fresh = CdSelector::new(tail);
-            for &x in self.seeds() {
-                fresh.update(x);
-            }
-            let dump = fresh.dump();
-            Arc::new(build(&dump.store, &dump.sc, &dump.seeds)?)
-        };
-        Ok(splice(self, 0, &tail)?)
+        let mut fresh = CompactSelector::from_store(tail).overlay();
+        for &x in self.seeds() {
+            fresh.update(x);
+        }
+        Ok(splice(self, 0, &fresh.freeze().data)?)
     }
 
     /// Sliding-window retraining: this state without an expired action
@@ -854,75 +857,17 @@ impl CompactData {
 
 // ------------------------------------------------------------- public types
 
-/// The canonical store dump of `data` with credit values `credits` (the
-/// arena's own, or an overlay's; `NaN` entries are left out).
-fn store_dump(data: &CompactData, credits_arr: &[f64]) -> CreditStoreDump {
-    let counts = &data.counts;
-    let mut user_actions = Vec::with_capacity(counts.num_users);
-    for u in 0..counts.num_users as u32 {
-        user_actions.push(data.ua_row(u).to_vec());
-    }
-    let targets = data.out_targets();
-    let row_user = data.out_row_user();
-    let mut credits = Vec::with_capacity(counts.num_actions);
-    for a in 0..counts.num_actions as u32 {
-        let mut entries = Vec::new();
-        for row in data.out_act_range(a) {
-            let v = row_user[row];
-            for pos in data.out_row_entries(row) {
-                if !credits_arr[pos].is_nan() {
-                    entries.push((v, targets[pos], credits_arr[pos]));
-                }
-            }
-        }
-        credits.push(entries);
-    }
-    CreditStoreDump { lambda: data.lambda, user_actions, inv_au: data.inv_au().to_vec(), credits }
-}
-
-/// Read-only CSR-flat image of a full [`CdSelector`] (store + SC map +
-/// committed seeds). Queries run through [`CompactSelector::overlay`].
+/// A trained model state as a read-only arena: the credits, SC entries
+/// and committed seeds. Queries run through [`CompactSelector::overlay`].
 #[derive(Clone, Debug)]
 pub struct CompactSelector {
-    data: Arc<CompactData>,
+    pub(crate) data: Arc<CompactData>,
 }
 
 impl CompactSelector {
     /// The seedless model of a scanned store, sharing its arena: no copy.
     pub fn from_store(store: CreditStore) -> CompactSelector {
         CompactSelector { data: store.data }
-    }
-
-    /// Freezes a trained selector, seeds and SC entries included
-    /// (canonical entry order, as [`CdSelector::dump`] emits it).
-    pub fn freeze(selector: &CdSelector) -> CompactSelector {
-        Self::from_dump(&selector.dump())
-    }
-
-    /// Builds the arena from a canonical dump.
-    ///
-    /// Panics if the dump does not fit the arena's u32 offsets (more
-    /// than ~4·10⁹ entries, far past what a dump in memory holds).
-    pub fn from_dump(dump: &SelectorDump) -> CompactSelector {
-        let data = build(&dump.store, &dump.sc, &dump.seeds).expect("dump fits the u32 offsets");
-        CompactSelector { data: Arc::new(data) }
-    }
-
-    /// Exports the canonical dump (identical to the dump the arena was
-    /// built from).
-    pub fn to_dump(&self) -> SelectorDump {
-        let data = &self.data;
-        let sc = data
-            .sc_keys()
-            .iter()
-            .zip(data.sc_vals())
-            .map(|(&key, &c)| ((key >> 32) as u32, key as u32, c))
-            .collect();
-        SelectorDump {
-            store: store_dump(data, data.out_credits()),
-            sc,
-            seeds: data.seeds().to_vec(),
-        }
     }
 
     /// Incremental retraining: this model extended by an append-only
@@ -1317,9 +1262,11 @@ fn validate_direction(
 
 /// A per-query view over a [`CompactSelector`]: the immutable CSR arrays
 /// plus a mutable credit overlay (`NaN` marks entries retired or zeroed
-/// by Lemma 2), a dense SC array, and the growing seed list. Mirrors every
-/// f64 accumulation order of the canonical [`CdSelector`], so answers are
-/// bit-identical to the mutable engine restored from the same dump.
+/// by Lemma 2), a dense SC array, and the growing seed list. The one
+/// engine for Theorem-3 gains and Algorithm-5 commits; every f64
+/// accumulation order follows the arena's sorted rows, so its answers are
+/// bit-identical to the hash-map oracle [`crate::reference::CdSelector`]
+/// restored from the same state.
 #[derive(Clone, Debug)]
 pub struct OverlaySelector {
     data: Arc<CompactData>,
@@ -1330,7 +1277,7 @@ pub struct OverlaySelector {
     credits: Option<Vec<f64>>,
     /// `Γ_{S,u}(a)` per user-action pair, aligned with `ua_data`; `NaN` =
     /// no entry (read as 0). Seeded from the arena's SC keys, so
-    /// [`Self::to_dump`] lists exactly the keys Lemma 3 created, stored
+    /// [`Self::freeze`] lays out exactly the keys Lemma 3 created, stored
     /// `0.0` values included.
     sc: Vec<f64>,
     seeds: Vec<u32>,
@@ -1371,11 +1318,30 @@ impl OverlaySelector {
         &self.seeds
     }
 
-    /// Exports the session's current state (live credits, SC entries, seeds)
-    /// as a canonical dump — what [`CdSelector::dump`] returns after the
-    /// same seeds are committed on the mutable engine.
-    pub fn to_dump(&self) -> SelectorDump {
+    /// Lays the session's state out as an arena: the live credits in the
+    /// arena's row order, the SC entries sorted by `(action, user)`, and
+    /// the seeds in commit order — the arena a dump of the same state
+    /// builds, byte for byte. Before the first commit that is the arena
+    /// the session reads, which is shared, not copied.
+    pub fn freeze(&self) -> CompactSelector {
         let data = &self.data;
+        let Some(credits) = &self.credits else {
+            return CompactSelector { data: Arc::clone(data) };
+        };
+        let (row_user, targets) = (data.out_row_user(), data.out_targets());
+        let mut rows = ActionRows::default();
+        let (mut entries, mut by_target) = (Vec::new(), Vec::new());
+        for a in 0..data.counts.num_actions as u32 {
+            entries.clear();
+            for row in data.out_act_range(a) {
+                for pos in data.out_row_entries(row) {
+                    if !credits[pos].is_nan() {
+                        entries.push((row_user[row], targets[pos], credits[pos]));
+                    }
+                }
+            }
+            rows.push_sorted(&entries, &mut by_target);
+        }
         let mut sc = Vec::new();
         for u in 0..data.counts.num_users as u32 {
             let range = data.ua_range(u);
@@ -1386,7 +1352,12 @@ impl OverlaySelector {
             }
         }
         sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
-        SelectorDump { store: store_dump(data, self.credits()), sc, seeds: self.seeds.clone() }
+        let (ua_offsets, ua_data, inv_au) = (data.ua_offsets(), data.ua_data(), data.inv_au());
+        let runs = [rows.view()];
+        // Every count is at most the session's arena's, which fits.
+        let frozen = arena(data.lambda, ua_offsets, ua_data, inv_au, &runs, &sc, &self.seeds)
+            .expect("a session's state fits its arena's offsets");
+        CompactSelector { data: Arc::new(frozen) }
     }
 
     /// The live credit values: the overlay's own copy once a seed has
@@ -1406,9 +1377,8 @@ impl OverlaySelector {
         self.data.ua_data()[range].iter().zip(sc).map(|(&a, &c)| (a, sc_or_zero(c)))
     }
 
-    /// Theorem-3 marginal gain of adding `x` to the current seed set
-    /// (bit-identical to [`CdSelector::compute_mg`] on canonical state).
-    /// A committed seed gains nothing.
+    /// Theorem-3 marginal gain of adding `x` to the current seed set. A
+    /// committed seed gains nothing.
     pub fn compute_mg(&self, x: u32) -> f64 {
         let data = &self.data;
         let inv_ax = data.inv_au_of(x);
@@ -1437,8 +1407,9 @@ impl OverlaySelector {
         mg
     }
 
-    /// The literal Algorithm-4 gain (self term only for actions with
-    /// outgoing credit) — see [`CdSelector::compute_mg_pseudocode`].
+    /// The paper's literal Algorithm 4: like [`Self::compute_mg`] but the
+    /// self term is only added for actions where `x` holds outgoing
+    /// credit. Kept for the `ablate-mg` experiment.
     pub fn compute_mg_pseudocode(&self, x: u32) -> f64 {
         let data = &self.data;
         let inv_ax = data.inv_au_of(x);
@@ -1470,8 +1441,8 @@ impl OverlaySelector {
     }
 
     /// Algorithm 5: commits `x` and applies the Lemma 2/3 updates to the
-    /// overlay (bit-identical to [`CdSelector::update`]). Committing a
-    /// seed twice is a no-op.
+    /// overlay, then retires `x`'s credit row and column (`x ∉ V − S` any
+    /// more). Committing a seed twice is a no-op.
     pub fn update(&mut self, x: u32) {
         if self.seeds.contains(&x) {
             return;
@@ -1485,6 +1456,65 @@ impl OverlaySelector {
             apply_seed_to_action(&data, credits, &mut self.sc, &mut self.scratch, a, x, xa);
         }
         self.seeds.push(x);
+    }
+
+    /// Users in the id space (the CELF candidate range).
+    pub(crate) fn num_users(&self) -> usize {
+        self.data.counts.num_users
+    }
+
+    /// `1 / A_x` (0 for users that never acted, who are not candidates).
+    pub(crate) fn inv_au_of(&self, x: u32) -> f64 {
+        self.data.inv_au_of(x)
+    }
+
+    /// `Σ_a Σ_u Γ_{x,u}(a)·1/A_u` for every user `x` — the credit half of
+    /// the `S = ∅` bulk pass of CELF, one sweep over the out rows
+    /// (actions ascending, each row in target order) instead of a row
+    /// lookup per candidate and action.
+    pub(crate) fn initial_credit_gains(&self) -> Vec<f64> {
+        let data = &self.data;
+        let mut initial = vec![0.0f64; data.counts.num_users];
+        let row_user = data.out_row_user();
+        let targets = data.out_targets();
+        let inv_au = data.inv_au();
+        let credits = self.credits();
+        for a in 0..data.counts.num_actions as u32 {
+            for row in data.out_act_range(a) {
+                let acc = &mut initial[row_user[row] as usize];
+                for pos in data.out_row_entries(row) {
+                    let c = credits[pos];
+                    if !c.is_nan() {
+                        *acc += c * inv_au[targets[pos] as usize];
+                    }
+                }
+            }
+        }
+        initial
+    }
+
+    /// The self-credit half of the `S = ∅` bulk pass for candidate `x`
+    /// (mode-dependent; see [`MgMode`]), summed per performed action like
+    /// the full marginal-gain formula. `1/A_x` summed over every action
+    /// `x` performed is 1 only up to rounding, so it is summed, not
+    /// assumed.
+    pub(crate) fn self_term(&self, x: u32, mode: MgMode) -> f64 {
+        let inv_ax = self.data.inv_au_of(x);
+        let actions = self.data.ua_row(x).iter();
+        match mode {
+            MgMode::Theorem3 => actions.map(|_| inv_ax).sum::<f64>(),
+            MgMode::Pseudocode => {
+                actions.filter(|&&a| self.has_influencer(a, x)).map(|_| inv_ax).sum::<f64>()
+            }
+        }
+    }
+
+    /// The marginal gain of `x` under `mode`.
+    pub(crate) fn mg(&self, x: u32, mode: MgMode) -> f64 {
+        match mode {
+            MgMode::Theorem3 => self.compute_mg(x),
+            MgMode::Pseudocode => self.compute_mg_pseudocode(x),
+        }
     }
 
     fn has_influencer(&self, a: u32, x: u32) -> bool {
@@ -1526,7 +1556,7 @@ impl HeapSize for OverlaySelector {
 /// [`OverlaySelector::select`] to the same budget.
 #[derive(Clone, Debug)]
 pub struct TopKSession {
-    celf: CelfSession<OverlaySelector>,
+    celf: CelfSession,
 }
 
 impl TopKSession {
@@ -1543,66 +1573,6 @@ impl TopKSession {
     }
 }
 
-impl CelfEngine for OverlaySelector {
-    fn num_users(&self) -> usize {
-        self.data.counts.num_users
-    }
-
-    fn seeds(&self) -> &[u32] {
-        &self.seeds
-    }
-
-    fn initial_credit_gains(&self) -> Vec<f64> {
-        let data = &self.data;
-        let mut initial = vec![0.0f64; data.counts.num_users];
-        let row_user = data.out_row_user();
-        let targets = data.out_targets();
-        let inv_au = data.inv_au();
-        let credits = self.credits();
-        for a in 0..data.counts.num_actions as u32 {
-            for row in data.out_act_range(a) {
-                let acc = &mut initial[row_user[row] as usize];
-                for pos in data.out_row_entries(row) {
-                    let c = credits[pos];
-                    if !c.is_nan() {
-                        *acc += c * inv_au[targets[pos] as usize];
-                    }
-                }
-            }
-        }
-        initial
-    }
-
-    fn inv_au_of(&self, x: u32) -> f64 {
-        self.data.inv_au_of(x)
-    }
-
-    fn self_term(&self, x: u32, mode: MgMode) -> f64 {
-        let inv_ax = self.data.inv_au_of(x);
-        match mode {
-            MgMode::Theorem3 => self.data.ua_row(x).iter().map(|_| inv_ax).sum::<f64>(),
-            MgMode::Pseudocode => self
-                .data
-                .ua_row(x)
-                .iter()
-                .filter(|&&a| self.has_influencer(a, x))
-                .map(|_| inv_ax)
-                .sum::<f64>(),
-        }
-    }
-
-    fn mg(&self, x: u32, mode: MgMode) -> f64 {
-        match mode {
-            MgMode::Theorem3 => self.compute_mg(x),
-            MgMode::Pseudocode => self.compute_mg_pseudocode(x),
-        }
-    }
-
-    fn commit(&mut self, x: u32) {
-        self.update(x);
-    }
-}
-
 /// One action's worth of [`OverlaySelector::update`]: retires `x` from
 /// action `a` and applies the Lemma 2/3 credit algebra to `credits` and
 /// `sc`. `xa` is the position of `(x, a)` in `ua_data`, and
@@ -1615,7 +1585,8 @@ impl CelfEngine for OverlaySelector {
 /// source's out row once, right after retiring the source's `(v, x)`
 /// entry from it, with the same subtract-and-clamp for every entry. For
 /// a target the table holds `(Γ_{x,u}, 1e-15)`, which is the update of
-/// `ActionCredits::subtract`. For anyone else it holds [`NEUTRAL`]:
+/// the oracle's `ActionCredits::subtract` ([`crate::reference`]). For
+/// anyone else it holds [`NEUTRAL`]:
 /// `cvx·0.0` is `+0.0` because `cvx` is finite with its sign bit clear
 /// (validation), `c − 0.0` is `c` for every finite `c` and for `NaN`,
 /// and nothing is `≤ −∞`, so the entry is written back bit for bit.
@@ -1638,8 +1609,8 @@ fn apply_seed_to_action(
     let UpdateScratch { table, gout } = scratch;
     gout.clear();
 
-    // Retire x's out row. Row runs are sorted, matching the canonical
-    // mutable store's adjacency order exactly.
+    // Retire x's out row. Row runs are sorted, matching the oracle's
+    // adjacency order for a canonically built working copy exactly.
     if let Some(row) = data.out_row_of(a, x) {
         for pos in data.out_row_entries(row) {
             let c = credits[pos];
@@ -1665,7 +1636,7 @@ fn apply_seed_to_action(
 
     // Retire x's column, and Lemma 2 on each source's row:
     // Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}, with the
-    // clamp-and-remove semantics of `ActionCredits::subtract` (entries at
+    // clamp-and-remove semantics of the oracle's subtract (entries at
     // ≤ 1e-15 become `NaN`, and a removed entry stays `NaN`).
     if let Some(row) = data.inc_row_of(a, x) {
         let table = table.as_slice();
@@ -1883,21 +1854,11 @@ fn subtract_row(yv: &mut [f64], yt: &[u32], cyx: f64, xv: &[f64], xt: &[u32]) {
 mod tests {
     use super::*;
     use crate::policy::CreditPolicy;
+    use crate::reference::{self, CdSelector, SelectorDump};
     use crate::scan::scan;
     use cdim_actionlog::{ActionLog, ActionLogBuilder};
     use cdim_graph::{DirectedGraph, GraphBuilder};
     use cdim_util::Rng;
-
-    fn figure1() -> (DirectedGraph, ActionLog) {
-        let graph = GraphBuilder::new(6)
-            .edges([(0, 2), (1, 2), (0, 3), (2, 4), (0, 5), (2, 5), (3, 5), (4, 5)])
-            .build();
-        let mut b = ActionLogBuilder::new(6);
-        for (u, t) in [(0u32, 0.0), (1, 0.5), (2, 1.0), (3, 1.5), (4, 2.0), (5, 2.5)] {
-            b.push(u, 0, t);
-        }
-        (graph, b.build())
-    }
 
     /// Deterministic random instance: `n` users, `actions` actions.
     fn random_instance(seed: u64, n: u32, actions: u32) -> (DirectedGraph, ActionLog) {
@@ -1924,21 +1885,114 @@ mod tests {
         (graph, b.build())
     }
 
-    fn trained_dump(seed: u64, committed: usize) -> SelectorDump {
-        let (graph, log) = random_instance(seed, 40, 12);
-        let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let mut sel = CdSelector::new(store);
-        let picked = sel.clone().select(committed).seeds;
-        for s in picked {
-            sel.update(s);
+    /// `model` with `seeds` committed in order, frozen.
+    fn committed(model: &CompactSelector, seeds: &[u32]) -> CompactSelector {
+        let mut overlay = model.overlay();
+        for &s in seeds {
+            overlay.update(s);
         }
-        sel.dump()
+        overlay.freeze()
+    }
+
+    /// A random instance's model with its first `k` CELF seeds committed,
+    /// as a dump.
+    fn trained_dump(seed: u64, k: usize) -> SelectorDump {
+        let (graph, log) = random_instance(seed, 40, 12);
+        let model =
+            CompactSelector::from_store(scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap());
+        reference::dump_of(&committed(&model, &model.overlay().select(k).seeds))
+    }
+
+    /// Commits `seeds` in order on an overlay and on the oracle, both
+    /// restored from `dump`. Before the first commit and after each, the
+    /// overlay's frozen state is the oracle's dump bit for bit, and every
+    /// user's gain agrees bit for bit in both modes. Those are all the
+    /// values CELF's re-evaluations read; the first round's bulk values
+    /// are checked by [`assert_selection_matches_oracle`].
+    pub(super) fn assert_replay_matches_oracle(dump: &SelectorDump, seeds: &[u32]) {
+        let mut oracle = CdSelector::from_dump(dump);
+        let mut overlay = reference::arena_of(dump).overlay();
+        for step in 0..=seeds.len() {
+            if step > 0 {
+                oracle.update(seeds[step - 1]);
+                overlay.update(seeds[step - 1]);
+            }
+            let done = &seeds[..step];
+            let state = reference::dump_of(&overlay.freeze());
+            assert!(dump_bits(&state) == dump_bits(&oracle.dump()), "state after {done:?}");
+            for x in 0..dump.store.inv_au.len() as u32 {
+                let (got, want) = (overlay.compute_mg(x), oracle.compute_mg(x));
+                assert_eq!(got.to_bits(), want.to_bits(), "gain of {x} after {done:?}");
+                let (got, want) =
+                    (overlay.compute_mg_pseudocode(x), oracle.compute_mg_pseudocode(x));
+                assert_eq!(got.to_bits(), want.to_bits(), "pseudocode gain of {x} after {done:?}");
+            }
+        }
+    }
+
+    /// Every user's `S = ∅` bulk-pass gain, recomputed from `dump` in the
+    /// order the first CELF round sums it: the credit half per action
+    /// ascending, the user's row in target order, `Σ c·1/A_u`; then the
+    /// self half on its own, `1/A_x` once per action `x` performed (under
+    /// `Pseudocode`, only actions where `x` holds credit), added last.
+    fn bulk_gains_from_dump(dump: &SelectorDump, mode: MgMode) -> Vec<f64> {
+        let inv_au = &dump.store.inv_au;
+        let mut credit = vec![0.0f64; inv_au.len()];
+        for entries in &dump.store.credits {
+            for &(v, u, c) in entries {
+                credit[v as usize] += c * inv_au[u as usize];
+            }
+        }
+        let mut gains = credit;
+        for (x, actions) in dump.store.user_actions.iter().enumerate() {
+            let mut self_term = 0.0;
+            for &a in actions {
+                let holds = dump.store.credits[a as usize].iter().any(|e| e.0 == x as u32);
+                if mode == MgMode::Theorem3 || holds {
+                    self_term += inv_au[x];
+                }
+            }
+            gains[x] += self_term;
+        }
+        gains
+    }
+
+    /// Holds a CELF run from `dump` to the oracle. The overlay's bulk
+    /// first pass gives every user [`bulk_gains_from_dump`]'s value bit
+    /// for bit. Each committed gain is the bulk value of the run's first
+    /// seed when `dump` has no seeds (CELF commits it on that value), and
+    /// otherwise the oracle's gain of the seed just before its commit.
+    /// The seeds then replay on the oracle
+    /// ([`assert_replay_matches_oracle`]).
+    fn assert_selection_matches_oracle(dump: &SelectorDump, sel: &Selection, mode: MgMode) {
+        let overlay = reference::arena_of(dump).overlay();
+        let bulk = bulk_gains_from_dump(dump, mode);
+        let initial = overlay.initial_credit_gains();
+        for x in 0..bulk.len() as u32 {
+            let got = initial[x as usize] + overlay.self_term(x, mode);
+            assert_eq!(got.to_bits(), bulk[x as usize].to_bits(), "bulk gain of {x}");
+        }
+        let base = dump.seeds.len();
+        assert_eq!(&sel.seeds[..base], &dump.seeds[..]);
+        let fresh = &sel.seeds[base..];
+        assert_eq!(sel.marginal_gains.len(), fresh.len());
+        let mut oracle = CdSelector::from_dump(dump);
+        for (i, (&s, &gain)) in fresh.iter().zip(&sel.marginal_gains).enumerate() {
+            let want = match mode {
+                _ if base == 0 && i == 0 => bulk[s as usize],
+                MgMode::Theorem3 => oracle.compute_mg(s),
+                MgMode::Pseudocode => oracle.compute_mg_pseudocode(s),
+            };
+            assert_eq!(gain.to_bits(), want.to_bits(), "gain of seed {s} ({mode:?})");
+            oracle.update(s);
+        }
+        assert_replay_matches_oracle(dump, fresh);
     }
 
     #[test]
     fn counts_and_arena_len_are_consistent() {
         let dump = trained_dump(7, 2);
-        let sel = CompactSelector::from_dump(&dump);
+        let sel = reference::arena_of(&dump);
         let counts = sel.counts();
         assert_eq!(counts.num_users, 40);
         assert_eq!(counts.num_actions, 12);
@@ -1960,73 +2014,38 @@ mod tests {
     fn freeze_round_trips_the_dump() {
         for (seed, committed) in [(1u64, 0usize), (2, 1), (3, 3)] {
             let dump = trained_dump(seed, committed);
-            let compact = CompactSelector::from_dump(&dump);
-            assert_eq!(compact.to_dump(), dump, "to_dump (seed {seed})");
+            let compact = reference::arena_of(&dump);
+            assert_eq!(reference::dump_of(&compact), dump, "dump_of (seed {seed})");
         }
     }
 
     #[test]
     fn empty_state_freezes() {
         let dump = SelectorDump::default();
-        let compact = CompactSelector::from_dump(&dump);
-        assert_eq!(compact.to_dump(), dump);
+        let compact = reference::arena_of(&dump);
+        assert_eq!(reference::dump_of(&compact), dump);
         assert_eq!(compact.total_entries(), 0);
         let sel = compact.overlay().select(3);
         assert!(sel.seeds.is_empty());
     }
 
     #[test]
-    fn overlay_gains_match_mutable_bitwise() {
-        let dump = trained_dump(21, 1);
-        let mutable = CdSelector::from_dump(&dump);
-        let compact = CompactSelector::from_dump(&dump);
-        let overlay = compact.overlay();
-        for x in 0..40u32 {
-            assert_eq!(
-                overlay.compute_mg(x).to_bits(),
-                mutable.compute_mg(x).to_bits(),
-                "theorem-3 mg of {x}"
-            );
-            assert_eq!(
-                overlay.compute_mg_pseudocode(x).to_bits(),
-                mutable.compute_mg_pseudocode(x).to_bits(),
-                "pseudocode mg of {x}"
-            );
+    fn overlay_gains_match_the_oracle_after_updates() {
+        for (seed, committed) in [(21u64, 1usize), (33, 0)] {
+            let dump = trained_dump(seed, committed);
+            let sel = reference::arena_of(&dump).overlay().select(committed + 3);
+            assert_selection_matches_oracle(&dump, &sel, MgMode::Theorem3);
         }
     }
 
     #[test]
-    fn overlay_gains_match_after_updates() {
-        let dump = trained_dump(33, 0);
-        let mut mutable = CdSelector::from_dump(&dump);
-        let mut overlay = CompactSelector::from_dump(&dump).overlay();
-        let order = mutable.clone().select(3).seeds;
-        for s in order {
-            mutable.update(s);
-            overlay.update(s);
-            assert_eq!(overlay.seeds(), mutable.seeds());
-            for x in 0..40u32 {
-                assert_eq!(
-                    overlay.compute_mg(x).to_bits(),
-                    mutable.compute_mg(x).to_bits(),
-                    "mg of {x} after committing {s}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overlay_celf_selection_is_bit_identical() {
+    fn overlay_celf_selection_replays_on_the_oracle() {
         for seed in [5u64, 6, 7] {
             for mode in [MgMode::Theorem3, MgMode::Pseudocode] {
                 let dump = trained_dump(seed, 0);
-                let want = CdSelector::from_dump(&dump).select_with_mode(5, mode);
-                let got = CompactSelector::from_dump(&dump).overlay().select_with_mode(5, mode);
-                assert_eq!(got.seeds, want.seeds, "seeds (seed {seed}, {mode:?})");
-                assert_eq!(got.evaluations, want.evaluations, "evals (seed {seed}, {mode:?})");
-                let want_bits: Vec<u64> = want.marginal_gains.iter().map(|g| g.to_bits()).collect();
-                let got_bits: Vec<u64> = got.marginal_gains.iter().map(|g| g.to_bits()).collect();
-                assert_eq!(got_bits, want_bits, "gains (seed {seed}, {mode:?})");
+                let got = reference::arena_of(&dump).overlay().select_with_mode(5, mode);
+                assert_eq!(got.seeds.len(), 5, "seed {seed}, {mode:?}");
+                assert_selection_matches_oracle(&dump, &got, mode);
             }
         }
     }
@@ -2034,18 +2053,18 @@ mod tests {
     #[test]
     fn overlay_selection_continues_from_committed_seeds() {
         let dump = trained_dump(44, 2);
-        let want = CdSelector::from_dump(&dump).select(4);
-        let got = CompactSelector::from_dump(&dump).overlay().select(4);
-        assert_eq!(got.seeds, want.seeds);
+        let got = reference::arena_of(&dump).overlay().select(4);
         assert_eq!(got.seeds.len(), 4);
         assert_eq!(&got.seeds[..2], &dump.seeds[..]);
+        assert_eq!(got.marginal_gains.len(), 2);
+        assert_selection_matches_oracle(&dump, &got, MgMode::Theorem3);
     }
 
     /// Bitwise image of a dump: `(action, v, u, bits)` credits, then
     /// `(action, u, bits)` SC entries, then seeds.
-    pub(super) type DumpBits = (Vec<(usize, u32, u32, u64)>, Vec<(u32, u32, u64)>, Vec<u32>);
+    type DumpBits = (Vec<(usize, u32, u32, u64)>, Vec<(u32, u32, u64)>, Vec<u32>);
 
-    pub(super) fn dump_bits(dump: &SelectorDump) -> DumpBits {
+    fn dump_bits(dump: &SelectorDump) -> DumpBits {
         let credits = dump
             .store
             .credits
@@ -2078,55 +2097,44 @@ mod tests {
             sc: Vec::new(),
             seeds: Vec::new(),
         };
-        let mut mutable = CdSelector::from_dump(&dump);
-        let mut overlay = CompactSelector::from_dump(&dump).overlay();
-        mutable.update(1);
+        assert_replay_matches_oracle(&dump, &[1]);
+        let mut overlay = reference::arena_of(&dump).overlay();
         overlay.update(1);
-        let got = overlay.to_dump();
-        assert_eq!(dump_bits(&got), dump_bits(&mutable.dump()));
-        assert_eq!(got.store.credits[0], vec![(0, 3, 0.25)]);
+        assert_eq!(reference::dump_of(&overlay.freeze()).store.credits[0], vec![(0, 3, 0.25)]);
     }
 
     #[test]
     fn overlay_copies_credits_only_on_first_update() {
         let dump = trained_dump(12, 0);
-        let compact = CompactSelector::from_dump(&dump);
+        let compact = reference::arena_of(&dump);
         let mut overlay = compact.overlay();
-        let x = CdSelector::from_dump(&dump).select(1).seeds[0];
+        let x = overlay.clone().select(1).seeds[0];
         overlay.compute_mg(x);
         assert!(overlay.credits.is_none(), "a read materialised the copy");
-        assert_eq!(dump_bits(&overlay.to_dump()), dump_bits(&dump));
+        // Freezing an uncommitted session shares the arena it reads.
+        assert!(Arc::ptr_eq(&overlay.freeze().data, &compact.data));
         overlay.update(x);
         assert!(overlay.credits.is_some());
+        assert_ne!(dump_bits(&reference::dump_of(&overlay.freeze())), dump_bits(&dump));
         // The arena itself is never written.
-        assert_eq!(dump_bits(&compact.to_dump()), dump_bits(&dump));
-    }
-
-    #[test]
-    fn figure1_selection_matches() {
-        let (graph, log) = figure1();
-        let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let dump = CdSelector::new(store).dump();
-        let want = CdSelector::from_dump(&dump).select(2);
-        let got = CompactSelector::from_dump(&dump).overlay().select(2);
-        assert_eq!(got.seeds, want.seeds);
+        assert_eq!(dump_bits(&reference::dump_of(&compact)), dump_bits(&dump));
     }
 
     #[test]
     fn from_arena_accepts_a_frozen_arena() {
         let dump = trained_dump(55, 2);
-        let compact = CompactSelector::from_dump(&dump);
+        let compact = reference::arena_of(&dump);
         let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
         let reloaded =
             CompactSelector::from_arena(buf, 0, compact.counts(), compact.lambda()).unwrap();
-        assert_eq!(reloaded.to_dump(), dump);
+        assert_eq!(reference::dump_of(&reloaded), dump);
         assert!(!reloaded.is_mapped());
     }
 
     #[test]
     fn from_arena_rejects_structural_corruption() {
         let dump = trained_dump(66, 1);
-        let compact = CompactSelector::from_dump(&dump);
+        let compact = reference::arena_of(&dump);
         let counts = compact.counts();
         let lambda = compact.lambda();
         let layout = counts.layout();
@@ -2229,7 +2237,7 @@ mod tests {
             .expect("a pair after every SC key");
         let mut forged = dump.clone();
         forged.sc.push((a, u, 0.5));
-        let forged = CompactSelector::from_dump(&forged);
+        let forged = reference::arena_of(&forged);
         let buf = Arc::new(AlignedBuf::from_bytes(forged.arena()));
         assert!(
             CompactSelector::from_arena(buf, 0, forged.counts(), lambda).is_err(),
@@ -2252,29 +2260,12 @@ mod tests {
     #[test]
     fn from_arena_rejects_misaligned_base() {
         let dump = trained_dump(77, 0);
-        let compact = CompactSelector::from_dump(&dump);
+        let compact = reference::arena_of(&dump);
         let mut padded = vec![0u8; 4];
         padded.extend_from_slice(compact.arena());
         padded.resize((padded.len() + 7) & !7, 0);
         let buf = Arc::new(AlignedBuf::from_bytes(&padded));
         assert!(CompactSelector::from_arena(buf, 4, compact.counts(), compact.lambda()).is_err());
-    }
-
-    #[test]
-    fn memory_is_well_below_the_mutable_store() {
-        let (graph, log) = random_instance(88, 60, 16);
-        let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let selector = CdSelector::new(store.clone());
-        let mutable_bytes = selector.heap_bytes();
-        let compact = CompactSelector::from_store(store);
-        // The working copy is built from the arena and holds its state.
-        assert!(compact.to_dump() == selector.dump(), "the arena diverged from the working copy");
-        assert!(
-            compact.memory_bytes() * 2 <= mutable_bytes,
-            "compact {} vs mutable {}",
-            compact.memory_bytes(),
-            mutable_bytes
-        );
     }
 
     /// The commit loop the commit-free `gain_over` replaces.
@@ -2302,7 +2293,7 @@ mod tests {
             sc: Vec::new(),
             seeds: Vec::new(),
         };
-        let compact = CompactSelector::from_dump(&dump);
+        let compact = reference::arena_of(&dump);
         assert_eq!(compact.gain_over(&[1], 0), 1.0);
         assert_eq!(
             compact.gain_over(&[1], 0).to_bits(),
@@ -2314,7 +2305,7 @@ mod tests {
     fn top_k_session_answers_every_budget_like_a_fresh_run() {
         for committed in [0usize, 2] {
             let dump = trained_dump(92, committed);
-            let compact = CompactSelector::from_dump(&dump);
+            let compact = reference::arena_of(&dump);
             let mut session = compact.top_k_session();
             for k in [5usize, 50, 1, 20, 3, 0, 41] {
                 let want = compact.overlay().select(k);
@@ -2331,15 +2322,13 @@ mod tests {
     #[test]
     fn a_huge_budget_reserves_nothing_up_front() {
         let dump = trained_dump(93, 0);
-        let compact = CompactSelector::from_dump(&dump);
+        let compact = reference::arena_of(&dump);
         let all = compact.overlay().select(usize::MAX);
         assert_eq!(
             all.seeds.len(),
             (0..40u32).filter(|&u| compact.data.inv_au_of(u) > 0.0).count()
         );
         assert_eq!(compact.top_k_session().top_k(usize::MAX).seeds, all.seeds);
-        let mutable = CdSelector::from_dump(&dump).select(usize::MAX);
-        assert_eq!(mutable.seeds, all.seeds);
     }
 
     /// Six users, five actions, every user but one per action.
@@ -2368,11 +2357,25 @@ mod tests {
         lambda: f64,
         seeds: &[u32],
     ) -> CompactSelector {
-        let mut sel = CdSelector::new(scan(graph, log, policy, lambda).unwrap());
-        for &s in seeds {
-            sel.update(s);
+        committed(&CompactSelector::from_store(scan(graph, log, policy, lambda).unwrap()), seeds)
+    }
+
+    #[test]
+    fn frozen_sessions_lay_out_the_oracle_dump() {
+        let (graph, log) = small_instance();
+        let time_aware = CreditPolicy::time_aware(&graph, &log);
+        for (policy, lambda) in [(&CreditPolicy::Uniform, 0.0), (&time_aware, 0.001)] {
+            for seeds in [&[][..], &[0], &[0, 2]] {
+                let mut oracle = CdSelector::new(scan(&graph, &log, policy, lambda).unwrap());
+                for &s in seeds {
+                    oracle.update(s);
+                }
+                let want = reference::arena_of(&oracle.dump());
+                let got = frozen(&graph, &log, policy, lambda, seeds);
+                assert_eq!(got.counts(), want.counts(), "seeds {seeds:?}, lambda {lambda}");
+                assert!(got.arena() == want.arena(), "seeds {seeds:?}, lambda {lambda}");
+            }
         }
-        CompactSelector::freeze(&sel)
     }
 
     #[test]
@@ -2486,10 +2489,10 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{dump_bits, frozen};
+    use super::tests::{assert_replay_matches_oracle, frozen};
     use super::*;
     use crate::policy::CreditPolicy;
-    use crate::scan::scan;
+    use crate::reference::{self, SelectorDump};
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
     use proptest::prelude::*;
@@ -2638,11 +2641,7 @@ mod proptests {
                 CreditPolicy::Uniform
             };
             let lambda = if truncate { 0.001 } else { 0.0 };
-            let mut sel = CdSelector::new(scan(&graph, &log, &policy, lambda).unwrap());
-            for &s in &committed {
-                sel.update(s);
-            }
-            let compact = CompactSelector::from_dump(&sel.dump());
+            let compact = frozen(&graph, &log, &policy, lambda, &committed);
             assert_commit_free_matches(&compact, &q);
             let mut with_committed = committed.clone();
             with_committed.extend_from_slice(&q);
@@ -2661,7 +2660,7 @@ mod proptests {
             q in proptest::collection::vec(0u32..6, 1..6),
         ) {
             let dump = edge_case_dump(&entries, &extra, &sc, seeds);
-            let compact = CompactSelector::from_dump(&dump);
+            let compact = reference::arena_of(&dump);
             // The hand-built arena is one a snapshot load accepts.
             let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
             CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).unwrap();
@@ -2669,36 +2668,18 @@ mod proptests {
         }
 
         /// On the same edge-case states, every commit leaves the overlay
-        /// in the mutable engine's state bit for bit — credits and SC,
-        /// stored `+0.0` SC entries included — and every user's gain
-        /// agrees after it.
+        /// in the oracle's state bit for bit — credits and SC, stored
+        /// `+0.0` SC entries included — and every user's gain agrees
+        /// after it.
         #[test]
-        fn overlay_state_matches_mutable_on_edge_case_credits(
+        fn overlay_state_matches_the_oracle_on_edge_case_credits(
             entries in proptest::collection::vec((0u32..6, 0u32..6, 0u32..2, 0usize..8), 0..30),
             extra in proptest::collection::vec((0u32..6, 0u32..2), 0..6),
             sc in proptest::collection::vec((0u32..2, 0u32..6, 0usize..8), 0..6),
             seeds in proptest::sample::subsequence((0u32..6).collect::<Vec<_>>(), 0..3),
             q in proptest::collection::vec(0u32..6, 1..6),
         ) {
-            let dump = edge_case_dump(&entries, &extra, &sc, seeds);
-            let mut mutable = CdSelector::from_dump(&dump);
-            let mut overlay = CompactSelector::from_dump(&dump).overlay();
-            for &s in &q {
-                mutable.update(s);
-                overlay.update(s);
-                assert_eq!(
-                    dump_bits(&overlay.to_dump()),
-                    dump_bits(&mutable.dump()),
-                    "state after committing {s} of {q:?}"
-                );
-                for x in 0..6u32 {
-                    assert_eq!(
-                        overlay.compute_mg(x).to_bits(),
-                        mutable.compute_mg(x).to_bits(),
-                        "gain of {x} after committing {s} of {q:?}"
-                    );
-                }
-            }
+            assert_replay_matches_oracle(&edge_case_dump(&entries, &extra, &sc, seeds), &q);
         }
     }
 }

@@ -22,25 +22,27 @@
 //! * [`policy`] — direct-credit assignment: uniform `1/d_in(u,a)` and the
 //!   time-aware Eq 9 (`infl(u)`, `τ_{v,u}`, exponential decay);
 //! * [`store`] — the UC/SC credit structures of §5.3: the trained store
-//!   is a CSR arena, the selector's working copy a hash map per action;
+//!   is an immutable CSR arena;
 //! * [`mod@scan`] — Algorithm 2 (one pass over the sorted log, truncation
 //!   λ), writing the arena directly;
 //! * [`incremental`] — incremental retraining: extend a store with an
 //!   [`cdim_actionlog::ActionLogDelta`] (byte-identical to a full rescan)
 //!   or retract an expired action prefix (byte-identical to a scan of
 //!   just the surviving window), both by splicing arena sections;
-//! * [`celf`] — Algorithms 3–5 (CELF selection, Theorem-3 marginal gains,
-//!   Lemma 2/3 incremental updates) on a hash-map working copy, for
-//!   training-side selection and as the tests' oracle;
-//! * [`compact`] — the arena's layout and the served model: the same
-//!   arena (the zero-copy v2 snapshot payload), seeds and SC entries
-//!   included, queried by an overlay engine answering bit-identically to
-//!   the hash-map selector;
+//! * [`celf`] — Algorithm 3, the one CELF driver, with [`MgMode`] for the
+//!   pseudocode-gain ablation;
+//! * [`compact`] — the arena's layout and the model every caller selects
+//!   and queries with: the same arena (the zero-copy v2 snapshot
+//!   payload), seeds and SC entries included, and the
+//!   [`OverlaySelector`], the one engine for Theorem-3 marginal gains and
+//!   Lemma 2/3 seed commits (Algorithms 4–5);
 //! * [`spread`] — exact σ_cd(S) evaluation for arbitrary seed sets (the
 //!   spread-prediction experiments) and a [`cdim_maxim::SpreadOracle`]
 //!   implementation;
 //! * [`mod@reference`] — an intentionally naive reference implementation used
-//!   to verify every optimized path;
+//!   to verify every optimized path, plus the hash-map engines the arena
+//!   replaced (`scan_dump` for the scan, `CdSelector` for selection),
+//!   kept as the tests' bitwise oracles;
 //! * [`model`] — a convenience facade bundling train → select → evaluate;
 //! * `telemetry` — shard-level scan timing reported into the process-wide
 //!   [`cdim_obs::MetricsRegistry::global`] registry (never touches the
@@ -58,7 +60,7 @@ pub mod store;
 mod telemetry;
 
 pub use cdim_util::Parallelism;
-pub use celf::{select_seeds, CdSelector, MgMode, SelectorDump};
+pub use celf::MgMode;
 pub use compact::{CompactCounts, CompactSelector, OverlaySelector, TopKSession};
 pub use incremental::ExtendError;
 pub use model::{CdModel, CdModelConfig};

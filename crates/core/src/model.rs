@@ -4,7 +4,7 @@
 //! learned credit policy, the scanned (λ-truncated) credit store for seed
 //! selection, and the exact evaluator for spread prediction.
 
-use crate::celf::CdSelector;
+use crate::compact::CompactSelector;
 use crate::policy::CreditPolicy;
 use crate::scan::{scan_with, ScanError};
 use crate::spread::CdSpreadEvaluator;
@@ -166,12 +166,13 @@ impl CdModel {
 
     /// Influence maximization: runs Algorithm 3 for `k` seeds.
     ///
-    /// Selection mutates credits, so it runs on a [`CdSelector`]'s working
-    /// copy of the store. That copy walks the store's rows in canonical
-    /// order, so the answer — seeds and gain bits — equals a served
-    /// `top_k(k)` of the same store.
+    /// Selection runs on an [`crate::OverlaySelector`] over the store's
+    /// arena, the engine a served model answers with, so the answer —
+    /// seeds and gain bits — equals a served `top_k(k)` of the same store.
+    /// The arena is shared, not copied; the first committed seed copies
+    /// only its credit values.
     pub fn select(&self, k: usize) -> Selection {
-        CdSelector::new(self.store.clone()).select(k)
+        CompactSelector::from_store(self.store.clone()).overlay().select(k)
     }
 
     /// Exact σ_cd(S) — the model's spread prediction for any seed set.

@@ -1,14 +1,19 @@
 //! State-level bit-identity of the compact engine's Algorithm-5 update
-//! against the mutable selector, on the golden presets.
+//! against the hash-map oracle, on the golden presets.
 //!
-//! After every committed CELF seed, the overlay's live credits and SC map
-//! must equal [`CdSelector::dump`] entry for entry, bit for bit; the CELF
-//! selections (seeds, evaluation counts, gain bits) must match too, and
-//! must equal pinned checksums that do not need the mutable oracle. The
-//! commit-free σ_cd and gain queries must equal the commit loop they
-//! replace.
+//! The overlay's CELF seeds are replayed on [`CdSelector`]: after every
+//! commit, the overlay's live credits and SC map (laid out by `freeze`)
+//! must equal [`CdSelector::dump`] entry for entry, bit for bit, and every
+//! user's marginal gain must agree bit for bit — the values each CELF
+//! re-evaluation reads. Each committed gain is the oracle's gain of that
+//! seed, except the first, which CELF takes from its bulk first pass and
+//! which is recomputed from the dump in that pass's order. The selections
+//! themselves (seeds, evaluation counts, gain bits) must equal pinned
+//! checksums. The commit-free σ_cd and gain
+//! queries must equal the commit loop they replace.
 
-use cdim_core::{scan, CdSelector, CompactSelector, CreditPolicy, SelectorDump};
+use cdim_core::reference::{self, CdSelector, SelectorDump};
+use cdim_core::{scan, CompactSelector, CreditPolicy, CreditStore};
 use cdim_datagen::presets;
 use cdim_maxim::Selection;
 use cdim_util::checksum::crc32c;
@@ -44,8 +49,20 @@ fn dump_bits(dump: &SelectorDump) -> DumpBits {
     (credits, sc, dump.seeds.clone())
 }
 
+/// `x`'s gain in CELF's first round, which commits on a bulk pass rather
+/// than on `compute_mg`: the credits `Σ c·1/A_u` over `x`'s rows, actions
+/// ascending, then `1/A_x` once per action `x` performed, summed apart
+/// and added last.
+fn bulk_gain(dump: &SelectorDump, x: u32) -> f64 {
+    let inv_au = &dump.store.inv_au;
+    let credits = dump.store.credits.iter().flatten().filter(|e| e.0 == x);
+    let credit = credits.fold(0.0, |acc, &(_, u, c)| acc + c * inv_au[u as usize]);
+    let actions = &dump.store.user_actions[x as usize];
+    credit + actions.iter().fold(0.0, |acc, _| acc + inv_au[x as usize])
+}
+
 /// Freshly scanned models of each preset × policy × λ, named.
-fn cases() -> Vec<(String, SelectorDump)> {
+fn cases() -> Vec<(String, CreditStore)> {
     let mut cases = Vec::new();
     for preset in ["tiny", "flixster_small_div8"] {
         let ds = match preset {
@@ -61,8 +78,7 @@ fn cases() -> Vec<(String, SelectorDump)> {
             };
             for lambda in [0.0, 0.001] {
                 let case = format!("{preset} time_aware={time_aware} lambda={lambda}");
-                let store = scan(&ds.graph, &ds.log, &policy, lambda).unwrap();
-                cases.push((case, CdSelector::new(store).dump()));
+                cases.push((case, scan(&ds.graph, &ds.log, &policy, lambda).unwrap()));
             }
         }
     }
@@ -84,37 +100,43 @@ fn answer_crc(sel: &Selection) -> u32 {
 }
 
 #[test]
-fn overlay_state_matches_mutable_after_every_seed() {
-    for (case, dump) in cases() {
-        let want = CdSelector::from_dump(&dump).select(K);
-        let got = CompactSelector::from_dump(&dump).overlay().select(K);
-        assert_eq!(got.seeds, want.seeds, "{case}: seeds");
-        assert_eq!(got.evaluations, want.evaluations, "{case}: evaluations");
-        let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains), "{case}: gains");
-
-        let mut mutable = CdSelector::from_dump(&dump);
-        let mut overlay = CompactSelector::from_dump(&dump).overlay();
-        for &s in &want.seeds {
-            mutable.update(s);
+fn overlay_state_matches_the_oracle_after_every_seed() {
+    for (case, store) in cases() {
+        let model = CompactSelector::from_store(store.clone());
+        let sel = model.overlay().select(K);
+        assert_eq!(sel.seeds.len(), K, "{case}: seeds");
+        let mut oracle = CdSelector::new(store);
+        let first = bulk_gain(&oracle.dump(), sel.seeds[0]);
+        assert_eq!(sel.marginal_gains[0].to_bits(), first.to_bits(), "{case}: first gain");
+        let mut overlay = model.overlay();
+        for (i, &s) in sel.seeds.iter().enumerate() {
+            if i > 0 {
+                let want = oracle.compute_mg(s);
+                assert_eq!(sel.marginal_gains[i].to_bits(), want.to_bits(), "{case}: gain of {s}");
+            }
+            oracle.update(s);
             overlay.update(s);
             assert!(
-                dump_bits(&overlay.to_dump()) == dump_bits(&mutable.dump()),
+                dump_bits(&reference::dump_of(&overlay.freeze())) == dump_bits(&oracle.dump()),
                 "{case}: state differs after committing {s}"
             );
+            for x in 0..model.num_users() as u32 {
+                let (got, want) = (overlay.compute_mg(x), oracle.compute_mg(x));
+                assert_eq!(got.to_bits(), want.to_bits(), "{case}: gain of {x} after {s}");
+            }
         }
     }
 }
 
 /// The compact top-k answers equal constants recorded from the engine
-/// that the mutable selector was checked against, so they stay pinned
-/// without that oracle.
+/// when it and the hash-map selector still ran the same CELF driver and
+/// agreed, so the answers stay pinned without a second engine.
 #[test]
 fn top_k_answers_match_pinned_checksums() {
     let got: Vec<(String, u32)> = cases()
         .into_iter()
-        .map(|(case, dump)| {
-            let crc = answer_crc(&CompactSelector::from_dump(&dump).overlay().select(K));
+        .map(|(case, store)| {
+            let crc = answer_crc(&CompactSelector::from_store(store).overlay().select(K));
             (case, crc)
         })
         .collect();
@@ -136,15 +158,16 @@ fn commit_free_queries_match_the_commit_loop() {
         .generate();
         for lambda in [0.0, 0.001] {
             let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-            let store = scan(&ds.graph, &ds.log, &policy, lambda).unwrap();
-            let top = CdSelector::new(store.clone()).select(K).seeds;
+            let model =
+                CompactSelector::from_store(scan(&ds.graph, &ds.log, &policy, lambda).unwrap());
+            let top = model.overlay().select(K).seeds;
             for committed in [0usize, 2] {
                 let case = format!("{preset} lambda={lambda} committed={committed}");
-                let mut sel = CdSelector::new(store.clone());
+                let mut sel = model.overlay();
                 for &s in &top[..committed] {
                     sel.update(s);
                 }
-                let compact = CompactSelector::from_dump(&sel.dump());
+                let compact = sel.freeze();
                 let mut sequences: Vec<Vec<u32>> = (2..=K).map(|n| top[..n].to_vec()).collect();
                 sequences.push(vec![top[3], top[2], top[3], top[0], top[2]]);
                 sequences.push(top.iter().rev().copied().collect());

@@ -8,8 +8,6 @@
 //!   adjacency directions (out-neighbors for forward propagation,
 //!   in-neighbors for credit assignment / in-degree probability models);
 //! * [`GraphBuilder`] — edge-list ingestion with de-duplication;
-//! * [`subgraph`] — induced subgraphs with id remapping (used to carve the
-//!   *Small* community datasets out of the *Large* ones);
 //! * [`traversal`] — BFS reachability (the live-edge possible-world spread);
 //! * [`pagerank`] — the PageRank baseline seed selector of Fig 6;
 //! * [`components`] — weakly-connected components;
@@ -23,9 +21,7 @@ pub mod components;
 pub mod csr;
 pub mod pagerank;
 pub mod stats;
-pub mod subgraph;
 pub mod traversal;
 
 pub use builder::GraphBuilder;
 pub use csr::{DirectedGraph, NodeId};
-pub use subgraph::InducedSubgraph;

@@ -547,7 +547,8 @@ fn compute(key: &CacheKey, snapshot: &ModelSnapshot) -> Answer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdim_core::{scan, CdSelector, CreditPolicy, CreditStore};
+    use cdim_core::reference::CdSelector;
+    use cdim_core::{scan, CompactSelector, CreditPolicy, CreditStore};
 
     fn store() -> CreditStore {
         let ds = cdim_datagen::presets::tiny().generate();
@@ -562,11 +563,20 @@ mod tests {
     #[test]
     fn topk_matches_offline_selector() {
         let svc = service(16);
-        let offline = CdSelector::new(store()).select(5);
+        let offline = CompactSelector::from_store(store()).overlay().select(5);
         match svc.query(&Query::TopKSeeds { budget: 5 }).unwrap() {
             Answer::TopKSeeds { seeds, gains } => {
                 assert_eq!(seeds, offline.seeds);
                 assert_eq!(gains, offline.marginal_gains);
+                // Every gain after the first (the bulk pass's) is a fresh
+                // Theorem-3 evaluation, which the hash-map oracle repeats
+                // bit for bit.
+                let mut oracle = CdSelector::new(store());
+                oracle.update(seeds[0]);
+                for (&s, &g) in seeds.iter().zip(&gains).skip(1) {
+                    assert_eq!(g.to_bits(), oracle.compute_mg(s).to_bits(), "seed {s}");
+                    oracle.update(s);
+                }
             }
             other => panic!("unexpected answer {other:?}"),
         }

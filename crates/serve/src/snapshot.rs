@@ -1,10 +1,10 @@
 //! The snapshot file format: a trained model on disk.
 //!
 //! A snapshot holds everything seed selection and spread prediction need
-//! after training — the λ-truncated credit store plus the selector's SC
-//! map and chosen seeds — so a serving process can answer queries without
-//! the action log, the graph, or a rescan (the paper's core claim: the
-//! credit store *is* the model).
+//! after training — the λ-truncated credit store plus any committed
+//! seeds and their SC entries — so a serving process can answer queries
+//! without the action log, the graph, or a rescan (the paper's core
+//! claim: the credit store *is* the model).
 //!
 //! ## Layout (version 2 — zero-copy)
 //!
@@ -48,7 +48,7 @@
 //! a panic.
 
 use crate::codec::{push_f64, push_u32, push_u64};
-use cdim_core::{CdSelector, CompactCounts, CompactSelector, CreditStore, TopKSession};
+use cdim_core::{CompactCounts, CompactSelector, CreditStore, TopKSession};
 use cdim_util::checksum::{crc32c, crc32c_append};
 use cdim_util::AlignedBuf;
 use std::io::Write as _;
@@ -193,13 +193,10 @@ impl ModelSnapshot {
         Ok(Self::from_store(store))
     }
 
-    /// Freezes an arbitrary selector state (e.g. mid-campaign, with seeds
-    /// already committed).
-    pub fn from_selector(selector: CdSelector) -> Self {
-        Self::from_compact(CompactSelector::freeze(&selector))
-    }
-
-    fn from_compact(model: CompactSelector) -> Self {
+    /// Serves a compact model state — a scanned store's, a loaded one, or
+    /// a session's with seeds already committed
+    /// ([`cdim_core::OverlaySelector::freeze`], e.g. mid-campaign).
+    pub fn from_compact(model: CompactSelector) -> Self {
         ModelSnapshot { model, top_k: Mutex::new(None) }
     }
 
@@ -509,12 +506,22 @@ fn decode(buf: Arc<AlignedBuf>) -> Result<CompactSelector, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdim_core::reference::CdSelector;
     use cdim_core::{scan, CreditPolicy};
 
-    fn trained_selector() -> CdSelector {
+    fn trained_store() -> CreditStore {
         let ds = cdim_datagen::presets::tiny().generate();
         let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-        CdSelector::new(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap())
+        scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()
+    }
+
+    /// The tiny preset's model with `seeds` committed in order.
+    fn trained_model(seeds: &[u32]) -> CompactSelector {
+        let mut overlay = CompactSelector::from_store(trained_store()).overlay();
+        for &s in seeds {
+            overlay.update(s);
+        }
+        overlay.freeze()
     }
 
     #[test]
@@ -583,7 +590,7 @@ mod tests {
 
     #[test]
     fn repeated_and_committed_seeds_add_nothing() {
-        let snap = ModelSnapshot::from_selector(trained_selector());
+        let snap = ModelSnapshot::from_store(trained_store());
         let picked = snap.top_k(2).seeds;
         let (x, y) = (picked[0], picked[1]);
         let single = snap.telescoped_spread(&[x]);
@@ -597,9 +604,7 @@ mod tests {
         assert_eq!(snap.gain_over(&[x, y], x), 0.0);
 
         // A seed committed into the snapshot itself is no candidate either.
-        let mut sel = trained_selector();
-        sel.update(x);
-        let committed = ModelSnapshot::from_selector(sel);
+        let committed = ModelSnapshot::from_compact(trained_model(&[x]));
         assert_eq!(committed.single_marginal_gain(x), 0.0);
         assert_eq!(committed.telescoped_spread(&[x]), 0.0);
         assert_eq!(committed.gain_over(&[y], x), 0.0);
@@ -613,7 +618,7 @@ mod tests {
 
     #[test]
     fn top_k_session_answers_any_order_of_budgets_like_fresh_runs() {
-        let bytes = ModelSnapshot::from_selector(trained_selector()).to_bytes();
+        let bytes = ModelSnapshot::from_store(trained_store()).to_bytes();
         let fresh = |k: usize| ModelSnapshot::from_bytes(&bytes).unwrap().top_k(k);
         let shared = Arc::new(ModelSnapshot::from_bytes(&bytes).unwrap());
         let before = shared.resident_bytes();
@@ -648,7 +653,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_byte_identical() {
-        let snap = ModelSnapshot::from_selector(trained_selector());
+        let snap = ModelSnapshot::from_store(trained_store());
         let bytes = snap.to_bytes();
         let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
         assert_eq!(restored.to_bytes(), bytes);
@@ -657,26 +662,24 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_mid_selection_state() {
-        let mut sel = trained_selector();
-        let seed = sel.clone().select(1).seeds[0];
-        sel.update(seed);
-        let snap = ModelSnapshot::from_selector(sel.clone());
+        let seed = ModelSnapshot::from_store(trained_store()).top_k(1).seeds[0];
+        let snap = ModelSnapshot::from_compact(trained_model(&[seed]));
         let restored = ModelSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(restored.committed_seeds(), 1);
         assert_eq!(restored.top_k(1).seeds, vec![seed]);
-        // The live selector walks its rows in canonical order, as does
-        // any canonical restoration, so every gain is bit-exact.
-        let canonical = CdSelector::from_dump(&sel.dump());
+        // The hash-map oracle with the same seed committed walks its rows
+        // in canonical order, so every gain is bit-exact.
+        let mut oracle = CdSelector::new(trained_store());
+        oracle.update(seed);
         for x in 0..snap.num_users() as u32 {
             let gain = restored.single_marginal_gain(x);
-            assert_eq!(gain.to_bits(), sel.compute_mg(x).to_bits(), "user {x}");
-            assert_eq!(gain.to_bits(), canonical.compute_mg(x).to_bits(), "user {x}");
+            assert_eq!(gain.to_bits(), oracle.compute_mg(x).to_bits(), "user {x}");
         }
     }
 
     #[test]
     fn file_round_trip() {
-        let snap = ModelSnapshot::from_selector(trained_selector());
+        let snap = ModelSnapshot::from_store(trained_store());
         let dir = std::env::temp_dir().join(format!("cdim_snap_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.snap");
@@ -690,7 +693,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_version() {
-        let snap = ModelSnapshot::from_selector(trained_selector());
+        let snap = ModelSnapshot::from_store(trained_store());
         let bytes = snap.to_bytes();
 
         let mut bad = bytes.clone();
@@ -712,18 +715,20 @@ mod tests {
 mod proptests {
     use super::*;
     use cdim_actionlog::ActionLogBuilder;
+    use cdim_core::reference::CdSelector;
     use cdim_core::{scan, CreditPolicy};
     use cdim_graph::GraphBuilder;
     use proptest::prelude::*;
 
-    /// A random trained selector over 10 users, with optional committed
-    /// seeds (so the SC map and seed list are exercised too).
-    fn random_selector(
+    /// A random trained model over 10 users with `seeds` committed (so the
+    /// SC entries and seed list are exercised too), and the hash-map
+    /// oracle in the same state.
+    fn random_model(
         edges: Vec<(u32, u32)>,
         events: &[(u32, u32, u64)],
         seeds: &[u32],
         time_aware: bool,
-    ) -> CdSelector {
+    ) -> (CompactSelector, CdSelector) {
         let graph = GraphBuilder::new(10).edges(edges).build();
         let mut b = ActionLogBuilder::new(10);
         for &(u, a, t) in events {
@@ -732,11 +737,14 @@ mod proptests {
         let log = b.build();
         let policy =
             if time_aware { CreditPolicy::time_aware(&graph, &log) } else { CreditPolicy::Uniform };
-        let mut sel = CdSelector::new(scan(&graph, &log, &policy, 0.0).unwrap());
+        let store = scan(&graph, &log, &policy, 0.0).unwrap();
+        let mut overlay = CompactSelector::from_store(store.clone()).overlay();
+        let mut oracle = CdSelector::new(store);
         for &s in seeds {
-            sel.update(s);
+            overlay.update(s);
+            oracle.update(s);
         }
-        sel
+        (overlay.freeze(), oracle)
     }
 
     /// Re-seals a mutated file with a valid CRC-32C trailer, so the
@@ -752,7 +760,7 @@ mod proptests {
         /// save → load is lossless over random trained stores (both
         /// policies, with and without committed seeds): the re-encoding
         /// is byte-identical and every marginal gain equals the hash-map
-        /// selector's, restored from the same dump, bit for bit.
+        /// oracle's in the same state, bit for bit.
         #[test]
         fn random_trained_stores_round_trip(
             edges in proptest::collection::vec((0u32..10, 0u32..10), 0..50),
@@ -760,9 +768,8 @@ mod proptests {
             seeds in proptest::sample::subsequence((0u32..10).collect::<Vec<_>>(), 0..3),
             time_aware in proptest::bool::ANY,
         ) {
-            let sel = random_selector(edges, &events, &seeds, time_aware);
-            let canonical = CdSelector::from_dump(&sel.dump());
-            let snap = ModelSnapshot::from_selector(sel);
+            let (model, oracle) = random_model(edges, &events, &seeds, time_aware);
+            let snap = ModelSnapshot::from_compact(model);
             let bytes = snap.to_bytes();
             let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
             prop_assert_eq!(restored.to_bytes(), bytes);
@@ -770,7 +777,7 @@ mod proptests {
             for x in 0..10u32 {
                 prop_assert_eq!(
                     restored.single_marginal_gain(x).to_bits(),
-                    canonical.compute_mg(x).to_bits()
+                    oracle.compute_mg(x).to_bits()
                 );
             }
         }
@@ -788,7 +795,7 @@ mod proptests {
             at in 0u64..u64::MAX,
             value in 0u64..u64::MAX,
         ) {
-            let bytes = ModelSnapshot::from_selector(random_selector(edges, &events, &seeds, true))
+            let bytes = ModelSnapshot::from_compact(random_model(edges, &events, &seeds, true).0)
                 .to_bytes();
             let mut mutants = Vec::new();
 

@@ -3,25 +3,31 @@
 //! with a typed error, and the publish/query race: clients must always
 //! see a complete model, old or new, never a torn one.
 
-use cdim_core::{scan, CdSelector, CreditPolicy, Parallelism};
+use cdim_core::reference::{self, CdSelector};
+use cdim_core::{scan, CompactSelector, CreditPolicy, CreditStore, Parallelism};
 use cdim_serve::{Answer, InfluenceService, ModelSnapshot, Query, SnapshotError};
 use cdim_util::checksum::crc32c;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A trained selector over the deterministic tiny preset, with one
-/// committed seed so the SC map and seed list are non-empty.
-fn selector() -> CdSelector {
+/// The model scanned from the deterministic tiny preset.
+fn store() -> CreditStore {
     let ds = cdim_datagen::presets::tiny().generate();
     let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    let mut selector = CdSelector::new(scan(&ds.graph, &ds.log, &policy, 0.001).unwrap());
-    let seed = selector.clone().select(1).seeds[0];
-    selector.update(seed);
-    selector
+    scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()
+}
+
+/// The tiny preset's model with its top seed committed, so the SC
+/// entries and seed list are non-empty.
+fn model() -> CompactSelector {
+    let mut overlay = CompactSelector::from_store(store()).overlay();
+    let seed = overlay.clone().select(1).seeds[0];
+    overlay.update(seed);
+    overlay.freeze()
 }
 
 fn snapshot() -> ModelSnapshot {
-    ModelSnapshot::from_selector(selector())
+    ModelSnapshot::from_compact(model())
 }
 
 /// Re-seals a mutated body with a valid CRC-32C trailer, so the decoder
@@ -185,13 +191,15 @@ fn corrupt_file_on_disk_fails_cleanly() {
 
 #[test]
 fn loaded_model_answers_like_the_canonical_mutable_model() {
-    // The dump fixes the traversal order, so a canonically restored
-    // mutable selector is the bit-exact reference for the compact engine
-    // a load produces.
-    let selector = selector();
-    let canonical = ModelSnapshot::from_selector(CdSelector::from_dump(&selector.dump()));
+    // The dump fixes the traversal order, so the arena laid out from the
+    // hash-map oracle's dump (the same seed committed) is the bit-exact
+    // reference for the compact engine a load produces.
+    let model = model();
+    let mut oracle = CdSelector::new(store());
+    oracle.update(model.seeds()[0]);
+    let canonical = ModelSnapshot::from_compact(reference::arena_of(&oracle.dump()));
     let loaded = ModelSnapshot::from_bytes(&canonical.to_bytes()).unwrap();
-    assert_eq!(loaded.to_bytes(), ModelSnapshot::from_selector(selector).to_bytes());
+    assert_eq!(loaded.to_bytes(), ModelSnapshot::from_compact(model).to_bytes());
     assert_eq!(canonical.lambda().to_bits(), loaded.lambda().to_bits());
     assert_eq!(canonical.committed_seeds(), loaded.committed_seeds());
 
@@ -318,10 +326,11 @@ fn extended_snapshot_round_trips_through_the_file_format() {
 
     // A mid-campaign snapshot (committed seed) extended by a delta must
     // survive save/load byte-identically like any other snapshot.
-    let mut selector = CdSelector::new(scan(&ds.graph, &prefix, &policy, 0.001).unwrap());
-    let seed = selector.clone().select(1).seeds[0];
-    selector.update(seed);
-    let snap = ModelSnapshot::from_selector(selector)
+    let mut overlay =
+        CompactSelector::from_store(scan(&ds.graph, &prefix, &policy, 0.001).unwrap()).overlay();
+    let seed = overlay.clone().select(1).seeds[0];
+    overlay.update(seed);
+    let snap = ModelSnapshot::from_compact(overlay.freeze())
         .extend(&ds.graph, &delta, &policy, Parallelism::fixed(3))
         .unwrap();
     let bytes = snap.to_bytes();

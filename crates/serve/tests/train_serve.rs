@@ -1,8 +1,8 @@
-//! Training-side selection and serving agree on one trained model:
-//! `CdModel::select(25)` — CELF on the hash-map working copy a
-//! `CdSelector` builds from the scanned store — returns the seeds and the
-//! gain bits of `ModelSnapshot::from_store(..).top_k(25)`, which runs the
-//! compact overlay on the same arena.
+//! The library facade and serving agree on one trained model:
+//! `CdModel::select(25)` — a fresh CELF run on an overlay of the scanned
+//! store — returns the seeds, evaluation count and gain bits of
+//! `ModelSnapshot::from_store(..).top_k(25)`, the served model's resumable
+//! top-k session on the same arena.
 //!
 //! The cases are the golden presets × policy × λ of `cdim-core`'s
 //! `overlay_kernel` suite.

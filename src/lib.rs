@@ -66,7 +66,7 @@ pub mod prelude {
         TrainTestSplit,
     };
     pub use cdim_core::{
-        model::PolicyKind, scan, scan_with, CdModel, CdModelConfig, CdSelector, CdSpreadEvaluator,
+        model::PolicyKind, scan, scan_with, CdModel, CdModelConfig, CdSpreadEvaluator,
         CreditPolicy, CreditStore, ExtendError, ScanError,
     };
     pub use cdim_datagen::{Dataset, DatasetSpec};

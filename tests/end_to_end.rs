@@ -40,7 +40,7 @@ fn cd_selection_equals_generic_greedy_on_exact_oracle() {
     let ds = dataset();
     let policy = CreditPolicy::Uniform;
     let store = scan(&ds.graph, &ds.log, &policy, 0.0).unwrap();
-    let cd = CdSelector::new(store).select(4);
+    let cd = cdim::core::CompactSelector::from_store(store).overlay().select(4);
 
     let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
     let candidates: Vec<u32> =

@@ -1,16 +1,19 @@
 //! End-to-end serving smoke test: train on a datagen preset, persist a
 //! snapshot, restore it, serve it over TCP on an ephemeral port, and hit
 //! it from four concurrent client threads. Every response must equal the
-//! answer computed offline by a `CdSelector` canonically restored from the
-//! same store — bit-exact, since client and server share one canonical
-//! model state and one canonical evaluation order.
+//! answer computed offline — the top-k by `CdModel::select` on the same
+//! store, every spread and every top-k gain after the first by the
+//! hash-map oracle `reference::CdSelector` — bit-exact, since client and
+//! server share one canonical model state and one canonical evaluation
+//! order.
 
+use cdim::core::reference::CdSelector;
 use cdim::prelude::*;
 use cdim::serve::server;
 use std::sync::Arc;
 
-/// The offline reference: canonical-order telescoped σ_cd from a restored
-/// selector (exactly what the service computes on a cache miss).
+/// The offline reference: canonical-order telescoped σ_cd on the oracle
+/// (exactly what the service computes on a cache miss).
 fn offline_spread(selector: &CdSelector, seeds: &[u32]) -> f64 {
     let mut canonical = seeds.to_vec();
     canonical.sort_unstable();
@@ -38,11 +41,20 @@ fn concurrent_tcp_queries_match_offline_selector() {
     let restored = ModelSnapshot::load(&path).unwrap();
     assert_eq!(restored.to_bytes(), snapshot.to_bytes(), "snapshot must reload bit-identically");
 
-    // Offline answers from the same model state, canonically restored.
-    let canonical = CdSelector::from_dump(&CdSelector::new(model.store().clone()).dump());
+    // Offline answers from the same model state. The oracle re-evaluates
+    // every gain after the first (the first-pass sweep's) bit for bit.
+    let canonical = CdSelector::new(model.store().clone());
     let k = 5usize;
-    let offline_selection = canonical.clone().select(k);
+    let offline_selection = model.select(k);
     assert_eq!(offline_selection.seeds.len(), k);
+    let mut oracle = canonical.clone();
+    for (i, &s) in offline_selection.seeds.iter().enumerate() {
+        if i > 0 {
+            let gain = offline_selection.marginal_gains[i];
+            assert_eq!(gain.to_bits(), oracle.compute_mg(s).to_bits(), "gain of seed {s}");
+        }
+        oracle.update(s);
+    }
     let query_sets: Vec<Vec<u32>> = vec![
         offline_selection.seeds.clone(),
         vec![0, 1, 2],
