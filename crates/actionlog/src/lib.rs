@@ -11,7 +11,9 @@
 //! * [`log`] — the columnar, action-partitioned [`ActionLog`] store;
 //! * [`delta`] — append-only [`ActionLogDelta`] batches for incremental
 //!   retraining;
-//! * [`propagation`] — per-action propagation DAGs and initiators;
+//! * [`propagation`] — the propagation DAGs of an action range in one
+//!   flat, hash-free [`PropagationArena`], read one action at a time
+//!   through a borrowed [`PropagationDag`] view;
 //! * [`split`] — the paper's 80/20 size-stratified train/test split;
 //! * [`stats`] — the action-log half of Table 1;
 //! * [`storage`] — buffered TSV persistence.
@@ -27,6 +29,6 @@ pub use delta::ActionLogDelta;
 pub use log::{
     ActionId, ActionLog, ActionLogBuilder, ActionTuple, LogBuildError, Timestamp, UserId,
 };
-pub use propagation::PropagationDag;
+pub use propagation::{PropagationArena, PropagationDag};
 pub use split::{train_test_split, TrainTestSplit};
 pub use storage::{RawTuple, StorageError, TupleDecoder};

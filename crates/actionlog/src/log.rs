@@ -81,9 +81,9 @@ impl ActionLog {
         self.users.len()
     }
 
-    /// Iterator over dense action ids.
+    /// The dense action ids, ascending.
     #[inline]
-    pub fn actions(&self) -> impl Iterator<Item = ActionId> + '_ {
+    pub fn actions(&self) -> std::ops::Range<ActionId> {
         0..self.num_actions() as ActionId
     }
 
@@ -198,8 +198,9 @@ impl ActionLog {
         self.project_actions(&keep)
     }
 
+    /// Tuple indexes of action `a`.
     #[inline]
-    fn range(&self, a: ActionId) -> std::ops::Range<usize> {
+    pub(crate) fn range(&self, a: ActionId) -> std::ops::Range<usize> {
         self.offsets[a as usize]..self.offsets[a as usize + 1]
     }
 }

@@ -1,64 +1,176 @@
-//! Per-action propagation graphs G(a).
+//! Per-action propagation graphs G(a), built into one flat arena.
 //!
 //! "We say that a propagates from node u to v iff u and v are socially
 //! linked, and u performs a before v" (§4). The resulting graph is a DAG
 //! because edges always point forward in time; ties in time produce *no*
 //! edge (the strict inequality of the paper).
+//!
+//! A [`PropagationArena`] holds the DAGs of a contiguous range of actions
+//! in three flat arrays: per performer an offset, per parent edge the
+//! parent's action-local index and the edge's in-aligned position in the
+//! social graph (`graph.in_range(u).start + k` for `u`'s `k`-th
+//! in-neighbour, so learned per-edge parameters are read without a
+//! search). Users and times are borrowed from the log's own slices. The
+//! build needs no hash map: a dense per-user slot records the action, time
+//! and local index at which the user last performed, so "did in-neighbour
+//! `v` perform `a` strictly before `u`" is one array read. A
+//! [`PropagationDag`] is a borrowed view of one action of the arena.
+//!
+//! Parents are listed in `graph.in_neighbors(u)` order, which is
+//! ascending user id; every reader (learning, credit policy, scan) visits
+//! them in that order, so the f64 sums they accumulate are reproducible.
 
 use crate::log::{ActionId, ActionLog, Timestamp, UserId};
 use cdim_graph::DirectedGraph;
-use cdim_util::FxHashMap;
+use std::ops::Range;
 
-/// The propagation DAG of one action.
+/// One user's entry in the arena's dense performer index: the user
+/// performed `action` at `time`, as the performer at local index `local`.
 ///
-/// Performers are stored in chronological order; `parents_of(i)` returns
-/// *local* indices (all strictly smaller than `i`), so any forward pass over
-/// `0..len` is automatically a topological traversal.
-#[derive(Clone, Debug)]
-pub struct PropagationDag {
-    /// Dense action id this DAG belongs to.
-    pub action: ActionId,
-    users: Vec<UserId>,
-    times: Vec<Timestamp>,
-    parent_offsets: Vec<usize>,
-    parents: Vec<u32>,
+/// A slot is written only when its user is visited as a performer, so a
+/// slot stamped with action `a` is a fact of the log. Slots therefore
+/// never need clearing between actions or rebuilds: a stale slot of
+/// another action fails the stamp test, and one of the same action (a
+/// rebuild) is either a true earlier performer or fails the strict time
+/// test, as a later performer of a chronological action must.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    action: ActionId,
+    local: u32,
+    time: Timestamp,
 }
 
-impl PropagationDag {
-    /// Builds G(a) for action `a` from the log and the social graph.
-    pub fn build(log: &ActionLog, graph: &DirectedGraph, a: ActionId) -> Self {
-        let users = log.users_of(a);
-        let times = log.times_of(a);
-        // user -> (local index) for performers seen so far.
-        let mut seen: FxHashMap<UserId, u32> = FxHashMap::default();
-        seen.reserve(users.len());
+impl Slot {
+    /// No action id is `u32::MAX`: dense ids index an offsets array.
+    const EMPTY: Slot = Slot { action: ActionId::MAX, local: 0, time: 0.0 };
+}
 
-        let mut parent_offsets = Vec::with_capacity(users.len() + 1);
-        parent_offsets.push(0usize);
-        let mut parents: Vec<u32> = Vec::new();
+/// The propagation DAGs of a contiguous range of a log's actions.
+///
+/// Built by [`PropagationArena::build`], or rebuilt in place by
+/// [`PropagationArena::rebuild`], which reuses every buffer: a scan that
+/// rebuilds one action at a time allocates nothing once the buffers have
+/// grown. [`PropagationArena::dag`] reads one action.
+#[derive(Debug)]
+pub struct PropagationArena<'l> {
+    log: &'l ActionLog,
+    actions: Range<ActionId>,
+    /// Log tuple index of the range's first performer.
+    base: usize,
+    /// Dense performer index, one slot per social-graph node.
+    slots: Vec<Slot>,
+    /// Performer `p` of the range (log tuple `base + p`) has the parent
+    /// edges `parent_offsets[p]..parent_offsets[p + 1]`.
+    parent_offsets: Vec<u32>,
+    /// Parent edges: the parent's action-local index…
+    parents: Vec<u32>,
+    /// …and the edge's in-aligned position in the social graph.
+    positions: Vec<u32>,
+}
 
-        for (i, (&u, &t)) in users.iter().zip(times.iter()).enumerate() {
-            // Social in-neighbors of u who performed a strictly earlier.
-            for &v in graph.in_neighbors(u) {
-                if let Some(&j) = seen.get(&v) {
-                    if times[j as usize] < t {
-                        parents.push(j);
-                    }
-                }
-            }
-            parent_offsets.push(parents.len());
-            seen.insert(u, i as u32);
-        }
-
-        PropagationDag {
-            action: a,
-            users: users.to_vec(),
-            times: times.to_vec(),
-            parent_offsets,
-            parents,
+impl<'l> PropagationArena<'l> {
+    /// An arena over `log` holding no action yet.
+    pub fn new(log: &'l ActionLog) -> Self {
+        PropagationArena {
+            log,
+            actions: 0..0,
+            base: 0,
+            slots: Vec::new(),
+            parent_offsets: vec![0],
+            parents: Vec::new(),
+            positions: Vec::new(),
         }
     }
 
+    /// Builds G(a) for every action `a` in `actions`.
+    pub fn build(log: &'l ActionLog, graph: &DirectedGraph, actions: Range<ActionId>) -> Self {
+        let mut arena = Self::new(log);
+        arena.rebuild(graph, actions);
+        arena
+    }
+
+    /// Replaces the arena's DAGs with those of `actions`, reusing its
+    /// buffers.
+    ///
+    /// # Panics
+    /// Panics if `actions` reaches past the log, if a performer is not a
+    /// node of `graph`, or if the range holds more than `u32::MAX` parent
+    /// edges.
+    pub fn rebuild(&mut self, graph: &DirectedGraph, actions: Range<ActionId>) {
+        let log = self.log;
+        if self.slots.len() < graph.num_nodes() {
+            self.slots.resize(graph.num_nodes(), Slot::EMPTY);
+        }
+        self.base = if actions.is_empty() { 0 } else { log.range(actions.start).start };
+        self.actions = actions.clone();
+        self.parent_offsets.clear();
+        self.parent_offsets.push(0);
+        self.parents.clear();
+        self.positions.clear();
+        let in_sources = graph.in_sources();
+        for a in actions {
+            let (users, times) = (log.users_of(a), log.times_of(a));
+            for (i, (&u, &t)) in users.iter().zip(times).enumerate() {
+                // Social in-neighbours of u who performed a strictly
+                // earlier, in in-neighbour order.
+                let edges = graph.in_range(u);
+                for (pos, &v) in edges.clone().zip(&in_sources[edges]) {
+                    let seen = self.slots[v as usize];
+                    if seen.action == a && seen.time < t {
+                        self.parents.push(seen.local);
+                        self.positions.push(pos as u32);
+                    }
+                }
+                let end = u32::try_from(self.parents.len()).expect("parent edges fit u32 offsets");
+                self.parent_offsets.push(end);
+                self.slots[u as usize] = Slot { action: a, local: i as u32, time: t };
+            }
+        }
+    }
+
+    /// G(a), for an action `a` the arena was built for.
+    ///
+    /// # Panics
+    /// Panics if the arena does not hold `a`.
+    pub fn dag(&self, a: ActionId) -> PropagationDag<'_> {
+        assert!(self.actions.contains(&a), "action {a} is outside the arena's {:?}", self.actions);
+        let tuples = self.log.range(a);
+        let local = tuples.start - self.base..tuples.end - self.base + 1;
+        PropagationDag {
+            action: a,
+            users: self.log.users_of(a),
+            times: self.log.times_of(a),
+            parent_offsets: &self.parent_offsets[local],
+            parents: &self.parents,
+            positions: &self.positions,
+        }
+    }
+
+    /// Every DAG of the arena, in action order.
+    pub fn dags(&self) -> impl Iterator<Item = PropagationDag<'_>> + '_ {
+        self.actions.clone().map(|a| self.dag(a))
+    }
+}
+
+/// The propagation DAG of one action: a borrowed view of a
+/// [`PropagationArena`].
+///
+/// Performers are in chronological order; `parents_of(i)` returns *local*
+/// indices (all strictly smaller than `i`), so any forward pass over
+/// `0..len` is automatically a topological traversal.
+#[derive(Clone, Copy, Debug)]
+pub struct PropagationDag<'a> {
+    /// Dense action id this DAG belongs to.
+    pub action: ActionId,
+    users: &'a [UserId],
+    times: &'a [Timestamp],
+    /// `len() + 1` offsets into the arena's `parents`/`positions`.
+    parent_offsets: &'a [u32],
+    parents: &'a [u32],
+    positions: &'a [u32],
+}
+
+impl<'a> PropagationDag<'a> {
     /// Number of performers `|V(a)|`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -73,14 +185,14 @@ impl PropagationDag {
 
     /// The performers in chronological order.
     #[inline]
-    pub fn users(&self) -> &[UserId] {
-        &self.users
+    pub fn users(&self) -> &'a [UserId] {
+        self.users
     }
 
     /// Timestamps parallel to [`Self::users`].
     #[inline]
-    pub fn times(&self) -> &[Timestamp] {
-        &self.times
+    pub fn times(&self) -> &'a [Timestamp] {
+        self.times
     }
 
     /// User at local index `i`.
@@ -95,40 +207,43 @@ impl PropagationDag {
         self.times[i]
     }
 
+    #[inline]
+    fn edges(&self, i: usize) -> Range<usize> {
+        self.parent_offsets[i] as usize..self.parent_offsets[i + 1] as usize
+    }
+
     /// Local indices of `i`'s potential influencers `N_in(u, a)`.
     #[inline]
-    pub fn parents_of(&self, i: usize) -> &[u32] {
-        &self.parents[self.parent_offsets[i]..self.parent_offsets[i + 1]]
+    pub fn parents_of(&self, i: usize) -> &'a [u32] {
+        &self.parents[self.edges(i)]
+    }
+
+    /// The in-aligned social-graph positions of `i`'s parent edges,
+    /// parallel to [`Self::parents_of`]: what
+    /// `graph.in_edge_position(parent, user)` returns, without the search.
+    #[inline]
+    pub fn positions_of(&self, i: usize) -> &'a [u32] {
+        &self.positions[self.edges(i)]
     }
 
     /// `d_in(u, a)`: number of potential influencers of the performer at
     /// local index `i`.
     #[inline]
     pub fn in_degree(&self, i: usize) -> usize {
-        self.parent_offsets[i + 1] - self.parent_offsets[i]
+        self.edges(i).len()
     }
 
-    /// Local indices of the action's *initiators* (performers with no
-    /// potential influencer).
-    pub fn initiator_indices(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.in_degree(i) == 0).collect()
-    }
-
-    /// User ids of the action's initiators.
+    /// User ids of the action's initiators (performers with no potential
+    /// influencer).
     pub fn initiators(&self) -> Vec<UserId> {
-        self.initiator_indices().into_iter().map(|i| self.users[i]).collect()
+        (0..self.len()).filter(|&i| self.in_degree(i) == 0).map(|i| self.users[i]).collect()
     }
 
     /// Total number of propagation edges `|E(a)|`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.parents.len()
+        (self.parent_offsets[self.len()] - self.parent_offsets[0]) as usize
     }
-}
-
-/// Builds the propagation DAG of every action in the log.
-pub fn all_dags(log: &ActionLog, graph: &DirectedGraph) -> Vec<PropagationDag> {
-    log.actions().map(|a| PropagationDag::build(log, graph, a)).collect()
 }
 
 #[cfg(test)]
@@ -136,6 +251,33 @@ mod tests {
     use super::*;
     use crate::log::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
+    use cdim_util::FxHashMap;
+
+    /// The hash-map builder the arena replaced, kept as its oracle: per
+    /// performer of action `a`, the local indices of its parents in
+    /// `in_neighbors` order.
+    pub(super) fn hashed_parents(
+        log: &ActionLog,
+        graph: &DirectedGraph,
+        a: ActionId,
+    ) -> Vec<Vec<u32>> {
+        let (users, times) = (log.users_of(a), log.times_of(a));
+        let mut seen: FxHashMap<UserId, u32> = FxHashMap::default();
+        let mut parents = Vec::with_capacity(users.len());
+        for (i, (&u, &t)) in users.iter().zip(times).enumerate() {
+            let mut of_u = Vec::new();
+            for &v in graph.in_neighbors(u) {
+                if let Some(&j) = seen.get(&v) {
+                    if times[j as usize] < t {
+                        of_u.push(j);
+                    }
+                }
+            }
+            parents.push(of_u);
+            seen.insert(u, i as u32);
+        }
+        parents
+    }
 
     /// Figure-1-like setup: v -> t, v -> u, t -> u, w -> u, z -> u, t -> z.
     /// Users: v=0, t=1, w=2, z=3, u=4.
@@ -155,7 +297,8 @@ mod tests {
     #[test]
     fn parents_follow_social_links_and_time() {
         let (graph, log) = figure1();
-        let dag = PropagationDag::build(&log, &graph, 0);
+        let arena = PropagationArena::build(&log, &graph, 0..1);
+        let dag = arena.dag(0);
         assert_eq!(dag.len(), 5);
         // Local order: v(0), w(1), t(2), z(3), u(4).
         assert_eq!(dag.user(0), 0);
@@ -164,20 +307,23 @@ mod tests {
         assert_eq!(dag.parents_of(2), &[0]); // t <- v
         assert_eq!(dag.parents_of(3), &[2]); // z <- t
 
-        // u's potential influencers: v, t, w, z (all four).
-        let mut parents: Vec<u32> = dag.parents_of(4).to_vec();
-        parents.sort_unstable();
-        assert_eq!(parents, vec![0, 1, 2, 3]);
+        // u's potential influencers: v, t, w, z (all four), in user order.
+        assert_eq!(dag.parents_of(4), &[0, 2, 1, 3]);
         assert_eq!(dag.in_degree(4), 4);
+        assert_eq!(dag.num_edges(), 6);
+        for i in 0..dag.len() {
+            for (&p, &pos) in dag.parents_of(i).iter().zip(dag.positions_of(i)) {
+                let e = graph.in_edge_position(dag.user(p as usize), dag.user(i));
+                assert_eq!(Some(pos as usize), e);
+            }
+        }
     }
 
     #[test]
     fn initiators_have_no_parents() {
         let (graph, log) = figure1();
-        let dag = PropagationDag::build(&log, &graph, 0);
-        let mut inits = dag.initiators();
-        inits.sort_unstable();
-        assert_eq!(inits, vec![0, 2]); // v and w
+        let arena = PropagationArena::build(&log, &graph, 0..1);
+        assert_eq!(arena.dag(0).initiators(), vec![0, 2]); // v and w
     }
 
     #[test]
@@ -187,7 +333,8 @@ mod tests {
         b.push(0, 0, 1.0);
         b.push(1, 0, 1.0);
         let log = b.build();
-        let dag = PropagationDag::build(&log, &graph, 0);
+        let arena = PropagationArena::build(&log, &graph, 0..1);
+        let dag = arena.dag(0);
         assert_eq!(dag.num_edges(), 0);
         assert_eq!(dag.initiators().len(), 2);
     }
@@ -199,14 +346,15 @@ mod tests {
         b.push(2, 0, 1.0); // stranger first
         b.push(1, 0, 2.0);
         let log = b.build();
-        let dag = PropagationDag::build(&log, &graph, 0);
-        assert_eq!(dag.num_edges(), 0);
+        let arena = PropagationArena::build(&log, &graph, 0..1);
+        assert_eq!(arena.dag(0).num_edges(), 0);
     }
 
     #[test]
     fn edges_always_point_forward_in_time() {
         let (graph, log) = figure1();
-        let dag = PropagationDag::build(&log, &graph, 0);
+        let arena = PropagationArena::build(&log, &graph, 0..1);
+        let dag = arena.dag(0);
         for i in 0..dag.len() {
             for &p in dag.parents_of(i) {
                 assert!((p as usize) < i);
@@ -216,15 +364,27 @@ mod tests {
     }
 
     #[test]
-    fn all_dags_covers_every_action() {
-        let (graph, log) = figure1();
-        let dags = all_dags(&log, &graph);
-        assert_eq!(dags.len(), log.num_actions());
+    fn an_arena_holds_exactly_its_range() {
+        let graph = GraphBuilder::new(2).edges([(0, 1)]).build();
+        let mut b = ActionLogBuilder::new(2);
+        for a in 0..3 {
+            b.push(0, a, 0.0);
+            b.push(1, a, 1.0);
+        }
+        let log = b.build();
+        let mut arena = PropagationArena::build(&log, &graph, 1..3);
+        assert_eq!(arena.dags().map(|dag| dag.action).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(arena.dags().all(|dag| dag.parents_of(1) == [0]));
+        arena.rebuild(&graph, 0..0);
+        assert_eq!(arena.dags().count(), 0);
+        let outside = std::panic::catch_unwind(|| PropagationArena::new(&log).dag(0).len());
+        assert!(outside.is_err());
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::hashed_parents;
     use super::*;
     use crate::log::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
@@ -245,7 +405,8 @@ mod proptests {
                 b.push(u, 0, t as f64);
             }
             let log = b.build();
-            let dag = PropagationDag::build(&log, &graph, 0);
+            let arena = PropagationArena::build(&log, &graph, 0..1);
+            let dag = arena.dag(0);
 
             // Oracle edge set.
             let mut expected = std::collections::BTreeSet::new();
@@ -265,6 +426,46 @@ mod proptests {
                 }
             }
             prop_assert_eq!(actual, expected);
+        }
+
+        /// The arena against the hash-map builder it replaced: on random
+        /// graphs and multi-action logs with tied timestamps and users who
+        /// act once or never, every action's parent lists hold the same
+        /// local indices in the same order, and every stored position is
+        /// `graph.in_edge_position(v, u)`. This holds for a whole-log
+        /// build and for one arena rebuilt action by action in reverse
+        /// order, as a scan shard reuses it.
+        #[test]
+        fn arena_matches_the_hash_map_builder(
+            edges in proptest::collection::vec((0u32..14, 0u32..14), 0..90),
+            events in proptest::collection::vec((0u32..12, 0u32..6, 0u64..6), 0..70),
+        ) {
+            let graph = GraphBuilder::new(14).edges(edges).build();
+            let mut b = ActionLogBuilder::new(14);
+            for &(u, a, t) in &events {
+                b.push(u, a, t as f64);
+            }
+            let log = b.build();
+            let check = |dag: PropagationDag<'_>| {
+                let oracle = hashed_parents(&log, &graph, dag.action);
+                prop_assert_eq!(dag.len(), oracle.len());
+                for (i, expected) in oracle.iter().enumerate() {
+                    prop_assert_eq!(dag.parents_of(i), &expected[..]);
+                    for (&p, &pos) in dag.parents_of(i).iter().zip(dag.positions_of(i)) {
+                        let e = graph.in_edge_position(dag.user(p as usize), dag.user(i));
+                        prop_assert_eq!(Some(pos as usize), e);
+                    }
+                }
+            };
+            let n = log.num_actions() as ActionId;
+            let whole = PropagationArena::build(&log, &graph, 0..n);
+            prop_assert_eq!(whole.dags().count(), n as usize);
+            whole.dags().for_each(check);
+            let mut reused = PropagationArena::new(&log);
+            for a in (0..n).rev() {
+                reused.rebuild(&graph, a..a + 1);
+                check(reused.dag(a));
+            }
         }
     }
 }

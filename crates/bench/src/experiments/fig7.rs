@@ -58,7 +58,8 @@ pub fn run(scale: ExperimentScale) {
             k.to_string(),
             format!("{ic_s:.2}"),
             format!("{lt_s:.2}"),
-            format!("{cd_s:.2}"),
+            // Milliseconds: a `--quick` CD run takes a few of them.
+            format!("{cd_s:.3}"),
             format!("{:.0}x", last_ratio.0),
             format!("{:.0}x", last_ratio.1),
         ]);

@@ -9,7 +9,7 @@
 //! * the trained CD model (time-aware credit, λ = 0.001).
 
 use crate::config::ExperimentScale;
-use cdim_actionlog::{train_test_split, PropagationDag, TrainTestSplit, UserId};
+use cdim_actionlog::{train_test_split, ActionId, PropagationArena, TrainTestSplit, UserId};
 use cdim_core::{CdModel, CdModelConfig};
 use cdim_datagen::presets::DatasetSpec;
 use cdim_datagen::Dataset;
@@ -98,14 +98,11 @@ impl Workbench {
     pub fn test_traces(&self) -> Vec<TestTrace> {
         let cap =
             if self.scale.max_test_traces == 0 { usize::MAX } else { self.scale.max_test_traces };
-        self.split
-            .test
-            .actions()
-            .take(cap)
-            .map(|a| {
-                let dag = PropagationDag::build(&self.split.test, &self.dataset.graph, a);
-                TestTrace { initiators: dag.initiators(), actual: dag.len() as f64 }
-            })
+        let test = &self.split.test;
+        let traces = 0..test.num_actions().min(cap) as ActionId;
+        let dags = PropagationArena::build(test, &self.dataset.graph, traces);
+        dags.dags()
+            .map(|dag| TestTrace { initiators: dag.initiators(), actual: dag.len() as f64 })
             .collect()
     }
 

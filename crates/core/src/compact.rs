@@ -382,31 +382,6 @@ impl CompactData {
         (offs[range.end] - offs[range.start]) as usize
     }
 
-    /// `v`'s out row in action `a`: its targets (ascending) and credits.
-    pub(crate) fn out_row(&self, a: u32, v: u32) -> (&[u32], &[f64]) {
-        match self.out_row_of(a, v) {
-            Some(row) => {
-                let range = self.out_row_entries(row);
-                (&self.out_targets()[range.clone()], &self.out_credits()[range])
-            }
-            None => (&[], &[]),
-        }
-    }
-
-    /// `u`'s inc row in action `a`: its sources, ascending.
-    pub(crate) fn inc_row(&self, a: u32, u: u32) -> &[u32] {
-        match self.inc_row_of(a, u) {
-            Some(row) => &self.inc_sources()[self.inc_row_entries(row)],
-            None => &[],
-        }
-    }
-
-    /// `Γ_{v,u}(a)`, or 0 when not stored.
-    pub(crate) fn credit(&self, a: u32, v: u32, u: u32) -> f64 {
-        let (targets, credits) = self.out_row(a, v);
-        targets.binary_search(&u).map_or(0.0, |i| credits[i])
-    }
-
     /// Dense action ids user `u` performed, ascending.
     #[inline]
     pub(crate) fn ua_row(&self, u: u32) -> &[u32] {

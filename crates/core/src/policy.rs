@@ -12,8 +12,13 @@
 //!   where `infl(u)` is learned influenceability and `τ_{v,u}` the learned
 //!   mean propagation delay; influence decays exponentially with elapsed
 //!   time, and less influenceable users hand out less credit.
+//!
+//! [`CreditPolicy::edge_credits`] reads a [`PropagationDag`] view of a
+//! `cdim_actionlog::PropagationArena`, which stores each parent edge's
+//! in-aligned position, so `τ_{v,u}` is one array read, and writes γ into
+//! a buffer the caller reuses across actions.
 
-use cdim_actionlog::PropagationDag;
+use cdim_actionlog::{ActionLog, PropagationDag};
 use cdim_graph::DirectedGraph;
 use cdim_learning::TemporalModel;
 
@@ -29,15 +34,16 @@ pub enum CreditPolicy {
 
 impl CreditPolicy {
     /// Learns a time-aware policy from the training log.
-    pub fn time_aware(graph: &DirectedGraph, train: &cdim_actionlog::ActionLog) -> Self {
+    pub fn time_aware(graph: &DirectedGraph, train: &ActionLog) -> Self {
         CreditPolicy::TimeAware(TemporalModel::learn(graph, train))
     }
 
-    /// Computes `γ` for every propagation edge of `dag`, parallel to the
-    /// DAG's flattened parent array (i.e. `parents_of(i)` maps to the same
-    /// slice of the returned vector).
-    pub fn edge_credits(&self, graph: &DirectedGraph, dag: &PropagationDag) -> Vec<f64> {
-        let mut gammas = Vec::with_capacity(dag.num_edges());
+    /// Writes `γ` for every propagation edge of `dag` into `gammas`
+    /// (cleared first), parallel to the DAG's flattened parent lists:
+    /// `parents_of(i)` maps to the next `in_degree(i)` values. `τ_{v,u}`
+    /// is read at the edge position the DAG stores beside each parent.
+    pub fn edge_credits(&self, dag: &PropagationDag<'_>, gammas: &mut Vec<f64>) {
+        gammas.clear();
         for i in 0..dag.len() {
             let parents = dag.parents_of(i);
             if parents.is_empty() {
@@ -45,6 +51,59 @@ impl CreditPolicy {
             }
             let d_in = parents.len() as f64;
             match self {
+                CreditPolicy::Uniform => {
+                    gammas.extend(parents.iter().map(|_| 1.0 / d_in));
+                }
+                CreditPolicy::TimeAware(temporal) => {
+                    let t_u = dag.time(i);
+                    let base = temporal.infl(dag.user(i)) / d_in;
+                    for (&pj, &e) in parents.iter().zip(dag.positions_of(i)) {
+                        let tau = temporal.tau_at(e as usize);
+                        gammas.push(base * (-(t_u - dag.time(pj as usize)) / tau).exp());
+                    }
+                }
+            }
+        }
+        debug_assert_eq!(gammas.len(), dag.num_edges());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cdim_actionlog::{ActionId, ActionLogBuilder, PropagationArena};
+    use cdim_graph::GraphBuilder;
+
+    /// γ of every propagation edge of action `a`.
+    fn credits(
+        policy: &CreditPolicy,
+        graph: &DirectedGraph,
+        log: &ActionLog,
+        a: ActionId,
+    ) -> Vec<f64> {
+        let arena = PropagationArena::build(log, graph, a..a + 1);
+        let mut gammas = Vec::new();
+        policy.edge_credits(&arena.dag(a), &mut gammas);
+        gammas
+    }
+
+    /// `edge_credits` as it was written before the arena stored edge
+    /// positions, with an in-edge search per parent edge and a fresh
+    /// vector per action: the oracle the stored-position γ must equal
+    /// bit for bit.
+    pub(super) fn searched_credits(
+        policy: &CreditPolicy,
+        graph: &DirectedGraph,
+        dag: &PropagationDag<'_>,
+    ) -> Vec<f64> {
+        let mut gammas = Vec::with_capacity(dag.num_edges());
+        for i in 0..dag.len() {
+            let parents = dag.parents_of(i);
+            if parents.is_empty() {
+                continue;
+            }
+            let d_in = parents.len() as f64;
+            match policy {
                 CreditPolicy::Uniform => {
                     for _ in parents {
                         gammas.push(1.0 / d_in);
@@ -66,18 +125,38 @@ impl CreditPolicy {
                 }
             }
         }
-        debug_assert_eq!(gammas.len(), dag.num_edges());
         gammas
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cdim_actionlog::ActionLogBuilder;
-    use cdim_graph::GraphBuilder;
+    /// Every action's γ equals the searched oracle's bit for bit, through
+    /// one buffer reused across the whole log.
+    pub(super) fn assert_credits_match_oracle(
+        policy: &CreditPolicy,
+        graph: &DirectedGraph,
+        log: &ActionLog,
+    ) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let arena = PropagationArena::build(log, graph, log.actions());
+        let mut gammas = vec![f64::NAN; 3];
+        for dag in arena.dags() {
+            policy.edge_credits(&dag, &mut gammas);
+            let want = searched_credits(policy, graph, &dag);
+            assert_eq!(bits(&gammas), bits(&want), "action {}", dag.action);
+        }
+    }
 
-    fn setup() -> (DirectedGraph, cdim_actionlog::ActionLog) {
+    #[test]
+    fn credits_are_bit_identical_to_the_searched_oracle_on_the_small_presets() {
+        for spec in [cdim_datagen::presets::flixster_small(), cdim_datagen::presets::flickr_small()]
+        {
+            let ds = spec.generate();
+            let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
+            assert_credits_match_oracle(&policy, &ds.graph, &ds.log);
+            assert_credits_match_oracle(&CreditPolicy::Uniform, &ds.graph, &ds.log);
+        }
+    }
+
+    fn setup() -> (DirectedGraph, ActionLog) {
         // 0 -> 2, 1 -> 2; both 0 and 1 precede 2.
         let graph = GraphBuilder::new(3).edges([(0, 2), (1, 2)]).build();
         let mut b = ActionLogBuilder::new(3);
@@ -91,8 +170,7 @@ mod tests {
     #[test]
     fn uniform_credit_splits_equally() {
         let (graph, log) = setup();
-        let dag = PropagationDag::build(&log, &graph, 0);
-        let gammas = CreditPolicy::Uniform.edge_credits(&graph, &dag);
+        let gammas = credits(&CreditPolicy::Uniform, &graph, &log, 0);
         assert_eq!(gammas.len(), 2);
         assert!(gammas.iter().all(|&g| (g - 0.5).abs() < 1e-12));
     }
@@ -100,9 +178,7 @@ mod tests {
     #[test]
     fn uniform_credit_sums_to_one_per_activation() {
         let (graph, log) = setup();
-        let dag = PropagationDag::build(&log, &graph, 0);
-        let gammas = CreditPolicy::Uniform.edge_credits(&graph, &dag);
-        let total: f64 = gammas.iter().sum();
+        let total: f64 = credits(&CreditPolicy::Uniform, &graph, &log, 0).iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -121,10 +197,8 @@ mod tests {
         let log = b.build();
         let policy = CreditPolicy::time_aware(&graph, &log);
 
-        let slow = PropagationDag::build(&log, &graph, 0);
-        let fast = PropagationDag::build(&log, &graph, 1);
-        let g_slow = policy.edge_credits(&graph, &slow)[0];
-        let g_fast = policy.edge_credits(&graph, &fast)[0];
+        let g_slow = credits(&policy, &graph, &log, 0)[0];
+        let g_fast = credits(&policy, &graph, &log, 1)[0];
         assert!(g_fast > g_slow, "shorter delay should earn more credit: {g_fast} vs {g_slow}");
         // infl(1) = 1/2: only the delay-2 action is within τ = 3.
         let expected_fast = 0.5 * (-2.0f64 / 3.0).exp();
@@ -137,8 +211,7 @@ mod tests {
     fn time_aware_credit_bounded_by_one() {
         let (graph, log) = setup();
         let policy = CreditPolicy::time_aware(&graph, &log);
-        let dag = PropagationDag::build(&log, &graph, 0);
-        let gammas = policy.edge_credits(&graph, &dag);
+        let gammas = credits(&policy, &graph, &log, 0);
         let total: f64 = gammas.iter().sum();
         assert!(total <= 1.0 + 1e-12, "sum = {total}");
         assert!(gammas.iter().all(|&g| g >= 0.0));
@@ -150,7 +223,45 @@ mod tests {
         let mut b = ActionLogBuilder::new(2);
         b.push(0, 0, 0.0);
         let log = b.build();
-        let dag = PropagationDag::build(&log, &graph, 0);
-        assert!(CreditPolicy::Uniform.edge_credits(&graph, &dag).is_empty());
+        assert!(credits(&CreditPolicy::Uniform, &graph, &log, 0).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::assert_credits_match_oracle;
+    use super::*;
+    use cdim_actionlog::ActionLogBuilder;
+    use cdim_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// On random graphs and logs with tied timestamps and users who
+        /// act once or never, γ from stored positions equals the searched
+        /// oracle bit for bit under the uniform policy and under the
+        /// time-aware one, learned on the log itself or on a copy with
+        /// compressed delays (so that `exp` underflows to 0).
+        #[test]
+        fn credits_are_bit_identical_to_the_searched_oracle(
+            edges in proptest::collection::vec((0u32..12, 0u32..12), 0..80),
+            events in proptest::collection::vec((0u32..10, 0u32..6, 0u64..9), 0..80),
+            policy_kind in 0u32..3,
+        ) {
+            let graph = GraphBuilder::new(12).edges(edges).build();
+            let log_at = |scale: f64| {
+                let mut b = ActionLogBuilder::new(12);
+                for &(u, a, t) in &events {
+                    b.push(u, a, t as f64 * scale);
+                }
+                b.build()
+            };
+            let log = log_at(1.0);
+            let policy = match policy_kind {
+                0 => CreditPolicy::Uniform,
+                1 => CreditPolicy::time_aware(&graph, &log),
+                _ => CreditPolicy::time_aware(&graph, &log_at(1.0 / 400.0)),
+            };
+            assert_credits_match_oracle(&policy, &graph, &log);
+        }
     }
 }

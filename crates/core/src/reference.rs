@@ -21,7 +21,7 @@
 use crate::compact::{self, CompactSelector};
 use crate::policy::CreditPolicy;
 use crate::store::{pair_key, CreditStore, CreditStoreDump};
-use cdim_actionlog::{ActionId, ActionLog, PropagationDag, UserId};
+use cdim_actionlog::{ActionId, ActionLog, PropagationArena, PropagationDag, UserId};
 use cdim_graph::DirectedGraph;
 use cdim_util::FxHashMap;
 use std::collections::BTreeMap;
@@ -34,8 +34,10 @@ pub fn pairwise_credit(
     policy: &CreditPolicy,
     a: ActionId,
 ) -> BTreeMap<(UserId, UserId), f64> {
-    let dag = PropagationDag::build(log, graph, a);
-    let gammas = policy.edge_credits(graph, &dag);
+    let arena = PropagationArena::build(log, graph, a..a + 1);
+    let dag = arena.dag(a);
+    let mut gammas = Vec::new();
+    policy.edge_credits(&dag, &mut gammas);
     let offsets = edge_offsets(&dag);
     let n = dag.len();
     let mut out = BTreeMap::new();
@@ -75,8 +77,10 @@ pub fn set_credit_restricted(
     seeds: &dyn Fn(UserId) -> bool,
     within: &dyn Fn(UserId) -> bool,
 ) -> BTreeMap<UserId, f64> {
-    let dag = PropagationDag::build(log, graph, a);
-    let gammas = policy.edge_credits(graph, &dag);
+    let arena = PropagationArena::build(log, graph, a..a + 1);
+    let dag = arena.dag(a);
+    let mut gammas = Vec::new();
+    policy.edge_credits(&dag, &mut gammas);
     let offsets = edge_offsets(&dag);
     let n = dag.len();
     let mut credit = vec![0.0f64; n];
@@ -174,8 +178,10 @@ fn hashed_action(
     lambda: f64,
     a: ActionId,
 ) -> ActionCredits {
-    let dag = PropagationDag::build(log, graph, a);
-    let gammas = policy.edge_credits(graph, &dag);
+    let arena = PropagationArena::build(log, graph, a..a + 1);
+    let dag = arena.dag(a);
+    let mut gammas = Vec::new();
+    policy.edge_credits(&dag, &mut gammas);
     let mut credits = ActionCredits::default();
     let mut edge_idx = 0usize;
     for i in 0..dag.len() {
@@ -547,7 +553,7 @@ impl ActionCredits {
 }
 
 /// Flattened-parent-array offsets per local node of a DAG.
-fn edge_offsets(dag: &PropagationDag) -> Vec<usize> {
+fn edge_offsets(dag: &PropagationDag<'_>) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(dag.len());
     let mut acc = 0usize;
     for i in 0..dag.len() {

@@ -17,6 +17,12 @@
 //!
 //! ## The kernel: dense columns, canonical rows
 //!
+//! Each shard owns one [`PropagationArena`] and rebuilds it for every
+//! action it scans: the DAG's parents come with their in-edge positions,
+//! so the policy reads each `τ_{v,u}` directly and writes γ into a buffer
+//! the shard reuses. Building G(a) needs no hash map and, once the
+//! buffers have grown, no allocation.
+//!
 //! The same fact makes the per-action kernel (`scan_action`) a dense
 //! accumulation. Each performer's incoming *column* `Γ_{·,u}(a)` is built
 //! once, at `u`'s activation, from the already-final columns of its DAG
@@ -58,7 +64,7 @@ use crate::compact::{self, ActionRows, Overflow};
 use crate::policy::CreditPolicy;
 use crate::store::CreditStore;
 use crate::telemetry::ScanTelemetry;
-use cdim_actionlog::{ActionId, ActionLog, PropagationDag};
+use cdim_actionlog::{ActionId, ActionLog, PropagationArena, PropagationDag};
 use cdim_graph::DirectedGraph;
 use cdim_util::pool::{parallel_map_shards, Parallelism};
 use cdim_util::Timer;
@@ -122,6 +128,8 @@ impl From<Overflow> for ScanError {
 /// the kernel allocates nothing per action once they have grown.
 #[derive(Debug, Default)]
 struct Scratch {
+    /// γ of the action's propagation edges, in DAG order.
+    gamma: Vec<f64>,
     /// Column `i` (the credits into DAG position `i`) is
     /// `src[col[i]..col[i + 1]]` / `val[..]`, in first-touch order, with
     /// sources as DAG positions.
@@ -147,24 +155,26 @@ struct Scratch {
 /// Stage-1 kernel: appends the credits of action `a` to `rows`, in the
 /// arena's canonical row order.
 ///
-/// A pure function of its arguments — it reads no state outside the
-/// action `a` — which is what makes the action-sharded parallel scan of
+/// A pure function of `(graph, log, policy, λ, a)` — what the reused
+/// DAG arena and scratch buffers keep between actions never reaches its
+/// output — which is what makes the action-sharded parallel scan of
 /// [`scan_with`] exact: running this kernel on any thread, in any order,
 /// yields the same rows as the sequential loop, down to the f64
 /// accumulation order.
 fn scan_action(
     graph: &DirectedGraph,
-    log: &ActionLog,
+    dags: &mut PropagationArena<'_>,
     policy: &CreditPolicy,
     lambda: f64,
     a: ActionId,
     s: &mut Scratch,
     rows: &mut ActionRows,
 ) {
-    let dag = PropagationDag::build(log, graph, a);
-    let gammas = policy.edge_credits(graph, &dag);
+    dags.rebuild(graph, a..a + 1);
+    let dag = dags.dag(a);
     let n = dag.len();
-    let Scratch { col, src, val, amount, stamp, touched, .. } = s;
+    let Scratch { gamma: gammas, col, src, val, amount, stamp, touched, .. } = s;
+    policy.edge_credits(&dag, gammas);
     col.clear();
     col.push(0);
     src.clear();
@@ -227,7 +237,7 @@ fn scan_action(
 
 /// Appends the columns in `s` to `rows` as one action: out rows sorted by
 /// `(v, u)` with their credits, inc rows sorted by `(u, v)`.
-fn emit(dag: &PropagationDag, s: &mut Scratch, rows: &mut ActionRows) {
+fn emit(dag: &PropagationDag<'_>, s: &mut Scratch, rows: &mut ActionRows) {
     let n = dag.len();
     let entries = s.src.len();
     let user = |i: u32| dag.user(i as usize);
@@ -353,10 +363,11 @@ pub fn scan_with(
     let wall = Timer::start();
     let shards = parallel_map_shards(parallelism, log.num_actions(), |_, range| {
         let shard_timer = Timer::start();
+        let mut dags = PropagationArena::new(log);
         let mut scratch = Scratch::default();
         let mut rows = ActionRows::default();
         for a in range {
-            scan_action(graph, log, policy, lambda, a as ActionId, &mut scratch, &mut rows);
+            scan_action(graph, &mut dags, policy, lambda, a as ActionId, &mut scratch, &mut rows);
         }
         (rows, shard_timer.secs())
     });
@@ -404,6 +415,12 @@ mod tests {
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
 
+    /// `Γ_{v,u}(a)` from the store's canonical entries, or 0 when not
+    /// stored.
+    pub(super) fn credit(store: &CreditStore, a: ActionId, v: u32, u: u32) -> f64 {
+        store.action(a).entries().find(|&(x, y, _)| (x, y) == (v, u)).map_or(0.0, |(_, _, c)| c)
+    }
+
     /// The running example of §4 (Figure 1), reconstructed so that the
     /// paper's hand-computed credits hold:
     ///
@@ -442,27 +459,25 @@ mod tests {
     fn reproduces_paper_worked_example() {
         let (graph, log) = figure1();
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let ac = store.action(0);
-        assert!((ac.get(0, 2) - 0.5).abs() < 1e-12, "Γ_v,t");
-        assert!((ac.get(0, 3) - 1.0).abs() < 1e-12, "Γ_v,w");
-        assert!((ac.get(0, 4) - 0.5).abs() < 1e-12, "Γ_v,z");
-        assert!((ac.get(0, 5) - 0.75).abs() < 1e-12, "Γ_v,u = 0.75");
+        assert!((credit(&store, 0, 0, 2) - 0.5).abs() < 1e-12, "Γ_v,t");
+        assert!((credit(&store, 0, 0, 3) - 1.0).abs() < 1e-12, "Γ_v,w");
+        assert!((credit(&store, 0, 0, 4) - 0.5).abs() < 1e-12, "Γ_v,z");
+        assert!((credit(&store, 0, 0, 5) - 0.75).abs() < 1e-12, "Γ_v,u = 0.75");
         // And the other influencers of u each hold their direct share.
-        assert!((ac.get(3, 5) - 0.25).abs() < 1e-12, "Γ_w,u");
-        assert!((ac.get(4, 5) - 0.25).abs() < 1e-12, "Γ_z,u");
+        assert!((credit(&store, 0, 3, 5) - 0.25).abs() < 1e-12, "Γ_w,u");
+        assert!((credit(&store, 0, 4, 5) - 0.25).abs() < 1e-12, "Γ_z,u");
         // t relays credit to z and u: Γ_t,u = γ_t,u + Γ_t,z·γ_z,u.
-        assert!((ac.get(2, 5) - 0.5).abs() < 1e-12, "Γ_t,u");
+        assert!((credit(&store, 0, 2, 5) - 0.5).abs() < 1e-12, "Γ_t,u");
     }
 
     #[test]
     fn initiators_receive_all_flow() {
         let (graph, log) = figure1();
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let ac = store.action(0);
         // Initiators have no in-edges, so no path passes through one:
         // Γ_{Initiators,u} = Σ_{v ∈ Initiators} Γ_{v,u}, and under the
         // uniform policy every unit of credit flows back to initiators.
-        let total: f64 = [0u32, 1].iter().map(|&v| ac.get(v, 5)).sum();
+        let total: f64 = [0u32, 1].iter().map(|&v| credit(&store, 0, v, 5)).sum();
         assert!((total - 1.0).abs() < 1e-12, "total = {total}");
     }
 
@@ -473,9 +488,9 @@ mod tests {
         let truncated = scan(&graph, &log, &CreditPolicy::Uniform, 0.3).unwrap();
         assert!(truncated.total_entries() < exact.total_entries());
         // γ = 0.25 edges into u are below λ = 0.3 and must be gone.
-        assert_eq!(truncated.action(0).get(3, 5), 0.0);
+        assert_eq!(credit(&truncated, 0, 3, 5), 0.0);
         // γ = 0.5 direct credit survives.
-        assert!(truncated.action(0).get(0, 2) > 0.0);
+        assert!(credit(&truncated, 0, 0, 2) > 0.0);
     }
 
     #[test]
@@ -520,7 +535,7 @@ mod tests {
         let log = b.build();
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
         let ac = store.action(0);
-        assert!(ac.get(0, 1) > 0.0 && ac.get(1, 2) > 0.0);
+        assert!(credit(&store, 0, 0, 1) > 0.0 && credit(&store, 0, 1, 2) > 0.0);
         assert_eq!(ac.len(), 3);
         assert_eq!(ac.entries().find(|&(v, u, _)| (v, u) == (0, 2)), Some((0, 2, 0.0)));
         assert!(store.dump() == reference::scan_dump(&graph, &log, &policy, 0.0));
@@ -567,14 +582,15 @@ mod tests {
         b.push(1, 1, 1.0);
         let log = b.build();
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        assert!((store.action(0).get(0, 1) - 1.0).abs() < 1e-12);
-        assert!((store.action(1).get(0, 1) - 1.0).abs() < 1e-12);
+        assert!((credit(&store, 0, 0, 1) - 1.0).abs() < 1e-12);
+        assert!((credit(&store, 1, 0, 1) - 1.0).abs() < 1e-12);
         assert!((store.inv_au(1) - 0.5).abs() < 1e-12);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::credit;
     use super::*;
     use crate::reference;
     use cdim_actionlog::ActionLogBuilder;
@@ -610,9 +626,9 @@ mod proptests {
                 let mut stored = 0usize;
                 for (&(v, u), &c) in &expected {
                     prop_assert!(
-                        (ac.get(v, u) - c).abs() < 1e-9,
+                        (credit(&store, a, v, u) - c).abs() < 1e-9,
                         "action {a} credit ({v},{u}): scan {} vs dp {c}",
-                        ac.get(v, u)
+                        credit(&store, a, v, u)
                     );
                     if c > 0.0 { stored += 1; }
                 }
@@ -638,13 +654,13 @@ mod proptests {
             }
             let log = b.build();
             let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-            for a in log.actions() {
-                let dag = cdim_actionlog::PropagationDag::build(&log, &graph, a);
+            let dags = PropagationArena::build(&log, &graph, log.actions());
+            for dag in dags.dags() {
+                let a = dag.action;
                 let initiators = dag.initiators();
-                let ac = store.action(a);
                 for (i, &u) in dag.users().iter().enumerate() {
                     let incoming: f64 =
-                        initiators.iter().map(|&v| ac.get(v, u)).sum();
+                        initiators.iter().map(|&v| credit(&store, a, v, u)).sum();
                     let expected = if dag.in_degree(i) == 0 { 0.0 } else { 1.0 };
                     prop_assert!(
                         (incoming - expected).abs() < 1e-9,
@@ -721,8 +737,8 @@ mod proptests {
                         for &v in log.users_of(a) {
                             if v != u {
                                 prop_assert!(
-                                    trunc.action(a).get(v, u)
-                                        <= exact.action(a).get(v, u) + 1e-9
+                                    credit(&trunc, a, v, u)
+                                        <= credit(&exact, a, v, u) + 1e-9
                                 );
                             }
                         }

@@ -19,7 +19,7 @@
 
 use crate::incremental::ExtendError;
 use crate::policy::CreditPolicy;
-use cdim_actionlog::{ActionLog, ActionLogDelta, PropagationDag, UserId};
+use cdim_actionlog::{ActionLog, ActionLogDelta, PropagationArena, PropagationDag, UserId};
 use cdim_graph::{DirectedGraph, NodeId};
 use cdim_maxim::SpreadOracle;
 use cdim_util::HeapSize;
@@ -52,12 +52,9 @@ pub struct CdSpreadEvaluator {
 
 impl CdSpreadEvaluator {
     /// Compiles one action's DAG + γ values.
-    fn compile_dag(
-        graph: &DirectedGraph,
-        dag: &PropagationDag,
-        policy: &CreditPolicy,
-    ) -> CompactDag {
-        let gammas = policy.edge_credits(graph, dag);
+    fn compile_dag(dag: &PropagationDag<'_>, policy: &CreditPolicy) -> CompactDag {
+        let mut gammas = Vec::with_capacity(dag.num_edges());
+        policy.edge_credits(dag, &mut gammas);
         let mut parent_offsets = Vec::with_capacity(dag.len() + 1);
         let mut parents = Vec::with_capacity(dag.num_edges());
         parent_offsets.push(0u32);
@@ -71,12 +68,12 @@ impl CdSpreadEvaluator {
     /// Precompiles every propagation DAG of `log` with its γ values.
     pub fn build(graph: &DirectedGraph, log: &ActionLog, policy: &CreditPolicy) -> Self {
         let mut max_dag_len = 0;
-        let dags = log
-            .actions()
-            .map(|a| {
-                let dag = PropagationDag::build(log, graph, a);
+        let arena = PropagationArena::build(log, graph, log.actions());
+        let dags = arena
+            .dags()
+            .map(|dag| {
                 max_dag_len = max_dag_len.max(dag.len());
-                Self::compile_dag(graph, &dag, policy)
+                Self::compile_dag(&dag, policy)
             })
             .collect();
         let au = log.actions_per_user().to_vec();
@@ -115,10 +112,10 @@ impl CdSpreadEvaluator {
         }
         let additions = delta.additions();
         self.dags.reserve(additions.num_actions());
-        for a in additions.actions() {
-            let dag = PropagationDag::build(additions, graph, a);
+        let arena = PropagationArena::build(additions, graph, additions.actions());
+        for dag in arena.dags() {
             self.max_dag_len = self.max_dag_len.max(dag.len());
-            self.dags.push(Self::compile_dag(graph, &dag, policy));
+            self.dags.push(Self::compile_dag(&dag, policy));
         }
         for (u, &n) in additions.actions_per_user().iter().enumerate() {
             if n > 0 {

@@ -98,23 +98,6 @@ pub struct ActionView<'a> {
 }
 
 impl<'a> ActionView<'a> {
-    /// `Γ_{v,u}(a)`, or 0 when not stored.
-    pub fn get(&self, v: u32, u: u32) -> f64 {
-        self.data.credit(self.a, v, u)
-    }
-
-    /// `(u, Γ_{v,u})` for influencer `v`, targets ascending.
-    pub fn targets_of(&self, v: u32) -> impl Iterator<Item = (u32, f64)> + 'a {
-        let (targets, credits) = self.data.out_row(self.a, v);
-        targets.iter().copied().zip(credits.iter().copied())
-    }
-
-    /// `(v, Γ_{v,u})` for target `u`, sources ascending.
-    pub fn sources_of(&self, u: u32) -> impl Iterator<Item = (u32, f64)> + 'a {
-        let (data, a) = (self.data, self.a);
-        data.inc_row(a, u).iter().map(move |&v| (v, data.credit(a, v, u)))
-    }
-
     /// Every entry as `(v, u, Γ_{v,u})`, sorted by `(v, u)`.
     pub fn entries(&self) -> impl Iterator<Item = (u32, u32, f64)> + 'a {
         self.data.action_entries(self.a)
@@ -198,11 +181,8 @@ mod tests {
         assert_eq!(store.dump(), dump);
         let ac = store.action(1);
         assert_eq!(ac.len(), 2);
-        assert_eq!(ac.get(2, 3), 0.25);
-        assert_eq!(ac.get(3, 2), 0.0);
-        assert_eq!(ac.targets_of(0).collect::<Vec<_>>(), vec![(3, 0.25)]);
-        assert_eq!(ac.sources_of(3).collect::<Vec<_>>(), vec![(0, 0.25), (2, 0.25)]);
-        assert_eq!(ac.sources_of(0).count(), 0);
+        assert_eq!(ac.entries().collect::<Vec<_>>(), vec![(0, 3, 0.25), (2, 3, 0.25)]);
+        assert!(store.action(0).entries().eq([(0, 1, 0.5)]));
         assert_eq!(store.actions_of_user(3), &[0, 1]);
         assert_eq!(store.inv_au(1), 1.0);
         // Clones share the arena.

@@ -165,7 +165,7 @@ mod tests {
     use super::*;
     use crate::graphgen::{preferential_attachment, GraphGenConfig};
     use crate::groundtruth::GroundTruthConfig;
-    use cdim_actionlog::PropagationDag;
+    use cdim_actionlog::PropagationArena;
 
     fn setup() -> (DirectedGraph, GroundTruth) {
         let g = preferential_attachment(GraphGenConfig {
@@ -215,8 +215,8 @@ mod tests {
         let log = generate_cascades(&g, &gt, CascadeConfig { actions: 100, ..Default::default() });
         // Propagation DAG parents always precede children — guaranteed by
         // construction, but verify end-to-end through the real pipeline.
-        for a in log.actions().take(20) {
-            let dag = PropagationDag::build(&log, &g, a);
+        let arena = PropagationArena::build(&log, &g, 0..20);
+        for dag in arena.dags() {
             for i in 0..dag.len() {
                 for &p in dag.parents_of(i) {
                     assert!(dag.time(p as usize) < dag.time(i));
@@ -229,13 +229,9 @@ mod tests {
     fn propagation_actually_happens_along_edges() {
         let (g, gt) = setup();
         let log = generate_cascades(&g, &gt, CascadeConfig { actions: 300, ..Default::default() });
-        let with_parents: usize = log
-            .actions()
-            .map(|a| {
-                let dag = PropagationDag::build(&log, &g, a);
-                (0..dag.len()).filter(|&i| dag.in_degree(i) > 0).count()
-            })
-            .sum();
+        let arena = PropagationArena::build(&log, &g, log.actions());
+        let with_parents: usize =
+            arena.dags().map(|dag| (0..dag.len()).filter(|&i| dag.in_degree(i) > 0).count()).sum();
         assert!(with_parents > log.num_actions() / 2, "only {with_parents} influenced activations");
     }
 

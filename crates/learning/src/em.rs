@@ -21,7 +21,7 @@
 //! (1 success / 1 trial), which is why EM-greedy can pick statistically
 //! insignificant seeds (§6, "Spread Achieved").
 
-use cdim_actionlog::{ActionLog, PropagationDag};
+use cdim_actionlog::{ActionLog, PropagationArena};
 use cdim_diffusion::EdgeProbabilities;
 use cdim_graph::DirectedGraph;
 use cdim_util::FxHashMap;
@@ -64,18 +64,14 @@ impl<'a> EmLearner<'a> {
         let mut parent_edges: Vec<u32> = Vec::new();
         let mut performed: FxHashMap<u32, f64> = FxHashMap::default();
 
-        for a in train.actions() {
-            let dag = PropagationDag::build(train, graph, a);
+        let arena = PropagationArena::build(train, graph, train.actions());
+        for dag in arena.dags() {
             performed.clear();
             for (i, (&u, &t)) in dag.users().iter().zip(dag.times()).enumerate() {
                 if dag.in_degree(i) > 0 {
-                    for &p in dag.parents_of(i) {
-                        let v = dag.user(p as usize);
-                        let e = graph
-                            .in_edge_position(v, u)
-                            .expect("propagation edge must be a social edge");
-                        trials[e] += 1;
-                        parent_edges.push(e as u32);
+                    for &e in dag.positions_of(i) {
+                        trials[e as usize] += 1;
+                        parent_edges.push(e);
                     }
                     group_offsets.push(parent_edges.len());
                 }

@@ -4,7 +4,7 @@
 //! number of actions that propagated from `v` to `u` in the training set
 //! and `N` normalizes each node's incoming weights to sum to 1.
 
-use cdim_actionlog::{ActionLog, PropagationDag};
+use cdim_actionlog::{ActionLog, PropagationArena};
 use cdim_diffusion::EdgeProbabilities;
 use cdim_graph::DirectedGraph;
 
@@ -16,14 +16,11 @@ pub fn learn_lt_weights(graph: &DirectedGraph, train: &ActionLog) -> EdgeProbabi
     let m = graph.num_edges();
     // In-aligned counts of propagated actions per edge.
     let mut counts = vec![0u32; m];
-    for a in train.actions() {
-        let dag = PropagationDag::build(train, graph, a);
+    let arena = PropagationArena::build(train, graph, train.actions());
+    for dag in arena.dags() {
         for i in 0..dag.len() {
-            let u = dag.user(i);
-            for &pj in dag.parents_of(i) {
-                let v = dag.user(pj as usize);
-                let e = graph.in_edge_position(v, u).expect("social edge");
-                counts[e] += 1;
+            for &e in dag.positions_of(i) {
+                counts[e as usize] += 1;
             }
         }
     }

@@ -8,8 +8,12 @@
 //! * `infl(u)` — user influenceability: the fraction of `u`'s actions
 //!   performed "under the influence" of some neighbor, i.e. with
 //!   `t(u,a) − t(v,a) ≤ τ_{v,u}` for at least one potential influencer.
+//!
+//! Both passes walk one [`PropagationArena`] of the training log. The
+//! arena stores each parent edge's in-aligned position beside it, so a
+//! per-edge delay sum or `τ` is indexed directly, with no edge search.
 
-use cdim_actionlog::{ActionLog, PropagationDag};
+use cdim_actionlog::{ActionLog, PropagationArena};
 use cdim_graph::DirectedGraph;
 use cdim_util::HeapSize;
 
@@ -32,21 +36,15 @@ impl TemporalModel {
         let m = graph.num_edges();
         let mut delay_sum = vec![0.0f64; m];
         let mut delay_count = vec![0u32; m];
-
-        let dags: Vec<PropagationDag> =
-            train.actions().map(|a| PropagationDag::build(train, graph, a)).collect();
+        let arena = PropagationArena::build(train, graph, train.actions());
 
         // Pass 1: per-edge mean delays.
-        for dag in &dags {
+        for dag in arena.dags() {
             for i in 0..dag.len() {
-                let u = dag.user(i);
                 let tu = dag.time(i);
-                for &pj in dag.parents_of(i) {
-                    let v = dag.user(pj as usize);
-                    let tv = dag.time(pj as usize);
-                    let e = graph.in_edge_position(v, u).expect("social edge");
-                    delay_sum[e] += tu - tv;
-                    delay_count[e] += 1;
+                for (&pj, &e) in dag.parents_of(i).iter().zip(dag.positions_of(i)) {
+                    delay_sum[e as usize] += tu - dag.time(pj as usize);
+                    delay_count[e as usize] += 1;
                 }
             }
         }
@@ -71,18 +69,12 @@ impl TemporalModel {
 
         // Pass 2: influenceability.
         let mut influenced_actions = vec![0u32; graph.num_nodes()];
-        for dag in &dags {
+        for dag in arena.dags() {
             for i in 0..dag.len() {
-                let u = dag.user(i);
                 let tu = dag.time(i);
-                let within_tau = dag.parents_of(i).iter().any(|&pj| {
-                    let v = dag.user(pj as usize);
-                    let tv = dag.time(pj as usize);
-                    let e = graph.in_edge_position(v, u).expect("social edge");
-                    tu - tv <= tau[e]
-                });
-                if within_tau {
-                    influenced_actions[u as usize] += 1;
+                let mut edges = dag.parents_of(i).iter().zip(dag.positions_of(i));
+                if edges.any(|(&pj, &e)| tu - dag.time(pj as usize) <= tau[e as usize]) {
+                    influenced_actions[dag.user(i) as usize] += 1;
                 }
             }
         }
@@ -112,11 +104,6 @@ impl TemporalModel {
         }
     }
 
-    /// `τ_{v,u}` by endpoints, if the social edge exists.
-    pub fn tau(&self, graph: &DirectedGraph, v: u32, u: u32) -> Option<f64> {
-        graph.in_edge_position(v, u).map(|e| self.tau_at(e))
-    }
-
     /// Influenceability of `u`.
     #[inline]
     pub fn infl(&self, u: u32) -> f64 {
@@ -142,6 +129,11 @@ mod tests {
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
 
+    /// `τ_{v,u}` of the social edge `(v, u)`.
+    fn tau(t: &TemporalModel, g: &DirectedGraph, v: u32, u: u32) -> f64 {
+        t.tau_at(g.in_edge_position(v, u).expect("social edge"))
+    }
+
     #[test]
     fn tau_is_mean_delay() {
         let g = GraphBuilder::new(2).edges([(0, 1)]).build();
@@ -152,7 +144,7 @@ mod tests {
         b.push(1, 1, 4.0); // delay 4
         let log = b.build();
         let t = TemporalModel::learn(&g, &log);
-        assert!((t.tau(&g, 0, 1).unwrap() - 3.0).abs() < 1e-12);
+        assert!((tau(&t, &g, 0, 1) - 3.0).abs() < 1e-12);
         assert!((t.default_tau() - 3.0).abs() < 1e-12);
     }
 
@@ -164,7 +156,7 @@ mod tests {
         b.push(1, 0, 2.0);
         let log = b.build();
         let t = TemporalModel::learn(&g, &log);
-        assert!((t.tau(&g, 2, 1).unwrap() - 2.0).abs() < 1e-12);
+        assert!((tau(&t, &g, 2, 1) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -222,6 +214,122 @@ mod tests {
         b.push(1, 0, 1.0 + 1e-300);
         let log = b.build();
         let t = TemporalModel::learn(&g, &log);
-        assert!(t.tau(&g, 0, 1).unwrap() > 0.0);
+        assert!(tau(&t, &g, 0, 1) > 0.0);
+    }
+
+    /// The two passes as they were written against the hash-map DAG
+    /// builder, with an in-edge search per parent edge: the oracle the
+    /// arena-based [`TemporalModel::learn`] must equal bit for bit.
+    fn searched_learn(graph: &DirectedGraph, train: &ActionLog) -> TemporalModel {
+        let m = graph.num_edges();
+        let mut delay_sum = vec![0.0f64; m];
+        let mut delay_count = vec![0u32; m];
+        let arenas: Vec<_> =
+            train.actions().map(|a| PropagationArena::build(train, graph, a..a + 1)).collect();
+        let dags: Vec<_> = arenas.iter().flat_map(|arena| arena.dags()).collect();
+        for dag in &dags {
+            for i in 0..dag.len() {
+                let u = dag.user(i);
+                let tu = dag.time(i);
+                for &pj in dag.parents_of(i) {
+                    let v = dag.user(pj as usize);
+                    let tv = dag.time(pj as usize);
+                    let e = graph.in_edge_position(v, u).expect("social edge");
+                    delay_sum[e] += tu - tv;
+                    delay_count[e] += 1;
+                }
+            }
+        }
+        let total_sum: f64 = delay_sum.iter().sum();
+        let total_count: u64 = delay_count.iter().map(|&c| c as u64).sum();
+        let default_tau = if total_count > 0 {
+            (total_sum / total_count as f64).max(f64::MIN_POSITIVE)
+        } else {
+            1.0
+        };
+        let tau: Vec<f64> = (0..m)
+            .map(|e| {
+                if delay_count[e] > 0 {
+                    (delay_sum[e] / delay_count[e] as f64).max(f64::MIN_POSITIVE)
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        let mut influenced_actions = vec![0u32; graph.num_nodes()];
+        for dag in &dags {
+            for i in 0..dag.len() {
+                let u = dag.user(i);
+                let tu = dag.time(i);
+                let within_tau = dag.parents_of(i).iter().any(|&pj| {
+                    let v = dag.user(pj as usize);
+                    let tv = dag.time(pj as usize);
+                    let e = graph.in_edge_position(v, u).expect("social edge");
+                    tu - tv <= tau[e]
+                });
+                if within_tau {
+                    influenced_actions[u as usize] += 1;
+                }
+            }
+        }
+        let infl: Vec<f64> = (0..graph.num_nodes())
+            .map(|u| {
+                let au = train.actions_performed_by(u as u32);
+                if au == 0 {
+                    0.0
+                } else {
+                    influenced_actions[u] as f64 / au as f64
+                }
+            })
+            .collect();
+        TemporalModel { tau, infl, default_tau }
+    }
+
+    /// `τ`, `infl` and the default `τ` of `learn` equal the oracle's bit
+    /// for bit.
+    pub(super) fn assert_learn_matches_oracle(graph: &DirectedGraph, train: &ActionLog) {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (got, want) = (TemporalModel::learn(graph, train), searched_learn(graph, train));
+        assert_eq!(bits(&got.tau), bits(&want.tau), "tau");
+        assert_eq!(bits(&got.infl), bits(&want.infl), "infl");
+        assert_eq!(got.default_tau.to_bits(), want.default_tau.to_bits(), "default_tau");
+    }
+
+    #[test]
+    fn learn_is_bit_identical_to_the_searched_oracle_on_the_small_presets() {
+        for spec in [cdim_datagen::presets::flixster_small(), cdim_datagen::presets::flickr_small()]
+        {
+            let ds = spec.generate();
+            assert_learn_matches_oracle(&ds.graph, &ds.log);
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::assert_learn_matches_oracle;
+    use cdim_actionlog::ActionLogBuilder;
+    use cdim_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// On random graphs and logs with tied timestamps, users who act
+        /// once or never and delays compressed so far that some mean
+        /// delays hit the `f64::MIN_POSITIVE` guard, `learn` equals the
+        /// searched oracle bit for bit.
+        #[test]
+        fn learn_is_bit_identical_to_the_searched_oracle(
+            edges in proptest::collection::vec((0u32..12, 0u32..12), 0..80),
+            events in proptest::collection::vec((0u32..10, 0u32..6, 0u64..9), 0..80),
+            scale_kind in 0u32..3,
+        ) {
+            let graph = GraphBuilder::new(12).edges(edges).build();
+            let scale = [1.0, 1.0 / 400.0, 1e-310][scale_kind as usize];
+            let mut b = ActionLogBuilder::new(12);
+            for &(u, a, t) in &events {
+                b.push(u, a, t as f64 * scale);
+            }
+            assert_learn_matches_oracle(&graph, &b.build());
+        }
     }
 }

@@ -32,8 +32,9 @@ fn main() {
     let mut pairs_cd = Vec::new();
     let mut pairs_em = Vec::new();
     let mut pairs_wc = Vec::new();
-    for a in split.test.actions().take(200) {
-        let dag = PropagationDag::build(&split.test, graph, a);
+    let traces =
+        PropagationArena::build(&split.test, graph, 0..split.test.num_actions().min(200) as u32);
+    for dag in traces.dags() {
         let initiators = dag.initiators();
         let actual = dag.len() as f64;
         pairs_cd.push((actual, model.spread(&initiators)));

@@ -62,8 +62,8 @@ pub use cdim_util as util;
 /// The most common imports in one line.
 pub mod prelude {
     pub use cdim_actionlog::{
-        train_test_split, ActionLog, ActionLogBuilder, ActionLogDelta, PropagationDag,
-        TrainTestSplit,
+        train_test_split, ActionLog, ActionLogBuilder, ActionLogDelta, PropagationArena,
+        PropagationDag, TrainTestSplit,
     };
     pub use cdim_core::{
         model::PolicyKind, scan, scan_with, CdModel, CdModelConfig, CdSpreadEvaluator,

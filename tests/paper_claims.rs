@@ -20,8 +20,8 @@ fn learned_probabilities_beat_weighted_cascade() {
 
     let mut pairs_em = Vec::new();
     let mut pairs_wc = Vec::new();
-    for a in split.test.actions() {
-        let dag = PropagationDag::build(&split.test, &ds.graph, a);
+    let traces = PropagationArena::build(&split.test, &ds.graph, split.test.actions());
+    for dag in traces.dags() {
         let initiators = dag.initiators();
         let actual = dag.len() as f64;
         pairs_em.push((
@@ -49,8 +49,8 @@ fn cd_predicts_at_least_as_well_as_ic_em() {
 
     let mut pairs_cd = Vec::new();
     let mut pairs_ic = Vec::new();
-    for a in split.test.actions() {
-        let dag = PropagationDag::build(&split.test, &ds.graph, a);
+    let traces = PropagationArena::build(&split.test, &ds.graph, split.test.actions());
+    for dag in traces.dags() {
         let initiators = dag.initiators();
         let actual = dag.len() as f64;
         pairs_cd.push((actual, model.spread(&initiators)));
