@@ -124,7 +124,7 @@ impl ActionLog {
     /// The mirror of [`split_at_action`](Self::split_at_action) for the
     /// sliding-window path. The expired prefix comes back as an
     /// [`ActionLogDelta`] **based at 0** — exactly the shape
-    /// `CreditStore::retract_delta` consumes to unwind those actions —
+    /// `CompactSelector::retract` consumes to unwind those actions —
     /// and the remainder is re-densified so its actions run `0..n-expire`
     /// (external ids and per-action tuples carried through verbatim).
     /// Scanning the remainder from scratch is therefore the window-only

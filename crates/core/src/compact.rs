@@ -848,8 +848,7 @@ impl CompactSelector {
     /// Incremental retraining: this model extended by an append-only
     /// action batch. Only the delta is scanned; committed seeds are
     /// replayed over the new actions, and the result is spliced onto a
-    /// copy of the arena (see [`CreditStore::apply_delta`] for the
-    /// seedless case, which it shares).
+    /// copy of the arena (see [`crate::incremental`] for the contract).
     ///
     /// `policy` must be the policy the model was trained with. Under it
     /// the returned arena is byte-identical to a from-scratch scan of the
@@ -2356,20 +2355,32 @@ mod tests {
     #[test]
     fn extend_and_retract_replay_committed_seeds() {
         let (graph, log) = small_instance();
-        let policy = CreditPolicy::Uniform;
+        let time_aware = CreditPolicy::time_aware(&graph, &log);
         let par = Parallelism::fixed(2);
-        for seeds in [&[][..], &[0], &[0, 2]] {
-            let full = frozen(&graph, &log, &policy, 0.0, seeds);
-            let (prefix, delta) = log.split_at_action(3);
-            let extended =
-                frozen(&graph, &prefix, &policy, 0.0, seeds).extend(&graph, &delta, &policy, par);
-            assert_eq!(extended.unwrap().arena(), full.arena(), "extend, seeds {seeds:?}");
+        for policy in [&CreditPolicy::Uniform, &time_aware] {
+            for lambda in [0.0, 0.001] {
+                for seeds in [&[][..], &[0], &[0, 2]] {
+                    let full = frozen(&graph, &log, policy, lambda, seeds);
+                    // Every split and every cut, the empty and full
+                    // batches included.
+                    for at in 0..=log.num_actions() {
+                        let case = format!("at {at}, lambda {lambda}, seeds {seeds:?}");
+                        let (prefix, delta) = log.split_at_action(at);
+                        let extended = frozen(&graph, &prefix, policy, lambda, seeds)
+                            .extend(&graph, &delta, policy, par)
+                            .unwrap();
+                        assert_eq!(extended.counts(), full.counts(), "extend {case}");
+                        assert!(extended.arena() == full.arena(), "extend {case}");
 
-            let (expired, window) = log.split_off_prefix(2);
-            let retracted = full.retract(&graph, &expired, &policy, par).unwrap();
-            let want = frozen(&graph, &window, &policy, 0.0, seeds);
-            assert_eq!(retracted.arena(), want.arena(), "retract, seeds {seeds:?}");
-            assert_eq!(retracted.seeds(), seeds);
+                        let (expired, window) = log.split_off_prefix(at);
+                        let retracted = full.retract(&graph, &expired, policy, par).unwrap();
+                        let want = frozen(&graph, &window, policy, lambda, seeds);
+                        assert_eq!(retracted.counts(), want.counts(), "retract {case}");
+                        assert!(retracted.arena() == want.arena(), "retract {case}");
+                        assert_eq!(retracted.seeds(), seeds);
+                    }
+                }
+            }
         }
     }
 

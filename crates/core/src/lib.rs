@@ -25,10 +25,12 @@
 //!   is an immutable CSR arena;
 //! * [`mod@scan`] — Algorithm 2 (one pass over the sorted log, truncation
 //!   λ), writing the arena directly;
-//! * [`incremental`] — incremental retraining: extend a store with an
+//! * [`incremental`] — the contract, checks and error type of
+//!   incremental retraining: [`CompactSelector::extend`] folds in an
 //!   [`cdim_actionlog::ActionLogDelta`] (byte-identical to a full rescan)
-//!   or retract an expired action prefix (byte-identical to a scan of
-//!   just the surviving window), both by splicing arena sections;
+//!   and [`CompactSelector::retract`] cuts off an expired action prefix
+//!   (byte-identical to a scan of just the surviving window), both by
+//!   splicing arena sections;
 //! * [`celf`] — Algorithm 3, the one CELF driver, with [`MgMode`] for the
 //!   pseudocode-gain ablation;
 //! * [`compact`] — the arena's layout and the model every caller selects

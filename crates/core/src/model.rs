@@ -1,8 +1,9 @@
 //! Convenience facade: train once, then select seeds and predict spread.
 //!
 //! [`CdModel`] is what a downstream application uses: it bundles the
-//! learned credit policy, the scanned (λ-truncated) credit store for seed
-//! selection, and the exact evaluator for spread prediction.
+//! scanned (λ-truncated) credit store for seed selection and the exact
+//! evaluator for spread prediction, both built under the learned credit
+//! policy.
 
 use crate::compact::CompactSelector;
 use crate::policy::CreditPolicy;
@@ -76,8 +77,6 @@ impl CdModelConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CdModel {
-    config: CdModelConfig,
-    policy: CreditPolicy,
     store: CreditStore,
     evaluator: CdSpreadEvaluator,
 }
@@ -101,67 +100,12 @@ impl CdModel {
         let policy = config.build_policy(graph, train_log);
         let store = scan_with(graph, train_log, &policy, config.lambda, config.parallelism)?;
         let evaluator = CdSpreadEvaluator::build(graph, train_log, &policy);
-        Ok(CdModel { config, policy, store, evaluator })
-    }
-
-    /// Incremental retraining: folds an append-only batch of new actions
-    /// into the trained model — credit store and exact evaluator both —
-    /// without rescanning anything already learned. Delta batches run in
-    /// parallel under the training [`CdModelConfig::parallelism`].
-    ///
-    /// The credit policy stays as trained (time-aware `τ`/`infl` are
-    /// *not* re-learned — refreshing them would change old actions'
-    /// credits and require a full retrain). Under that fixed policy the
-    /// extended store's [`CreditStore::dump`] is byte-identical to a
-    /// from-scratch scan of the combined log, for every thread count.
-    pub fn extend(
-        &mut self,
-        graph: &DirectedGraph,
-        delta: &cdim_actionlog::ActionLogDelta,
-    ) -> Result<(), crate::incremental::ExtendError> {
-        self.store.apply_delta(graph, delta, &self.policy, self.config.parallelism)?;
-        self.evaluator.extend(graph, delta, &self.policy)
-    }
-
-    /// Sliding-window retraining: expires an action prefix from the
-    /// trained model — credit store and exact evaluator both — without
-    /// rescanning anything that survives. `expired` must be the model's
-    /// first actions packaged as a delta based at 0 (see
-    /// `ActionLog::split_off_prefix`); the expired credits are recomputed
-    /// with the scan kernel and checked bit-for-bit before anything is
-    /// dropped.
-    ///
-    /// As with [`extend`](Self::extend) the trained policy stays fixed.
-    /// Under that fixed policy the retracted store's
-    /// [`CreditStore::dump`] is byte-identical to a from-scratch scan of
-    /// just the surviving window, for every thread count.
-    pub fn retract(
-        &mut self,
-        graph: &DirectedGraph,
-        expired: &cdim_actionlog::ActionLogDelta,
-    ) -> Result<(), crate::incremental::ExtendError> {
-        self.store.retract_delta(graph, expired, &self.policy, self.config.parallelism)?;
-        self.evaluator.retract(graph, expired)
-    }
-
-    /// The configuration the model was trained with.
-    pub fn config(&self) -> CdModelConfig {
-        self.config
-    }
-
-    /// The trained credit policy.
-    pub fn policy(&self) -> &CreditPolicy {
-        &self.policy
+        Ok(CdModel { store, evaluator })
     }
 
     /// The λ-truncated credit store (pre-selection state).
     pub fn store(&self) -> &CreditStore {
         &self.store
-    }
-
-    /// The exact spread evaluator.
-    pub fn evaluator(&self) -> &CdSpreadEvaluator {
-        &self.evaluator
     }
 
     /// Influence maximization: runs Algorithm 3 for `k` seeds.
@@ -247,79 +191,6 @@ mod tests {
         for threads in [2usize, 8] {
             assert_eq!(dump(threads), baseline, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn extend_equals_training_on_the_full_log() {
-        let (graph, log) = instance();
-        // Uniform policy is log-independent, so prefix-trained and
-        // full-trained models share it exactly — the extended model must
-        // match full training bit for bit.
-        let config =
-            CdModelConfig { policy: PolicyKind::Uniform, lambda: 0.001, ..Default::default() };
-        let full = CdModel::train(&graph, &log, config);
-        for split in 0..=log.num_actions() {
-            let (prefix, delta) = log.split_at_action(split);
-            let mut model = CdModel::train(&graph, &prefix, config);
-            model.extend(&graph, &delta).unwrap();
-            assert_eq!(model.store().dump(), full.store().dump(), "split {split}");
-            let sel = full.select(2);
-            assert_eq!(model.select(2).seeds, sel.seeds);
-            assert_eq!(
-                model.spread(&sel.seeds).to_bits(),
-                full.spread(&sel.seeds).to_bits(),
-                "split {split}"
-            );
-        }
-    }
-
-    #[test]
-    fn retract_equals_training_on_the_window() {
-        let (graph, log) = instance();
-        // Uniform policy is log-independent, so the full-trained and
-        // window-trained models share it exactly — retraction must land
-        // bit-for-bit on the window-only model.
-        let config =
-            CdModelConfig { policy: PolicyKind::Uniform, lambda: 0.001, ..Default::default() };
-        for expire in 0..=log.num_actions() {
-            let (expired, window) = log.split_off_prefix(expire);
-            let mut model = CdModel::train(&graph, &log, config);
-            model.retract(&graph, &expired).unwrap();
-            let fresh = CdModel::train(&graph, &window, config);
-            assert_eq!(model.store().dump(), fresh.store().dump(), "expire {expire}");
-            assert_eq!(model.evaluator().num_actions(), fresh.evaluator().num_actions());
-            for seeds in [vec![0u32], vec![1, 3], vec![0, 2, 4]] {
-                assert_eq!(
-                    model.spread(&seeds).to_bits(),
-                    fresh.spread(&seeds).to_bits(),
-                    "expire {expire}, seeds {seeds:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn retract_rejects_non_prefix_batches() {
-        let (graph, log) = instance();
-        let mut model = CdModel::train(&graph, &log, CdModelConfig::default());
-        // A mid-log range is not a prefix (base != 0).
-        let not_a_prefix = log.delta_range(1, 3);
-        assert!(model.retract(&graph, &not_a_prefix).is_err());
-        // Data the model was never trained on fails the bitwise replay.
-        let mut b = ActionLogBuilder::new(5);
-        b.push(4, 0, 0.0);
-        b.push(0, 0, 1.0);
-        let foreign = cdim_actionlog::ActionLogDelta::new(0, b.build());
-        assert!(model.retract(&graph, &foreign).is_err());
-    }
-
-    #[test]
-    fn extend_rejects_stale_deltas() {
-        let (graph, log) = instance();
-        let (prefix, _) = log.split_at_action(2);
-        let mut model = CdModel::train(&graph, &prefix, CdModelConfig::default());
-        let wrong_base = log.delta_range(3, 4);
-        assert!(model.extend(&graph, &wrong_base).is_err());
     }
 
     #[test]

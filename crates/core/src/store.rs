@@ -11,10 +11,9 @@
 //! compact CSR arena of [`crate::compact`] with no SC entries and no
 //! seeds: per action, out rows sorted by `(v, u)` carrying the credits
 //! and inc rows sorted by `(u, v)`, written there by the scan's ordered
-//! merge. It is immutable and `Arc`-shared, so cloning a store, serving
-//! it ([`crate::CompactSelector::from_store`]) or extending it copies no
-//! credits; [`CreditStore::action`] reads one action through an
-//! [`ActionView`].
+//! merge. It is immutable and `Arc`-shared, so cloning a store or
+//! serving it ([`crate::CompactSelector::from_store`]) copies no credits;
+//! [`CreditStore::action`] reads one action through an [`ActionView`].
 //!
 //! Selection never writes the arena: an [`crate::OverlaySelector`]
 //! applies Lemmas 2–3 to its own copy of the credit values and a dense SC

@@ -1,9 +1,8 @@
 //! Evidence for "publish cost ∝ delta": on `flixster_large/8`, one
 //! thread, for a range of delta fractions, the wall time of a full
-//! rescan against the store-level `CreditStore::apply_delta` and the
-//! publish path `ModelSnapshot::extend`; and likewise of a window-only
-//! rescan against `retract_delta` and `ModelSnapshot::retract` expiring
-//! the same fraction. Every point is checked byte for byte against its
+//! rescan against the publish path `ModelSnapshot::extend`; and likewise
+//! of a window-only rescan against `ModelSnapshot::retract` expiring the
+//! same fraction. Every point is checked byte for byte against its
 //! rescan; the timings (fastest of [`REPS`]) are printed as one table.
 //!
 //! Ignored by default (tens of seconds); run it with
@@ -47,7 +46,6 @@ fn publish_and_retract_cost_track_the_delta() {
     let scan = |log: &ActionLog| scan_with(&ds.graph, log, &policy, lambda, par).unwrap();
     let n = ds.log.num_actions();
     let (rescan_ms, full_store) = fastest(|| scan(&ds.log));
-    let full_dump = full_store.dump();
     let full = ModelSnapshot::from_store(full_store.clone());
     let full_bytes = full.to_bytes();
     println!(
@@ -60,43 +58,29 @@ fn publish_and_retract_cost_track_the_delta() {
     );
     println!("full rescan: {rescan_ms:.1} ms");
     println!(
-        "{:>6} {:>7} | {:>11} {:>8} | {:>13} {:>13} {:>8}",
-        "delta", "actions", "apply_delta", "extend", "window rescan", "retract_delta", "retract"
+        "{:>6} {:>7} | {:>8} | {:>13} {:>8}",
+        "delta", "actions", "extend", "window rescan", "retract"
     );
     for fraction in FRACTIONS {
         let k = ((n as f64 * fraction).round() as usize).clamp(1, n);
 
         // Append: the last k actions arrive on a model of the rest.
         let (prefix, delta) = ds.log.split_at_action(n - k);
-        let base = scan(&prefix);
-        let (apply_ms, applied) = fastest(|| {
-            let mut store = base.clone();
-            store.apply_delta(&ds.graph, &delta, &policy, par).unwrap();
-            store
-        });
-        let base = ModelSnapshot::from_store(base);
+        let base = ModelSnapshot::from_store(scan(&prefix));
         let (extend_ms, extended) =
             fastest(|| base.extend(&ds.graph, &delta, &policy, par).unwrap());
-        assert!(applied.dump() == full_dump, "apply_delta diverged at {fraction}");
         assert!(extended.to_bytes() == full_bytes, "extend diverged at {fraction}");
 
         // Expire: the first k actions leave the full model.
         let (expired, window) = ds.log.split_off_prefix(k);
         let (window_ms, rescan) = fastest(|| scan(&window));
-        let (retract_delta_ms, retracted) = fastest(|| {
-            let mut store = full_store.clone();
-            store.retract_delta(&ds.graph, &expired, &policy, par).unwrap();
-            store
-        });
         let (retract_ms, snapshot) =
             fastest(|| full.retract(&ds.graph, &expired, &policy, par).unwrap());
-        assert!(retracted.dump() == rescan.dump(), "retract_delta diverged at {fraction}");
         let want = ModelSnapshot::from_store(rescan).to_bytes();
         assert!(snapshot.to_bytes() == want, "retract diverged at {fraction}");
 
         println!(
-            "{:>5.0}% {k:>7} | {apply_ms:>11.1} {extend_ms:>8.1} | \
-             {window_ms:>13.1} {retract_delta_ms:>13.1} {retract_ms:>8.1}",
+            "{:>5.0}% {k:>7} | {extend_ms:>8.1} | {window_ms:>13.1} {retract_ms:>8.1}",
             fraction * 100.0
         );
     }

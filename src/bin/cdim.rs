@@ -91,7 +91,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("generate", "preset out scale"),
     ("stats", "graph log addr"),
     ("select", "graph log k lambda policy threads"),
-    ("predict", "graph log seeds policy lambda mc sims threads"),
+    ("predict", "graph log seeds policy mc sims threads"),
     ("train", "graph log out policy lambda threads window append base"),
     ("serve", "snapshot addr cache max-connections metrics-addr trace-sample trace-slow-ms"),
     (
@@ -197,7 +197,7 @@ fn policy_config(flags: &Flags) -> Result<CdModelConfig, String> {
         return Err(format!("--lambda must be in [0, 1], got {lambda}"));
     }
     // One thread budget for every parallel stage of the invocation
-    // (credit scan and, in `predict`, the MC cross-check): 0 = auto.
+    // (the credit scan, or in `predict` the MC cross-check): 0 = auto.
     let parallelism = Parallelism::fixed(flags.get_parsed("threads", 0usize)?);
     Ok(CdModelConfig { policy, lambda, parallelism })
 }
@@ -372,8 +372,10 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
             return Err(format!("seed {s} out of range ({} nodes)", graph.num_nodes()));
         }
     }
-    let model = CdModel::try_train(&graph, &log, config).map_err(|e| e.to_string())?;
-    println!("sigma_cd({seeds:?}) = {:.2}", model.spread(&seeds));
+    // σ_cd is exact (no λ truncation), so only the evaluator is built.
+    let policy = config.build_policy(&graph, &log);
+    let evaluator = CdSpreadEvaluator::build(&graph, &log, &policy);
+    println!("sigma_cd({seeds:?}) = {:.2}", evaluator.spread(&seeds));
 
     // Optional Monte-Carlo cross-check under weighted-cascade
     // probabilities, sharded over --threads workers.

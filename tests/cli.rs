@@ -66,7 +66,16 @@ fn generate_stats_select_predict_pipeline() {
         .output()
         .unwrap();
     assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("sigma_cd"));
+    // The printed prediction is the exact evaluator's σ_cd under the
+    // default (time-aware) policy, learned from the same TSV files.
+    let g = cdim::actionlog::storage::load_graph(&graph).unwrap();
+    let l = cdim::actionlog::storage::load_action_log(&log, g.num_nodes()).unwrap();
+    let policy = cdim::core::CdModelConfig::default().build_policy(&g, &l);
+    let sigma = cdim::core::CdSpreadEvaluator::build(&g, &l, &policy).spread(&[0, 1, 2]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout).lines().next(),
+        Some(format!("sigma_cd([0, 1, 2]) = {sigma:.2}").as_str())
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -460,6 +469,23 @@ fn rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--windw"));
     assert!(!snap.exists(), "a rejected train must not write its output");
+    // σ_cd is exact, so `predict` takes no truncation threshold.
+    let out = cdim()
+        .args([
+            "predict",
+            "--graph",
+            g.to_str().unwrap(),
+            "--log",
+            l.to_str().unwrap(),
+            "--seeds",
+            "0,1",
+            "--lambda",
+            "0.01",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--lambda"));
     // There is one snapshot format, so no `--format` to choose it.
     let out = cdim()
         .args([

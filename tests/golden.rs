@@ -24,6 +24,7 @@ use cdim::core::{scan, CreditPolicy, CreditStore};
 use cdim::datagen::presets;
 use cdim::serve::ModelSnapshot;
 use cdim::util::checksum::crc32c;
+use cdim::util::Parallelism;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -112,15 +113,17 @@ fn fingerprint(store: &CreditStore) -> (u32, usize, usize, Vec<Entry>) {
         })
         .take(SAMPLE_ENTRIES)
         .collect();
-    let total_entries = store.total_entries();
-    let actions = store.num_actions();
-    // CRC over the snapshot *body*: the encoding ends in its own CRC-32C
-    // trailer, so checksumming the whole file would collapse every case
-    // to the fixed crc(data ‖ crc(data)) residue. The body CRC equals the
-    // trailer a `cdim train` file would carry.
-    let bytes = ModelSnapshot::from_store(store.clone()).to_bytes();
-    let crc = crc32c(&bytes[..bytes.len() - 4]);
-    (crc, total_entries, actions, samples)
+    let crc = body_crc(&ModelSnapshot::from_store(store.clone()));
+    (crc, store.total_entries(), store.num_actions(), samples)
+}
+
+/// CRC-32C of the snapshot's *body*: the encoding ends in its own CRC-32C
+/// trailer, so checksumming the whole file would collapse every case to
+/// the fixed crc(data ‖ crc(data)) residue. The body CRC equals the
+/// trailer a `cdim train` file would carry.
+fn body_crc(snapshot: &ModelSnapshot) -> u32 {
+    let bytes = snapshot.to_bytes();
+    crc32c(&bytes[..bytes.len() - 4])
 }
 
 fn render(
@@ -280,9 +283,10 @@ fn credit_scan_matches_golden_fingerprints() {
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
-/// The incremental path must land on the same golden fingerprints: extend
-/// a prefix-trained store over the remaining actions and compare its CRC
-/// against the committed full-scan value.
+/// The served incremental path must land on the same golden
+/// fingerprints: extend the snapshot of a prefix-trained store over the
+/// remaining actions and compare its body CRC against the committed
+/// full-scan value.
 #[test]
 fn incremental_extend_matches_golden_fingerprints() {
     if std::env::var_os("CDIM_BLESS").is_some() {
@@ -297,9 +301,11 @@ fn incremental_extend_matches_golden_fingerprints() {
         };
         let split = ds.log.num_actions() * 9 / 10;
         let (prefix, delta) = ds.log.split_at_action(split);
-        let mut store = scan(&ds.graph, &prefix, &policy, case.lambda).unwrap();
-        store.apply_delta(&ds.graph, &delta, &policy, cdim::util::Parallelism::auto()).unwrap();
-        let (crc, ..) = fingerprint(&store);
+        let store = scan(&ds.graph, &prefix, &policy, case.lambda).unwrap();
+        let extended = ModelSnapshot::from_store(store)
+            .extend(&ds.graph, &delta, &policy, Parallelism::auto())
+            .unwrap();
+        let crc = body_crc(&extended);
 
         let path = golden_dir().join(file_name(&case));
         let text = std::fs::read_to_string(&path).expect("golden file exists");
@@ -313,10 +319,10 @@ fn incremental_extend_matches_golden_fingerprints() {
     }
 }
 
-/// The retraction path must land on the window fingerprints: scan the
-/// full log, retract the expired half through `retract_delta`, and
-/// compare against the committed `__whalf` golden — the sliding-window
-/// invariant pinned to bytes on disk.
+/// The served retraction path must land on the window fingerprints: scan
+/// the full log, retract the expired half from its snapshot, and compare
+/// the body CRC against the committed `__whalf` golden — the
+/// sliding-window invariant pinned to bytes on disk.
 #[test]
 fn incremental_retract_matches_golden_window_fingerprints() {
     if std::env::var_os("CDIM_BLESS").is_some() {
@@ -333,9 +339,11 @@ fn incremental_retract_matches_golden_window_fingerprints() {
             _ => CreditPolicy::time_aware(&ds.graph, &ds.log),
         };
         let expired = ds.log.split_off_prefix(half_window_cut(ds.log.num_actions())).0;
-        let mut store = scan(&ds.graph, &ds.log, &policy, case.lambda).unwrap();
-        store.retract_delta(&ds.graph, &expired, &policy, cdim::util::Parallelism::auto()).unwrap();
-        let (crc, ..) = fingerprint(&store);
+        let store = scan(&ds.graph, &ds.log, &policy, case.lambda).unwrap();
+        let retracted = ModelSnapshot::from_store(store)
+            .retract(&ds.graph, &expired, &policy, Parallelism::auto())
+            .unwrap();
+        let crc = body_crc(&retracted);
 
         let path = golden_dir().join(file_name(&case));
         let text = std::fs::read_to_string(&path).expect("golden file exists");
