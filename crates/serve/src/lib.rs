@@ -17,10 +17,11 @@
 //! * [`protocol`] — the length-prefixed request/response wire format,
 //!   including the incremental [`protocol::FrameDecoder`] for
 //!   nonblocking streams;
-//! * [`reactor`] — the readiness-driven event loop (epoll / `poll(2)`
-//!   via [`cdim_util::poll`]): one thread multiplexing every connection,
-//!   pipelined in-order responses, per-connection backpressure, and
-//!   per-tick query batching through a small worker pool;
+//! * [`reactor`] — the readiness-driven event loop (`epoll(7)` via
+//!   [`cdim_util::poll`], so the crate builds on Linux only): one thread
+//!   multiplexing every connection, pipelined in-order responses,
+//!   per-connection backpressure, and per-tick query batching through a
+//!   small worker pool;
 //! * [`server`] — the frontend facade: [`spawn`]/[`server::spawn_with`]
 //!   start the reactor, the only TCP frontend;
 //! * [`client`] — a blocking [`QueryClient`] for the protocol.
@@ -39,6 +40,9 @@
 //! println!("predicted spread of the top-50 set: {sigma:.1}");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("cdim-serve needs Linux: its reactor runs on epoll(7)");
 
 mod codec;
 

@@ -1,7 +1,7 @@
 //! The readiness-driven serving reactor.
 //!
 //! One event-loop thread multiplexes every connection over a
-//! [`cdim_util::poll::Poller`] (epoll on Linux, `poll(2)` fallback):
+//! [`cdim_util::poll::Poller`] (level-triggered `epoll`, Linux only):
 //! nonblocking sockets, incremental frame decode
 //! ([`crate::protocol::FrameDecoder`] — partial reads resume, a slow peer
 //! loses nothing), pipelined requests, and per-connection write

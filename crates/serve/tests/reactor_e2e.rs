@@ -27,7 +27,8 @@ fn expect_spread(payload: &[u8]) -> f64 {
 }
 
 /// N requests written before any response is read; the answers must come
-/// back complete and in request order.
+/// back complete and in request order, including an inline `Info` queued
+/// behind the batched queries.
 #[test]
 fn pipelined_requests_are_answered_in_order() {
     let service = test_service();
@@ -46,12 +47,18 @@ fn pipelined_requests_are_answered_in_order() {
     for u in 0..num_users {
         write_frame(&mut burst, &encode_request(&Request::Spread { seeds: vec![u] })).unwrap();
     }
+    write_frame(&mut burst, &encode_request(&Request::Info)).unwrap();
     stream.write_all(&burst).unwrap();
     // …then read every response: order must match request order.
     for (u, want) in expected.iter().enumerate() {
         let payload = read_frame(&mut stream).unwrap().unwrap();
         let got = expect_spread(&payload);
         assert_eq!(got.to_bits(), want.to_bits(), "answer {u} out of order");
+    }
+    let payload = read_frame(&mut stream).unwrap().unwrap();
+    match decode_response(&payload).unwrap() {
+        Response::Info(info) => assert_eq!(info.num_users, u64::from(num_users)),
+        other => panic!("expected Info, got {other:?}"),
     }
     server.shutdown();
 }

@@ -87,12 +87,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Convenience constructor: an empty [`FxHashMap`].
-#[inline]
-pub fn fx_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,7 +112,7 @@ mod tests {
 
     #[test]
     fn map_behaves_like_std() {
-        let mut m: FxHashMap<u32, u32> = fx_map();
+        let mut m: FxHashMap<u32, u32> = FxHashMap::default();
         for i in 0..1000u32 {
             m.insert(i, i * 2);
         }

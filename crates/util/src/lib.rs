@@ -24,9 +24,8 @@
 //! * [`pool`] — the scoped worker pool: [`Parallelism`] plus
 //!   deterministic `parallel_map` primitives every parallel stage (credit
 //!   scan, Monte-Carlo estimation) is built on.
-//! * [`poll`] — readiness polling (raw `epoll` with a portable `poll(2)`
-//!   fallback) plus a self-pipe waker, the substrate of the serving
-//!   reactor.
+//! * [`poll`] — readiness polling over raw `epoll` (Linux only) plus a
+//!   self-pipe waker, the substrate of the serving reactor.
 
 pub mod bytes;
 pub mod checksum;
@@ -34,7 +33,7 @@ pub mod hash;
 pub mod lru;
 pub mod mem;
 pub mod ord;
-#[cfg(unix)]
+#[cfg(target_os = "linux")]
 pub mod poll;
 pub mod pool;
 pub mod rng;

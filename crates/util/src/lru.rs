@@ -151,7 +151,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.tail = NIL;
     }
 
-    /// Keys from most to least recently used (test/debug aid).
+    /// Keys from most to least recently used (test aid).
+    #[cfg(test)]
     pub fn keys_by_recency(&self) -> Vec<K> {
         let mut out = Vec::with_capacity(self.map.len());
         let mut i = self.head;

@@ -1,11 +1,10 @@
-//! Readiness polling over raw `epoll` with a portable `poll(2)` fallback.
+//! Readiness polling over raw Linux `epoll(7)`.
 //!
 //! The serving reactor needs level-triggered readiness notification for
 //! thousands of sockets, and the workspace links no external crates, so
-//! this module binds the two POSIX interfaces directly (the same way
-//! [`crate::bytes`] binds `mmap`). [`Poller::new`] picks `epoll` on Linux
-//! and `poll(2)` everywhere else; setting `CDIM_POLL_BACKEND=poll` forces
-//! the fallback so tests exercise both code paths on one machine.
+//! this module binds `epoll` directly (the same way [`crate::bytes`] binds
+//! `mmap`). It is the one readiness backend and Linux the one supported
+//! platform: the crate compiles this module on Linux only.
 //!
 //! The registration model is the minimal one the reactor needs:
 //!
@@ -21,8 +20,6 @@
 //! read end is registered with the poller, so another thread can interrupt
 //! a blocked [`Poller::wait`] deterministically (used for shutdown and for
 //! worker-completion notification).
-
-#![allow(clippy::upper_case_acronyms)]
 
 use std::io;
 use std::time::Duration;
@@ -45,16 +42,6 @@ impl Interest {
     /// surface) but delivers no readiness, e.g. a fully backpressured
     /// connection.
     pub const NONE: Interest = Interest { readable: false, writable: false };
-
-    /// True when read readiness is requested.
-    pub fn is_readable(self) -> bool {
-        self.readable
-    }
-
-    /// True when write readiness is requested.
-    pub fn is_writable(self) -> bool {
-        self.writable
-    }
 }
 
 /// One readiness notification out of [`Poller::wait`].
@@ -71,173 +58,54 @@ pub struct Event {
     pub closed: bool,
 }
 
-/// Which kernel interface a [`Poller`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollBackend {
-    /// Linux `epoll(7)` — O(ready) wakeups, the default on Linux.
-    Epoll,
-    /// POSIX `poll(2)` — O(registered) per wait, portable everywhere.
-    Poll,
-}
-
-/// A level-triggered readiness poller (see the module docs).
+/// A level-triggered `epoll(7)` readiness poller (see the module docs).
 pub struct Poller {
-    imp: Imp,
-}
-
-enum Imp {
-    #[cfg(target_os = "linux")]
-    Epoll {
-        epfd: i32,
-        /// fd → token, so `deregister` only needs the fd and `wait` can
-        /// skip events for fds removed mid-batch.
-        registered: Vec<(i32, u64)>,
-    },
-    Poll {
-        /// fd → (token, interest); rebuilt into a `pollfd` array per wait.
-        entries: Vec<(i32, u64, Interest)>,
-        /// Scratch `pollfd` buffer reused across waits.
-        scratch: Vec<sys::PollFd>,
-    },
+    epfd: i32,
 }
 
 impl Poller {
-    /// Opens a poller on the platform-default backend (`epoll` on Linux,
-    /// `poll(2)` elsewhere). `CDIM_POLL_BACKEND=poll` forces the fallback.
+    /// Opens a close-on-exec epoll instance.
     pub fn new() -> io::Result<Poller> {
-        let force_poll = std::env::var("CDIM_POLL_BACKEND").is_ok_and(|v| v == "poll");
-        if force_poll {
-            Poller::with_backend(PollBackend::Poll)
-        } else {
-            Poller::with_backend(default_backend())
+        // SAFETY: plain syscall, no pointers.
+        let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
-    }
-
-    /// Opens a poller on an explicit backend. Requesting
-    /// [`PollBackend::Epoll`] off Linux yields `Unsupported`.
-    pub fn with_backend(backend: PollBackend) -> io::Result<Poller> {
-        match backend {
-            PollBackend::Epoll => {
-                #[cfg(target_os = "linux")]
-                {
-                    // SAFETY: plain syscall, no pointers.
-                    let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
-                    if epfd < 0 {
-                        return Err(io::Error::last_os_error());
-                    }
-                    Ok(Poller { imp: Imp::Epoll { epfd, registered: Vec::new() } })
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "epoll is Linux-only; use PollBackend::Poll",
-                    ))
-                }
-            }
-            PollBackend::Poll => {
-                Ok(Poller { imp: Imp::Poll { entries: Vec::new(), scratch: Vec::new() } })
-            }
-        }
-    }
-
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> PollBackend {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll { .. } => PollBackend::Epoll,
-            Imp::Poll { .. } => PollBackend::Poll,
-        }
-    }
-
-    /// Number of currently registered fds.
-    pub fn registered(&self) -> usize {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll { registered, .. } => registered.len(),
-            Imp::Poll { entries, .. } => entries.len(),
-        }
+        Ok(Poller { epfd })
     }
 
     /// Starts watching `fd` with `interest`; `token` comes back in every
     /// event for this fd. Registering an already-registered fd is an error
-    /// on the epoll backend (use [`Poller::modify`]).
+    /// (use [`Poller::modify`]).
     pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll { epfd, registered } => {
-                let mut ev = sys::EpollEvent { events: epoll_mask(interest), data: token };
-                // SAFETY: `ev` outlives the call; the kernel copies it.
-                let rc = unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                registered.push((fd, token));
-                Ok(())
-            }
-            Imp::Poll { entries, .. } => {
-                if entries.iter().any(|&(f, _, _)| f == fd) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::AlreadyExists,
-                        "fd already registered",
-                    ));
-                }
-                entries.push((fd, token, interest));
-                Ok(())
-            }
-        }
+        self.ctl(sys::EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Changes the interest set (and token) of a registered fd.
     pub fn modify(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll { epfd, registered } => {
-                let mut ev = sys::EpollEvent { events: epoll_mask(interest), data: token };
-                // SAFETY: `ev` outlives the call; the kernel copies it.
-                let rc = unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                if let Some(slot) = registered.iter_mut().find(|(f, _)| *f == fd) {
-                    slot.1 = token;
-                }
-                Ok(())
-            }
-            Imp::Poll { entries, .. } => match entries.iter_mut().find(|(f, _, _)| *f == fd) {
-                Some(slot) => {
-                    slot.1 = token;
-                    slot.2 = interest;
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-            },
-        }
+        self.ctl(sys::EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Stops watching `fd`. Must be called before the fd is closed.
+    /// Stops watching `fd`. Must be called before the fd is closed; an fd
+    /// that is not registered is an error (`ENOENT`).
     pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll { epfd, registered } => {
-                // A null event pointer is fine for DEL on kernels >= 2.6.9.
-                let rc = // SAFETY: plain syscall; DEL ignores the event arg.
-                    unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                registered.retain(|&(f, _)| f != fd);
-                Ok(())
-            }
-            Imp::Poll { entries, .. } => {
-                let before = entries.len();
-                entries.retain(|&(f, _, _)| f != fd);
-                if entries.len() == before {
-                    return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-                }
-                Ok(())
-            }
+        // SAFETY: plain syscall; DEL ignores the event arg (a null pointer
+        // is fine on kernels >= 2.6.9).
+        let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
+    }
+
+    fn ctl(&mut self, op: i32, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        let mut ev = sys::EpollEvent { events: epoll_mask(interest), data: token };
+        // SAFETY: `ev` outlives the call; the kernel copies it.
+        let rc = unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
@@ -250,107 +118,51 @@ impl Poller {
         timeout: Option<Duration>,
     ) -> io::Result<usize> {
         events.clear();
+        let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 256];
         let timeout_ms = timeout_millis(timeout);
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Imp::Epoll { epfd, registered } => {
-                let mut buf = [sys::EpollEvent { events: 0, data: 0 }; 256];
-                let rc = // SAFETY: `buf` is a valid writable array of len 256.
-                    unsafe { sys::epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(0);
-                    }
-                    return Err(err);
-                }
-                let _ = registered;
-                for ev in buf.iter().take(rc as usize) {
-                    let bits = ev.events;
-                    let closed = bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
-                    events.push(Event {
-                        token: ev.data,
-                        readable: bits & sys::EPOLLIN != 0 || closed,
-                        writable: bits & sys::EPOLLOUT != 0,
-                        closed,
-                    });
-                }
-                Ok(events.len())
+        // SAFETY: `buf` is a valid writable array of len 256.
+        let rc =
+            unsafe { sys::epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms) };
+        if rc < 0 {
+            let err = io::Error::last_os_error();
+            if err.kind() == io::ErrorKind::Interrupted {
+                return Ok(0);
             }
-            Imp::Poll { entries, scratch } => {
-                scratch.clear();
-                for &(fd, _, interest) in entries.iter() {
-                    let mut mask: i16 = 0;
-                    if interest.is_readable() {
-                        mask |= sys::POLLIN;
-                    }
-                    if interest.is_writable() {
-                        mask |= sys::POLLOUT;
-                    }
-                    scratch.push(sys::PollFd { fd, events: mask, revents: 0 });
-                }
-                let rc = // SAFETY: `scratch` is a valid pollfd array of the stated length.
-                    unsafe { sys::poll(scratch.as_mut_ptr(), scratch.len() as sys::NfdsT, timeout_ms) };
-                if rc < 0 {
-                    let err = io::Error::last_os_error();
-                    if err.kind() == io::ErrorKind::Interrupted {
-                        return Ok(0);
-                    }
-                    return Err(err);
-                }
-                for (pfd, &(_, token, _)) in scratch.iter().zip(entries.iter()) {
-                    let bits = pfd.revents;
-                    if bits == 0 {
-                        continue;
-                    }
-                    let closed = bits & (sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0;
-                    events.push(Event {
-                        token,
-                        readable: bits & sys::POLLIN != 0 || closed,
-                        writable: bits & sys::POLLOUT != 0,
-                        closed,
-                    });
-                }
-                Ok(events.len())
-            }
+            return Err(err);
         }
+        for ev in buf.iter().take(rc as usize) {
+            let bits = ev.events;
+            let closed = bits & (sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP) != 0;
+            events.push(Event {
+                token: ev.data,
+                readable: bits & sys::EPOLLIN != 0 || closed,
+                writable: bits & sys::EPOLLOUT != 0,
+                closed,
+            });
+        }
+        Ok(events.len())
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Imp::Epoll { epfd, .. } = self.imp {
-            // SAFETY: epfd was returned by epoll_create1 and is owned here.
-            unsafe { sys::close(epfd) };
-        }
+        // SAFETY: epfd was returned by epoll_create1 and is owned here.
+        unsafe { sys::close(self.epfd) };
     }
 }
 
-fn default_backend() -> PollBackend {
-    #[cfg(target_os = "linux")]
-    {
-        PollBackend::Epoll
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        PollBackend::Poll
-    }
-}
-
-#[cfg(target_os = "linux")]
 fn epoll_mask(interest: Interest) -> u32 {
     let mut mask = 0;
-    if interest.is_readable() {
+    if interest.readable {
         mask |= sys::EPOLLIN | sys::EPOLLRDHUP;
     }
-    if interest.is_writable() {
+    if interest.writable {
         mask |= sys::EPOLLOUT;
     }
     mask
 }
 
-/// `poll`/`epoll_wait` timeout convention: -1 = forever, else milliseconds
+/// `epoll_wait` timeout convention: -1 = forever, else milliseconds
 /// (sub-millisecond nonzero waits round up so they don't spin).
 fn timeout_millis(timeout: Option<Duration>) -> i32 {
     match timeout {
@@ -433,59 +245,25 @@ impl Drop for WakePipe {
     }
 }
 
-/// Raw POSIX bindings (the workspace links no external crates; these
-/// constants match the Linux and BSD ABIs for the subset used here).
+/// Raw Linux bindings (the workspace links no external crates; these
+/// constants are the Linux ABI values for the subset used here).
 mod sys {
     use std::ffi::c_void;
 
-    pub const POLLIN: i16 = 0x1;
-    pub const POLLOUT: i16 = 0x4;
-    pub const POLLERR: i16 = 0x8;
-    pub const POLLHUP: i16 = 0x10;
-    pub const POLLNVAL: i16 = 0x20;
-
-    #[cfg(target_os = "linux")]
     pub const EPOLLIN: u32 = 0x1;
-    #[cfg(target_os = "linux")]
     pub const EPOLLOUT: u32 = 0x4;
-    #[cfg(target_os = "linux")]
     pub const EPOLLERR: u32 = 0x8;
-    #[cfg(target_os = "linux")]
     pub const EPOLLHUP: u32 = 0x10;
-    #[cfg(target_os = "linux")]
     pub const EPOLLRDHUP: u32 = 0x2000;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_ADD: i32 = 1;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_DEL: i32 = 2;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CTL_MOD: i32 = 3;
-    #[cfg(target_os = "linux")]
     pub const EPOLL_CLOEXEC: i32 = 0x80000;
 
-    #[cfg(target_os = "linux")]
     pub const O_NONBLOCK: i32 = 0x800;
-    #[cfg(target_os = "linux")]
     pub const O_CLOEXEC: i32 = 0x80000;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_NONBLOCK: i32 = 0x4;
-    #[cfg(not(target_os = "linux"))]
-    pub const O_CLOEXEC: i32 = 0x1000000;
-
-    /// `nfds_t`: unsigned long on every supported target.
-    pub type NfdsT = std::os::raw::c_ulong;
-
-    /// `struct pollfd` (identical layout on Linux and the BSDs).
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
 
     /// `struct epoll_event` — packed on x86-64, natural elsewhere.
-    #[cfg(target_os = "linux")]
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
     #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
@@ -495,17 +273,12 @@ mod sys {
     }
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
         pub fn close(fd: i32) -> i32;
         pub fn read(fd: i32, buf: *mut c_void, count: usize) -> isize;
         pub fn write(fd: i32, buf: *const c_void, count: usize) -> isize;
-        #[cfg(target_os = "linux")]
         pub fn pipe2(fds: *mut i32, flags: i32) -> i32;
-        #[cfg(target_os = "linux")]
         pub fn epoll_create1(flags: i32) -> i32;
-        #[cfg(target_os = "linux")]
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-        #[cfg(target_os = "linux")]
         pub fn epoll_wait(
             epfd: i32,
             events: *mut EpollEvent,
@@ -513,155 +286,97 @@ mod sys {
             timeout_ms: i32,
         ) -> i32;
     }
-
-    /// Non-Linux fallback: `pipe` + `fcntl` to set the flags after the
-    /// fact (`pipe2` is not in POSIX).
-    #[cfg(not(target_os = "linux"))]
-    extern "C" {
-        fn pipe(fds: *mut i32) -> i32;
-        fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
-    }
-
-    /// Emulates Linux `pipe2` on other Unixes.
-    ///
-    /// # Safety
-    /// `fds` must point to a writable 2-element array.
-    #[cfg(not(target_os = "linux"))]
-    pub unsafe fn pipe2(fds: *mut i32, flags: i32) -> i32 {
-        const F_SETFL: i32 = 4;
-        const F_SETFD: i32 = 2;
-        const FD_CLOEXEC: i32 = 1;
-        if pipe(fds) < 0 {
-            return -1;
-        }
-        for i in 0..2 {
-            let fd = *fds.add(i);
-            if flags & O_NONBLOCK != 0 {
-                fcntl(fd, F_SETFL, O_NONBLOCK);
-            }
-            if flags & O_CLOEXEC != 0 {
-                fcntl(fd, F_SETFD, FD_CLOEXEC);
-            }
-        }
-        0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn backends() -> Vec<PollBackend> {
-        let mut v = vec![PollBackend::Poll];
-        if cfg!(target_os = "linux") {
-            v.push(PollBackend::Epoll);
-        }
-        v
-    }
-
     #[test]
-    fn wake_pipe_reports_readable_on_every_backend() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let pipe = WakePipe::new().unwrap();
-            poller.register(pipe.read_fd(), 7, Interest::READABLE).unwrap();
+    fn wake_pipe_reports_readable_and_stays_level_triggered() {
+        let mut poller = Poller::new().unwrap();
+        let pipe = WakePipe::new().unwrap();
+        poller.register(pipe.read_fd(), 7, Interest::READABLE).unwrap();
 
-            let mut events = Vec::new();
-            // Nothing written yet: a short wait times out empty.
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{backend:?}");
+        let mut events = Vec::new();
+        // Nothing written yet: a short wait times out empty.
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0);
 
-            pipe.wake();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(n, 1, "{backend:?}");
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        pipe.wake();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            // Level-triggered: still readable until drained.
-            let n = poller.wait(&mut events, Some(Duration::from_millis(100))).unwrap();
-            assert_eq!(n, 1, "{backend:?} should stay level-triggered");
-            assert!(pipe.drain() >= 1);
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{backend:?} drained pipe must be quiet");
+        // Level-triggered: still readable until drained.
+        let n = poller.wait(&mut events, Some(Duration::from_millis(100))).unwrap();
+        assert_eq!(n, 1, "should stay level-triggered");
+        assert!(pipe.drain() >= 1);
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "drained pipe must be quiet");
 
-            poller.deregister(pipe.read_fd()).unwrap();
-            assert_eq!(poller.registered(), 0);
-        }
+        poller.deregister(pipe.read_fd()).unwrap();
+        assert!(poller.deregister(pipe.read_fd()).is_err(), "fd is no longer registered");
     }
 
     #[test]
     fn cross_thread_wake_interrupts_a_long_wait() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let pipe = std::sync::Arc::new(WakePipe::new().unwrap());
-            poller.register(pipe.read_fd(), 1, Interest::READABLE).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let pipe = std::sync::Arc::new(WakePipe::new().unwrap());
+        poller.register(pipe.read_fd(), 1, Interest::READABLE).unwrap();
 
-            let waker = std::sync::Arc::clone(&pipe);
-            let t = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                waker.wake();
-            });
-            let start = std::time::Instant::now();
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(30))).unwrap();
-            assert_eq!(n, 1, "{backend:?}");
-            assert!(start.elapsed() < Duration::from_secs(10));
-            t.join().unwrap();
-        }
+        let waker = std::sync::Arc::clone(&pipe);
+        let t = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            waker.wake();
+        });
+        let start = std::time::Instant::now();
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(30))).unwrap();
+        assert_eq!(n, 1);
+        assert!(start.elapsed() < Duration::from_secs(10));
+        t.join().unwrap();
     }
 
     #[test]
     fn writable_interest_fires_for_an_empty_pipe() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let pipe = WakePipe::new().unwrap();
-            // The write end of an empty pipe is immediately writable.
-            poller.register(pipe.write_fd, 9, Interest::WRITABLE).unwrap();
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(n, 1, "{backend:?}");
-            assert!(events[0].writable);
-            assert!(!events[0].closed);
+        let mut poller = Poller::new().unwrap();
+        let pipe = WakePipe::new().unwrap();
+        // The write end of an empty pipe is immediately writable.
+        poller.register(pipe.write_fd, 9, Interest::WRITABLE).unwrap();
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(n, 1);
+        assert!(events[0].writable);
+        assert!(!events[0].closed);
 
-            // Dropping read interest entirely: modify to readable-only on a
-            // write end never fires.
-            poller.modify(pipe.write_fd, 9, Interest::READABLE).unwrap();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{backend:?}");
-        }
+        // Dropping write interest entirely: modify to readable-only on a
+        // write end never fires.
+        poller.modify(pipe.write_fd, 9, Interest::READABLE).unwrap();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0);
     }
 
     #[test]
     fn hangup_surfaces_as_closed_and_readable() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let pipe = WakePipe::new().unwrap();
-            poller.register(pipe.read_fd(), 3, Interest::READABLE).unwrap();
-            // SAFETY: closing the write end is exactly the hangup under test;
-            // Drop later closes it again harmlessly (the fd number may be
-            // reused, so neutralize it instead).
-            unsafe { sys::close(pipe.write_fd) };
-            let pipe = std::mem::ManuallyDrop::new(pipe);
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert_eq!(n, 1, "{backend:?}");
-            assert!(events[0].closed, "{backend:?}");
-            assert!(events[0].readable, "{backend:?}");
-            poller.deregister(pipe.read_fd()).unwrap();
-            // SAFETY: read end is still open and owned; close it once.
-            unsafe { sys::close(pipe.read_fd) };
-        }
-    }
-
-    #[test]
-    fn env_override_forces_the_poll_backend() {
-        // Can't mutate the environment safely in-process (other tests run
-        // concurrently), so just check the selection logic's two halves.
-        assert_eq!(Poller::with_backend(PollBackend::Poll).unwrap().backend(), PollBackend::Poll);
-        let default = Poller::new().unwrap().backend();
-        if std::env::var("CDIM_POLL_BACKEND").is_ok_and(|v| v == "poll") {
-            assert_eq!(default, PollBackend::Poll);
-        }
+        let mut poller = Poller::new().unwrap();
+        let pipe = WakePipe::new().unwrap();
+        poller.register(pipe.read_fd(), 3, Interest::READABLE).unwrap();
+        // SAFETY: closing the write end is exactly the hangup under test;
+        // Drop later closes it again harmlessly (the fd number may be
+        // reused, so neutralize it instead).
+        unsafe { sys::close(pipe.write_fd) };
+        let pipe = std::mem::ManuallyDrop::new(pipe);
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert_eq!(n, 1);
+        assert!(events[0].closed);
+        assert!(events[0].readable);
+        poller.deregister(pipe.read_fd()).unwrap();
+        assert!(poller.deregister(pipe.read_fd()).is_err(), "fd is no longer registered");
+        // SAFETY: read end is still open and owned; close it once.
+        unsafe { sys::close(pipe.read_fd) };
     }
 
     #[test]

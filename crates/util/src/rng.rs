@@ -33,12 +33,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derives an independent child generator; useful for handing one stream
-    /// per thread or per cascade without correlating them.
-    pub fn fork(&mut self) -> Self {
-        Rng::seed_from_u64(self.next_u64() ^ 0xa076_1d64_78bd_642f)
-    }
-
     /// Next raw 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -308,14 +302,5 @@ mod tests {
         }
         // P(1) = 1/zeta_100(2) ≈ 0.62 for s=2.
         assert!(ones > n / 2, "ones = {ones}");
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = Rng::seed_from_u64(1);
-        let mut child = parent.fork();
-        let a: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| child.next_u64()).collect();
-        assert_ne!(a, b);
     }
 }

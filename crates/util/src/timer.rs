@@ -35,13 +35,6 @@ impl Timer {
     pub fn secs(&self) -> f64 {
         self.elapsed().as_secs_f64()
     }
-
-    /// Restarts the stopwatch and returns the previous elapsed time.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
 }
 
 impl Default for Timer {
@@ -67,14 +60,5 @@ mod tests {
         let a = t.elapsed();
         let b = t.elapsed();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn lap_resets() {
-        let mut t = Timer::start();
-        std::thread::sleep(Duration::from_millis(2));
-        let first = t.lap();
-        assert!(first >= Duration::from_millis(1));
-        assert!(t.elapsed() < first + Duration::from_millis(50));
     }
 }

@@ -31,12 +31,6 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     out.into_iter().map(|(_, Reverse(i))| i).collect()
 }
 
-/// Returns the `k` items with the largest `score(item)`, best first.
-pub fn top_k_by<T: Copy>(items: &[T], k: usize, mut score: impl FnMut(&T) -> f64) -> Vec<T> {
-    let scores: Vec<f64> = items.iter().map(&mut score).collect();
-    top_k_indices(&scores, k).into_iter().map(|i| items[i]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,13 +57,6 @@ mod tests {
     fn ties_prefer_smaller_index() {
         let scores = [2.0, 2.0, 2.0, 1.0];
         assert_eq!(top_k_indices(&scores, 2), vec![0, 1]);
-    }
-
-    #[test]
-    fn top_k_by_projects_score() {
-        let items = [(0u32, 10.0f64), (1, 30.0), (2, 20.0)];
-        let picked = top_k_by(&items, 2, |&(_, s)| s);
-        assert_eq!(picked.iter().map(|p| p.0).collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]
