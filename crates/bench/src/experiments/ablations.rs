@@ -3,9 +3,7 @@
 use crate::config::ExperimentScale;
 use crate::methods::Workbench;
 use cdim_core::model::PolicyKind;
-use cdim_core::{
-    scan_with, CdModel, CdModelConfig, CdSpreadEvaluator, CompactSelector, CreditPolicy, MgMode,
-};
+use cdim_core::{scan_with, CdModel, CdModelConfig, CdSpreadEvaluator, CreditPolicy, MgMode};
 use cdim_datagen::presets;
 use cdim_maxim::{celf_select, greedy_select};
 use cdim_metrics::{intersection_size, rmse, Table};
@@ -113,9 +111,8 @@ pub fn mg_formula(scale: ExperimentScale) {
     let wb = Workbench::prepare(presets::flixster_small(), scale);
     let k = scale.k;
     let policy = CreditPolicy::time_aware(&wb.dataset.graph, &wb.split.train);
-    let store =
+    let model =
         scan_with(&wb.dataset.graph, &wb.split.train, &policy, 0.001, scale.parallelism()).unwrap();
-    let model = CompactSelector::from_store(store);
 
     let theorem3 = model.overlay().select_with_mode(k, MgMode::Theorem3);
     let pseudo = model.overlay().select_with_mode(k, MgMode::Pseudocode);

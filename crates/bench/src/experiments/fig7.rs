@@ -9,7 +9,7 @@
 
 use crate::config::ExperimentScale;
 use crate::methods::Workbench;
-use cdim_core::{scan_with, CompactSelector, CreditPolicy};
+use cdim_core::{scan_with, CreditPolicy};
 use cdim_datagen::presets;
 use cdim_metrics::Table;
 use cdim_util::Timer;
@@ -50,7 +50,7 @@ pub fn run(scale: ExperimentScale) {
         let store =
             scan_with(&wb.dataset.graph, &wb.split.train, &policy, 0.001, scale.parallelism())
                 .unwrap();
-        let _ = CompactSelector::from_store(store).overlay().select(k);
+        let _ = store.overlay().select(k);
         let cd_s = t.secs();
 
         last_ratio = (ic_s / cd_s.max(1e-9), lt_s / cd_s.max(1e-9));

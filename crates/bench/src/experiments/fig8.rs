@@ -5,7 +5,7 @@
 //! the scan, not the seed selection.
 
 use crate::config::ExperimentScale;
-use cdim_core::{scan_with, CompactSelector, CreditPolicy};
+use cdim_core::{scan_with, CreditPolicy};
 use cdim_datagen::presets;
 use cdim_metrics::Table;
 use cdim_util::mem::fmt_bytes;
@@ -44,7 +44,7 @@ fn run_dataset(spec: cdim_datagen::DatasetSpec, scale: ExperimentScale) {
         let bytes = store.memory_bytes();
 
         let t = Timer::start();
-        let _ = CompactSelector::from_store(store).overlay().select(scale.k);
+        let _ = store.overlay().select(scale.k);
         let select_s = t.secs();
 
         series.push((tuples, scan_s + select_s, bytes));

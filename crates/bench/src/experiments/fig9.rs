@@ -6,7 +6,7 @@
 //! suffices.
 
 use crate::config::ExperimentScale;
-use cdim_core::{scan_with, CdSpreadEvaluator, CompactSelector, CreditPolicy};
+use cdim_core::{scan_with, CdSpreadEvaluator, CreditPolicy};
 use cdim_datagen::presets;
 use cdim_metrics::{intersection_size, Table};
 
@@ -30,7 +30,7 @@ fn run_dataset(spec: cdim_datagen::DatasetSpec, scale: ExperimentScale) {
     let policy_full = CreditPolicy::time_aware(&ds.graph, &ds.log);
     let store_full =
         scan_with(&ds.graph, &ds.log, &policy_full, 0.001, scale.parallelism()).unwrap();
-    let true_seeds = CompactSelector::from_store(store_full).overlay().select(k).seeds;
+    let true_seeds = store_full.overlay().select(k).seeds;
     let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy_full);
 
     println!("--- {} ({} tuples total) ---", ds.name, ds.log.num_tuples());
@@ -42,7 +42,7 @@ fn run_dataset(spec: cdim_datagen::DatasetSpec, scale: ExperimentScale) {
         let log = ds.log.take_tuples(budget);
         let policy = CreditPolicy::time_aware(&ds.graph, &log);
         let store = scan_with(&ds.graph, &log, &policy, 0.001, scale.parallelism()).unwrap();
-        let seeds = CompactSelector::from_store(store).overlay().select(k).seeds;
+        let seeds = store.overlay().select(k).seeds;
         let spread = evaluator.spread(&seeds);
         let overlap = intersection_size(&seeds, &true_seeds);
         if (fraction - 0.4).abs() < 1e-9 {

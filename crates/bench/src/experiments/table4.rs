@@ -5,7 +5,7 @@
 //! everywhere else). "True seeds" are those found at the smallest λ.
 
 use crate::config::ExperimentScale;
-use cdim_core::{scan_with, CdSpreadEvaluator, CompactSelector, CreditPolicy};
+use cdim_core::{scan_with, CdSpreadEvaluator, CreditPolicy};
 use cdim_datagen::presets;
 use cdim_metrics::{intersection_size, Table};
 use cdim_util::mem::fmt_bytes;
@@ -30,7 +30,7 @@ pub fn run(scale: ExperimentScale) {
     let store_ref =
         scan_with(&ds.graph, &ds.log, &policy, *LAMBDAS.last().unwrap(), scale.parallelism())
             .unwrap();
-    let true_seeds = CompactSelector::from_store(store_ref).overlay().select(k).seeds;
+    let true_seeds = store_ref.overlay().select(k).seeds;
 
     let mut table = Table::new([
         "lambda",
@@ -46,7 +46,7 @@ pub fn run(scale: ExperimentScale) {
         let store = scan_with(&ds.graph, &ds.log, &policy, lambda, scale.parallelism()).unwrap();
         let entries = store.total_entries();
         let bytes = store.memory_bytes();
-        let seeds = CompactSelector::from_store(store).overlay().select(k).seeds;
+        let seeds = store.overlay().select(k).seeds;
         let secs = t.secs();
         let spread = evaluator.spread(&seeds);
         spreads.push(spread);

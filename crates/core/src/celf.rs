@@ -57,12 +57,16 @@ impl CelfSession {
         let mut evaluations = 0usize;
         let num_users = engine.num_users();
         let mut heap = BinaryHeap::with_capacity(num_users);
-        // First pass: S = ∅, so SC = 0 and mg(x) = σ_cd({x}). One bulk
-        // sweep over the credit rows computes every candidate's gain at
-        // once — the per-user formula would pay an index probe per entry,
-        // which dominates selection time on multi-million-entry stores.
-        // (Theorem3 and Pseudocode agree on all credit terms; they differ
-        // only in the self term.)
+        // First pass: one bulk sweep over the credit rows computes every
+        // candidate's gain at once — the per-user formula would pay an
+        // index probe per entry, which dominates selection time on
+        // multi-million-entry models. With no seeds committed SC = 0, so
+        // the sweep is exact: mg(x) = σ_cd({x}). On a model with committed
+        // seeds it leaves out each action's factor (1 − Γ_{S,x}), so the
+        // values are upper bounds; they are tagged round 0, which is not
+        // the engine's seed count, so each is re-evaluated before any
+        // commit. (Theorem3 and Pseudocode agree on all credit terms; they
+        // differ only in the self term.)
         let initial = engine.initial_credit_gains();
         for x in 0..num_users as u32 {
             if engine.inv_au_of(x) == 0.0 || engine.seeds().contains(&x) {
@@ -132,18 +136,11 @@ pub enum MgMode {
 
 #[cfg(test)]
 mod tests {
-    use crate::compact::{CompactSelector, OverlaySelector};
     use crate::policy::CreditPolicy;
     use crate::reference;
     use crate::scan::scan;
-    use crate::store::CreditStore;
     use cdim_actionlog::{ActionLog, ActionLogBuilder};
     use cdim_graph::{DirectedGraph, GraphBuilder};
-
-    /// A query session over a freshly scanned store.
-    pub(super) fn overlay(store: CreditStore) -> OverlaySelector {
-        CompactSelector::from_store(store).overlay()
-    }
 
     fn figure1() -> (DirectedGraph, ActionLog) {
         let graph = GraphBuilder::new(6)
@@ -161,7 +158,7 @@ mod tests {
         let (graph, log) = figure1();
         let policy = CreditPolicy::Uniform;
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
-        let sel = overlay(store);
+        let sel = store.overlay();
         for x in 0..6u32 {
             let mg = sel.compute_mg(x);
             let expect = reference::sigma_cd(&graph, &log, &policy, &[x]);
@@ -174,7 +171,7 @@ mod tests {
         let (graph, log) = figure1();
         let policy = CreditPolicy::Uniform;
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
-        let mut sel = overlay(store);
+        let mut sel = store.overlay();
         sel.update(0); // S = {v}
         let base = reference::sigma_cd(&graph, &log, &policy, &[0]);
         for x in 1..6u32 {
@@ -197,7 +194,7 @@ mod tests {
         let (graph, log) = figure1();
         let policy = CreditPolicy::Uniform;
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
-        let sel = overlay(store).select(3);
+        let sel = store.overlay().select(3);
         let sigma = reference::sigma_cd(&graph, &log, &policy, &sel.seeds);
         assert!(
             (sel.total_gain() - sigma).abs() < 1e-12,
@@ -212,7 +209,7 @@ mod tests {
         let (graph, log) = figure1();
         let policy = CreditPolicy::Uniform;
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
-        let cd = overlay(store).select(3);
+        let cd = store.overlay().select(3);
         let eval = crate::spread::CdSpreadEvaluator::build(&graph, &log, &policy);
         let greedy = cdim_maxim::greedy_select(&eval, 3);
         assert_eq!(cd.seeds, greedy.seeds);
@@ -226,7 +223,7 @@ mod tests {
         b.push(1, 0, 1.0);
         let log = b.build();
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let sel = overlay(store).select(4);
+        let sel = store.overlay().select(4);
         // Users 2 and 3 never acted: only 0 and 1 are eligible.
         assert_eq!(sel.seeds.len(), 2);
         assert!(!sel.seeds.contains(&2));
@@ -237,7 +234,7 @@ mod tests {
     fn pseudocode_mg_never_exceeds_theorem3() {
         let (graph, log) = figure1();
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        let sel = overlay(store);
+        let sel = store.overlay();
         for x in 0..6u32 {
             let full = sel.compute_mg(x);
             let pseudo = sel.compute_mg_pseudocode(x);
@@ -287,14 +284,13 @@ mod tests {
         assert!(sigma(&[0, 3]) < threshold(2) - 1e-12);
         // And the CD CELF finds a cover-grade seed set.
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
-        let sel = overlay(store).select(2);
+        let sel = store.overlay().select(2);
         assert!(sigma(&sel.seeds) >= threshold(2) - 1e-12);
     }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::overlay;
     use crate::policy::CreditPolicy;
     use crate::reference;
     use crate::scan::scan;
@@ -326,7 +322,7 @@ mod proptests {
                 CreditPolicy::Uniform
             };
             let store = scan(&graph, &log, &policy, 0.0).unwrap();
-            let cd = overlay(store).select(k);
+            let cd = store.overlay().select(k);
 
             let eval = CdSpreadEvaluator::build(&graph, &log, &policy);
             // Restrict greedy to active users (CD candidates).
@@ -365,7 +361,7 @@ mod proptests {
             let log = b.build();
             let policy = CreditPolicy::Uniform;
             let store = scan(&graph, &log, &policy, 0.0).unwrap();
-            let mut sel = overlay(store);
+            let mut sel = store.overlay();
             let mut current: Vec<u32> = Vec::new();
 
             for s in seed_order {

@@ -3,9 +3,9 @@
 //! The scan writes the trained state straight into this form: every
 //! per-action credit/out/inc adjacency as CSR offset+data arrays with
 //! *sorted* neighbor runs, all living in one contiguous 8-byte-aligned
-//! arena ([`cdim_util::AlignedBuf`]). A seedless arena is a
-//! [`CreditStore`]; a [`CompactSelector`] shares it (no copy) and may
-//! also hold SC entries and committed seeds. The arena is also the v2
+//! arena ([`cdim_util::AlignedBuf`]). The scan returns a seedless
+//! [`CompactSelector`]; committing seeds lays out a new one that also
+//! holds SC entries and the seeds. The arena is also the v2
 //! snapshot payload: the serving layer stores it verbatim and reloads it
 //! by validate + reinterpret — no per-entry decode. Selection runs here
 //! too: the [`OverlaySelector`] is the one engine for Algorithms 4–5, and
@@ -98,10 +98,10 @@
 //! ## Bit-identity contract
 //!
 //! The scan emits each action's rows in sorted order, the order
-//! [`CreditStore::dump`] lists and a dump is laid out in, so a trained
-//! state has exactly one arena, however it was reached: a fresh scan, a
-//! snapshot load, a dump, or any chain of `extend` and `retract`. The
-//! splices keep this because credits never cross an action boundary
+//! [`crate::reference::dump_of`] lists and a dump is laid out in, so a
+//! trained state has exactly one arena, however it was reached: a fresh
+//! scan, a snapshot load, a dump, or any chain of `extend` and `retract`.
+//! The splices keep this because credits never cross an action boundary
 //! (Algorithm 2 scans each action on its own, and an Algorithm-5 update
 //! of one action reads and writes only that action): the new actions'
 //! sections are what a full rescan with the seeds replayed would put at
@@ -121,8 +121,8 @@
 use crate::celf::{CelfSession, MgMode};
 use crate::incremental::{self, ExtendError};
 use crate::policy::CreditPolicy;
+use crate::reference::CreditStoreDump;
 use crate::scan::{scan_with, ScanError};
-use crate::store::{pair_key, CreditStore, CreditStoreDump};
 use cdim_actionlog::ActionLogDelta;
 use cdim_graph::DirectedGraph;
 use cdim_maxim::Selection;
@@ -133,6 +133,12 @@ use cdim_util::bytes::{
 use cdim_util::{AlignedBuf, HeapSize, Parallelism};
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Packs an ordered user pair into a map key.
+#[inline]
+pub(crate) fn pair_key(v: u32, u: u32) -> u64 {
+    (u64::from(v) << 32) | u64::from(u)
+}
 
 /// Element counts that fully determine the arena layout.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -257,9 +263,8 @@ impl CompactCounts {
     }
 }
 
-/// The shared immutable payload: one arena plus the metadata to slice it.
-/// A [`CreditStore`] is a seedless one; a [`CompactSelector`] may hold
-/// SC entries and seeds too.
+/// The shared immutable payload: one arena (the credits, and any SC
+/// entries and seeds) plus the metadata to slice it.
 #[derive(Debug)]
 pub(crate) struct CompactData {
     buf: Arc<AlignedBuf>,
@@ -654,7 +659,7 @@ fn arena(
     })
 }
 
-/// A seedless arena (a [`CreditStore`]'s) from the scan's parts.
+/// A seedless arena (the trained model's) from the scan's parts.
 pub(crate) fn store_arena(
     lambda: f64,
     ua_offsets: &[u32],
@@ -766,7 +771,7 @@ impl CompactData {
     ) -> Result<CompactData, ExtendError> {
         incremental::validate(graph, delta, self.counts.num_users, self.counts.num_actions)?;
         let tail = self.scan(graph, delta, policy, parallelism)?;
-        let mut fresh = CompactSelector::from_store(tail).overlay();
+        let mut fresh = tail.overlay();
         for &x in self.seeds() {
             fresh.update(x);
         }
@@ -818,7 +823,7 @@ impl CompactData {
         delta: &ActionLogDelta,
         policy: &CreditPolicy,
         parallelism: Parallelism,
-    ) -> Result<CreditStore, ExtendError> {
+    ) -> Result<CompactSelector, ExtendError> {
         // λ passed validation when this state was built and the user
         // universes match, so only an arena overflow is left to report.
         scan_with(graph, delta.additions(), policy, self.lambda, parallelism).map_err(|e| match e {
@@ -833,18 +838,15 @@ impl CompactData {
 // ------------------------------------------------------------- public types
 
 /// A trained model state as a read-only arena: the credits, SC entries
-/// and committed seeds. Queries run through [`CompactSelector::overlay`].
+/// and committed seeds. The scan returns one with no seeds (UC of §5.3,
+/// SC empty); queries run through [`CompactSelector::overlay`]. Cloning
+/// shares the arena.
 #[derive(Clone, Debug)]
 pub struct CompactSelector {
     pub(crate) data: Arc<CompactData>,
 }
 
 impl CompactSelector {
-    /// The seedless model of a scanned store, sharing its arena: no copy.
-    pub fn from_store(store: CreditStore) -> CompactSelector {
-        CompactSelector { data: store.data }
-    }
-
     /// Incremental retraining: this model extended by an append-only
     /// action batch. Only the delta is scanned; committed seeds are
     /// replayed over the new actions, and the result is spliced onto a
@@ -958,9 +960,15 @@ impl CompactSelector {
         self.data.lambda
     }
 
-    /// Live credit entries.
+    /// Live credit entries — the memory driver reported in Fig 8 (right)
+    /// and Table 4.
     pub fn total_entries(&self) -> usize {
         self.data.counts.entries
+    }
+
+    /// Credits of one action.
+    pub fn action(&self, a: u32) -> ActionView<'_> {
+        ActionView { data: &self.data, a }
     }
 
     /// Resident bytes of the arena (owned or mapped).
@@ -1025,6 +1033,31 @@ impl CompactSelector {
 impl HeapSize for CompactSelector {
     fn heap_bytes(&self) -> usize {
         self.data.memory_bytes()
+    }
+}
+
+/// Read view of one action's credits in a [`CompactSelector`]. Every
+/// iterator walks the arena's sorted rows, so its order is canonical.
+#[derive(Clone, Copy, Debug)]
+pub struct ActionView<'a> {
+    data: &'a CompactData,
+    a: u32,
+}
+
+impl<'a> ActionView<'a> {
+    /// Every entry as `(v, u, Γ_{v,u})`, sorted by `(v, u)`.
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u32, f64)> + 'a {
+        self.data.action_entries(self.a)
+    }
+
+    /// Number of credit entries.
+    pub fn len(&self) -> usize {
+        self.data.action_len(self.a)
+    }
+
+    /// Whether the action holds no credits.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -1872,8 +1905,7 @@ mod tests {
     /// as a dump.
     fn trained_dump(seed: u64, k: usize) -> SelectorDump {
         let (graph, log) = random_instance(seed, 40, 12);
-        let model =
-            CompactSelector::from_store(scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap());
+        let model = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
         reference::dump_of(&committed(&model, &model.overlay().select(k).seeds))
     }
 
@@ -1961,6 +1993,33 @@ mod tests {
             oracle.update(s);
         }
         assert_replay_matches_oracle(dump, fresh);
+    }
+
+    #[test]
+    fn model_views_read_the_dumped_entries() {
+        let dump = SelectorDump {
+            store: CreditStoreDump {
+                lambda: 0.0,
+                user_actions: vec![vec![0, 1], vec![0], vec![1], vec![0, 1]],
+                inv_au: vec![0.5, 1.0, 1.0, 0.5],
+                credits: vec![vec![(0, 1, 0.5)], vec![(0, 3, 0.25), (2, 3, 0.25)]],
+            },
+            ..SelectorDump::default()
+        };
+        let model = reference::arena_of(&dump);
+        assert_eq!(model.total_entries(), 3);
+        assert!(model.memory_bytes() > 0);
+        assert_eq!(reference::dump_of(&model), dump);
+        let ac = model.action(1);
+        assert_eq!(ac.len(), 2);
+        assert_eq!(ac.entries().collect::<Vec<_>>(), vec![(0, 3, 0.25), (2, 3, 0.25)]);
+        assert!(model.action(0).entries().eq([(0, 1, 0.5)]));
+        let store = reference::dump_of(&model).store;
+        assert_eq!(store.user_actions[3], [0, 1]);
+        assert_eq!(store.inv_au[1], 1.0);
+        // Clones share the arena.
+        assert_eq!(model.clone().memory_bytes(), model.memory_bytes());
+        assert!(Arc::ptr_eq(&model.clone().data, &model.data));
     }
 
     #[test]
@@ -2331,7 +2390,7 @@ mod tests {
         lambda: f64,
         seeds: &[u32],
     ) -> CompactSelector {
-        committed(&CompactSelector::from_store(scan(graph, log, policy, lambda).unwrap()), seeds)
+        committed(&scan(graph, log, policy, lambda).unwrap(), seeds)
     }
 
     #[test]

@@ -256,22 +256,10 @@ mod proptests {
     use super::*;
     use crate::policy::CreditPolicy;
     use crate::scan::scan_with;
-    use crate::CompactSelector;
-    use cdim_actionlog::{ActionLog, ActionLogBuilder};
+    use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
     use cdim_util::pool::Parallelism;
     use proptest::prelude::*;
-
-    /// The seedless served model of `log`.
-    fn model(
-        graph: &DirectedGraph,
-        log: &ActionLog,
-        policy: &CreditPolicy,
-        lambda: f64,
-        par: Parallelism,
-    ) -> CompactSelector {
-        CompactSelector::from_store(scan_with(graph, log, policy, lambda, par).unwrap())
-    }
 
     proptest! {
         /// The load-bearing contract of the incremental subsystem: for a
@@ -307,11 +295,11 @@ mod proptests {
                 cuts.iter().map(|&c| c.min(n)).collect();
             bounds.sort_unstable();
 
-            let full = model(&graph, &log, &policy, lambda, Parallelism::single());
+            let full = scan_with(&graph, &log, &policy, lambda, Parallelism::single()).unwrap();
             for threads in [1usize, 2, 8] {
                 let par = Parallelism::fixed(threads);
                 let (prefix, _) = log.split_at_action(bounds[0]);
-                let mut grown = model(&graph, &prefix, &policy, lambda, par);
+                let mut grown = scan_with(&graph, &prefix, &policy, lambda, par).unwrap();
                 let mut done = bounds[0];
                 for &cut in bounds[1..].iter().chain([&n]) {
                     grown = grown
@@ -365,7 +353,7 @@ mod proptests {
                 let par = Parallelism::fixed(threads);
                 // Start from an empty window and walk it over the log.
                 let empty = ActionLogBuilder::new(9).build();
-                let mut walked = model(&graph, &empty, &policy, lambda, par);
+                let mut walked = scan_with(&graph, &empty, &policy, lambda, par).unwrap();
                 let (mut lo, mut hi) = (0usize, 0usize);
                 for &(shrink, amount) in &ops {
                     if shrink {
@@ -387,7 +375,7 @@ mod proptests {
                     }
                 }
                 let window = log.split_at_action(hi).0.split_off_prefix(lo).1;
-                let fresh = model(&graph, &window, &policy, lambda, Parallelism::single());
+                let fresh = scan_with(&graph, &window, &policy, lambda, Parallelism::single()).unwrap();
                 prop_assert_eq!(walked.counts(), fresh.counts());
                 prop_assert!(
                     walked.arena() == fresh.arena(),

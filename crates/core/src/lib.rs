@@ -21,10 +21,9 @@
 //! Modules:
 //! * [`policy`] — direct-credit assignment: uniform `1/d_in(u,a)` and the
 //!   time-aware Eq 9 (`infl(u)`, `τ_{v,u}`, exponential decay);
-//! * [`store`] — the UC/SC credit structures of §5.3: the trained store
-//!   is an immutable CSR arena;
 //! * [`mod@scan`] — Algorithm 2 (one pass over the sorted log, truncation
-//!   λ), writing the arena directly;
+//!   λ), writing the arena directly and returning it as the trained,
+//!   seedless [`CompactSelector`];
 //! * [`incremental`] — the contract, checks and error type of
 //!   incremental retraining: [`CompactSelector::extend`] folds in an
 //!   [`cdim_actionlog::ActionLogDelta`] (byte-identical to a full rescan)
@@ -33,9 +32,10 @@
 //!   splicing arena sections;
 //! * [`celf`] — Algorithm 3, the one CELF driver, with [`MgMode`] for the
 //!   pseudocode-gain ablation;
-//! * [`compact`] — the arena's layout and the model every caller selects
-//!   and queries with: the same arena (the zero-copy v2 snapshot
-//!   payload), seeds and SC entries included, and the
+//! * [`compact`] — the UC/SC credit structures of §5.3 as one immutable
+//!   CSR arena, and the model every caller selects and queries with: the
+//!   same arena (the zero-copy v2 snapshot payload), seeds and SC entries
+//!   included, and the
 //!   [`OverlaySelector`], the one engine for Theorem-3 marginal gains and
 //!   Lemma 2/3 seed commits (Algorithms 4–5);
 //! * [`spread`] — exact σ_cd(S) evaluation for arbitrary seed sets (the
@@ -44,7 +44,8 @@
 //! * [`mod@reference`] — an intentionally naive reference implementation used
 //!   to verify every optimized path, plus the hash-map engines the arena
 //!   replaced (`scan_dump` for the scan, `CdSelector` for selection),
-//!   kept as the tests' bitwise oracles;
+//!   kept as the tests' bitwise oracles, and the plain-data dumps that
+//!   bridge them to the model;
 //! * [`model`] — a convenience facade bundling train → select → evaluate;
 //! * `telemetry` — shard-level scan timing reported into the process-wide
 //!   [`cdim_obs::MetricsRegistry::global`] registry (never touches the
@@ -58,15 +59,13 @@ pub mod policy;
 pub mod reference;
 pub mod scan;
 pub mod spread;
-pub mod store;
 mod telemetry;
 
 pub use cdim_util::Parallelism;
 pub use celf::MgMode;
-pub use compact::{CompactCounts, CompactSelector, OverlaySelector, TopKSession};
+pub use compact::{ActionView, CompactCounts, CompactSelector, OverlaySelector, TopKSession};
 pub use incremental::ExtendError;
 pub use model::{CdModel, CdModelConfig};
 pub use policy::CreditPolicy;
 pub use scan::{scan, scan_with, ScanError};
 pub use spread::CdSpreadEvaluator;
-pub use store::{ActionView, CreditStore, CreditStoreDump};

@@ -1,7 +1,7 @@
 //! Convenience facade: train once, then select seeds and predict spread.
 //!
 //! [`CdModel`] is what a downstream application uses: it bundles the
-//! scanned (λ-truncated) credit store for seed selection and the exact
+//! scanned (λ-truncated) credit model for seed selection and the exact
 //! evaluator for spread prediction, both built under the learned credit
 //! policy.
 
@@ -9,7 +9,6 @@ use crate::compact::CompactSelector;
 use crate::policy::CreditPolicy;
 use crate::scan::{scan_with, ScanError};
 use crate::spread::CdSpreadEvaluator;
-use crate::store::CreditStore;
 use cdim_actionlog::{ActionLog, UserId};
 use cdim_graph::DirectedGraph;
 use cdim_maxim::Selection;
@@ -29,7 +28,7 @@ pub enum PolicyKind {
 pub struct CdModelConfig {
     /// Direct-credit policy.
     pub policy: PolicyKind,
-    /// Truncation threshold λ for the selection store (§5.3; the paper
+    /// Truncation threshold λ for the selection model (§5.3; the paper
     /// uses `0.001` in all experiments).
     pub lambda: f64,
     /// Worker threads for the credit scan (the dominant training cost).
@@ -77,13 +76,13 @@ impl CdModelConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CdModel {
-    store: CreditStore,
+    store: CompactSelector,
     evaluator: CdSpreadEvaluator,
 }
 
 impl CdModel {
     /// Trains the model: learns temporal parameters (if requested), scans
-    /// the log into the credit store, and precompiles the evaluator.
+    /// the log into the credit model, and precompiles the evaluator.
     ///
     /// Panics on invalid inputs; use [`Self::try_train`] where bad data
     /// must be rejected as a value (e.g. inside a serving process).
@@ -103,31 +102,26 @@ impl CdModel {
         Ok(CdModel { store, evaluator })
     }
 
-    /// The λ-truncated credit store (pre-selection state).
-    pub fn store(&self) -> &CreditStore {
+    /// The λ-truncated credit model (pre-selection state: no seeds).
+    pub fn store(&self) -> &CompactSelector {
         &self.store
     }
 
     /// Influence maximization: runs Algorithm 3 for `k` seeds.
     ///
-    /// Selection runs on an [`crate::OverlaySelector`] over the store's
+    /// Selection runs on an [`crate::OverlaySelector`] over the model's
     /// arena, the engine a served model answers with, so the answer —
-    /// seeds and gain bits — equals a served `top_k(k)` of the same store.
-    /// The arena is shared, not copied; the first committed seed copies
-    /// only its credit values.
+    /// seeds and gain bits — equals a served `top_k(k)` of the same model.
+    /// The arena is shared until the first committed seed, which copies
+    /// the whole credit array (`out_credits`, 8 bytes per entry) into the
+    /// overlay's private working copy.
     pub fn select(&self, k: usize) -> Selection {
-        CompactSelector::from_store(self.store.clone()).overlay().select(k)
+        self.store.overlay().select(k)
     }
 
     /// Exact σ_cd(S) — the model's spread prediction for any seed set.
     pub fn spread(&self, seeds: &[UserId]) -> f64 {
         self.evaluator.spread(seeds)
-    }
-
-    /// Heap memory of the credit store's arena, in bytes (the quantity
-    /// Fig 8 right / Table 4 track).
-    pub fn store_memory_bytes(&self) -> usize {
-        self.store.memory_bytes()
     }
 }
 
@@ -185,7 +179,7 @@ mod tests {
         let dump = |threads: usize| {
             let config =
                 CdModelConfig { parallelism: Parallelism::fixed(threads), ..Default::default() };
-            CdModel::train(&graph, &log, config).store().dump()
+            crate::reference::dump_of(CdModel::train(&graph, &log, config).store())
         };
         let baseline = dump(1);
         for threads in [2usize, 8] {
@@ -197,8 +191,8 @@ mod tests {
     fn memory_reporting_is_positive_after_training() {
         let (graph, log) = instance();
         let model = CdModel::train(&graph, &log, CdModelConfig::default());
-        assert!(model.store_memory_bytes() > 0);
-        assert!(model.heap_bytes() >= model.store_memory_bytes());
+        assert!(model.store().memory_bytes() > 0);
+        assert!(model.heap_bytes() >= model.store().memory_bytes());
     }
 
     #[test]

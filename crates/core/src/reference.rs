@@ -15,12 +15,12 @@
 //! the Lemma 2/3 seed commit — on a per-action hash-map working copy of
 //! the credits; the served [`crate::OverlaySelector`] is held to it
 //! state by state, through the plain-data [`SelectorDump`] both export
-//! ([`arena_of`] and [`dump_of`] convert between a dump and an arena).
-//! Neither is used outside tests.
+//! ([`arena_of`] and [`dump_of`] convert between a dump and an arena,
+//! the one bridge between the oracles and the model). Neither is used
+//! outside tests.
 
-use crate::compact::{self, CompactSelector};
+use crate::compact::{self, pair_key, CompactSelector};
 use crate::policy::CreditPolicy;
-use crate::store::{pair_key, CreditStore, CreditStoreDump};
 use cdim_actionlog::{ActionId, ActionLog, PropagationArena, PropagationDag, UserId};
 use cdim_graph::DirectedGraph;
 use cdim_util::FxHashMap;
@@ -139,7 +139,8 @@ pub fn sigma_cd(
 /// kernel: per action, every credit is accumulated into an
 /// `ActionCredits` map in the scan's visiting order (parents in DAG
 /// order, each parent's sources in first-insertion order), then listed
-/// sorted by `(v, u)`. `scan_with(..).dump()` must equal it bit for bit.
+/// sorted by `(v, u)`. `dump_of(&scan_with(..)).store` must equal it bit
+/// for bit.
 pub fn scan_dump(
     graph: &DirectedGraph,
     log: &ActionLog,
@@ -213,14 +214,14 @@ fn hashed_action(
 
 /// Algorithms 4–5 on a hash-map working copy: the selection oracle.
 ///
-/// Built from a trained [`CreditStore`], whose arena it shares for the
-/// per-user indexes (actions performed, `1/A_u`), plus its own mutable
-/// copy of the credits (an `ActionCredits` map per action), filled from
-/// the arena's rows in canonical order and updated by Lemma 2 as seeds
-/// are committed. It runs no CELF: tests replay a selection on it.
+/// Built from a trained, seedless [`CompactSelector`], whose arena it
+/// shares for the per-user indexes (actions performed, `1/A_u`), plus its
+/// own mutable copy of the credits (an `ActionCredits` map per action),
+/// filled from the arena's rows in canonical order and updated by
+/// Lemma 2 as seeds are committed. It runs no CELF: tests replay a selection on it.
 #[derive(Clone, Debug)]
 pub struct CdSelector {
-    base: CreditStore,
+    base: CompactSelector,
     /// `UC[..][..][a]` under the current seed set, per action.
     actions: Vec<ActionCredits>,
     /// `SC[x][a] = Γ_{S,x}(a)` for the current seed set, keyed by
@@ -230,9 +231,9 @@ pub struct CdSelector {
 }
 
 impl CdSelector {
-    /// Wraps a scanned credit store: builds the working copy of its
-    /// credits, entries inserted in `(v, u)` order per action.
-    pub fn new(store: CreditStore) -> Self {
+    /// Wraps a scanned model: builds the working copy of its credits,
+    /// entries inserted in `(v, u)` order per action.
+    pub fn new(store: CompactSelector) -> Self {
         let actions = (0..store.num_actions() as u32)
             .map(|a| {
                 let mut ac = ActionCredits::default();
@@ -249,7 +250,8 @@ impl CdSelector {
     /// restored from equal dumps answer every query identically (bit-exact
     /// floating-point sums included).
     pub fn from_dump(dump: &SelectorDump) -> Self {
-        let mut selector = CdSelector::new(CreditStore::from_dump(&dump.store));
+        let store = compact::build(&dump.store, &[], &[]).expect("dump fits the u32 offsets");
+        let mut selector = CdSelector::new(CompactSelector { data: Arc::new(store) });
         for &(a, u, c) in &dump.sc {
             selector.sc.insert(pair_key(a, u), c);
         }
@@ -272,18 +274,18 @@ impl CdSelector {
         let mut sc: Vec<(u32, u32, f64)> =
             self.sc.iter().map(|(&key, &c)| ((key >> 32) as u32, key as u32, c)).collect();
         sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
-        SelectorDump { store: self.base.dump_with(credits), sc, seeds: self.seeds.clone() }
+        SelectorDump { store: store_dump(&self.base, credits), sc, seeds: self.seeds.clone() }
     }
 
     /// Theorem-3 marginal gain of adding `x` to the current seed set. A
     /// committed seed gains nothing (σ is a set function).
     pub fn compute_mg(&self, x: u32) -> f64 {
-        let inv_ax = self.base.inv_au(x);
+        let inv_ax = self.base.data.inv_au_of(x);
         if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0; // never acted (no evidence), or already a seed
         }
         let mut mg = 0.0;
-        for &a in self.base.actions_of_user(x) {
+        for &a in self.base.data.ua_row(x) {
             let sc_xa = self.sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
             let factor = (1.0 - sc_xa).max(0.0);
             if factor == 0.0 {
@@ -291,7 +293,7 @@ impl CdSelector {
             }
             let mut mga = inv_ax; // the u = x self term
             for (u, c) in self.actions[a as usize].targets_of(x) {
-                mga += c * self.base.inv_au(u);
+                mga += c * self.base.data.inv_au_of(u);
             }
             mg += mga * factor;
         }
@@ -302,17 +304,17 @@ impl CdSelector {
     /// self term is only added for actions where `x` holds outgoing
     /// credit.
     pub fn compute_mg_pseudocode(&self, x: u32) -> f64 {
-        let inv_ax = self.base.inv_au(x);
+        let inv_ax = self.base.data.inv_au_of(x);
         if inv_ax == 0.0 || self.seeds.contains(&x) {
             return 0.0;
         }
         let mut mg = 0.0;
-        for &a in self.base.actions_of_user(x) {
+        for &a in self.base.data.ua_row(x) {
             let mut mga = 0.0;
             let mut any = false;
             for (u, c) in self.actions[a as usize].targets_of(x) {
                 any = true;
-                mga += c * self.base.inv_au(u);
+                mga += c * self.base.data.inv_au_of(u);
             }
             if !any {
                 continue;
@@ -332,7 +334,7 @@ impl CdSelector {
             return;
         }
         // Credits involving x exist only in actions x performed.
-        for &a in self.base.actions_of_user(x) {
+        for &a in self.base.data.ua_row(x) {
             let sc_xa = self.sc.get(&pair_key(a, x)).copied().unwrap_or(0.0);
             let one_minus = (1.0 - sc_xa).max(0.0);
             let ac = &mut self.actions[a as usize];
@@ -353,13 +355,42 @@ impl CdSelector {
     }
 }
 
+/// A plain-data image of a model's credits and per-user indexes: the
+/// `store` half of a [`SelectorDump`], and what [`scan_dump`] computes.
+///
+/// Credit entries are listed in sorted `(v, u)` order per action, so the
+/// dump of a trained state is canonical: dumping, restoring and dumping
+/// again yields identical data (and identical snapshot bytes).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CreditStoreDump {
+    /// Truncation threshold λ the model was built with.
+    pub lambda: f64,
+    /// Dense action ids each user performed (indexed by user).
+    pub user_actions: Vec<Vec<u32>>,
+    /// `1 / A_u` per user.
+    pub inv_au: Vec<f64>,
+    /// Per action, `(v, u, Γ_{v,u})` triples sorted by `(v, u)`.
+    pub credits: Vec<Vec<(u32, u32, f64)>>,
+}
+
+/// `model`'s λ and per-user indexes, with `credits` as its credits.
+fn store_dump(model: &CompactSelector, credits: Vec<Vec<(u32, u32, f64)>>) -> CreditStoreDump {
+    let (data, users) = (&model.data, 0..model.num_users() as u32);
+    CreditStoreDump {
+        lambda: data.lambda,
+        user_actions: users.clone().map(|u| data.ua_row(u).to_vec()).collect(),
+        inv_au: users.map(|u| data.inv_au_of(u)).collect(),
+        credits,
+    }
+}
+
 /// Plain-data image of a selector state: what [`CdSelector::dump`] and
 /// [`dump_of`] export, and what [`CdSelector::from_dump`] and
 /// [`arena_of`] rebuild from. Entries are listed in sorted order, so the
 /// dump of a state is canonical.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SelectorDump {
-    /// The (possibly Lemma-2-updated) credit store.
+    /// The (possibly Lemma-2-updated) credits and per-user indexes.
     pub store: CreditStoreDump,
     /// `(action, user, Γ_{S,u}(a))` triples sorted by `(action, user)`.
     pub sc: Vec<(u32, u32, f64)>,
@@ -388,8 +419,9 @@ pub fn dump_of(model: &CompactSelector) -> SelectorDump {
         .zip(data.sc_vals())
         .map(|(&key, &c)| ((key >> 32) as u32, key as u32, c))
         .collect();
-    let store = CreditStore { data: Arc::clone(data) }.dump();
-    SelectorDump { store, sc, seeds: data.seeds().to_vec() }
+    let credits =
+        (0..model.num_actions() as u32).map(|a| model.action(a).entries().collect()).collect();
+    SelectorDump { store: store_dump(model, credits), sc, seeds: data.seeds().to_vec() }
 }
 
 /// `(counterparty, credit)` pairs removed by [`ActionCredits::retire`].

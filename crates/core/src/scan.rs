@@ -51,18 +51,17 @@
 //!    [`cdim_util::pool`] workers ([`Parallelism`] controls how many),
 //!    each shard filling its own row buffers;
 //! 3. **merge** — the shards' rows are written in action order straight
-//!    into the sections of the [`CreditStore`]'s arena, offsets rebased.
+//!    into the sections of one arena, offsets rebased, returned as the
+//!    seedless [`CompactSelector`].
 //!
-//! There is no freeze stage: the store *is* the arena a served model and
-//! a snapshot file hold. Every shard runs the same kernel and the merge
-//! is an ordered concatenation, so the arena — and its canonical
-//! [`CreditStoreDump`] — is **bit-identical for every thread count**.
-//!
-//! [`CreditStoreDump`]: crate::store::CreditStoreDump
+//! There is no freeze stage: the scan's result *is* the model a server
+//! answers with and a snapshot file holds. Every shard runs the same
+//! kernel and the merge is an ordered concatenation, so the arena — and
+//! its canonical dump ([`crate::reference::dump_of`]) — is
+//! **bit-identical for every thread count**.
 
-use crate::compact::{self, ActionRows, Overflow};
+use crate::compact::{self, ActionRows, CompactSelector, Overflow};
 use crate::policy::CreditPolicy;
-use crate::store::CreditStore;
 use crate::telemetry::ScanTelemetry;
 use cdim_actionlog::{ActionId, ActionLog, PropagationArena, PropagationDag};
 use cdim_graph::DirectedGraph;
@@ -312,7 +311,8 @@ fn emit(dag: &PropagationDag<'_>, s: &mut Scratch, rows: &mut ActionRows) {
     rows.inc_act_rows.push(rows.inc_row_user.len() as u32);
 }
 
-/// Scans `log` and builds the [`CreditStore`] using all available cores.
+/// Scans `log` into the trained model — a [`CompactSelector`] with no
+/// seeds — using all available cores.
 ///
 /// `lambda` is the truncation threshold (§5.3): credit increments below it
 /// are discarded, bounding memory at a quantified cost in accuracy. Pass
@@ -325,7 +325,7 @@ pub fn scan(
     log: &ActionLog,
     policy: &CreditPolicy,
     lambda: f64,
-) -> Result<CreditStore, ScanError> {
+) -> Result<CompactSelector, ScanError> {
     scan_with(graph, log, policy, lambda, Parallelism::auto())
 }
 
@@ -335,7 +335,7 @@ pub fn scan(
 /// chunk per worker (deterministically — see
 /// [`cdim_util::pool::split_ranges`]), each worker runs the kernel over
 /// its chunk into its own row buffers, and the merge writes the buffers
-/// in action order into the store's arena. Since actions share no credit
+/// in action order into the model's arena. Since actions share no credit
 /// state, the arena is **bit-identical to the sequential scan for every
 /// `parallelism`** — callers choose a thread count for speed, never for
 /// semantics.
@@ -345,7 +345,7 @@ pub fn scan_with(
     policy: &CreditPolicy,
     lambda: f64,
     parallelism: Parallelism,
-) -> Result<CreditStore, ScanError> {
+) -> Result<CompactSelector, ScanError> {
     if lambda.is_nan() || lambda < 0.0 {
         return Err(ScanError::InvalidLambda { lambda });
     }
@@ -404,7 +404,7 @@ pub fn scan_with(
     }
 
     let data = compact::store_arena(lambda, &ua_offsets, &ua_data, &inv_au, &shards)?;
-    Ok(CreditStore { data: Arc::new(data) })
+    Ok(CompactSelector { data: Arc::new(data) })
 }
 
 #[cfg(test)]
@@ -417,7 +417,7 @@ mod tests {
 
     /// `Γ_{v,u}(a)` from the store's canonical entries, or 0 when not
     /// stored.
-    pub(super) fn credit(store: &CreditStore, a: ActionId, v: u32, u: u32) -> f64 {
+    pub(super) fn credit(store: &CompactSelector, a: ActionId, v: u32, u: u32) -> f64 {
         store.action(a).entries().find(|&(x, y, _)| (x, y) == (v, u)).map_or(0.0, |(_, _, c)| c)
     }
 
@@ -497,9 +497,9 @@ mod tests {
     fn au_bookkeeping() {
         let (graph, log) = figure1();
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
-        assert_eq!(store.actions_of_user(0), &[0]);
-        assert!((store.inv_au(0) - 1.0).abs() < 1e-12);
-        assert_eq!(store.inv_au(5), 1.0);
+        assert_eq!(store.data.ua_row(0), &[0]);
+        assert!((store.data.inv_au_of(0) - 1.0).abs() < 1e-12);
+        assert_eq!(store.data.inv_au_of(5), 1.0);
     }
 
     #[test]
@@ -509,7 +509,7 @@ mod tests {
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
         assert_eq!(store.total_entries(), 0);
         assert_eq!(store.num_actions(), 0);
-        assert_eq!(store.inv_au(0), 0.0);
+        assert_eq!(store.data.inv_au_of(0), 0.0);
         // The parallel driver must also accept a zero-action log.
         let store =
             scan_with(&graph, &log, &CreditPolicy::Uniform, 0.0, Parallelism::fixed(4)).unwrap();
@@ -538,7 +538,9 @@ mod tests {
         assert!(credit(&store, 0, 0, 1) > 0.0 && credit(&store, 0, 1, 2) > 0.0);
         assert_eq!(ac.len(), 3);
         assert_eq!(ac.entries().find(|&(v, u, _)| (v, u) == (0, 2)), Some((0, 2, 0.0)));
-        assert!(store.dump() == reference::scan_dump(&graph, &log, &policy, 0.0));
+        assert!(
+            reference::dump_of(&store).store == reference::scan_dump(&graph, &log, &policy, 0.0)
+        );
     }
 
     #[test]
@@ -566,8 +568,9 @@ mod tests {
             let oracle = reference::scan_dump(&graph, &log, &CreditPolicy::Uniform, lambda);
             for threads in [1usize, 2, 3, 8] {
                 let par = Parallelism::fixed(threads);
-                let dump = scan_with(&graph, &log, &CreditPolicy::Uniform, lambda, par).unwrap();
-                assert!(dump.dump() == oracle, "threads = {threads}, lambda = {lambda}");
+                let model = scan_with(&graph, &log, &CreditPolicy::Uniform, lambda, par).unwrap();
+                let dump = reference::dump_of(&model).store;
+                assert!(dump == oracle, "threads = {threads}, lambda = {lambda}");
             }
         }
     }
@@ -584,7 +587,7 @@ mod tests {
         let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
         assert!((credit(&store, 0, 0, 1) - 1.0).abs() < 1e-12);
         assert!((credit(&store, 1, 0, 1) - 1.0).abs() < 1e-12);
-        assert!((store.inv_au(1) - 0.5).abs() < 1e-12);
+        assert!((store.data.inv_au_of(1) - 0.5).abs() < 1e-12);
     }
 }
 
@@ -703,7 +706,8 @@ mod proptests {
                 let oracle = reference::scan_dump(&graph, &log, &policy, lambda);
                 for threads in [1usize, 2, 3, 8] {
                     let par = Parallelism::fixed(threads);
-                    let dump = scan_with(&graph, &log, &policy, lambda, par).unwrap().dump();
+                    let model = scan_with(&graph, &log, &policy, lambda, par).unwrap();
+                    let dump = reference::dump_of(&model).store;
                     prop_assert!(
                         dump == oracle,
                         "threads {threads}, lambda {lambda}: dump diverged from the oracle"

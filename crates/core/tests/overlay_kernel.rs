@@ -13,7 +13,7 @@
 //! queries must equal the commit loop they replace.
 
 use cdim_core::reference::{self, CdSelector, SelectorDump};
-use cdim_core::{scan, CompactSelector, CreditPolicy, CreditStore};
+use cdim_core::{scan, CompactSelector, CreditPolicy};
 use cdim_datagen::presets;
 use cdim_maxim::Selection;
 use cdim_util::checksum::crc32c;
@@ -62,7 +62,7 @@ fn bulk_gain(dump: &SelectorDump, x: u32) -> f64 {
 }
 
 /// Freshly scanned models of each preset × policy × λ, named.
-fn cases() -> Vec<(String, CreditStore)> {
+fn cases() -> Vec<(String, CompactSelector)> {
     let mut cases = Vec::new();
     for preset in ["tiny", "flixster_small_div8"] {
         let ds = match preset {
@@ -101,11 +101,10 @@ fn answer_crc(sel: &Selection) -> u32 {
 
 #[test]
 fn overlay_state_matches_the_oracle_after_every_seed() {
-    for (case, store) in cases() {
-        let model = CompactSelector::from_store(store.clone());
+    for (case, model) in cases() {
         let sel = model.overlay().select(K);
         assert_eq!(sel.seeds.len(), K, "{case}: seeds");
-        let mut oracle = CdSelector::new(store);
+        let mut oracle = CdSelector::new(model.clone());
         let first = bulk_gain(&oracle.dump(), sel.seeds[0]);
         assert_eq!(sel.marginal_gains[0].to_bits(), first.to_bits(), "{case}: first gain");
         let mut overlay = model.overlay();
@@ -135,10 +134,7 @@ fn overlay_state_matches_the_oracle_after_every_seed() {
 fn top_k_answers_match_pinned_checksums() {
     let got: Vec<(String, u32)> = cases()
         .into_iter()
-        .map(|(case, store)| {
-            let crc = answer_crc(&CompactSelector::from_store(store).overlay().select(K));
-            (case, crc)
-        })
+        .map(|(case, model)| (case, answer_crc(&model.overlay().select(K))))
         .collect();
     let want: Vec<(String, u32)> =
         PINNED.iter().map(|&(case, crc)| (case.to_string(), crc)).collect();
@@ -158,8 +154,7 @@ fn commit_free_queries_match_the_commit_loop() {
         .generate();
         for lambda in [0.0, 0.001] {
             let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-            let model =
-                CompactSelector::from_store(scan(&ds.graph, &ds.log, &policy, lambda).unwrap());
+            let model = scan(&ds.graph, &ds.log, &policy, lambda).unwrap();
             let top = model.overlay().select(K).seeds;
             for committed in [0usize, 2] {
                 let case = format!("{preset} lambda={lambda} committed={committed}");

@@ -6,6 +6,7 @@
 
 use cdim_actionlog::storage::{read_action_log, write_action_log, TupleDecoder};
 use cdim_actionlog::{ActionLog, ActionLogBuilder};
+use cdim_core::reference::dump_of;
 use cdim_core::{scan_with, CreditPolicy};
 use cdim_graph::{DirectedGraph, GraphBuilder};
 use cdim_ingest::{BatchConfig, FollowConfig, IngestDriver, IngestError, WindowPolicy};
@@ -364,9 +365,8 @@ fn growing_universe_log_trains_identically() {
     let grown = builder.build().widen_users(ds.graph.num_nodes());
     assert_eq!(grown, fixed);
     let scan = |log: &ActionLog| {
-        scan_with(&ds.graph, log, &CreditPolicy::Uniform, 0.0, Parallelism::single())
-            .unwrap()
-            .dump()
+        let par = Parallelism::single();
+        dump_of(&scan_with(&ds.graph, log, &CreditPolicy::Uniform, 0.0, par).unwrap())
     };
     assert!(scan(&grown) == scan(&fixed));
 }

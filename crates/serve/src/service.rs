@@ -548,9 +548,9 @@ fn compute(key: &CacheKey, snapshot: &ModelSnapshot) -> Answer {
 mod tests {
     use super::*;
     use cdim_core::reference::CdSelector;
-    use cdim_core::{scan, CompactSelector, CreditPolicy, CreditStore};
+    use cdim_core::{scan, CompactSelector, CreditPolicy};
 
-    fn store() -> CreditStore {
+    fn store() -> CompactSelector {
         let ds = cdim_datagen::presets::tiny().generate();
         let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
         scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn topk_matches_offline_selector() {
         let svc = service(16);
-        let offline = CompactSelector::from_store(store()).overlay().select(5);
+        let offline = store().overlay().select(5);
         match svc.query(&Query::TopKSeeds { budget: 5 }).unwrap() {
             Answer::TopKSeeds { seeds, gains } => {
                 assert_eq!(seeds, offline.seeds);

@@ -1,10 +1,10 @@
 //! The snapshot file format: a trained model on disk.
 //!
 //! A snapshot holds everything seed selection and spread prediction need
-//! after training — the λ-truncated credit store plus any committed
-//! seeds and their SC entries — so a serving process can answer queries
-//! without the action log, the graph, or a rescan (the paper's core
-//! claim: the credit store *is* the model).
+//! after training — the λ-truncated credits plus any committed seeds and
+//! their SC entries — so a serving process can answer queries without
+//! the action log, the graph, or a rescan (the paper's core claim: the
+//! credits *are* the model).
 //!
 //! ## Layout (version 2 — zero-copy)
 //!
@@ -48,7 +48,7 @@
 //! a panic.
 
 use crate::codec::{push_f64, push_u32, push_u64};
-use cdim_core::{CompactCounts, CompactSelector, CreditStore, TopKSession};
+use cdim_core::{CompactCounts, CompactSelector, TopKSession};
 use cdim_util::checksum::{crc32c, crc32c_append};
 use cdim_util::AlignedBuf;
 use std::io::Write as _;
@@ -163,16 +163,19 @@ pub struct ModelSnapshot {
 impl Clone for ModelSnapshot {
     /// Shares the arena; the clone starts without a top-k session.
     fn clone(&self) -> Self {
-        Self::from_compact(self.model.clone())
+        Self::from_store(self.model.clone())
     }
 }
 
 impl ModelSnapshot {
-    /// The model of a freshly scanned credit store (empty seed set). The
-    /// scan wrote the arena this snapshot serves and saves, so this
-    /// shares it: no dump, sort or copy.
-    pub fn from_store(store: CreditStore) -> Self {
-        Self::from_compact(CompactSelector::from_store(store))
+    /// Serves a model state, sharing its arena: no dump, sort or copy.
+    /// The one constructor, whatever the model's origin: a scan's
+    /// seedless result ([`cdim_core::scan_with`], which wrote the arena
+    /// this snapshot serves and saves), a loaded or incrementally rebuilt
+    /// one, or a session's with seeds already committed
+    /// ([`cdim_core::OverlaySelector::freeze`], e.g. mid-campaign).
+    pub fn from_store(model: CompactSelector) -> Self {
+        ModelSnapshot { model, top_k: Mutex::new(None) }
     }
 
     /// The full snapshot build path: trains the credit policy and runs
@@ -191,13 +194,6 @@ impl ModelSnapshot {
         let policy = config.build_policy(graph, log);
         let store = cdim_core::scan_with(graph, log, &policy, config.lambda, config.parallelism)?;
         Ok(Self::from_store(store))
-    }
-
-    /// Serves a compact model state — a scanned store's, a loaded one, or
-    /// a session's with seeds already committed
-    /// ([`cdim_core::OverlaySelector::freeze`], e.g. mid-campaign).
-    pub fn from_compact(model: CompactSelector) -> Self {
-        ModelSnapshot { model, top_k: Mutex::new(None) }
     }
 
     /// The same model, sharing the arena (a snapshot is always frozen).
@@ -223,7 +219,7 @@ impl ModelSnapshot {
         policy: &cdim_core::CreditPolicy,
         parallelism: cdim_util::Parallelism,
     ) -> Result<Self, cdim_core::ExtendError> {
-        Ok(Self::from_compact(self.model.extend(graph, delta, policy, parallelism)?))
+        Ok(Self::from_store(self.model.extend(graph, delta, policy, parallelism)?))
     }
 
     /// Sliding-window rebuild: returns a new snapshot with an expired
@@ -245,7 +241,7 @@ impl ModelSnapshot {
         policy: &cdim_core::CreditPolicy,
         parallelism: cdim_util::Parallelism,
     ) -> Result<Self, cdim_core::ExtendError> {
-        Ok(Self::from_compact(self.model.retract(graph, expired, policy, parallelism)?))
+        Ok(Self::from_store(self.model.retract(graph, expired, policy, parallelism)?))
     }
 
     /// Users in the id space.
@@ -253,7 +249,7 @@ impl ModelSnapshot {
         self.model.num_users()
     }
 
-    /// Actions the store was scanned over.
+    /// Actions the model was scanned over.
     pub fn num_actions(&self) -> usize {
         self.model.num_actions()
     }
@@ -320,7 +316,7 @@ impl ModelSnapshot {
         check_version(bytes)?;
         // A borrowed byte slice has arbitrary alignment; copy it into an
         // aligned buffer. (The zero-copy path is `load`.)
-        Ok(Self::from_compact(decode(Arc::new(AlignedBuf::from_bytes(bytes)))?))
+        Ok(Self::from_store(decode(Arc::new(AlignedBuf::from_bytes(bytes)))?))
     }
 
     /// Writes the snapshot to `path` via a sibling temp file + rename, so
@@ -355,7 +351,7 @@ impl ModelSnapshot {
     pub fn load(path: &Path) -> Result<Self, SnapshotError> {
         let buf = AlignedBuf::map_or_read_file(path)?;
         check_version(&buf)?;
-        Ok(Self::from_compact(decode(Arc::new(buf))?))
+        Ok(Self::from_store(decode(Arc::new(buf))?))
     }
 }
 
@@ -509,7 +505,7 @@ mod tests {
     use cdim_core::reference::CdSelector;
     use cdim_core::{scan, CreditPolicy};
 
-    fn trained_store() -> CreditStore {
+    fn trained_store() -> CompactSelector {
         let ds = cdim_datagen::presets::tiny().generate();
         let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
         scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()
@@ -517,11 +513,20 @@ mod tests {
 
     /// The tiny preset's model with `seeds` committed in order.
     fn trained_model(seeds: &[u32]) -> CompactSelector {
-        let mut overlay = CompactSelector::from_store(trained_store()).overlay();
+        let mut overlay = trained_store().overlay();
         for &s in seeds {
             overlay.update(s);
         }
         overlay.freeze()
+    }
+
+    #[test]
+    fn serving_a_scanned_model_shares_its_arena() {
+        let model = trained_store();
+        let arena = model.arena().as_ptr();
+        let snap = ModelSnapshot::from_store(model);
+        assert_eq!(snap.model.arena().as_ptr(), arena, "from_store copied the arena");
+        assert_eq!(snap.clone().model.arena().as_ptr(), arena, "clone copied the arena");
     }
 
     #[test]
@@ -604,7 +609,7 @@ mod tests {
         assert_eq!(snap.gain_over(&[x, y], x), 0.0);
 
         // A seed committed into the snapshot itself is no candidate either.
-        let committed = ModelSnapshot::from_compact(trained_model(&[x]));
+        let committed = ModelSnapshot::from_store(trained_model(&[x]));
         assert_eq!(committed.single_marginal_gain(x), 0.0);
         assert_eq!(committed.telescoped_spread(&[x]), 0.0);
         assert_eq!(committed.gain_over(&[y], x), 0.0);
@@ -663,7 +668,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_mid_selection_state() {
         let seed = ModelSnapshot::from_store(trained_store()).top_k(1).seeds[0];
-        let snap = ModelSnapshot::from_compact(trained_model(&[seed]));
+        let snap = ModelSnapshot::from_store(trained_model(&[seed]));
         let restored = ModelSnapshot::from_bytes(&snap.to_bytes()).unwrap();
         assert_eq!(restored.committed_seeds(), 1);
         assert_eq!(restored.top_k(1).seeds, vec![seed]);
@@ -738,7 +743,7 @@ mod proptests {
         let policy =
             if time_aware { CreditPolicy::time_aware(&graph, &log) } else { CreditPolicy::Uniform };
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
-        let mut overlay = CompactSelector::from_store(store.clone()).overlay();
+        let mut overlay = store.overlay();
         let mut oracle = CdSelector::new(store);
         for &s in seeds {
             overlay.update(s);
@@ -769,7 +774,7 @@ mod proptests {
             time_aware in proptest::bool::ANY,
         ) {
             let (model, oracle) = random_model(edges, &events, &seeds, time_aware);
-            let snap = ModelSnapshot::from_compact(model);
+            let snap = ModelSnapshot::from_store(model);
             let bytes = snap.to_bytes();
             let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
             prop_assert_eq!(restored.to_bytes(), bytes);
@@ -795,7 +800,7 @@ mod proptests {
             at in 0u64..u64::MAX,
             value in 0u64..u64::MAX,
         ) {
-            let bytes = ModelSnapshot::from_compact(random_model(edges, &events, &seeds, true).0)
+            let bytes = ModelSnapshot::from_store(random_model(edges, &events, &seeds, true).0)
                 .to_bytes();
             let mut mutants = Vec::new();
 

@@ -4,14 +4,14 @@
 //! see a complete model, old or new, never a torn one.
 
 use cdim_core::reference::{self, CdSelector};
-use cdim_core::{scan, CompactSelector, CreditPolicy, CreditStore, Parallelism};
+use cdim_core::{scan, CompactSelector, CreditPolicy, Parallelism};
 use cdim_serve::{Answer, InfluenceService, ModelSnapshot, Query, SnapshotError};
 use cdim_util::checksum::crc32c;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The model scanned from the deterministic tiny preset.
-fn store() -> CreditStore {
+fn store() -> CompactSelector {
     let ds = cdim_datagen::presets::tiny().generate();
     let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
     scan(&ds.graph, &ds.log, &policy, 0.001).unwrap()
@@ -20,14 +20,14 @@ fn store() -> CreditStore {
 /// The tiny preset's model with its top seed committed, so the SC
 /// entries and seed list are non-empty.
 fn model() -> CompactSelector {
-    let mut overlay = CompactSelector::from_store(store()).overlay();
+    let mut overlay = store().overlay();
     let seed = overlay.clone().select(1).seeds[0];
     overlay.update(seed);
     overlay.freeze()
 }
 
 fn snapshot() -> ModelSnapshot {
-    ModelSnapshot::from_compact(model())
+    ModelSnapshot::from_store(model())
 }
 
 /// Re-seals a mutated body with a valid CRC-32C trailer, so the decoder
@@ -197,9 +197,9 @@ fn loaded_model_answers_like_the_canonical_mutable_model() {
     let model = model();
     let mut oracle = CdSelector::new(store());
     oracle.update(model.seeds()[0]);
-    let canonical = ModelSnapshot::from_compact(reference::arena_of(&oracle.dump()));
+    let canonical = ModelSnapshot::from_store(reference::arena_of(&oracle.dump()));
     let loaded = ModelSnapshot::from_bytes(&canonical.to_bytes()).unwrap();
-    assert_eq!(loaded.to_bytes(), ModelSnapshot::from_compact(model).to_bytes());
+    assert_eq!(loaded.to_bytes(), ModelSnapshot::from_store(model).to_bytes());
     assert_eq!(canonical.lambda().to_bits(), loaded.lambda().to_bits());
     assert_eq!(canonical.committed_seeds(), loaded.committed_seeds());
 
@@ -326,11 +326,10 @@ fn extended_snapshot_round_trips_through_the_file_format() {
 
     // A mid-campaign snapshot (committed seed) extended by a delta must
     // survive save/load byte-identically like any other snapshot.
-    let mut overlay =
-        CompactSelector::from_store(scan(&ds.graph, &prefix, &policy, 0.001).unwrap()).overlay();
+    let mut overlay = scan(&ds.graph, &prefix, &policy, 0.001).unwrap().overlay();
     let seed = overlay.clone().select(1).seeds[0];
     overlay.update(seed);
-    let snap = ModelSnapshot::from_compact(overlay.freeze())
+    let snap = ModelSnapshot::from_store(overlay.freeze())
         .extend(&ds.graph, &delta, &policy, Parallelism::fixed(3))
         .unwrap();
     let bytes = snap.to_bytes();

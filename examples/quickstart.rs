@@ -38,7 +38,7 @@ fn main() {
     println!(
         "credit store: {} entries, ~{} of memory",
         model.store().total_entries(),
-        cdim::util::mem::fmt_bytes(model.store_memory_bytes())
+        cdim::util::mem::fmt_bytes(model.store().memory_bytes())
     );
 
     // Influence maximization (Algorithm 3: CELF over Theorem-3 gains).

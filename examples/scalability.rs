@@ -10,7 +10,6 @@
 //! cargo run --release --example scalability
 //! ```
 
-use cdim::core::CompactSelector;
 use cdim::metrics::Table;
 use cdim::prelude::*;
 use cdim::util::mem::fmt_bytes;
@@ -40,7 +39,7 @@ fn main() {
         let bytes = store.memory_bytes();
 
         let t = Timer::start();
-        let selection = CompactSelector::from_store(store).overlay().select(25);
+        let selection = store.overlay().select(25);
         let select_s = t.secs();
         assert_eq!(selection.seeds.len(), 25);
 

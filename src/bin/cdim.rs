@@ -139,14 +139,18 @@ impl Flags {
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
             let value = args.get(i + 1).ok_or_else(|| format!("--{key} requires a value"))?;
+            if flags.iter().any(|(k, _)| k == key) {
+                return Err(format!("--{key} given more than once"));
+            }
             flags.push((key.to_string(), value.clone()));
             i += 2;
         }
         Ok(Flags(flags))
     }
 
-    /// Rejects an unknown command, and any flag outside `command`'s
-    /// [`COMMAND_FLAGS`] entry (`help` takes no flags and is not checked).
+    /// Rejects an unknown command, any flag outside `command`'s
+    /// [`COMMAND_FLAGS`] entry (`help` takes no flags and is not checked),
+    /// and `train --base` without the `--append` delta it would extend.
     fn check_allowed(&self, command: &str) -> Result<(), String> {
         let Some((_, allowed)) = COMMAND_FLAGS.iter().find(|(name, _)| *name == command) else {
             return match command {
@@ -156,6 +160,12 @@ impl Flags {
         };
         match self.0.iter().find(|(k, _)| !allowed.split_whitespace().any(|a| a == k)) {
             Some((key, _)) => Err(format!("unknown flag --{key} for `cdim {command}`")),
+            None if command == "train"
+                && self.get("base").is_some()
+                && self.get("append").is_none() =>
+            {
+                Err("--base needs --append: it names the snapshot the delta extends".to_string())
+            }
             None => Ok(()),
         }
     }
@@ -1039,6 +1049,19 @@ mod tests {
             ["--slow", "false", "--addr", "x:1"].iter().map(|s| s.to_string()).collect();
         let flags = Flags::parse(&expand_switches(&argv, &["slow"])).unwrap();
         assert_eq!(flags.get("slow"), Some("false"));
+        assert!(flags.check_allowed("trace").is_ok());
+    }
+
+    #[test]
+    fn a_repeated_flag_is_rejected() {
+        let argv = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = Flags::parse(&argv(&["--lambda", "0.001", "--k", "3", "--lambda", "7"]));
+        assert_eq!(err.err().as_deref(), Some("--lambda given more than once"));
+        // A bare switch counts once; given twice it is repeated too.
+        let once = expand_switches(&argv(&["--slow", "--addr", "x:1"]), &["slow"]);
+        assert!(Flags::parse(&once).unwrap().check_allowed("trace").is_ok());
+        let twice = expand_switches(&argv(&["--slow", "--addr", "x:1", "--slow"]), &["slow"]);
+        assert!(Flags::parse(&twice).is_err());
     }
 
     #[test]

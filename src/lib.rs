@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use cdim_core::{
         model::PolicyKind, scan, scan_with, CdModel, CdModelConfig, CdSpreadEvaluator,
-        CreditPolicy, CreditStore, ExtendError, ScanError,
+        CompactSelector, CreditPolicy, ExtendError, ScanError,
     };
     pub use cdim_datagen::{Dataset, DatasetSpec};
     pub use cdim_diffusion::{EdgeProbabilities, IcModel, LtModel, McConfig, MonteCarloEstimator};

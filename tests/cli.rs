@@ -504,6 +504,24 @@ fn rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
     assert!(!snap.exists(), "a rejected train must not write its output");
+    // `--base` names the snapshot an `--append` delta extends; without
+    // `--append` it used to be ignored after a full training run.
+    let train = |extra: &[&str]| {
+        let (g, l, out) = (g.to_str().unwrap(), l.to_str().unwrap(), snap.to_str().unwrap());
+        let mut args = vec!["train", "--graph", g, "--log", l, "--out", out];
+        args.extend_from_slice(extra);
+        cdim().args(args).output().unwrap()
+    };
+    let out = train(&["--base", "/nonexistent.snap"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--base needs --append"));
+    assert!(!snap.exists(), "a rejected train must not write its output");
+    // A repeated flag is refused, not resolved to its first value (which
+    // left the out-of-range second `--lambda` unchecked).
+    let out = train(&["--lambda", "0.001", "--lambda", "7"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--lambda given more than once"));
+    assert!(!snap.exists(), "a rejected train must not write its output");
     let ckpt = dir.join("typo.ckpt");
     let out = cdim()
         .args([

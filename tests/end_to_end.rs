@@ -1,5 +1,6 @@
 //! End-to-end pipeline tests through the public facade.
 
+use cdim::core::reference::dump_of;
 use cdim::prelude::*;
 
 fn dataset() -> Dataset {
@@ -40,7 +41,7 @@ fn cd_selection_equals_generic_greedy_on_exact_oracle() {
     let ds = dataset();
     let policy = CreditPolicy::Uniform;
     let store = scan(&ds.graph, &ds.log, &policy, 0.0).unwrap();
-    let cd = cdim::core::CompactSelector::from_store(store).overlay().select(4);
+    let cd = store.overlay().select(4);
 
     let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
     let candidates: Vec<u32> =
@@ -60,16 +61,16 @@ fn parallel_scan_is_deterministic_on_generated_data() {
     let ds = dataset();
     let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
     for lambda in [0.0, 0.001] {
-        let baseline =
-            scan_with(&ds.graph, &ds.log, &policy, lambda, Parallelism::single()).unwrap().dump();
+        let dump = |par| dump_of(&scan_with(&ds.graph, &ds.log, &policy, lambda, par).unwrap());
+        let baseline = dump(Parallelism::single());
         for threads in [2usize, 3, 8] {
-            let dump = scan_with(&ds.graph, &ds.log, &policy, lambda, Parallelism::fixed(threads))
-                .unwrap()
-                .dump();
-            assert!(dump == baseline, "threads {threads}, lambda {lambda}");
+            assert!(
+                dump(Parallelism::fixed(threads)) == baseline,
+                "threads {threads}, lambda {lambda}"
+            );
         }
         // The auto default is the same scan, so it obeys the same law.
-        let auto = scan(&ds.graph, &ds.log, &policy, lambda).unwrap().dump();
+        let auto = dump_of(&scan(&ds.graph, &ds.log, &policy, lambda).unwrap());
         assert!(auto == baseline, "auto parallelism diverged at lambda {lambda}");
     }
 }

@@ -20,7 +20,7 @@
 //! CDIM_BLESS=1 cargo test --test golden
 //! ```
 
-use cdim::core::{scan, CreditPolicy, CreditStore};
+use cdim::core::{scan, CompactSelector, CreditPolicy};
 use cdim::datagen::presets;
 use cdim::serve::ModelSnapshot;
 use cdim::util::checksum::crc32c;
@@ -80,7 +80,7 @@ fn file_name(case: &Case) -> String {
 /// `auto`: the scan is bit-identical for every parallelism, so the
 /// fingerprint must not depend on the host's core count or
 /// `$CDIM_THREADS`).
-fn train(case: &Case) -> CreditStore {
+fn train(case: &Case) -> CompactSelector {
     let spec = match case.preset {
         "tiny" => presets::tiny(),
         "flixster_small_div8" => presets::flixster_small().scaled_down(8),
@@ -100,17 +100,11 @@ fn train(case: &Case) -> CreditStore {
     scan(&ds.graph, &log, &policy, case.lambda).expect("golden training inputs are valid")
 }
 
-/// The store's canonical fingerprint: snapshot-encoding CRC, totals, and
+/// The model's canonical fingerprint: snapshot-encoding CRC, totals, and
 /// the first [`SAMPLE_ENTRIES`] entries in canonical order.
-fn fingerprint(store: &CreditStore) -> (u32, usize, usize, Vec<Entry>) {
-    let dump = store.dump();
-    let samples: Vec<Entry> = dump
-        .credits
-        .iter()
-        .enumerate()
-        .flat_map(|(a, entries)| {
-            entries.iter().map(move |&(v, u, c)| (a as u32, v, u, c.to_bits()))
-        })
+fn fingerprint(store: &CompactSelector) -> (u32, usize, usize, Vec<Entry>) {
+    let samples: Vec<Entry> = (0..store.num_actions() as u32)
+        .flat_map(|a| store.action(a).entries().map(move |(v, u, c)| (a, v, u, c.to_bits())))
         .take(SAMPLE_ENTRIES)
         .collect();
     let crc = body_crc(&ModelSnapshot::from_store(store.clone()));
