@@ -12,8 +12,9 @@
 //! * [`delta`] — append-only [`ActionLogDelta`] batches for incremental
 //!   retraining;
 //! * [`propagation`] — the propagation DAGs of an action range in one
-//!   flat, hash-free [`PropagationArena`], read one action at a time
-//!   through a borrowed [`PropagationDag`] view;
+//!   flat, hash-free [`PropagationArena`], built once (training builds
+//!   one over the whole log and shares it among every reader) and read
+//!   through a borrowed per-action [`PropagationDag`] view;
 //! * [`split`] — the paper's 80/20 size-stratified train/test split;
 //! * [`stats`] — the action-log half of Table 1;
 //! * [`storage`] — buffered TSV persistence.

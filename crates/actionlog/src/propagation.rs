@@ -6,33 +6,33 @@
 //! edge (the strict inequality of the paper).
 //!
 //! A [`PropagationArena`] holds the DAGs of a contiguous range of actions
-//! in three flat arrays: per performer an offset, per parent edge the
-//! parent's action-local index and the edge's in-aligned position in the
-//! social graph (`graph.in_range(u).start + k` for `u`'s `k`-th
-//! in-neighbour, so learned per-edge parameters are read without a
-//! search). Users and times are borrowed from the log's own slices. The
-//! build needs no hash map: a dense per-user slot records the action, time
-//! and local index at which the user last performed, so "did in-neighbour
-//! `v` perform `a` strictly before `u`" is one array read. A
+//! in three flat arrays, built once and then only read: per performer an
+//! offset, per parent edge the parent's action-local index and the edge's
+//! in-aligned position in the social graph (`graph.in_range(u).start + k`
+//! for `u`'s `k`-th in-neighbour, so learned per-edge parameters are read
+//! without a search). Users and times are borrowed from the log's own
+//! slices. The build needs no hash map: a dense per-user slot records the
+//! action, time and local index at which the user last performed, so "did
+//! in-neighbour `v` perform `a` strictly before `u`" is one array read. A
 //! [`PropagationDag`] is a borrowed view of one action of the arena.
 //!
 //! Parents are listed in `graph.in_neighbors(u)` order, which is
-//! ascending user id; every reader (learning, credit policy, scan) visits
-//! them in that order, so the f64 sums they accumulate are reproducible.
+//! ascending user id; every reader (learning, credit policy, scan, spread
+//! evaluator) visits them in that order, so the f64 sums they accumulate
+//! are reproducible. Training builds one arena over the whole log and
+//! every one of those readers borrows it.
 
 use crate::log::{ActionId, ActionLog, Timestamp, UserId};
 use cdim_graph::DirectedGraph;
 use std::ops::Range;
 
-/// One user's entry in the arena's dense performer index: the user
+/// One user's entry in the build's dense performer index: the user
 /// performed `action` at `time`, as the performer at local index `local`.
 ///
 /// A slot is written only when its user is visited as a performer, so a
-/// slot stamped with action `a` is a fact of the log. Slots therefore
-/// never need clearing between actions or rebuilds: a stale slot of
-/// another action fails the stamp test, and one of the same action (a
-/// rebuild) is either a true earlier performer or fails the strict time
-/// test, as a later performer of a chronological action must.
+/// slot stamped with action `a` is a fact of the log, and the slots never
+/// need clearing between actions: a stale slot of an earlier action fails
+/// the stamp test.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     action: ActionId,
@@ -45,20 +45,21 @@ impl Slot {
     const EMPTY: Slot = Slot { action: ActionId::MAX, local: 0, time: 0.0 };
 }
 
-/// The propagation DAGs of a contiguous range of a log's actions.
+/// The propagation DAGs of a contiguous range of a log's actions over a
+/// social graph.
 ///
-/// Built by [`PropagationArena::build`], or rebuilt in place by
-/// [`PropagationArena::rebuild`], which reuses every buffer: a scan that
-/// rebuilds one action at a time allocates nothing once the buffers have
-/// grown. [`PropagationArena::dag`] reads one action.
+/// Built once by [`PropagationArena::build`] and read, action by action,
+/// through [`PropagationArena::dag`]: training builds one arena over the
+/// whole log and hands it to the learner, the credit policy, the scan and
+/// the spread evaluator, which also read the log and graph it was built
+/// from ([`PropagationArena::log`], [`PropagationArena::graph`]).
 #[derive(Debug)]
 pub struct PropagationArena<'l> {
     log: &'l ActionLog,
+    graph: &'l DirectedGraph,
     actions: Range<ActionId>,
     /// Log tuple index of the range's first performer.
     base: usize,
-    /// Dense performer index, one slot per social-graph node.
-    slots: Vec<Slot>,
     /// Performer `p` of the range (log tuple `base + p`) has the parent
     /// edges `parent_offsets[p]..parent_offsets[p + 1]`.
     parent_offsets: Vec<u32>,
@@ -69,63 +70,51 @@ pub struct PropagationArena<'l> {
 }
 
 impl<'l> PropagationArena<'l> {
-    /// An arena over `log` holding no action yet.
-    pub fn new(log: &'l ActionLog) -> Self {
-        PropagationArena {
-            log,
-            actions: 0..0,
-            base: 0,
-            slots: Vec::new(),
-            parent_offsets: vec![0],
-            parents: Vec::new(),
-            positions: Vec::new(),
-        }
-    }
-
     /// Builds G(a) for every action `a` in `actions`.
-    pub fn build(log: &'l ActionLog, graph: &DirectedGraph, actions: Range<ActionId>) -> Self {
-        let mut arena = Self::new(log);
-        arena.rebuild(graph, actions);
-        arena
-    }
-
-    /// Replaces the arena's DAGs with those of `actions`, reusing its
-    /// buffers.
     ///
     /// # Panics
     /// Panics if `actions` reaches past the log, if a performer is not a
     /// node of `graph`, or if the range holds more than `u32::MAX` parent
     /// edges.
-    pub fn rebuild(&mut self, graph: &DirectedGraph, actions: Range<ActionId>) {
-        let log = self.log;
-        if self.slots.len() < graph.num_nodes() {
-            self.slots.resize(graph.num_nodes(), Slot::EMPTY);
-        }
-        self.base = if actions.is_empty() { 0 } else { log.range(actions.start).start };
-        self.actions = actions.clone();
-        self.parent_offsets.clear();
-        self.parent_offsets.push(0);
-        self.parents.clear();
-        self.positions.clear();
+    pub fn build(log: &'l ActionLog, graph: &'l DirectedGraph, actions: Range<ActionId>) -> Self {
+        let mut slots = vec![Slot::EMPTY; graph.num_nodes()];
+        let base = if actions.is_empty() { 0 } else { log.range(actions.start).start };
+        let (mut parent_offsets, mut parents, mut positions) = (vec![0], Vec::new(), Vec::new());
         let in_sources = graph.in_sources();
-        for a in actions {
+        for a in actions.clone() {
             let (users, times) = (log.users_of(a), log.times_of(a));
             for (i, (&u, &t)) in users.iter().zip(times).enumerate() {
                 // Social in-neighbours of u who performed a strictly
                 // earlier, in in-neighbour order.
                 let edges = graph.in_range(u);
                 for (pos, &v) in edges.clone().zip(&in_sources[edges]) {
-                    let seen = self.slots[v as usize];
+                    let seen = slots[v as usize];
                     if seen.action == a && seen.time < t {
-                        self.parents.push(seen.local);
-                        self.positions.push(pos as u32);
+                        parents.push(seen.local);
+                        positions.push(pos as u32);
                     }
                 }
-                let end = u32::try_from(self.parents.len()).expect("parent edges fit u32 offsets");
-                self.parent_offsets.push(end);
-                self.slots[u as usize] = Slot { action: a, local: i as u32, time: t };
+                let end = u32::try_from(parents.len()).expect("parent edges fit u32 offsets");
+                parent_offsets.push(end);
+                slots[u as usize] = Slot { action: a, local: i as u32, time: t };
             }
         }
+        PropagationArena { log, graph, actions, base, parent_offsets, parents, positions }
+    }
+
+    /// The log the arena was built from.
+    pub fn log(&self) -> &'l ActionLog {
+        self.log
+    }
+
+    /// The social graph the arena was built over.
+    pub fn graph(&self) -> &'l DirectedGraph {
+        self.graph
+    }
+
+    /// The actions the arena holds.
+    pub fn actions(&self) -> Range<ActionId> {
+        self.actions.clone()
     }
 
     /// G(a), for an action `a` the arena was built for.
@@ -372,13 +361,13 @@ mod tests {
             b.push(1, a, 1.0);
         }
         let log = b.build();
-        let mut arena = PropagationArena::build(&log, &graph, 1..3);
+        let arena = PropagationArena::build(&log, &graph, 1..3);
         assert_eq!(arena.dags().map(|dag| dag.action).collect::<Vec<_>>(), vec![1, 2]);
         assert!(arena.dags().all(|dag| dag.parents_of(1) == [0]));
-        arena.rebuild(&graph, 0..0);
-        assert_eq!(arena.dags().count(), 0);
-        let outside = std::panic::catch_unwind(|| PropagationArena::new(&log).dag(0).len());
-        assert!(outside.is_err());
+        assert_eq!(arena.actions(), 1..3);
+        assert!(std::ptr::eq(arena.log(), &log) && std::ptr::eq(arena.graph(), &graph));
+        assert!(std::panic::catch_unwind(|| arena.dag(0).len()).is_err());
+        assert_eq!(PropagationArena::build(&log, &graph, 0..0).dags().count(), 0);
     }
 }
 
@@ -433,8 +422,8 @@ mod proptests {
         /// act once or never, every action's parent lists hold the same
         /// local indices in the same order, and every stored position is
         /// `graph.in_edge_position(v, u)`. This holds for a whole-log
-        /// build and for one arena rebuilt action by action in reverse
-        /// order, as a scan shard reuses it.
+        /// build and for one-action builds, whose ranges mostly start past
+        /// action 0.
         #[test]
         fn arena_matches_the_hash_map_builder(
             edges in proptest::collection::vec((0u32..14, 0u32..14), 0..90),
@@ -461,10 +450,8 @@ mod proptests {
             let whole = PropagationArena::build(&log, &graph, 0..n);
             prop_assert_eq!(whole.dags().count(), n as usize);
             whole.dags().for_each(check);
-            let mut reused = PropagationArena::new(&log);
-            for a in (0..n).rev() {
-                reused.rebuild(&graph, a..a + 1);
-                check(reused.dag(a));
+            for a in 0..n {
+                check(PropagationArena::build(&log, &graph, a..a + 1).dag(a));
             }
         }
     }

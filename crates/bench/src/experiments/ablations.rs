@@ -2,9 +2,11 @@
 
 use crate::config::ExperimentScale;
 use crate::methods::Workbench;
+use cdim_actionlog::PropagationArena;
 use cdim_core::model::PolicyKind;
 use cdim_core::{scan_with, CdModel, CdModelConfig, CdSpreadEvaluator, CreditPolicy, MgMode};
 use cdim_datagen::presets;
+use cdim_learning::TemporalModel;
 use cdim_maxim::{celf_select, greedy_select};
 use cdim_metrics::{intersection_size, rmse, Table};
 
@@ -64,8 +66,9 @@ pub fn celf_vs_greedy(scale: ExperimentScale) {
     // Plain greedy is O(n·k) spread evaluations — shrink the instance.
     let spec = presets::flixster_small().scaled_down(4.max(scale.dataset_divisor));
     let ds = spec.generate();
-    let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
+    let dags = PropagationArena::build(&ds.log, &ds.graph, ds.log.actions());
+    let evaluator =
+        CdSpreadEvaluator::build(&dags, &CreditPolicy::TimeAware(TemporalModel::learn(&dags)));
     let k = scale.k.min(10);
 
     let candidates: Vec<u32> =

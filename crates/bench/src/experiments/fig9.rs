@@ -6,8 +6,10 @@
 //! suffices.
 
 use crate::config::ExperimentScale;
-use cdim_core::{scan_with, CdSpreadEvaluator, CreditPolicy};
+use cdim_actionlog::PropagationArena;
+use cdim_core::{scan_dags, scan_with, CdSpreadEvaluator, CreditPolicy};
 use cdim_datagen::presets;
+use cdim_learning::TemporalModel;
 use cdim_metrics::{intersection_size, Table};
 
 /// Prints spread + true-seed overlap vs #tuples on both large presets.
@@ -27,11 +29,11 @@ fn run_dataset(spec: cdim_datagen::DatasetSpec, scale: ExperimentScale) {
     let k = scale.k;
 
     // "True seeds" and the reference evaluator come from the full log.
-    let policy_full = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    let store_full =
-        scan_with(&ds.graph, &ds.log, &policy_full, 0.001, scale.parallelism()).unwrap();
+    let dags = PropagationArena::build(&ds.log, &ds.graph, ds.log.actions());
+    let policy_full = CreditPolicy::TimeAware(TemporalModel::learn(&dags));
+    let evaluator = CdSpreadEvaluator::build(&dags, &policy_full);
+    let store_full = scan_dags(dags, &policy_full, 0.001, scale.parallelism()).unwrap();
     let true_seeds = store_full.overlay().select(k).seeds;
-    let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy_full);
 
     println!("--- {} ({} tuples total) ---", ds.name, ds.log.num_tuples());
     let mut table = Table::new(["#tuples", "influence spread", "true seeds found"]);

@@ -5,8 +5,10 @@
 //! everywhere else). "True seeds" are those found at the smallest λ.
 
 use crate::config::ExperimentScale;
+use cdim_actionlog::PropagationArena;
 use cdim_core::{scan_with, CdSpreadEvaluator, CreditPolicy};
 use cdim_datagen::presets;
+use cdim_learning::TemporalModel;
 use cdim_metrics::{intersection_size, Table};
 use cdim_util::mem::fmt_bytes;
 use cdim_util::Timer;
@@ -23,8 +25,9 @@ pub fn run(scale: ExperimentScale) {
     );
     let ds = presets::flixster_large().scaled_down(scale.dataset_divisor).generate();
     let k = scale.k;
-    let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
+    let dags = PropagationArena::build(&ds.log, &ds.graph, ds.log.actions());
+    let policy = CreditPolicy::TimeAware(TemporalModel::learn(&dags));
+    let evaluator = CdSpreadEvaluator::build(&dags, &policy);
 
     // Reference ("true") seeds at the smallest λ, as the paper defines.
     let store_ref =

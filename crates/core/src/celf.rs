@@ -210,7 +210,7 @@ mod tests {
         let policy = CreditPolicy::Uniform;
         let store = scan(&graph, &log, &policy, 0.0).unwrap();
         let cd = store.overlay().select(3);
-        let eval = crate::spread::CdSpreadEvaluator::build(&graph, &log, &policy);
+        let eval = crate::spread::evaluator(&graph, &log, &policy);
         let greedy = cdim_maxim::greedy_select(&eval, 3);
         assert_eq!(cd.seeds, greedy.seeds);
     }
@@ -294,7 +294,7 @@ mod proptests {
     use crate::policy::CreditPolicy;
     use crate::reference;
     use crate::scan::scan;
-    use crate::spread::CdSpreadEvaluator;
+    use crate::spread::evaluator;
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
     use proptest::prelude::*;
@@ -324,7 +324,7 @@ mod proptests {
             let store = scan(&graph, &log, &policy, 0.0).unwrap();
             let cd = store.overlay().select(k);
 
-            let eval = CdSpreadEvaluator::build(&graph, &log, &policy);
+            let eval = evaluator(&graph, &log, &policy);
             // Restrict greedy to active users (CD candidates).
             let candidates: Vec<u32> = (0..7u32)
                 .filter(|&u| log.actions_performed_by(u) > 0)

@@ -140,6 +140,15 @@ pub(crate) fn pair_key(v: u32, u: u32) -> u64 {
     (u64::from(v) << 32) | u64::from(u)
 }
 
+/// `1/A_u` of a user who performed `au` actions (0 for none): the one
+/// derivation the scan, the splice and the spread evaluator share.
+pub(crate) fn one_over_au(au: u32) -> f64 {
+    match au {
+        0 => 0.0,
+        au => 1.0 / f64::from(au),
+    }
+}
+
 /// Element counts that fully determine the arena layout.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompactCounts {
@@ -730,11 +739,8 @@ fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> Result<CompactD
             let n = kept.len() + new.len();
             at += n;
             s.ua_offsets[u as usize + 1] = at as u32;
-            s.inv_au[u as usize] = match (gone, new.len(), n) {
-                (0, 0, _) => head.inv_au_of(u),
-                (_, _, 0) => 0.0,
-                _ => 1.0 / f64::from(n as u32),
-            };
+            s.inv_au[u as usize] =
+                if gone == 0 && new.is_empty() { head.inv_au_of(u) } else { one_over_au(n as u32) };
         }
         write_rows(s, &runs);
         let kept = head.sc_keys()[sc..].iter().map(|&key| key - (u64::from(cut32) << 32));

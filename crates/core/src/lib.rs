@@ -67,5 +67,5 @@ pub use compact::{ActionView, CompactCounts, CompactSelector, OverlaySelector, T
 pub use incremental::ExtendError;
 pub use model::{CdModel, CdModelConfig};
 pub use policy::CreditPolicy;
-pub use scan::{scan, scan_with, ScanError};
+pub use scan::{check_inputs, scan, scan_dags, scan_with, ScanError};
 pub use spread::CdSpreadEvaluator;

@@ -7,10 +7,11 @@
 
 use crate::compact::CompactSelector;
 use crate::policy::CreditPolicy;
-use crate::scan::{scan_with, ScanError};
+use crate::scan::{check_inputs, scan_dags, ScanError};
 use crate::spread::CdSpreadEvaluator;
-use cdim_actionlog::{ActionLog, UserId};
+use cdim_actionlog::{ActionLog, PropagationArena, UserId};
 use cdim_graph::DirectedGraph;
+use cdim_learning::TemporalModel;
 use cdim_maxim::Selection;
 use cdim_util::{HeapSize, Parallelism};
 
@@ -48,14 +49,16 @@ impl Default for CdModelConfig {
 }
 
 impl CdModelConfig {
-    /// Instantiates the configured credit policy (learning temporal
-    /// parameters from `train_log` when the kind requires them). The one
-    /// place the [`PolicyKind`] → [`CreditPolicy`] mapping lives; every
-    /// training entry point (model, snapshot build) goes through it.
-    pub fn build_policy(&self, graph: &DirectedGraph, train_log: &ActionLog) -> CreditPolicy {
+    /// Instantiates the configured credit policy, learning temporal
+    /// parameters from `dags` — a [`PropagationArena`] of the whole
+    /// training log, which the caller then hands on to the scan — when
+    /// the kind requires them. The one place the [`PolicyKind`] →
+    /// [`CreditPolicy`] mapping lives; every training entry point (model,
+    /// snapshot build, `cdim` commands) goes through it.
+    pub fn build_policy(&self, dags: &PropagationArena<'_>) -> CreditPolicy {
         match self.policy {
             PolicyKind::Uniform => CreditPolicy::Uniform,
-            PolicyKind::TimeAware => CreditPolicy::time_aware(graph, train_log),
+            PolicyKind::TimeAware => CreditPolicy::TimeAware(TemporalModel::learn(dags)),
         }
     }
 }
@@ -81,8 +84,10 @@ pub struct CdModel {
 }
 
 impl CdModel {
-    /// Trains the model: learns temporal parameters (if requested), scans
-    /// the log into the credit model, and precompiles the evaluator.
+    /// Trains the model: checks the inputs, builds the log's propagation
+    /// DAGs once, and from them learns temporal parameters (if
+    /// requested), precompiles the evaluator and scans the log into the
+    /// credit model.
     ///
     /// Panics on invalid inputs; use [`Self::try_train`] where bad data
     /// must be rejected as a value (e.g. inside a serving process).
@@ -96,9 +101,11 @@ impl CdModel {
         train_log: &ActionLog,
         config: CdModelConfig,
     ) -> Result<Self, ScanError> {
-        let policy = config.build_policy(graph, train_log);
-        let store = scan_with(graph, train_log, &policy, config.lambda, config.parallelism)?;
-        let evaluator = CdSpreadEvaluator::build(graph, train_log, &policy);
+        check_inputs(graph, train_log, config.lambda)?;
+        let dags = PropagationArena::build(train_log, graph, train_log.actions());
+        let policy = config.build_policy(&dags);
+        let evaluator = CdSpreadEvaluator::build(&dags, &policy);
+        let store = scan_dags(dags, &policy, config.lambda, config.parallelism)?;
         Ok(CdModel { store, evaluator })
     }
 
@@ -134,6 +141,7 @@ impl HeapSize for CdModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::dump_of;
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
 
@@ -173,17 +181,40 @@ mod tests {
         assert!((model.spread(&sel.seeds) - sel.total_gain()).abs() < 1e-9);
     }
 
+    /// Training reads one shared arena; the standalone readers each build
+    /// their own. On `flixster_small`, under both policies, λ ∈ {0, 0.001}
+    /// and 1 or 2 threads, the trained model's dump equals `scan_with`'s
+    /// under the wrapper-learned policy, and `spread` equals a standalone
+    /// evaluator's bits on 20 seed sets.
     #[test]
-    fn training_parallelism_never_changes_the_model() {
-        let (graph, log) = instance();
-        let dump = |threads: usize| {
-            let config =
-                CdModelConfig { parallelism: Parallelism::fixed(threads), ..Default::default() };
-            crate::reference::dump_of(CdModel::train(&graph, &log, config).store())
-        };
-        let baseline = dump(1);
-        for threads in [2usize, 8] {
-            assert_eq!(dump(threads), baseline, "threads = {threads}");
+    fn shared_arena_training_equals_the_standalone_readers() {
+        let ds = cdim_datagen::presets::flixster_small().generate();
+        let (graph, log) = (&ds.graph, &ds.log);
+        let mut rng = cdim_util::Rng::seed_from_u64(28);
+        let seed_sets: Vec<Vec<u32>> = (0..20)
+            .map(|i| (0..=i % 6).map(|_| rng.index(graph.num_nodes()) as u32).collect())
+            .collect();
+        for policy in [PolicyKind::Uniform, PolicyKind::TimeAware] {
+            let standalone = match policy {
+                PolicyKind::Uniform => CreditPolicy::Uniform,
+                PolicyKind::TimeAware => CreditPolicy::time_aware(graph, log),
+            };
+            let evaluator = crate::spread::evaluator(graph, log, &standalone);
+            for lambda in [0.0, 0.001] {
+                let scanned =
+                    crate::scan_with(graph, log, &standalone, lambda, Parallelism::single());
+                let want = dump_of(&scanned.unwrap());
+                for threads in [1, 2] {
+                    let parallelism = Parallelism::fixed(threads);
+                    let config = CdModelConfig { policy, lambda, parallelism };
+                    let model = CdModel::train(graph, log, config);
+                    assert!(dump_of(model.store()) == want, "{config:?}");
+                    for seeds in &seed_sets {
+                        let (got, want) = (model.spread(seeds), evaluator.spread(seeds));
+                        assert_eq!(got.to_bits(), want.to_bits(), "{config:?}, seeds {seeds:?}");
+                    }
+                }
+            }
         }
     }
 

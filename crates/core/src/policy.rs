@@ -14,11 +14,11 @@
 //!   time, and less influenceable users hand out less credit.
 //!
 //! [`CreditPolicy::edge_credits`] reads a [`PropagationDag`] view of a
-//! `cdim_actionlog::PropagationArena`, which stores each parent edge's
+//! [`PropagationArena`], which stores each parent edge's
 //! in-aligned position, so `τ_{v,u}` is one array read, and writes γ into
 //! a buffer the caller reuses across actions.
 
-use cdim_actionlog::{ActionLog, PropagationDag};
+use cdim_actionlog::{ActionLog, PropagationArena, PropagationDag};
 use cdim_graph::DirectedGraph;
 use cdim_learning::TemporalModel;
 
@@ -33,9 +33,12 @@ pub enum CreditPolicy {
 }
 
 impl CreditPolicy {
-    /// Learns a time-aware policy from the training log.
+    /// Learns a time-aware policy from the training log, on a
+    /// propagation arena of its own. Training builds one arena and learns
+    /// from it instead ([`crate::CdModelConfig::build_policy`]).
     pub fn time_aware(graph: &DirectedGraph, train: &ActionLog) -> Self {
-        CreditPolicy::TimeAware(TemporalModel::learn(graph, train))
+        let dags = PropagationArena::build(train, graph, train.actions());
+        CreditPolicy::TimeAware(TemporalModel::learn(&dags))
     }
 
     /// Writes `γ` for every propagation edge of `dag` into `gammas`
@@ -71,7 +74,7 @@ impl CreditPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdim_actionlog::{ActionId, ActionLogBuilder, PropagationArena};
+    use cdim_actionlog::{ActionId, ActionLogBuilder};
     use cdim_graph::GraphBuilder;
 
     /// γ of every propagation edge of action `a`.

@@ -17,17 +17,18 @@
 //!
 //! ## The kernel: dense columns, canonical rows
 //!
-//! Each shard owns one [`PropagationArena`] and rebuilds it for every
-//! action it scans: the DAG's parents come with their in-edge positions,
-//! so the policy reads each `τ_{v,u}` directly and writes γ into a buffer
-//! the shard reuses. Building G(a) needs no hash map and, once the
-//! buffers have grown, no allocation.
+//! The scan reads G(a) from one [`PropagationArena`] of the whole log,
+//! built before the scan (by [`scan_with`], or by a training entry point
+//! that also hands it to the policy learner and the spread evaluator)
+//! and dropped before the merge. The DAG's parents come with their
+//! in-edge positions, so the policy reads each `τ_{v,u}` directly and
+//! writes γ into a buffer the shard reuses.
 //!
-//! The same fact makes the per-action kernel (`scan_action`) a dense
-//! accumulation. Each performer's incoming *column* `Γ_{·,u}(a)` is built
-//! once, at `u`'s activation, from the already-final columns of its DAG
-//! parents, in a DAG-local array indexed by the source's position in the
-//! DAG. A stamp per position marks the first touch of an entry, which
+//! Parents are earlier performers, which makes the per-action kernel
+//! (`scan_action`) a dense accumulation. Each performer's incoming
+//! *column* `Γ_{·,u}(a)` is built once, at `u`'s activation, from the
+//! already-final columns of its DAG parents, in a DAG-local array indexed
+//! by the source's position in the DAG. A stamp per position marks the first touch of an entry, which
 //! stores the amount; later touches add to it. Parents are visited in DAG
 //! order and each parent's column in its own first-touch order, so every
 //! entry sees the same f64 additions, in the same order, as the hash-map
@@ -46,8 +47,8 @@
 //! pipeline with no shared state:
 //!
 //! 1. **kernel** — `scan_action` appends one action's rows to a buffer,
-//!    a pure function of `(graph, log, policy, λ, a)`;
-//! 2. **parallel driver** — [`scan_with`] shards the action range over
+//!    a pure function of `(G(a), policy, λ)`;
+//! 2. **parallel driver** — [`scan_dags`] shards the action range over
 //!    [`cdim_util::pool`] workers ([`Parallelism`] controls how many),
 //!    each shard filling its own row buffers;
 //! 3. **merge** — the shards' rows are written in action order straight
@@ -60,7 +61,7 @@
 //! its canonical dump ([`crate::reference::dump_of`]) — is
 //! **bit-identical for every thread count**.
 
-use crate::compact::{self, ActionRows, CompactSelector, Overflow};
+use crate::compact::{self, one_over_au, ActionRows, CompactSelector, Overflow};
 use crate::policy::CreditPolicy;
 use crate::telemetry::ScanTelemetry;
 use cdim_actionlog::{ActionId, ActionLog, PropagationArena, PropagationDag};
@@ -151,29 +152,24 @@ struct Scratch {
     target_rank: Vec<u32>,
 }
 
-/// Stage-1 kernel: appends the credits of action `a` to `rows`, in the
-/// arena's canonical row order.
+/// Stage-1 kernel: appends the credits of `dag`'s action to `rows`, in
+/// the arena's canonical row order.
 ///
-/// A pure function of `(graph, log, policy, λ, a)` — what the reused
-/// DAG arena and scratch buffers keep between actions never reaches its
-/// output — which is what makes the action-sharded parallel scan of
-/// [`scan_with`] exact: running this kernel on any thread, in any order,
-/// yields the same rows as the sequential loop, down to the f64
-/// accumulation order.
+/// A pure function of `(G(a), policy, λ)` — what the reused scratch
+/// buffers keep between actions never reaches its output — which is what
+/// makes the action-sharded parallel scan of [`scan_dags`] exact: running
+/// this kernel on any thread, in any order, yields the same rows as the
+/// sequential loop, down to the f64 accumulation order.
 fn scan_action(
-    graph: &DirectedGraph,
-    dags: &mut PropagationArena<'_>,
+    dag: &PropagationDag<'_>,
     policy: &CreditPolicy,
     lambda: f64,
-    a: ActionId,
     s: &mut Scratch,
     rows: &mut ActionRows,
 ) {
-    dags.rebuild(graph, a..a + 1);
-    let dag = dags.dag(a);
     let n = dag.len();
     let Scratch { gamma: gammas, col, src, val, amount, stamp, touched, .. } = s;
-    policy.edge_credits(&dag, gammas);
+    policy.edge_credits(dag, gammas);
     col.clear();
     col.push(0);
     src.clear();
@@ -231,7 +227,7 @@ fn scan_action(
         }
         col.push(src.len());
     }
-    emit(&dag, s, rows);
+    emit(dag, s, rows);
 }
 
 /// Appends the columns in `s` to `rows` as one action: out rows sorted by
@@ -329,16 +325,8 @@ pub fn scan(
     scan_with(graph, log, policy, lambda, Parallelism::auto())
 }
 
-/// Scans `log` with an explicit thread budget.
-///
-/// Stage 2 of the pipeline: the action range is split into one contiguous
-/// chunk per worker (deterministically — see
-/// [`cdim_util::pool::split_ranges`]), each worker runs the kernel over
-/// its chunk into its own row buffers, and the merge writes the buffers
-/// in action order into the model's arena. Since actions share no credit
-/// state, the arena is **bit-identical to the sequential scan for every
-/// `parallelism`** — callers choose a thread count for speed, never for
-/// semantics.
+/// Scans `log` with an explicit thread budget: [`check_inputs`], then
+/// [`scan_dags`] over a [`PropagationArena`] of the whole log.
 pub fn scan_with(
     graph: &DirectedGraph,
     log: &ActionLog,
@@ -346,6 +334,15 @@ pub fn scan_with(
     lambda: f64,
     parallelism: Parallelism,
 ) -> Result<CompactSelector, ScanError> {
+    check_inputs(graph, log, lambda)?;
+    scan_dags(PropagationArena::build(log, graph, log.actions()), policy, lambda, parallelism)
+}
+
+/// The checks every training entry point runs before it builds any
+/// propagation DAG: `lambda` is a non-negative number, and `graph` and
+/// `log` share one user universe (a log user outside the graph would
+/// otherwise abort the DAG build).
+pub fn check_inputs(graph: &DirectedGraph, log: &ActionLog, lambda: f64) -> Result<(), ScanError> {
     if lambda.is_nan() || lambda < 0.0 {
         return Err(ScanError::InvalidLambda { lambda });
     }
@@ -355,6 +352,32 @@ pub fn scan_with(
             log_users: log.num_users(),
         });
     }
+    Ok(())
+}
+
+/// Scans the DAGs of `dags`, which holds every action of its log, built
+/// after [`check_inputs`] accepted the log, its graph and `lambda`.
+///
+/// Stage 2 of the pipeline: the action range is split into one contiguous
+/// chunk per worker (deterministically — see
+/// [`cdim_util::pool::split_ranges`]), each worker runs the kernel over
+/// its chunk into its own row buffers, and the merge writes the buffers
+/// in action order into the model's arena. Since actions share no credit
+/// state, the arena is **bit-identical to the sequential scan for every
+/// `parallelism`** — callers choose a thread count for speed, never for
+/// semantics. `dags` is dropped before the merge, so the DAGs and the
+/// model's arena are never held at once.
+///
+/// # Panics
+/// Panics if `dags` does not hold every action of its log.
+pub fn scan_dags(
+    dags: PropagationArena<'_>,
+    policy: &CreditPolicy,
+    lambda: f64,
+    parallelism: Parallelism,
+) -> Result<CompactSelector, ScanError> {
+    let log = dags.log();
+    assert_eq!(dags.actions(), log.actions(), "the scan reads every action of the log");
 
     // Stages 2 + 3: fan the kernel out over action chunks, merge in order.
     // Timing wraps the shard loop and the parallel section as a whole —
@@ -363,35 +386,28 @@ pub fn scan_with(
     let wall = Timer::start();
     let shards = parallel_map_shards(parallelism, log.num_actions(), |_, range| {
         let shard_timer = Timer::start();
-        let mut dags = PropagationArena::new(log);
         let mut scratch = Scratch::default();
         let mut rows = ActionRows::default();
         for a in range {
-            scan_action(graph, &mut dags, policy, lambda, a as ActionId, &mut scratch, &mut rows);
+            scan_action(&dags.dag(a as ActionId), policy, lambda, &mut scratch, &mut rows);
         }
         (rows, shard_timer.secs())
     });
     let wall_secs = wall.secs();
+    drop(dags);
     let shard_secs: Vec<f64> = shards.iter().map(|(_, s)| *s).collect();
     ScanTelemetry::get().record_scan(wall_secs, &shard_secs);
     let shards: Vec<ActionRows> = shards.into_iter().map(|(rows, _)| rows).collect();
 
     // Per-user action membership (ascending, as actions are visited in
     // order) and 1/A_u.
-    let num_users = log.num_users();
-    let mut count = vec![0u32; num_users];
-    for a in log.actions() {
-        for &u in log.users_of(a) {
-            count[u as usize] += 1;
-        }
-    }
-    let inv_au: Vec<f64> =
-        count.iter().map(|&au| if au > 0 { 1.0 / f64::from(au) } else { 0.0 }).collect();
-    let (mut ua_offsets, mut cursor) = (vec![0u32], Vec::with_capacity(num_users));
+    let au = log.actions_per_user();
+    let inv_au: Vec<f64> = au.iter().map(|&n| one_over_au(n)).collect();
+    let (mut ua_offsets, mut cursor) = (vec![0u32], Vec::with_capacity(au.len()));
     let mut total = 0usize;
-    for &au in &count {
+    for &n in au {
         cursor.push(total);
-        total += au as usize;
+        total += n as usize;
         // Wraps only past the u32 offset space, which the arena rejects.
         ua_offsets.push(total as u32);
     }

@@ -11,20 +11,26 @@
 //! σ_cd(S)   = Σ_a Σ_{u∈V(a)} Γ_{S,u}(a) / A_u
 //! ```
 //!
-//! DAG topology and γ values are precomputed once; each evaluation is one
-//! linear pass per action. The evaluator implements
+//! DAG topology and γ values are copied once out of a borrowed
+//! [`PropagationArena`] of the log (training shares its one arena with
+//! the policy learner and the scan); each evaluation is one linear pass
+//! per action. The evaluator implements
 //! [`cdim_maxim::SpreadOracle`], so the generic greedy/CELF selectors can
 //! run against exact σ_cd — the ablation baseline for the specialized
 //! Algorithm 3.
 
+use crate::compact::one_over_au;
 use crate::policy::CreditPolicy;
-use cdim_actionlog::{ActionLog, PropagationArena, UserId};
-use cdim_graph::{DirectedGraph, NodeId};
+use cdim_actionlog::{PropagationArena, UserId};
+use cdim_graph::NodeId;
 use cdim_maxim::SpreadOracle;
 use cdim_util::HeapSize;
 
 /// Precompiled exact σ_cd evaluator: every action's propagation DAG in
 /// flat whole-log arrays, with u32 offsets as in [`PropagationArena`].
+///
+/// The evaluator owns its arrays rather than borrowing the arena, so a
+/// [`crate::CdModel`] carries no lifetime.
 #[derive(Clone, Debug)]
 pub struct CdSpreadEvaluator {
     /// Performers of every action, in log order (chronological within an
@@ -39,21 +45,22 @@ pub struct CdSpreadEvaluator {
     parents: Vec<u32>,
     /// Direct credit, per parent edge.
     gammas: Vec<f64>,
-    /// `1/A_u` per user (0 when the user never acted).
+    /// `1/A_u` per user of the log's universe (0 when the user never
+    /// acted).
     inv_au: Vec<f64>,
-    num_users: usize,
     max_dag_len: usize,
 }
 
 impl CdSpreadEvaluator {
-    /// Precompiles every propagation DAG of `log` with its γ values.
+    /// Precompiles every propagation DAG of `arena` with its γ values;
+    /// `1/A_u` is read from the log the arena was built from.
     ///
     /// # Panics
-    /// Panics if the log holds more than `u32::MAX` performers or parent
+    /// Panics if the arena holds more than `u32::MAX` performers or parent
     /// edges.
-    pub fn build(graph: &DirectedGraph, log: &ActionLog, policy: &CreditPolicy) -> Self {
+    pub fn build(arena: &PropagationArena<'_>, policy: &CreditPolicy) -> Self {
         let offset = |n: usize| u32::try_from(n).expect("evaluator fits u32 offsets");
-        let arena = PropagationArena::build(log, graph, log.actions());
+        let log = arena.log();
         let mut users = Vec::with_capacity(log.num_tuples());
         let mut starts = Vec::with_capacity(log.num_actions() + 1);
         let mut parent_offsets = Vec::with_capacity(log.num_tuples() + 1);
@@ -72,21 +79,8 @@ impl CdSpreadEvaluator {
             policy.edge_credits(&dag, &mut dag_gammas);
             gammas.extend_from_slice(&dag_gammas);
         }
-        let inv_au = log
-            .actions_per_user()
-            .iter()
-            .map(|&n| if n > 0 { 1.0 / f64::from(n) } else { 0.0 })
-            .collect();
-        CdSpreadEvaluator {
-            users,
-            starts,
-            parent_offsets,
-            parents,
-            gammas,
-            inv_au,
-            num_users: log.num_users(),
-            max_dag_len,
-        }
+        let inv_au = log.actions_per_user().iter().map(|&n| one_over_au(n)).collect();
+        CdSpreadEvaluator { users, starts, parent_offsets, parents, gammas, inv_au, max_dag_len }
     }
 
     /// Exact σ_cd(S).
@@ -94,7 +88,7 @@ impl CdSpreadEvaluator {
         if seeds.is_empty() {
             return 0.0;
         }
-        let mut is_seed = vec![false; self.num_users];
+        let mut is_seed = vec![false; self.inv_au.len()];
         for &s in seeds {
             is_seed[s as usize] = true;
         }
@@ -130,7 +124,7 @@ impl SpreadOracle for CdSpreadEvaluator {
     }
 
     fn universe(&self) -> usize {
-        self.num_users
+        self.inv_au.len()
     }
 }
 
@@ -145,12 +139,22 @@ impl HeapSize for CdSpreadEvaluator {
     }
 }
 
+/// The evaluator of `log` under `policy`, on an arena of its own.
+#[cfg(test)]
+pub(crate) fn evaluator(
+    graph: &cdim_graph::DirectedGraph,
+    log: &cdim_actionlog::ActionLog,
+    policy: &CreditPolicy,
+) -> CdSpreadEvaluator {
+    CdSpreadEvaluator::build(&PropagationArena::build(log, graph, log.actions()), policy)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference;
-    use cdim_actionlog::ActionLogBuilder;
-    use cdim_graph::GraphBuilder;
+    use cdim_actionlog::{ActionLog, ActionLogBuilder};
+    use cdim_graph::{DirectedGraph, GraphBuilder};
 
     fn figure1() -> (DirectedGraph, ActionLog) {
         let graph = GraphBuilder::new(6)
@@ -167,7 +171,7 @@ mod tests {
     fn matches_reference_on_example() {
         let (graph, log) = figure1();
         let policy = CreditPolicy::Uniform;
-        let eval = CdSpreadEvaluator::build(&graph, &log, &policy);
+        let eval = evaluator(&graph, &log, &policy);
         for seeds in [vec![0u32], vec![0, 4], vec![5], vec![0, 1], vec![2, 3]] {
             let fast = eval.spread(&seeds);
             let slow = reference::sigma_cd(&graph, &log, &policy, &seeds);
@@ -178,14 +182,14 @@ mod tests {
     #[test]
     fn empty_seeds_spread_zero() {
         let (graph, log) = figure1();
-        let eval = CdSpreadEvaluator::build(&graph, &log, &CreditPolicy::Uniform);
+        let eval = evaluator(&graph, &log, &CreditPolicy::Uniform);
         assert_eq!(eval.spread(&[]), 0.0);
     }
 
     #[test]
     fn oracle_interface_agrees() {
         let (graph, log) = figure1();
-        let eval = CdSpreadEvaluator::build(&graph, &log, &CreditPolicy::Uniform);
+        let eval = evaluator(&graph, &log, &CreditPolicy::Uniform);
         let via_trait = <CdSpreadEvaluator as SpreadOracle>::spread(&eval, &[0]);
         assert!((via_trait - eval.spread(&[0])).abs() < 1e-15);
         assert_eq!(eval.universe(), 6);
@@ -214,7 +218,7 @@ mod proptests {
                 b.push(u, a, t as f64);
             }
             let log = b.build();
-            let eval = CdSpreadEvaluator::build(&graph, &log, &CreditPolicy::Uniform);
+            let eval = evaluator(&graph, &log, &CreditPolicy::Uniform);
             let everyone: Vec<u32> = (0..8).collect();
             let active = (0..8u32).filter(|&u| log.actions_performed_by(u) > 0).count();
             let sigma = eval.spread(&everyone);
@@ -242,7 +246,7 @@ mod proptests {
             } else {
                 CreditPolicy::Uniform
             };
-            let eval = CdSpreadEvaluator::build(&graph, &log, &policy);
+            let eval = evaluator(&graph, &log, &policy);
             let fast = eval.spread(&seeds);
             let slow = reference::sigma_cd(&graph, &log, &policy, &seeds);
             prop_assert!((fast - slow).abs() < 1e-9, "{fast} vs {slow}");

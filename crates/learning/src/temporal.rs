@@ -9,12 +9,12 @@
 //!   performed "under the influence" of some neighbor, i.e. with
 //!   `t(u,a) − t(v,a) ≤ τ_{v,u}` for at least one potential influencer.
 //!
-//! Both passes walk one [`PropagationArena`] of the training log. The
-//! arena stores each parent edge's in-aligned position beside it, so a
-//! per-edge delay sum or `τ` is indexed directly, with no edge search.
+//! Both passes walk a borrowed [`PropagationArena`] of the whole training
+//! log — the one the credit scan and the spread evaluator then read too.
+//! The arena stores each parent edge's in-aligned position beside it, so
+//! a per-edge delay sum or `τ` is indexed directly, with no edge search.
 
-use cdim_actionlog::{ActionLog, PropagationArena};
-use cdim_graph::DirectedGraph;
+use cdim_actionlog::PropagationArena;
 use cdim_util::HeapSize;
 
 /// Learned temporal parameters.
@@ -31,12 +31,13 @@ pub struct TemporalModel {
 }
 
 impl TemporalModel {
-    /// Learns `τ` and `infl` from the training log in two passes.
-    pub fn learn(graph: &DirectedGraph, train: &ActionLog) -> Self {
+    /// Learns `τ` and `infl` in two passes over `arena`, which holds every
+    /// action of the training log.
+    pub fn learn(arena: &PropagationArena<'_>) -> Self {
+        let (graph, train) = (arena.graph(), arena.log());
         let m = graph.num_edges();
         let mut delay_sum = vec![0.0f64; m];
         let mut delay_count = vec![0u32; m];
-        let arena = PropagationArena::build(train, graph, train.actions());
 
         // Pass 1: per-edge mean delays.
         for dag in arena.dags() {
@@ -126,8 +127,13 @@ impl HeapSize for TemporalModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdim_actionlog::ActionLogBuilder;
-    use cdim_graph::GraphBuilder;
+    use cdim_actionlog::{ActionLog, ActionLogBuilder};
+    use cdim_graph::{DirectedGraph, GraphBuilder};
+
+    /// [`TemporalModel::learn`] on a whole-log arena.
+    fn learn(graph: &DirectedGraph, train: &ActionLog) -> TemporalModel {
+        TemporalModel::learn(&PropagationArena::build(train, graph, train.actions()))
+    }
 
     /// `τ_{v,u}` of the social edge `(v, u)`.
     fn tau(t: &TemporalModel, g: &DirectedGraph, v: u32, u: u32) -> f64 {
@@ -143,7 +149,7 @@ mod tests {
         b.push(0, 1, 0.0);
         b.push(1, 1, 4.0); // delay 4
         let log = b.build();
-        let t = TemporalModel::learn(&g, &log);
+        let t = learn(&g, &log);
         assert!((tau(&t, &g, 0, 1) - 3.0).abs() < 1e-12);
         assert!((t.default_tau() - 3.0).abs() < 1e-12);
     }
@@ -155,7 +161,7 @@ mod tests {
         b.push(0, 0, 0.0);
         b.push(1, 0, 2.0);
         let log = b.build();
-        let t = TemporalModel::learn(&g, &log);
+        let t = learn(&g, &log);
         assert!((tau(&t, &g, 2, 1) - 2.0).abs() < 1e-12);
     }
 
@@ -171,7 +177,7 @@ mod tests {
         // *not*-influenced case we need an action with no parents at all).
         b.push(1, 1, 5.0); // initiator, no influence
         let log = b.build();
-        let t = TemporalModel::learn(&g, &log);
+        let t = learn(&g, &log);
         // User 1 performed 2 actions, 1 under influence.
         assert!((t.infl(1) - 0.5).abs() < 1e-12);
         // User 0's actions were never influenced.
@@ -189,7 +195,7 @@ mod tests {
         b.push(0, 1, 0.0);
         b.push(2, 1, 9.0);
         let log = b.build();
-        let t = TemporalModel::learn(&g, &log);
+        let t = learn(&g, &log);
         // tau(0,2) = 5; action 0 within, action 1 not -> infl = 1/2.
         assert!((t.infl(2) - 0.5).abs() < 1e-12);
     }
@@ -198,7 +204,7 @@ mod tests {
     fn inactive_user_has_zero_infl() {
         let g = GraphBuilder::new(2).edges([(0, 1)]).build();
         let log = ActionLogBuilder::new(2).build();
-        let t = TemporalModel::learn(&g, &log);
+        let t = learn(&g, &log);
         assert_eq!(t.infl(0), 0.0);
         assert_eq!(t.infl(1), 0.0);
         assert_eq!(t.default_tau(), 1.0);
@@ -213,7 +219,7 @@ mod tests {
         b.push(0, 0, 1.0);
         b.push(1, 0, 1.0 + 1e-300);
         let log = b.build();
-        let t = TemporalModel::learn(&g, &log);
+        let t = learn(&g, &log);
         assert!(tau(&t, &g, 0, 1) > 0.0);
     }
 
@@ -224,10 +230,8 @@ mod tests {
         let m = graph.num_edges();
         let mut delay_sum = vec![0.0f64; m];
         let mut delay_count = vec![0u32; m];
-        let arenas: Vec<_> =
-            train.actions().map(|a| PropagationArena::build(train, graph, a..a + 1)).collect();
-        let dags: Vec<_> = arenas.iter().flat_map(|arena| arena.dags()).collect();
-        for dag in &dags {
+        let arena = PropagationArena::build(train, graph, train.actions());
+        for dag in arena.dags() {
             for i in 0..dag.len() {
                 let u = dag.user(i);
                 let tu = dag.time(i);
@@ -257,7 +261,7 @@ mod tests {
             })
             .collect();
         let mut influenced_actions = vec![0u32; graph.num_nodes()];
-        for dag in &dags {
+        for dag in arena.dags() {
             for i in 0..dag.len() {
                 let u = dag.user(i);
                 let tu = dag.time(i);
@@ -289,7 +293,7 @@ mod tests {
     /// for bit.
     pub(super) fn assert_learn_matches_oracle(graph: &DirectedGraph, train: &ActionLog) {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (got, want) = (TemporalModel::learn(graph, train), searched_learn(graph, train));
+        let (got, want) = (learn(graph, train), searched_learn(graph, train));
         assert_eq!(bits(&got.tau), bits(&want.tau), "tau");
         assert_eq!(bits(&got.infl), bits(&want.infl), "infl");
         assert_eq!(got.default_tau.to_bits(), want.default_tau.to_bits(), "default_tau");

@@ -178,9 +178,10 @@ impl ModelSnapshot {
         ModelSnapshot { model, top_k: Mutex::new(None) }
     }
 
-    /// The full snapshot build path: trains the credit policy and runs
-    /// the parallel credit scan under `config.parallelism` (empty seed
-    /// set).
+    /// The full snapshot build path: checks the inputs, builds the log's
+    /// propagation DAGs once, learns the credit policy from them and runs
+    /// the parallel credit scan over them under `config.parallelism`
+    /// (empty seed set).
     ///
     /// The snapshot bytes are independent of the thread count — the scan
     /// is bit-identical for every [`cdim_util::Parallelism`], and the
@@ -191,8 +192,10 @@ impl ModelSnapshot {
         log: &cdim_actionlog::ActionLog,
         config: cdim_core::CdModelConfig,
     ) -> Result<Self, cdim_core::ScanError> {
-        let policy = config.build_policy(graph, log);
-        let store = cdim_core::scan_with(graph, log, &policy, config.lambda, config.parallelism)?;
+        cdim_core::check_inputs(graph, log, config.lambda)?;
+        let dags = cdim_actionlog::PropagationArena::build(log, graph, log.actions());
+        let policy = config.build_policy(&dags);
+        let store = cdim_core::scan_dags(dags, &policy, config.lambda, config.parallelism)?;
         Ok(Self::from_store(store))
     }
 
@@ -541,6 +544,28 @@ mod tests {
             let bytes =
                 ModelSnapshot::build(&ds.graph, &ds.log, config(threads)).unwrap().to_bytes();
             assert_eq!(bytes, baseline, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn bad_training_inputs_are_typed_errors_on_both_entry_points() {
+        use cdim_core::{model::PolicyKind, CdModel, CdModelConfig, ScanError};
+        // User 4 acts but the graph has 3 nodes: the inputs must be
+        // refused before any DAG build, which would index past the graph.
+        let graph = cdim_graph::GraphBuilder::new(3).edges([(0, 1), (1, 2)]).build();
+        let mut b = cdim_actionlog::ActionLogBuilder::new(5);
+        b.push(0, 0, 0.0);
+        b.push(4, 0, 1.0);
+        let log = b.build();
+        let universe = Some(ScanError::UserUniverseMismatch { graph_nodes: 3, log_users: 5 });
+        for policy in [PolicyKind::Uniform, PolicyKind::TimeAware] {
+            let config = CdModelConfig { policy, ..Default::default() };
+            assert_eq!(CdModel::try_train(&graph, &log, config).err(), universe);
+            assert_eq!(ModelSnapshot::build(&graph, &log, config).err(), universe);
+            let config = CdModelConfig { lambda: f64::NAN, ..config };
+            let nan = |e: Option<ScanError>| matches!(e, Some(ScanError::InvalidLambda { .. }));
+            assert!(nan(CdModel::try_train(&graph, &log, config).err()));
+            assert!(nan(ModelSnapshot::build(&graph, &log, config).err()));
         }
     }
 

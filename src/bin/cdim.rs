@@ -158,16 +158,36 @@ impl Flags {
                 _ => Err(format!("unknown command {command:?}")),
             };
         };
-        match self.0.iter().find(|(k, _)| !allowed.split_whitespace().any(|a| a == k)) {
-            Some((key, _)) => Err(format!("unknown flag --{key} for `cdim {command}`")),
-            None if command == "train"
-                && self.get("base").is_some()
-                && self.get("append").is_none() =>
-            {
-                Err("--base needs --append: it names the snapshot the delta extends".to_string())
-            }
-            None => Ok(()),
+        let unknown = self.0.iter().find(|(k, _)| !allowed.split_whitespace().any(|a| a == k));
+        if let Some((key, _)) = unknown {
+            return Err(format!("unknown flag --{key} for `cdim {command}`"));
         }
+        // Flag combinations that are usage errors whatever their values.
+        let has = |key| self.get(key).is_some();
+        let conflict = match command {
+            "train" if has("base") && !has("append") => {
+                "--base needs --append: it names the snapshot the delta extends"
+            }
+            "train" if has("append") && has("window") => {
+                "--window cannot be combined with --append: retract from a windowed follow \
+                 checkpoint instead, or retrain on the window"
+            }
+            "train" if has("append") && !has("policy") => {
+                "--append requires an explicit --policy: snapshots do not record the policy \
+                 they were trained with, and extending uniform credits with time-aware ones \
+                 (or vice versa) silently corrupts the model"
+            }
+            "follow" if has("window-actions") && has("window-age") => {
+                "--window-actions and --window-age are mutually exclusive (one policy per \
+                 follow session)"
+            }
+            "follow" if self.get("policy") == Some("time-aware") && !has("policy-log") => {
+                "--policy time-aware requires --policy-log <l.tsv>: the time-aware parameters \
+                 (tau, infl) must be derived from a frozen log, not the moving stream"
+            }
+            _ => return Ok(()),
+        };
+        Err(conflict.to_string())
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -382,9 +402,10 @@ fn cmd_predict(flags: &Flags) -> Result<(), String> {
             return Err(format!("seed {s} out of range ({} nodes)", graph.num_nodes()));
         }
     }
-    // σ_cd is exact (no λ truncation), so only the evaluator is built.
-    let policy = config.build_policy(&graph, &log);
-    let evaluator = CdSpreadEvaluator::build(&graph, &log, &policy);
+    // σ_cd is exact (no λ truncation), so only the evaluator is built,
+    // over the one arena the policy is learned from.
+    let dags = PropagationArena::build(&log, &graph, log.actions());
+    let evaluator = CdSpreadEvaluator::build(&dags, &config.build_policy(&dags));
     println!("sigma_cd({seeds:?}) = {:.2}", evaluator.spread(&seeds));
 
     // Optional Monte-Carlo cross-check under weighted-cascade
@@ -443,17 +464,12 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
                     return Err("--window must be at least 1 action".to_string());
                 }
                 // Policy from the full log, scan over the window only.
-                let policy = config.build_policy(&graph, &log);
-                let windowed = log.split_off_prefix(log.num_actions().saturating_sub(keep)).1;
-                let store = cdim::core::scan_with(
-                    &graph,
-                    &windowed,
-                    &policy,
-                    config.lambda,
-                    config.parallelism,
-                )
-                .map_err(|e| e.to_string())?;
-                ModelSnapshot::from_store(store)
+                let policy =
+                    config.build_policy(&PropagationArena::build(&log, &graph, log.actions()));
+                let window = log.split_off_prefix(log.num_actions().saturating_sub(keep)).1;
+                let (lambda, threads) = (config.lambda, config.parallelism);
+                let store = scan_with(&graph, &window, &policy, lambda, threads);
+                ModelSnapshot::from_store(store.map_err(|e| e.to_string())?)
             }
         };
         snapshot.save(&out).map_err(|e| e.to_string())?;
@@ -467,18 +483,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         return Ok(());
     };
 
-    if flags.get("window").is_some() {
-        return Err("--window cannot be combined with --append: retract from a windowed follow \
-             checkpoint instead, or retrain on the window"
-            .to_string());
-    }
-
-    if flags.get("policy").is_none() {
-        return Err("--append requires an explicit --policy: snapshots do not record the policy \
-             they were trained with, and extending uniform credits with time-aware ones \
-             (or vice versa) silently corrupts the model"
-            .to_string());
-    }
     let graph_path = flags.require("graph")?;
     let graph = storage::load_graph(Path::new(graph_path))
         .map_err(|e| format!("reading {graph_path}: {e}"))?;
@@ -511,7 +515,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
             let log_path = flags.require("log")?;
             let log = storage::load_action_log(Path::new(log_path), graph.num_nodes())
                 .map_err(|e| format!("reading {log_path}: {e}"))?;
-            config.build_policy(&graph, &log)
+            CreditPolicy::time_aware(&graph, &log)
         }
     };
     let apply = cdim::util::Timer::start();
@@ -629,11 +633,7 @@ fn cmd_follow(flags: &Flags) -> Result<(), String> {
     let policy = match flags.get("policy").unwrap_or("uniform") {
         "uniform" => CreditPolicy::Uniform,
         "time-aware" => {
-            let policy_log = flags.get("policy-log").ok_or_else(|| {
-                "--policy time-aware requires --policy-log <l.tsv>: the time-aware parameters \
-                 (tau, infl) must be derived from a frozen log, not the moving stream"
-                    .to_string()
-            })?;
+            let policy_log = flags.require("policy-log")?;
             let frozen = storage::load_action_log(Path::new(policy_log), graph.num_nodes())
                 .map_err(|e| format!("reading {policy_log}: {e}"))?;
             CreditPolicy::time_aware(&graph, &frozen)
@@ -651,12 +651,7 @@ fn cmd_follow(flags: &Flags) -> Result<(), String> {
         }
     };
     let window = match (flags.get("window-actions"), flags.get("window-age")) {
-        (Some(_), Some(_)) => {
-            return Err("--window-actions and --window-age are mutually exclusive (one policy per \
-                 follow session)"
-                .to_string())
-        }
-        (Some(_), None) => WindowPolicy::Actions(flags.get_parsed("window-actions", 0usize)?),
+        (Some(_), _) => WindowPolicy::Actions(flags.get_parsed("window-actions", 0usize)?),
         (None, Some(_)) => WindowPolicy::WatermarkAge(flags.get_parsed("window-age", 0u32)?),
         (None, None) => WindowPolicy::Unbounded,
     };

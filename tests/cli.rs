@@ -22,56 +22,32 @@ fn generate_stats_select_predict_pipeline() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 
-    let graph = dir.join("graph.tsv");
-    let log = dir.join("log.tsv");
+    let (graph, log) = (dir.join("graph.tsv"), dir.join("log.tsv"));
     assert!(graph.exists() && log.exists());
+    let (g, l) = (graph.to_str().unwrap(), log.to_str().unwrap());
 
-    let out = cdim()
-        .args(["stats", "--graph", graph.to_str().unwrap(), "--log", log.to_str().unwrap()])
-        .output()
-        .unwrap();
+    let out = cdim().args(["stats", "--graph", g, "--log", l]).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("nodes"), "{text}");
     assert!(text.contains("propagations"), "{text}");
 
-    let out = cdim()
-        .args([
-            "select",
-            "--graph",
-            graph.to_str().unwrap(),
-            "--log",
-            log.to_str().unwrap(),
-            "--k",
-            "3",
-            "--threads",
-            "2",
-        ])
-        .output()
-        .unwrap();
+    let select = ["select", "--graph", g, "--log", l, "--k", "3", "--threads", "2"];
+    let out = cdim().args(select).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
     assert_eq!(text.lines().count(), 5, "header + rule + 3 seeds: {text}");
 
-    let out = cdim()
-        .args([
-            "predict",
-            "--graph",
-            graph.to_str().unwrap(),
-            "--log",
-            log.to_str().unwrap(),
-            "--seeds",
-            "0,1,2",
-        ])
-        .output()
-        .unwrap();
+    let out = cdim().args(["predict", "--graph", g, "--log", l, "--seeds", "0,1,2"]).output();
+    let out = out.unwrap();
     assert!(out.status.success());
     // The printed prediction is the exact evaluator's σ_cd under the
     // default (time-aware) policy, learned from the same TSV files.
     let g = cdim::actionlog::storage::load_graph(&graph).unwrap();
     let l = cdim::actionlog::storage::load_action_log(&log, g.num_nodes()).unwrap();
-    let policy = cdim::core::CdModelConfig::default().build_policy(&g, &l);
-    let sigma = cdim::core::CdSpreadEvaluator::build(&g, &l, &policy).spread(&[0, 1, 2]);
+    let dags = cdim::actionlog::PropagationArena::build(&l, &g, l.actions());
+    let policy = cdim::core::CdModelConfig::default().build_policy(&dags);
+    let sigma = cdim::core::CdSpreadEvaluator::build(&dags, &policy).spread(&[0, 1, 2]);
     assert_eq!(
         String::from_utf8_lossy(&out.stdout).lines().next(),
         Some(format!("sigma_cd([0, 1, 2]) = {sigma:.2}").as_str())
@@ -428,124 +404,61 @@ fn rejects_bad_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--graph"));
 
     // Malformed seeds list.
-    let g = dir.join("graph.tsv");
-    let l = dir.join("log.tsv");
     let gen = cdim()
         .args(["generate", "--preset", "tiny", "--out", dir.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(gen.status.success());
-    let out = cdim()
-        .args([
-            "predict",
-            "--graph",
-            g.to_str().unwrap(),
-            "--log",
-            l.to_str().unwrap(),
-            "--seeds",
-            "0,banana",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
+    let (g, l) = (dir.join("graph.tsv"), dir.join("log.tsv"));
+    let (g, l) = (g.to_str().unwrap(), l.to_str().unwrap());
+    let out = cdim().args(["predict", "--graph", g, "--log", l, "--seeds", "0,banana"]).output();
+    assert!(!out.unwrap().status.success());
 
     // A mistyped flag is a usage error (exit 2), not a silently ignored
     // option: no unbounded model gets trained or followed in its place.
-    let snap = dir.join("typo.snap");
-    let out = cdim()
-        .args([
-            "train",
-            "--graph",
-            g.to_str().unwrap(),
-            "--log",
-            l.to_str().unwrap(),
-            "--windw",
-            "5",
-            "--out",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--windw"));
-    assert!(!snap.exists(), "a rejected train must not write its output");
-    // σ_cd is exact, so `predict` takes no truncation threshold.
-    let out = cdim()
-        .args([
-            "predict",
-            "--graph",
-            g.to_str().unwrap(),
-            "--log",
-            l.to_str().unwrap(),
-            "--seeds",
-            "0,1",
-            "--lambda",
-            "0.01",
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--lambda"));
-    // There is one snapshot format, so no `--format` to choose it.
-    let out = cdim()
-        .args([
-            "train",
-            "--graph",
-            g.to_str().unwrap(),
-            "--log",
-            l.to_str().unwrap(),
-            "--format",
-            "v2",
-            "--out",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--format"));
-    assert!(!snap.exists(), "a rejected train must not write its output");
-    // `--base` names the snapshot an `--append` delta extends; without
-    // `--append` it used to be ignored after a full training run.
-    let train = |extra: &[&str]| {
-        let (g, l, out) = (g.to_str().unwrap(), l.to_str().unwrap(), snap.to_str().unwrap());
+    // So is a flag combination that is wrong whatever its values. Each is
+    // refused before any file is read, and nothing is written.
+    let (snap, ckpt) = (dir.join("typo.snap"), dir.join("typo.ckpt"));
+    let usage_error = |args: &[&str], says: &str| {
+        let out = cdim().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(says), "{args:?}");
+        assert!(!snap.exists() && !ckpt.exists(), "{args:?} wrote its output");
+    };
+    let out = snap.to_str().unwrap();
+    let train = |extra: &[&str], says: &str| {
         let mut args = vec!["train", "--graph", g, "--log", l, "--out", out];
         args.extend_from_slice(extra);
-        cdim().args(args).output().unwrap()
+        usage_error(&args, says);
     };
-    let out = train(&["--base", "/nonexistent.snap"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--base needs --append"));
-    assert!(!snap.exists(), "a rejected train must not write its output");
+    train(&["--windw", "5"], "--windw");
+    // There is one snapshot format, so no `--format` to choose it.
+    train(&["--format", "v2"], "--format");
+    // `--base` names the snapshot an `--append` delta extends; without
+    // `--append` it used to be ignored after a full training run.
+    train(&["--base", "/nonexistent.snap"], "--base needs --append");
     // A repeated flag is refused, not resolved to its first value (which
     // left the out-of-range second `--lambda` unchecked).
-    let out = train(&["--lambda", "0.001", "--lambda", "7"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--lambda given more than once"));
-    assert!(!snap.exists(), "a rejected train must not write its output");
-    let ckpt = dir.join("typo.ckpt");
-    let out = cdim()
-        .args([
-            "follow",
-            "--graph",
-            g.to_str().unwrap(),
-            "--log",
-            l.to_str().unwrap(),
-            "--snapshot",
-            ckpt.to_str().unwrap(),
-            "--window-action",
-            "5",
-            "--poll-ms",
-            "5",
-            "--idle-exit-ms",
-            "100",
-            "--export-snapshot",
-            snap.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--window-action"));
-    assert!(!ckpt.exists() && !snap.exists(), "a rejected follow must not write its outputs");
+    train(&["--lambda", "0.001", "--lambda", "7"], "--lambda given more than once");
+    let append = ["--append", "/nonexistent.tsv", "--base", "/nonexistent.snap"];
+    train(&[&append[..], &["--policy", "uniform", "--window", "3"]].concat(), "--window cannot");
+    train(&append, "--append requires an explicit --policy");
+    let follow = |extra: &[&str], says: &str| {
+        let ckpt = ckpt.to_str().unwrap();
+        let mut args = vec!["follow", "--graph", g, "--log", l, "--snapshot", ckpt];
+        args.extend_from_slice(&["--poll-ms", "5", "--idle-exit-ms", "100"]);
+        args.extend_from_slice(&["--export-snapshot", out]);
+        args.extend_from_slice(extra);
+        usage_error(&args, says);
+    };
+    follow(&["--window-action", "5"], "--window-action");
+    follow(&["--window-actions", "5", "--window-age", "9"], "mutually exclusive");
+    follow(&["--policy", "time-aware"], "requires --policy-log");
+    // σ_cd is exact, so `predict` takes no truncation threshold.
+    usage_error(
+        &["predict", "--graph", g, "--log", l, "--seeds", "0,1", "--lambda", "0.01"],
+        "--lambda",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

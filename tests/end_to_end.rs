@@ -43,7 +43,8 @@ fn cd_selection_equals_generic_greedy_on_exact_oracle() {
     let store = scan(&ds.graph, &ds.log, &policy, 0.0).unwrap();
     let cd = store.overlay().select(4);
 
-    let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
+    let dags = PropagationArena::build(&ds.log, &ds.graph, ds.log.actions());
+    let evaluator = CdSpreadEvaluator::build(&dags, &policy);
     let candidates: Vec<u32> =
         (0..ds.graph.num_nodes() as u32).filter(|&u| ds.log.actions_performed_by(u) > 0).collect();
     let greedy = cdim::maxim::greedy::greedy_select_from(&evaluator, 4, &candidates);
@@ -103,8 +104,8 @@ fn mc_estimators_run_through_facade() {
 #[test]
 fn celf_and_greedy_agree_through_facade() {
     let ds = dataset();
-    let policy = CreditPolicy::Uniform;
-    let evaluator = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
+    let dags = PropagationArena::build(&ds.log, &ds.graph, ds.log.actions());
+    let evaluator = CdSpreadEvaluator::build(&dags, &CreditPolicy::Uniform);
     let g = greedy_select(&evaluator, 3);
     let c = celf_select(&evaluator, 3);
     assert_eq!(g.seeds, c.seeds);

@@ -70,8 +70,9 @@ fn cd_predicts_at_least_as_well_as_ic_em() {
 #[test]
 fn sigma_cd_is_monotone_and_submodular_on_generated_data() {
     let ds = dataset();
-    let policy = CreditPolicy::time_aware(&ds.graph, &ds.log);
-    let eval = CdSpreadEvaluator::build(&ds.graph, &ds.log, &policy);
+    let dags = PropagationArena::build(&ds.log, &ds.graph, ds.log.actions());
+    let eval =
+        CdSpreadEvaluator::build(&dags, &CreditPolicy::TimeAware(TemporalModel::learn(&dags)));
 
     let active: Vec<u32> = (0..ds.graph.num_nodes() as u32)
         .filter(|&u| ds.log.actions_performed_by(u) > 0)
