@@ -1070,7 +1070,8 @@ impl<'a> ActionView<'a> {
 // -------------------------------------------------------------- validation
 
 /// Structural validation of an untrusted arena. Cheap linear scans — no
-/// hash maps, no allocation proportional to the data. The CRC trailer
+/// hash maps; beside the arena it allocates one word per action and one
+/// bit per user. The CRC trailer
 /// (checked by the snapshot layer) covers integrity; this pass guarantees
 /// that every later index access is in bounds and every traversal order
 /// assumption (sorted runs) holds.
@@ -1098,37 +1099,41 @@ fn validate(data: &CompactData) -> Result<(), String> {
         return Err(format!("user {u}: 1/A_u = {x} out of [0, 1]"));
     }
 
-    // One fused pass per direction: offsets, strictly-sorted rows, id
-    // ranges, and an order-independent hash of the direction's (v, u)
-    // pair set per action, all in a single sweep (validation runs on
-    // every v2 snapshot load, so it must stay bandwidth-bound).
-    let out_sums = validate_direction(
-        Direction::Out,
+    // One fused pass per direction checks its offsets, rows and ids, and
+    // folds each action's (v, u) pairs into an order-independent sum: the
+    // out pass adds, the inc pass subtracts. Validation runs on every v2
+    // snapshot load, so each pass ORs its violation flags without a
+    // branch per entry and only re-walks a flagged action for the message.
+    let mut sums = vec![0u64; c.num_actions];
+    validate_direction::<true>(
+        "out",
         c,
         data.out_act_rows(),
         data.out_row_user(),
         data.out_row_offsets(),
         data.out_targets(),
         c.out_rows,
-        Some(data.out_credits()),
+        &mut sums,
     )?;
-    let inc_sums = validate_direction(
-        Direction::Inc,
+    check_credits("credit", data.out_credits())?;
+    validate_direction::<false>(
+        "inc",
         c,
         data.inc_act_rows(),
         data.inc_row_user(),
         data.inc_row_offsets(),
         data.inc_sources(),
         c.inc_rows,
-        None,
+        &mut sums,
     )?;
     // Per action, the inc direction must hold exactly the out direction's
-    // (v, u) pairs. Both sides are duplicate-free (strictly sorted rows)
-    // and the same total size, so equal order-independent hashes prove
-    // they match — no binary search per entry. A mismatch slipping
-    // through needs a 64-bit hash-sum collision *and* a valid CRC
-    // trailer; queries degrade gracefully (skip the entry) even then.
-    if let Some(a) = (0..c.num_actions).find(|&a| out_sums[a] != inc_sums[a]) {
+    // (v, u) pairs. Both sides are duplicate-free (strictly sorted rows),
+    // so equal sums of [`pair_hash`] stand in for a per-entry search. One
+    // substituted id, or one entry moved to another row, always changes
+    // the sum; a forgery of several entries can cancel, but a query
+    // still stays in bounds then: the commit kernel skips an inc entry
+    // with no out match.
+    if let Some(a) = sums.iter().position(|&s| s != 0) {
         return Err(format!("action {a}: inc entries do not mirror the out entries"));
     }
 
@@ -1147,17 +1152,19 @@ fn validate(data: &CompactData) -> Result<(), String> {
             return Err(format!("SC key ({a}, {u}): user {u} did not perform action {a}"));
         }
     }
-    if let Some(&x) = data.sc_vals().iter().find(|&&x| !is_credit(x)) {
-        return Err(format!("SC credit {x} is not finite and non-negative"));
-    }
-    let seeds = data.seeds();
-    for (i, &s) in seeds.iter().enumerate() {
+    check_credits("SC credit", data.sc_vals())?;
+    // One bit per user (1/96 of the arena's per-user bytes), so a forged
+    // list of a million seeds costs a linear pass, not a quadratic one.
+    let mut seen = vec![0u64; c.num_users.div_ceil(64)];
+    for &s in data.seeds() {
         if s as usize >= c.num_users {
             return Err(format!("seed {s} out of range"));
         }
-        if seeds[..i].contains(&s) {
+        let (word, bit) = (s as usize / 64, 1u64 << (s % 64));
+        if seen[word] & bit != 0 {
             return Err(format!("duplicate seed {s}"));
         }
+        seen[word] |= bit;
     }
     Ok(())
 }
@@ -1167,6 +1174,28 @@ fn validate(data: &CompactData) -> Result<(), String> {
 /// and the commit kernel's pass-through of unmarked entries relies on it.
 fn is_credit(x: f64) -> bool {
     x.is_finite() && x.is_sign_positive()
+}
+
+/// [`is_credit`] without a branch: bit 63 of the result is set iff `x`
+/// is not a credit. That is the sign bit, or an all-ones exponent, which
+/// carries into bit 63 when one is added to its lowest bit.
+#[inline]
+fn credit_fault(x: f64) -> u64 {
+    const EXPONENT: u64 = 0x7FF0_0000_0000_0000;
+    let b = x.to_bits();
+    b | ((b & EXPONENT) + (1 << 52))
+}
+
+/// Checks every value with one OR-reduction of [`credit_fault`], and
+/// searches for the first bad value only when the reduction flags one.
+fn check_credits(what: &str, values: &[f64]) -> Result<(), String> {
+    if values.iter().fold(0, |acc, &x| acc | credit_fault(x)) >> 63 == 0 {
+        return Ok(());
+    }
+    match values.iter().find(|&&x| !is_credit(x)) {
+        Some(x) => Err(format!("{what} {x} is not finite and non-negative")),
+        None => Ok(()),
+    }
 }
 
 /// Offset-array sanity: starts at 0, ends at `last`, monotone.
@@ -1183,92 +1212,113 @@ fn check_offsets(name: &str, offs: &[u32], len: usize, last: usize) -> Result<()
     Ok(())
 }
 
-/// Which adjacency direction a CSR group encodes.
-#[derive(Clone, Copy)]
-enum Direction {
-    Out,
-    Inc,
+/// One side of a pair for the mirror check: `v·0x9E37_79B9 ^ 0x85EB_CA6B`
+/// in 32 bits, a bijection of `u32` (the multiplier is odd).
+#[inline]
+fn mix_side(v: u32) -> u32 {
+    v.wrapping_mul(0x9E37_79B9) ^ 0x85EB_CA6B
 }
 
-/// SplitMix64 finalizer: enough diffusion that pair-hash sums of nearby
-/// keys don't cancel.
-fn mix64(key: u64) -> u64 {
-    let mut x = key;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// The mirror check's hash of the pair `(v, u)`, given `x = u ^ mix_side(v)`:
+/// `x²` as a full 32×32→64 product. For a fixed `v` (or `u`) the map to
+/// `x` is a bijection and `x ↦ x²` does not wrap, so changing either id
+/// of one pair always changes the hash.
+#[inline]
+fn pair_hash(x: u32) -> u64 {
+    u64::from(x) * u64::from(x)
 }
 
-/// Fused structural sweep of one CSR direction group: offset arrays,
-/// strictly-sorted row users and entry runs, id ranges, and — in the
-/// same pass — the per-action order-independent hash of the direction's
-/// `(v, u)` pair set (keys are direction-normalized so out and inc sums
-/// are comparable). When `credits` is given (the out direction, whose
-/// entries carry the stored credits) the credits are checked with
-/// [`is_credit`] in the same per-entry loop, so the whole arena is validated in exactly
-/// one sweep per direction.
+/// Fused structural sweep of one CSR direction group (`OUT`: rows are
+/// influencers, ids their targets; otherwise rows are targets, ids their
+/// sources): offset arrays, then per action its rows strictly ascending
+/// and in range, and each row non-empty, strictly ascending, in range and
+/// free of its own user. Strict ascent reduces each range check to the
+/// last id. The flags of an action are ORed with no early return, and the
+/// action's [`pair_hash`] sum is added to `sums[a]` (`OUT`) or subtracted
+/// from it; only a flagged action is re-walked by [`locate_row_fault`].
 #[allow(clippy::too_many_arguments)]
-fn validate_direction(
-    dir: Direction,
+fn validate_direction<const OUT: bool>(
+    name: &str,
     c: &CompactCounts,
     act_rows: &[u32],
     row_user: &[u32],
     row_offsets: &[u32],
     ids: &[u32],
     rows: usize,
-    credits: Option<&[f64]>,
-) -> Result<Vec<u64>, String> {
-    let name = match dir {
-        Direction::Out => "out",
-        Direction::Inc => "inc",
-    };
+    sums: &mut [u64],
+) -> Result<(), String> {
     check_offsets(&format!("{name}_act_rows"), act_rows, c.num_actions, rows)?;
     check_offsets(&format!("{name}_row_offsets"), row_offsets, rows, c.entries)?;
-    let mut sums = vec![0u64; c.num_actions];
-    for a in 0..c.num_actions {
+    let num_users = c.num_users as u64;
+    for (a, sum_a) in sums.iter_mut().enumerate() {
         let row_range = act_rows[a] as usize..act_rows[a + 1] as usize;
-        let users = &row_user[row_range.clone()];
-        if users.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(format!("{name} rows of action {a} not strictly sorted"));
-        }
-        if let Some(&v) = users.iter().find(|&&v| v as usize >= c.num_users) {
-            return Err(format!("{name} row user {v} out of range"));
-        }
+        let mut bad = false;
         let mut sum = 0u64;
-        for row in row_range {
+        // The least id the next row's user may take.
+        let mut next_owner = 0u64;
+        for row in row_range.clone() {
             let owner = row_user[row];
-            let start = row_offsets[row] as usize;
-            let span = &ids[start..row_offsets[row + 1] as usize];
-            if span.is_empty() {
-                return Err(format!("{name} row {row} is empty"));
+            bad |= u64::from(owner) < next_owner;
+            next_owner = u64::from(owner) + 1;
+            let span = &ids[row_offsets[row] as usize..row_offsets[row + 1] as usize];
+            // An empty row reads as one whose last id is out of range.
+            let last = span.last().map_or(u64::MAX, |&id| u64::from(id));
+            let mut row_bad = last >= num_users;
+            for (&p, &q) in span.iter().zip(span.iter().skip(1)) {
+                row_bad |= q <= p;
             }
-            let mut prev = -1i64;
-            for (k, &id) in span.iter().enumerate() {
-                if id as usize >= c.num_users || id == owner {
-                    return Err(format!("{name} row {row}: invalid counterparty {id}"));
-                }
-                if i64::from(id) <= prev {
-                    return Err(format!("{name} row {row} entries not strictly sorted"));
-                }
-                prev = i64::from(id);
-                let key = match dir {
-                    Direction::Out => pair_key(owner, id),
-                    Direction::Inc => pair_key(id, owner),
-                };
-                sum = sum.wrapping_add(mix64(key));
-                if let Some(credits) = credits {
-                    if !is_credit(credits[start + k]) {
-                        return Err(format!(
-                            "credit {} is not finite and non-negative",
-                            credits[start + k]
-                        ));
-                    }
-                }
+            let side = mix_side(owner);
+            for &id in span {
+                row_bad |= id == owner;
+                let x = if OUT { id ^ side } else { owner ^ mix_side(id) };
+                sum = sum.wrapping_add(pair_hash(x));
+            }
+            bad |= row_bad;
+        }
+        bad |= next_owner > num_users;
+        if bad {
+            if let Some(fault) = locate_row_fault(name, c, row_range, row_user, row_offsets, ids, a)
+            {
+                return Err(fault);
             }
         }
-        sums[a] = sum;
+        *sum_a = if OUT { sum_a.wrapping_add(sum) } else { sum_a.wrapping_sub(sum) };
     }
-    Ok(sums)
+    Ok(())
+}
+
+/// The first fault of action `a`'s rows in one direction, as the message
+/// a load reports; `None` if the rows are well-formed.
+fn locate_row_fault(
+    name: &str,
+    c: &CompactCounts,
+    row_range: Range<usize>,
+    row_user: &[u32],
+    row_offsets: &[u32],
+    ids: &[u32],
+    a: usize,
+) -> Option<String> {
+    let users = &row_user[row_range.clone()];
+    if users.windows(2).any(|w| w[0] >= w[1]) {
+        return Some(format!("{name} rows of action {a} not strictly sorted"));
+    }
+    if let Some(&v) = users.iter().find(|&&v| v as usize >= c.num_users) {
+        return Some(format!("{name} row user {v} out of range"));
+    }
+    for row in row_range {
+        let owner = row_user[row];
+        let span = &ids[row_offsets[row] as usize..row_offsets[row + 1] as usize];
+        if span.is_empty() {
+            return Some(format!("{name} row {row} is empty"));
+        }
+        if let Some(&id) = span.iter().find(|&&id| id as usize >= c.num_users || id == owner) {
+            return Some(format!("{name} row {row}: invalid counterparty {id}"));
+        }
+        if span.windows(2).any(|w| w[0] >= w[1]) {
+            return Some(format!("{name} row {row} entries not strictly sorted"));
+        }
+    }
+    None
 }
 
 // ------------------------------------------------------------ query engine
@@ -1659,7 +1709,8 @@ fn apply_seed_to_action(
         // Sources ascend, and so do the action's out rows.
         for &v in &data.inc_sources()[data.inc_row_entries(row)] {
             at += row_user[at..].partition_point(|&w| w < v);
-            // Validation guarantees the matching out entry exists.
+            // The mirror check catches any one missing match; an inc
+            // entry whose forgery cancels in its sums is skipped.
             if row_user.get(at) != Some(&v) {
                 continue;
             }
@@ -2196,13 +2247,22 @@ mod tests {
             .copy_from_slice(&u32::MAX.to_le_bytes());
         expect_err(&bad, "ua_offsets[0] != 0");
 
-        // Out-of-range action id in ua_data.
-        if counts.ua_len > 0 {
-            let mut bad = pristine.clone();
-            bad[layout.ua_data.start..layout.ua_data.start + 4]
-                .copy_from_slice(&(counts.num_actions as u32).to_le_bytes());
-            expect_err(&bad, "ua_data action out of range");
-        }
+        // Out-of-range action id in ua_data, as the last of a user's
+        // actions (so the row stays ascending) that no SC key names.
+        let u = (0..counts.num_users as u32)
+            .find(|&u| {
+                compact
+                    .data
+                    .ua_row(u)
+                    .last()
+                    .is_some_and(|&a| !dump.sc.iter().any(|e| (e.0, e.1) == (a, u)))
+            })
+            .expect("a user with actions");
+        let at =
+            layout.ua_data.start + 4 * (compact.data.ua_offsets()[u as usize + 1] as usize - 1);
+        let mut bad = pristine.clone();
+        bad[at..at + 4].copy_from_slice(&(counts.num_actions as u32).to_le_bytes());
+        expect_err(&bad, "ua_data action out of range");
 
         // A user's actions out of order: a swapped pair, then a duplicate.
         if let Some(u) = (0..counts.num_users as u32).find(|&u| compact.data.ua_row(u).len() >= 2) {
@@ -2215,6 +2275,43 @@ mod tests {
             let mut bad = pristine.clone();
             bad.copy_within(at..at + 4, at + 4);
             expect_err(&bad, "duplicate action in a user's row");
+        }
+
+        // 1/A_u outside [0, 1].
+        for x in [1.5f64, f64::NAN] {
+            let mut bad = pristine.clone();
+            bad[layout.inv_au.start..layout.inv_au.start + 8].copy_from_slice(&x.to_le_bytes());
+            expect_err(&bad, &format!("1/A_u = {x}"));
+        }
+
+        // SC keys: a repeated key (still sorted by `<=`), and a last key
+        // whose user is out of range (still the largest key).
+        assert!(counts.sc_len >= 2, "the case needs two SC keys");
+        let key = |bytes: &[u8], i: usize| {
+            let at = layout.sc_keys.start + 8 * i;
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+        };
+        let mut bad = pristine.clone();
+        let first = key(&pristine, 0);
+        bad[layout.sc_keys.start + 8..layout.sc_keys.start + 16]
+            .copy_from_slice(&first.to_le_bytes());
+        expect_err(&bad, "repeated SC key");
+        let mut bad = pristine.clone();
+        let last = layout.sc_keys.start + 8 * (counts.sc_len - 1);
+        let forged = pair_key(counts.num_actions as u32 - 1, counts.num_users as u32);
+        assert!(forged > key(&pristine, counts.sc_len - 1));
+        bad[last..last + 8].copy_from_slice(&forged.to_le_bytes());
+        expect_err(&bad, "SC key user out of range");
+
+        // A direction's final offsets one past their sections: the
+        // action → rows offsets of the out direction, the row → entries
+        // offsets of the inc direction.
+        for (section, past) in
+            [(&layout.out_act_rows, counts.out_rows), (&layout.inc_row_offsets, counts.entries)]
+        {
+            let mut bad = pristine.clone();
+            bad[section.end - 4..section.end].copy_from_slice(&(past as u32 + 1).to_le_bytes());
+            expect_err(&bad, "final offset past its section");
         }
 
         // Non-finite credit.
@@ -2283,6 +2380,12 @@ mod tests {
             "corruption not caught: SC key of a user who did not perform the action"
         );
 
+        // A seed out of range.
+        let mut bad = pristine.clone();
+        bad[layout.seeds.start..layout.seeds.start + 4]
+            .copy_from_slice(&(counts.num_users as u32).to_le_bytes());
+        expect_err(&bad, "seed out of range");
+
         // Duplicate seed.
         if counts.seeds_len >= 2 {
             let mut bad = pristine.clone();
@@ -2305,6 +2408,136 @@ mod tests {
         padded.resize((padded.len() + 7) & !7, 0);
         let buf = Arc::new(AlignedBuf::from_bytes(&padded));
         assert!(CompactSelector::from_arena(buf, 4, compact.counts(), compact.lambda()).is_err());
+    }
+
+    /// One action's rows of a CSR direction group, as `(row user, ids)`.
+    type GroupRows<'a> = &'a [(u32, &'a [u32])];
+
+    /// One CSR direction group of `num_users` users, validated as the out
+    /// and as the inc direction; the sums they leave are not checked here.
+    fn validate_group(num_users: usize, actions: &[GroupRows<'_>]) -> [Result<(), String>; 2] {
+        let (mut act_rows, mut row_user, mut row_offsets, mut ids) =
+            (vec![0u32], Vec::new(), vec![0u32], Vec::new());
+        for rows in actions {
+            for &(owner, span) in rows.iter() {
+                row_user.push(owner);
+                ids.extend_from_slice(span);
+                row_offsets.push(ids.len() as u32);
+            }
+            act_rows.push(row_user.len() as u32);
+        }
+        let c = CompactCounts {
+            num_users,
+            num_actions: actions.len(),
+            entries: ids.len(),
+            ..CompactCounts::default()
+        };
+        let rows = row_user.len();
+        let mut sums = vec![0; actions.len()];
+        [
+            validate_direction::<true>(
+                "out",
+                &c,
+                &act_rows,
+                &row_user,
+                &row_offsets,
+                &ids,
+                rows,
+                &mut sums,
+            ),
+            validate_direction::<false>(
+                "inc",
+                &c,
+                &act_rows,
+                &row_user,
+                &row_offsets,
+                &ids,
+                rows,
+                &mut sums,
+            ),
+        ]
+    }
+
+    #[test]
+    fn each_row_fault_is_reported_by_its_own_check() {
+        let ok: GroupRows<'_> = &[(0, &[1, 2]), (2, &[3])];
+        assert_eq!(validate_group(4, &[ok, &[(1, &[0, 3])]]), [Ok(()), Ok(())]);
+        // Each case breaks one rule in the second action, after a valid
+        // first one; the message names the rule.
+        let cases: [(GroupRows<'_>, &str); 9] = [
+            (&[(2, &[3]), (0, &[1])], "rows of action 1 not strictly sorted"),
+            (&[(0, &[1]), (0, &[2])], "rows of action 1 not strictly sorted"),
+            (&[(0, &[1]), (4, &[1])], "row user 4 out of range"),
+            (&[(0, &[1]), (1, &[])], "row 3 is empty"),
+            (&[(0, &[1, 4])], "row 2: invalid counterparty 4"),
+            (&[(1, &[0, 1])], "row 2: invalid counterparty 1"),
+            (&[(3, &[2, 1])], "row 2 entries not strictly sorted"),
+            (&[(3, &[1, 1])], "row 2 entries not strictly sorted"),
+            (&[(0, &[1, 2]), (3, &[0, 1, 2, 2])], "row 3 entries not strictly sorted"),
+        ];
+        for (rows, want) in cases {
+            for (name, got) in ["out", "inc"].into_iter().zip(validate_group(4, &[ok, rows])) {
+                assert_eq!(got, Err(format!("{name} {want}")), "{rows:?}");
+            }
+        }
+        // The offset arrays: first offset, final offset, monotone.
+        assert!(check_offsets("x", &[1, 2, 3], 2, 3).is_err());
+        assert!(check_offsets("x", &[0, 2, 2], 2, 3).is_err());
+        assert!(check_offsets("x", &[0, 2, 1, 3], 3, 3).is_err());
+        assert!(check_offsets("x", &[0, 0, 1, 3], 3, 3).is_ok());
+    }
+
+    #[test]
+    fn credit_fault_is_is_credit_on_edge_bit_patterns() {
+        let quiet = f64::from_bits(0x7FF8_0000_0000_0000);
+        let signalling = f64::from_bits(0x7FF0_0000_0000_0001);
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            quiet,
+            -quiet,
+            signalling,
+            -signalling,
+            f64::from_bits(u64::MAX),
+            1.0,
+        ];
+        for x in edges {
+            assert_eq!(credit_fault(x) >> 63 == 0, is_credit(x), "{:#018x}", x.to_bits());
+            assert_eq!(check_credits("credit", &[0.5, x, 0.25]).is_ok(), is_credit(x));
+        }
+    }
+
+    /// An arena of `num_users` users with no actions and `seeds`.
+    fn seeded_arena(num_users: usize, seeds: &[u32]) -> Result<CompactSelector, String> {
+        let data = arena(0.0, &vec![0; num_users + 1], &[], &vec![0.0; num_users], &[], &[], seeds)
+            .unwrap();
+        let buf = Arc::new(AlignedBuf::from_bytes(data.arena()));
+        CompactSelector::from_arena(buf, 0, data.counts, 0.0)
+    }
+
+    #[test]
+    fn a_million_seeds_validate_in_linear_time() {
+        const N: u32 = 1_000_000;
+        let mut seeds: Vec<u32> = (0..N).rev().collect();
+        let start = std::time::Instant::now();
+        assert!(seeded_arena(N as usize, &seeds).is_ok());
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "{N} seeds took {took:?}");
+
+        *seeds.last_mut().unwrap() = seeds[0];
+        assert_eq!(
+            seeded_arena(N as usize, &seeds).err(),
+            Some(format!("duplicate seed {}", seeds[0]))
+        );
+        assert_eq!(seeded_arena(4, &[1, 4]).err(), Some("seed 4 out of range".to_string()));
     }
 
     /// The commit loop the commit-free `gain_over` replaces.
@@ -2625,6 +2858,15 @@ mod proptests {
     }
 
     proptest! {
+        /// The branch-free credit check is [`is_credit`] on any bit
+        /// pattern. Half the cases force an all-ones exponent (±∞ and the
+        /// NaNs), which uniform bits would almost never reach.
+        #[test]
+        fn credit_fault_is_is_credit(bits in 0u64..u64::MAX, special in proptest::bool::ANY) {
+            let x = f64::from_bits(if special { bits | 0x7FF0_0000_0000_0000 } else { bits });
+            prop_assert_eq!(credit_fault(x) >> 63 == 0, is_credit(x));
+        }
+
         /// The splice contract: on a random instance (both policies,
         /// λ ∈ {0, 0.001}) with 0–3 committed seeds, extending the model
         /// of a random prefix by the rest, and retracting the same prefix
