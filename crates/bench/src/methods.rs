@@ -14,7 +14,7 @@ use cdim_core::{CdModel, CdModelConfig};
 use cdim_datagen::presets::DatasetSpec;
 use cdim_datagen::Dataset;
 use cdim_diffusion::{EdgeProbabilities, IcModel, LtModel, McConfig, MonteCarloEstimator};
-use cdim_learning::{assign, em::EmConfig, em::EmLearner, learn_lt_weights};
+use cdim_learning::{assign, em::EmConfig, em::EmLearner, lt_weights_of};
 use cdim_maxim::ldag::LdagConfig;
 use cdim_maxim::mia::MiaConfig;
 use cdim_maxim::{celf_select, LdagOracle, MiaOracle};
@@ -64,10 +64,13 @@ impl Workbench {
         let un = assign::uniform(graph, 0.01);
         let tv = assign::trivalency(graph, 0xBEEF);
         let wc = assign::weighted_cascade(graph);
-        let em = EmLearner::new(graph, &split.train).learn(EmConfig::default()).0;
+        // One DAG build of the training half, lent to every learner.
+        let dags = PropagationArena::build(&split.train, graph, split.train.actions());
+        let em = EmLearner::from_dags(&dags).learn(EmConfig::default()).0;
         let pt = assign::perturb(graph, &em, 0.2, 0xFACE);
-        let lt = learn_lt_weights(graph, &split.train);
-        let cd = CdModel::train(graph, &split.train, CdModelConfig::default());
+        let lt = lt_weights_of(&dags);
+        let cd =
+            CdModel::from_dags(dags, CdModelConfig::default()).expect("a generated split trains");
 
         Workbench { dataset, split, scale, un, tv, wc, em, pt, lt, cd }
     }

@@ -484,47 +484,164 @@ fn assemble(
     Ok(CompactData { buf: Arc::new(buf), base: 0, counts, layout, lambda })
 }
 
+/// Entries in a shard's first block (4 MB), so a small scan reserves
+/// little.
+pub(crate) const FIRST_BLOCK_ENTRIES: usize = 1 << 18;
+
+/// Entries in every later block (16 MB: 4 MB of targets, 8 MB of
+/// credits, 4 MB of sources).
+///
+/// Large blocks keep less freed scan memory resident. glibc fits a small
+/// block into whatever hole of its size the heap has left between
+/// allocations that outlive the scan; once the merge frees the blocks,
+/// those holes are too small for the next large request (the top-k
+/// credit copy), and the heap grows for it. On perfbench `train` (two
+/// shards of about 0.7 M entries) uniform blocks of 2^15–2^18 entries
+/// peaked at 90–92 MB, these sizes at 80–84 MB. A block's unwritten tail
+/// is never touched, and [`EntryBlocks::seal`] gives it back.
+pub(crate) const BLOCK_ENTRIES: usize = 1 << 20;
+
 /// The per-action sections of a run of actions, every offset array
 /// starting at 0: what one scan shard emits, and what [`arena`] lays
 /// end to end into an arena.
+///
+/// The row-sized sections are `Vec`s; the entry-sized ones live in
+/// [`EntryBlocks`], fixed-capacity blocks of whole actions that never
+/// grow by doubling and that the merge frees one by one as it copies
+/// them.
 #[derive(Debug)]
 pub(crate) struct ActionRows {
     pub(crate) out_act_rows: Vec<u32>,
     pub(crate) out_row_user: Vec<u32>,
     pub(crate) out_row_offsets: Vec<u32>,
-    pub(crate) out_targets: Vec<u32>,
-    pub(crate) out_credits: Vec<f64>,
     pub(crate) inc_act_rows: Vec<u32>,
     pub(crate) inc_row_user: Vec<u32>,
     pub(crate) inc_row_offsets: Vec<u32>,
-    pub(crate) inc_sources: Vec<u32>,
+    pub(crate) entries: EntryBlocks,
 }
 
 impl Default for ActionRows {
     fn default() -> Self {
-        ActionRows {
-            out_act_rows: vec![0],
-            out_row_user: Vec::new(),
-            out_row_offsets: vec![0],
-            out_targets: Vec::new(),
-            out_credits: Vec::new(),
-            inc_act_rows: vec![0],
-            inc_row_user: Vec::new(),
-            inc_row_offsets: vec![0],
-            inc_sources: Vec::new(),
+        ActionRows::with_blocks(FIRST_BLOCK_ENTRIES, BLOCK_ENTRIES)
+    }
+}
+
+/// The entry-sized sections (`out_targets`, `out_credits`,
+/// `inc_sources`) of an [`ActionRows`], as a list of blocks. Each block
+/// holds whole actions, so one action's entries are one contiguous slice
+/// of each section; an action larger than a block gets a block of exactly
+/// its size. A shard's first block is smaller than the rest, so a small
+/// scan reserves little and a large one gets large blocks.
+#[derive(Debug)]
+pub(crate) struct EntryBlocks {
+    blocks: Vec<Block>,
+    /// Entries in all blocks.
+    len: usize,
+    /// Capacity of the first block and of every later one, in entries.
+    first: usize,
+    block: usize,
+}
+
+#[derive(Debug)]
+struct Block {
+    out_targets: Vec<u32>,
+    out_credits: Vec<f64>,
+    inc_sources: Vec<u32>,
+}
+
+/// One action's entry slots, as handed out by [`EntryBlocks::push`].
+#[derive(Default)]
+pub(crate) struct EntrySlots<'a> {
+    pub(crate) out_targets: &'a mut [u32],
+    pub(crate) out_credits: &'a mut [f64],
+    pub(crate) inc_sources: &'a mut [u32],
+}
+
+impl EntryBlocks {
+    /// Entries pushed so far: the global offset of the next action's
+    /// first entry.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Zeroed slots for one action's `n` entries, in the last block if it
+    /// has room, otherwise in a new block of at least `n` entries.
+    pub(crate) fn push(&mut self, n: usize) -> EntrySlots<'_> {
+        let room = self.blocks.last().map_or(0, |b| b.out_targets.capacity() - b.out_targets.len());
+        if room < n {
+            self.seal();
+            let cap = n.max(if self.blocks.is_empty() { self.first } else { self.block });
+            self.blocks.push(Block {
+                out_targets: Vec::with_capacity(cap),
+                out_credits: Vec::with_capacity(cap),
+                inc_sources: Vec::with_capacity(cap),
+            });
+        }
+        let Some(b) = self.blocks.last_mut() else {
+            return EntrySlots::default();
+        };
+        let at = b.out_targets.len();
+        b.out_targets.resize(at + n, 0);
+        b.out_credits.resize(at + n, 0.0);
+        b.inc_sources.resize(at + n, 0);
+        self.len += n;
+        EntrySlots {
+            out_targets: &mut b.out_targets[at..],
+            out_credits: &mut b.out_credits[at..],
+            inc_sources: &mut b.inc_sources[at..],
+        }
+    }
+
+    /// Gives the unused room of the last block back to the allocator: a
+    /// shrink in place, no copy.
+    pub(crate) fn seal(&mut self) {
+        if let Some(b) = self.blocks.last_mut() {
+            b.out_targets.shrink_to_fit();
+            b.out_credits.shrink_to_fit();
+            b.inc_sources.shrink_to_fit();
+        }
+    }
+}
+
+impl Block {
+    fn view(&self) -> Entries<'_> {
+        Entries {
+            out_targets: &self.out_targets,
+            out_credits: &self.out_credits,
+            inc_sources: &self.inc_sources,
         }
     }
 }
 
 impl ActionRows {
+    /// No actions yet; the first block will hold `first` entries, every
+    /// later one `block`.
+    pub(crate) fn with_blocks(first: usize, block: usize) -> Self {
+        ActionRows {
+            out_act_rows: vec![0],
+            out_row_user: Vec::new(),
+            out_row_offsets: vec![0],
+            inc_act_rows: vec![0],
+            inc_row_user: Vec::new(),
+            inc_row_offsets: vec![0],
+            entries: EntryBlocks { blocks: Vec::new(), len: 0, first, block },
+        }
+    }
+
     /// Appends one action whose entries are sorted by `(v, u)`; `by_target`
     /// is scratch for the inc direction's `(u, v)` order.
     fn push_sorted(&mut self, entries: &[(u32, u32, f64)], by_target: &mut Vec<(u32, u32)>) {
+        let base = self.entries.len();
+        let slots = self.entries.push(entries.len());
+        for (k, &(_, u, c)) in entries.iter().enumerate() {
+            slots.out_targets[k] = u;
+            slots.out_credits[k] = c;
+        }
+        let mut end = base;
         for row in entries.chunk_by(|x, y| x.0 == y.0) {
+            end += row.len();
             self.out_row_user.push(row[0].0);
-            self.out_targets.extend(row.iter().map(|e| e.1));
-            self.out_credits.extend(row.iter().map(|e| e.2));
-            self.out_row_offsets.push(self.out_targets.len() as u32);
+            self.out_row_offsets.push(end as u32);
         }
         self.out_act_rows.push(self.out_row_user.len() as u32);
         // Credits are not duplicated in the inc direction; queries find
@@ -532,10 +649,14 @@ impl ActionRows {
         by_target.clear();
         by_target.extend(entries.iter().map(|&(v, u, _)| (u, v)));
         by_target.sort_unstable();
+        for (slot, &(_, v)) in slots.inc_sources.iter_mut().zip(by_target.iter()) {
+            *slot = v;
+        }
+        let mut end = base;
         for row in by_target.chunk_by(|x, y| x.0 == y.0) {
+            end += row.len();
             self.inc_row_user.push(row[0].0);
-            self.inc_sources.extend(row.iter().map(|e| e.1));
-            self.inc_row_offsets.push(self.inc_sources.len() as u32);
+            self.inc_row_offsets.push(end as u32);
         }
         self.inc_act_rows.push(self.inc_row_user.len() as u32);
     }
@@ -545,28 +666,34 @@ impl ActionRows {
             out_act_rows: &self.out_act_rows,
             out_row_user: &self.out_row_user,
             out_row_offsets: &self.out_row_offsets,
-            out_targets: &self.out_targets,
-            out_credits: &self.out_credits,
             inc_act_rows: &self.inc_act_rows,
             inc_row_user: &self.inc_row_user,
             inc_row_offsets: &self.inc_row_offsets,
-            inc_sources: &self.inc_sources,
+            entries: self.entries.len(),
         }
     }
 }
 
-/// A borrowed run of per-action sections: an [`ActionRows`], or the
-/// actions of an arena from some action on. Offsets need not start at 0.
+/// The row-sized sections of a borrowed run of actions — an
+/// [`ActionRows`], or the actions of an arena from some action on — and
+/// its entry count. Offsets need not start at 0.
 #[derive(Clone, Copy)]
 struct Rows<'a> {
     out_act_rows: &'a [u32],
     out_row_user: &'a [u32],
     out_row_offsets: &'a [u32],
-    out_targets: &'a [u32],
-    out_credits: &'a [f64],
     inc_act_rows: &'a [u32],
     inc_row_user: &'a [u32],
     inc_row_offsets: &'a [u32],
+    entries: usize,
+}
+
+/// The entry-sized sections of whole actions, contiguous: one block of
+/// an [`ActionRows`], or an arena's entries from some action on.
+#[derive(Clone, Copy)]
+struct Entries<'a> {
+    out_targets: &'a [u32],
+    out_credits: &'a [f64],
     inc_sources: &'a [u32],
 }
 
@@ -578,44 +705,61 @@ impl Rows<'_> {
 
 impl CompactData {
     /// The per-action sections of actions `from..`.
-    fn rows_from(&self, from: usize) -> Rows<'_> {
+    fn rows_from(&self, from: usize) -> (Rows<'_>, Entries<'_>) {
         let (out_row, inc_row) =
             (self.out_act_rows()[from] as usize, self.inc_act_rows()[from] as usize);
         let out_entry = self.out_row_offsets()[out_row] as usize;
         let inc_entry = self.inc_row_offsets()[inc_row] as usize;
-        Rows {
+        let rows = Rows {
             out_act_rows: &self.out_act_rows()[from..],
             out_row_user: &self.out_row_user()[out_row..],
             out_row_offsets: &self.out_row_offsets()[out_row..],
-            out_targets: &self.out_targets()[out_entry..],
-            out_credits: &self.out_credits()[out_entry..],
             inc_act_rows: &self.inc_act_rows()[from..],
             inc_row_user: &self.inc_row_user()[inc_row..],
             inc_row_offsets: &self.inc_row_offsets()[inc_row..],
+            entries: self.counts.entries - out_entry,
+        };
+        let entries = Entries {
+            out_targets: &self.out_targets()[out_entry..],
+            out_credits: &self.out_credits()[out_entry..],
             inc_sources: &self.inc_sources()[inc_entry..],
-        }
+        };
+        (rows, entries)
     }
 }
 
-/// Writes `runs` one after another into the per-action sections of `s`,
-/// each run's offsets rebased onto the rows and entries before it.
-fn write_rows(s: &mut Sections<'_>, runs: &[Rows<'_>]) {
-    let (mut action, mut out_row, mut inc_row, mut out_entry, mut inc_entry) = (0, 0, 0, 0, 0);
-    for r in runs {
-        put_offsets(s.out_act_rows, action, r.out_act_rows, out_row);
-        put(s.out_row_user, out_row, r.out_row_user);
-        put_offsets(s.out_row_offsets, out_row, r.out_row_offsets, out_entry);
-        put(s.out_targets, out_entry, r.out_targets);
-        put(s.out_credits, out_entry, r.out_credits);
-        put_offsets(s.inc_act_rows, action, r.inc_act_rows, inc_row);
-        put(s.inc_row_user, inc_row, r.inc_row_user);
-        put_offsets(s.inc_row_offsets, inc_row, r.inc_row_offsets, inc_entry);
-        put(s.inc_sources, inc_entry, r.inc_sources);
-        action += r.actions();
-        out_row += r.out_row_user.len();
-        inc_row += r.inc_row_user.len();
-        out_entry += r.out_targets.len();
-        inc_entry += r.inc_sources.len();
+/// Where the next run goes in the per-action sections of an arena being
+/// written: runs are laid end to end, each run's rows first
+/// ([`Self::put_rows`]), then its entries ([`Self::put_entries`]).
+#[derive(Default)]
+struct Cursor {
+    action: usize,
+    out_row: usize,
+    inc_row: usize,
+    entry: usize,
+}
+
+impl Cursor {
+    /// Writes `r`'s row-sized sections, offsets rebased onto the rows and
+    /// entries before it.
+    fn put_rows(&mut self, s: &mut Sections<'_>, r: &Rows<'_>) {
+        put_offsets(s.out_act_rows, self.action, r.out_act_rows, self.out_row);
+        put(s.out_row_user, self.out_row, r.out_row_user);
+        put_offsets(s.out_row_offsets, self.out_row, r.out_row_offsets, self.entry);
+        put_offsets(s.inc_act_rows, self.action, r.inc_act_rows, self.inc_row);
+        put(s.inc_row_user, self.inc_row, r.inc_row_user);
+        put_offsets(s.inc_row_offsets, self.inc_row, r.inc_row_offsets, self.entry);
+        self.action += r.actions();
+        self.out_row += r.out_row_user.len();
+        self.inc_row += r.inc_row_user.len();
+    }
+
+    /// Writes the next entries of the run whose rows were put last.
+    fn put_entries(&mut self, s: &mut Sections<'_>, e: Entries<'_>) {
+        put(s.out_targets, self.entry, e.out_targets);
+        put(s.out_credits, self.entry, e.out_credits);
+        put(s.inc_sources, self.entry, e.inc_sources);
+        self.entry += e.out_targets.len();
     }
 }
 
@@ -636,22 +780,27 @@ fn put_offsets(out: &mut [u32], at: usize, run: &[u32], base: usize) {
 /// Lays an arena out of its parts: the user → actions index as CSR
 /// (`ua_offsets` from 0, `ua_data`), `1/A_u`, the action runs in order,
 /// SC entries `(a, u, Γ_{S,u}(a))` sorted by `(a, u)`, and the seeds.
+///
+/// The runs are consumed: each block of entries is freed as soon as it
+/// has been copied, and each run's rows once its last block has, so the
+/// arena and the runs are all live only when the copy starts.
 fn arena(
     lambda: f64,
     ua_offsets: &[u32],
     ua_data: &[u32],
     inv_au: &[f64],
-    runs: &[Rows<'_>],
+    runs: Vec<ActionRows>,
     sc: &[(u32, u32, f64)],
     seeds: &[u32],
 ) -> Result<CompactData, Overflow> {
+    let views = || runs.iter().map(ActionRows::view);
     let counts = CompactCounts {
         num_users: inv_au.len(),
-        num_actions: runs.iter().map(Rows::actions).sum(),
+        num_actions: views().map(|r| r.actions()).sum(),
         ua_len: ua_data.len(),
-        out_rows: runs.iter().map(|r| r.out_row_user.len()).sum(),
-        inc_rows: runs.iter().map(|r| r.inc_row_user.len()).sum(),
-        entries: runs.iter().map(|r| r.out_targets.len()).sum(),
+        out_rows: views().map(|r| r.out_row_user.len()).sum(),
+        inc_rows: views().map(|r| r.inc_row_user.len()).sum(),
+        entries: views().map(|r| r.entries).sum(),
         sc_len: sc.len(),
         seeds_len: seeds.len(),
     };
@@ -659,7 +808,13 @@ fn arena(
         s.ua_offsets.copy_from_slice(ua_offsets);
         s.ua_data.copy_from_slice(ua_data);
         s.inv_au.copy_from_slice(inv_au);
-        write_rows(s, runs);
+        let mut at = Cursor::default();
+        for run in runs {
+            at.put_rows(s, &run.view());
+            for block in run.entries.blocks {
+                at.put_entries(s, block.view());
+            }
+        }
         for (i, &(a, u, c)) in sc.iter().enumerate() {
             s.sc_keys[i] = pair_key(a, u);
             s.sc_vals[i] = c;
@@ -668,16 +823,16 @@ fn arena(
     })
 }
 
-/// A seedless arena (the trained model's) from the scan's parts.
+/// A seedless arena (the trained model's) from the scan's parts; each
+/// shard block is freed as soon as the arena holds a copy of it.
 pub(crate) fn store_arena(
     lambda: f64,
     ua_offsets: &[u32],
     ua_data: &[u32],
     inv_au: &[f64],
-    shards: &[ActionRows],
+    shards: Vec<ActionRows>,
 ) -> Result<CompactData, Overflow> {
-    let runs: Vec<Rows<'_>> = shards.iter().map(ActionRows::view).collect();
-    arena(lambda, ua_offsets, ua_data, inv_au, &runs, &[], &[])
+    arena(lambda, ua_offsets, ua_data, inv_au, shards, &[], &[])
 }
 
 /// Builds the arena of a canonical store dump plus SC entries (sorted by
@@ -698,7 +853,7 @@ pub(crate) fn build(
     for entries in &store.credits {
         rows.push_sorted(entries, &mut by_target);
     }
-    arena(store.lambda, &ua_offsets, &ua_data, &store.inv_au, &[rows.view()], sc, seeds)
+    arena(store.lambda, &ua_offsets, &ua_data, &store.inv_au, vec![rows], sc, seeds)
 }
 
 // ------------------------------------------------------------------ splice
@@ -720,9 +875,9 @@ fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> Result<CompactD
         num_users: h.num_users,
         num_actions: base as usize + t.num_actions,
         ua_len: h.ua_len - expired + t.ua_len,
-        out_rows: runs.iter().map(|r| r.out_row_user.len()).sum(),
-        inc_rows: runs.iter().map(|r| r.inc_row_user.len()).sum(),
-        entries: runs.iter().map(|r| r.out_targets.len()).sum(),
+        out_rows: runs.iter().map(|(r, _)| r.out_row_user.len()).sum(),
+        inc_rows: runs.iter().map(|(r, _)| r.inc_row_user.len()).sum(),
+        entries: runs.iter().map(|(r, _)| r.entries).sum(),
         sc_len: h.sc_len - sc + t.sc_len,
         seeds_len: h.seeds_len,
     };
@@ -742,7 +897,11 @@ fn splice(head: &CompactData, cut: usize, tail: &CompactData) -> Result<CompactD
             s.inv_au[u as usize] =
                 if gone == 0 && new.is_empty() { head.inv_au_of(u) } else { one_over_au(n as u32) };
         }
-        write_rows(s, &runs);
+        let mut at = Cursor::default();
+        for (rows, entries) in &runs {
+            at.put_rows(s, rows);
+            at.put_entries(s, *entries);
+        }
         let kept = head.sc_keys()[sc..].iter().map(|&key| key - (u64::from(cut32) << 32));
         let new = tail.sc_keys().iter().map(|&key| key + (u64::from(base) << 32));
         for (slot, key) in s.sc_keys.iter_mut().zip(kept.chain(new)) {
@@ -1416,9 +1575,8 @@ impl OverlaySelector {
         }
         sc.sort_unstable_by_key(|&(a, u, _)| pair_key(a, u));
         let (ua_offsets, ua_data, inv_au) = (data.ua_offsets(), data.ua_data(), data.inv_au());
-        let runs = [rows.view()];
         // Every count is at most the session's arena's, which fits.
-        let frozen = arena(data.lambda, ua_offsets, ua_data, inv_au, &runs, &sc, &self.seeds)
+        let frozen = arena(data.lambda, ua_offsets, ua_data, inv_au, vec![rows], &sc, &self.seeds)
             .expect("a session's state fits its arena's offsets");
         CompactSelector { data: Arc::new(frozen) }
     }
@@ -2386,17 +2544,24 @@ mod tests {
             .copy_from_slice(&(counts.num_users as u32).to_le_bytes());
         expect_err(&bad, "seed out of range");
 
-        // Duplicate seed.
-        if counts.seeds_len >= 2 {
-            let mut bad = pristine.clone();
-            let first = bad[layout.seeds.start..layout.seeds.start + 4].to_vec();
-            bad[layout.seeds.start + 4..layout.seeds.start + 8].copy_from_slice(&first);
-            expect_err(&bad, "duplicate seed");
-        }
-
         // The pristine arena still loads (guards against over-strictness).
         let buf = Arc::new(AlignedBuf::from_bytes(&pristine));
         CompactSelector::from_arena(buf, 0, counts, lambda).unwrap();
+    }
+
+    #[test]
+    fn from_arena_rejects_a_duplicate_seed() {
+        let compact = reference::arena_of(&trained_dump(66, 3));
+        let (counts, seeds) = (compact.counts(), compact.counts().layout().seeds);
+        assert!(counts.seeds_len >= 2, "the case needs two seeds");
+        let load = |bytes: &[u8]| {
+            let buf = Arc::new(AlignedBuf::from_bytes(bytes));
+            CompactSelector::from_arena(buf, 0, counts, compact.lambda())
+        };
+        let mut bad = compact.arena().to_vec();
+        load(&bad).unwrap();
+        bad.copy_within(seeds.start..seeds.start + 4, seeds.start + 4);
+        assert!(load(&bad).is_err(), "corruption not caught: duplicate seed");
     }
 
     #[test]
@@ -2517,8 +2682,9 @@ mod tests {
 
     /// An arena of `num_users` users with no actions and `seeds`.
     fn seeded_arena(num_users: usize, seeds: &[u32]) -> Result<CompactSelector, String> {
-        let data = arena(0.0, &vec![0; num_users + 1], &[], &vec![0.0; num_users], &[], &[], seeds)
-            .unwrap();
+        let data =
+            arena(0.0, &vec![0; num_users + 1], &[], &vec![0.0; num_users], vec![], &[], seeds)
+                .unwrap();
         let buf = Arc::new(AlignedBuf::from_bytes(data.arena()));
         CompactSelector::from_arena(buf, 0, data.counts, 0.0)
     }

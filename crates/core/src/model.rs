@@ -102,7 +102,15 @@ impl CdModel {
         config: CdModelConfig,
     ) -> Result<Self, ScanError> {
         check_inputs(graph, train_log, config.lambda)?;
-        let dags = PropagationArena::build(train_log, graph, train_log.actions());
+        Self::from_dags(PropagationArena::build(train_log, graph, train_log.actions()), config)
+    }
+
+    /// [`Self::try_train`] on `dags`, the propagation DAGs of the whole
+    /// training log, which the caller may first lend to other learners.
+    /// Only `config.lambda` can still be rejected here: a log that does
+    /// not share its graph's user universe cannot be built into DAGs.
+    pub fn from_dags(dags: PropagationArena<'_>, config: CdModelConfig) -> Result<Self, ScanError> {
+        check_inputs(dags.graph(), dags.log(), config.lambda)?;
         let policy = config.build_policy(&dags);
         let evaluator = CdSpreadEvaluator::build(&dags, &policy);
         let store = scan_dags(dags, &policy, config.lambda, config.parallelism)?;

@@ -49,11 +49,17 @@
 //! 1. **kernel** — `scan_action` appends one action's rows to a buffer,
 //!    a pure function of `(G(a), policy, λ)`;
 //! 2. **parallel driver** — [`scan_dags`] shards the action range over
-//!    [`cdim_util::pool`] workers ([`Parallelism`] controls how many),
-//!    each shard filling its own row buffers;
+//!    [`cdim_util::pool`] workers ([`Parallelism`] controls how many;
+//!    shard 0 runs on the calling thread), each shard filling its own
+//!    row buffers: the row-sized sections as `Vec`s, the entry-sized ones
+//!    (targets, credits, sources) in fixed-capacity blocks of whole
+//!    actions, so an action's entries are one slice and no buffer grows
+//!    by doubling;
 //! 3. **merge** — the shards' rows are written in action order straight
-//!    into the sections of one arena, offsets rebased, returned as the
-//!    seedless [`CompactSelector`].
+//!    into the sections of one arena, offsets rebased, and each block is
+//!    freed as soon as it has been copied; the arena is returned as the
+//!    seedless [`CompactSelector`]. The heap peak is the arena plus the
+//!    shards' rows, at the moment the copy starts.
 //!
 //! There is no freeze stage: the scan's result *is* the model a server
 //! answers with and a snapshot file holds. Every shard runs the same
@@ -61,7 +67,9 @@
 //! its canonical dump ([`crate::reference::dump_of`]) — is
 //! **bit-identical for every thread count**.
 
-use crate::compact::{self, one_over_au, ActionRows, CompactSelector, Overflow};
+use crate::compact::{
+    self, one_over_au, ActionRows, CompactSelector, Overflow, BLOCK_ENTRIES, FIRST_BLOCK_ENTRIES,
+};
 use crate::policy::CreditPolicy;
 use crate::telemetry::ScanTelemetry;
 use cdim_actionlog::{ActionId, ActionLog, PropagationArena, PropagationDag};
@@ -257,22 +265,21 @@ fn emit(dag: &PropagationDag<'_>, s: &mut Scratch, rows: &mut ActionRows) {
         for r in 0..n {
             out[r + 1] += out[r];
         }
-        let base = rows.out_targets.len();
+        let base = rows.entries.len();
         for r in 0..n {
             if out[r + 1] > out[r] {
                 rows.out_row_user.push(user(by_user[r]));
                 rows.out_row_offsets.push((base + out[r + 1]) as u32);
             }
         }
-        rows.out_targets.resize(base + entries, 0);
-        rows.out_credits.resize(base + entries, 0.0);
+        let slots = rows.entries.push(entries);
         target_rank.resize(entries, 0);
         // `out[r]` walks source `r`'s run; afterwards it is the run's end.
         for (t_rank, &t) in by_user.iter().enumerate() {
             for k in col[t as usize]..col[t as usize + 1] {
                 let slot = &mut out[rank[src[k] as usize] as usize];
-                rows.out_targets[base + *slot] = user(t);
-                rows.out_credits[base + *slot] = val[k];
+                slots.out_targets[*slot] = user(t);
+                slots.out_credits[*slot] = val[k];
                 target_rank[*slot] = t_rank as u32;
                 *slot += 1;
             }
@@ -280,7 +287,6 @@ fn emit(dag: &PropagationDag<'_>, s: &mut Scratch, rows: &mut ActionRows) {
 
         // Inc rows, one per target in user order; walking the out rows in
         // source order fills every row's sources ascending.
-        let base = rows.inc_sources.len();
         inc.clear();
         let mut at = 0usize;
         for &t in by_user.iter() {
@@ -292,12 +298,11 @@ fn emit(dag: &PropagationDag<'_>, s: &mut Scratch, rows: &mut ActionRows) {
                 rows.inc_row_offsets.push((base + at) as u32);
             }
         }
-        rows.inc_sources.resize(base + entries, 0);
         let mut start = 0usize;
         for (r, &end) in out[..n].iter().enumerate() {
             for &t_rank in &target_rank[start..end] {
                 let slot = &mut inc[t_rank as usize];
-                rows.inc_sources[base + *slot] = user(by_user[r]);
+                slots.inc_sources[*slot] = user(by_user[r]);
                 *slot += 1;
             }
             start = end;
@@ -362,10 +367,10 @@ pub fn check_inputs(graph: &DirectedGraph, log: &ActionLog, lambda: f64) -> Resu
 /// chunk per worker (deterministically — see
 /// [`cdim_util::pool::split_ranges`]), each worker runs the kernel over
 /// its chunk into its own row buffers, and the merge writes the buffers
-/// in action order into the model's arena. Since actions share no credit
-/// state, the arena is **bit-identical to the sequential scan for every
-/// `parallelism`** — callers choose a thread count for speed, never for
-/// semantics. `dags` is dropped before the merge, so the DAGs and the
+/// in action order into the model's arena, freeing each entry block once
+/// copied. Since actions share no credit state, the arena is
+/// **bit-identical to the sequential scan for every `parallelism`** —
+/// callers choose a thread count for speed, never for semantics. `dags` is dropped before the merge, so the DAGs and the
 /// model's arena are never held at once.
 ///
 /// # Panics
@@ -375,6 +380,18 @@ pub fn scan_dags(
     policy: &CreditPolicy,
     lambda: f64,
     parallelism: Parallelism,
+) -> Result<CompactSelector, ScanError> {
+    scan_in_blocks(dags, policy, lambda, parallelism, (FIRST_BLOCK_ENTRIES, BLOCK_ENTRIES))
+}
+
+/// [`scan_dags`] with shard entry blocks of the given `(first, later)`
+/// sizes; the arena does not depend on them.
+fn scan_in_blocks(
+    dags: PropagationArena<'_>,
+    policy: &CreditPolicy,
+    lambda: f64,
+    parallelism: Parallelism,
+    (first, block): (usize, usize),
 ) -> Result<CompactSelector, ScanError> {
     let log = dags.log();
     assert_eq!(dags.actions(), log.actions(), "the scan reads every action of the log");
@@ -387,10 +404,11 @@ pub fn scan_dags(
     let shards = parallel_map_shards(parallelism, log.num_actions(), |_, range| {
         let shard_timer = Timer::start();
         let mut scratch = Scratch::default();
-        let mut rows = ActionRows::default();
+        let mut rows = ActionRows::with_blocks(first, block);
         for a in range {
             scan_action(&dags.dag(a as ActionId), policy, lambda, &mut scratch, &mut rows);
         }
+        rows.entries.seal();
         (rows, shard_timer.secs())
     });
     let wall_secs = wall.secs();
@@ -419,7 +437,7 @@ pub fn scan_dags(
         }
     }
 
-    let data = compact::store_arena(lambda, &ua_offsets, &ua_data, &inv_au, &shards)?;
+    let data = compact::store_arena(lambda, &ua_offsets, &ua_data, &inv_au, shards)?;
     Ok(CompactSelector { data: Arc::new(data) })
 }
 
@@ -728,6 +746,58 @@ mod proptests {
                         dump == oracle,
                         "threads {threads}, lambda {lambda}: dump diverged from the oracle"
                     );
+                }
+            }
+        }
+
+        /// Shard blocks change where the scan keeps its rows, never the
+        /// arena: with blocks of 1, 4 and 10 entries the arena equals the
+        /// default-block arena byte for byte, and its dump the oracle's,
+        /// at every tested thread count. Action 0 is a five-user clique
+        /// acting in turn, 10 entries at λ = 0 and always in shard 0, so
+        /// blocks of 4 give it one block larger than a block and blocks of
+        /// 10 end exactly at its boundary; the random actions after it
+        /// straddle blocks wherever they fall.
+        #[test]
+        fn block_boundaries_leave_the_arena_unchanged(
+            edges in proptest::collection::vec((0u32..10, 0u32..10), 0..70),
+            events in proptest::collection::vec((0u32..10, 1u32..7, 0u64..12), 0..80),
+            time_aware in proptest::bool::ANY,
+        ) {
+            let clique = (0..5u32).flat_map(|v| (v + 1..5).map(move |u| (v, u)));
+            let graph = GraphBuilder::new(10).edges(edges.into_iter().chain(clique)).build();
+            let mut b = ActionLogBuilder::new(10);
+            for u in 0..5u32 {
+                b.push(u, 0, f64::from(u));
+            }
+            for &(u, a, t) in &events {
+                b.push(u, a, t as f64);
+            }
+            let log = b.build();
+            let policy = if time_aware {
+                CreditPolicy::time_aware(&graph, &log)
+            } else {
+                CreditPolicy::Uniform
+            };
+            for lambda in [0.0, 0.001, 0.3] {
+                let oracle = reference::scan_dump(&graph, &log, &policy, lambda);
+                let default = scan_with(&graph, &log, &policy, lambda, Parallelism::single()).unwrap();
+                prop_assert!(reference::dump_of(&default).store == oracle);
+                if lambda == 0.0 {
+                    prop_assert_eq!(default.action(0).len(), 10);
+                }
+                for block in [1usize, 4, 10] {
+                    for threads in [1usize, 2, 3, 8] {
+                        let dags = PropagationArena::build(&log, &graph, log.actions());
+                        let par = Parallelism::fixed(threads);
+                        let model =
+                            scan_in_blocks(dags, &policy, lambda, par, (block, block)).unwrap();
+                        prop_assert!(
+                            model.arena() == default.arena(),
+                            "block {block}, threads {threads}, lambda {lambda}: arena differs"
+                        );
+                        prop_assert!(reference::dump_of(&model).store == oracle);
+                    }
                 }
             }
         }

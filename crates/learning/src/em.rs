@@ -57,15 +57,21 @@ pub struct EmLearner<'a> {
 
 impl<'a> EmLearner<'a> {
     /// Scans the training log once and precomputes all trial statistics.
-    pub fn new(graph: &'a DirectedGraph, train: &ActionLog) -> Self {
+    pub fn new(graph: &'a DirectedGraph, train: &'a ActionLog) -> Self {
+        Self::from_dags(&PropagationArena::build(train, graph, train.actions()))
+    }
+
+    /// [`Self::new`] over `dags`, the propagation DAGs of the whole
+    /// training log, which the caller may lend to other learners too.
+    pub fn from_dags(dags: &PropagationArena<'a>) -> Self {
+        let graph = dags.graph();
         let m = graph.num_edges();
         let mut trials = vec![0u32; m];
         let mut group_offsets = vec![0usize];
         let mut parent_edges: Vec<u32> = Vec::new();
         let mut performed: FxHashMap<u32, f64> = FxHashMap::default();
 
-        let arena = PropagationArena::build(train, graph, train.actions());
-        for dag in arena.dags() {
+        for dag in dags.dags() {
             performed.clear();
             for (i, (&u, &t)) in dag.users().iter().zip(dag.times()).enumerate() {
                 if dag.in_degree(i) > 0 {

@@ -26,5 +26,5 @@ pub mod temporal;
 
 pub use assign::{perturb, trivalency, uniform, weighted_cascade};
 pub use em::{EmConfig, EmLearner};
-pub use ltweights::learn_lt_weights;
+pub use ltweights::{learn_lt_weights, lt_weights_of};
 pub use temporal::TemporalModel;

@@ -13,11 +13,17 @@ use cdim_graph::DirectedGraph;
 /// Nodes with no observed incoming propagation keep all-zero in-weights
 /// (they are simply never influenced under the learned model).
 pub fn learn_lt_weights(graph: &DirectedGraph, train: &ActionLog) -> EdgeProbabilities {
+    lt_weights_of(&PropagationArena::build(train, graph, train.actions()))
+}
+
+/// [`learn_lt_weights`] over `dags`, the propagation DAGs of the whole
+/// training log, which the caller may lend to other learners too.
+pub fn lt_weights_of(dags: &PropagationArena<'_>) -> EdgeProbabilities {
+    let graph = dags.graph();
     let m = graph.num_edges();
     // In-aligned counts of propagated actions per edge.
     let mut counts = vec![0u32; m];
-    let arena = PropagationArena::build(train, graph, train.actions());
-    for dag in arena.dags() {
+    for dag in dags.dags() {
         for i in 0..dag.len() {
             for &e in dag.positions_of(i) {
                 counts[e as usize] += 1;

@@ -8,9 +8,14 @@
 //! ## Design
 //!
 //! * **Std-only.** Workers are `std::thread::scope` threads; there is no
-//!   global pool, no channels, no work stealing. A parallel call spawns at
-//!   most [`Parallelism::effective`] threads, each owning a contiguous,
-//!   pre-computed slice of the work, and joins them before returning.
+//!   global pool, no channels, no work stealing. A parallel call splits
+//!   the work into at most [`Parallelism::effective`] contiguous,
+//!   pre-computed shards, runs shard 0 on the calling thread, spawns one
+//!   thread for each of the others (at most `effective − 1`), and joins
+//!   them before returning. Running one shard on the caller saves a spawn
+//!   and keeps that shard's heap in the caller's malloc arena, where the
+//!   caller's later allocations can reuse it once the shard's output is
+//!   freed; memory a worker frees stays in that worker's arena.
 //! * **Deterministic splitting.** [`split_ranges`] divides `n` items over
 //!   `w` workers into contiguous ranges whose sizes differ by at most one,
 //!   a pure function of `(n, w)`. Shard `s` always receives the same range
@@ -151,9 +156,10 @@ pub fn split_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
 ///
 /// The shard layout comes from [`split_ranges`] with
 /// [`Parallelism::workers_for`] shards, so it is a pure function of
-/// `(len, parallelism)`. With one shard (or one worker) `f` runs inline on
-/// the calling thread — no spawn, no allocation beyond the result vector —
-/// which is why callers need no sequential special case.
+/// `(len, parallelism)`. Shard 0 runs on the calling thread and every
+/// other shard on a thread of its own, so with one shard (or one worker)
+/// nothing is spawned — which is why callers need no sequential special
+/// case.
 ///
 /// This is the right primitive when each worker wants per-shard state (a
 /// scratch buffer, an RNG stream): allocate it once inside `f` and loop
@@ -163,21 +169,20 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let ranges = split_ranges(len, parallelism.workers_for(len));
-    if ranges.len() <= 1 {
-        return ranges.into_iter().enumerate().map(|(s, r)| f(s, r)).collect();
-    }
+    let mut ranges = split_ranges(len, parallelism.workers_for(len)).into_iter().enumerate();
+    let Some((_, first)) = ranges.next() else {
+        return Vec::new();
+    };
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    std::thread::scope(|scope| {
+    let head = std::thread::scope(|scope| {
         let f = &f;
-        let mut rest = slots.as_mut_slice();
-        for (shard, range) in ranges.into_iter().enumerate() {
-            let (slot, tail) = rest.split_first_mut().expect("one slot per shard");
-            rest = tail;
+        for ((shard, range), slot) in ranges.zip(&mut slots) {
             scope.spawn(move || *slot = Some(f(shard, range)));
         }
+        f(0, first)
     });
-    slots.into_iter().map(|s| s.expect("joined worker filled its slot")).collect()
+    let tail = slots.into_iter().map(|s| s.expect("joined worker filled its slot"));
+    std::iter::once(head).chain(tail).collect()
 }
 
 /// Applies `f` to every index in `0..len` on up to
@@ -270,6 +275,25 @@ mod tests {
     fn shard_indices_are_stable_and_ordered() {
         let shards = parallel_map_shards(Parallelism::fixed(3), 10, |s, r| (s, r));
         assert_eq!(shards, vec![(0, 0..4), (1, 4..7), (2, 7..10)]);
+    }
+
+    #[test]
+    fn shard_zero_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for threads in 1usize..=8 {
+            let shards = parallel_map_shards(Parallelism::fixed(threads), 20, |s, r| {
+                (s, r, std::thread::current().id())
+            });
+            assert_eq!(shards.len(), threads);
+            let ranges: Vec<_> = shards.iter().map(|(s, r, _)| (*s, r.clone())).collect();
+            assert_eq!(
+                ranges,
+                split_ranges(20, threads).into_iter().enumerate().collect::<Vec<_>>()
+            );
+            for (s, _, id) in &shards {
+                assert_eq!(*id == caller, *s == 0, "threads {threads}, shard {s}");
+            }
+        }
     }
 
     #[test]
