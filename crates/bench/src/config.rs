@@ -4,8 +4,9 @@ use cdim_util::Parallelism;
 
 /// How hard to push each experiment.
 ///
-/// `full` matches the DESIGN.md preset sizes; `quick` shrinks everything
-/// for smoke runs (used by `cargo test` integration tests and CI).
+/// `full` runs the `cdim-datagen` presets at their own sizes; `quick`
+/// shrinks everything for smoke runs (used by `cargo test` integration
+/// tests and CI).
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentScale {
     /// Divide preset node/action counts by this factor.

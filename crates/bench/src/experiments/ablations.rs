@@ -1,4 +1,5 @@
-//! Ablations of design choices DESIGN.md calls out.
+//! Ablations of three design choices: the direct-credit policy, CELF's
+//! lazy evaluation, and the marginal-gain formula.
 
 use crate::config::ExperimentScale;
 use crate::methods::Workbench;
@@ -108,7 +109,7 @@ pub fn celf_vs_greedy(scale: ExperimentScale) {
 pub fn mg_formula(scale: ExperimentScale) {
     super::banner(
         "Ablation — marginal gain: Theorem 3 vs Algorithm-4 pseudocode",
-        "DESIGN.md §2.1 (pseudocode omits the self term for non-influencing actions)",
+        "Theorem 3 vs Algorithm 4 (pseudocode omits the self term for non-influencing actions)",
         scale,
     );
     let wb = Workbench::prepare(presets::flixster_small(), scale);

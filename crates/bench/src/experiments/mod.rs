@@ -1,4 +1,5 @@
-//! One module per paper artifact. See DESIGN.md §4 for the index.
+//! One module per paper artifact. The README's "Running the paper
+//! experiments" lists their ids.
 
 pub mod ablations;
 pub mod fig2;

@@ -10,7 +10,7 @@ use cdim_metrics::Table;
 pub fn run(scale: ExperimentScale) {
     super::banner(
         "Table 1 — statistics of datasets",
-        "Table 1 (paper: Flixster/Flickr Large 1M–1.32M nodes, Small 13K–14.8K; scaled per DESIGN.md §3)",
+        "Table 1 (paper: Flixster/Flickr Large 1M–1.32M nodes, Small 13K–14.8K; synthetic stand-ins)",
         scale,
     );
     let mut table = Table::new([

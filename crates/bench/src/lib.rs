@@ -2,8 +2,8 @@
 //! Experiment harness reproducing every table and figure of the paper.
 //!
 //! Each experiment is a function that prints the same rows/series the
-//! paper reports (see DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured records). The binary
+//! paper reports (the README's "Running the paper experiments" lists
+//! them). The binary
 //! `experiments` dispatches on the experiment id:
 //!
 //! ```text

@@ -10,15 +10,21 @@
 //! where the inner sum includes the `u = x` self term `1/A_x`. The paper's
 //! Algorithm 4 adds `1/A_x` only for actions in which `x` holds outgoing
 //! credit; we follow Theorem 3 and iterate *all* actions `x` performed
-//! (see DESIGN.md §2.1 — the pseudocode variant is [`MgMode::Pseudocode`],
-//! kept for the ablation).
+//! (the pseudocode variant is [`MgMode::Pseudocode`], kept for the
+//! `ablate-mg` ablation).
 //!
 //! The gains (Algorithm 4) and the seed commit (Algorithm 5: Lemma 3 on
 //! SC, Lemma 2 on UC, then retiring the new seed's credit row and column,
-//! since `x ∉ V − S` any more — DESIGN.md §2.2) are the
+//! since `x ∉ V − S` any more) are the
 //! [`OverlaySelector`]'s, on the trained CSR arena. This module holds the
 //! CELF driver that runs them. [`crate::reference::CdSelector`] is the
 //! hash-map oracle the tests hold the overlay to.
+//!
+//! CELF's first round takes every candidate's gain from one sweep over
+//! the out rows instead of a row lookup per candidate and action. The
+//! sweep adds the same per-action Theorem-3 terms as `compute_mg`, in the
+//! same order, so its values are exact in any state, committed seeds
+//! included, and equal the commit-free queries' bit for bit.
 
 use crate::compact::OverlaySelector;
 use cdim_maxim::Selection;
@@ -27,9 +33,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Algorithm 3's CELF loop over an [`OverlaySelector`], as a resumable
-/// session: the bulk first pass runs at construction, then
-/// [`select`](Self::select) re-evaluates lazily off a max-heap (ties
-/// break toward the smaller user id) until enough seeds are committed.
+/// session: the first pass runs at construction, one sweep over the out
+/// rows that gives every candidate the gain `compute_mg` would, bit for
+/// bit, in any state; then [`select`](Self::select) re-evaluates lazily
+/// off a max-heap (ties break toward the smaller user id) until enough
+/// seeds are committed. A first-round gain is therefore the one the
+/// commit-free queries answer (on a seedless model, the single-seed
+/// σ_cd), and on a model with committed seeds the first pop commits
+/// without a re-evaluation.
 ///
 /// CELF is deterministic, so a session advanced to `K` seeds has passed
 /// through the exact state a fresh run to `k ≤ K` stops in: the first `k`
@@ -56,31 +67,24 @@ impl CelfSession {
     pub(crate) fn new(engine: OverlaySelector, mode: MgMode) -> Self {
         let mut evaluations = 0usize;
         let num_users = engine.num_users();
+        let round = engine.seeds().len();
         let mut heap = BinaryHeap::with_capacity(num_users);
-        // First pass: one bulk sweep over the credit rows computes every
-        // candidate's gain at once — the per-user formula would pay an
-        // index probe per entry, which dominates selection time on
-        // multi-million-entry models. With no seeds committed SC = 0, so
-        // the sweep is exact: mg(x) = σ_cd({x}). On a model with committed
-        // seeds it leaves out each action's factor (1 − Γ_{S,x}), so the
-        // values are upper bounds; they are tagged round 0, which is not
-        // the engine's seed count, so each is re-evaluated before any
-        // commit. (Theorem3 and Pseudocode agree on all credit terms; they
-        // differ only in the self term.)
-        let initial = engine.initial_credit_gains();
+        // First pass: one sweep over the credit rows gives every
+        // candidate's exact gain in the engine's current state, summed in
+        // `mg`'s order, so each entry is tagged with the current round.
+        let gains = engine.gains(mode);
         for x in 0..num_users as u32 {
             if engine.inv_au_of(x) == 0.0 || engine.seeds().contains(&x) {
                 continue;
             }
             evaluations += 1;
-            heap.push((OrdF64(initial[x as usize] + engine.self_term(x, mode)), Reverse(x), 0));
+            heap.push((OrdF64(gains[x as usize]), Reverse(x), round));
         }
-        let base = engine.seeds().len();
         CelfSession {
             engine,
             mode,
             heap,
-            base,
+            base: round,
             gains: Vec::new(),
             evaluations_at: vec![evaluations],
             evaluations,

@@ -74,6 +74,9 @@
 //! entry) into a private array it can overwrite. A [`TopKSession`] keeps
 //! that run, so one model pays for the copy once and answers every budget
 //! from one CELF run: a smaller budget is a prefix, a larger one resumes.
+//! CELF's first round reads no row per candidate: one sweep over the out
+//! rows, with a cursor per user into `ua_data`, adds every user's
+//! per-action terms in `compute_mg`'s order, so it is exact in any state.
 //!
 //! Committing seed `x` (Algorithm 5) costs, per action `a` that `x`
 //! performed: `x`'s out row, then for each source `v` in `x`'s column (in
@@ -110,13 +113,11 @@
 //! oracle [`crate::reference::CdSelector`]: it mirrors each of the
 //! oracle's f64 accumulation orders, so after every commit its state,
 //! laid out by [`OverlaySelector::freeze`], is the oracle's dump bit for
-//! bit, and every gain it computes is the oracle's. That fixes every CELF
-//! re-evaluation. CELF's first round instead reads one bulk pass over the
-//! credit rows, which sums each user's credits and self terms apart (so
-//! its values may differ from `compute_mg` in the last bits); the tests
-//! recompute it from the dump in that order and check it bit for bit.
-//! The pinned answer checksums of the `overlay_kernel` suite keep the
-//! answers themselves fixed.
+//! bit, and every gain it computes is the oracle's. Every gain path —
+//! `compute_mg`, CELF's one-sweep first round and the commit-free
+//! queries — adds the same per-action Theorem-3 term in the same order,
+//! so they agree bit for bit too. The pinned answer checksums of the
+//! `overlay_kernel` suite keep the answers themselves fixed.
 
 use crate::celf::{CelfSession, MgMode};
 use crate::incremental::{self, ExtendError};
@@ -1534,6 +1535,47 @@ fn sc_or_zero(c: f64) -> f64 {
     }
 }
 
+impl CompactData {
+    /// Theorem 3's term of one action `a` in the gain of `x`:
+    /// `(1/A_x + Σ_u Γ_{x,u}(a)·1/A_u) · factor`, where `factor` is
+    /// `1 − Γ_{S,x}(a)` clamped at 0 and `credits`/`targets` are `x`'s out
+    /// row in `a` (empty when `x` has none; `NaN` entries are retired).
+    /// Under [`MgMode::Pseudocode`] the credits come first and the self
+    /// term is added only when the row holds a live credit. Every gain —
+    /// [`OverlaySelector::mg`], CELF's first round and the commit-free
+    /// queries — adds these terms per action in ascending order.
+    #[inline]
+    fn action_gain(
+        &self,
+        mode: MgMode,
+        inv_ax: f64,
+        factor: f64,
+        credits: &[f64],
+        targets: &[u32],
+    ) -> f64 {
+        if factor == 0.0 {
+            return 0.0;
+        }
+        let inv_au = self.inv_au();
+        let mut sum = match mode {
+            MgMode::Theorem3 => inv_ax,
+            MgMode::Pseudocode => 0.0,
+        };
+        let mut any = false;
+        for (&c, &u) in credits.iter().zip(targets) {
+            if !c.is_nan() {
+                any = true;
+                sum += c * inv_au[u as usize];
+            }
+        }
+        match mode {
+            MgMode::Theorem3 => sum * factor,
+            MgMode::Pseudocode if any => (sum + inv_ax) * factor,
+            MgMode::Pseudocode => 0.0,
+        }
+    }
+}
+
 impl OverlaySelector {
     /// Seeds committed so far (snapshot seeds plus this session's).
     pub fn seeds(&self) -> &[u32] {
@@ -1601,64 +1643,14 @@ impl OverlaySelector {
     /// Theorem-3 marginal gain of adding `x` to the current seed set. A
     /// committed seed gains nothing.
     pub fn compute_mg(&self, x: u32) -> f64 {
-        let data = &self.data;
-        let inv_ax = data.inv_au_of(x);
-        if inv_ax == 0.0 || self.seeds.contains(&x) {
-            return 0.0;
-        }
-        let mut mg = 0.0;
-        let targets = data.out_targets();
-        let credits = self.credits();
-        for (a, sc_xa) in self.actions_with_sc(x) {
-            let factor = (1.0 - sc_xa).max(0.0);
-            if factor == 0.0 {
-                continue;
-            }
-            let mut mga = inv_ax;
-            if let Some(row) = data.out_row_of(a, x) {
-                for pos in data.out_row_entries(row) {
-                    let c = credits[pos];
-                    if !c.is_nan() {
-                        mga += c * data.inv_au_of(targets[pos]);
-                    }
-                }
-            }
-            mg += mga * factor;
-        }
-        mg
+        self.mg(x, MgMode::Theorem3)
     }
 
     /// The paper's literal Algorithm 4: like [`Self::compute_mg`] but the
     /// self term is only added for actions where `x` holds outgoing
     /// credit. Kept for the `ablate-mg` experiment.
     pub fn compute_mg_pseudocode(&self, x: u32) -> f64 {
-        let data = &self.data;
-        let inv_ax = data.inv_au_of(x);
-        if inv_ax == 0.0 || self.seeds.contains(&x) {
-            return 0.0;
-        }
-        let mut mg = 0.0;
-        let targets = data.out_targets();
-        let credits = self.credits();
-        for (a, sc_xa) in self.actions_with_sc(x) {
-            let mut mga = 0.0;
-            let mut any = false;
-            if let Some(row) = data.out_row_of(a, x) {
-                for pos in data.out_row_entries(row) {
-                    let c = credits[pos];
-                    if !c.is_nan() {
-                        any = true;
-                        mga += c * data.inv_au_of(targets[pos]);
-                    }
-                }
-            }
-            if !any {
-                continue;
-            }
-            mga += inv_ax;
-            mg += mga * (1.0 - sc_xa).max(0.0);
-        }
-        mg
+        self.mg(x, MgMode::Pseudocode)
     }
 
     /// Algorithm 5: commits `x` and applies the Lemma 2/3 updates to the
@@ -1689,60 +1681,66 @@ impl OverlaySelector {
         self.data.inv_au_of(x)
     }
 
-    /// `Σ_a Σ_u Γ_{x,u}(a)·1/A_u` for every user `x` — the credit half of
-    /// the `S = ∅` bulk pass of CELF, one sweep over the out rows
-    /// (actions ascending, each row in target order) instead of a row
-    /// lookup per candidate and action.
-    pub(crate) fn initial_credit_gains(&self) -> Vec<f64> {
+    /// The marginal gain of `x` under `mode`: [`CompactData::action_gain`]
+    /// summed over `x`'s actions, ascending.
+    pub(crate) fn mg(&self, x: u32, mode: MgMode) -> f64 {
         let data = &self.data;
-        let mut initial = vec![0.0f64; data.counts.num_users];
-        let row_user = data.out_row_user();
-        let targets = data.out_targets();
-        let inv_au = data.inv_au();
-        let credits = self.credits();
+        let inv_ax = data.inv_au_of(x);
+        if inv_ax == 0.0 || self.seeds.contains(&x) {
+            return 0.0;
+        }
+        let (targets, credits) = (data.out_targets(), self.credits());
+        let mut mg = 0.0;
+        for (a, sc_xa) in self.actions_with_sc(x) {
+            let row = data.out_row_of(a, x).map_or(0..0, |r| data.out_row_entries(r));
+            let factor = (1.0 - sc_xa).max(0.0);
+            mg += data.action_gain(mode, inv_ax, factor, &credits[row.clone()], &targets[row]);
+        }
+        mg
+    }
+
+    /// [`Self::mg`] of every user at once, bit for bit, in one sweep over
+    /// the out rows in arena order (CELF's first round). Each user keeps a
+    /// cursor into its `ua_data` run, so the terms of its actions without
+    /// a row are added at their place in its ascending order, and a row
+    /// of an action the user did not perform is skipped, as `mg` never
+    /// reads it. Seeds and users who never acted gain 0.
+    pub(crate) fn gains(&self, mode: MgMode) -> Vec<f64> {
+        let data = &self.data;
+        let (ua_offsets, ua_data, inv_au) = (data.ua_offsets(), data.ua_data(), data.inv_au());
+        let (row_user, targets, credits) =
+            (data.out_row_user(), data.out_targets(), self.credits());
+        let term = |x: usize, at: usize, row: Range<usize>| {
+            let factor = (1.0 - sc_or_zero(self.sc[at])).max(0.0);
+            data.action_gain(mode, inv_au[x], factor, &credits[row.clone()], &targets[row])
+        };
+        let mut gains = vec![0.0f64; data.counts.num_users];
+        // Per user, the position in `ua_data` of its next action to add.
+        let mut next: Vec<u32> = ua_offsets[..data.counts.num_users].to_vec();
         for a in 0..data.counts.num_actions as u32 {
             for row in data.out_act_range(a) {
-                let acc = &mut initial[row_user[row] as usize];
-                for pos in data.out_row_entries(row) {
-                    let c = credits[pos];
-                    if !c.is_nan() {
-                        *acc += c * inv_au[targets[pos] as usize];
-                    }
+                let x = row_user[row] as usize;
+                let (mut at, end) = (next[x] as usize, ua_offsets[x + 1] as usize);
+                while at < end && ua_data[at] < a {
+                    gains[x] += term(x, at, 0..0);
+                    at += 1;
                 }
+                if at < end && ua_data[at] == a {
+                    gains[x] += term(x, at, data.out_row_entries(row));
+                    at += 1;
+                }
+                next[x] = at as u32;
             }
         }
-        initial
-    }
-
-    /// The self-credit half of the `S = ∅` bulk pass for candidate `x`
-    /// (mode-dependent; see [`MgMode`]), summed per performed action like
-    /// the full marginal-gain formula. `1/A_x` summed over every action
-    /// `x` performed is 1 only up to rounding, so it is summed, not
-    /// assumed.
-    pub(crate) fn self_term(&self, x: u32, mode: MgMode) -> f64 {
-        let inv_ax = self.data.inv_au_of(x);
-        let actions = self.data.ua_row(x).iter();
-        match mode {
-            MgMode::Theorem3 => actions.map(|_| inv_ax).sum::<f64>(),
-            MgMode::Pseudocode => {
-                actions.filter(|&&a| self.has_influencer(a, x)).map(|_| inv_ax).sum::<f64>()
+        for (x, gain) in gains.iter_mut().enumerate() {
+            for at in next[x] as usize..ua_offsets[x + 1] as usize {
+                *gain += term(x, at, 0..0);
             }
         }
-    }
-
-    /// The marginal gain of `x` under `mode`.
-    pub(crate) fn mg(&self, x: u32, mode: MgMode) -> f64 {
-        match mode {
-            MgMode::Theorem3 => self.compute_mg(x),
-            MgMode::Pseudocode => self.compute_mg_pseudocode(x),
+        for &s in &self.seeds {
+            gains[s as usize] = 0.0;
         }
-    }
-
-    fn has_influencer(&self, a: u32, x: u32) -> bool {
-        let credits = self.credits();
-        self.data
-            .out_row_of(a, x)
-            .is_some_and(|row| self.data.out_row_entries(row).any(|pos| !credits[pos].is_nan()))
+        gains
     }
 
     /// Runs CELF until `k` seeds are chosen (continuing from any seeds
@@ -2018,16 +2016,9 @@ fn replay_action(
         let xv: &[f64] = if j == 0 { &credits[row_x] } else { &head[at_x..] };
 
         // The term compute_mg adds for this action.
-        let inv_x = data.inv_au_of(x);
-        let one_minus = (1.0 - sc_x).max(0.0);
-        if wanted[i] && inv_x != 0.0 && one_minus != 0.0 {
-            let mut mga = inv_x;
-            for (&c, &u) in xv.iter().zip(xt) {
-                if !c.is_nan() {
-                    mga += c * data.inv_au_of(u);
-                }
-            }
-            gains[i] += mga * one_minus;
+        let (inv_x, one_minus) = (data.inv_au_of(x), (1.0 - sc_x).max(0.0));
+        if wanted[i] && inv_x != 0.0 {
+            gains[i] += data.action_gain(MgMode::Theorem3, inv_x, one_minus, xv, xt);
         }
 
         // Commit x onto the later present users (apply_seed_to_action's
@@ -2127,9 +2118,9 @@ mod tests {
     /// Commits `seeds` in order on an overlay and on the oracle, both
     /// restored from `dump`. Before the first commit and after each, the
     /// overlay's frozen state is the oracle's dump bit for bit, and every
-    /// user's gain agrees bit for bit in both modes. Those are all the
-    /// values CELF's re-evaluations read; the first round's bulk values
-    /// are checked by [`assert_selection_matches_oracle`].
+    /// user's gain agrees bit for bit in both modes, from `compute_mg` and
+    /// from CELF's one-sweep first pass. Those are all the values CELF
+    /// reads.
     pub(super) fn assert_replay_matches_oracle(dump: &SelectorDump, seeds: &[u32]) {
         let mut oracle = CdSelector::from_dump(dump);
         let mut overlay = reference::arena_of(dump).overlay();
@@ -2141,69 +2132,38 @@ mod tests {
             let done = &seeds[..step];
             let state = reference::dump_of(&overlay.freeze());
             assert!(dump_bits(&state) == dump_bits(&oracle.dump()), "state after {done:?}");
-            for x in 0..dump.store.inv_au.len() as u32 {
-                let (got, want) = (overlay.compute_mg(x), oracle.compute_mg(x));
-                assert_eq!(got.to_bits(), want.to_bits(), "gain of {x} after {done:?}");
-                let (got, want) =
-                    (overlay.compute_mg_pseudocode(x), oracle.compute_mg_pseudocode(x));
-                assert_eq!(got.to_bits(), want.to_bits(), "pseudocode gain of {x} after {done:?}");
-            }
-        }
-    }
-
-    /// Every user's `S = ∅` bulk-pass gain, recomputed from `dump` in the
-    /// order the first CELF round sums it: the credit half per action
-    /// ascending, the user's row in target order, `Σ c·1/A_u`; then the
-    /// self half on its own, `1/A_x` once per action `x` performed (under
-    /// `Pseudocode`, only actions where `x` holds credit), added last.
-    fn bulk_gains_from_dump(dump: &SelectorDump, mode: MgMode) -> Vec<f64> {
-        let inv_au = &dump.store.inv_au;
-        let mut credit = vec![0.0f64; inv_au.len()];
-        for entries in &dump.store.credits {
-            for &(v, u, c) in entries {
-                credit[v as usize] += c * inv_au[u as usize];
-            }
-        }
-        let mut gains = credit;
-        for (x, actions) in dump.store.user_actions.iter().enumerate() {
-            let mut self_term = 0.0;
-            for &a in actions {
-                let holds = dump.store.credits[a as usize].iter().any(|e| e.0 == x as u32);
-                if mode == MgMode::Theorem3 || holds {
-                    self_term += inv_au[x];
+            for mode in [MgMode::Theorem3, MgMode::Pseudocode] {
+                let swept = overlay.gains(mode);
+                for x in 0..dump.store.inv_au.len() as u32 {
+                    let want = oracle_mg(&oracle, x, mode).to_bits();
+                    let got = overlay.mg(x, mode).to_bits();
+                    assert_eq!(got, want, "{mode:?} gain of {x} after {done:?}");
+                    let got = swept[x as usize].to_bits();
+                    assert_eq!(got, want, "{mode:?} first-pass gain of {x} after {done:?}");
                 }
             }
-            gains[x] += self_term;
         }
-        gains
     }
 
-    /// Holds a CELF run from `dump` to the oracle. The overlay's bulk
-    /// first pass gives every user [`bulk_gains_from_dump`]'s value bit
-    /// for bit. Each committed gain is the bulk value of the run's first
-    /// seed when `dump` has no seeds (CELF commits it on that value), and
-    /// otherwise the oracle's gain of the seed just before its commit.
-    /// The seeds then replay on the oracle
-    /// ([`assert_replay_matches_oracle`]).
-    fn assert_selection_matches_oracle(dump: &SelectorDump, sel: &Selection, mode: MgMode) {
-        let overlay = reference::arena_of(dump).overlay();
-        let bulk = bulk_gains_from_dump(dump, mode);
-        let initial = overlay.initial_credit_gains();
-        for x in 0..bulk.len() as u32 {
-            let got = initial[x as usize] + overlay.self_term(x, mode);
-            assert_eq!(got.to_bits(), bulk[x as usize].to_bits(), "bulk gain of {x}");
+    /// The oracle's gain of `x` under `mode`.
+    fn oracle_mg(oracle: &CdSelector, x: u32, mode: MgMode) -> f64 {
+        match mode {
+            MgMode::Theorem3 => oracle.compute_mg(x),
+            MgMode::Pseudocode => oracle.compute_mg_pseudocode(x),
         }
+    }
+
+    /// Holds a CELF run from `dump` to the oracle: each committed gain is
+    /// the oracle's gain of the seed just before its commit, and the seeds
+    /// then replay on the oracle ([`assert_replay_matches_oracle`]).
+    fn assert_selection_matches_oracle(dump: &SelectorDump, sel: &Selection, mode: MgMode) {
         let base = dump.seeds.len();
         assert_eq!(&sel.seeds[..base], &dump.seeds[..]);
         let fresh = &sel.seeds[base..];
         assert_eq!(sel.marginal_gains.len(), fresh.len());
         let mut oracle = CdSelector::from_dump(dump);
-        for (i, (&s, &gain)) in fresh.iter().zip(&sel.marginal_gains).enumerate() {
-            let want = match mode {
-                _ if base == 0 && i == 0 => bulk[s as usize],
-                MgMode::Theorem3 => oracle.compute_mg(s),
-                MgMode::Pseudocode => oracle.compute_mg_pseudocode(s),
-            };
+        for (&s, &gain) in fresh.iter().zip(&sel.marginal_gains) {
+            let want = oracle_mg(&oracle, s, mode);
             assert_eq!(gain.to_bits(), want.to_bits(), "gain of seed {s} ({mode:?})");
             oracle.update(s);
         }

@@ -542,9 +542,8 @@ impl ActionCredits {
     /// no dead ids linger anywhere after the call.
     ///
     /// The paper's Algorithm 5 leaves these rows in place; retiring them is
-    /// required for correctness of later `computeMG`/`update` calls (see
-    /// DESIGN.md §2.2) because `x` no longer belongs to the induced
-    /// subgraph `V − S`.
+    /// required for correctness of later `computeMG`/`update` calls
+    /// because `x` no longer belongs to the induced subgraph `V − S`.
     pub fn retire(&mut self, x: u32) -> (RemovedCredits, RemovedCredits) {
         let gout: RemovedCredits = self
             .out

@@ -3,8 +3,8 @@
 //!
 //! The paper evaluates on proprietary crawls of Flixster (movie ratings)
 //! and Flickr (group joins). Those crawls are not redistributable, so this
-//! crate synthesizes datasets with the same *shape* (see DESIGN.md §3 for
-//! the substitution argument):
+//! crate synthesizes datasets with the same *shape* ([`presets`] sets
+//! each stand-in beside the paper's dataset):
 //!
 //! * [`graphgen`] — directed preferential-attachment social graphs with
 //!   tunable average degree and reciprocity (heavy-tailed degrees, like

@@ -1,7 +1,7 @@
 //! Named dataset presets mirroring Table 1 (scaled).
 //!
-//! The paper's datasets, and our laptop-scale stand-ins (scale factors are
-//! documented per experiment in EXPERIMENTS.md):
+//! The paper's datasets, and our laptop-scale stand-ins (each experiment
+//! prints the divisor it scales them by in its banner):
 //!
 //! | paper            | nodes | edges | props | here             | nodes |
 //! |------------------|-------|-------|-------|------------------|-------|

@@ -12,8 +12,7 @@
 //! The paper's experiments use the PMIA variant (arborescences re-grown to
 //! avoid paths through already-chosen seeds); we keep arborescences static
 //! and recompute activation probabilities exactly within them. Chen et al.
-//! report the two produce nearly identical seed sets; the deviation is
-//! recorded in DESIGN.md.
+//! report the two produce nearly identical seed sets.
 
 use crate::oracle::SpreadOracle;
 use cdim_diffusion::EdgeProbabilities;

@@ -2,7 +2,9 @@
 //! — a fresh scan, a reload of its bytes, a prefix extended at several
 //! split points, a longer model with a prefix retracted, and a shorter
 //! model extended and then retracted — encodes to the same bytes and
-//! answers `top_k(25)` with the same seeds and the same gain bits.
+//! answers `top_k(25)` with the same seeds and the same gain bits. Each
+//! way's first top-k gain is also its seed's single-seed σ_cd, bit for
+//! bit.
 //!
 //! The cases are the golden presets × policy × λ of `cdim-core`'s
 //! `overlay_kernel` suite. The served model is the log's last three
@@ -57,8 +59,8 @@ fn five_ways(
     ways
 }
 
-#[test]
-fn every_way_to_the_model_encodes_and_answers_identically() {
+/// Calls `check` with each case's name and its five ways to the model.
+fn each_case(mut check: impl FnMut(&str, &[(String, ModelSnapshot)])) {
     for preset in ["tiny", "flixster_small_div8"] {
         let ds = match preset {
             "tiny" => presets::tiny(),
@@ -75,18 +77,41 @@ fn every_way_to_the_model_encodes_and_answers_identically() {
             };
             for lambda in [0.0, 0.001] {
                 let case = format!("{preset} time_aware={time_aware} lambda={lambda}");
-                let ways = five_ways(&ds.graph, &ds.log, expire, &policy, lambda);
-                let (_, fresh) = ways.iter().find(|(way, _)| way == "fresh").unwrap();
-                let (bytes, want) = (fresh.to_bytes(), answer(fresh));
-                assert_eq!(want.0.len(), K, "{case}: a full top-{K}");
-                for (way, model) in &ways {
-                    assert!(model.to_bytes() == bytes, "{case}: {way} encodes differently");
-                    let got = answer(model);
-                    assert_eq!(got.0, want.0, "{case}: {way} picks other seeds");
-                    let differ = got.1.iter().zip(&want.1).filter(|(a, b)| a != b).count();
-                    assert_eq!(differ, 0, "{case}: {way} differs in {differ}/{K} gain bits");
-                }
+                check(&case, &five_ways(&ds.graph, &ds.log, expire, &policy, lambda));
             }
         }
     }
+}
+
+#[test]
+fn every_way_to_the_model_encodes_and_answers_identically() {
+    each_case(|case, ways| {
+        let (_, fresh) = ways.iter().find(|(way, _)| way == "fresh").unwrap();
+        let (bytes, want) = (fresh.to_bytes(), answer(fresh));
+        assert_eq!(want.0.len(), K, "{case}: a full top-{K}");
+        for (way, model) in ways {
+            assert!(model.to_bytes() == bytes, "{case}: {way} encodes differently");
+            let got = answer(model);
+            assert_eq!(got.0, want.0, "{case}: {way} picks other seeds");
+            let differ = got.1.iter().zip(&want.1).filter(|(a, b)| a != b).count();
+            assert_eq!(differ, 0, "{case}: {way} differs in {differ}/{K} gain bits");
+        }
+    });
+}
+
+/// CELF's first round and the commit-free queries sum one gain formula in
+/// one order: a top-k's first gain is its seed's single-seed σ_cd, bit for
+/// bit, however the model was built.
+#[test]
+fn the_first_top_k_gain_is_the_single_seed_spread() {
+    each_case(|case, ways| {
+        for (way, model) in ways {
+            let top = model.top_k(K);
+            let (first, gain) = (top.seeds[0], top.marginal_gains[0].to_bits());
+            let single = model.single_marginal_gain(first).to_bits();
+            assert_eq!(gain, single, "{case}: {way}: first gain vs single-seed gain of {first}");
+            let spread = model.telescoped_spread(&top.seeds[..1]).to_bits();
+            assert_eq!(gain, spread, "{case}: {way}: first gain vs σ_cd({{{first}}})");
+        }
+    });
 }

@@ -2,8 +2,8 @@
 //! snapshot, restore it, serve it over TCP on an ephemeral port, and hit
 //! it from four concurrent client threads. Every response must equal the
 //! answer computed offline — the top-k by `CdModel::select` on the same
-//! store, every spread and every top-k gain after the first by the
-//! hash-map oracle `reference::CdSelector` — bit-exact, since client and
+//! store, every spread and every top-k gain by the hash-map oracle
+//! `reference::CdSelector` — bit-exact, since client and
 //! server share one canonical model state and one canonical evaluation
 //! order.
 
@@ -42,17 +42,14 @@ fn concurrent_tcp_queries_match_offline_selector() {
     assert_eq!(restored.to_bytes(), snapshot.to_bytes(), "snapshot must reload bit-identically");
 
     // Offline answers from the same model state. The oracle re-evaluates
-    // every gain after the first (the first-pass sweep's) bit for bit.
+    // every gain bit for bit, the first round's included.
     let canonical = CdSelector::new(model.store().clone());
     let k = 5usize;
     let offline_selection = model.select(k);
     assert_eq!(offline_selection.seeds.len(), k);
     let mut oracle = canonical.clone();
-    for (i, &s) in offline_selection.seeds.iter().enumerate() {
-        if i > 0 {
-            let gain = offline_selection.marginal_gains[i];
-            assert_eq!(gain.to_bits(), oracle.compute_mg(s).to_bits(), "gain of seed {s}");
-        }
+    for (&s, gain) in offline_selection.seeds.iter().zip(&offline_selection.marginal_gains) {
+        assert_eq!(gain.to_bits(), oracle.compute_mg(s).to_bits(), "gain of seed {s}");
         oracle.update(s);
     }
     let query_sets: Vec<Vec<u32>> = vec![
