@@ -74,7 +74,7 @@ impl CelfSession {
         // `mg`'s order, so each entry is tagged with the current round.
         let gains = engine.gains(mode);
         for x in 0..num_users as u32 {
-            if engine.inv_au_of(x) == 0.0 || engine.seeds().contains(&x) {
+            if engine.inv_au_of(x) == 0.0 || engine.is_committed(x) {
                 continue;
             }
             evaluations += 1;

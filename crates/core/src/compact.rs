@@ -77,25 +77,39 @@
 //! CELF's first round reads no row per candidate: one sweep over the out
 //! rows, with a cursor per user into `ua_data`, adds every user's
 //! per-action terms in `compute_mg`'s order, so it is exact in any state.
+//! The same sweep records each user-action pair's out row (4 bytes per
+//! pair; a gain or commit builds it on first use when no first round
+//! ran), so a later gain or commit reads every row of `x` from that index
+//! instead of searching the action's row users, and a gain asks the cache
+//! for the start of the row two actions ahead of the one it sums. A seed
+//! mark per user (1 byte) answers "is `x` committed?" in one load, so
+//! opening a session on a model with many committed seeds stays linear.
 //!
 //! Committing seed `x` (Algorithm 5) costs, per action `a` that `x`
-//! performed: `x`'s out row, then for each source `v` in `x`'s column (in
-//! ascending order) a search for `v`'s out row resumed from the previous
-//! source's, a binary search for `x` in that row, and one linear walk
-//! over it — Σ over `x`'s actions of its influencers' row lengths,
-//! however many of those entries Lemma 2 actually changes. Retiring the
-//! column entry and walking the row happen together, while the row is in
-//! cache. The walk is branch-free: a user-indexed table (16 bytes per
-//! user) holds `(Γ_{x,u}, 1e-15)` for `x`'s targets and the neutral
-//! `(0, −∞)` for everyone else, so every entry takes the same
-//! subtract-and-clamp and an unmarked one comes back unchanged. The table
-//! is set from `x`'s row before the walks and reset after them.
+//! performed: `x`'s out row, one SC write per target, and `x`'s column.
+//! The column's sources are first resolved to their out rows, one merge
+//! of the column with the action's row users that passes over the seeds
+//! this session committed: their own retire left every credit of their
+//! rows `NaN`, `(v, x)` included. Arena seeds are not passed over, as an
+//! arena may still hold a live row for one. Each resolved row then gets a
+//! binary search for `x` and one linear walk, while the first 1 KB of the
+//! row two places ahead is fetched — Σ over `x`'s actions of its
+//! live influencers' row lengths, however many of those entries Lemma 2
+//! actually changes. Retiring the column entry and walking the row happen
+//! together, while the row is in cache. The walk is branch-free: a
+//! user-indexed table (16 bytes per user) holds `(Γ_{x,u}, 1e-15)` for
+//! `x`'s targets and the neutral `(0, −∞)` for everyone else, so every
+//! entry takes the same subtract-and-clamp and an unmarked one comes back
+//! unchanged. The table is set from `x`'s row before the walks and reset
+//! after them.
 //!
 //! The overlay keeps `Γ_{S,u}(a)` (SC) as a dense array aligned with
 //! `ua_data`, one `f64` per user-action pair, `NaN` where Lemma 3 has
 //! written nothing. A gain reads `x`'s slice of it in step with `x`'s
-//! actions; a Lemma-3 write finds `(a, u)` by binary search in `u`'s
-//! actions. The table, the SC array and the list of the seed's targets
+//! actions. A Lemma-3 write finds `(a, u)` with a cursor into `u`'s
+//! actions (8 bytes per user) that only moves forward within one commit,
+//! as `x`'s actions ascend, and starts over with the next. The table, the
+//! cursors, the SC array and the lists of the seed's targets and sources
 //! live in the overlay and are reused across actions and seeds.
 //!
 //! ## Bit-identity contract
@@ -131,7 +145,9 @@ use cdim_util::bytes::{
     cast_slice_f64, cast_slice_f64_mut, cast_slice_u32, cast_slice_u32_mut, cast_slice_u64,
     cast_slice_u64_mut,
 };
+use cdim_util::mem::prefetch;
 use cdim_util::{AlignedBuf, HeapSize, Parallelism};
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -1186,11 +1202,17 @@ impl CompactSelector {
                 sc[i] = c;
             }
         }
+        let mut marks = vec![0u8; data.counts.num_users];
+        for &s in data.seeds() {
+            marks[s as usize] = SEED;
+        }
         OverlaySelector {
             data: Arc::clone(data),
             credits: None,
             sc,
             seeds: data.seeds().to_vec(),
+            marks,
+            rows: OnceCell::new(),
             scratch: UpdateScratch::default(),
         }
     }
@@ -1504,8 +1526,54 @@ pub struct OverlaySelector {
     /// `0.0` values included.
     sc: Vec<f64>,
     seeds: Vec<u32>,
+    /// Per user: 0, [`SEED`] or [`RETIRED`], so membership in `seeds` is
+    /// one load.
+    marks: Vec<u8>,
+    /// Filled by CELF's first round ([`Self::gains`]) or on first use;
+    /// the commit-free queries never open an overlay, so never build it.
+    rows: OnceCell<RowIndex>,
     scratch: UpdateScratch,
 }
+
+/// [`OverlaySelector::marks`] of a committed seed whose out rows may still
+/// hold live credits: an arena seed (validation admits one with a row).
+const SEED: u8 = 1;
+
+/// [`OverlaySelector::marks`] of a seed this session committed, whose own
+/// retire left every credit of its out rows `NaN`, so a commit can pass
+/// over it as a source: `cvx` would be `NaN` and nothing would change.
+const RETIRED: u8 = 2;
+
+/// [`RowIndex::rows`] of a user-action pair without an out row.
+const NO_ROW: u32 = u32::MAX;
+
+/// The session's `ua → out row` index: per user-action pair, aligned
+/// with `ua_data`, the user's out row in that action or [`NO_ROW`]. A gain
+/// and a retire read it instead of searching the action's row users.
+#[derive(Clone, Debug)]
+struct RowIndex {
+    rows: Vec<u32>,
+    /// Whether every out row's user performed its action, as in every
+    /// scanned arena. Only then does a commit retire all of the seed's
+    /// rows, and mark it [`RETIRED`].
+    every_row_performed: bool,
+}
+
+impl RowIndex {
+    /// The out row of the pair at `ua_data[at]`, if it has one.
+    #[inline]
+    fn row(&self, at: usize) -> Option<usize> {
+        Some(self.rows[at]).filter(|&r| r != NO_ROW).map(|r| r as usize)
+    }
+}
+
+/// Rows a Lemma-2 walk or a gain asks the cache for ahead of the one it
+/// reads.
+const PREFETCH_ROWS: usize = 2;
+
+/// Entries of a row asked for ahead: the first 1 KB of its credits. The
+/// hardware's stream prefetcher takes over on a longer row.
+const PREFETCH_ENTRIES: usize = 128;
 
 /// A user's entry in [`UpdateScratch::table`] while it is not a target of
 /// the seed: `c − cvx·0.0` is `c` and no value is `≤ −∞`, so the walk
@@ -1523,6 +1591,17 @@ struct UpdateScratch {
     table: Vec<(f64, f64)>,
     /// `(u, Γ_{x,u})` removed from the seed's out row.
     gout: Vec<(u32, f64)>,
+    /// The Lemma-2 sources' out rows in one action, resolved before any
+    /// is walked so each can be fetched [`PREFETCH_ROWS`] ahead.
+    sources: Vec<u32>,
+    /// Per user: the update that last moved its Lemma-3 cursor, and the
+    /// cursor, its next position in `ua_data`. A seed's actions ascend,
+    /// so within one update a cursor only moves forward; one from an
+    /// earlier update restarts at the user's first action. Sized on the
+    /// first update (8 bytes per user).
+    cursors: Vec<(u32, u32)>,
+    /// Updates so far: the current one's stamp in `cursors`.
+    epoch: u32,
 }
 
 /// `Γ_{S,u}(a)` from a dense SC slot (`NaN` = no entry = 0).
@@ -1574,12 +1653,77 @@ impl CompactData {
             MgMode::Pseudocode => 0.0,
         }
     }
+
+    /// Asks the cache for the first [`PREFETCH_ENTRIES`] credits and
+    /// targets of out row `row` (nothing for [`NO_ROW`]), ahead of a walk
+    /// over it.
+    #[inline]
+    fn prefetch_row(&self, credits: &[f64], row: u32) {
+        let offsets = self.out_row_offsets();
+        if let Some(&start) = offsets.get(row as usize) {
+            let start = start as usize;
+            let end = (offsets[row as usize + 1] as usize).min(start + PREFETCH_ENTRIES);
+            // One hint per 64-byte line: 8 credits, 16 targets.
+            for at in (start..end).step_by(8) {
+                prefetch(credits, at);
+            }
+            for at in (start..end).step_by(16) {
+                prefetch(self.out_targets(), at);
+            }
+        }
+    }
+
+    /// One sweep over the out rows in arena order, with a cursor per user
+    /// into its `ua_data` run: calls `visit(x, at, row)` for every
+    /// user-action pair, `at` being its position in `ua_data` and `row`
+    /// `x`'s out row in that action, if any, each user's pairs in
+    /// ascending order. A row of an action its user did not perform is
+    /// passed over, as a lookup by pair never reaches it. Returns the
+    /// [`RowIndex`] the sweep found.
+    fn sweep_rows(&self, mut visit: impl FnMut(usize, usize, Option<usize>)) -> RowIndex {
+        let (ua_offsets, ua_data, row_user) =
+            (self.ua_offsets(), self.ua_data(), self.out_row_user());
+        let mut rows = vec![NO_ROW; self.counts.ua_len];
+        let mut every_row_performed = true;
+        // Per user, the position in `ua_data` of its next pair to visit.
+        let mut next: Vec<u32> = ua_offsets[..self.counts.num_users].to_vec();
+        for a in 0..self.counts.num_actions as u32 {
+            for row in self.out_act_range(a) {
+                let x = row_user[row] as usize;
+                let (mut at, end) = (next[x] as usize, ua_offsets[x + 1] as usize);
+                while at < end && ua_data[at] < a {
+                    visit(x, at, None);
+                    at += 1;
+                }
+                if at < end && ua_data[at] == a {
+                    rows[at] = row as u32;
+                    visit(x, at, Some(row));
+                    at += 1;
+                } else {
+                    every_row_performed = false;
+                }
+                next[x] = at as u32;
+            }
+        }
+        for (x, &at) in next.iter().enumerate() {
+            for at in at as usize..ua_offsets[x + 1] as usize {
+                visit(x, at, None);
+            }
+        }
+        RowIndex { rows, every_row_performed }
+    }
 }
 
 impl OverlaySelector {
     /// Seeds committed so far (snapshot seeds plus this session's).
     pub fn seeds(&self) -> &[u32] {
         &self.seeds
+    }
+
+    /// Whether `x` is among [`Self::seeds`].
+    #[inline]
+    pub(crate) fn is_committed(&self, x: u32) -> bool {
+        self.marks[x as usize] != 0
     }
 
     /// Lays the session's state out as an arena: the live credits in the
@@ -1633,13 +1777,6 @@ impl OverlaySelector {
         }
     }
 
-    /// `x`'s actions, each with its `Γ_{S,x}(a)`.
-    fn actions_with_sc(&self, x: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
-        let range = self.data.ua_range(x);
-        let sc = &self.sc[range.clone()];
-        self.data.ua_data()[range].iter().zip(sc).map(|(&a, &c)| (a, sc_or_zero(c)))
-    }
-
     /// Theorem-3 marginal gain of adding `x` to the current seed set. A
     /// committed seed gains nothing.
     pub fn compute_mg(&self, x: u32) -> f64 {
@@ -1657,18 +1794,25 @@ impl OverlaySelector {
     /// overlay, then retires `x`'s credit row and column (`x ∉ V − S` any
     /// more). Committing a seed twice is a no-op.
     pub fn update(&mut self, x: u32) {
-        if self.seeds.contains(&x) {
+        if self.is_committed(x) {
             return;
         }
-        let data = Arc::clone(&self.data);
-        let credits = self.credits.get_or_insert_with(|| data.out_credits().to_vec());
-        if self.scratch.table.len() != data.counts.num_users {
-            self.scratch.table = vec![NEUTRAL; data.counts.num_users];
+        let OverlaySelector { data, credits, sc, seeds, marks, rows, scratch } = self;
+        let credits = credits.get_or_insert_with(|| data.out_credits().to_vec());
+        let index = rows.get_or_init(|| data.sweep_rows(|_, _, _| {}));
+        let users = data.counts.num_users;
+        if scratch.table.len() != users {
+            scratch.table = vec![NEUTRAL; users];
+            scratch.cursors = vec![(0, 0); users];
         }
-        for (xa, &a) in data.ua_range(x).zip(data.ua_row(x)) {
-            apply_seed_to_action(&data, credits, &mut self.sc, &mut self.scratch, a, x, xa);
+        scratch.epoch += 1;
+        for xa in data.ua_range(x) {
+            apply_seed_to_action(data, marks, credits, sc, scratch, x, xa, index.row(xa));
         }
-        self.seeds.push(x);
+        // On an arena with a row of an action its user did not perform,
+        // that row outlives the retire.
+        marks[x as usize] = if index.every_row_performed { RETIRED } else { SEED };
+        seeds.push(x);
     }
 
     /// Users in the id space (the CELF candidate range).
@@ -1686,60 +1830,50 @@ impl OverlaySelector {
     pub(crate) fn mg(&self, x: u32, mode: MgMode) -> f64 {
         let data = &self.data;
         let inv_ax = data.inv_au_of(x);
-        if inv_ax == 0.0 || self.seeds.contains(&x) {
+        if inv_ax == 0.0 || self.is_committed(x) {
             return 0.0;
         }
-        let (targets, credits) = (data.out_targets(), self.credits());
+        let (targets, credits, index) = (data.out_targets(), self.credits(), self.row_index());
+        let range = data.ua_range(x);
+        let ahead = &index.rows[range.clone()];
         let mut mg = 0.0;
-        for (a, sc_xa) in self.actions_with_sc(x) {
-            let row = data.out_row_of(a, x).map_or(0..0, |r| data.out_row_entries(r));
-            let factor = (1.0 - sc_xa).max(0.0);
+        for (i, at) in range.enumerate() {
+            if let Some(&next) = ahead.get(i + PREFETCH_ROWS) {
+                data.prefetch_row(credits, next);
+            }
+            let row = index.row(at).map_or(0..0, |r| data.out_row_entries(r));
+            let factor = (1.0 - sc_or_zero(self.sc[at])).max(0.0);
             mg += data.action_gain(mode, inv_ax, factor, &credits[row.clone()], &targets[row]);
         }
         mg
     }
 
+    /// The session's [`RowIndex`], built by one sweep on first use.
+    fn row_index(&self) -> &RowIndex {
+        self.rows.get_or_init(|| self.data.sweep_rows(|_, _, _| {}))
+    }
+
     /// [`Self::mg`] of every user at once, bit for bit, in one sweep over
-    /// the out rows in arena order (CELF's first round). Each user keeps a
-    /// cursor into its `ua_data` run, so the terms of its actions without
-    /// a row are added at their place in its ascending order, and a row
-    /// of an action the user did not perform is skipped, as `mg` never
-    /// reads it. Seeds and users who never acted gain 0.
+    /// the out rows in arena order (CELF's first round): the sweep hands
+    /// each user its actions in ascending order, with the row, if any, so
+    /// every term is added at its place in `mg`'s order. The sweep also
+    /// builds the session's [`RowIndex`]. Seeds and users who never acted
+    /// gain 0.
     pub(crate) fn gains(&self, mode: MgMode) -> Vec<f64> {
         let data = &self.data;
-        let (ua_offsets, ua_data, inv_au) = (data.ua_offsets(), data.ua_data(), data.inv_au());
-        let (row_user, targets, credits) =
-            (data.out_row_user(), data.out_targets(), self.credits());
-        let term = |x: usize, at: usize, row: Range<usize>| {
-            let factor = (1.0 - sc_or_zero(self.sc[at])).max(0.0);
-            data.action_gain(mode, inv_au[x], factor, &credits[row.clone()], &targets[row])
-        };
+        let (inv_au, targets, credits) = (data.inv_au(), data.out_targets(), self.credits());
         let mut gains = vec![0.0f64; data.counts.num_users];
-        // Per user, the position in `ua_data` of its next action to add.
-        let mut next: Vec<u32> = ua_offsets[..data.counts.num_users].to_vec();
-        for a in 0..data.counts.num_actions as u32 {
-            for row in data.out_act_range(a) {
-                let x = row_user[row] as usize;
-                let (mut at, end) = (next[x] as usize, ua_offsets[x + 1] as usize);
-                while at < end && ua_data[at] < a {
-                    gains[x] += term(x, at, 0..0);
-                    at += 1;
-                }
-                if at < end && ua_data[at] == a {
-                    gains[x] += term(x, at, data.out_row_entries(row));
-                    at += 1;
-                }
-                next[x] = at as u32;
-            }
-        }
-        for (x, gain) in gains.iter_mut().enumerate() {
-            for at in next[x] as usize..ua_offsets[x + 1] as usize {
-                *gain += term(x, at, 0..0);
-            }
-        }
+        let index = data.sweep_rows(|x, at, row| {
+            let row = row.map_or(0..0, |r| data.out_row_entries(r));
+            let factor = (1.0 - sc_or_zero(self.sc[at])).max(0.0);
+            gains[x] +=
+                data.action_gain(mode, inv_au[x], factor, &credits[row.clone()], &targets[row]);
+        });
         for &s in &self.seeds {
             gains[s as usize] = 0.0;
         }
+        // Already set only when an earlier use built the same index.
+        let _ = self.rows.set(index);
         gains
     }
 
@@ -1757,14 +1891,18 @@ impl OverlaySelector {
 
 impl HeapSize for OverlaySelector {
     /// The session's own state — the credit copy once a seed is
-    /// committed, the SC array, seeds and kernel buffers — not the shared
-    /// arena.
+    /// committed, the SC array, seeds and their marks, the row index and
+    /// the kernel buffers — not the shared arena.
     fn heap_bytes(&self) -> usize {
         self.credits.as_ref().map_or(0, HeapSize::heap_bytes)
             + self.sc.heap_bytes()
             + self.seeds.heap_bytes()
+            + self.marks.heap_bytes()
+            + self.rows.get().map_or(0, |index| index.rows.heap_bytes())
             + self.scratch.table.heap_bytes()
             + self.scratch.gout.heap_bytes()
+            + self.scratch.sources.heap_bytes()
+            + self.scratch.cursors.heap_bytes()
     }
 }
 
@@ -1786,17 +1924,22 @@ impl TopKSession {
     }
 
     /// Heap bytes the session holds beyond the shared arena: the credit
-    /// copy its commits write to, the SC array, the CELF heap.
+    /// copy its commits write to, the SC array, the row index, the kernel
+    /// buffers, the CELF heap.
     pub fn memory_bytes(&self) -> usize {
         self.celf.heap_bytes()
     }
 }
 
 /// One action's worth of [`OverlaySelector::update`]: retires `x` from
-/// action `a` and applies the Lemma 2/3 credit algebra to `credits` and
-/// `sc`. `xa` is the position of `(x, a)` in `ua_data`, and
+/// the action `a` at `ua_data[xa]` and applies the Lemma 2/3 credit
+/// algebra to `credits` and `sc`. `row` is `x`'s out row in `a`, and
 /// `scratch.table` is sized and neutral on entry; it is neutral again on
 /// return.
+///
+/// Lemma 3 finds each target's SC slot with the target's cursor in
+/// `scratch.cursors`, which this update only moves forward, as `x`'s
+/// actions ascend.
 ///
 /// Lemma 2 subtracts `Γ_{v,x}·Γ_{x,u}` from every stored `(v, u)` with
 /// `v` in `x`'s column and `u` in `x`'s row. Instead of looking each pair
@@ -1810,27 +1953,34 @@ impl TopKSession {
 /// (validation), `c − 0.0` is `c` for every finite `c` and for `NaN`,
 /// and nothing is `≤ −∞`, so the entry is written back bit for bit.
 ///
-/// The order of sources changes no value: a walk writes only `(v, u)`
-/// with `u` a target of `x`, `x` is not its own target, so no walk writes
-/// a `(v', x)` entry a later source reads; and every amount comes from
-/// the table, filled before any walk.
+/// The sources' rows are resolved first, one merge of the column with the
+/// action's row users, passing over [`RETIRED`] seeds (their `(v, x)` is
+/// already `NaN`); the walk then fetches the start of the row
+/// [`PREFETCH_ROWS`] ahead of the one it updates. The order of sources changes no value: a walk
+/// writes only `(v, u)` with `u` a target of `x`, `x` is not its own
+/// target, so no walk writes a `(v', x)` entry a later source reads; and
+/// every amount comes from the table, filled before any walk.
+#[allow(clippy::too_many_arguments)]
 fn apply_seed_to_action(
     data: &CompactData,
+    marks: &[u8],
     credits: &mut [f64],
     sc: &mut [f64],
     scratch: &mut UpdateScratch,
-    a: u32,
     x: u32,
     xa: usize,
+    row: Option<usize>,
 ) {
+    let (ua_offsets, ua_data) = (data.ua_offsets(), data.ua_data());
+    let a = ua_data[xa];
     let one_minus = (1.0 - sc_or_zero(sc[xa])).max(0.0);
     let targets = data.out_targets();
-    let UpdateScratch { table, gout } = scratch;
+    let UpdateScratch { table, gout, sources, cursors, epoch } = scratch;
     gout.clear();
 
     // Retire x's out row. Row runs are sorted, matching the oracle's
     // adjacency order for a canonically built working copy exactly.
-    if let Some(row) = data.out_row_of(a, x) {
+    if let Some(row) = row {
         for pos in data.out_row_entries(row) {
             let c = credits[pos];
             if !c.is_nan() {
@@ -1844,33 +1994,53 @@ fn apply_seed_to_action(
 
     // Lemma 3: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
     for &(u, cxu) in gout.iter() {
+        let (stamp, next) = &mut cursors[u as usize];
+        if *stamp != *epoch {
+            *stamp = *epoch;
+            *next = ua_offsets[u as usize];
+        }
+        let (mut at, end) = (*next as usize, ua_offsets[u as usize + 1] as usize);
+        while at < end && ua_data[at] < a {
+            at += 1;
+        }
         // A scan only credits users who performed the action. Validation
         // does not check every target (it would cost a search per inc
         // row on each load), so an arena that breaks this drops the
         // write rather than failing.
-        if let Some(i) = data.ua_index(u, a) {
-            sc[i] = (sc_or_zero(sc[i]) + cxu * one_minus).min(1.0);
+        if at < end && ua_data[at] == a {
+            sc[at] = (sc_or_zero(sc[at]) + cxu * one_minus).min(1.0);
+            at += 1;
         }
+        *next = at as u32;
     }
 
     // Retire x's column, and Lemma 2 on each source's row:
     // Γ^{W−x}_{v,u} = Γ^W_{v,u} − Γ^W_{v,x}·Γ^W_{x,u}, with the
     // clamp-and-remove semantics of the oracle's subtract (entries at
     // ≤ 1e-15 become `NaN`, and a removed entry stays `NaN`).
-    if let Some(row) = data.inc_row_of(a, x) {
-        let table = table.as_slice();
+    if let Some(column) = data.inc_row_of(a, x) {
         let rows = data.out_act_range(a);
         let row_user = &data.out_row_user()[rows.clone()];
+        sources.clear();
         let mut at = 0;
         // Sources ascend, and so do the action's out rows.
-        for &v in &data.inc_sources()[data.inc_row_entries(row)] {
+        for &v in &data.inc_sources()[data.inc_row_entries(column)] {
+            if marks[v as usize] == RETIRED {
+                continue;
+            }
             at += row_user[at..].partition_point(|&w| w < v);
             // The mirror check catches any one missing match; an inc
             // entry whose forgery cancels in its sums is skipped.
-            if row_user.get(at) != Some(&v) {
-                continue;
+            if row_user.get(at) == Some(&v) {
+                sources.push((rows.start + at) as u32);
             }
-            let entries = data.out_row_entries(rows.start + at);
+        }
+        let table = table.as_slice();
+        for (i, &row) in sources.iter().enumerate() {
+            if let Some(&ahead) = sources.get(i + PREFETCH_ROWS) {
+                data.prefetch_row(credits, ahead);
+            }
+            let entries = data.out_row_entries(row as usize);
             let (row_c, row_t) = (&mut credits[entries.clone()], &targets[entries]);
             let Ok(k) = row_t.binary_search(&x) else { continue };
             let cvx = row_c[k];
@@ -2666,6 +2836,32 @@ mod tests {
         assert_eq!(seeded_arena(4, &[1, 4]).err(), Some("seed 4 out of range".to_string()));
     }
 
+    /// `n` users who each performed the one action, all committed.
+    fn all_committed(n: u32) -> CompactSelector {
+        reference::arena_of(&SelectorDump {
+            store: CreditStoreDump {
+                lambda: 0.0,
+                user_actions: vec![vec![0]; n as usize],
+                inv_au: vec![1.0; n as usize],
+                credits: vec![Vec::new()],
+            },
+            sc: Vec::new(),
+            seeds: (0..n).rev().collect(),
+        })
+    }
+
+    #[test]
+    fn a_session_over_200k_committed_seeds_opens_in_linear_time() {
+        const N: u32 = 200_000;
+        let compact = all_committed(N);
+        let start = std::time::Instant::now();
+        let got = compact.top_k_session().top_k(1);
+        let took = start.elapsed();
+        assert_eq!(got.seeds, compact.seeds());
+        assert!(got.marginal_gains.is_empty());
+        assert!(took < std::time::Duration::from_secs(1), "{N} seeds took {took:?}");
+    }
+
     /// The commit loop the commit-free `gain_over` replaces.
     fn committed_gain(compact: &CompactSelector, seeds: &[u32], candidate: u32) -> f64 {
         let mut overlay = compact.overlay();
@@ -2713,8 +2909,68 @@ mod tests {
                 let bits = |g: &[f64]| g.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got.marginal_gains), bits(&want.marginal_gains), "k = {k}");
             }
-            assert!(session.memory_bytes() >= 8 * compact.total_entries());
+            // The credit copy, the SC array and the row index (8 + 8 + 4
+            // bytes per entry or pair), then per user the seed mark, the
+            // kernel table and the Lemma-3 cursor (1 + 16 + 8 bytes).
+            let counts = compact.counts();
+            let floor = 8 * counts.entries + 12 * counts.ua_len + 25 * counts.num_users;
+            assert!(session.memory_bytes() >= floor, "{} < {floor}", session.memory_bytes());
         }
+    }
+
+    /// An arena seed that still holds a live out row (validation admits
+    /// one) and is a source of a later seed, and a target whose Lemma-3
+    /// slot the second commit reaches at an earlier action than the first
+    /// did. The overlay stays the oracle's through both commits, state and
+    /// every gain: the arena seed's row takes Lemma 2 like any source's,
+    /// and each update's Lemma-3 cursors start over.
+    #[test]
+    fn an_arena_seed_with_a_live_row_is_still_a_source() {
+        let dump = SelectorDump {
+            store: CreditStoreDump {
+                lambda: 0.0,
+                user_actions: vec![vec![1], vec![1], vec![1], vec![0, 1, 2], vec![2]],
+                inv_au: vec![1.0, 1.0, 1.0, 1.0 / 3.0, 1.0],
+                credits: vec![
+                    Vec::new(),
+                    vec![(0, 1, 0.4), (0, 2, 0.3), (1, 2, 0.5), (1, 3, 0.2)],
+                    vec![(4, 3, 0.6)],
+                ],
+            },
+            sc: Vec::new(),
+            seeds: vec![0],
+        };
+        let compact = reference::arena_of(&dump);
+        let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
+        assert!(CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).is_ok());
+        assert_replay_matches_oracle(&dump, &[4, 1]);
+        // Committing 1 rewrote the arena seed's row: (0, 1) retired, and
+        // 0.3 − 0.4·0.5 left on (0, 2).
+        let state = reference::dump_of(&committed(&compact, &[4, 1]));
+        assert_eq!(state.store.credits[1], [(0, 2, 0.3 - 0.4 * 0.5)]);
+    }
+
+    /// A session seed with a row in an action it did not perform (which
+    /// validation admits, and no scan writes): its retire leaves that row
+    /// live, so a later seed's commit must still walk it as a source.
+    #[test]
+    fn a_seed_row_outside_its_actions_stays_a_source() {
+        let dump = SelectorDump {
+            store: CreditStoreDump {
+                lambda: 0.0,
+                user_actions: vec![vec![0], vec![1], vec![1]],
+                inv_au: vec![1.0; 3],
+                credits: vec![Vec::new(), vec![(0, 1, 0.4), (0, 2, 0.3), (1, 2, 0.5)]],
+            },
+            sc: Vec::new(),
+            seeds: Vec::new(),
+        };
+        let compact = reference::arena_of(&dump);
+        let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
+        assert!(CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).is_ok());
+        assert_replay_matches_oracle(&dump, &[0, 1]);
+        let state = reference::dump_of(&committed(&compact, &[0, 1]));
+        assert_eq!(state.store.credits[1], [(0, 2, 0.3 - 0.4 * 0.5)]);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * [`ord`] — a total-order `f64` wrapper for heaps and sorting.
 //! * [`topk`] — selection of the k largest items by a float key.
 //! * [`mem`] — coarse heap-size accounting used by the scalability
-//!   experiments (Fig 8, Table 4 report memory).
+//!   experiments (Fig 8, Table 4 report memory), and a safe cache
+//!   prefetch hint for the query engine's row walks.
 //! * [`timer`] — a tiny stopwatch for the runtime experiments.
 //! * [`lru`] — an O(1) least-recently-used cache (the query service's
 //!   answer cache).
