@@ -103,14 +103,32 @@
 //! unchanged. The table is set from `x`'s row before the walks and reset
 //! after them.
 //!
+//! A commit runs on every core the session may use ([`Parallelism::auto`],
+//! resolved once per session): `x`'s ascending actions are cut into
+//! contiguous shards by entry count, shard 0 runs on the calling thread
+//! and each other shard on a pool worker, joined before the commit
+//! returns. The caller's shard is half again a worker's, so the caller
+//! usually finishes last and does not sleep in the join. This is exact
+//! because Algorithm 5 never crosses an action boundary. Every value a
+//! commit writes in action `a` depends only on action-`a` state: `a`'s
+//! out entries, one run of the credit array (the runs ascend by action,
+//! so each shard takes a disjoint slice), and the SC slots `(u, a)`. Each
+//! slot is written at most once per commit and read by no other action,
+//! so the shards queue their SC writes and the caller applies them after
+//! the join. No summation changes order, and the result is bit for bit
+//! the one-thread result.
+//! A commit over fewer than 2^19 entries stays on the calling thread,
+//! where it takes about as long as starting a worker.
+//!
 //! The overlay keeps `Γ_{S,u}(a)` (SC) as a dense array aligned with
 //! `ua_data`, one `f64` per user-action pair, `NaN` where Lemma 3 has
 //! written nothing. A gain reads `x`'s slice of it in step with `x`'s
 //! actions. A Lemma-3 write finds `(a, u)` with a cursor into `u`'s
-//! actions (8 bytes per user) that only moves forward within one commit,
-//! as `x`'s actions ascend, and starts over with the next. The table, the
-//! cursors, the SC array and the lists of the seed's targets and sources
-//! live in the overlay and are reused across actions and seeds.
+//! actions (8 bytes per user and shard) that only moves forward within
+//! one commit, as `x`'s actions ascend, and starts over with the next.
+//! Each shard has its own table, cursors and lists of the seed's targets,
+//! sources and SC writes, sized by the calling thread to their bounds
+//! and reused across actions and seeds, so no shard allocates.
 //!
 //! ## Bit-identity contract
 //!
@@ -146,6 +164,7 @@ use cdim_util::bytes::{
     cast_slice_u64_mut,
 };
 use cdim_util::mem::prefetch;
+use cdim_util::pool::parallel_for_each_mut;
 use cdim_util::{AlignedBuf, HeapSize, Parallelism};
 use std::cell::OnceCell;
 use std::ops::Range;
@@ -1575,33 +1594,83 @@ const PREFETCH_ROWS: usize = 2;
 /// hardware's stream prefetcher takes over on a longer row.
 const PREFETCH_ENTRIES: usize = 128;
 
-/// A user's entry in [`UpdateScratch::table`] while it is not a target of
+/// A user's entry in [`ShardScratch::table`] while it is not a target of
 /// the seed: `c − cvx·0.0` is `c` and no value is `≤ −∞`, so the walk
 /// writes the entry back unchanged.
 const NEUTRAL: (f64, f64) = (0.0, f64::NEG_INFINITY);
 
+/// Entries in a seed's actions (summed over the actions, every row) below
+/// which [`OverlaySelector::update`] commits on the calling thread. On a
+/// 2-vCPU guest, where starting and joining a worker costs about 0.1 ms,
+/// two shards lost to one thread on commits over 0.43 M and 0.45 M entries
+/// (0.3–0.5 ms) and won from 0.67 M entries (0.7 ms) up.
+const COMMIT_SHARD_MIN_ENTRIES: usize = 1 << 19;
+
+/// The calling thread's shard of a commit, in percent of a worker's. A
+/// larger share makes the caller finish after its workers have exited, so
+/// it does not sleep in the join and wait to be woken on another core. On
+/// a 2-vCPU guest, perfbench `serve` with the caller's shard at 60 % of
+/// the entries instead of 50 % cut `work_s` by 11 % and `latency_ms` by
+/// 7.5 % (7 of 8 alternating pairs), and left `train` as it was.
+const CALLER_SHARE_PERCENT: usize = 150;
+
 /// Buffers of the Algorithm-5 kernel, kept across actions and seeds so an
-/// update allocates nothing per action.
+/// update allocates nothing per action, and no shard allocates at all.
 #[derive(Clone, Debug, Default)]
 struct UpdateScratch {
+    /// One per commit shard, sized on the calling thread before any shard
+    /// runs.
+    shards: Vec<ShardScratch>,
+    /// The current commit's shard boundaries: positions in `ua_data`.
+    cuts: Vec<usize>,
+    /// Per action, and one past the last, the position of its first out
+    /// entry, so a commit weighs and splits the seed's actions without
+    /// reading the row offsets. Built by the first update.
+    action_starts: Vec<u32>,
+    /// [`CompactData::shard_caps`], from the first update.
+    caps: (usize, usize, usize),
+    /// Updates so far: the current one's stamp in the Lemma-3 cursors.
+    epoch: u32,
+    /// Threads a commit may use: [`Parallelism::auto`], resolved by the
+    /// session's first update (0 until then).
+    threads: usize,
+}
+
+/// One commit shard's buffers: what [`apply_seed_to_action`] writes
+/// besides the shard's own credits.
+#[derive(Clone, Debug)]
+struct ShardScratch {
     /// Per user: `(Γ_{x,u}, 1e-15)` while `u` is a target of the seed `x`
     /// in the action being updated, [`NEUTRAL`] otherwise. Marking comes
     /// from `x`'s row, never from a credit value, so a stored `0.0` credit
-    /// is still marked. Sized on the first update (16 bytes per user).
+    /// is still marked. 16 bytes per user.
     table: Vec<(f64, f64)>,
-    /// `(u, Γ_{x,u})` removed from the seed's out row.
-    gout: Vec<(u32, f64)>,
+    /// The seed's live targets in the action, whose table entries are
+    /// reset after it.
+    gout: Vec<u32>,
     /// The Lemma-2 sources' out rows in one action, resolved before any
     /// is walked so each can be fetched [`PREFETCH_ROWS`] ahead.
     sources: Vec<u32>,
     /// Per user: the update that last moved its Lemma-3 cursor, and the
     /// cursor, its next position in `ua_data`. A seed's actions ascend,
     /// so within one update a cursor only moves forward; one from an
-    /// earlier update restarts at the user's first action. Sized on the
-    /// first update (8 bytes per user).
+    /// earlier update starts over. 8 bytes per user.
     cursors: Vec<(u32, u32)>,
-    /// Updates so far: the current one's stamp in `cursors`.
-    epoch: u32,
+    /// Lemma 3's writes, `(entry, slot)`: the value for SC slot `slot` (a
+    /// position in `ua_data`) waits in the seed's retired out entry
+    /// `entry`, which the caller sets to `NaN` when it applies the write,
+    /// once every shard is done. 8 bytes per write.
+    sc_slots: Vec<(u32, u32)>,
+}
+
+/// One shard of a commit: the seed's actions at `ua_data[actions]`, the
+/// credits of those actions (`credits[0]` is entry `base`), and the
+/// shard's scratch.
+struct CommitShard<'a> {
+    actions: Range<usize>,
+    base: usize,
+    credits: &'a mut [f64],
+    scratch: &'a mut ShardScratch,
 }
 
 /// `Γ_{S,u}(a)` from a dense SC slot (`NaN` = no entry = 0).
@@ -1656,21 +1725,39 @@ impl CompactData {
 
     /// Asks the cache for the first [`PREFETCH_ENTRIES`] credits and
     /// targets of out row `row` (nothing for [`NO_ROW`]), ahead of a walk
-    /// over it.
+    /// over it; `credits[0]` holds entry `base`.
     #[inline]
-    fn prefetch_row(&self, credits: &[f64], row: u32) {
+    fn prefetch_row(&self, credits: &[f64], base: usize, row: u32) {
         let offsets = self.out_row_offsets();
         if let Some(&start) = offsets.get(row as usize) {
             let start = start as usize;
             let end = (offsets[row as usize + 1] as usize).min(start + PREFETCH_ENTRIES);
             // One hint per 64-byte line: 8 credits, 16 targets.
             for at in (start..end).step_by(8) {
-                prefetch(credits, at);
+                prefetch(credits, at - base);
             }
             for at in (start..end).step_by(16) {
                 prefetch(self.out_targets(), at);
             }
         }
+    }
+
+    /// Bounds on what one commit shard queues: `x`'s live entries in one
+    /// action (the longest out row), the sources of one action (its out
+    /// rows) and `x`'s live entries in all its actions (the most out
+    /// entries of one user).
+    fn shard_caps(&self) -> (usize, usize, usize) {
+        let offsets = self.out_row_offsets();
+        let mut per_user = vec![0usize; self.counts.num_users];
+        let mut longest = 0;
+        for (row, &v) in self.out_row_user().iter().enumerate() {
+            let len = (offsets[row + 1] - offsets[row]) as usize;
+            longest = longest.max(len);
+            per_user[v as usize] += len;
+        }
+        let act_rows = self.out_act_rows();
+        let widest = act_rows.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0);
+        (longest, widest, per_user.into_iter().max().unwrap_or(0))
     }
 
     /// One sweep over the out rows in arena order, with a cursor per user
@@ -1792,22 +1879,107 @@ impl OverlaySelector {
 
     /// Algorithm 5: commits `x` and applies the Lemma 2/3 updates to the
     /// overlay, then retires `x`'s credit row and column (`x ∉ V − S` any
-    /// more). Committing a seed twice is a no-op.
+    /// more). Committing a seed twice is a no-op. A large commit runs on up
+    /// to [`Parallelism::auto`] threads (resolved by the session's first
+    /// update), with the same result bit for bit on any number.
     pub fn update(&mut self, x: u32) {
+        if self.scratch.threads == 0 {
+            self.scratch.threads = Parallelism::auto().effective();
+        }
+        self.commit(x, self.scratch.threads, COMMIT_SHARD_MIN_ENTRIES);
+    }
+
+    /// [`Self::update`] on up to `threads` shards of `x`'s actions, or on
+    /// the calling thread alone when `x`'s actions hold fewer than
+    /// `min_entries` entries.
+    ///
+    /// Credits never cross an action boundary, and every state a commit
+    /// of `x` reads or writes in action `a` belongs to `a`: the out
+    /// entries of `a`, which lie in one run of the credit array, and the
+    /// SC slots `(u, a)`. So contiguous runs of `x`'s ascending actions,
+    /// cut by entry count, each take a disjoint slice of the credits
+    /// and run [`apply_seed_to_action`] with scratch of their own, shard 0
+    /// on the calling thread. The SC writes wait in each shard's list
+    /// until every shard is done: a slot `(u, a)` is written at most once
+    /// per commit, from its old value, and read by no other action. No
+    /// summation changes order, so every value is the serial kernel's.
+    fn commit(&mut self, x: u32, threads: usize, min_entries: usize) {
         if self.is_committed(x) {
             return;
         }
         let OverlaySelector { data, credits, sc, seeds, marks, rows, scratch } = self;
+        let data: &CompactData = data;
         let credits = credits.get_or_insert_with(|| data.out_credits().to_vec());
         let index = rows.get_or_init(|| data.sweep_rows(|_, _, _| {}));
-        let users = data.counts.num_users;
-        if scratch.table.len() != users {
-            scratch.table = vec![NEUTRAL; users];
-            scratch.cursors = vec![(0, 0); users];
+        if scratch.action_starts.is_empty() {
+            let (offsets, act_rows) = (data.out_row_offsets(), data.out_act_rows());
+            scratch.action_starts = act_rows.iter().map(|&r| offsets[r as usize]).collect();
+            scratch.caps = data.shard_caps();
         }
+        let (ua_data, starts) = (data.ua_data(), scratch.action_starts.as_slice());
+        let span = |xa: usize| {
+            let a = ua_data[xa] as usize;
+            starts[a] as usize..starts[a + 1] as usize
+        };
+
+        // Cut x's actions where the running entry count reaches each
+        // shard's share, the caller's CALLER_SHARE_PERCENT of a worker's.
+        let actions = data.ua_range(x);
+        let cuts = &mut scratch.cuts;
+        cuts.clear();
+        cuts.push(actions.start);
+        if threads > 1 && actions.len() > 1 {
+            let total: usize = actions.clone().map(|xa| span(xa).len()).sum();
+            let shards = if total < min_entries { 1 } else { threads.min(actions.len()) };
+            let share = |cut: usize| CALLER_SHARE_PERCENT + 100 * (cut - 1);
+            let mut seen = 0;
+            for xa in actions.clone() {
+                let next = cuts.len();
+                if next < shards
+                    && seen * share(shards) >= total * share(next)
+                    && xa > actions.start
+                {
+                    cuts.push(xa);
+                }
+                seen += span(xa).len();
+            }
+        }
+        cuts.push(actions.end);
+        let shards = cuts.len() - 1;
+        let (users, (gout, sources, slots)) = (data.counts.num_users, scratch.caps);
+        // Sized here, and to their bounds, so no shard ever allocates.
+        scratch.shards.resize_with(shards.max(scratch.shards.len()), || ShardScratch {
+            table: vec![NEUTRAL; users],
+            gout: Vec::with_capacity(gout),
+            sources: Vec::with_capacity(sources),
+            cursors: vec![(0, 0); users],
+            sc_slots: Vec::with_capacity(slots),
+        });
+
         scratch.epoch += 1;
-        for xa in data.ua_range(x) {
-            apply_seed_to_action(data, marks, credits, sc, scratch, x, xa, index.row(xa));
+        let epoch = scratch.epoch;
+        let mut jobs = Vec::with_capacity(shards);
+        let (mut rest, mut base) = (credits.as_mut_slice(), 0);
+        for (shard, run) in scratch.shards.iter_mut().zip(cuts.windows(2)) {
+            // This shard's credits end where the next shard's first action
+            // starts; the last shard's at the end of the array.
+            let end = if jobs.len() + 1 < shards { span(run[1]).start } else { base + rest.len() };
+            let (own, tail) = std::mem::take(&mut rest).split_at_mut(end - base);
+            jobs.push(CommitShard { actions: run[0]..run[1], base, credits: own, scratch: shard });
+            (rest, base) = (tail, end);
+        }
+        let (sc_now, marks_now): (&[f64], &[u8]) = (sc, marks);
+        parallel_for_each_mut(&mut jobs, |job| {
+            for xa in job.actions.clone() {
+                apply_seed_to_action(data, marks_now, sc_now, job, x, xa, index.row(xa), epoch);
+            }
+        });
+        drop(jobs);
+        for shard in &mut scratch.shards[..shards] {
+            for &(pos, at) in &shard.sc_slots {
+                sc[at as usize] = std::mem::replace(&mut credits[pos as usize], f64::NAN);
+            }
+            shard.sc_slots.clear();
         }
         // On an arena with a row of an action its user did not perform,
         // that row outlives the retire.
@@ -1839,7 +2011,7 @@ impl OverlaySelector {
         let mut mg = 0.0;
         for (i, at) in range.enumerate() {
             if let Some(&next) = ahead.get(i + PREFETCH_ROWS) {
-                data.prefetch_row(credits, next);
+                data.prefetch_row(credits, 0, next);
             }
             let row = index.row(at).map_or(0..0, |r| data.out_row_entries(r));
             let factor = (1.0 - sc_or_zero(self.sc[at])).max(0.0);
@@ -1889,6 +2061,16 @@ impl OverlaySelector {
     }
 }
 
+impl HeapSize for ShardScratch {
+    fn heap_bytes(&self) -> usize {
+        self.table.heap_bytes()
+            + self.gout.heap_bytes()
+            + self.sources.heap_bytes()
+            + self.cursors.heap_bytes()
+            + self.sc_slots.heap_bytes()
+    }
+}
+
 impl HeapSize for OverlaySelector {
     /// The session's own state — the credit copy once a seed is
     /// committed, the SC array, seeds and their marks, the row index and
@@ -1899,10 +2081,10 @@ impl HeapSize for OverlaySelector {
             + self.seeds.heap_bytes()
             + self.marks.heap_bytes()
             + self.rows.get().map_or(0, |index| index.rows.heap_bytes())
-            + self.scratch.table.heap_bytes()
-            + self.scratch.gout.heap_bytes()
-            + self.scratch.sources.heap_bytes()
-            + self.scratch.cursors.heap_bytes()
+            + self.scratch.cuts.heap_bytes()
+            + self.scratch.action_starts.heap_bytes()
+            + self.scratch.shards.iter().map(ShardScratch::heap_bytes).sum::<usize>()
+            + self.scratch.shards.capacity() * std::mem::size_of::<ShardScratch>()
     }
 }
 
@@ -1931,75 +2113,83 @@ impl TopKSession {
     }
 }
 
-/// One action's worth of [`OverlaySelector::update`]: retires `x` from
-/// the action `a` at `ua_data[xa]` and applies the Lemma 2/3 credit
-/// algebra to `credits` and `sc`. `row` is `x`'s out row in `a`, and
-/// `scratch.table` is sized and neutral on entry; it is neutral again on
-/// return.
+/// One action's worth of [`OverlaySelector::update`], run by the commit
+/// shard that owns the action: retires `x`'s column in the action `a` at
+/// `ua_data[xa]` and applies the Lemma 2/3 credit algebra to the shard's
+/// credits (every entry of `a` lies in them). `row` is `x`'s out row in
+/// `a`, and the shard's table is sized and neutral on entry; it is
+/// neutral again on return. Nothing here reads or writes another action's
+/// state, which is why shards can run at once.
 ///
-/// Lemma 3 finds each target's SC slot with the target's cursor in
-/// `scratch.cursors`, which this update only moves forward, as `x`'s
-/// actions ascend.
+/// Lemma 3 reads each target's old SC value from `sc`, which no shard
+/// writes during a commit, and finds the slot with the target's cursor in
+/// the shard's `cursors`, which this update only moves forward, as `x`'s
+/// actions ascend. It queues the slot in `sc_slots` and leaves the new
+/// value in `x`'s entry for the target, where the caller picks it up and
+/// retires the entry after every shard is done; an entry with no slot is
+/// retired here. Each slot `(u, a)` is written at most once per commit,
+/// so the deferred write changes no value.
 ///
 /// Lemma 2 subtracts `Γ_{v,x}·Γ_{x,u}` from every stored `(v, u)` with
 /// `v` in `x`'s column and `u` in `x`'s row. Instead of looking each pair
-/// up, the kernel puts `x`'s targets in `scratch.table` and walks each
-/// source's out row once, right after retiring the source's `(v, x)`
-/// entry from it, with the same subtract-and-clamp for every entry. For
-/// a target the table holds `(Γ_{x,u}, 1e-15)`, which is the update of
-/// the oracle's `ActionCredits::subtract` ([`crate::reference`]). For
-/// anyone else it holds [`NEUTRAL`]:
-/// `cvx·0.0` is `+0.0` because `cvx` is finite with its sign bit clear
-/// (validation), `c − 0.0` is `c` for every finite `c` and for `NaN`,
-/// and nothing is `≤ −∞`, so the entry is written back bit for bit.
+/// up, the kernel puts `x`'s targets in the table and walks each source's
+/// out row once, right after retiring the source's `(v, x)` entry from
+/// it, with the same subtract-and-clamp for every entry. For a target the
+/// table holds `(Γ_{x,u}, 1e-15)`, which is the update of the oracle's
+/// `ActionCredits::subtract` ([`crate::reference`]). For anyone else it
+/// holds [`NEUTRAL`]: `cvx·0.0` is `+0.0` because `cvx` is finite with its
+/// sign bit clear (validation), `c − 0.0` is `c` for every finite `c` and
+/// for `NaN`, and nothing is `≤ −∞`, so the entry is written back bit for
+/// bit.
 ///
 /// The sources' rows are resolved first, one merge of the column with the
 /// action's row users, passing over [`RETIRED`] seeds (their `(v, x)` is
 /// already `NaN`); the walk then fetches the start of the row
-/// [`PREFETCH_ROWS`] ahead of the one it updates. The order of sources changes no value: a walk
-/// writes only `(v, u)` with `u` a target of `x`, `x` is not its own
-/// target, so no walk writes a `(v', x)` entry a later source reads; and
-/// every amount comes from the table, filled before any walk.
+/// [`PREFETCH_ROWS`] ahead of the one it updates. The order of sources
+/// changes no value: a walk writes only `(v, u)` with `u` a target of
+/// `x`, `x` is not its own target, so no walk writes a `(v', x)` entry a
+/// later source reads; and every amount comes from the table, filled
+/// before any walk.
 #[allow(clippy::too_many_arguments)]
 fn apply_seed_to_action(
     data: &CompactData,
     marks: &[u8],
-    credits: &mut [f64],
-    sc: &mut [f64],
-    scratch: &mut UpdateScratch,
+    sc: &[f64],
+    shard: &mut CommitShard<'_>,
     x: u32,
     xa: usize,
     row: Option<usize>,
+    epoch: u32,
 ) {
     let (ua_offsets, ua_data) = (data.ua_offsets(), data.ua_data());
     let a = ua_data[xa];
     let one_minus = (1.0 - sc_or_zero(sc[xa])).max(0.0);
     let targets = data.out_targets();
-    let UpdateScratch { table, gout, sources, cursors, epoch } = scratch;
+    let CommitShard { base, credits, scratch, .. } = shard;
+    let (base, credits) = (*base, &mut **credits);
+    let ShardScratch { table, gout, sources, cursors, sc_slots } = &mut **scratch;
     gout.clear();
 
-    // Retire x's out row. Row runs are sorted, matching the oracle's
-    // adjacency order for a canonically built working copy exactly.
-    if let Some(row) = row {
-        for pos in data.out_row_entries(row) {
-            let c = credits[pos];
-            if !c.is_nan() {
-                let u = targets[pos];
-                table[u as usize] = (c, 1e-15);
-                gout.push((u, c));
-                credits[pos] = f64::NAN;
-            }
+    // Lemma 3 on x's out row: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
+    // Each live entry marks its target in the table, then holds the SC
+    // value it writes until the caller retires it. Row runs are sorted,
+    // matching the oracle's adjacency order for a canonically built
+    // working copy exactly.
+    for pos in row.map_or(0..0, |r| data.out_row_entries(r)) {
+        let cxu = credits[pos - base];
+        if cxu.is_nan() {
+            continue;
         }
-    }
-
-    // Lemma 3: Γ_{S+x,u} = Γ_{S,u} + Γ^{V−S}_{x,u}·(1 − Γ_{S,x}).
-    for &(u, cxu) in gout.iter() {
+        let u = targets[pos];
+        table[u as usize] = (cxu, 1e-15);
+        gout.push(u);
         let (stamp, next) = &mut cursors[u as usize];
-        if *stamp != *epoch {
-            *stamp = *epoch;
-            *next = ua_offsets[u as usize];
+        let actions = ua_offsets[u as usize] as usize..ua_offsets[u as usize + 1] as usize;
+        if *stamp != epoch {
+            *stamp = epoch;
+            *next = (actions.start + ua_data[actions.clone()].partition_point(|&b| b < a)) as u32;
         }
-        let (mut at, end) = (*next as usize, ua_offsets[u as usize + 1] as usize);
+        let (mut at, end) = (*next as usize, actions.end);
         while at < end && ua_data[at] < a {
             at += 1;
         }
@@ -2007,10 +2197,14 @@ fn apply_seed_to_action(
         // does not check every target (it would cost a search per inc
         // row on each load), so an arena that breaks this drops the
         // write rather than failing.
-        if at < end && ua_data[at] == a {
-            sc[at] = (sc_or_zero(sc[at]) + cxu * one_minus).min(1.0);
+        credits[pos - base] = if at < end && ua_data[at] == a {
+            sc_slots.push((pos as u32, at as u32));
+            let value = (sc_or_zero(sc[at]) + cxu * one_minus).min(1.0);
             at += 1;
-        }
+            value
+        } else {
+            f64::NAN
+        };
         *next = at as u32;
     }
 
@@ -2038,10 +2232,11 @@ fn apply_seed_to_action(
         let table = table.as_slice();
         for (i, &row) in sources.iter().enumerate() {
             if let Some(&ahead) = sources.get(i + PREFETCH_ROWS) {
-                data.prefetch_row(credits, ahead);
+                data.prefetch_row(credits, base, ahead);
             }
             let entries = data.out_row_entries(row as usize);
-            let (row_c, row_t) = (&mut credits[entries.clone()], &targets[entries]);
+            let (row_c, row_t) =
+                (&mut credits[entries.start - base..entries.end - base], &targets[entries]);
             let Ok(k) = row_t.binary_search(&x) else { continue };
             let cvx = row_c[k];
             if cvx.is_nan() {
@@ -2058,7 +2253,7 @@ fn apply_seed_to_action(
             }
         }
     }
-    for &(u, _) in gout.iter() {
+    for &u in gout.iter() {
         table[u as usize] = NEUTRAL;
     }
 }
@@ -2292,12 +2487,22 @@ mod tests {
     /// from CELF's one-sweep first pass. Those are all the values CELF
     /// reads.
     pub(super) fn assert_replay_matches_oracle(dump: &SelectorDump, seeds: &[u32]) {
+        assert_commits_match_oracle(dump, seeds, OverlaySelector::update);
+    }
+
+    /// [`assert_replay_matches_oracle`] with each overlay commit made by
+    /// `commit`.
+    fn assert_commits_match_oracle(
+        dump: &SelectorDump,
+        seeds: &[u32],
+        commit: impl Fn(&mut OverlaySelector, u32),
+    ) {
         let mut oracle = CdSelector::from_dump(dump);
         let mut overlay = reference::arena_of(dump).overlay();
         for step in 0..=seeds.len() {
             if step > 0 {
                 oracle.update(seeds[step - 1]);
-                overlay.update(seeds[step - 1]);
+                commit(&mut overlay, seeds[step - 1]);
             }
             let done = &seeds[..step];
             let state = reference::dump_of(&overlay.freeze());
@@ -2312,6 +2517,39 @@ mod tests {
                     assert_eq!(got, want, "{mode:?} first-pass gain of {x} after {done:?}");
                 }
             }
+        }
+    }
+
+    /// Commits `seeds` on 1, 2, 3 and 8 shards with no entry threshold,
+    /// so every commit with two or more actions is split, and on the
+    /// calling thread alone. After every commit the sharded session's
+    /// frozen arena and every user's gain in both modes, from `mg` and
+    /// from the one-sweep first round, are the serial kernel's bit for
+    /// bit, and the sharded replay is the oracle's.
+    pub(super) fn assert_sharded_commits_match_serial(dump: &SelectorDump, seeds: &[u32]) {
+        let model = reference::arena_of(dump);
+        for shards in [1usize, 2, 3, 8] {
+            let (mut serial, mut sharded) = (model.overlay(), model.overlay());
+            for (step, &x) in seeds.iter().enumerate() {
+                serial.commit(x, 1, usize::MAX);
+                sharded.commit(x, shards, 0);
+                let case = format!("{shards} shards, after {:?}", &seeds[..=step]);
+                assert!(sharded.freeze().arena() == serial.freeze().arena(), "state, {case}");
+                for mode in [MgMode::Theorem3, MgMode::Pseudocode] {
+                    let (want, got) = (serial.gains(mode), sharded.gains(mode));
+                    for u in 0..model.num_users() as u32 {
+                        let want_bits = serial.mg(u, mode).to_bits();
+                        assert_eq!(
+                            sharded.mg(u, mode).to_bits(),
+                            want_bits,
+                            "{mode:?} {u}, {case}"
+                        );
+                        let bits = (got[u as usize].to_bits(), want[u as usize].to_bits());
+                        assert_eq!(bits.0, bits.1, "{mode:?} first-round {u}, {case}");
+                    }
+                }
+            }
+            assert_commits_match_oracle(dump, seeds, |overlay, x| overlay.commit(x, shards, 0));
         }
     }
 
@@ -2944,6 +3182,7 @@ mod tests {
         let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
         assert!(CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).is_ok());
         assert_replay_matches_oracle(&dump, &[4, 1]);
+        assert_sharded_commits_match_serial(&dump, &[4, 1]);
         // Committing 1 rewrote the arena seed's row: (0, 1) retired, and
         // 0.3 − 0.4·0.5 left on (0, 2).
         let state = reference::dump_of(&committed(&compact, &[4, 1]));
@@ -2969,8 +3208,24 @@ mod tests {
         let buf = Arc::new(AlignedBuf::from_bytes(compact.arena()));
         assert!(CompactSelector::from_arena(buf, 0, compact.counts(), 0.0).is_ok());
         assert_replay_matches_oracle(&dump, &[0, 1]);
+        assert_sharded_commits_match_serial(&dump, &[0, 1]);
         let state = reference::dump_of(&committed(&compact, &[0, 1]));
         assert_eq!(state.store.credits[1], [(0, 2, 0.3 - 0.4 * 0.5)]);
+    }
+
+    /// A user who performed nothing has no actions to shard: committing
+    /// one on many shards commits it like the serial kernel, and the
+    /// sessions go on to agree.
+    #[test]
+    fn committing_a_user_without_actions_on_many_shards() {
+        let mut dump = trained_dump(94, 0);
+        dump.store.user_actions.push(Vec::new());
+        dump.store.inv_au.push(0.0);
+        let idle = dump.store.inv_au.len() as u32 - 1;
+        assert_sharded_commits_match_serial(&dump, &[idle, 3, idle, 7]);
+        let mut overlay = reference::arena_of(&dump).overlay();
+        overlay.commit(idle, 8, 0);
+        assert_eq!(overlay.seeds(), [idle]);
     }
 
     #[test]
@@ -3155,7 +3410,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::{assert_replay_matches_oracle, frozen};
+    use super::tests::{assert_replay_matches_oracle, assert_sharded_commits_match_serial, frozen};
     use super::*;
     use crate::policy::CreditPolicy;
     use crate::reference::{self, SelectorDump};
@@ -3355,6 +3610,44 @@ mod proptests {
             q in proptest::collection::vec(0u32..6, 1..6),
         ) {
             assert_replay_matches_oracle(&edge_case_dump(&entries, &extra, &sc, seeds), &q);
+        }
+
+        /// A commit split into 1, 2, 3 or 8 shards of the seed's actions
+        /// (no entry threshold) leaves the serial kernel's state and gains
+        /// bit for bit, and the oracle's, after every commit: on scanned
+        /// stores of up to ten actions (both policies, λ ∈ {0, 0.001},
+        /// with committed seeds) and on the edge-case states. Sequences
+        /// repeat users and name committed ones and users who never acted.
+        #[test]
+        fn sharded_commits_match_the_serial_kernel(
+            edges in proptest::collection::vec((0u32..8, 0u32..8), 0..40),
+            events in proptest::collection::vec((0u32..8, 0u32..10, 0u64..12), 1..60),
+            committed in proptest::sample::subsequence((0u32..8).collect::<Vec<_>>(), 0..3),
+            entries in proptest::collection::vec((0u32..6, 0u32..6, 0u32..2, 0usize..8), 0..30),
+            extra in proptest::collection::vec((0u32..6, 0u32..2), 0..6),
+            sc in proptest::collection::vec((0u32..2, 0u32..6, 0usize..8), 0..6),
+            q in proptest::collection::vec(0u32..8, 1..6),
+            flags in (proptest::bool::ANY, proptest::bool::ANY),
+        ) {
+            let (time_aware, truncate) = flags;
+            let graph = GraphBuilder::new(8).edges(edges).build();
+            let mut b = ActionLogBuilder::new(8);
+            for &(u, a, t) in &events {
+                b.push(u, a, t as f64);
+            }
+            let log = b.build();
+            let policy = if time_aware {
+                CreditPolicy::time_aware(&graph, &log)
+            } else {
+                CreditPolicy::Uniform
+            };
+            let lambda = if truncate { 0.001 } else { 0.0 };
+            let scanned = reference::dump_of(&frozen(&graph, &log, &policy, lambda, &committed));
+            assert_sharded_commits_match_serial(&scanned, &q);
+            // The edge-case states have six users.
+            let seeds = committed.iter().copied().filter(|&u| u < 6).collect();
+            let q6: Vec<u32> = q.iter().map(|&u| u % 6).collect();
+            assert_sharded_commits_match_serial(&edge_case_dump(&entries, &extra, &sc, seeds), &q6);
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Scoped worker pool with deterministic work splitting.
 //!
 //! Every parallel stage in the workspace — the credit scan's per-action
-//! fan-out, the Monte-Carlo estimator's simulation shards — runs on the
-//! primitives in this module instead of hand-rolled `thread::scope`
-//! blocks, so "how cdim uses cores" has exactly one answer.
+//! fan-out, the Algorithm-5 commit's action shards, the Monte-Carlo
+//! estimator's simulation shards — runs on the primitives in this module
+//! instead of hand-rolled `thread::scope` blocks, so "how cdim uses
+//! cores" has exactly one answer.
 //!
 //! ## Design
 //!
@@ -16,6 +17,11 @@
 //!   and keeps that shard's heap in the caller's malloc arena, where the
 //!   caller's later allocations can reuse it once the shard's output is
 //!   freed; memory a worker frees stays in that worker's arena.
+//! * **Joined, not only counted.** A scoped thread leaves its scope when
+//!   its closure returns, before it has exited; until it exits it holds
+//!   its malloc arena, and a thread spawned meanwhile opens another one.
+//!   So every call joins each worker it spawned: when it returns, its
+//!   threads are gone and their arenas free for the next call's.
 //! * **Deterministic splitting.** [`split_ranges`] divides `n` items over
 //!   `w` workers into contiguous ranges whose sizes differ by at most one,
 //!   a pure function of `(n, w)`. Shard `s` always receives the same range
@@ -169,20 +175,44 @@ where
     T: Send,
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
-    let mut ranges = split_ranges(len, parallelism.workers_for(len)).into_iter().enumerate();
-    let Some((_, first)) = ranges.next() else {
-        return Vec::new();
+    let ranges = split_ranges(len, parallelism.workers_for(len));
+    let mut jobs: Vec<_> = ranges.into_iter().enumerate().map(|(s, r)| (s, r, None)).collect();
+    parallel_for_each_mut(&mut jobs, |(shard, range, slot)| *slot = Some(f(*shard, range.clone())));
+    jobs.into_iter().map(|(_, _, slot)| slot.expect("joined worker filled its slot")).collect()
+}
+
+/// Runs `f` once on each element of `jobs`, each call with its own `&mut`
+/// job: `jobs[0]` on the calling thread, every other job on a thread of
+/// its own. The caller decides the sharding, so it keeps `jobs` to at
+/// most [`Parallelism::effective`] elements; a job can hold disjoint
+/// `&mut` slices of one buffer and scratch the caller sized, which is how
+/// a shard writes in place and allocates nothing.
+///
+/// Every worker is joined before the call returns, not only counted out
+/// of the scope: a scoped thread can leave the scope while it is still
+/// exiting, holding its malloc arena, and the next call's threads would
+/// then open fresh arenas.
+pub fn parallel_for_each_mut<J, F>(jobs: &mut [J], f: F)
+where
+    J: Send,
+    F: Fn(&mut J) + Sync,
+{
+    let Some((first, rest)) = jobs.split_first_mut() else {
+        return;
     };
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    let head = std::thread::scope(|scope| {
+    if rest.is_empty() {
+        return f(first);
+    }
+    std::thread::scope(|scope| {
         let f = &f;
-        for ((shard, range), slot) in ranges.zip(&mut slots) {
-            scope.spawn(move || *slot = Some(f(shard, range)));
+        let workers: Vec<_> = rest.iter_mut().map(|job| scope.spawn(move || f(job))).collect();
+        f(first);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
-        f(0, first)
     });
-    let tail = slots.into_iter().map(|s| s.expect("joined worker filled its slot"));
-    std::iter::once(head).chain(tail).collect()
 }
 
 /// Applies `f` to every index in `0..len` on up to
@@ -293,6 +323,61 @@ mod tests {
             for (s, _, id) in &shards {
                 assert_eq!(*id == caller, *s == 0, "threads {threads}, shard {s}");
             }
+        }
+    }
+
+    #[test]
+    fn each_job_is_handed_out_once_and_the_first_on_the_caller() {
+        let caller = std::thread::current().id();
+        parallel_for_each_mut(&mut [] as &mut [u8], |_| unreachable!());
+        for n in 1usize..=8 {
+            let mut jobs: Vec<_> = (0..n).map(|i| (i, 0, None)).collect();
+            parallel_for_each_mut(&mut jobs, |(i, runs, on)| {
+                *runs += 1;
+                *on = Some(std::thread::current().id() == caller);
+                *i *= 10;
+            });
+            for (k, &(i, runs, on)) in jobs.iter().enumerate() {
+                assert_eq!((i, runs, on), (k * 10, 1, Some(k == 0)), "{n} jobs");
+            }
+        }
+    }
+
+    /// Counts workers whose thread-locals have been torn down, which
+    /// happens as a thread exits, after its closure has returned.
+    static EXITED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    struct OnExit;
+
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            // Widens the window in which a worker that was not joined is
+            // still exiting; a joined worker is counted whatever its timing.
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            EXITED.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_GUARD: OnExit = const { OnExit };
+    }
+
+    #[test]
+    fn every_worker_has_exited_when_a_call_returns() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let caller = std::thread::current().id();
+        let touch = || {
+            if std::thread::current().id() != caller {
+                EXIT_GUARD.with(|_| ());
+            }
+        };
+        for threads in [2usize, 3, 8] {
+            let before = EXITED.load(SeqCst);
+            parallel_map_shards(Parallelism::fixed(threads), 16, |_, _| touch());
+            assert_eq!(EXITED.load(SeqCst) - before, threads - 1, "map, {threads} threads");
+            let before = EXITED.load(SeqCst);
+            parallel_for_each_mut(&mut vec![(); threads], |_| touch());
+            assert_eq!(EXITED.load(SeqCst) - before, threads - 1, "jobs, {threads} threads");
         }
     }
 
