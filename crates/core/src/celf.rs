@@ -140,22 +140,13 @@ pub enum MgMode {
 
 #[cfg(test)]
 mod tests {
+    use super::MgMode;
     use crate::policy::CreditPolicy;
     use crate::reference;
     use crate::scan::scan;
-    use cdim_actionlog::{ActionLog, ActionLogBuilder};
-    use cdim_graph::{DirectedGraph, GraphBuilder};
-
-    fn figure1() -> (DirectedGraph, ActionLog) {
-        let graph = GraphBuilder::new(6)
-            .edges([(0, 2), (1, 2), (0, 3), (2, 4), (0, 5), (2, 5), (3, 5), (4, 5)])
-            .build();
-        let mut b = ActionLogBuilder::new(6);
-        for (u, t) in [(0u32, 0.0), (1, 0.5), (2, 1.0), (3, 1.5), (4, 2.0), (5, 2.5)] {
-            b.push(u, 0, t);
-        }
-        (graph, b.build())
-    }
+    use crate::testing::figure1;
+    use cdim_actionlog::ActionLogBuilder;
+    use cdim_graph::GraphBuilder;
 
     #[test]
     fn first_marginal_gain_is_sigma_singleton() {
@@ -241,12 +232,12 @@ mod tests {
         let sel = store.overlay();
         for x in 0..6u32 {
             let full = sel.compute_mg(x);
-            let pseudo = sel.compute_mg_pseudocode(x);
+            let pseudo = sel.mg(x, MgMode::Pseudocode);
             assert!(pseudo <= full + 1e-12, "user {x}: {pseudo} > {full}");
         }
         // The sink user (5) influences nobody: pseudocode says 0, Theorem 3
         // says 1 (its own activation).
-        assert_eq!(sel.compute_mg_pseudocode(5), 0.0);
+        assert_eq!(sel.mg(5, MgMode::Pseudocode), 0.0);
         assert!((sel.compute_mg(5) - 1.0).abs() < 1e-12);
     }
 

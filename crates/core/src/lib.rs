@@ -37,7 +37,14 @@
 //!   same arena (the zero-copy v2 snapshot payload), seeds and SC entries
 //!   included, and the
 //!   [`OverlaySelector`], the one engine for Theorem-3 marginal gains and
-//!   Lemma 2/3 seed commits (Algorithms 4–5);
+//!   Lemma 2/3 seed commits (Algorithms 4–5). Its private submodules
+//!   follow those roles: `compact` itself holds the arena format and
+//!   [`CompactSelector`]'s accessors; `compact::rows` lays arenas out
+//!   (the scan's merge, dumps, the `extend`/`retract` splices);
+//!   `compact::validate` checks an untrusted arena on load;
+//!   `compact::overlay` is the overlay, the sharded commit and the
+//!   top-k session; `compact::replay` answers the commit-free σ_cd and
+//!   gain queries;
 //! * [`spread`] — exact σ_cd(S) evaluation for arbitrary seed sets (the
 //!   spread-prediction experiments) and a [`cdim_maxim::SpreadOracle`]
 //!   implementation;
@@ -60,6 +67,8 @@ pub mod reference;
 pub mod scan;
 pub mod spread;
 mod telemetry;
+#[cfg(test)]
+mod testing;
 
 pub use cdim_util::Parallelism;
 pub use celf::MgMode;

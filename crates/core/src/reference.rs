@@ -424,6 +424,22 @@ pub fn dump_of(model: &CompactSelector) -> SelectorDump {
     SelectorDump { store: store_dump(model, credits), sc, seeds: data.seeds().to_vec() }
 }
 
+/// The bitwise image of a dump: `(action, v, u, bits)` credits, then
+/// `(action, u, bits)` SC entries, then the seeds. Two states are the
+/// same bit for bit iff their images are equal; `==` on the dumps
+/// compares credits as floats, so `0.0` equals `-0.0`.
+pub fn dump_bits(dump: &SelectorDump) -> impl PartialEq + std::fmt::Debug {
+    let credits: Vec<(usize, u32, u32, u64)> = dump
+        .store
+        .credits
+        .iter()
+        .enumerate()
+        .flat_map(|(a, es)| es.iter().map(move |&(v, u, c)| (a, v, u, c.to_bits())))
+        .collect();
+    let sc: Vec<(u32, u32, u64)> = dump.sc.iter().map(|&(a, u, c)| (a, u, c.to_bits())).collect();
+    (credits, sc, dump.seeds.clone())
+}
+
 /// `(counterparty, credit)` pairs removed by [`ActionCredits::retire`].
 type RemovedCredits = Vec<(u32, f64)>;
 
@@ -597,20 +613,7 @@ fn edge_offsets(dag: &PropagationDag<'_>) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cdim_actionlog::ActionLogBuilder;
-    use cdim_graph::GraphBuilder;
-
-    /// Same Figure-1 construction as the scan tests.
-    fn figure1() -> (DirectedGraph, ActionLog) {
-        let graph = GraphBuilder::new(6)
-            .edges([(0, 2), (1, 2), (0, 3), (2, 4), (0, 5), (2, 5), (3, 5), (4, 5)])
-            .build();
-        let mut b = ActionLogBuilder::new(6);
-        for (u, t) in [(0u32, 0.0), (1, 0.5), (2, 1.0), (3, 1.5), (4, 2.0), (5, 2.5)] {
-            b.push(u, 0, t);
-        }
-        (graph, b.build())
-    }
+    use crate::testing::figure1;
 
     #[test]
     fn add_accumulates_and_get_reads() {
@@ -868,21 +871,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use cdim_actionlog::ActionLogBuilder;
-    use cdim_graph::GraphBuilder;
+    use crate::testing::eight_user_instance;
     use proptest::prelude::*;
-
-    fn random_instance(
-        edges: Vec<(u32, u32)>,
-        events: Vec<(u32, u32, u64)>,
-    ) -> (DirectedGraph, ActionLog) {
-        let graph = GraphBuilder::new(8).edges(edges).build();
-        let mut b = ActionLogBuilder::new(8);
-        for (u, a, t) in events {
-            b.push(u, a, t as f64);
-        }
-        (graph, b.build())
-    }
 
     proptest! {
         /// σ_cd is monotone: adding a seed never decreases spread
@@ -893,8 +883,7 @@ mod proptests {
             events in proptest::collection::vec((0u32..8, 0u32..3, 0u64..16), 1..40),
             order in proptest::sample::subsequence((0u32..8).collect::<Vec<_>>(), 0..8),
         ) {
-            let (graph, log) = random_instance(edges, events);
-            let policy = CreditPolicy::Uniform;
+            let (graph, log, policy) = eight_user_instance(&edges, &events, false);
             let mut seeds: Vec<u32> = Vec::new();
             let mut prev = sigma_cd(&graph, &log, &policy, &seeds);
             for s in order {
@@ -915,8 +904,7 @@ mod proptests {
             extra in 0usize..3,
             x in 0u32..8,
         ) {
-            let (graph, log) = random_instance(edges, events);
-            let policy = CreditPolicy::Uniform;
+            let (graph, log, policy) = eight_user_instance(&edges, &events, false);
             let small: Vec<u32> = (0..s_size as u32).collect();
             let mut large = small.clone();
             large.extend((s_size as u32..(s_size + extra) as u32).take(extra));
@@ -937,8 +925,7 @@ mod proptests {
             events in proptest::collection::vec((0u32..8, 0u32..2, 0u64..16), 1..30),
             seeds in proptest::sample::subsequence((0u32..8).collect::<Vec<_>>(), 1..4),
         ) {
-            let (graph, log) = random_instance(edges, events);
-            let policy = CreditPolicy::Uniform;
+            let (graph, log, policy) = eight_user_instance(&edges, &events, false);
             for a in log.actions() {
                 let joint = set_credit(&graph, &log, &policy, a, &seeds);
                 let mut summed: std::collections::BTreeMap<u32, f64> =

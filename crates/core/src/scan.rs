@@ -68,7 +68,7 @@
 //! **bit-identical for every thread count**.
 
 use crate::compact::{
-    self, one_over_au, ActionRows, CompactSelector, Overflow, BLOCK_ENTRIES, FIRST_BLOCK_ENTRIES,
+    arena, one_over_au, ActionRows, CompactSelector, Overflow, BLOCK_ENTRIES, FIRST_BLOCK_ENTRIES,
 };
 use crate::policy::CreditPolicy;
 use crate::telemetry::ScanTelemetry;
@@ -437,7 +437,7 @@ fn scan_in_blocks(
         }
     }
 
-    let data = compact::store_arena(lambda, &ua_offsets, &ua_data, &inv_au, shards)?;
+    let data = arena(lambda, &ua_offsets, &ua_data, &inv_au, shards, &[], &[])?;
     Ok(CompactSelector { data: Arc::new(data) })
 }
 
@@ -446,6 +446,7 @@ mod tests {
     use super::*;
     use crate::compact::CompactCounts;
     use crate::reference;
+    use crate::testing::figure1;
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
 
@@ -453,40 +454,6 @@ mod tests {
     /// stored.
     pub(super) fn credit(store: &CompactSelector, a: ActionId, v: u32, u: u32) -> f64 {
         store.action(a).entries().find(|&(x, y, _)| (x, y) == (v, u)).map_or(0.0, |(_, _, c)| c)
-    }
-
-    /// The running example of §4 (Figure 1), reconstructed so that the
-    /// paper's hand-computed credits hold:
-    ///
-    /// users: v=0, q=1, t=2, w=3, z=4, u=5
-    /// edges: v→t, q→t, v→w, t→z, w→z is absent…
-    ///
-    /// We need: d_in(t)=2 with parents {v, q}; d_in(w)=1 parent {v};
-    /// d_in(z)=1 parent {t}; d_in(u)=4 parents {v, t, w, z}.
-    /// Then Γ_{v,t} = 0.5, Γ_{v,w} = 1, Γ_{v,z} = 0.5, and
-    /// Γ_{v,u} = 1·0.25 + 0.5·0.25 + 1·0.25 + 0.5·0.25 = 0.75 — the
-    /// paper's worked value.
-    fn figure1() -> (DirectedGraph, ActionLog) {
-        let graph = GraphBuilder::new(6)
-            .edges([
-                (0, 2), // v -> t
-                (1, 2), // q -> t
-                (0, 3), // v -> w
-                (2, 4), // t -> z
-                (0, 5), // v -> u
-                (2, 5), // t -> u
-                (3, 5), // w -> u
-                (4, 5), // z -> u
-            ])
-            .build();
-        let mut b = ActionLogBuilder::new(6);
-        b.push(0, 0, 0.0); // v
-        b.push(1, 0, 0.5); // q
-        b.push(2, 0, 1.0); // t
-        b.push(3, 0, 1.5); // w
-        b.push(4, 0, 2.0); // z
-        b.push(5, 0, 2.5); // u
-        (graph, b.build())
     }
 
     #[test]
@@ -630,6 +597,7 @@ mod proptests {
     use super::tests::credit;
     use super::*;
     use crate::reference;
+    use crate::testing::eight_user_instance;
     use cdim_actionlog::ActionLogBuilder;
     use cdim_graph::GraphBuilder;
     use proptest::prelude::*;
@@ -644,17 +612,7 @@ mod proptests {
             events in proptest::collection::vec((0u32..8, 0u32..3, 0u64..16), 1..40),
             time_aware in proptest::bool::ANY,
         ) {
-            let graph = GraphBuilder::new(8).edges(edges).build();
-            let mut b = ActionLogBuilder::new(8);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let policy = if time_aware {
-                CreditPolicy::time_aware(&graph, &log)
-            } else {
-                CreditPolicy::Uniform
-            };
+            let (graph, log, policy) = eight_user_instance(&edges, &events, time_aware);
             let store = scan(&graph, &log, &policy, 0.0).unwrap();
 
             for a in log.actions() {
@@ -684,13 +642,8 @@ mod proptests {
             edges in proptest::collection::vec((0u32..8, 0u32..8), 0..40),
             events in proptest::collection::vec((0u32..8, 0u32..2, 0u64..16), 1..40),
         ) {
-            let graph = GraphBuilder::new(8).edges(edges).build();
-            let mut b = ActionLogBuilder::new(8);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let store = scan(&graph, &log, &CreditPolicy::Uniform, 0.0).unwrap();
+            let (graph, log, policy) = eight_user_instance(&edges, &events, false);
+            let store = scan(&graph, &log, &policy, 0.0).unwrap();
             let dags = PropagationArena::build(&log, &graph, log.actions());
             for dag in dags.dags() {
                 let a = dag.action;

@@ -153,19 +153,7 @@ pub(crate) fn evaluator(
 mod tests {
     use super::*;
     use crate::reference;
-    use cdim_actionlog::{ActionLog, ActionLogBuilder};
-    use cdim_graph::{DirectedGraph, GraphBuilder};
-
-    fn figure1() -> (DirectedGraph, ActionLog) {
-        let graph = GraphBuilder::new(6)
-            .edges([(0, 2), (1, 2), (0, 3), (2, 4), (0, 5), (2, 5), (3, 5), (4, 5)])
-            .build();
-        let mut b = ActionLogBuilder::new(6);
-        for (u, t) in [(0u32, 0.0), (1, 0.5), (2, 1.0), (3, 1.5), (4, 2.0), (5, 2.5)] {
-            b.push(u, 0, t);
-        }
-        (graph, b.build())
-    }
+    use crate::testing::figure1;
 
     #[test]
     fn matches_reference_on_example() {
@@ -200,8 +188,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::reference;
-    use cdim_actionlog::ActionLogBuilder;
-    use cdim_graph::GraphBuilder;
+    use crate::testing::eight_user_instance;
     use proptest::prelude::*;
 
     proptest! {
@@ -212,13 +199,8 @@ mod proptests {
             edges in proptest::collection::vec((0u32..8, 0u32..8), 0..30),
             events in proptest::collection::vec((0u32..8, 0u32..3, 0u64..16), 1..40),
         ) {
-            let graph = GraphBuilder::new(8).edges(edges).build();
-            let mut b = ActionLogBuilder::new(8);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let eval = evaluator(&graph, &log, &CreditPolicy::Uniform);
+            let (graph, log, policy) = eight_user_instance(&edges, &events, false);
+            let eval = evaluator(&graph, &log, &policy);
             let everyone: Vec<u32> = (0..8).collect();
             let active = (0..8u32).filter(|&u| log.actions_performed_by(u) > 0).count();
             let sigma = eval.spread(&everyone);
@@ -235,17 +217,7 @@ mod proptests {
             seeds in proptest::sample::subsequence((0u32..8).collect::<Vec<_>>(), 0..5),
             time_aware in proptest::bool::ANY,
         ) {
-            let graph = GraphBuilder::new(8).edges(edges).build();
-            let mut b = ActionLogBuilder::new(8);
-            for &(u, a, t) in &events {
-                b.push(u, a, t as f64);
-            }
-            let log = b.build();
-            let policy = if time_aware {
-                CreditPolicy::time_aware(&graph, &log)
-            } else {
-                CreditPolicy::Uniform
-            };
+            let (graph, log, policy) = eight_user_instance(&edges, &events, time_aware);
             let eval = evaluator(&graph, &log, &policy);
             let fast = eval.spread(&seeds);
             let slow = reference::sigma_cd(&graph, &log, &policy, &seeds);

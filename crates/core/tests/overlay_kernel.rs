@@ -11,7 +11,7 @@
 //! commit-free σ_cd and gain queries must equal the commit loop they
 //! replace.
 
-use cdim_core::reference::{self, CdSelector, SelectorDump};
+use cdim_core::reference::{self, CdSelector};
 use cdim_core::{scan, CompactSelector, CreditPolicy};
 use cdim_datagen::presets;
 use cdim_maxim::Selection;
@@ -31,22 +31,6 @@ const PINNED: [(&str, u32); 8] = [
     ("flixster_small_div8 time_aware=true lambda=0", 0xe25a_fa2d),
     ("flixster_small_div8 time_aware=true lambda=0.001", 0x64ee_4a62),
 ];
-
-/// Bitwise image of a dump: `(action, v, u, bits)` credits, then
-/// `(action, u, bits)` SC entries, then seeds.
-type DumpBits = (Vec<(usize, u32, u32, u64)>, Vec<(u32, u32, u64)>, Vec<u32>);
-
-fn dump_bits(dump: &SelectorDump) -> DumpBits {
-    let credits = dump
-        .store
-        .credits
-        .iter()
-        .enumerate()
-        .flat_map(|(a, es)| es.iter().map(move |&(v, u, c)| (a, v, u, c.to_bits())))
-        .collect();
-    let sc = dump.sc.iter().map(|&(a, u, c)| (a, u, c.to_bits())).collect();
-    (credits, sc, dump.seeds.clone())
-}
 
 /// Freshly scanned models of each preset × policy × λ, named.
 fn cases() -> Vec<(String, CompactSelector)> {
@@ -99,7 +83,8 @@ fn overlay_state_matches_the_oracle_after_every_seed() {
             oracle.update(s);
             overlay.update(s);
             assert!(
-                dump_bits(&reference::dump_of(&overlay.freeze())) == dump_bits(&oracle.dump()),
+                reference::dump_bits(&reference::dump_of(&overlay.freeze()))
+                    == reference::dump_bits(&oracle.dump()),
                 "{case}: state differs after committing {s}"
             );
             for x in 0..model.num_users() as u32 {
