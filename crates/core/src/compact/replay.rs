@@ -104,14 +104,16 @@ fn sequence_gains(data: &CompactData, q: &[u32], last_only: bool) -> Vec<f64> {
     let mut pairs: Vec<u64> = Vec::new();
     for (&x, i) in users.iter().zip(0..) {
         let row = data.ua_row(x);
-        let Some(visited) = visited else {
-            pairs.extend(row.iter().map(|&a| pair_key(a, i)));
-            continue;
-        };
-        // The shared actions, each searched from the shorter row.
-        let (short, long) = if row.len() < visited.len() { (row, visited) } else { (visited, row) };
-        let shared = short.iter().filter(|a| long.binary_search(a).is_ok());
-        pairs.extend(shared.map(|&a| pair_key(a, i)));
+        match visited {
+            // An earlier user's actions shared with the last user's, each
+            // searched from the shorter row in the longer.
+            Some(v) if i + 1 < users.len() as u32 => {
+                let (short, long) = if row.len() < v.len() { (row, v) } else { (v, row) };
+                let shared = short.iter().filter(|a| long.binary_search(a).is_ok());
+                pairs.extend(shared.map(|&a| pair_key(a, i)));
+            }
+            _ => pairs.extend(row.iter().map(|&a| pair_key(a, i))),
+        }
     }
     pairs.sort();
     let (mut gains, mut scratch) = (vec![0.0f64; users.len()], ReplayScratch::default());
