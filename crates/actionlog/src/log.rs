@@ -131,9 +131,9 @@ impl ActionLog {
         })
     }
 
-    /// Time at which `u` performed `a`, if it did (linear in action size —
-    /// callers that need many lookups should build their own index).
-    pub fn time_of(&self, u: UserId, a: ActionId) -> Option<Timestamp> {
+    /// Time at which `u` performed `a`, if it did (linear in action size).
+    #[cfg(test)]
+    fn time_of(&self, u: UserId, a: ActionId) -> Option<Timestamp> {
         let range = self.range(a);
         self.users[range.clone()].iter().position(|&x| x == u).map(|i| self.times[range.start + i])
     }

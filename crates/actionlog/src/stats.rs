@@ -39,18 +39,6 @@ pub fn log_stats(log: &ActionLog) -> LogStats {
     }
 }
 
-/// Histogram of propagation sizes with fixed-width bins (used for the
-/// size-stratified RMSE plots — bins "at multiples of 100" etc., §3).
-pub fn size_histogram(log: &ActionLog, bin_width: usize) -> Vec<(usize, usize)> {
-    assert!(bin_width > 0);
-    let mut counts: std::collections::BTreeMap<usize, usize> = std::collections::BTreeMap::new();
-    for a in log.actions() {
-        let bin = (log.action_size(a) / bin_width) * bin_width;
-        *counts.entry(bin).or_insert(0) += 1;
-    }
-    counts.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,12 +71,5 @@ mod tests {
         assert_eq!(s.propagations, 0);
         assert_eq!(s.avg_size, 0.0);
         assert_eq!(s.max_size, 0);
-    }
-
-    #[test]
-    fn histogram_bins() {
-        let h = size_histogram(&log(), 2);
-        // Sizes 3, 2, 1 -> bins 2, 2, 0.
-        assert_eq!(h, vec![(0, 1), (2, 2)]);
     }
 }

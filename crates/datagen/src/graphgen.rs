@@ -66,28 +66,6 @@ pub fn preferential_attachment(config: GraphGenConfig) -> DirectedGraph {
     builder.build()
 }
 
-/// Uniform random digraph (Erdős–Rényi G(n, m)); used in tests where
-/// degree structure should be flat.
-pub fn random_digraph(nodes: usize, edges: usize, seed: u64) -> DirectedGraph {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::new(nodes);
-    if nodes < 2 {
-        return builder.build();
-    }
-    let mut added = 0usize;
-    let mut guard = 0usize;
-    while added < edges && guard < 20 * edges + 100 {
-        guard += 1;
-        let u = rng.below(nodes as u64) as NodeId;
-        let v = rng.below(nodes as u64) as NodeId;
-        if u != v {
-            builder.push_edge(u, v);
-            added += 1;
-        }
-    }
-    builder.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,14 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn random_digraph_hits_target_size() {
-        let g = random_digraph(100, 400, 2);
-        assert_eq!(g.num_nodes(), 100);
-        // Duplicates collapse, so allow slack.
-        assert!(g.num_edges() > 300, "edges = {}", g.num_edges());
-    }
-
-    #[test]
     fn tiny_configs_do_not_panic() {
         assert_eq!(
             preferential_attachment(GraphGenConfig { nodes: 0, ..Default::default() }).num_nodes(),
@@ -166,6 +136,5 @@ mod tests {
             preferential_attachment(GraphGenConfig { nodes: 1, ..Default::default() }).num_edges(),
             0
         );
-        assert_eq!(random_digraph(1, 10, 1).num_edges(), 0);
     }
 }

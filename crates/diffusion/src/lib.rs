@@ -11,8 +11,8 @@
 //! * [`probs`] — per-edge influence probabilities/weights aligned to the
 //!   CSR arrays of [`cdim_graph::DirectedGraph`];
 //! * [`ic`] — Independent Cascade simulation;
-//! * [`lt`] — Linear Threshold simulation (threshold form and Kempe's
-//!   equivalent live-edge form);
+//! * [`lt`] — Linear Threshold simulation (the threshold form; its tests
+//!   cross-check it against Kempe's equivalent live-edge form);
 //! * [`mc`] — the (optionally multi-threaded) Monte-Carlo estimator.
 
 pub mod ic;

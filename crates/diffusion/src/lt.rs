@@ -4,16 +4,15 @@
 //! total incoming weight from active neighbors reaches `θ_u` (§2). The sum
 //! of incoming weights must be ≤ 1.
 //!
-//! Two samplers are provided:
+//! [`LtModel::simulate`] runs the direct threshold process. Thresholds are
+//! drawn lazily, the first time a node receives weight, which is
+//! distributionally identical to drawing them all upfront and touches only
+//! the frontier.
 //!
-//! * [`LtModel::simulate`] — the direct threshold process. Thresholds are
-//!   drawn lazily, the first time a node receives weight, which is
-//!   distributionally identical to drawing them all upfront and touches
-//!   only the frontier.
-//! * [`LtModel::simulate_live_edge`] — Kempe et al.'s equivalence: each
-//!   node pre-selects at most one in-edge (edge `(v,u)` with probability
-//!   `w_{v,u}`, none with the remainder); the cascade equals reachability
-//!   over selected edges. Used as a cross-check oracle in tests.
+//! The tests cross-check it against a second, test-only sampler built on
+//! Kempe et al.'s equivalence: each node pre-selects at most one in-edge
+//! (edge `(v,u)` with probability `w_{v,u}`, none with the remainder), and
+//! the cascade equals reachability over the selected edges.
 
 use crate::probs::EdgeProbabilities;
 use cdim_graph::{DirectedGraph, NodeId};
@@ -39,8 +38,6 @@ pub struct LtScratch {
     active: Vec<u32>,
     epoch: u32,
     queue: Vec<NodeId>,
-    /// Live-edge choice per node (in-aligned edge position + 1; 0 = none).
-    choice: Vec<u32>,
 }
 
 impl LtScratch {
@@ -53,7 +50,6 @@ impl LtScratch {
             active: vec![0; n],
             epoch: 0,
             queue: Vec::new(),
-            choice: vec![0; n],
         }
     }
 
@@ -151,8 +147,9 @@ impl<'a> LtModel<'a> {
     }
 
     /// Runs one cascade via the live-edge equivalence; returns the active
-    /// count. O(m) per call — intended as a correctness oracle.
-    pub fn simulate_live_edge(
+    /// count. O(m) per call — the tests' correctness oracle.
+    #[cfg(test)]
+    fn simulate_live_edge(
         &self,
         seeds: &[NodeId],
         rng: &mut Rng,
@@ -160,7 +157,9 @@ impl<'a> LtModel<'a> {
     ) -> usize {
         scratch.begin();
         let n = self.graph.num_nodes();
-        // Each node selects at most one in-edge.
+        // Each node selects at most one in-edge: its in-aligned edge
+        // position + 1, or 0 for none.
+        let mut choice = vec![0u32; n];
         for u in 0..n as NodeId {
             let mut pick = 0u32; // 0 = none
             let mut x = rng.f64();
@@ -172,7 +171,7 @@ impl<'a> LtModel<'a> {
                 }
                 x -= w;
             }
-            scratch.choice[u as usize] = pick;
+            choice[u as usize] = pick;
         }
         for &s in seeds {
             scratch.mark_active(s);
@@ -196,7 +195,7 @@ impl<'a> LtModel<'a> {
                 }
                 scratch.stamp[cur as usize] = scratch.epoch; // visiting
                 path.push(cur);
-                match scratch.choice[cur as usize] {
+                match choice[cur as usize] {
                     0 => break false,
                     pick => cur = self.graph.in_sources()[(pick - 1) as usize],
                 }

@@ -10,14 +10,9 @@
 //! * [`GraphBuilder`] — edge-list ingestion with de-duplication;
 //! * [`traversal`] — BFS reachability (the live-edge possible-world spread);
 //! * [`pagerank`] — the PageRank baseline seed selector of Fig 6;
-//! * [`components`] — weakly-connected components;
-//! * [`cluster`] — label-propagation clustering, our stand-in for the
-//!   Graclus partitioning the paper uses to sample communities;
 //! * [`stats`] — the degree statistics reported in Table 1.
 
 pub mod builder;
-pub mod cluster;
-pub mod components;
 pub mod csr;
 pub mod pagerank;
 pub mod stats;

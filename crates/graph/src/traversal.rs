@@ -86,13 +86,6 @@ pub fn reachable_count(
     count
 }
 
-/// Returns the full set of nodes reachable from `seeds` over all edges.
-pub fn reachable_set(graph: &DirectedGraph, seeds: &[NodeId]) -> Vec<NodeId> {
-    let mut scratch = BfsScratch::new(graph.num_nodes());
-    reachable_count(graph, seeds, &mut scratch, |_| true);
-    scratch.queue.clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +128,6 @@ mod tests {
         assert_eq!(reachable_count(&g, &[0], &mut s, |_| true), 5);
         // Second run from a sink must not see stale visited marks.
         assert_eq!(reachable_count(&g, &[4], &mut s, |_| true), 1);
-    }
-
-    #[test]
-    fn reachable_set_contents() {
-        let g = GraphBuilder::new(4).edges([(0, 1), (2, 3)]).build();
-        let mut set = reachable_set(&g, &[0]);
-        set.sort_unstable();
-        assert_eq!(set, vec![0, 1]);
     }
 
     #[test]

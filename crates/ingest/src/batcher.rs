@@ -280,12 +280,14 @@ impl MicroBatcher {
     }
 
     /// Sealed actions awaiting a batch cut.
-    pub fn pending_actions(&self) -> usize {
+    #[cfg(test)]
+    fn pending_actions(&self) -> usize {
         self.closed.len()
     }
 
     /// Whether an action is currently open.
-    pub fn has_open(&self) -> bool {
+    #[cfg(test)]
+    fn has_open(&self) -> bool {
         self.open.is_some()
     }
 

@@ -339,7 +339,7 @@ impl IngestDriver {
     }
 
     /// The query service the driver publishes into — share it with
-    /// [`cdim_serve::server::spawn`] to serve queries while following.
+    /// [`cdim_serve::spawn`] to serve queries while following.
     pub fn service(&self) -> &Arc<InfluenceService> {
         &self.service
     }

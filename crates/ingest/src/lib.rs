@@ -63,7 +63,7 @@
 //!     Path::new("model.ckpt"),
 //!     FollowConfig::default(),
 //! )?;
-//! let service = driver.service().clone(); // hand to cdim_serve::server::spawn
+//! let service = driver.service().clone(); // hand to cdim_serve::spawn
 //! driver.run(|report| eprintln!("{report}"))?;
 //! # let _ = service;
 //! # Ok(())

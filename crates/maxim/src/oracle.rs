@@ -61,14 +61,14 @@ impl Selection {
 
 /// A deterministic, additive oracle for tests: σ(S) = Σ_{u∈S} value[u],
 /// deduplicated. Monotone and submodular (modular, in fact).
-#[cfg(any(test, feature = "test-oracles"))]
+#[cfg(test)]
 #[derive(Clone, Debug)]
 pub struct AdditiveOracle {
     /// Per-node value.
     pub values: Vec<f64>,
 }
 
-#[cfg(any(test, feature = "test-oracles"))]
+#[cfg(test)]
 impl SpreadOracle for AdditiveOracle {
     fn spread(&self, seeds: &[NodeId]) -> f64 {
         let mut seen = std::collections::HashSet::new();

@@ -73,19 +73,6 @@ impl std::fmt::Display for Table {
     }
 }
 
-/// Formats a float with three significant decimals, trimming noise.
-pub fn fmt_f64(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else if x.abs() >= 100.0 {
-        format!("{x:.0}")
-    } else if x.abs() >= 1.0 {
-        format!("{x:.2}")
-    } else {
-        format!("{x:.4}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,13 +97,5 @@ mod tests {
         t.row(["only-one"]);
         let s = t.render();
         assert!(s.contains("only-one"));
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(fmt_f64(0.0), "0");
-        assert_eq!(fmt_f64(1234.6), "1235");
-        assert_eq!(fmt_f64(2.34567), "2.35");
-        assert_eq!(fmt_f64(0.012345), "0.0123");
     }
 }

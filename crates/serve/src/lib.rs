@@ -21,9 +21,8 @@
 //!   [`cdim_util::poll`], so the crate builds on Linux only): one thread
 //!   multiplexing every connection, pipelined in-order responses,
 //!   per-connection backpressure, and per-tick query batching through a
-//!   small worker pool;
-//! * [`server`] — the frontend facade: [`spawn`]/[`server::spawn_with`]
-//!   start the reactor, the only TCP frontend;
+//!   small worker pool; [`spawn`]/[`spawn_with`] start it, the only TCP
+//!   frontend;
 //! * [`client`] — a blocking [`QueryClient`] for the protocol.
 //!
 //! ```no_run
@@ -32,7 +31,7 @@
 //!
 //! let snapshot = ModelSnapshot::load(std::path::Path::new("model.snap"))?;
 //! let service = Arc::new(InfluenceService::new(snapshot, 1024));
-//! let server = cdim_serve::server::spawn(service, "127.0.0.1:0")?;
+//! let server = cdim_serve::spawn(service, "127.0.0.1:0")?;
 //!
 //! let mut client = QueryClient::connect(server.addr())?;
 //! let (seeds, _gains) = client.top_k(50)?;
@@ -49,12 +48,11 @@ mod codec;
 pub mod client;
 pub mod protocol;
 pub mod reactor;
-pub mod server;
 pub mod service;
 pub mod snapshot;
 
 pub use client::{ClientError, QueryClient};
 pub use protocol::{FrameDecoder, Request, Response, ServiceInfo, StatsReply};
-pub use server::{spawn, spawn_with, ServerConfig, ServerHandle};
+pub use reactor::{spawn, spawn_with, ServerConfig, ServerHandle};
 pub use service::{Answer, InfluenceService, Query, QueryError, ServiceStats};
 pub use snapshot::{ModelSnapshot, SnapshotError, SnapshotFormat};

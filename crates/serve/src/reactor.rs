@@ -62,7 +62,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`spawn_with`](crate::server::spawn_with).
+/// Tuning knobs for [`spawn_with`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Connections beyond this are accepted and immediately closed (the
@@ -142,8 +142,19 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Binds `addr` and runs the reactor on a background thread.
-pub fn spawn_reactor(
+/// Binds `addr` (port 0 gives an ephemeral port, reported via
+/// [`ServerHandle::addr`]) and serves `service` on the reactor with the
+/// default [`ServerConfig`].
+pub fn spawn(
+    service: Arc<InfluenceService>,
+    addr: impl ToSocketAddrs,
+) -> std::io::Result<ServerHandle> {
+    spawn_with(service, addr, ServerConfig::default())
+}
+
+/// Binds `addr` and serves `service` on a background reactor thread with
+/// explicit configuration.
+pub fn spawn_with(
     service: Arc<InfluenceService>,
     addr: impl ToSocketAddrs,
     config: ServerConfig,
@@ -490,6 +501,13 @@ impl Conn {
         seq
     }
 
+    /// Answers a request on the reactor thread: takes the next slot, with
+    /// no trace root, and fills it with `response` at once.
+    fn answer_inline(&mut self, response: &Response) {
+        let seq = self.push_request(None);
+        self.complete(seq, frame_bytes(&encode_response(response)));
+    }
+
     /// Fills `seq`'s slot (no-op if the slot was dropped by a close) and
     /// moves the filled head of the pending queue into the outbound
     /// queue, preserving request order.
@@ -817,25 +835,18 @@ impl Reactor {
                                     query,
                                 });
                             }
-                            None => {
-                                let seq = conn.push_request(None);
-                                let response = inline_response(&request, &self.service);
-                                conn.complete(seq, frame_bytes(&encode_response(&response)));
-                            }
+                            None => conn.answer_inline(&inline_response(&request, &self.service)),
                         },
-                        Err(
-                            e @ (ProtocolError::UnknownOpcode(_) | ProtocolError::Malformed(_)),
-                        ) => {
-                            // Framing is intact: answer the error, go on.
-                            let seq = conn.push_request(None);
-                            let response = Response::Error(format!("bad request: {e}"));
-                            conn.complete(seq, frame_bytes(&encode_response(&response)));
-                        }
                         Err(e) => {
-                            let seq = conn.push_request(None);
-                            let response = Response::Error(format!("bad request: {e}"));
-                            conn.complete(seq, frame_bytes(&encode_response(&response)));
-                            conn.closing = true;
+                            conn.answer_inline(&Response::Error(format!("bad request: {e}")));
+                            // An unknown opcode or a malformed body leaves
+                            // the framing intact: answer and go on.
+                            if !matches!(
+                                e,
+                                ProtocolError::UnknownOpcode(_) | ProtocolError::Malformed(_)
+                            ) {
+                                conn.closing = true;
+                            }
                         }
                     }
                 }
@@ -843,9 +854,7 @@ impl Reactor {
                 Err(e) => {
                     // Frame-level failure (oversized length prefix): the
                     // byte stream's framing is lost — answer and close.
-                    let response = Response::Error(format!("protocol error: {e}"));
-                    let seq = conn.push_request(None);
-                    conn.complete(seq, frame_bytes(&encode_response(&response)));
+                    conn.answer_inline(&Response::Error(format!("protocol error: {e}")));
                     conn.closing = true;
                 }
             }
@@ -909,11 +918,9 @@ impl Reactor {
         for (token, mid_frame) in expired {
             if mid_frame {
                 let Some(conn) = self.conns.get_mut(&token) else { continue };
-                let response = Response::Error(format!(
+                conn.answer_inline(&Response::Error(format!(
                     "request timed out mid-frame after {idle_timeout:?} without a byte"
-                ));
-                let seq = conn.push_request(None);
-                conn.complete(seq, frame_bytes(&encode_response(&response)));
+                )));
                 conn.closing = true;
                 self.flush_conn(token);
             } else {

@@ -54,7 +54,7 @@ use crate::codec::{push_f64, push_u32, push_u64};
 use cdim_core::{CompactCounts, CompactSelector, TopKSession};
 use cdim_util::checksum::{crc32c, crc32c_append};
 use cdim_util::AlignedBuf;
-use std::io::Write as _;
+use std::io::Write;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -311,10 +311,29 @@ impl ModelSnapshot {
         self.model.gain_over(seeds, candidate)
     }
 
-    /// Serializes to the snapshot byte format: the header, the arena
-    /// verbatim, the CRC. Canonical: one trained state, one encoding.
+    /// Writes the snapshot byte format to `out`: the header, the arena
+    /// verbatim, the CRC (continued from the header over the arena).
+    /// Canonical: one trained state, one encoding. The arena is written
+    /// straight from the model, so nothing is copied on the way.
+    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let (header, arena) = (header(&self.model), self.model.arena());
+        let crc = crc32c_append(crc32c(&header), arena);
+        out.write_all(&header)?;
+        out.write_all(arena)?;
+        out.write_all(&crc.to_le_bytes())
+    }
+
+    /// Length in bytes of the encoding [`write_to`](Self::write_to) writes.
+    pub fn encoded_len(&self) -> usize {
+        HEADER + self.model.arena().len() + 4
+    }
+
+    /// Serializes to the snapshot byte format (see
+    /// [`write_to`](Self::write_to)).
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(&self.model)
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_to(&mut out).expect("writing to a Vec cannot fail");
+        out
     }
 
     /// Deserializes and validates a snapshot.
@@ -327,17 +346,12 @@ impl ModelSnapshot {
 
     /// Writes the snapshot to `path` via a sibling temp file + rename, so
     /// a crash mid-write never leaves a half-written snapshot in place.
-    /// The header, the arena and the CRC trailer are written straight
-    /// from the model (the CRC continued from the header over the arena),
+    /// [`write_to`](Self::write_to) streams it straight from the model,
     /// so saving copies nothing: the file holds [`to_bytes`](Self::to_bytes).
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
         let tmp = path.with_extension("tmp");
-        let (header, arena) = (header(&self.model), self.model.arena());
-        let crc = crc32c_append(crc32c(&header), arena);
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&header)?;
-        file.write_all(arena)?;
-        file.write_all(&crc.to_le_bytes())?;
+        self.write_to(&mut file)?;
         drop(file);
         std::fs::rename(&tmp, path)?;
         Ok(())
@@ -388,20 +402,9 @@ fn check_version(bytes: &[u8]) -> Result<(), SnapshotError> {
     }
 }
 
-/// Serializes a compact selector: fixed header, the arena verbatim, CRC
-/// trailer. The arena begins at byte 96 (≡ 0 mod 8), so the written file
-/// reloads with zero copies when mapped.
-fn encode(compact: &CompactSelector) -> Vec<u8> {
-    let arena = compact.arena();
-    let mut out = header(compact);
-    out.reserve(arena.len() + 4);
-    out.extend_from_slice(arena);
-    let crc = crc32c(&out);
-    push_u32(&mut out, crc);
-    out
-}
-
-/// The fixed header of a compact selector's snapshot.
+/// The fixed header of a compact selector's snapshot. The arena follows
+/// at byte 96 (≡ 0 mod 8), so the written file reloads with zero copies
+/// when mapped.
 fn header(compact: &CompactSelector) -> Vec<u8> {
     let counts = compact.counts();
     let mut out = Vec::with_capacity(HEADER);

@@ -63,7 +63,7 @@ impl AlignedBuf {
 
     /// Reads the whole file at `path` into an owned aligned buffer — the
     /// std-only fallback load path (one read, no per-entry work).
-    pub fn read_file(path: &Path) -> std::io::Result<AlignedBuf> {
+    fn read_file(path: &Path) -> std::io::Result<AlignedBuf> {
         let mut file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         let len = usize::try_from(len).map_err(|_| {
@@ -74,9 +74,9 @@ impl AlignedBuf {
         Ok(buf)
     }
 
-    /// Maps the file at `path` read-only (Unix), falling back to
-    /// [`read_file`](Self::read_file) for empty files or when mapping is
-    /// unavailable on the platform.
+    /// Maps the file at `path` read-only (Unix), falling back to one read
+    /// into an owned buffer for empty files or when mapping is unavailable
+    /// on the platform.
     pub fn map_or_read_file(path: &Path) -> std::io::Result<AlignedBuf> {
         #[cfg(unix)]
         {
@@ -91,7 +91,7 @@ impl AlignedBuf {
     /// Zero-length files are returned as an (empty) owned buffer — a
     /// zero-length `mmap` is an error on POSIX.
     #[cfg(unix)]
-    pub fn mmap_file(path: &Path) -> std::io::Result<AlignedBuf> {
+    fn mmap_file(path: &Path) -> std::io::Result<AlignedBuf> {
         use std::os::unix::io::AsRawFd;
         let file = std::fs::File::open(path)?;
         let len = usize::try_from(file.metadata()?.len()).map_err(|_| {

@@ -19,9 +19,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl FxHasher {

@@ -3,8 +3,8 @@
 //!
 //! This crate deliberately has no dependencies. It provides:
 //!
-//! * [`hash`] — an FxHash-style hasher plus [`FxHashMap`]/[`FxHashSet`]
-//!   aliases. Integer-keyed maps sit on the hot path of the credit-scan and
+//! * [`hash`] — an FxHash-style hasher plus the [`FxHashMap`] alias.
+//!   Integer-keyed maps sit on the hot path of the credit-scan and
 //!   of every learner, where SipHash is measurably slower.
 //! * [`rng`] — a deterministic xoshiro256\*\* PRNG with the handful of
 //!   distributions the workspace needs. Experiments must be reproducible
@@ -42,10 +42,10 @@ pub mod timer;
 pub mod topk;
 
 pub use bytes::AlignedBuf;
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use hash::{FxBuildHasher, FxHashMap};
 pub use lru::LruCache;
 pub use mem::HeapSize;
 pub use ord::OrdF64;
-pub use pool::{parallel_map_indexed, parallel_map_shards, Parallelism};
+pub use pool::{parallel_map_shards, Parallelism};
 pub use rng::Rng;
 pub use timer::{monotonic_ns, Timer};

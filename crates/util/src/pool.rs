@@ -38,10 +38,12 @@
 //! ## Example
 //!
 //! ```
-//! use cdim_util::pool::{parallel_map_indexed, Parallelism};
+//! use cdim_util::pool::{parallel_map_shards, Parallelism};
 //!
-//! let squares = parallel_map_indexed(Parallelism::fixed(4), 6, |i| i * i);
-//! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25]);
+//! let shards = parallel_map_shards(Parallelism::fixed(4), 6, |_, range| {
+//!     range.map(|i| i * i).collect::<Vec<_>>()
+//! });
+//! assert_eq!(shards.concat(), vec![0, 1, 4, 9, 16, 25]);
 //! ```
 
 use std::ops::Range;
@@ -215,27 +217,6 @@ where
     });
 }
 
-/// Applies `f` to every index in `0..len` on up to
-/// [`Parallelism::effective`] workers and returns `vec![f(0), … f(len-1)]`
-/// — output identical to the sequential map for every thread count, since
-/// each slot depends only on its index.
-pub fn parallel_map_indexed<T, F>(parallelism: Parallelism, len: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut shards =
-        parallel_map_shards(parallelism, len, |_, range| range.map(&f).collect::<Vec<T>>());
-    if shards.len() == 1 {
-        return shards.pop().expect("one shard");
-    }
-    let mut out = Vec::with_capacity(len);
-    for shard in shards {
-        out.extend(shard);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,33 +252,36 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         assert!(split_ranges(0, 4).is_empty());
-        let out: Vec<u32> = parallel_map_indexed(Parallelism::fixed(4), 0, |_| unreachable!());
-        assert!(out.is_empty());
-        let shards: Vec<u32> = parallel_map_shards(Parallelism::auto(), 0, |_, _| unreachable!());
-        assert!(shards.is_empty());
+        for parallelism in [Parallelism::auto(), Parallelism::fixed(4)] {
+            let shards: Vec<u32> = parallel_map_shards(parallelism, 0, |_, _| unreachable!());
+            assert!(shards.is_empty());
+        }
     }
 
     #[test]
     fn single_item_runs_inline() {
-        let out = parallel_map_indexed(Parallelism::fixed(8), 1, |i| i + 41);
-        assert_eq!(out, vec![41]);
-        let shards = parallel_map_shards(Parallelism::fixed(8), 1, |s, r| (s, r));
-        assert_eq!(shards, vec![(0, 0..1)]);
+        let caller = std::thread::current().id();
+        let shards = parallel_map_shards(Parallelism::fixed(8), 1, |s, r| {
+            (s, r, std::thread::current().id() == caller)
+        });
+        assert_eq!(shards, vec![(0, 0..1, true)]);
     }
 
     #[test]
     fn more_threads_than_items_caps_at_items() {
         assert_eq!(Parallelism::fixed(16).workers_for(3), 3);
-        let out = parallel_map_indexed(Parallelism::fixed(16), 3, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4]);
+        let shards = parallel_map_shards(Parallelism::fixed(16), 3, |s, r| (s, r));
+        assert_eq!(shards, vec![(0, 0..1), (1, 1..2), (2, 2..3)]);
     }
 
     #[test]
     fn output_order_matches_sequential_for_every_thread_count() {
         let expected: Vec<usize> = (0..97).map(|i| i * 3 + 1).collect();
         for threads in [1usize, 2, 3, 8, 128] {
-            let got = parallel_map_indexed(Parallelism::fixed(threads), 97, |i| i * 3 + 1);
-            assert_eq!(got, expected, "threads = {threads}");
+            let shards = parallel_map_shards(Parallelism::fixed(threads), 97, |_, range| {
+                range.map(|i| i * 3 + 1).collect::<Vec<_>>()
+            });
+            assert_eq!(shards.concat(), expected, "threads = {threads}");
         }
     }
 

@@ -14,7 +14,6 @@
 //! ```
 
 use cdim::prelude::*;
-use cdim::serve::server;
 use std::sync::Arc;
 
 fn main() {
@@ -34,7 +33,7 @@ fn main() {
     // Restore and serve.
     let restored = ModelSnapshot::load(&path).expect("reading snapshot");
     let service = Arc::new(InfluenceService::new(restored, 1024));
-    let handle = server::spawn(Arc::clone(&service), "127.0.0.1:0").expect("binding");
+    let handle = cdim::serve::spawn(Arc::clone(&service), "127.0.0.1:0").expect("binding");
     let addr = handle.addr();
     println!("serving on {addr}");
 

@@ -24,7 +24,7 @@ use cdim::ingest::{BatchConfig, FollowConfig, IngestDriver, WindowPolicy};
 use cdim::metrics::Table;
 use cdim::obs::{MetricsRegistry, MetricsServer, SpanDump, Tracer};
 use cdim::prelude::*;
-use cdim::serve::{server, ClientError, InfluenceService, ModelSnapshot, QueryClient};
+use cdim::serve::{ClientError, InfluenceService, ModelSnapshot, QueryClient, ServerConfig};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -562,10 +562,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         Arc::new(InfluenceService::with_registry(snapshot, cache, MetricsRegistry::global()));
     // Named binding: the scrape endpoint lives as long as the server.
     let _metrics_handle = spawn_metrics(flags)?;
-    let mut config = server::ServerConfig::default();
+    let mut config = ServerConfig::default();
     config.max_connections = flags.get_parsed("max-connections", config.max_connections)?;
-    let handle =
-        server::spawn_with(service, addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
+    let handle = cdim::serve::spawn_with(service, addr, config)
+        .map_err(|e| format!("binding {addr}: {e}"))?;
     // The exact address on its own stdout line, so scripts (and the CLI
     // test) can discover an ephemeral port.
     println!("listening on {}", handle.addr());
@@ -651,7 +651,10 @@ fn cmd_follow(flags: &Flags) -> Result<(), String> {
         }
     };
     let window = match (flags.get("window-actions"), flags.get("window-age")) {
-        (Some(_), _) => WindowPolicy::Actions(flags.get_parsed("window-actions", 0usize)?),
+        (Some(_), _) => match flags.get_parsed("window-actions", 0usize)? {
+            0 => return Err("--window-actions must be at least 1 action".to_string()),
+            n => WindowPolicy::Actions(n),
+        },
         (None, Some(_)) => WindowPolicy::WatermarkAge(flags.get_parsed("window-age", 0u32)?),
         (None, None) => WindowPolicy::Unbounded,
     };
@@ -698,7 +701,7 @@ fn cmd_follow(flags: &Flags) -> Result<(), String> {
     // either way, so attaching the TCP frontend is a one-liner.
     let server_handle = match flags.get("serve") {
         Some(addr) => {
-            let handle = server::spawn(Arc::clone(driver.service()), addr)
+            let handle = cdim::serve::spawn(Arc::clone(driver.service()), addr)
                 .map_err(|e| format!("binding {addr}: {e}"))?;
             // The exact address on its own stdout line (script-friendly,
             // same convention as `cdim serve`).

@@ -34,7 +34,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`graph`] | CSR digraph, BFS, PageRank, components, clustering |
+//! | [`graph`] | CSR digraph, BFS, PageRank, degree stats |
 //! | [`actionlog`] | the `(user, action, time)` log, propagation DAGs, splits, TSV storage |
 //! | [`diffusion`] | IC and LT models, parallel Monte-Carlo spread estimation |
 //! | [`learning`] | UN/TV/WC assignments, EM (Saito et al.), LT weights, τ/infl |

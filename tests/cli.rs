@@ -637,8 +637,8 @@ fn windowed_follow_equals_train_on_window_byte_for_byte() {
         "windowed follow must equal training on just the window"
     );
 
-    // Guard rails: a zero window, --window with --append, and both
-    // follow window flags at once are all refused.
+    // Guard rails: a zero window (to train or to follow), --window with
+    // --append, and both follow window flags at once are all refused.
     let out = cdim()
         .args([
             "train",
@@ -655,6 +655,28 @@ fn windowed_follow_equals_train_on_window_byte_for_byte() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--window"));
+
+    let zero_ckpt = dir.join("zero.ckpt");
+    let out = cdim()
+        .args([
+            "follow",
+            "--graph",
+            graph.to_str().unwrap(),
+            "--log",
+            log.to_str().unwrap(),
+            "--snapshot",
+            zero_ckpt.to_str().unwrap(),
+            "--window-actions",
+            "0",
+            "--idle-exit-ms",
+            "50",
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--window-actions must be at least 1 action"), "{stderr}");
+    assert!(!zero_ckpt.exists(), "a refused follow writes no checkpoint");
 
     let out = cdim()
         .args([

@@ -9,7 +9,6 @@
 
 use cdim::core::reference::CdSelector;
 use cdim::prelude::*;
-use cdim::serve::server;
 use std::sync::Arc;
 
 /// The offline reference: canonical-order telescoped σ_cd on the oracle
@@ -64,7 +63,7 @@ fn concurrent_tcp_queries_match_offline_selector() {
 
     // Serve the snapshot on an ephemeral port.
     let service = Arc::new(InfluenceService::new(restored, 64));
-    let handle = server::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let handle = cdim::serve::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
     // Four client threads, each issuing every TopK + Spread query.
@@ -134,7 +133,7 @@ fn hot_swap_under_load_never_drops_a_query() {
     let expect_b = offline_spread(&CdSelector::new(time_aware.store().clone()), &[0, 1, 2]);
 
     let service = Arc::new(InfluenceService::new(snap_a, 64));
-    let handle = server::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
+    let handle = cdim::serve::spawn(Arc::clone(&service), "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
     let queriers: Vec<_> = (0..3)
